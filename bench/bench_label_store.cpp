@@ -1,13 +1,14 @@
 // bench_label_store: the serving-from-disk story in numbers.
 //
 // For each backend: build labels once, save() them as a container, then
-// measure the two load paths —
-//   mmap        zero-copy view (LoadMode::kMmap), optionally without the
-//               payload-checksum pass,
-//   materialize eager full deserialize into in-memory label vectors —
+// measure the serving paths —
+//   resident    the built labels' own resident view (what make_scheme
+//               serves; no file, no SIGBUS guard),
+//   mmap        the saved container, zero-copy, optionally without the
+//               payload-checksum pass —
 // reporting cold-load latency, first-query latency (fault prep + one
 // decode on cold caches) and steady-state sequential query throughput,
-// with every answer parity-checked against the in-memory scheme.
+// with every answer parity-checked against the built scheme.
 //
 // Output: a human table plus BENCH_label_store.json (a JsonRecords dump)
 // in the working directory.
@@ -28,7 +29,8 @@ namespace {
 
 struct LoadVariant {
   const char* name;
-  core::LoadOptions options;
+  bool resident;
+  bool verify_checksum;
 };
 
 void run_backend(core::BackendKind backend, const graph::Graph& g, unsigned f,
@@ -70,13 +72,17 @@ void run_backend(core::BackendKind backend, const graph::Graph& g, unsigned f,
   const auto expected = reference.run_sequential(queries);
 
   const LoadVariant variants[] = {
-      {"mmap", {core::LoadMode::kMmap, true}},
-      {"mmap-noverify", {core::LoadMode::kMmap, false}},
-      {"materialize", {core::LoadMode::kMaterialize, true}},
+      {"resident", true, false},
+      {"mmap", false, true},
+      {"mmap-noverify", false, false},
   };
   for (const LoadVariant& variant : variants) {
     Timer load_timer;
-    auto loaded = core::load_scheme(path, variant.options);
+    auto loaded =
+        variant.resident
+            ? core::load_scheme(scheme->store_view())
+            : core::load_scheme(
+                  path, {.verify_checksum = variant.verify_checksum});
     const double load_ms = load_timer.millis();
 
     Timer first_timer;

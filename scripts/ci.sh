@@ -8,10 +8,13 @@
 #   scripts/ci.sh release     # just the release leg
 #   scripts/ci.sh asan        # just the sanitizer leg
 #   scripts/ci.sh store       # fast loop: asan build + run of the label
-#                             # store / differential stress / decoder
-#                             # workspace suites only (adversarial inputs
-#                             # and the copy-on-write decoder state are
-#                             # what most need the sanitizers)
+#                             # store / golden bytes / differential
+#                             # stress / decoder workspace suites, plus
+#                             # the backend and batch-engine suites
+#                             # (every built scheme serves through the
+#                             # store path; adversarial inputs and the
+#                             # copy-on-write decoder state are what most
+#                             # need the sanitizers)
 #   scripts/ci.sh store-v2    # format-v2 focused asan leg: v1 fixture
 #                             # load + v2 round-trip + vertex-fault
 #                             # parity (fault-model suites) plus an
@@ -84,12 +87,12 @@ if [ "${1:-}" = "store" ]; then
   echo "=== store/stress focused leg (asan) ==="
   cmake --preset asan
   cmake --build --preset asan -j "$jobs" \
-    --target test_label_store test_stress_differential \
-    test_decoder_workspace ftc_store
+    --target test_label_store test_golden_bytes test_stress_differential \
+    test_decoder_workspace test_backends test_batch_engine ftc_store
   ctest --preset asan \
-    -R 'test_label_store|test_stress_differential|test_decoder_workspace' \
+    -R 'test_label_store|test_golden_bytes|test_stress_differential|test_decoder_workspace|test_backends|test_batch_engine' \
     -j "$jobs"
-  echo "ci: store/stress/workspace suites green under asan"
+  echo "ci: store/golden/stress/workspace/backend/engine suites green under asan"
   exit 0
 fi
 

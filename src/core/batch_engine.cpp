@@ -82,7 +82,7 @@ BatchQueryEngine::GenerationStats BatchQueryEngine::generation_stats() const {
   const auto sharded = std::dynamic_pointer_cast<const ShardedStoreView>(
       gen->scheme->store_view());
   if (sharded == nullptr) {
-    // In-memory or single-container generation: no shards to degrade.
+    // Built or single-container generation: no shards to degrade.
     stats.num_shards = 1;
     stats.shards_open = 1;
     return stats;
@@ -134,8 +134,8 @@ std::uint64_t BatchQueryEngine::swap_store(
 }
 
 std::uint64_t BatchQueryEngine::swap_store(
-    std::shared_ptr<const StoreView> view, LoadMode mode) {
-  return install(require_scheme(load_scheme(std::move(view), mode)));
+    std::shared_ptr<const StoreView> view) {
+  return install(require_scheme(load_scheme(std::move(view))));
 }
 
 std::uint64_t BatchQueryEngine::swap_store(const std::string& path,
@@ -146,8 +146,8 @@ std::uint64_t BatchQueryEngine::swap_store(const std::string& path,
   // maps only the changed ones.
   const std::shared_ptr<const StoreView> current =
       snapshot()->scheme->store_view();
-  auto scheme = load_scheme(
-      open_store_view(path, options.verify_checksum, current), options.mode);
+  auto scheme =
+      load_scheme(open_store_view(path, options.verify_checksum, current));
   attach_journal_sidecar(*scheme, path, options.replay_journal);
   return install(require_scheme(std::move(scheme)));
 }

@@ -108,8 +108,7 @@ class BatchQueryEngine {
   std::uint64_t swap_store(std::unique_ptr<ConnectivityScheme> scheme);
   // Convenience: swap to labels served from an already-open store view
   // (single container or sharded manifest).
-  std::uint64_t swap_store(std::shared_ptr<const StoreView> view,
-                           LoadMode mode = LoadMode::kMmap);
+  std::uint64_t swap_store(std::shared_ptr<const StoreView> view);
   // Convenience: open the artifact at `path` and install it. When the
   // current generation serves a sharded store and the incoming manifest
   // records byte-identical shard digests (a delta push,

@@ -1,12 +1,12 @@
 #include "core/connectivity_scheme.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "core/ftc_scheme.hpp"
 #include "core/journal.hpp"
 #include "core/label_store.hpp"
-#include "core/scheme_adapters.hpp"
 
 namespace ftc::core {
 
@@ -14,7 +14,7 @@ namespace ftc::core {
 // Base-class fault model: every public entry point funnels through here,
 // so validation, the vertex -> incident-edges reduction and the
 // endpoint-deletion rule are identical across all backends and serving
-// paths (in-memory, store-served, batch engine, oracle, CLI).
+// paths (built, store-served, batch engine, CLI).
 
 std::unique_ptr<ConnectivityScheme::FaultSet>
 ConnectivityScheme::prepare_faults(const FaultSpec& spec) const {
@@ -99,251 +99,93 @@ bool ConnectivityScheme::connected(graph::VertexId s, graph::VertexId t,
 
 namespace {
 
-// Fetch each (already canonicalized) fault edge's label from the wrapped
-// scheme — the materialization step every adapter shares.
-template <typename Scheme>
-auto materialize_labels(const Scheme& scheme,
-                        std::span<const graph::EdgeId> edge_faults) {
-  std::vector<decltype(scheme.edge_label(graph::EdgeId{}))> labels;
-  labels.reserve(edge_faults.size());
-  for (const graph::EdgeId e : edge_faults) {
-    labels.push_back(scheme.edge_label(e));
+// Encodes the dp21 builders' edge labels into a resident edge section,
+// releasing each label's payload as soon as its blob is written.
+template <typename Label, typename Encode>
+void encode_edge_section(std::vector<Label> labels, std::size_t blob_bytes,
+                         Encode&& encode, store::ResidentLabels& out) {
+  out.edge_blob_bytes = blob_bytes;
+  out.edge_words.assign(
+      store::ResidentLabels::words_for(labels.size() * blob_bytes), 0);
+  store::ByteWriter blob;
+  for (std::size_t e = 0; e < labels.size(); ++e) {
+    blob.clear();
+    encode(labels[e], blob);
+    FTC_CHECK(blob.size() == blob_bytes, "edge blobs must be uniform-width");
+    std::memcpy(out.edge_blobs() + e * blob_bytes, blob.view().data(),
+                blob_bytes);
+    labels[e] = Label{};
   }
-  return labels;
 }
 
-using detail::BackendWorkspace;
-using detail::EmptyWorkspace;
-using detail::PreparedFaultSet;
-using detail::checked_cast;
-
-using CoreFaultSet = PreparedFaultSet<PreparedFaults>;
-using CoreWorkspace = BackendWorkspace<DecoderWorkspace>;
-using CycleFaultSet = PreparedFaultSet<dp21::CycleSpaceFtc::Prepared>;
-using AgmFaultSet = PreparedFaultSet<dp21::AgmFtc::Prepared>;
-using AgmWorkspace = BackendWorkspace<dp21::AgmFtc::Workspace>;
-
-// In-memory backends share the graph-derived incidence lists (the store
-// persists them as the format-v2 adjacency section).
-class InMemoryBackendBase : public ConnectivityScheme {
- public:
-  explicit InMemoryBackendBase(const graph::Graph& g) : adjacency_(g) {}
-
-  const AdjacencyProvider* adjacency() const override { return &adjacency_; }
-
- private:
-  VectorAdjacency adjacency_;
-};
-
-// ---------------------------------------------------------------- core
-
-class CoreFtcBackend final : public InMemoryBackendBase {
- public:
-  CoreFtcBackend(const graph::Graph& g, const FtcConfig& config)
-      : InMemoryBackendBase(g), scheme_(FtcScheme::build(g, config)) {}
-
-  BackendKind backend() const override { return BackendKind::kCoreFtc; }
-  graph::VertexId num_vertices() const override {
-    return scheme_.num_vertices();
+template <typename Scheme>
+std::vector<std::uint8_t> vertex_section(const Scheme& scheme,
+                                         graph::VertexId n) {
+  std::vector<std::uint8_t> section(static_cast<std::size_t>(n) *
+                                    store::kVertexRecordBytes);
+  for (graph::VertexId v = 0; v < n; ++v) {
+    store::write_vertex_record_at(
+        section.data() + static_cast<std::size_t>(v) * store::kVertexRecordBytes,
+        scheme.vertex_label(v).anc);
   }
-  graph::EdgeId num_edges() const override { return scheme_.num_edges(); }
-  std::size_t vertex_label_bits() const override {
-    return scheme_.vertex_label_bits();
-  }
-  std::size_t edge_label_bits() const override {
-    return scheme_.edge_label_bits();
-  }
-  std::size_t total_label_bits() const override {
-    return scheme_.total_label_bits();
-  }
+  return section;
+}
 
-  std::unique_ptr<Workspace> make_workspace() const override {
-    return std::make_unique<CoreWorkspace>();
-  }
+store::ResidentLabels cycle_labels(dp21::CycleSpaceFtc scheme,
+                                   graph::VertexId n) {
+  const store::CycleParams params{scheme.coord_bits(), scheme.vector_bits()};
+  store::ResidentLabels out;
+  out.backend = BackendKind::kDp21CycleSpace;
+  store::ByteWriter pw;
+  store::encode_cycle_params(params, pw);
+  out.params = pw.take();
+  out.vertex_records = vertex_section(scheme, n);
+  encode_edge_section(scheme.take_edge_labels(),
+                      store::cycle_edge_blob_bytes(params),
+                      store::encode_cycle_edge, out);
+  return out;
+}
 
-  void serialize_params(store::ByteWriter& out) const override {
-    store::encode_core_params(scheme_.params(), scheme_.level_populations(),
-                              out);
-  }
-  void serialize_vertex_label(graph::VertexId v,
-                              store::ByteWriter& out) const override {
-    store::encode_vertex_record(scheme_.vertex_label(v).anc, out);
-  }
-  void serialize_edge_label(graph::EdgeId e,
-                            store::ByteWriter& out) const override {
-    store::encode_core_edge(scheme_.edge_label(e), out);
-  }
+store::ResidentLabels agm_labels(dp21::AgmFtc scheme, graph::VertexId n) {
+  store::AgmParams params;
+  params.coord_bits = scheme.coord_bits();
+  params.levels = scheme.sketch_levels();
+  params.reps = scheme.sketch_reps();
+  params.seed = scheme.sketch_seed();
+  store::ResidentLabels out;
+  out.backend = BackendKind::kDp21Agm;
+  store::ByteWriter pw;
+  store::encode_agm_params(params, pw);
+  out.params = pw.take();
+  out.vertex_records = vertex_section(scheme, n);
+  encode_edge_section(scheme.take_edge_labels(),
+                      store::agm_edge_blob_bytes(params),
+                      store::encode_agm_edge, out);
+  return out;
+}
 
- protected:
-  std::unique_ptr<FaultSet> prepare_edge_faults(
-      std::span<const graph::EdgeId> edge_faults) const override {
-    const auto labels = materialize_labels(scheme_, edge_faults);
-    auto prepared = PreparedFaults::prepare(labels, scheme_.level_populations());
-    const std::size_t nf = prepared.num_faults();
-    return std::make_unique<CoreFaultSet>(std::move(prepared), nf);
+store::ResidentLabels build_labels(const graph::Graph& g,
+                                   const SchemeConfig& config) {
+  switch (config.backend) {
+    case BackendKind::kCoreFtc:
+      return FtcScheme::build(g, config.ftc).release_labels();
+    case BackendKind::kDp21CycleSpace:
+      return cycle_labels(dp21::CycleSpaceFtc::build(g, config.cycle),
+                          g.num_vertices());
+    case BackendKind::kDp21Agm:
+      return agm_labels(dp21::AgmFtc::build(g, config.agm), g.num_vertices());
   }
-
-  bool query_edges(graph::VertexId s, graph::VertexId t,
-                   const FaultSet& faults, Workspace& workspace,
-                   const QueryOptions& options) const override {
-    const auto& fs = checked_cast<const CoreFaultSet&>(
-        faults, "fault set from a different backend");
-    auto& ws = checked_cast<CoreWorkspace&>(
-        workspace, "workspace from a different backend");
-    return FtcDecoder::connected(scheme_.vertex_label(s),
-                                 scheme_.vertex_label(t), fs.prepared(),
-                                 ws.inner(), options);
-  }
-
- private:
-  FtcScheme scheme_;
-};
-
-// ----------------------------------------------------- dp21 cycle-space
-
-class CycleSpaceBackend final : public InMemoryBackendBase {
- public:
-  CycleSpaceBackend(const graph::Graph& g,
-                    const dp21::CycleSpaceConfig& config)
-      : InMemoryBackendBase(g),
-        scheme_(dp21::CycleSpaceFtc::build(g, config)),
-        num_vertices_(g.num_vertices()),
-        num_edges_(g.num_edges()) {}
-
-  BackendKind backend() const override {
-    return BackendKind::kDp21CycleSpace;
-  }
-  graph::VertexId num_vertices() const override { return num_vertices_; }
-  graph::EdgeId num_edges() const override { return num_edges_; }
-  std::size_t vertex_label_bits() const override {
-    return scheme_.vertex_label_bits();
-  }
-  std::size_t edge_label_bits() const override {
-    return scheme_.edge_label_bits();
-  }
-
-  std::unique_ptr<Workspace> make_workspace() const override {
-    return std::make_unique<EmptyWorkspace>();
-  }
-
-  void serialize_params(store::ByteWriter& out) const override {
-    store::encode_cycle_params(
-        {scheme_.coord_bits(), scheme_.vector_bits()}, out);
-  }
-  void serialize_vertex_label(graph::VertexId v,
-                              store::ByteWriter& out) const override {
-    store::encode_vertex_record(scheme_.vertex_label(v).anc, out);
-  }
-  void serialize_edge_label(graph::EdgeId e,
-                            store::ByteWriter& out) const override {
-    store::encode_cycle_edge(scheme_.edge_label(e), out);
-  }
-
- protected:
-  std::unique_ptr<FaultSet> prepare_edge_faults(
-      std::span<const graph::EdgeId> edge_faults) const override {
-    const auto labels = materialize_labels(scheme_, edge_faults);
-    return std::make_unique<CycleFaultSet>(
-        dp21::CycleSpaceFtc::Prepared::prepare(labels), labels.size());
-  }
-
-  bool query_edges(graph::VertexId s, graph::VertexId t,
-                   const FaultSet& faults, Workspace& /*workspace*/,
-                   const QueryOptions& /*options*/) const override {
-    const auto& fs = checked_cast<const CycleFaultSet&>(
-        faults, "fault set from a different backend");
-    return dp21::CycleSpaceFtc::connected(scheme_.vertex_label(s),
-                                          scheme_.vertex_label(t),
-                                          fs.prepared());
-  }
-
- private:
-  dp21::CycleSpaceFtc scheme_;
-  graph::VertexId num_vertices_;
-  graph::EdgeId num_edges_;
-};
-
-// ------------------------------------------------------------ dp21 AGM
-
-class AgmBackend final : public InMemoryBackendBase {
- public:
-  AgmBackend(const graph::Graph& g, const dp21::AgmFtcConfig& config)
-      : InMemoryBackendBase(g),
-        scheme_(dp21::AgmFtc::build(g, config)),
-        num_vertices_(g.num_vertices()),
-        num_edges_(g.num_edges()) {}
-
-  BackendKind backend() const override { return BackendKind::kDp21Agm; }
-  graph::VertexId num_vertices() const override { return num_vertices_; }
-  graph::EdgeId num_edges() const override { return num_edges_; }
-  std::size_t vertex_label_bits() const override {
-    return scheme_.vertex_label_bits();
-  }
-  std::size_t edge_label_bits() const override {
-    return scheme_.edge_label_bits();
-  }
-
-  std::unique_ptr<Workspace> make_workspace() const override {
-    return std::make_unique<AgmWorkspace>();
-  }
-
-  void serialize_params(store::ByteWriter& out) const override {
-    store::AgmParams p;
-    p.coord_bits = scheme_.coord_bits();
-    p.levels = scheme_.sketch_levels();
-    p.reps = scheme_.sketch_reps();
-    p.seed = scheme_.sketch_seed();
-    store::encode_agm_params(p, out);
-  }
-  void serialize_vertex_label(graph::VertexId v,
-                              store::ByteWriter& out) const override {
-    store::encode_vertex_record(scheme_.vertex_label(v).anc, out);
-  }
-  void serialize_edge_label(graph::EdgeId e,
-                            store::ByteWriter& out) const override {
-    store::encode_agm_edge(scheme_.edge_label(e), out);
-  }
-
- protected:
-  std::unique_ptr<FaultSet> prepare_edge_faults(
-      std::span<const graph::EdgeId> edge_faults) const override {
-    const auto labels = materialize_labels(scheme_, edge_faults);
-    return std::make_unique<AgmFaultSet>(
-        dp21::AgmFtc::Prepared::prepare(labels), labels.size());
-  }
-
-  bool query_edges(graph::VertexId s, graph::VertexId t,
-                   const FaultSet& faults, Workspace& workspace,
-                   const QueryOptions& /*options*/) const override {
-    const auto& fs = checked_cast<const AgmFaultSet&>(
-        faults, "fault set from a different backend");
-    auto& ws = checked_cast<AgmWorkspace&>(
-        workspace, "workspace from a different backend");
-    return dp21::AgmFtc::connected(scheme_.vertex_label(s),
-                                   scheme_.vertex_label(t), fs.prepared(),
-                                   ws.inner());
-  }
-
- private:
-  dp21::AgmFtc scheme_;
-  graph::VertexId num_vertices_;
-  graph::EdgeId num_edges_;
-};
+  FTC_REQUIRE(false, "unknown BackendKind");
+  return {};  // unreachable
+}
 
 }  // namespace
 
 std::unique_ptr<ConnectivityScheme> make_scheme(const graph::Graph& g,
                                                 const SchemeConfig& config) {
-  switch (config.backend) {
-    case BackendKind::kCoreFtc:
-      return std::make_unique<CoreFtcBackend>(g, config.ftc);
-    case BackendKind::kDp21CycleSpace:
-      return std::make_unique<CycleSpaceBackend>(g, config.cycle);
-    case BackendKind::kDp21Agm:
-      return std::make_unique<AgmBackend>(g, config.agm);
-  }
-  FTC_REQUIRE(false, "unknown BackendKind");
-  return nullptr;  // unreachable
+  // Built labels are served exactly like stored ones: through a resident
+  // view and the backend's one scheme class.
+  return load_scheme(open_resident_view(build_labels(g, config), g));
 }
 
 BackendKind parse_backend(std::string_view name) {

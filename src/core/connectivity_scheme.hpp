@@ -3,9 +3,14 @@
 // FtcScheme (core/ftc_scheme.*), the Dory-Parter cycle-space scheme and
 // the Dory-Parter AGM-sketch scheme (dp21/*). Section 1.4: any f-FTC
 // labeling scheme doubles as a centralized oracle; this interface is the
-// shape of that oracle, so every backend can sit behind the same facade,
-// be benchmarked head-to-head, and feed the batch query engine
-// (batch_engine.hpp).
+// shape of that oracle (connected() for one query, BatchQueryEngine in
+// batch_engine.hpp for sessions), so every backend can sit behind the
+// same facade and be benchmarked head-to-head.
+//
+// A scheme is its labels: each backend has exactly one scheme class,
+// serving labels through a StoreView (label_store.hpp). make_scheme()
+// builds the labels into a resident view; load_scheme() serves a
+// container file or a sharded store the same way.
 //
 // The fault model is a first-class value type (fault_spec.hpp): a
 // FaultSpec names faulty edges AND faulty vertices, canonicalized once.
@@ -13,7 +18,7 @@
 // reduction the paper's open-problems section wants to beat) lives HERE,
 // in the base class, behind the AdjacencyProvider abstraction: backends
 // only ever see deduplicated edge faults, and any scheme that can name
-// its adjacency — in-memory builds and format-v2 label stores alike —
+// its adjacency — built schemes and format-v2 label stores alike —
 // serves vertex and mixed faults identically. Schemes without adjacency
 // (format-v1 stores) throw the typed CapabilityError.
 //
@@ -108,9 +113,9 @@ class ConnectivityScheme {
   // sharded store) and resolves the flat route tables, so the first
   // query afterwards pays no cold-open cliff. threads = 0 lets the
   // backing pick its fan-out. Idempotent, safe concurrently with
-  // queries; a no-op for in-memory schemes, whose labels are always
-  // resident. Store-served schemes forward to StoreView::prefetch and
-  // surface its typed StoreError on a corrupt backing.
+  // queries. Forwards to StoreView::prefetch (a no-op for resident and
+  // single-container views) and surfaces its typed StoreError on a
+  // corrupt backing.
   virtual void prefetch(unsigned threads = 0) const { (void)threads; }
 
   // Validates the spec's IDs against this scheme's dimensions
@@ -142,16 +147,17 @@ class ConnectivityScheme {
   // deleted edge is a permanent fault, so queries answer as if those
   // edges never existed, from the unchanged labels. Attached by the
   // load paths when a "<store>.jrnl" sidecar accompanies the artifact;
-  // in-memory schemes normally carry none.
+  // freshly built schemes normally carry none.
   void attach_journal(std::shared_ptr<const DeletionJournal> journal) {
     journal_ = std::move(journal);
   }
   const DeletionJournal* journal() const { return journal_.get(); }
 
-  // The backing store view of a store-served scheme (label_store.hpp),
-  // or nullptr for in-memory schemes. Swap paths use it to adopt the
-  // current generation's already-mapped shards when installing a
-  // delta-pushed manifest (sharded_store.hpp).
+  // The view the labels are served from (label_store.hpp): the resident
+  // view of a freshly built scheme, or a store's file-backed view. Only
+  // wrapper schemes that forward another scheme's labels return nullptr.
+  // Swap paths use it to adopt the current generation's already-mapped
+  // shards when installing a delta-pushed manifest (sharded_store.hpp).
   virtual std::shared_ptr<const StoreView> store_view() const {
     return nullptr;
   }
@@ -159,8 +165,8 @@ class ConnectivityScheme {
   // ----------------------------------------------------------- persistence
   // Label export for the LabelStore container (label_store.hpp): the
   // backend-specific parameter blob plus fixed-layout per-vertex /
-  // per-edge label blobs. Every backend — including schemes loaded back
-  // from a store — implements these, so any scheme can be persisted.
+  // per-edge label blobs, re-emitted from the serving view, so any
+  // scheme can be persisted.
   virtual void serialize_params(store::ByteWriter& out) const = 0;
   virtual void serialize_vertex_label(graph::VertexId v,
                                       store::ByteWriter& out) const = 0;
@@ -233,9 +239,10 @@ struct SchemeConfig {
   }
 };
 
-// Factory: build the labeling selected by config.backend for g. Throws
-// std::invalid_argument on disconnected inputs (all backends require a
-// connected graph).
+// Factory: build the labeling selected by config.backend for g and serve
+// it from a resident view carrying g's incidence lists as its adjacency
+// side-table (label_store.hpp). Throws std::invalid_argument on
+// disconnected inputs (all backends require a connected graph).
 std::unique_ptr<ConnectivityScheme> make_scheme(const graph::Graph& g,
                                                 const SchemeConfig& config);
 

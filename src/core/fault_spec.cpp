@@ -47,36 +47,4 @@ FaultSpec FaultSpec::of(std::span<const graph::EdgeId> edge_faults,
   return FaultSpec(canonical(edge_faults), canonical(vertex_faults));
 }
 
-VectorAdjacency::VectorAdjacency(const graph::Graph& g) {
-  offsets_.reserve(static_cast<std::size_t>(g.num_vertices()) + 1);
-  offsets_.push_back(0);
-  lists_.reserve(2 * static_cast<std::size_t>(g.num_edges()));
-  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-    const auto inc = g.incident_edges(v);
-    lists_.insert(lists_.end(), inc.begin(), inc.end());
-    offsets_.push_back(lists_.size());
-  }
-}
-
-VectorAdjacency::VectorAdjacency(std::vector<std::uint64_t> offsets,
-                                 std::vector<graph::EdgeId> lists)
-    : offsets_(std::move(offsets)), lists_(std::move(lists)) {
-  FTC_REQUIRE(!offsets_.empty() && offsets_.front() == 0 &&
-                  offsets_.back() == lists_.size() &&
-                  std::is_sorted(offsets_.begin(), offsets_.end()),
-              "malformed adjacency offsets");
-}
-
-std::size_t VectorAdjacency::degree(graph::VertexId v) const {
-  FTC_REQUIRE(v < num_vertices(), "vertex out of range");
-  return offsets_[v + 1] - offsets_[v];
-}
-
-void VectorAdjacency::append_incident(graph::VertexId v,
-                                      std::vector<graph::EdgeId>& out) const {
-  FTC_REQUIRE(v < num_vertices(), "vertex out of range");
-  out.insert(out.end(), lists_.begin() + offsets_[v],
-             lists_.begin() + offsets_[v + 1]);
-}
-
 }  // namespace ftc::core

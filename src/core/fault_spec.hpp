@@ -4,8 +4,8 @@
 // vertices (every incident edge goes down with them — the open-problems
 // reduction of Section 1.4, cost Delta * f labels) alongside individual
 // edges. FaultSpec is the canonical value type every layer accepts —
-// ConnectivityScheme::prepare_faults, BatchQueryEngine sessions,
-// ConnectivityOracle and the ftc_store CLI — so canonicalization
+// ConnectivityScheme::prepare_faults, BatchQueryEngine sessions and the
+// ftc_store CLI — so canonicalization
 // (sorting + deduplication) happens exactly once, at construction, and
 // every consumer downstream can rely on sorted unique IDs.
 //
@@ -96,10 +96,10 @@ class FaultSpec {
 };
 
 // Incidence access for the vertex -> incident-edges reduction, decoupled
-// from graph::Graph so both in-memory schemes (which copy the incidence
-// lists at build time) and label-store-served schemes (which read an
-// adjacency side-table straight from the mapped container) can serve
-// vertex faults through one interface.
+// from graph::Graph: every scheme reads the CSR adjacency side-table of
+// its StoreView (label_store.hpp) — a mapped container or manifest, or
+// the resident view make_scheme() builds from the graph — through this
+// one interface.
 class AdjacencyProvider {
  public:
   virtual ~AdjacencyProvider() = default;
@@ -111,29 +111,6 @@ class AdjacencyProvider {
   // so mapped providers can decode on the fly without stable storage.
   virtual void append_incident(graph::VertexId v,
                                std::vector<graph::EdgeId>& out) const = 0;
-};
-
-// Owning incidence lists in CSR layout. Built from a graph by the
-// in-memory backends, or from a decoded store adjacency section by the
-// kMaterialize load path.
-class VectorAdjacency final : public AdjacencyProvider {
- public:
-  explicit VectorAdjacency(const graph::Graph& g);
-  // offsets: n + 1 monotone entry offsets into lists. 64-bit like the
-  // on-disk v2 side-table: 2m entries can exceed uint32_t.
-  VectorAdjacency(std::vector<std::uint64_t> offsets,
-                  std::vector<graph::EdgeId> lists);
-
-  graph::VertexId num_vertices() const override {
-    return static_cast<graph::VertexId>(offsets_.size() - 1);
-  }
-  std::size_t degree(graph::VertexId v) const override;
-  void append_incident(graph::VertexId v,
-                       std::vector<graph::EdgeId>& out) const override;
-
- private:
-  std::vector<std::uint64_t> offsets_;  // n + 1 entries
-  std::vector<graph::EdgeId> lists_;
 };
 
 }  // namespace ftc::core

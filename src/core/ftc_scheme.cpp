@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "core/edge_code.hpp"
+#include "core/label_store.hpp"
 #include "geometry/netfind.hpp"
 #include "geometry/point_map.hpp"
 #include "graph/aux_graph.hpp"
@@ -68,17 +69,26 @@ struct FtcScheme::Impl {
   BuildStats stats;
   VertexId orig_n = 0;
   EdgeId orig_m = 0;
-  // Per original vertex: T'-ancestry label.
-  std::vector<graph::AncestryLabel> vertex_anc;
-  // Per original edge: sigma-image endpoints in T'.
-  std::vector<graph::AncestryLabel> edge_upper;
-  std::vector<graph::AncestryLabel> edge_lower;
-  // Per original edge: num_levels * k field elements as raw words,
-  // level-major then syndrome index, each F::kWords words.
-  std::size_t words_per_edge = 0;
-  std::vector<std::uint64_t> sketch_data;
+  // The labels, held once and in container layout (label_store.hpp), so
+  // release_labels() hands them to a resident view without a copy:
+  //   vertex_records  per original vertex, its T'-ancestry record;
+  //   edge_words      per original edge, one blob_bytes-wide blob (a
+  //                   whole number of words): the upper and lower
+  //                   sigma-image endpoint records, then num_levels * k
+  //                   field elements as LE words, level-major then
+  //                   syndrome index, F::kWords each.
+  std::vector<std::uint8_t> vertex_records;
+  std::vector<std::uint64_t> edge_words;
+  std::size_t blob_bytes = 0;
+  static constexpr std::size_t kSketchWord = 2 * store::kVertexRecordBytes / 8;
   // Per level: edge population clamped to k (sound boundary-size bound).
   std::vector<std::uint32_t> level_pops;
+
+  std::size_t blob_words() const { return blob_bytes / 8; }
+  std::uint8_t* blob(EdgeId e) {
+    return reinterpret_cast<std::uint8_t*>(
+        edge_words.data() + static_cast<std::size_t>(e) * blob_words());
+  }
 
   // Computes, per hierarchy level, every T'-vertex's outdetect label (XOR
   // of incident level-edge IDs) and the subtree sum below every non-root
@@ -113,8 +123,7 @@ struct FtcScheme::Impl {
     const unsigned k = params.k;
     const unsigned levels = params.num_levels;
     constexpr unsigned wpe = F::kWords;
-    words_per_edge = static_cast<std::size_t>(levels) * k * wpe;
-    sketch_data.assign(words_per_edge * orig_m, 0);
+    edge_words.assign(static_cast<std::size_t>(orig_m) * blob_words(), 0);
 
     // Map T'-tree-edge -> original edge (sigma is a bijection onto T').
     std::vector<EdgeId> sigma_inv(aux.g2.num_edges(), graph::kNoEdge);
@@ -202,12 +211,15 @@ struct FtcScheme::Impl {
           FTC_CHECK(eo != graph::kNoEdge,
                     "T' tree edge without sigma preimage");
           std::uint64_t* out =
-              &sketch_data[eo * words_per_edge +
-                           static_cast<std::size_t>(lev) * k * wpe];
+              &edge_words[static_cast<std::size_t>(eo) * blob_words() +
+                          kSketchWord +
+                          static_cast<std::size_t>(lev) * k * wpe];
           for (unsigned j = 0; j < k; ++j) {
             F s = hi_row[j];
             s += lo_row[j];
-            for (unsigned w = 0; w < wpe; ++w) out[j * wpe + w] = s.word(w);
+            for (unsigned w = 0; w < wpe; ++w) {
+              out[j * wpe + w] = util::to_le(s.word(w));
+            }
           }
         }
       });
@@ -278,21 +290,17 @@ FtcScheme FtcScheme::build(const graph::Graph& g, const FtcConfig& config) {
   }
 
   // Ancestry parts of the labels.
-  impl->vertex_anc.reserve(impl->orig_n);
+  impl->vertex_records.resize(static_cast<std::size_t>(impl->orig_n) *
+                              store::kVertexRecordBytes);
   for (VertexId v = 0; v < impl->orig_n; ++v) {
-    impl->vertex_anc.push_back(anc2.label(v));
+    store::write_vertex_record_at(
+        impl->vertex_records.data() +
+            static_cast<std::size_t>(v) * store::kVertexRecordBytes,
+        anc2.label(v));
   }
-  impl->edge_upper.resize(impl->orig_m);
-  impl->edge_lower.resize(impl->orig_m);
-  for (EdgeId e = 0; e < impl->orig_m; ++e) {
-    const EdgeId te = aux.sigma[e];
-    const VertexId lo = aux.t2.lower_endpoint(aux.g2, te);
-    const VertexId up = aux.t2.parent[lo];
-    impl->edge_lower[e] = anc2.label(lo);
-    impl->edge_upper[e] = anc2.label(up);
-  }
+  impl->blob_bytes = store::core_edge_blob_bytes(impl->params);
 
-  // Sketch payload.
+  // Sketch payload (allocates the edge blobs).
   // Wall-clock on the coordinating thread (NOT summed per-worker CPU):
   // parallel and serial builds report comparable phase timings.
   const auto ts = std::chrono::steady_clock::now();
@@ -302,6 +310,16 @@ FtcScheme FtcScheme::build(const graph::Graph& g, const FtcConfig& config) {
     impl->build_sketches<gf::GF2_128>(aux, anc2, hier, pool);
   }
   impl->stats.sketch_seconds = seconds_since(ts);
+
+  // Each edge blob opens with its sigma-image endpoint records.
+  for (EdgeId e = 0; e < impl->orig_m; ++e) {
+    const EdgeId te = aux.sigma[e];
+    const VertexId lo = aux.t2.lower_endpoint(aux.g2, te);
+    const VertexId up = aux.t2.parent[lo];
+    store::write_vertex_record_at(impl->blob(e), anc2.label(up));
+    store::write_vertex_record_at(impl->blob(e) + store::kVertexRecordBytes,
+                                  anc2.label(lo));
+  }
 
   impl->stats.k = impl->params.k;
   impl->stats.num_levels = impl->params.num_levels;
@@ -319,22 +337,29 @@ FtcScheme::~FtcScheme() = default;
 
 VertexLabel FtcScheme::vertex_label(VertexId v) const {
   FTC_REQUIRE(v < impl_->orig_n, "vertex out of range");
-  return VertexLabel{impl_->params, impl_->vertex_anc[v]};
+  return VertexLabel{impl_->params,
+                     store::decode_vertex_record_at(
+                         impl_->vertex_records.data() +
+                         static_cast<std::size_t>(v) *
+                             store::kVertexRecordBytes)};
 }
 
 EdgeLabel FtcScheme::edge_label(EdgeId e) const {
   FTC_REQUIRE(e < impl_->orig_m, "edge out of range");
-  EdgeLabel label;
-  label.params = impl_->params;
-  label.upper = impl_->edge_upper[e];
-  label.lower = impl_->edge_lower[e];
-  const auto begin =
-      impl_->sketch_data.begin() + static_cast<std::ptrdiff_t>(
-                                       e * impl_->words_per_edge);
-  label.sketch_words.assign(begin,
-                            begin + static_cast<std::ptrdiff_t>(
-                                        impl_->words_per_edge));
-  return label;
+  store::ByteReader r({impl_->blob(e), impl_->blob_bytes});
+  return store::decode_core_edge(r, impl_->params);
+}
+
+store::ResidentLabels FtcScheme::release_labels() && {
+  store::ResidentLabels out;
+  out.backend = BackendKind::kCoreFtc;
+  store::ByteWriter params;
+  store::encode_core_params(impl_->params, impl_->level_pops, params);
+  out.params = params.take();
+  out.vertex_records = std::move(impl_->vertex_records);
+  out.edge_words = std::move(impl_->edge_words);
+  out.edge_blob_bytes = impl_->blob_bytes;
+  return out;
 }
 
 std::span<const std::uint32_t> FtcScheme::level_populations() const {

@@ -22,6 +22,10 @@
 
 namespace ftc::core {
 
+namespace store {
+struct ResidentLabels;  // label_store.hpp
+}  // namespace store
+
 struct BuildStats {
   unsigned k = 0;                   // sketch threshold used
   unsigned num_levels = 0;          // nonempty hierarchy levels
@@ -60,6 +64,11 @@ class FtcScheme {
   // store format v2 and fed to PreparedFaults::prepare so the windowed
   // decode can shrink its capacity and fail-stop window per level.
   std::span<const std::uint32_t> level_populations() const;
+
+  // Hands the labels to a resident StoreView (open_resident_view in
+  // label_store.hpp). They are built in container layout, so this moves
+  // the buffers and copies no label; the scheme is empty afterwards.
+  store::ResidentLabels release_labels() &&;
 
   // Size accounting (bits), matching the labels' size_bits().
   std::size_t vertex_label_bits() const;

@@ -1,18 +1,18 @@
 // LabelStore implementation: container writer (ConnectivityScheme::save),
-// validating mmap reader (LabelStoreView), and the loaded label-served
-// backends behind load_scheme().
+// validating mmap reader (LabelStoreView), the resident view over freshly
+// built labels, and the one scheme class per backend behind
+// load_scheme().
 //
-// A loaded scheme is the labeling-scheme model made literal: it holds no
-// graph and no construction state, only the label blobs, and answers
-// queries through the same universal decoders as the in-memory backends.
-// In kMmap mode the per-query cost is two 8-byte vertex-record reads from
-// the mapping — no std::vector is materialized on the query path; only
-// the <= f fault-edge labels of a session are decoded, once, inside
-// prepare_faults(). The served hot path is therefore the shared one: the
-// core backend queries through PreparedFaults + the copy-on-write
-// DecoderWorkspace of core/ftc_query.cpp, and all fragment/sketch merges
-// (core RS sums, AGM cells, cycle-space vectors) go through the word-XOR
-// kernels in util/xor_kernel.hpp.
+// A scheme is the labeling-scheme model made literal: it holds no graph
+// and no construction state, only the label blobs of a StoreView, and
+// answers queries through the backends' universal decoders. The
+// per-query cost is two 8-byte vertex-record reads — no std::vector is
+// materialized on the query path; only the <= f fault-edge labels of a
+// session are decoded, once, inside prepare_faults(). The core backend
+// queries through PreparedFaults + the copy-on-write DecoderWorkspace of
+// core/ftc_query.cpp, and all fragment/sketch merges (core RS sums, AGM
+// cells, cycle-space vectors) go through the word-XOR kernels in
+// util/xor_kernel.hpp.
 #include "core/label_store.hpp"
 
 #include <fcntl.h>
@@ -29,7 +29,6 @@
 
 #include "core/ftc_query.hpp"
 #include "core/journal.hpp"
-#include "core/scheme_adapters.hpp"
 #include "util/failpoint.hpp"
 #include "util/scoped_fd.hpp"
 
@@ -49,6 +48,20 @@ std::uint64_t read_u64_at(const std::uint8_t* base, std::size_t offset) {
 
 std::uint32_t read_u32_at(const std::uint8_t* base, std::size_t offset) {
   return util::read_u32_le(base + offset);
+}
+
+// Flat route table over a contiguous vertex section and blob section —
+// the layout of a single container and of a resident view alike.
+store::FlatRoutes contiguous_routes(const std::uint8_t* vertex_records,
+                                    VertexId n, const std::uint8_t* blobs,
+                                    EdgeId m, std::size_t blob_bytes) {
+  store::FlatRoutes routes;
+  routes.num_vertices = n;
+  routes.num_edges = m;
+  routes.edge_blob_bytes = blob_bytes;
+  routes.vertex_base = vertex_records;
+  routes.edge_base = blobs;
+  return routes;
 }
 
 }  // namespace
@@ -174,40 +187,46 @@ void CsrAdjacency::append(VertexId v, std::vector<graph::EdgeId>& out) const {
 
 namespace store {
 
+namespace {
+
+// The CSR adjacency section for n vertices over m edges whose incidence
+// lists `incident(v, out)` appends, in vertex order: (n + 1) u64 entry
+// offsets, then the 2m u32 edge IDs.
+template <typename Incident>
+std::vector<std::uint8_t> csr_adjacency_section(VertexId n, EdgeId m,
+                                                Incident&& incident) {
+  std::vector<EdgeId> lists;
+  lists.reserve(2 * static_cast<std::size_t>(m));
+  store::ByteWriter section;
+  section.u64(0);
+  for (VertexId v = 0; v < n; ++v) {
+    incident(v, lists);
+    section.u64(lists.size());
+  }
+  // The invariant open() enforces: every edge appears in exactly two
+  // incidence lists.
+  FTC_CHECK(lists.size() == 2 * static_cast<std::size_t>(m),
+            "incidence lists do not cover every edge twice");
+  for (const EdgeId e : lists) section.u32(e);
+  return section.take();
+}
+
+}  // namespace
+
 std::vector<std::uint8_t> build_adjacency_section(
     const ConnectivityScheme& scheme) {
   const AdjacencyProvider* adj = scheme.adjacency();
   if (adj == nullptr) return {};
-  const VertexId n = scheme.num_vertices();
-  FTC_CHECK(adj->num_vertices() == n,
+  FTC_CHECK(adj->num_vertices() == scheme.num_vertices(),
             "adjacency provider inconsistent with the scheme");
-  std::vector<graph::EdgeId> incident;
-  store::ByteWriter section;
-  section.u64(0);
-  std::uint64_t running = 0;
-  store::ByteWriter lists;
-  for (VertexId v = 0; v < n; ++v) {
-    incident.clear();
-    adj->append_incident(v, incident);
-    running += incident.size();
-    section.u64(running);
-    for (const graph::EdgeId e : incident) lists.u32(e);
-  }
-  // The invariant open() enforces: every edge appears in exactly two
-  // incidence lists.
-  FTC_CHECK(running == 2 * static_cast<std::uint64_t>(scheme.num_edges()),
-            "adjacency provider does not cover every edge twice");
-  section.bytes(lists.view());
-  return section.take();
+  return csr_adjacency_section(
+      scheme.num_vertices(), scheme.num_edges(),
+      [adj](VertexId v, std::vector<EdgeId>& out) {
+        adj->append_incident(v, out);
+      });
 }
 
 namespace {
-
-// Little-endian u64 store, mirroring ByteWriter::patch_u64 for sinks
-// that patch raw buffers instead of a ByteWriter.
-void store_u64_le(std::uint8_t* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = (v >> (8 * i)) & 0xff;
-}
 
 // Serial shared by every temp-file writer (write_file_atomic and the
 // streaming FileSink), so concurrent saves of the same path from one
@@ -345,9 +364,9 @@ class MemorySink {
   std::vector<std::uint8_t> finish() {
     FTC_CHECK(buf_.size() >= store::kHeaderBytes, "container without header");
     const std::span<const std::uint8_t> file(buf_);
-    store_u64_le(buf_.data() + 40,
+    util::write_u64_le(buf_.data() + 40,
                  store::fnv1a(file.subspan(store::kHeaderBytes)));
-    store_u64_le(buf_.data() + 56, store::fnv1a(file.first(56)));
+    util::write_u64_le(buf_.data() + 56, store::fnv1a(file.first(56)));
     return std::move(buf_);
   }
 
@@ -596,8 +615,8 @@ class FileSink {
   // at path_.
   ContainerDigest finish() {
     FTC_CHECK(offset_ >= store::kHeaderBytes, "container without header");
-    store_u64_le(header_ + 40, digest_);
-    store_u64_le(header_ + 56,
+    util::write_u64_le(header_ + 40, digest_);
+    util::write_u64_le(header_ + 56,
                  store::fnv1a(std::span<const std::uint8_t>(header_, 56)));
     std::size_t written = 0;
     while (written < store::kHeaderBytes) {
@@ -906,25 +925,13 @@ std::shared_ptr<const LabelStoreView> LabelStoreView::open(
   }
 
   // Flat route table: the container is one contiguous mapping with
-  // fixed-width records (the index walk above proved it), so routing
-  // resolves to base + stride arithmetic captured once as per-ID
-  // pointers. Sharded views splice these per-shard tables into their
-  // global one (sharded_store.cpp).
-  store::FlatRoutes& routes = view->routes_;
-  routes.num_vertices = info.num_vertices;
-  routes.num_edges = info.num_edges;
-  routes.edge_blob_bytes = expected_blob;
-  routes.vertex_ptr.reserve(info.num_vertices);
-  for (VertexId v = 0; v < info.num_vertices; ++v) {
-    routes.vertex_ptr.push_back(
-        view->map_ + view->vertex_off_ +
-        static_cast<std::size_t>(v) * store::kVertexRecordBytes);
-  }
-  routes.edge_ptr.reserve(info.num_edges);
-  for (EdgeId e = 0; e < info.num_edges; ++e) {
-    routes.edge_ptr.push_back(view->map_ + view->blob_off_ +
-                              static_cast<std::size_t>(e) * expected_blob);
-  }
+  // fixed-width records (the index walk above proved it), so routing is
+  // base + stride arithmetic. Sharded views splice these per-shard
+  // tables into their global one (sharded_store.cpp).
+  view->routes_ = contiguous_routes(view->map_ + view->vertex_off_,
+                                    info.num_vertices,
+                                    view->map_ + view->blob_off_,
+                                    info.num_edges, expected_blob);
   return view;
 }
 
@@ -934,9 +941,7 @@ std::span<const std::uint8_t> LabelStoreView::params_blob() const {
 
 std::span<const std::uint8_t> LabelStoreView::vertex_blob(VertexId v) const {
   FTC_REQUIRE(v < info_.num_vertices, "vertex out of range");
-  return {map_ + vertex_off_ +
-              static_cast<std::size_t>(v) * store::kVertexRecordBytes,
-          store::kVertexRecordBytes};
+  return {routes_.vertex(v), store::kVertexRecordBytes};
 }
 
 std::span<const std::uint8_t> LabelStoreView::edge_blob(EdgeId e) const {
@@ -944,7 +949,7 @@ std::span<const std::uint8_t> LabelStoreView::edge_blob(EdgeId e) const {
   // index at open — blobs are fixed-width — so this is the same span the
   // two index reads would produce, minus the two reads.
   FTC_REQUIRE(e < info_.num_edges, "edge out of range");
-  return {routes_.edge_ptr[e], routes_.edge_blob_bytes};
+  return {routes_.edge(e), routes_.edge_blob_bytes};
 }
 
 std::size_t LabelStoreView::adjacency_degree(VertexId v) const {
@@ -957,30 +962,177 @@ void LabelStoreView::adjacency_append(VertexId v,
 }
 
 // ------------------------------------------------------------------
-// Loaded (label-served) backends.
+// Resident view.
 
 namespace {
 
-// The store-served backends wrap the same per-backend session state as
-// the in-memory adapters; the wrappers are shared (scheme_adapters.hpp)
-// so the two serving paths cannot drift apart.
-using detail::BackendWorkspace;
-using detail::PreparedFaultSet;
-using detail::checked_cast;
-
-using CoreStoredFaults = PreparedFaultSet<PreparedFaults>;
-using CoreStoredWorkspace = BackendWorkspace<DecoderWorkspace>;
-using CycleStoredFaults = PreparedFaultSet<dp21::CycleSpaceFtc::Prepared>;
-using AgmStoredFaults = PreparedFaultSet<dp21::AgmFtc::Prepared>;
-using AgmStoredWorkspace = BackendWorkspace<dp21::AgmFtc::Workspace>;
-using EmptyStoredWorkspace = detail::EmptyWorkspace;
-
-// Zero-copy adjacency provider over the mapped v2 side-table: degrees
-// and incidence lists decode on the fly from the (validated) CSR
-// section, so serving vertex faults costs no load-time materialization.
-class MappedAdjacency final : public AdjacencyProvider {
+class ResidentStoreView final : public StoreView {
  public:
-  explicit MappedAdjacency(std::shared_ptr<const StoreView> view)
+  ResidentStoreView(store::ResidentLabels labels, const graph::Graph& g)
+      : labels_(std::move(labels)) {
+    const VertexId n = g.num_vertices();
+    const EdgeId m = g.num_edges();
+    const std::size_t blob_bytes = labels_.edge_blob_bytes;
+    FTC_CHECK(labels_.vertex_records.size() ==
+                  static_cast<std::size_t>(n) * store::kVertexRecordBytes,
+              "resident vertex section inconsistent with the graph");
+    const std::size_t blob_section = static_cast<std::size_t>(m) * blob_bytes;
+    FTC_CHECK(labels_.edge_words.size() ==
+                  store::ResidentLabels::words_for(blob_section),
+              "resident edge section inconsistent with the graph");
+    FTC_CHECK(store::expected_edge_blob_bytes(labels_.backend, labels_.params,
+                                              store::kFormatVersion) ==
+                  blob_bytes,
+              "resident edge blob width inconsistent with the params");
+
+    // The CSR adjacency section, byte for byte what a save() writes.
+    adjacency_ = store::csr_adjacency_section(
+        n, m, [&g](VertexId v, std::vector<EdgeId>& out) {
+          const auto inc = g.incident_edges(v);
+          out.insert(out.end(), inc.begin(), inc.end());
+        });
+    adj_ = store::CsrAdjacency{adjacency_.data(), 0, adjacency_.size(), n, m};
+
+    StoreInfo& info = info_;
+    info.format_version = static_cast<std::uint32_t>(store::kFormatVersion);
+    info.backend = labels_.backend;
+    info.num_vertices = n;
+    info.num_edges = m;
+    info.params_bytes = labels_.params.size();
+    info.vertex_section_bytes = labels_.vertex_records.size();
+    info.edge_index_bytes = (static_cast<std::size_t>(m) + 1) * 8;
+    info.edge_blob_bytes = blob_section;
+    info.has_adjacency = true;
+    info.adjacency_bytes = adjacency_.size();
+    const store::StoreLabelBits bits = store::derive_label_bits(
+        info.backend, labels_.params, info.format_version);
+    info.vertex_label_bits = bits.vertex_label_bits;
+    info.edge_label_bits = bits.edge_label_bits;
+
+    routes_ = contiguous_routes(labels_.vertex_records.data(), n,
+                                labels_.edge_blobs(), m, blob_bytes);
+  }
+
+  std::span<const std::uint8_t> params_blob() const override {
+    return labels_.params;
+  }
+  std::span<const std::uint8_t> vertex_blob(VertexId v) const override {
+    FTC_REQUIRE(v < info_.num_vertices, "vertex out of range");
+    return {routes_.vertex(v), store::kVertexRecordBytes};
+  }
+  std::span<const std::uint8_t> edge_blob(EdgeId e) const override {
+    FTC_REQUIRE(e < info_.num_edges, "edge out of range");
+    return {routes_.edge(e), routes_.edge_blob_bytes};
+  }
+  std::size_t adjacency_degree(VertexId v) const override {
+    return adj_.degree(v);
+  }
+  void adjacency_append(VertexId v,
+                        std::vector<graph::EdgeId>& out) const override {
+    adj_.append(v, out);
+  }
+  bool file_backed() const override { return false; }
+  const store::FlatRoutes* routes() const override { return &routes_; }
+
+ private:
+  store::ResidentLabels labels_;
+  std::vector<std::uint8_t> adjacency_;
+  store::CsrAdjacency adj_;
+  store::FlatRoutes routes_;
+};
+
+}  // namespace
+
+std::shared_ptr<const StoreView> open_resident_view(
+    store::ResidentLabels labels, const graph::Graph& g) {
+  return std::make_shared<ResidentStoreView>(std::move(labels), g);
+}
+
+// ------------------------------------------------------------------
+// The scheme classes: one per backend, over any StoreView.
+
+namespace {
+
+// Caches the owning view's resolved flat route table so the per-query
+// hot path pays one acquire load + direct index instead of a virtual
+// call per label read. A view publishes its FlatRoutes at most once and
+// never retracts it (label_store.hpp), so caching the pointer is safe:
+// until publication get() keeps asking the view (a sharded store may
+// resolve routes mid-serve, via prefetch() or the last lazy open).
+class RouteCache {
+ public:
+  explicit RouteCache(const StoreView& view) : view_(&view) {}
+
+  const store::FlatRoutes* get() const {
+    const store::FlatRoutes* rt = cached_.load(std::memory_order_acquire);
+    if (rt != nullptr) return rt;
+    rt = view_->routes();
+    if (rt != nullptr) cached_.store(rt, std::memory_order_release);
+    return rt;
+  }
+
+ private:
+  const StoreView* view_;
+  mutable std::atomic<const store::FlatRoutes*> cached_{nullptr};
+};
+
+// Immutable fault-set adapter: the backend's prepared session state plus
+// the deduplicated fault-edge count reported through num_faults().
+template <typename Prepared>
+class PreparedFaultSet final : public ConnectivityScheme::FaultSet {
+ public:
+  PreparedFaultSet(Prepared prepared, std::size_t num_faults)
+      : prepared_(std::move(prepared)), num_faults_(num_faults) {}
+
+  std::size_t num_faults() const override { return num_faults_; }
+  const Prepared& prepared() const { return prepared_; }
+
+ private:
+  Prepared prepared_;
+  std::size_t num_faults_ = 0;
+};
+
+// Per-thread workspace adapter over a backend's scratch type.
+template <typename Inner>
+class BackendWorkspace final : public ConnectivityScheme::Workspace {
+ public:
+  Inner& inner() { return inner_; }
+
+ private:
+  Inner inner_;
+};
+
+// Backends whose query path needs no scratch (dp21 cycle-space: the
+// prepared kernel is read-only).
+class EmptyWorkspace final : public ConnectivityScheme::Workspace {};
+
+// query_edges() is the hot path: the fault-set/workspace types are fixed
+// when prepare_faults()/make_workspace() hand them out, so downcast
+// statically and keep the RTTI check as a debug-only guard against
+// mixing backends.
+template <typename T, typename U>
+T& checked_cast(U& obj, const char* what) {
+#ifndef NDEBUG
+  FTC_REQUIRE(dynamic_cast<std::remove_reference_t<T>*>(&obj) != nullptr,
+              what);
+#else
+  (void)what;
+#endif
+  return static_cast<T&>(obj);
+}
+
+using CoreFaults = PreparedFaultSet<PreparedFaults>;
+using CoreWorkspace = BackendWorkspace<DecoderWorkspace>;
+using CycleFaults = PreparedFaultSet<dp21::CycleSpaceFtc::Prepared>;
+using AgmFaults = PreparedFaultSet<dp21::AgmFtc::Prepared>;
+using AgmWorkspace = BackendWorkspace<dp21::AgmFtc::Workspace>;
+
+// Adjacency provider over the view's CSR side-table: degrees and
+// incidence lists decode on the fly, so serving vertex faults costs no
+// load-time materialization.
+class ViewAdjacency final : public AdjacencyProvider {
+ public:
+  explicit ViewAdjacency(std::shared_ptr<const StoreView> view)
       : view_(std::move(view)) {}
 
   VertexId num_vertices() const override {
@@ -998,35 +1150,23 @@ class MappedAdjacency final : public AdjacencyProvider {
   std::shared_ptr<const StoreView> view_;
 };
 
-// Shared plumbing: the mapping, header-derived sizes, the adjacency
-// side-table (when the container carries one), and save() support by
-// re-emitting the stored blobs (a loaded store round-trips bit-exactly).
-class StoredSchemeBase : public ConnectivityScheme {
+// Shared plumbing: the view, header-derived sizes, the adjacency
+// side-table (when the view carries one), and save() support by
+// re-emitting the stored blobs (a served scheme round-trips bit-exactly).
+class SchemeBase : public ConnectivityScheme {
  public:
-  StoredSchemeBase(std::shared_ptr<const StoreView> view, LoadMode mode)
-      : view_(std::move(view)) {
-    if (!view_->info().has_adjacency) return;
-    if (mode == LoadMode::kMaterialize) {
-      // Eager decode into owned CSR vectors.
-      std::vector<std::uint64_t> offsets;
-      std::vector<EdgeId> lists;
-      offsets.reserve(static_cast<std::size_t>(num_vertices()) + 1);
-      offsets.push_back(0);
-      lists.reserve(2 * static_cast<std::size_t>(num_edges()));
-      for (VertexId v = 0; v < num_vertices(); ++v) {
-        view_->adjacency_append(v, lists);
-        offsets.push_back(lists.size());
-      }
-      adjacency_ = std::make_unique<VectorAdjacency>(std::move(offsets),
-                                                     std::move(lists));
-    } else {
-      adjacency_ = std::make_unique<MappedAdjacency>(view_);
+  explicit SchemeBase(std::shared_ptr<const StoreView> view)
+      : view_(std::move(view)),
+        guarded_(view_->file_backed()),
+        num_vertices_(view_->info().num_vertices),
+        vertex_base_(view_->routes() != nullptr ? view_->routes()->vertex_base
+                                                : nullptr) {
+    if (view_->info().has_adjacency) {
+      adjacency_ = std::make_unique<ViewAdjacency>(view_);
     }
   }
 
-  VertexId num_vertices() const override {
-    return view_->info().num_vertices;
-  }
+  VertexId num_vertices() const override { return num_vertices_; }
   EdgeId num_edges() const override { return view_->info().num_edges; }
   std::size_t vertex_label_bits() const override {
     return view_->info().vertex_label_bits;
@@ -1035,7 +1175,7 @@ class StoredSchemeBase : public ConnectivityScheme {
     return view_->info().edge_label_bits;
   }
 
-  // Vertex-fault capability is exactly "the container had the side-table".
+  // Vertex-fault capability is exactly "the view has the side-table".
   const AdjacencyProvider* adjacency() const override {
     return adjacency_.get();
   }
@@ -1065,68 +1205,35 @@ class StoredSchemeBase : public ConnectivityScheme {
   }
 
  protected:
-  // Zero-copy vertex-label read: one bounds-checked 8-byte record
-  // straight from the mapping.
-  graph::AncestryLabel mapped_anc(VertexId v) const {
-    store::ByteReader r(view_->vertex_blob(v));
-    return store::decode_vertex_record(r);
-  }
-
-  // kMaterialize: pre-decode every vertex record (the record layout is
-  // backend-universal, so the cache lives here for all three schemes).
-  void materialize_vertices() {
-    vertex_cache_.reserve(num_vertices());
-    for (VertexId v = 0; v < num_vertices(); ++v) {
-      vertex_cache_.push_back(mapped_anc(v));
-    }
-  }
-
-  graph::AncestryLabel anc(VertexId v) const {
-    if (!vertex_cache_.empty()) {
-      FTC_REQUIRE(v < vertex_cache_.size(), "vertex out of range");
-      return vertex_cache_[v];
-    }
-    // Resolved-route fast path: one cached pointer load and a direct
-    // index, no virtual dispatch (and for sharded views no binary
-    // search or lazy-open check).
-    if (const store::FlatRoutes* rt = routes_.get()) {
-      FTC_REQUIRE(v < rt->num_vertices, "vertex out of range");
-      return store::decode_vertex_record_at(rt->vertex_ptr[v]);
-    }
-    return mapped_anc(v);
-  }
-
-  // Edge blob bytes through the same resolved-route fast path (used by
-  // the per-backend decode_edge helpers on prepare_faults).
-  std::span<const std::uint8_t> edge_bytes(EdgeId e) const {
-    if (const store::FlatRoutes* rt = routes_.get()) {
-      FTC_REQUIRE(e < rt->num_edges, "edge out of range");
-      return {rt->edge_ptr[e], rt->edge_blob_bytes};
-    }
-    return view_->edge_blob(e);
-  }
-
-  // Both endpoint ancestry records under ONE SIGBUS guard — the only
-  // mapped reads of an edge-fault query. A backing file mutated behind
-  // the mapping lands in on_mapped_fault (the sharded view quarantines
-  // the shard and throws DegradedError) instead of killing the process.
-  // Cost when nothing faults: one sigsetjmp with no mask save — noise
-  // against the decode the query then runs.
+  // Both endpoint ancestry records — the only label reads of an
+  // edge-fault query. A contiguous view's records are base + stride; a
+  // sharded view's come through its resolved route table (one cached
+  // pointer load and a direct index, no binary search or lazy-open
+  // check). On a file-backed view both reads run under ONE SIGBUS guard,
+  // so a backing file mutated behind the mapping lands in
+  // on_mapped_fault (the sharded view quarantines the shard and throws
+  // DegradedError) instead of killing the process.
   std::pair<graph::AncestryLabel, graph::AncestryLabel> anc_pair(
       VertexId s, VertexId t) const {
-    if (!vertex_cache_.empty()) return {anc(s), anc(t)};
+    FTC_REQUIRE(s < num_vertices_ && t < num_vertices_,
+                "vertex out of range");
     const std::uint8_t* ps;
     const std::uint8_t* pt;
-    if (const store::FlatRoutes* rt = routes_.get()) {
-      FTC_REQUIRE(s < rt->num_vertices, "vertex out of range");
-      FTC_REQUIRE(t < rt->num_vertices, "vertex out of range");
-      ps = rt->vertex_ptr[s];
-      pt = rt->vertex_ptr[t];
+    if (vertex_base_ != nullptr) {
+      ps = vertex_base_ + static_cast<std::size_t>(s) * store::kVertexRecordBytes;
+      pt = vertex_base_ + static_cast<std::size_t>(t) * store::kVertexRecordBytes;
+    } else if (const store::FlatRoutes* rt = routes_.get()) {
+      ps = rt->vertex(s);
+      pt = rt->vertex(t);
     } else {
       // Pre-routes path: may lazily open (and internally guard) the
       // owning shards; only the final record reads run under our guard.
       ps = view_->vertex_blob(s).data();
       pt = view_->vertex_blob(t).data();
+    }
+    if (!guarded_) {
+      return {store::decode_vertex_record_at(ps),
+              store::decode_vertex_record_at(pt)};
     }
     util::SigbusGuard guard;
     if (sigsetjmp(guard.jump(), 0) == 0) {
@@ -1139,49 +1246,69 @@ class StoredSchemeBase : public ConnectivityScheme {
     __builtin_unreachable();  // noreturn through a virtual call
   }
 
-  // Copies one edge blob out of the mapping under a SIGBUS guard; the
-  // decoder then runs on the owned copy, unguarded (it allocates).
-  // Prepare-time only (<= f blobs per fault set), so the copy is off
-  // the per-query path.
-  std::vector<std::uint8_t> copy_edge_blob(EdgeId e) const {
-    const std::span<const std::uint8_t> src = edge_bytes(e);
-    std::vector<std::uint8_t> out(src.size());
-    util::SigbusGuard guard;
-    if (sigsetjmp(guard.jump(), 0) == 0) {
-      guard.arm();
-      std::memcpy(out.data(), src.data(), src.size());
-      return out;
+  // Decodes the labels of a (deduplicated) fault-edge list. A resident
+  // view's blobs decode in place; a file-backed view's are first copied
+  // out under a SIGBUS guard, and the decoder then runs on the owned
+  // copy, unguarded (it allocates). Prepare-time only (<= f blobs per
+  // fault set), so the copy is off the per-query path.
+  template <typename Decode>
+  auto decode_edges(std::span<const EdgeId> edges, Decode&& decode) const {
+    std::vector<decltype(decode(std::declval<store::ByteReader&>()))> labels;
+    labels.reserve(edges.size());
+    std::vector<std::uint8_t> copy;
+    for (const EdgeId e : edges) {
+      std::span<const std::uint8_t> blob = edge_bytes(e);
+      if (guarded_) {
+        copy.resize(blob.size());
+        util::SigbusGuard guard;
+        if (sigsetjmp(guard.jump(), 0) == 0) {
+          guard.arm();
+          std::memcpy(copy.data(), blob.data(), blob.size());
+        } else {
+          view_->on_mapped_fault(guard.fault_addr());
+        }
+        blob = copy;
+      }
+      store::ByteReader r(blob);
+      labels.push_back(decode(r));
     }
-    view_->on_mapped_fault(guard.fault_addr());
-    __builtin_unreachable();  // noreturn through a virtual call
+    return labels;
   }
 
   std::shared_ptr<const StoreView> view_;
-  detail::RouteCache routes_{*view_};  // after view_: init order matters
-  std::vector<graph::AncestryLabel> vertex_cache_;  // kMaterialize only
-  std::unique_ptr<AdjacencyProvider> adjacency_;    // null: v1 container
+
+ private:
+  // Edge blob bytes through the resolved-route fast path.
+  std::span<const std::uint8_t> edge_bytes(EdgeId e) const {
+    if (const store::FlatRoutes* rt = routes_.get()) {
+      FTC_REQUIRE(e < rt->num_edges, "edge out of range");
+      return {rt->edge(e), rt->edge_blob_bytes};
+    }
+    return view_->edge_blob(e);
+  }
+
+  const bool guarded_;
+  const VertexId num_vertices_;
+  // The vertex section of a contiguous view (null for a sharded one),
+  // cached so the per-query reads need no route-table load.
+  const std::uint8_t* const vertex_base_;
+  RouteCache routes_{*view_};  // after view_: init order matters
+  std::unique_ptr<AdjacencyProvider> adjacency_;  // null: v1 container
 };
 
-class StoredCoreScheme final : public StoredSchemeBase {
+class CoreScheme final : public SchemeBase {
  public:
-  StoredCoreScheme(std::shared_ptr<const StoreView> view, LoadMode mode)
-      : StoredSchemeBase(std::move(view), mode) {
+  explicit CoreScheme(std::shared_ptr<const StoreView> view)
+      : SchemeBase(std::move(view)) {
     store::ByteReader pr(view_->params_blob());
     params_ = store::decode_core_params(pr, view_->info().format_version,
                                         &level_bounds_);
-    if (mode == LoadMode::kMaterialize) {
-      materialize_vertices();
-      edge_cache_.reserve(num_edges());
-      for (EdgeId e = 0; e < num_edges(); ++e) {
-        edge_cache_.push_back(decode_edge(e));
-      }
-    }
   }
 
   BackendKind backend() const override { return BackendKind::kCoreFtc; }
 
   std::unique_ptr<Workspace> make_workspace() const override {
-    return std::make_unique<CoreStoredWorkspace>();
+    return std::make_unique<CoreWorkspace>();
   }
 
   // Re-encode instead of re-emitting the stored blob: a v1 container's
@@ -1195,24 +1322,23 @@ class StoredCoreScheme final : public StoredSchemeBase {
  protected:
   std::unique_ptr<FaultSet> prepare_edge_faults(
       std::span<const EdgeId> edge_faults) const override {
-    std::vector<EdgeLabel> labels;
-    labels.reserve(edge_faults.size());
-    for (const EdgeId e : edge_faults) {
-      labels.push_back(edge_cache_.empty() ? decode_edge(e) : edge_cache_[e]);
-    }
-    // v2 containers carry the builder's per-level population bounds, so
-    // store-served decodes run the same shrunken windows.
+    const auto labels = decode_edges(edge_faults, [&](store::ByteReader& r) {
+      return store::decode_core_edge(r, params_);
+    });
+    // Built labels and v2 containers carry the builder's per-level
+    // population bounds, so every serving path runs the same shrunken
+    // decode windows.
     auto prepared = PreparedFaults::prepare(labels, level_bounds_);
     const std::size_t nf = prepared.num_faults();
-    return std::make_unique<CoreStoredFaults>(std::move(prepared), nf);
+    return std::make_unique<CoreFaults>(std::move(prepared), nf);
   }
 
   bool query_edges(VertexId s, VertexId t, const FaultSet& faults,
                    Workspace& workspace,
                    const QueryOptions& options) const override {
-    const auto& fs = checked_cast<const CoreStoredFaults&>(
+    const auto& fs = checked_cast<const CoreFaults&>(
         faults, "fault set from a different backend");
-    auto& ws = checked_cast<CoreStoredWorkspace&>(
+    auto& ws = checked_cast<CoreWorkspace&>(
         workspace, "workspace from a different backend");
     const auto [anc_s, anc_t] = anc_pair(s, t);
     return FtcDecoder::connected(VertexLabel{params_, anc_s},
@@ -1221,30 +1347,16 @@ class StoredCoreScheme final : public StoredSchemeBase {
   }
 
  private:
-  EdgeLabel decode_edge(EdgeId e) const {
-    const std::vector<std::uint8_t> blob = copy_edge_blob(e);
-    store::ByteReader r(blob);
-    return store::decode_core_edge(r, params_);
-  }
-
   LabelParams params_;
   std::vector<std::uint32_t> level_bounds_;  // empty for v1 containers
-  std::vector<EdgeLabel> edge_cache_;        // kMaterialize only
 };
 
-class StoredCycleScheme final : public StoredSchemeBase {
+class CycleSpaceScheme final : public SchemeBase {
  public:
-  StoredCycleScheme(std::shared_ptr<const StoreView> view, LoadMode mode)
-      : StoredSchemeBase(std::move(view), mode) {
+  explicit CycleSpaceScheme(std::shared_ptr<const StoreView> view)
+      : SchemeBase(std::move(view)) {
     store::ByteReader pr(view_->params_blob());
     params_ = store::decode_cycle_params(pr);
-    if (mode == LoadMode::kMaterialize) {
-      materialize_vertices();
-      edge_cache_.reserve(num_edges());
-      for (EdgeId e = 0; e < num_edges(); ++e) {
-        edge_cache_.push_back(decode_edge(e));
-      }
-    }
   }
 
   BackendKind backend() const override {
@@ -1252,25 +1364,23 @@ class StoredCycleScheme final : public StoredSchemeBase {
   }
 
   std::unique_ptr<Workspace> make_workspace() const override {
-    return std::make_unique<EmptyStoredWorkspace>();
+    return std::make_unique<EmptyWorkspace>();
   }
 
  protected:
   std::unique_ptr<FaultSet> prepare_edge_faults(
       std::span<const EdgeId> edge_faults) const override {
-    std::vector<dp21::CsEdgeLabel> labels;
-    labels.reserve(edge_faults.size());
-    for (const EdgeId e : edge_faults) {
-      labels.push_back(edge_cache_.empty() ? decode_edge(e) : edge_cache_[e]);
-    }
-    return std::make_unique<CycleStoredFaults>(
+    const auto labels = decode_edges(edge_faults, [&](store::ByteReader& r) {
+      return store::decode_cycle_edge(r, params_);
+    });
+    return std::make_unique<CycleFaults>(
         dp21::CycleSpaceFtc::Prepared::prepare(labels), labels.size());
   }
 
   bool query_edges(VertexId s, VertexId t, const FaultSet& faults,
                    Workspace& /*workspace*/,
                    const QueryOptions& /*options*/) const override {
-    const auto& fs = checked_cast<const CycleStoredFaults&>(
+    const auto& fs = checked_cast<const CycleFaults&>(
         faults, "fault set from a different backend");
     const auto [anc_s, anc_t] = anc_pair(s, t);
     return dp21::CycleSpaceFtc::connected(dp21::CsVertexLabel{anc_s},
@@ -1279,55 +1389,39 @@ class StoredCycleScheme final : public StoredSchemeBase {
   }
 
  private:
-  dp21::CsEdgeLabel decode_edge(EdgeId e) const {
-    const std::vector<std::uint8_t> blob = copy_edge_blob(e);
-    store::ByteReader r(blob);
-    return store::decode_cycle_edge(r, params_);
-  }
-
   store::CycleParams params_;
-  std::vector<dp21::CsEdgeLabel> edge_cache_;  // kMaterialize only
 };
 
-class StoredAgmScheme final : public StoredSchemeBase {
+class AgmScheme final : public SchemeBase {
  public:
-  StoredAgmScheme(std::shared_ptr<const StoreView> view, LoadMode mode)
-      : StoredSchemeBase(std::move(view), mode) {
+  explicit AgmScheme(std::shared_ptr<const StoreView> view)
+      : SchemeBase(std::move(view)) {
     store::ByteReader pr(view_->params_blob());
     params_ = store::decode_agm_params(pr);
-    if (mode == LoadMode::kMaterialize) {
-      materialize_vertices();
-      edge_cache_.reserve(num_edges());
-      for (EdgeId e = 0; e < num_edges(); ++e) {
-        edge_cache_.push_back(decode_edge(e));
-      }
-    }
   }
 
   BackendKind backend() const override { return BackendKind::kDp21Agm; }
 
   std::unique_ptr<Workspace> make_workspace() const override {
-    return std::make_unique<AgmStoredWorkspace>();
+    return std::make_unique<AgmWorkspace>();
   }
 
  protected:
   std::unique_ptr<FaultSet> prepare_edge_faults(
       std::span<const EdgeId> edge_faults) const override {
-    std::vector<dp21::AgmEdgeLabel> labels;
-    labels.reserve(edge_faults.size());
-    for (const EdgeId e : edge_faults) {
-      labels.push_back(edge_cache_.empty() ? decode_edge(e) : edge_cache_[e]);
-    }
-    return std::make_unique<AgmStoredFaults>(
+    const auto labels = decode_edges(edge_faults, [&](store::ByteReader& r) {
+      return store::decode_agm_edge(r, params_);
+    });
+    return std::make_unique<AgmFaults>(
         dp21::AgmFtc::Prepared::prepare(labels), labels.size());
   }
 
   bool query_edges(VertexId s, VertexId t, const FaultSet& faults,
                    Workspace& workspace,
                    const QueryOptions& /*options*/) const override {
-    const auto& fs = checked_cast<const AgmStoredFaults&>(
+    const auto& fs = checked_cast<const AgmFaults&>(
         faults, "fault set from a different backend");
-    auto& ws = checked_cast<AgmStoredWorkspace&>(
+    auto& ws = checked_cast<AgmWorkspace&>(
         workspace, "workspace from a different backend");
     const auto [anc_s, anc_t] = anc_pair(s, t);
     return dp21::AgmFtc::connected(dp21::AgmVertexLabel{anc_s},
@@ -1336,28 +1430,21 @@ class StoredAgmScheme final : public StoredSchemeBase {
   }
 
  private:
-  dp21::AgmEdgeLabel decode_edge(EdgeId e) const {
-    const std::vector<std::uint8_t> blob = copy_edge_blob(e);
-    store::ByteReader r(blob);
-    return store::decode_agm_edge(r, params_);
-  }
-
   store::AgmParams params_;
-  std::vector<dp21::AgmEdgeLabel> edge_cache_;  // kMaterialize only
 };
 
 }  // namespace
 
 std::unique_ptr<ConnectivityScheme> load_scheme(
-    std::shared_ptr<const StoreView> view, LoadMode mode) {
+    std::shared_ptr<const StoreView> view) {
   FTC_REQUIRE(view != nullptr, "null label store view");
   switch (view->info().backend) {
     case BackendKind::kCoreFtc:
-      return std::make_unique<StoredCoreScheme>(std::move(view), mode);
+      return std::make_unique<CoreScheme>(std::move(view));
     case BackendKind::kDp21CycleSpace:
-      return std::make_unique<StoredCycleScheme>(std::move(view), mode);
+      return std::make_unique<CycleSpaceScheme>(std::move(view));
     case BackendKind::kDp21Agm:
-      return std::make_unique<StoredAgmScheme>(std::move(view), mode);
+      return std::make_unique<AgmScheme>(std::move(view));
   }
   FTC_CHECK(false, "unknown BackendKind in validated store");
   return nullptr;  // unreachable
@@ -1367,8 +1454,7 @@ std::unique_ptr<ConnectivityScheme> load_scheme(const std::string& path,
                                                 const LoadOptions& options) {
   // open_store_view dispatches on the magic: single containers and
   // sharded manifests load through the same StoreView interface.
-  auto scheme = load_scheme(open_store_view(path, options.verify_checksum),
-                            options.mode);
+  auto scheme = load_scheme(open_store_view(path, options.verify_checksum));
   // Fold a "<path>.jrnl" deletion-journal sidecar into the session
   // (journal.hpp): journaled deletions then behave as implicit faults in
   // every query until the store is rebuilt or compacted away.

@@ -25,9 +25,9 @@
 //     56  u64  header checksum: FNV-1a over bytes [0, 56)
 //   params blob          backend-specific scheme parameters; for the core
 //                        backend v2 appends per-level sketch population
-//                        bounds (u32 count + count u32 values) so served
-//                        schemes shrink their decode windows like the
-//                        in-memory builder does
+//                        bounds (u32 count + count u32 values) so loaded
+//                        schemes shrink their decode windows like built
+//                        ones do
 //   (pad to 8)
 //   vertex section       num_vertices fixed 8-byte records (tin, tout)
 //   (pad to 8)
@@ -113,12 +113,8 @@ using util::kFnvBasis;
 class ByteWriter {
  public:
   void u8(std::uint8_t v) { bytes_.push_back(v); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) bytes_.push_back((v >> (8 * i)) & 0xff);
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) bytes_.push_back((v >> (8 * i)) & 0xff);
-  }
+  void u32(std::uint32_t v) { util::write_u32_le(grow(4), v); }
+  void u64(std::uint64_t v) { util::write_u64_le(grow(8), v); }
   void bytes(std::span<const std::uint8_t> b) {
     bytes_.insert(bytes_.end(), b.begin(), b.end());
   }
@@ -128,14 +124,21 @@ class ByteWriter {
   // Overwrite a previously written u64 (header checksum back-patching).
   void patch_u64(std::size_t offset, std::uint64_t v) {
     FTC_CHECK(offset + 8 <= bytes_.size(), "patch out of range");
-    for (int i = 0; i < 8; ++i) bytes_[offset + i] = (v >> (8 * i)) & 0xff;
+    util::write_u64_le(bytes_.data() + offset, v);
   }
 
   std::size_t size() const { return bytes_.size(); }
   std::span<const std::uint8_t> view() const { return bytes_; }
   std::vector<std::uint8_t> take() { return std::move(bytes_); }
+  // Empties the buffer but keeps its capacity (per-label scratch reuse).
+  void clear() { bytes_.clear(); }
 
  private:
+  std::uint8_t* grow(std::size_t n) {
+    bytes_.resize(bytes_.size() + n);
+    return bytes_.data() + bytes_.size() - n;
+  }
+
   std::vector<std::uint8_t> bytes_;
 };
 
@@ -147,20 +150,10 @@ class ByteReader {
   explicit ByteReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
 
   std::uint8_t u8() { return take(1)[0]; }
-  std::uint32_t u32() {
-    const auto b = take(4);
-    std::uint32_t v = 0;
-    // Explicit little-endian assembly, mirroring ByteWriter: the
-    // container format is LE regardless of host byte order.
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t{b[i]} << (8 * i);
-    return v;
-  }
-  std::uint64_t u64() {
-    const auto b = take(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t{b[i]} << (8 * i);
-    return v;
-  }
+  // Little-endian like ByteWriter: the container format is LE regardless
+  // of host byte order.
+  std::uint32_t u32() { return util::read_u32_le(take(4).data()); }
+  std::uint64_t u64() { return util::read_u64_le(take(8).data()); }
   std::span<const std::uint8_t> take(std::size_t n) {
     if (n > bytes_.size() - pos_) {
       throw StoreError("label store blob truncated");
@@ -221,10 +214,15 @@ graph::AncestryLabel decode_vertex_record(ByteReader& r);
 // Zero-copy decode of one fixed 8-byte vertex record (LE tin, tout)
 // straight from a resolved route pointer — the per-query hot path.
 inline graph::AncestryLabel decode_vertex_record_at(const std::uint8_t* p) {
-  graph::AncestryLabel anc;
-  for (int i = 0; i < 4; ++i) anc.tin |= std::uint32_t{p[i]} << (8 * i);
-  for (int i = 0; i < 4; ++i) anc.tout |= std::uint32_t{p[4 + i]} << (8 * i);
-  return anc;
+  return {util::read_u32_le(p), util::read_u32_le(p + 4)};
+}
+// The in-place counterpart, for builders that write labels straight into
+// a container-layout buffer. Core and AGM edge blobs open with two such
+// records (upper, lower endpoint).
+inline void write_vertex_record_at(std::uint8_t* p,
+                                   const graph::AncestryLabel& anc) {
+  util::write_u32_le(p, anc.tin);
+  util::write_u32_le(p + 4, anc.tout);
 }
 
 void encode_core_edge(const EdgeLabel& label, ByteWriter& w);
@@ -257,22 +255,38 @@ StoreLabelBits derive_label_bits(BackendKind backend,
                                  std::span<const std::uint8_t> params,
                                  std::uint32_t version);
 
-// Generation-resolved flat route table: one pointer per vertex record
-// and per edge blob, straight into the (already open and validated)
-// mapping(s). Resolving routing ONCE — at container open for a flat
-// store, or when the last shard of a sharded store is mapped — replaces
-// the per-query virtual dispatch + binary-search + lazy-open check with
-// a single array deref, so a K-shard store serves at flat-container
-// speed. Pointers stay valid for the lifetime of the StoreView that
-// published the table. Cost is 16 bytes per ID; a page-granular variant
-// (shard+offset per fixed-size ID page) is the follow-on if that ever
-// dominates label bytes.
+// Generation-resolved flat route table: where every vertex record and
+// edge blob sits in the (already open and validated) backing. Resolving
+// routing ONCE — at open for a single container or a resident view, or
+// when the last shard of a sharded store is mapped — replaces the
+// per-query virtual dispatch + binary-search + lazy-open check with
+// arithmetic or a single array deref, so a K-shard store serves at
+// flat-container speed. Pointers stay valid for the lifetime of the
+// StoreView that published the table.
 struct FlatRoutes {
   graph::VertexId num_vertices = 0;
   graph::EdgeId num_edges = 0;
   std::size_t edge_blob_bytes = 0;  // fixed width implied by the params
+  // Contiguous sections (a single container or a resident view): record
+  // v at vertex_base + 8v, blob e at edge_base + e * edge_blob_bytes; the
+  // pointer tables stay empty.
+  const std::uint8_t* vertex_base = nullptr;
+  const std::uint8_t* edge_base = nullptr;
+  // Otherwise (a sharded store) one pointer per ID, 16 bytes per ID.
   std::vector<const std::uint8_t*> vertex_ptr;  // [n] 8-byte records
   std::vector<const std::uint8_t*> edge_ptr;    // [m] label blobs
+
+  // Unchecked: callers bound v < num_vertices / e < num_edges.
+  const std::uint8_t* vertex(graph::VertexId v) const {
+    return vertex_base != nullptr
+               ? vertex_base + static_cast<std::size_t>(v) * kVertexRecordBytes
+               : vertex_ptr[v];
+  }
+  const std::uint8_t* edge(graph::EdgeId e) const {
+    return edge_base != nullptr
+               ? edge_base + static_cast<std::size_t>(e) * edge_blob_bytes
+               : edge_ptr[e];
+  }
 };
 
 // What one prefetch() call did: thread fan-out, wall time, and the
@@ -439,15 +453,16 @@ struct StoreInfo {
   std::size_t edge_label_bits = 0;
 };
 
-// The read interface every store serving path programs against: a
-// validated, immutable view of one scheme's labels. Two implementations:
-// LabelStoreView (one mmapped container file, below) and ShardedStoreView
-// (a manifest routing over K shard containers, sharded_store.hpp).
-// load_scheme() and everything downstream — the label-served backends,
-// BatchQueryEngine sessions, ConnectivityOracle::from_store — only ever
-// see this interface, so single-file and sharded stores serve queries
-// through identical code. Implementations are safe to share across
-// threads after a successful open.
+// The read interface every serving path programs against: a validated,
+// immutable view of one scheme's labels. Three implementations:
+// LabelStoreView (one mmapped container file, below), ShardedStoreView
+// (a manifest routing over K shard containers, sharded_store.hpp), and
+// the resident view make_scheme() builds over freshly built labels
+// (open_resident_view, below). load_scheme() and everything downstream —
+// the per-backend scheme classes and BatchQueryEngine sessions — only
+// ever see this interface, so built, single-file and sharded labels
+// serve queries through identical code. Implementations are safe to
+// share across threads after a successful open.
 class StoreView {
  public:
   virtual ~StoreView() = default;
@@ -465,14 +480,20 @@ class StoreView {
   virtual void adjacency_append(graph::VertexId v,
                                 std::vector<graph::EdgeId>& out) const = 0;
 
+  // Whether the label bytes live in file mappings that can fault (a file
+  // truncated or replaced behind the mmap). Only such views pay for the
+  // SIGBUS guard and the guarded blob copy on the query path; resident
+  // views are read in place.
+  virtual bool file_backed() const { return true; }
+
   // Maps and digest-verifies any lazily-opened backing (every shard of a
   // sharded view) so nothing cold remains on the query path, and
   // publishes the flat route table. threads = 0 picks min(shards,
   // hardware concurrency); work is stolen over shard indices. Idempotent
   // and safe to call concurrently with queries and with lazy first-touch
   // opens; a corrupt shard throws the same typed StoreError the lazy
-  // open would. Single-container views are fully mapped and validated at
-  // open(), so the base implementation is a no-op.
+  // open would. Single-container and resident views are fully validated
+  // and routed at open, so the base implementation is a no-op.
   virtual store::PrefetchStats prefetch(unsigned threads = 0) const {
     (void)threads;
     return {};
@@ -548,19 +569,7 @@ class LabelStoreView final : public StoreView {
   store::FlatRoutes routes_;  // built at open (the index walk is O(m) anyway)
 };
 
-// How load_scheme materializes a store:
-//  kMmap        — zero-copy: vertex labels are decoded on the fly from
-//                 the mapping (8-byte reads, no allocation) and only the
-//                 fault-edge labels of a session are ever materialized.
-//  kMaterialize — eager full deserialize of every label into in-memory
-//                 vectors (the classical load path; bench baseline).
-enum class LoadMode {
-  kMmap = 0,
-  kMaterialize = 1,
-};
-
 struct LoadOptions {
-  LoadMode mode = LoadMode::kMmap;
   bool verify_checksum = true;
   // When a "<path>.jrnl" deletion-journal sidecar exists next to the
   // store (journal.hpp), fold its journaled deletions into every query's
@@ -599,8 +608,47 @@ std::unique_ptr<ConnectivityScheme> load_scheme(const std::string& path,
                                                 const LoadOptions& options = {});
 
 // Same, over an already-open view (shares the mapping; several schemes
-// and threads may serve from one view).
+// and threads may serve from one view). This is the one scheme class per
+// backend: freshly built labels (make_scheme), single containers and
+// sharded stores are all served through it.
 std::unique_ptr<ConnectivityScheme> load_scheme(
-    std::shared_ptr<const StoreView> view, LoadMode mode = LoadMode::kMmap);
+    std::shared_ptr<const StoreView> view);
+
+namespace store {
+
+// A freshly built scheme's labels, already in container layout: the
+// params blob, n fixed 8-byte vertex records, and m uniform-width edge
+// blobs back to back — exactly the bytes a container's vertex and edge
+// blob sections hold. Builders fill these buffers in place
+// (FtcScheme::release_labels) or encode into them (the dp21 backends),
+// so handing them to a resident view never copies the labels.
+struct ResidentLabels {
+  BackendKind backend = BackendKind::kCoreFtc;
+  std::vector<std::uint8_t> params;
+  std::vector<std::uint8_t> vertex_records;  // n * kVertexRecordBytes
+  // The m * edge_blob_bytes blob bytes, held in whole words (the last one
+  // zero-padded) so a builder whose blobs are word-aligned can store its
+  // sketch words as words.
+  std::vector<std::uint64_t> edge_words;
+  std::size_t edge_blob_bytes = 0;
+
+  static std::size_t words_for(std::size_t bytes) { return (bytes + 7) / 8; }
+  std::uint8_t* edge_blobs() {
+    return reinterpret_cast<std::uint8_t*>(edge_words.data());
+  }
+  const std::uint8_t* edge_blobs() const {
+    return reinterpret_cast<const std::uint8_t*>(edge_words.data());
+  }
+};
+
+}  // namespace store
+
+// A resident, heap-backed StoreView over built labels plus g's incidence
+// lists as the CSR adjacency section (in Graph::incident_edges order, the
+// order a save() writes). Not file-backed: reads need no SIGBUS guard and
+// fault-edge blobs decode in place. info() reports what a save would
+// record, minus the file: file_bytes and payload_checksum stay 0.
+std::shared_ptr<const StoreView> open_resident_view(
+    store::ResidentLabels labels, const graph::Graph& g);
 
 }  // namespace ftc::core

@@ -14,6 +14,7 @@
 //    parameters are stored once per container and every decode is
 //    validated against them (mismatch -> StoreError, never UB).
 #include <cstring>
+#include <iterator>
 
 #include "core/ftc_labels.hpp"
 #include "core/label_store.hpp"
@@ -152,6 +153,44 @@ void check(bool ok, const char* what) {
   if (!ok) throw StoreError(what);
 }
 
+// Forward iterator over the LE words of a byte range. Filling a vector
+// through assign(first, last) sizes it once and copies each word in
+// place, without zeroing the buffer first.
+class LeWordIterator {
+ public:
+  using iterator_category = std::forward_iterator_tag;
+  using value_type = std::uint64_t;
+  using difference_type = std::ptrdiff_t;
+  using pointer = const std::uint64_t*;
+  using reference = std::uint64_t;
+
+  LeWordIterator() = default;
+  explicit LeWordIterator(const std::uint8_t* p) : p_(p) {}
+  std::uint64_t operator*() const { return util::read_u64_le(p_); }
+  LeWordIterator& operator++() {
+    p_ += 8;
+    return *this;
+  }
+  LeWordIterator operator++(int) {
+    const LeWordIterator old = *this;
+    p_ += 8;
+    return old;
+  }
+  friend bool operator==(LeWordIterator, LeWordIterator) = default;
+
+ private:
+  const std::uint8_t* p_ = nullptr;
+};
+
+// Reads `count` LE words with ONE bounds-checked take: a truncated
+// payload throws before any word is read, and the copy itself is plain
+// word loads.
+void read_words(ByteReader& r, std::size_t count,
+                std::vector<std::uint64_t>& out) {
+  const std::uint8_t* p = r.take(8 * count).data();
+  out.assign(LeWordIterator(p), LeWordIterator(p + 8 * count));
+}
+
 }  // namespace
 
 void encode_core_params(const LabelParams& p,
@@ -275,8 +314,7 @@ EdgeLabel decode_core_edge(ByteReader& r, const LabelParams& params) {
   label.lower.tout = r.u32();
   const std::size_t expect = static_cast<std::size_t>(params.num_levels) *
                              params.k * params.words_per_elem();
-  label.sketch_words.resize(expect);
-  for (std::uint64_t& word : label.sketch_words) word = r.u64();
+  read_words(r, expect, label.sketch_words);
   return label;
 }
 
@@ -309,8 +347,7 @@ dp21::CsEdgeLabel decode_cycle_edge(ByteReader& r, const CycleParams& params) {
   label.a.tout = r.u32();
   label.b.tin = r.u32();
   label.b.tout = r.u32();
-  label.vec.resize(params.vector_words());
-  for (std::uint64_t& word : label.vec) word = r.u64();
+  read_words(r, params.vector_words(), label.vec);
   return label;
 }
 
@@ -334,8 +371,8 @@ dp21::AgmEdgeLabel decode_agm_edge(ByteReader& r, const AgmParams& params) {
   label.upper.tout = r.u32();
   label.lower.tin = r.u32();
   label.lower.tout = r.u32();
-  std::vector<std::uint64_t> words(params.sketch_words());
-  for (std::uint64_t& word : words) word = r.u64();
+  std::vector<std::uint64_t> words;
+  read_words(r, params.sketch_words(), words);
   label.sketch = sketch::AgmSketch::from_words(params.levels, params.reps,
                                                params.seed, words);
   return label;

@@ -891,8 +891,8 @@ bool ShardedStoreView::publish_shard(
 
 void ShardedStoreView::resolve_routes() const {
   // Last shard in: resolve routing once. Every shard container already
-  // built its own flat table at open, so the global one is a splice —
-  // per-ID pointers are absolute, only the array positions shift by the
+  // resolved its own flat table at open, so the global one is a splice of
+  // absolute per-ID pointers — only the array positions shift by the
   // manifest ranges. Published with a release store; queries that loaded
   // nullptr a moment ago keep using the per-shard path, bit-identically.
   auto routes = std::make_unique<store::FlatRoutes>();
@@ -904,10 +904,12 @@ void ShardedStoreView::resolve_routes() const {
     const store::FlatRoutes* sub = shard_views_[i]->routes();
     FTC_CHECK(sub != nullptr, "shard container missing its route table");
     routes->edge_blob_bytes = sub->edge_blob_bytes;
-    routes->vertex_ptr.insert(routes->vertex_ptr.end(),
-                              sub->vertex_ptr.begin(), sub->vertex_ptr.end());
-    routes->edge_ptr.insert(routes->edge_ptr.end(), sub->edge_ptr.begin(),
-                            sub->edge_ptr.end());
+    for (VertexId v = 0; v < sub->num_vertices; ++v) {
+      routes->vertex_ptr.push_back(sub->vertex(v));
+    }
+    for (EdgeId e = 0; e < sub->num_edges; ++e) {
+      routes->edge_ptr.push_back(sub->edge(e));
+    }
   }
   FTC_CHECK(routes->vertex_ptr.size() == info_.num_vertices &&
                 routes->edge_ptr.size() == info_.num_edges,
@@ -1040,7 +1042,7 @@ std::span<const std::uint8_t> ShardedStoreView::vertex_blob(
   // load and a direct index — no binary search, no shard indirection.
   if (const store::FlatRoutes* rt = routes()) {
     FTC_REQUIRE(v < rt->num_vertices, "vertex out of range");
-    return {rt->vertex_ptr[v], store::kVertexRecordBytes};
+    return {rt->vertex(v), store::kVertexRecordBytes};
   }
   const std::size_t k = shard_of_vertex(v);
   return shard(k).vertex_blob(
@@ -1050,7 +1052,7 @@ std::span<const std::uint8_t> ShardedStoreView::vertex_blob(
 std::span<const std::uint8_t> ShardedStoreView::edge_blob(EdgeId e) const {
   if (const store::FlatRoutes* rt = routes()) {
     FTC_REQUIRE(e < rt->num_edges, "edge out of range");
-    return {rt->edge_ptr[e], rt->edge_blob_bytes};
+    return {rt->edge(e), rt->edge_blob_bytes};
   }
   const std::size_t k = shard_of_edge(e);
   return shard(k).edge_blob(static_cast<EdgeId>(e - records_[k].edge_begin));

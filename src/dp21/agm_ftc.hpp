@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/ancestry.hpp"
@@ -47,6 +48,10 @@ class AgmFtc {
 
   AgmVertexLabel vertex_label(graph::VertexId v) const;
   AgmEdgeLabel edge_label(graph::EdgeId e) const;
+  // Moves every edge label out, leaving the scheme without edge labels.
+  // Lets a caller re-encode them one at a time, freeing each label's
+  // payload as it goes, so no second full copy of the labels exists.
+  std::vector<AgmEdgeLabel> take_edge_labels() { return std::move(edge_labels_); }
 
   // Immutable per-fault-set session state: deduplicated faults, the
   // fragment locator of T' - sigma(F), and every fragment's initial

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/ancestry.hpp"
@@ -57,6 +58,10 @@ class CycleSpaceFtc {
 
   CsVertexLabel vertex_label(graph::VertexId v) const;
   CsEdgeLabel edge_label(graph::EdgeId e) const;
+  // Moves every edge label out, leaving the scheme without edge labels.
+  // Lets a caller re-encode them one at a time, freeing each label's
+  // payload as it goes, so no second full copy of the labels exists.
+  std::vector<CsEdgeLabel> take_edge_labels() { return std::move(edge_labels_); }
 
   // Per-fault-set session state, built once and shared by any number of
   // queries (and threads — it is immutable after prepare). Everything

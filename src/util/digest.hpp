@@ -11,7 +11,9 @@
 // publishing a fetched shard against its manifest record).
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 
 namespace ftc::util {
@@ -31,19 +33,45 @@ inline std::uint64_t fnv1a(std::span<const std::uint8_t> bytes,
   return h;
 }
 
-// Unchecked little-endian field reads for binary parsers that have
-// already bounds-checked the enclosing region (header copies, validated
-// section scans). The store formats are LE regardless of host order.
-inline std::uint64_t read_u64_le(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= std::uint64_t{p[i]} << (8 * i);
+// Unchecked little-endian field reads and writes for binary codecs that
+// have already bounds-checked the enclosing region (header copies,
+// validated section scans, sized label buffers). The store formats are
+// LE regardless of host order: each access is one unaligned load or
+// store, byte-swapped only on big-endian hosts.
+inline std::uint64_t to_le(std::uint64_t v) {
+  if constexpr (std::endian::native == std::endian::big) {
+    return __builtin_bswap64(v);
+  }
   return v;
 }
 
-inline std::uint32_t read_u32_le(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= std::uint32_t{p[i]} << (8 * i);
+inline std::uint32_t to_le(std::uint32_t v) {
+  if constexpr (std::endian::native == std::endian::big) {
+    return __builtin_bswap32(v);
+  }
   return v;
+}
+
+inline std::uint64_t read_u64_le(const std::uint8_t* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof v);
+  return to_le(v);
+}
+
+inline std::uint32_t read_u32_le(const std::uint8_t* p) {
+  std::uint32_t v;
+  std::memcpy(&v, p, sizeof v);
+  return to_le(v);
+}
+
+inline void write_u64_le(std::uint8_t* p, std::uint64_t v) {
+  v = to_le(v);
+  std::memcpy(p, &v, sizeof v);
+}
+
+inline void write_u32_le(std::uint8_t* p, std::uint32_t v) {
+  v = to_le(v);
+  std::memcpy(p, &v, sizeof v);
 }
 
 }  // namespace ftc::util

@@ -54,9 +54,14 @@ TEST(FaultSpec, CapabilityErrorIsTypedAndBackCompatible) {
   EXPECT_THROW(throw CapabilityError("x"), std::invalid_argument);
 }
 
-TEST(VectorAdjacencyTest, MatchesGraphIncidence) {
+// A built scheme's adjacency is its resident view's CSR side-table; its
+// incidence order is pinned to Graph::incident_edges (the order a save()
+// writes).
+TEST(ResidentAdjacencyTest, MatchesGraphIncidence) {
   const Graph g = graph::barbell(5, 2);
-  const VectorAdjacency adj(g);
+  const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 2));
+  ASSERT_NE(scheme->adjacency(), nullptr);
+  const AdjacencyProvider& adj = *scheme->adjacency();
   ASSERT_EQ(adj.num_vertices(), g.num_vertices());
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     EXPECT_EQ(adj.degree(v), g.degree(v));

@@ -363,38 +363,36 @@ TEST_P(JournalReplayParity, JournaledDeletionsMatchExplicitFaults) {
                           journaled);
 
   SplitMix64 rng(23);
-  for (const LoadMode mode : {LoadMode::kMmap, LoadMode::kMaterialize}) {
-    const auto replayed = load_scheme(file.path(), {mode, true});
-    ASSERT_NE(replayed->journal(), nullptr);
-    for (int round = 0; round < 24; ++round) {
-      // Query faults within the leftover budget, overlapping journaled
-      // IDs on purpose (the union, not the sum, is what must fit).
-      std::vector<EdgeId> query_faults;
-      for (unsigned i = 0; i < rng.next_below(3); ++i) {
-        query_faults.push_back(
-            static_cast<EdgeId>(rng.next_below(g.num_edges())));
-      }
-      if (round % 3 == 0) query_faults.push_back(journaled[0]);
-      std::vector<EdgeId> merged = journaled;
-      merged.insert(merged.end(), query_faults.begin(), query_faults.end());
-      const VertexId s = static_cast<VertexId>(rng.next_below(g.num_vertices()));
-      const VertexId t = static_cast<VertexId>(rng.next_below(g.num_vertices()));
-      EXPECT_EQ(replayed->connected(s, t, FaultSpec::edges(query_faults)),
-                scheme->connected(s, t, FaultSpec::edges(merged)))
-          << backend_name(GetParam()) << " s=" << s << " t=" << t;
+  const auto replayed = load_scheme(file.path());
+  ASSERT_NE(replayed->journal(), nullptr);
+  for (int round = 0; round < 24; ++round) {
+    // Query faults within the leftover budget, overlapping journaled
+    // IDs on purpose (the union, not the sum, is what must fit).
+    std::vector<EdgeId> query_faults;
+    for (unsigned i = 0; i < rng.next_below(3); ++i) {
+      query_faults.push_back(
+          static_cast<EdgeId>(rng.next_below(g.num_edges())));
     }
-    // Past the leftover budget the scheme must refuse typed: 2 journaled
-    // + 3 distinct query faults > f = 4.
-    const std::vector<EdgeId> over = {1, 2, 3};
-    try {
-      replayed->connected(0, 1, FaultSpec::edges(over));
-      FAIL() << "expected CapacityError";
-    } catch (const CapacityError& e) {
-      EXPECT_EQ(e.budget(), f);
-      EXPECT_EQ(e.journaled(), journaled.size());
-      EXPECT_EQ(e.requested(), 5u);
-      EXPECT_EQ(e.remaining(), f - journaled.size());
-    }
+    if (round % 3 == 0) query_faults.push_back(journaled[0]);
+    std::vector<EdgeId> merged = journaled;
+    merged.insert(merged.end(), query_faults.begin(), query_faults.end());
+    const VertexId s = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+    const VertexId t = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+    EXPECT_EQ(replayed->connected(s, t, FaultSpec::edges(query_faults)),
+              scheme->connected(s, t, FaultSpec::edges(merged)))
+        << backend_name(GetParam()) << " s=" << s << " t=" << t;
+  }
+  // Past the leftover budget the scheme must refuse typed: 2 journaled
+  // + 3 distinct query faults > f = 4.
+  const std::vector<EdgeId> over = {1, 2, 3};
+  try {
+    replayed->connected(0, 1, FaultSpec::edges(over));
+    FAIL() << "expected CapacityError";
+  } catch (const CapacityError& e) {
+    EXPECT_EQ(e.budget(), f);
+    EXPECT_EQ(e.journaled(), journaled.size());
+    EXPECT_EQ(e.requested(), 5u);
+    EXPECT_EQ(e.remaining(), f - journaled.size());
   }
 }
 

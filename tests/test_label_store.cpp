@@ -1,10 +1,11 @@
 // LabelStore round-trip and adversarial-input coverage.
 //
 // Round-trip: every backend's labels, written through save() and loaded
-// back via the mmap view or the eager deserializer, must answer exactly
-// like the in-memory scheme that wrote them (cross-checked against the
-// BFS ground truth), including through BatchQueryEngine sessions spun up
-// straight from the file and the store-backed oracle facade.
+// back via the mmap view, must answer exactly like the freshly built
+// scheme that wrote them (cross-checked against the BFS ground truth),
+// including through BatchQueryEngine sessions spun up straight from the
+// file. The built scheme's resident view must report what the saved
+// container records.
 //
 // Adversarial: truncations, bad magic, unsupported versions, flipped
 // checksum/payload bytes and corrupt offset indices must throw the typed
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <span>
@@ -20,8 +22,8 @@
 
 #include "core/batch_engine.hpp"
 #include "core/connectivity_scheme.hpp"
+#include "core/ftc_scheme.hpp"
 #include "core/label_store.hpp"
-#include "core/oracle.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "util/common.hpp"
@@ -112,28 +114,70 @@ TEST_P(LabelStoreParity, SaveLoadRoundTripMatchesInMemoryAndBfs) {
                    std::to_string(static_cast<int>(GetParam())));
     scheme->save(file.path());
 
-    for (const LoadMode mode : {LoadMode::kMmap, LoadMode::kMaterialize}) {
-      const auto loaded = load_scheme(file.path(), {mode, true});
-      EXPECT_EQ(loaded->backend(), GetParam());
-      EXPECT_EQ(loaded->num_vertices(), scheme->num_vertices());
-      EXPECT_EQ(loaded->num_edges(), scheme->num_edges());
-      EXPECT_EQ(loaded->vertex_label_bits(), scheme->vertex_label_bits());
-      EXPECT_EQ(loaded->edge_label_bits(), scheme->edge_label_bits());
+    const auto loaded = load_scheme(file.path());
+    EXPECT_EQ(loaded->backend(), GetParam());
+    EXPECT_EQ(loaded->num_vertices(), scheme->num_vertices());
+    EXPECT_EQ(loaded->num_edges(), scheme->num_edges());
+    EXPECT_EQ(loaded->vertex_label_bits(), scheme->vertex_label_bits());
+    EXPECT_EQ(loaded->edge_label_bits(), scheme->edge_label_bits());
 
-      SplitMix64 rng(900 + static_cast<int>(GetParam()));
-      for (int it = 0; it < 25; ++it) {
-        const auto faults = random_faults(rng, g, f);
-        const auto s = static_cast<VertexId>(rng.next_below(g.num_vertices()));
-        const auto t = static_cast<VertexId>(rng.next_below(g.num_vertices()));
-        const bool expected = graph::connected_avoiding(g, s, t, faults);
-        EXPECT_EQ(scheme->connected(s, t, FaultSpec::edges(faults)),
-                  expected)
-            << fam.name << " it=" << it;
-        EXPECT_EQ(loaded->connected(s, t, FaultSpec::edges(faults)), expected)
-            << fam.name << " mode=" << static_cast<int>(mode) << " it=" << it;
-      }
+    SplitMix64 rng(900 + static_cast<int>(GetParam()));
+    for (int it = 0; it < 25; ++it) {
+      const auto faults = random_faults(rng, g, f);
+      const auto s = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+      const auto t = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+      const bool expected = graph::connected_avoiding(g, s, t, faults);
+      EXPECT_EQ(scheme->connected(s, t, FaultSpec::edges(faults)),
+                expected)
+          << fam.name << " it=" << it;
+      EXPECT_EQ(loaded->connected(s, t, FaultSpec::edges(faults)), expected)
+          << fam.name << " it=" << it;
     }
   }
+}
+
+// make_scheme serves its labels from a resident view that reports what
+// the saved container does, and accounts label bits like the builders.
+TEST_P(LabelStoreParity, ResidentViewMatchesSavedContainer) {
+  const Graph g = graph::random_connected(30, 70, 9);
+  const SchemeConfig cfg = test_config(GetParam(), 3);
+  const auto scheme = make_scheme(g, cfg);
+  const auto resident = scheme->store_view();
+  ASSERT_NE(resident, nullptr);
+  EXPECT_FALSE(resident->file_backed());
+  StoreFile file("resident_" + std::to_string(static_cast<int>(GetParam())));
+  scheme->save(file.path());
+  const auto saved = LabelStoreView::open(file.path());
+  EXPECT_TRUE(saved->file_backed());
+  const StoreInfo& got = resident->info();
+  const StoreInfo& want = saved->info();
+  EXPECT_EQ(got.num_vertices, want.num_vertices);
+  EXPECT_EQ(got.num_edges, want.num_edges);
+  EXPECT_EQ(got.backend, want.backend);
+  EXPECT_EQ(got.vertex_label_bits, want.vertex_label_bits);
+  EXPECT_EQ(got.edge_label_bits, want.edge_label_bits);
+  EXPECT_EQ(got.has_adjacency, want.has_adjacency);
+  EXPECT_TRUE(got.has_adjacency);
+
+  const auto n = static_cast<std::size_t>(g.num_vertices());
+  const auto m = static_cast<std::size_t>(g.num_edges());
+  std::size_t builder_bits = 0;
+  switch (GetParam()) {
+    case BackendKind::kCoreFtc:
+      builder_bits = FtcScheme::build(g, cfg.ftc).total_label_bits();
+      break;
+    case BackendKind::kDp21CycleSpace: {
+      const auto b = dp21::CycleSpaceFtc::build(g, cfg.cycle);
+      builder_bits = n * b.vertex_label_bits() + m * b.edge_label_bits();
+      break;
+    }
+    case BackendKind::kDp21Agm: {
+      const auto b = dp21::AgmFtc::build(g, cfg.agm);
+      builder_bits = n * b.vertex_label_bits() + m * b.edge_label_bits();
+      break;
+    }
+  }
+  EXPECT_EQ(scheme->total_label_bits(), builder_bits);
 }
 
 TEST_P(LabelStoreParity, SaveFromLoadedViewIsByteIdentical) {
@@ -182,7 +226,7 @@ TEST_P(LabelStoreParity, TenThousandQueryBatchMatchesInMemory) {
     // The store session owns its loaded scheme (mmap zero-copy path) and
     // fans out across threads; answers must be bit-identical.
     BatchQueryEngine from_store(
-        load_scheme(file.path(), {LoadMode::kMmap, true}),
+        load_scheme(file.path()),
         FaultSpec::edges(faults));
     const auto expected = in_memory.run_sequential(queries);
     const auto actual = from_store.run_parallel(queries, 4);
@@ -190,9 +234,9 @@ TEST_P(LabelStoreParity, TenThousandQueryBatchMatchesInMemory) {
   }
 }
 
-// A format-v2 store carries the adjacency side-table, so the oracle
-// facade over a loaded scheme serves edge, vertex and mixed faults
-// exactly like the in-memory oracle that wrote it.
+// A format-v2 store carries the adjacency side-table, so a loaded scheme
+// used as an oracle serves edge, vertex and mixed faults exactly like
+// the scheme that wrote it.
 TEST_P(LabelStoreParity, OracleFromStoreServesVertexAndMixedFaults) {
   const Graph g = graph::barbell(8, 3);
   // Headroom for the Delta * f incident-edge reduction (Delta = 8 here).
@@ -200,9 +244,9 @@ TEST_P(LabelStoreParity, OracleFromStoreServesVertexAndMixedFaults) {
   StoreFile file("oracle_" + std::to_string(static_cast<int>(GetParam())));
   scheme->save(file.path());
 
-  const ConnectivityOracle oracle = ConnectivityOracle::from_store(file.path());
-  EXPECT_EQ(oracle.scheme().backend(), GetParam());
-  EXPECT_TRUE(oracle.supports_vertex_faults());
+  const auto oracle = load_scheme(file.path());
+  EXPECT_EQ(oracle->backend(), GetParam());
+  EXPECT_NE(oracle->adjacency(), nullptr);
   SplitMix64 rng(5);
   for (int it = 0; it < 20; ++it) {
     const auto edge_faults = random_faults(rng, g, 2);
@@ -214,7 +258,7 @@ TEST_P(LabelStoreParity, OracleFromStoreServesVertexAndMixedFaults) {
     const auto spec = FaultSpec::of(edge_faults, vertex_faults);
     const auto s = static_cast<VertexId>(rng.next_below(g.num_vertices()));
     const auto t = static_cast<VertexId>(rng.next_below(g.num_vertices()));
-    EXPECT_EQ(oracle.connected(s, t, spec),
+    EXPECT_EQ(oracle->connected(s, t, spec),
               graph::connected_avoiding(g, s, t, edge_faults, vertex_faults))
         << "it=" << it;
   }
@@ -246,6 +290,54 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, LabelStoreParity,
                            }
                            return name;
                          });
+
+// ------------------------------------------------------------------
+// Blob codecs: little-endian whatever the host, and a payload cut short
+// anywhere throws StoreError before a word is read past its end.
+
+TEST(StoreCodec, FieldsAreLittleEndian) {
+  const std::uint8_t bytes[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+  EXPECT_EQ(util::read_u64_le(bytes), 0x0807060504030201ULL);
+  EXPECT_EQ(util::read_u32_le(bytes), 0x04030201u);
+  store::ByteReader r(bytes);
+  EXPECT_EQ(r.u32(), 0x04030201u);
+  EXPECT_EQ(r.u32(), 0x08070605u);
+  EXPECT_THROW(r.u8(), StoreError);
+  store::ByteWriter w;
+  w.u64(0x0807060504030201ULL);
+  EXPECT_TRUE(std::equal(w.view().begin(), w.view().end(), bytes));
+}
+
+TEST(StoreCodec, TruncatedEdgeBlobsThrow) {
+  const Graph g = graph::random_connected(16, 30, 9);
+  for (const BackendKind backend : kAllBackends) {
+    SCOPED_TRACE(backend_name(backend));
+    const auto view = make_scheme(g, test_config(backend, 2))->store_view();
+    const auto blob = view->edge_blob(3);
+    const auto decode = [&](std::span<const std::uint8_t> bytes) {
+      store::ByteReader pr(view->params_blob());
+      store::ByteReader r(bytes);
+      switch (backend) {
+        case BackendKind::kCoreFtc:
+          (void)store::decode_core_edge(
+              r, store::decode_core_params(pr, store::kFormatVersion));
+          break;
+        case BackendKind::kDp21CycleSpace:
+          (void)store::decode_cycle_edge(r, store::decode_cycle_params(pr));
+          break;
+        case BackendKind::kDp21Agm:
+          (void)store::decode_agm_edge(r, store::decode_agm_params(pr));
+          break;
+      }
+      return r.remaining();
+    };
+    EXPECT_EQ(decode(blob), 0u);
+    for (const std::size_t cut : {std::size_t{0}, std::size_t{10},
+                                  blob.size() / 2, blob.size() - 1}) {
+      EXPECT_THROW(decode(blob.first(cut)), StoreError) << "cut=" << cut;
+    }
+  }
+}
 
 // ------------------------------------------------------------------
 // Adversarial container inputs. All failure modes must surface as the
@@ -505,36 +597,31 @@ TEST_P(LabelStoreV1Compat, LoadsAndServesEdgeFaultsUnchanged) {
 
   const Graph g = fixture_graph();
   const auto rebuilt = make_scheme(g, fixture_config(GetParam().backend));
-  for (const LoadMode mode : {LoadMode::kMmap, LoadMode::kMaterialize}) {
-    const auto loaded = load_scheme(path, {mode, true});
-    EXPECT_EQ(loaded->num_vertices(), g.num_vertices());
-    EXPECT_EQ(loaded->num_edges(), g.num_edges());
-    EXPECT_EQ(loaded->adjacency(), nullptr);
-    SplitMix64 rng(77);
-    for (int it = 0; it < 40; ++it) {
-      const auto faults = random_faults(rng, g, 2);
-      const auto s = static_cast<VertexId>(rng.next_below(g.num_vertices()));
-      const auto t = static_cast<VertexId>(rng.next_below(g.num_vertices()));
-      const bool expected = graph::connected_avoiding(g, s, t, faults);
-      EXPECT_EQ(loaded->connected(s, t, FaultSpec::edges(faults)), expected)
-          << "it=" << it;
-      EXPECT_EQ(rebuilt->connected(s, t, FaultSpec::edges(faults)), expected)
-          << "it=" << it;
-    }
+  const auto loaded = load_scheme(path);
+  EXPECT_EQ(loaded->num_vertices(), g.num_vertices());
+  EXPECT_EQ(loaded->num_edges(), g.num_edges());
+  EXPECT_EQ(loaded->adjacency(), nullptr);
+  SplitMix64 rng(77);
+  for (int it = 0; it < 40; ++it) {
+    const auto faults = random_faults(rng, g, 2);
+    const auto s = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+    const auto t = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+    const bool expected = graph::connected_avoiding(g, s, t, faults);
+    EXPECT_EQ(loaded->connected(s, t, FaultSpec::edges(faults)), expected)
+        << "it=" << it;
+    EXPECT_EQ(rebuilt->connected(s, t, FaultSpec::edges(faults)), expected)
+        << "it=" << it;
   }
 }
 
 TEST_P(LabelStoreV1Compat, VertexFaultsRaiseTypedCapabilityError) {
   const std::string path = fixture_path(GetParam().file);
   const auto loaded = load_scheme(path);
+  EXPECT_EQ(loaded->adjacency(), nullptr);
   const std::vector<VertexId> vf{1};
   EXPECT_THROW((void)loaded->prepare_faults(FaultSpec::vertices(vf)),
                CapabilityError);
   EXPECT_THROW((void)loaded->connected(0, 2, FaultSpec::vertices(vf)),
-               CapabilityError);
-  const ConnectivityOracle oracle = ConnectivityOracle::from_store(path);
-  EXPECT_FALSE(oracle.supports_vertex_faults());
-  EXPECT_THROW((void)oracle.connected(0, 2, FaultSpec::vertices(vf)),
                CapabilityError);
   // Edge-only specs keep working through the same session API.
   BatchQueryEngine session(load_scheme(path),

@@ -1,10 +1,14 @@
-// Tests for the centralized oracle facade: edge-fault queries, the
-// vertex-fault reduction of Section 1.4, batch queries, and robustness of
-// the serialization layer against corrupt inputs.
+// Tests for a labeling scheme used as a centralized oracle (Section 1.4):
+// edge-fault queries, the vertex-fault reduction, batch queries through
+// a session, and robustness of the serialization layer against corrupt
+// inputs.
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "core/batch_engine.hpp"
+#include "core/connectivity_scheme.hpp"
 #include "core/ftc_scheme.hpp"
-#include "core/oracle.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "util/common.hpp"
@@ -31,11 +35,20 @@ bool brute_vertex_fault_connected(const Graph& g, VertexId s, VertexId t,
   return graph::connected_avoiding(g, s, t, dead);
 }
 
-TEST(ConnectivityOracle, EdgeFaultsMatchGroundTruth) {
+// The paper's own scheme behind the backend-agnostic factory.
+std::unique_ptr<ConnectivityScheme> core_oracle(const Graph& g,
+                                                const FtcConfig& config) {
+  SchemeConfig sc;
+  sc.backend = BackendKind::kCoreFtc;
+  sc.ftc = config;
+  return make_scheme(g, sc);
+}
+
+TEST(SchemeAsOracle, EdgeFaultsMatchGroundTruth) {
   const Graph g = graph::random_connected(40, 100, 17);
   FtcConfig cfg;
   cfg.f = 4;
-  const ConnectivityOracle oracle(g, cfg);
+  const auto oracle = core_oracle(g, cfg);
   SplitMix64 rng(5);
   for (int it = 0; it < 80; ++it) {
     std::vector<EdgeId> faults;
@@ -44,19 +57,19 @@ TEST(ConnectivityOracle, EdgeFaultsMatchGroundTruth) {
     }
     const VertexId s = static_cast<VertexId>(rng.next_below(40));
     const VertexId t = static_cast<VertexId>(rng.next_below(40));
-    EXPECT_EQ(oracle.connected(s, t, FaultSpec::edges(faults)),
+    EXPECT_EQ(oracle->connected(s, t, FaultSpec::edges(faults)),
               graph::connected_avoiding(g, s, t, faults));
   }
-  EXPECT_GT(oracle.space_bits(), 0u);
+  EXPECT_GT(oracle->total_label_bits(), 0u);
 }
 
-TEST(ConnectivityOracle, VertexFaultReduction) {
+TEST(SchemeAsOracle, VertexFaultReduction) {
   const Graph g = graph::random_connected(30, 75, 19);
   // Capacity must cover Delta * f_v incident edges; be generous.
   FtcConfig cfg;
   cfg.f = 12;
   cfg.k_scale = 2.0;
-  const ConnectivityOracle oracle(g, cfg);
+  const auto oracle = core_oracle(g, cfg);
   SplitMix64 rng(6);
   for (int it = 0; it < 60; ++it) {
     std::vector<VertexId> faults;
@@ -65,29 +78,29 @@ TEST(ConnectivityOracle, VertexFaultReduction) {
     }
     const VertexId s = static_cast<VertexId>(rng.next_below(30));
     const VertexId t = static_cast<VertexId>(rng.next_below(30));
-    EXPECT_EQ(oracle.connected(s, t, FaultSpec::vertices(faults)),
+    EXPECT_EQ(oracle->connected(s, t, FaultSpec::vertices(faults)),
               brute_vertex_fault_connected(g, s, t, faults))
         << "it=" << it;
   }
 }
 
-TEST(ConnectivityOracle, VertexFaultEndpointRules) {
+TEST(SchemeAsOracle, VertexFaultEndpointRules) {
   const Graph g = graph::cycle(8);
   FtcConfig cfg;
   cfg.f = 4;
-  const ConnectivityOracle oracle(g, cfg);
+  const auto oracle = core_oracle(g, cfg);
   const std::vector<VertexId> fault{3};
-  EXPECT_FALSE(oracle.connected(3, 5, FaultSpec::vertices(fault)));
-  EXPECT_FALSE(oracle.connected(5, 3, FaultSpec::vertices(fault)));
-  EXPECT_TRUE(oracle.connected(3, 3, FaultSpec::vertices(fault)));
+  EXPECT_FALSE(oracle->connected(3, 5, FaultSpec::vertices(fault)));
+  EXPECT_FALSE(oracle->connected(5, 3, FaultSpec::vertices(fault)));
+  EXPECT_TRUE(oracle->connected(3, 3, FaultSpec::vertices(fault)));
   // Cutting one cycle vertex leaves the rest connected.
-  EXPECT_TRUE(oracle.connected(2, 4, FaultSpec::vertices(fault)));
-  EXPECT_THROW(oracle.connected(0, 1, FaultSpec::vertices(
+  EXPECT_TRUE(oracle->connected(2, 4, FaultSpec::vertices(fault)));
+  EXPECT_THROW(oracle->connected(0, 1, FaultSpec::vertices(
                    std::vector<VertexId>{99})),
                std::invalid_argument);
 }
 
-TEST(ConnectivityOracle, ArticulationVertexDisconnects) {
+TEST(SchemeAsOracle, ArticulationVertexDisconnects) {
   // Two triangles sharing vertex 2: deleting it separates them.
   Graph g(5);
   g.add_edge(0, 1);
@@ -98,29 +111,30 @@ TEST(ConnectivityOracle, ArticulationVertexDisconnects) {
   g.add_edge(4, 2);
   FtcConfig cfg;
   cfg.f = 6;
-  const ConnectivityOracle oracle(g, cfg);
+  const auto oracle = core_oracle(g, cfg);
   const std::vector<VertexId> cut{2};
-  EXPECT_FALSE(oracle.connected(0, 3, FaultSpec::vertices(cut)));
-  EXPECT_TRUE(oracle.connected(0, 1, FaultSpec::vertices(cut)));
-  EXPECT_TRUE(oracle.connected(3, 4, FaultSpec::vertices(cut)));
+  EXPECT_FALSE(oracle->connected(0, 3, FaultSpec::vertices(cut)));
+  EXPECT_TRUE(oracle->connected(0, 1, FaultSpec::vertices(cut)));
+  EXPECT_TRUE(oracle->connected(3, 4, FaultSpec::vertices(cut)));
 }
 
-TEST(ConnectivityOracle, BatchMatchesSingleQueries) {
+TEST(SchemeAsOracle, BatchMatchesSingleQueries) {
   const Graph g = graph::random_connected(32, 80, 23);
   FtcConfig cfg;
   cfg.f = 3;
-  const ConnectivityOracle oracle(g, cfg);
+  const auto oracle = core_oracle(g, cfg);
   std::vector<EdgeId> faults{1, 17, 42};
-  std::vector<ConnectivityOracle::Query> queries;
+  std::vector<BatchQueryEngine::Query> queries;
   SplitMix64 rng(7);
   for (int i = 0; i < 25; ++i) {
     queries.push_back({static_cast<VertexId>(rng.next_below(32)),
                        static_cast<VertexId>(rng.next_below(32))});
   }
-  const auto results = oracle.batch_connected(queries, FaultSpec::edges(faults));
+  BatchQueryEngine session(*oracle, FaultSpec::edges(faults));
+  const auto results = session.run_sequential(queries);
   ASSERT_EQ(results.size(), queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(results[i], oracle.connected(queries[i].s, queries[i].t,
+    EXPECT_EQ(results[i], oracle->connected(queries[i].s, queries[i].t,
                                            FaultSpec::edges(faults)));
   }
 }

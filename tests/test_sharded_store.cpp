@@ -27,7 +27,6 @@
 #include "core/batch_engine.hpp"
 #include "core/connectivity_scheme.hpp"
 #include "core/label_store.hpp"
-#include "core/oracle.hpp"
 #include "core/sharded_store.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
@@ -159,30 +158,27 @@ TEST_P(ShardedStoreParity, BlobsAndAnswersMatchUnshardedAcrossShardCounts) {
     }
 
     // Query parity incl. vertex and mixed faults, vs BFS ground truth.
-    for (const LoadMode mode : {LoadMode::kMmap, LoadMode::kMaterialize}) {
-      const auto loaded = load_scheme(view, mode);
-      SplitMix64 rng(500 + k_shards);
-      for (int it = 0; it < 25; ++it) {
-        std::vector<EdgeId> edge_faults;
-        for (unsigned i = 0; i < rng.next_below(3u); ++i) {
-          edge_faults.push_back(
-              static_cast<EdgeId>(rng.next_below(g.num_edges())));
-        }
-        std::vector<VertexId> vertex_faults;
-        if (rng.next_below(2u) == 0) {
-          vertex_faults.push_back(
-              static_cast<VertexId>(rng.next_below(g.num_vertices())));
-        }
-        const auto spec = FaultSpec::of(edge_faults, vertex_faults);
-        const auto s = static_cast<VertexId>(rng.next_below(g.num_vertices()));
-        const auto t = static_cast<VertexId>(rng.next_below(g.num_vertices()));
-        const bool expected =
-            graph::connected_avoiding(g, s, t, edge_faults, vertex_faults);
-        EXPECT_EQ(loaded->connected(s, t, spec), expected)
-            << "k=" << k_shards << " mode=" << static_cast<int>(mode)
-            << " it=" << it;
-        EXPECT_EQ(scheme->connected(s, t, spec), expected) << "it=" << it;
+    const auto loaded = load_scheme(view);
+    SplitMix64 rng(500 + k_shards);
+    for (int it = 0; it < 25; ++it) {
+      std::vector<EdgeId> edge_faults;
+      for (unsigned i = 0; i < rng.next_below(3u); ++i) {
+        edge_faults.push_back(
+            static_cast<EdgeId>(rng.next_below(g.num_edges())));
       }
+      std::vector<VertexId> vertex_faults;
+      if (rng.next_below(2u) == 0) {
+        vertex_faults.push_back(
+            static_cast<VertexId>(rng.next_below(g.num_vertices())));
+      }
+      const auto spec = FaultSpec::of(edge_faults, vertex_faults);
+      const auto s = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+      const auto t = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+      const bool expected =
+          graph::connected_avoiding(g, s, t, edge_faults, vertex_faults);
+      EXPECT_EQ(loaded->connected(s, t, spec), expected)
+          << "k=" << k_shards << " it=" << it;
+      EXPECT_EQ(scheme->connected(s, t, spec), expected) << "it=" << it;
     }
   }
 }
@@ -229,9 +225,8 @@ TEST_P(ShardedStoreParity, OracleFromManifestServesMixedFaults) {
   const auto scheme = make_scheme(g, test_config(GetParam(), 10));
   ManifestFile manifest("oracle_" + std::to_string(static_cast<int>(GetParam())));
   save_sharded(*scheme, manifest.path(), 4);
-  const ConnectivityOracle oracle =
-      ConnectivityOracle::from_store(manifest.path());
-  EXPECT_TRUE(oracle.supports_vertex_faults());
+  const auto oracle = load_scheme(manifest.path());
+  EXPECT_NE(oracle->adjacency(), nullptr);
   SplitMix64 rng(5);
   for (int it = 0; it < 20; ++it) {
     std::vector<EdgeId> edge_faults;
@@ -246,7 +241,7 @@ TEST_P(ShardedStoreParity, OracleFromManifestServesMixedFaults) {
     const auto s = static_cast<VertexId>(rng.next_below(g.num_vertices()));
     const auto t = static_cast<VertexId>(rng.next_below(g.num_vertices()));
     EXPECT_EQ(
-        oracle.connected(s, t, FaultSpec::of(edge_faults, vertex_faults)),
+        oracle->connected(s, t, FaultSpec::of(edge_faults, vertex_faults)),
         graph::connected_avoiding(g, s, t, edge_faults, vertex_faults))
         << "it=" << it;
   }

@@ -218,10 +218,7 @@ TEST_P(StressDifferential, VertexAndMixedFaultsAgreeWithBfsGroundTruth) {
         std::to_string(static_cast<int>(GetParam())) + "_" +
         std::to_string(::getpid()) + ".ftcs";
     scheme->save(store_path);
-    const auto mmap_scheme =
-        load_scheme(store_path, {LoadMode::kMmap, true});
-    const auto mat_scheme =
-        load_scheme(store_path, {LoadMode::kMaterialize, true});
+    const auto loaded = load_scheme(store_path);
 
     SplitMix64 rng(mix_hash(sweep.n * 77 + sweep.seed, 0x5eed));
     for (int it = 0; it < 25; ++it) {
@@ -256,10 +253,8 @@ TEST_P(StressDifferential, VertexAndMixedFaultsAgreeWithBfsGroundTruth) {
       };
       EXPECT_EQ(scheme->connected(s, t, spec), expected)
           << replay("in-memory");
-      EXPECT_EQ(mmap_scheme->connected(s, t, spec), expected)
-          << replay("store-mmap");
-      EXPECT_EQ(mat_scheme->connected(s, t, spec), expected)
-          << replay("store-materialize");
+      EXPECT_EQ(loaded->connected(s, t, spec), expected)
+          << replay("store");
     }
 
     // The same specs through batch sessions (in-memory and store-owned).
@@ -271,7 +266,7 @@ TEST_P(StressDifferential, VertexAndMixedFaultsAgreeWithBfsGroundTruth) {
     const auto spec = FaultSpec::of(ef, vf);
     BatchQueryEngine in_memory(*scheme, spec);
     BatchQueryEngine from_store(
-        load_scheme(store_path, {LoadMode::kMmap, true}), spec);
+        load_scheme(store_path), spec);
     std::vector<BatchQueryEngine::Query> queries;
     for (int i = 0; i < 200; ++i) {
       queries.push_back(

@@ -17,8 +17,7 @@
 //       each one costs.
 //
 //   ftc_store query   labels.ftcs --faults 3,17,40 --vertex-faults 5,9
-//                     --pairs 0:9,4:7 [--mode mmap|materialize]
-//                     [--threads T] [--prefetch[=P]]
+//                     --pairs 0:9,4:7 [--threads T] [--prefetch[=P]]
 //       spins up a BatchQueryEngine session directly from the store file
 //       (no graph, no rebuild) and answers the queries. --vertex-faults
 //       deletes whole vertices (every incident edge) via the adjacency
@@ -116,8 +115,7 @@ using namespace ftc;
                "[generator flags] [--seed S] [--shards K] [--threads T]\n"
                "       %s inspect FILE [--verbose]\n"
                "       %s query FILE --faults a,b,c --vertex-faults u,v "
-               "--pairs s:t,s:t [--mode mmap|materialize] [--threads T] "
-               "[--prefetch[=P]]\n"
+               "--pairs s:t,s:t [--threads T] [--prefetch[=P]]\n"
                "       %s shard FILE --out MANIFEST [--shards K]\n"
                "       %s merge MANIFEST --out FILE\n"
                "       %s push FILE --out MANIFEST [--parent MANIFEST] "
@@ -914,21 +912,10 @@ int cmd_query(int argc, char** argv) {
   std::string path;
   const auto flags =
       parse_flags(argc, argv, 2, &path,
-                  {"mode", "faults", "vertex-faults", "pairs", "threads"},
+                  {"faults", "vertex-faults", "pairs", "threads"},
                   {"prefetch", "ignore-journal"});
   if (path.empty()) {
     std::fprintf(stderr, "query: FILE is required\n");
-    return 1;
-  }
-  core::LoadOptions options;
-  const std::string mode = flag_or(flags, "mode", "mmap");
-  if (mode == "mmap") {
-    options.mode = core::LoadMode::kMmap;
-  } else if (mode == "materialize") {
-    options.mode = core::LoadMode::kMaterialize;
-  } else {
-    std::fprintf(stderr, "bad --mode %s (want mmap|materialize)\n",
-                 mode.c_str());
     return 1;
   }
   const auto faults = parse_id_list(flag_or(flags, "faults", ""));
@@ -942,10 +929,10 @@ int cmd_query(int argc, char** argv) {
   const auto threads = static_cast<unsigned>(flag_u64(flags, "threads", 1));
 
   const core::FaultSpec spec = core::FaultSpec::of(faults, vertex_faults);
-  const auto view = core::open_store_view(path, options.verify_checksum);
+  const auto view = core::open_store_view(path);
   const long pf = prefetch_threads(flags);
   if (pf >= 0) run_prefetch(*view, pf);
-  auto scheme = core::load_scheme(view, options.mode);
+  auto scheme = core::load_scheme(view);
   // The view-based load skips sidecar discovery; attach the deletion
   // journal here so the CLI answers match load_scheme(path) semantics.
   if (flags.count("ignore-journal") == 0) {
