@@ -45,11 +45,7 @@ int main() {
   std::printf("query internals: %u fragments, %u sketch decodes, %u merges\n",
               stats.fragments, stats.outdetect_calls, stats.merges);
 
-  // 5. Labels serialize byte-exactly for storage or transmission.
-  const auto bytes = core::serialize(faults[0]);
-  std::printf("serialized edge label: %zu bytes\n", bytes.size());
-
-  // 6. The same query can run against any of the three labeling
+  // 5. The same query can run against any of the three labeling
   //    backends through the polymorphic ConnectivityScheme factory —
   //    and a BatchQueryEngine session amortizes the fault-set setup
   //    across many queries.

@@ -10,11 +10,13 @@
 #   scripts/ci.sh store       # fast loop: asan build + run of the label
 #                             # store / golden bytes / differential
 #                             # stress / decoder workspace suites, plus
-#                             # the backend and batch-engine suites
-#                             # (every built scheme serves through the
-#                             # store path; adversarial inputs and the
-#                             # copy-on-write decoder state are what most
-#                             # need the sanitizers)
+#                             # the backend, batch-engine, dp21 and
+#                             # parallel-build suites (every built scheme
+#                             # serves through the store path and every
+#                             # builder writes blobs at computed offsets;
+#                             # adversarial inputs, in-place blob writes
+#                             # and the copy-on-write decoder state are
+#                             # what most need the sanitizers)
 #   scripts/ci.sh store-v2    # format-v2 focused asan leg: v1 fixture
 #                             # load + v2 round-trip + vertex-fault
 #                             # parity (fault-model suites) plus an
@@ -88,11 +90,12 @@ if [ "${1:-}" = "store" ]; then
   cmake --preset asan
   cmake --build --preset asan -j "$jobs" \
     --target test_label_store test_golden_bytes test_stress_differential \
-    test_decoder_workspace test_backends test_batch_engine ftc_store
+    test_decoder_workspace test_backends test_batch_engine test_dp21 \
+    test_parallel_build ftc_store
   ctest --preset asan \
-    -R 'test_label_store|test_golden_bytes|test_stress_differential|test_decoder_workspace|test_backends|test_batch_engine' \
+    -R 'test_label_store|test_golden_bytes|test_stress_differential|test_decoder_workspace|test_backends|test_batch_engine|test_dp21|test_parallel_build' \
     -j "$jobs"
-  echo "ci: store/golden/stress/workspace/backend/engine suites green under asan"
+  echo "ci: store/golden/stress/workspace/backend/engine/dp21/parallel-build suites green under asan"
   exit 0
 fi
 

@@ -1,7 +1,6 @@
 #include "core/connectivity_scheme.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "core/ftc_scheme.hpp"
@@ -99,81 +98,15 @@ bool ConnectivityScheme::connected(graph::VertexId s, graph::VertexId t,
 
 namespace {
 
-// Encodes the dp21 builders' edge labels into a resident edge section,
-// releasing each label's payload as soon as its blob is written.
-template <typename Label, typename Encode>
-void encode_edge_section(std::vector<Label> labels, std::size_t blob_bytes,
-                         Encode&& encode, store::ResidentLabels& out) {
-  out.edge_blob_bytes = blob_bytes;
-  out.edge_words.assign(
-      store::ResidentLabels::words_for(labels.size() * blob_bytes), 0);
-  store::ByteWriter blob;
-  for (std::size_t e = 0; e < labels.size(); ++e) {
-    blob.clear();
-    encode(labels[e], blob);
-    FTC_CHECK(blob.size() == blob_bytes, "edge blobs must be uniform-width");
-    std::memcpy(out.edge_blobs() + e * blob_bytes, blob.view().data(),
-                blob_bytes);
-    labels[e] = Label{};
-  }
-}
-
-template <typename Scheme>
-std::vector<std::uint8_t> vertex_section(const Scheme& scheme,
-                                         graph::VertexId n) {
-  std::vector<std::uint8_t> section(static_cast<std::size_t>(n) *
-                                    store::kVertexRecordBytes);
-  for (graph::VertexId v = 0; v < n; ++v) {
-    store::write_vertex_record_at(
-        section.data() + static_cast<std::size_t>(v) * store::kVertexRecordBytes,
-        scheme.vertex_label(v).anc);
-  }
-  return section;
-}
-
-store::ResidentLabels cycle_labels(dp21::CycleSpaceFtc scheme,
-                                   graph::VertexId n) {
-  const store::CycleParams params{scheme.coord_bits(), scheme.vector_bits()};
-  store::ResidentLabels out;
-  out.backend = BackendKind::kDp21CycleSpace;
-  store::ByteWriter pw;
-  store::encode_cycle_params(params, pw);
-  out.params = pw.take();
-  out.vertex_records = vertex_section(scheme, n);
-  encode_edge_section(scheme.take_edge_labels(),
-                      store::cycle_edge_blob_bytes(params),
-                      store::encode_cycle_edge, out);
-  return out;
-}
-
-store::ResidentLabels agm_labels(dp21::AgmFtc scheme, graph::VertexId n) {
-  store::AgmParams params;
-  params.coord_bits = scheme.coord_bits();
-  params.levels = scheme.sketch_levels();
-  params.reps = scheme.sketch_reps();
-  params.seed = scheme.sketch_seed();
-  store::ResidentLabels out;
-  out.backend = BackendKind::kDp21Agm;
-  store::ByteWriter pw;
-  store::encode_agm_params(params, pw);
-  out.params = pw.take();
-  out.vertex_records = vertex_section(scheme, n);
-  encode_edge_section(scheme.take_edge_labels(),
-                      store::agm_edge_blob_bytes(params),
-                      store::encode_agm_edge, out);
-  return out;
-}
-
 store::ResidentLabels build_labels(const graph::Graph& g,
                                    const SchemeConfig& config) {
   switch (config.backend) {
     case BackendKind::kCoreFtc:
       return FtcScheme::build(g, config.ftc).release_labels();
     case BackendKind::kDp21CycleSpace:
-      return cycle_labels(dp21::CycleSpaceFtc::build(g, config.cycle),
-                          g.num_vertices());
+      return dp21::CycleSpaceFtc::build(g, config.cycle);
     case BackendKind::kDp21Agm:
-      return agm_labels(dp21::AgmFtc::build(g, config.agm), g.num_vertices());
+      return dp21::AgmFtc::build(g, config.agm);
   }
   FTC_REQUIRE(false, "unknown BackendKind");
   return {};  // unreachable

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -69,12 +68,5 @@ class FtcCapacityError : public std::runtime_error {
   explicit FtcCapacityError(const std::string& what)
       : std::runtime_error(what) {}
 };
-
-// Byte-exact serialization (bit-packed coordinates). Round-trips exactly;
-// used for honest label-size measurements in the benches.
-std::vector<std::uint8_t> serialize(const VertexLabel& label);
-std::vector<std::uint8_t> serialize(const EdgeLabel& label);
-VertexLabel deserialize_vertex_label(std::span<const std::uint8_t> bytes);
-EdgeLabel deserialize_edge_label(std::span<const std::uint8_t> bytes);
 
 }  // namespace ftc::core

@@ -100,11 +100,11 @@ StoreLabelBits derive_label_bits(BackendKind backend,
   StoreLabelBits bits;
   switch (backend) {
     case BackendKind::kCoreFtc: {
-      const LabelParams p = store::decode_core_params(r, version);
-      bits.vertex_label_bits = 2 * p.coord_bits();
-      bits.edge_label_bits = 4 * p.coord_bits() +
-                             static_cast<std::size_t>(p.num_levels) * p.k *
-                                 p.field_bits;
+      // The core label types carry their own size accounting.
+      EdgeLabel edge;
+      edge.params = store::decode_core_params(r, version);
+      bits.vertex_label_bits = VertexLabel{edge.params, {}}.size_bits();
+      bits.edge_label_bits = edge.size_bits();
       break;
     }
     case BackendKind::kDp21CycleSpace: {

@@ -172,10 +172,11 @@ class ByteReader {
 };
 
 // ---------------------------------------------------------------------
-// Per-backend blob codecs (implemented next to the per-label bit codec
-// in serialize.cpp). Each backend has a params blob stored once per
+// Per-backend blob codecs (serialize.cpp, the one file that knows the
+// blob layouts). Each backend has a params blob stored once per
 // container plus fixed-size vertex/edge blobs; decode validates against
-// the params and throws StoreError on any inconsistency.
+// the params and throws StoreError on any inconsistency. Builders write
+// blobs in place, straight into a ResidentLabels buffer.
 
 struct CycleParams {
   std::uint32_t coord_bits = 0;
@@ -209,8 +210,6 @@ AgmParams decode_agm_params(ByteReader& r);
 
 // Vertex records are the same for all backends: one ancestry label.
 inline constexpr std::size_t kVertexRecordBytes = 8;
-void encode_vertex_record(const graph::AncestryLabel& anc, ByteWriter& w);
-graph::AncestryLabel decode_vertex_record(ByteReader& r);
 // Zero-copy decode of one fixed 8-byte vertex record (LE tin, tout)
 // straight from a resolved route pointer — the per-query hot path.
 inline graph::AncestryLabel decode_vertex_record_at(const std::uint8_t* p) {
@@ -225,12 +224,23 @@ inline void write_vertex_record_at(std::uint8_t* p,
   util::write_u32_le(p + 4, anc.tout);
 }
 
-void encode_core_edge(const EdgeLabel& label, ByteWriter& w);
 EdgeLabel decode_core_edge(ByteReader& r, const LabelParams& params);
-void encode_cycle_edge(const dp21::CsEdgeLabel& label, ByteWriter& w);
 dp21::CsEdgeLabel decode_cycle_edge(ByteReader& r, const CycleParams& params);
-void encode_agm_edge(const dp21::AgmEdgeLabel& label, ByteWriter& w);
 dp21::AgmEdgeLabel decode_agm_edge(ByteReader& r, const AgmParams& params);
+
+// In-place edge blob writers for the dp21 builders: each fills the
+// *_edge_blob_bytes(params) bytes at `blob` (one edge's slot of a
+// ResidentLabels edge section), byte-identical to what the decoders
+// above read back. The word span must hold exactly the params' vector /
+// sketch word count.
+void write_cycle_edge_at(std::uint8_t* blob, const CycleParams& params,
+                         bool is_tree, const graph::AncestryLabel& a,
+                         const graph::AncestryLabel& b,
+                         std::span<const std::uint64_t> vec);
+void write_agm_edge_at(std::uint8_t* blob, const AgmParams& params,
+                       const graph::AncestryLabel& upper,
+                       const graph::AncestryLabel& lower,
+                       std::span<const std::uint64_t> sketch_words);
 
 // Fixed per-edge blob size implied by a backend's params (every edge
 // label of one scheme serializes to the same number of bytes).
@@ -619,9 +629,9 @@ namespace store {
 // A freshly built scheme's labels, already in container layout: the
 // params blob, n fixed 8-byte vertex records, and m uniform-width edge
 // blobs back to back — exactly the bytes a container's vertex and edge
-// blob sections hold. Builders fill these buffers in place
-// (FtcScheme::release_labels) or encode into them (the dp21 backends),
-// so handing them to a resident view never copies the labels.
+// blob sections hold. Every builder fills these buffers in place
+// (FtcScheme::release_labels hands over its own; the dp21 builders
+// return one), so handing them to a resident view never copies a label.
 struct ResidentLabels {
   BackendKind backend = BackendKind::kCoreFtc;
   std::vector<std::uint8_t> params;
@@ -638,6 +648,25 @@ struct ResidentLabels {
   }
   const std::uint8_t* edge_blobs() const {
     return reinterpret_cast<const std::uint8_t*>(edge_words.data());
+  }
+
+  // Sizes the edge section for m zeroed blobs of blob_bytes each.
+  void assign_edge_blobs(std::size_t m, std::size_t blob_bytes) {
+    edge_blob_bytes = blob_bytes;
+    edge_words.assign(words_for(m * blob_bytes), 0);
+  }
+  std::uint8_t* edge_blob(std::size_t e) {
+    return edge_blobs() + e * edge_blob_bytes;
+  }
+  // Sizes the vertex section for vertices [0, n) and writes record v =
+  // anc.label(v) (an auxiliary-tree labeling covers more than n).
+  void write_vertex_records(const graph::AncestryLabeling& anc,
+                            graph::VertexId n) {
+    vertex_records.resize(static_cast<std::size_t>(n) * kVertexRecordBytes);
+    std::uint8_t* p = vertex_records.data();
+    for (graph::VertexId v = 0; v < n; ++v, p += kVertexRecordBytes) {
+      write_vertex_record_at(p, anc.label(v));
+    }
   }
 };
 

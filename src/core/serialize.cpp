@@ -1,19 +1,9 @@
-// Label codecs, two layers:
-//
-// 1. Bit-exact single-label serialization (the honest-size codec used by
-//    the benches). The byte format is:
-//      header: field_bits(u8) kind(u8) n_aux(u32) k(u32) num_levels(u32)
-//      vertex labels: tin, tout at coord_bits each (bit-packed)
-//      edge labels:   upper.tin, upper.tout, lower.tin, lower.tout at
-//                     coord_bits each, then num_levels*k field elements as
-//                     full 64-bit words.
-//    Round-trips exactly; benches serialize labels to measure real sizes.
-//
-// 2. The LabelStore container blob codecs (label_store.hpp): byte-aligned
-//    fixed-layout records for all three backends, where the scheme
-//    parameters are stored once per container and every decode is
-//    validated against them (mismatch -> StoreError, never UB).
-#include <cstring>
+// The LabelStore container blob codecs (label_store.hpp): byte-aligned
+// fixed-layout records for all three backends, where the scheme
+// parameters are stored once per container and every decode is validated
+// against them (mismatch -> StoreError, never UB). The dp21 builders'
+// in-place edge blob writers sit next to the decoders, so this file is
+// the one place that knows those layouts.
 #include <iterator>
 
 #include "core/ftc_labels.hpp"
@@ -21,123 +11,6 @@
 #include "core/sharded_store.hpp"
 
 namespace ftc::core {
-
-namespace {
-
-class BitWriter {
- public:
-  void write(std::uint64_t value, unsigned bits) {
-    FTC_REQUIRE(bits <= 64, "too many bits");
-    for (unsigned i = 0; i < bits; ++i) {
-      const bool bit = (value >> i) & 1;
-      if (pos_ % 8 == 0) bytes_.push_back(0);
-      if (bit) bytes_.back() |= static_cast<std::uint8_t>(1u << (pos_ % 8));
-      ++pos_;
-    }
-  }
-
-  std::vector<std::uint8_t> take() { return std::move(bytes_); }
-
- private:
-  std::vector<std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-};
-
-class BitReader {
- public:
-  explicit BitReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-  std::uint64_t read(unsigned bits) {
-    std::uint64_t v = 0;
-    for (unsigned i = 0; i < bits; ++i) {
-      FTC_REQUIRE(pos_ / 8 < bytes_.size(), "serialized label truncated");
-      const bool bit = (bytes_[pos_ / 8] >> (pos_ % 8)) & 1;
-      if (bit) v |= std::uint64_t{1} << i;
-      ++pos_;
-    }
-    return v;
-  }
-
- private:
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-};
-
-void write_header(BitWriter& w, const LabelParams& p) {
-  w.write(p.field_bits, 8);
-  w.write(p.kind, 8);
-  w.write(p.n_aux, 32);
-  w.write(p.k, 32);
-  w.write(p.num_levels, 32);
-}
-
-LabelParams read_header(BitReader& r) {
-  LabelParams p;
-  p.field_bits = static_cast<std::uint8_t>(r.read(8));
-  p.kind = static_cast<std::uint8_t>(r.read(8));
-  p.n_aux = static_cast<std::uint32_t>(r.read(32));
-  p.k = static_cast<std::uint32_t>(r.read(32));
-  p.num_levels = static_cast<std::uint32_t>(r.read(32));
-  FTC_REQUIRE(p.field_bits == 64 || p.field_bits == 128,
-              "corrupt label header");
-  return p;
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> serialize(const VertexLabel& label) {
-  BitWriter w;
-  write_header(w, label.params);
-  const unsigned cb = label.params.coord_bits();
-  w.write(label.anc.tin, cb);
-  w.write(label.anc.tout, cb);
-  return w.take();
-}
-
-std::vector<std::uint8_t> serialize(const EdgeLabel& label) {
-  BitWriter w;
-  write_header(w, label.params);
-  const unsigned cb = label.params.coord_bits();
-  w.write(label.upper.tin, cb);
-  w.write(label.upper.tout, cb);
-  w.write(label.lower.tin, cb);
-  w.write(label.lower.tout, cb);
-  const std::size_t expect = static_cast<std::size_t>(label.params.num_levels) *
-                             label.params.k * label.params.words_per_elem();
-  FTC_REQUIRE(label.sketch_words.size() == expect,
-              "edge label payload inconsistent with parameters");
-  for (const std::uint64_t word : label.sketch_words) w.write(word, 64);
-  return w.take();
-}
-
-VertexLabel deserialize_vertex_label(std::span<const std::uint8_t> bytes) {
-  BitReader r(bytes);
-  VertexLabel label;
-  label.params = read_header(r);
-  const unsigned cb = label.params.coord_bits();
-  label.anc.tin = static_cast<std::uint32_t>(r.read(cb));
-  label.anc.tout = static_cast<std::uint32_t>(r.read(cb));
-  return label;
-}
-
-EdgeLabel deserialize_edge_label(std::span<const std::uint8_t> bytes) {
-  BitReader r(bytes);
-  EdgeLabel label;
-  label.params = read_header(r);
-  const unsigned cb = label.params.coord_bits();
-  label.upper.tin = static_cast<std::uint32_t>(r.read(cb));
-  label.upper.tout = static_cast<std::uint32_t>(r.read(cb));
-  label.lower.tin = static_cast<std::uint32_t>(r.read(cb));
-  label.lower.tout = static_cast<std::uint32_t>(r.read(cb));
-  const std::size_t expect = static_cast<std::size_t>(label.params.num_levels) *
-                             label.params.k * label.params.words_per_elem();
-  label.sketch_words.resize(expect);
-  for (std::uint64_t& word : label.sketch_words) word = r.read(64);
-  return label;
-}
-
-// ------------------------------------------------------------------
-// LabelStore container blob codecs.
 
 namespace store {
 
@@ -148,6 +21,21 @@ namespace {
 // far above anything the builders produce.
 constexpr std::uint32_t kMaxCoordBits = 32;
 constexpr std::uint32_t kMaxSketchDim = 1u << 24;
+
+// Edge blob layouts. core-ftc and dp21-agm: upper and lower endpoint
+// records, then the payload words. dp21-cycle: a flags byte (bit 0:
+// tree edge) and three zero bytes, the two endpoint records, then the
+// cycle-space vector words.
+constexpr std::size_t kEndpointBytes = 2 * kVertexRecordBytes;
+constexpr std::size_t kCycleHeaderBytes = 4 + kEndpointBytes;
+
+// Writes LE words at an arbitrary (not necessarily aligned) byte offset.
+void write_words_at(std::uint8_t* p, std::span<const std::uint64_t> words) {
+  for (const std::uint64_t word : words) {
+    util::write_u64_le(p, word);
+    p += 8;
+  }
+}
 
 void check(bool ok, const char* what) {
   if (!ok) throw StoreError(what);
@@ -281,30 +169,6 @@ AgmParams decode_agm_params(ByteReader& r) {
   return p;
 }
 
-void encode_vertex_record(const graph::AncestryLabel& anc, ByteWriter& w) {
-  w.u32(anc.tin);
-  w.u32(anc.tout);
-}
-
-graph::AncestryLabel decode_vertex_record(ByteReader& r) {
-  graph::AncestryLabel anc;
-  anc.tin = r.u32();
-  anc.tout = r.u32();
-  return anc;
-}
-
-void encode_core_edge(const EdgeLabel& label, ByteWriter& w) {
-  const std::size_t expect = static_cast<std::size_t>(label.params.num_levels) *
-                             label.params.k * label.params.words_per_elem();
-  FTC_REQUIRE(label.sketch_words.size() == expect,
-              "edge label payload inconsistent with parameters");
-  w.u32(label.upper.tin);
-  w.u32(label.upper.tout);
-  w.u32(label.lower.tin);
-  w.u32(label.lower.tout);
-  for (const std::uint64_t word : label.sketch_words) w.u64(word);
-}
-
 EdgeLabel decode_core_edge(ByteReader& r, const LabelParams& params) {
   EdgeLabel label;
   label.params = params;
@@ -319,20 +183,23 @@ EdgeLabel decode_core_edge(ByteReader& r, const LabelParams& params) {
 }
 
 std::size_t core_edge_blob_bytes(const LabelParams& params) {
-  return 16 + 8 * static_cast<std::size_t>(params.num_levels) * params.k *
-                  params.words_per_elem();
+  return kEndpointBytes + 8 * static_cast<std::size_t>(params.num_levels) *
+                              params.k * params.words_per_elem();
 }
 
-void encode_cycle_edge(const dp21::CsEdgeLabel& label, ByteWriter& w) {
-  w.u8(label.is_tree ? 1 : 0);
-  w.u8(0);
-  w.u8(0);
-  w.u8(0);
-  w.u32(label.a.tin);
-  w.u32(label.a.tout);
-  w.u32(label.b.tin);
-  w.u32(label.b.tout);
-  for (const std::uint64_t word : label.vec) w.u64(word);
+void write_cycle_edge_at(std::uint8_t* blob, const CycleParams& params,
+                         bool is_tree, const graph::AncestryLabel& a,
+                         const graph::AncestryLabel& b,
+                         std::span<const std::uint64_t> vec) {
+  FTC_CHECK(vec.size() == params.vector_words(),
+            "cycle-space vector width inconsistent with parameters");
+  blob[0] = is_tree ? 1 : 0;
+  blob[1] = 0;
+  blob[2] = 0;
+  blob[3] = 0;
+  write_vertex_record_at(blob + 4, a);
+  write_vertex_record_at(blob + 4 + kVertexRecordBytes, b);
+  write_words_at(blob + kCycleHeaderBytes, vec);
 }
 
 dp21::CsEdgeLabel decode_cycle_edge(ByteReader& r, const CycleParams& params) {
@@ -352,17 +219,18 @@ dp21::CsEdgeLabel decode_cycle_edge(ByteReader& r, const CycleParams& params) {
 }
 
 std::size_t cycle_edge_blob_bytes(const CycleParams& params) {
-  return 20 + 8 * params.vector_words();
+  return kCycleHeaderBytes + 8 * params.vector_words();
 }
 
-void encode_agm_edge(const dp21::AgmEdgeLabel& label, ByteWriter& w) {
-  w.u32(label.upper.tin);
-  w.u32(label.upper.tout);
-  w.u32(label.lower.tin);
-  w.u32(label.lower.tout);
-  std::vector<std::uint64_t> words;
-  label.sketch.append_words(words);
-  for (const std::uint64_t word : words) w.u64(word);
+void write_agm_edge_at(std::uint8_t* blob, const AgmParams& params,
+                       const graph::AncestryLabel& upper,
+                       const graph::AncestryLabel& lower,
+                       std::span<const std::uint64_t> sketch_words) {
+  FTC_CHECK(sketch_words.size() == params.sketch_words(),
+            "AGM sketch word count inconsistent with parameters");
+  write_vertex_record_at(blob, upper);
+  write_vertex_record_at(blob + kVertexRecordBytes, lower);
+  write_words_at(blob + kEndpointBytes, sketch_words);
 }
 
 dp21::AgmEdgeLabel decode_agm_edge(ByteReader& r, const AgmParams& params) {
@@ -379,7 +247,7 @@ dp21::AgmEdgeLabel decode_agm_edge(ByteReader& r, const AgmParams& params) {
 }
 
 std::size_t agm_edge_blob_bytes(const AgmParams& params) {
-  return 16 + 8 * params.sketch_words();
+  return kEndpointBytes + 8 * params.sketch_words();
 }
 
 // ------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/label_store.hpp"
 #include "graph/aux_graph.hpp"
 #include "graph/euler_tour.hpp"
 #include "graph/fragments.hpp"
@@ -40,7 +41,8 @@ std::pair<AncestryLabel, AncestryLabel> unpack_id(const PackedId& id) {
 
 }  // namespace
 
-AgmFtc AgmFtc::build(const graph::Graph& g, const AgmFtcConfig& config) {
+core::store::ResidentLabels AgmFtc::build(const graph::Graph& g,
+                                          const AgmFtcConfig& config) {
   FTC_REQUIRE(graph::is_connected(g), "input graph must be connected");
   const graph::SpanningTree t = graph::bfs_spanning_tree(g, 0);
   const graph::AuxGraph aux = graph::build_aux_graph(g, t);
@@ -56,15 +58,17 @@ AgmFtc AgmFtc::build(const graph::Graph& g, const AgmFtcConfig& config) {
   }
   const unsigned levels = 2 * logn + 2;
 
-  AgmFtc scheme;
-  scheme.coord_bits_ = logn;
-  scheme.levels_ = levels;
-  scheme.reps_ = reps;
-  scheme.seed_ = config.seed;
-  scheme.vertex_anc_.reserve(g.num_vertices());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    scheme.vertex_anc_.push_back(anc2.label(v));
-  }
+  core::store::AgmParams params;
+  params.coord_bits = logn;
+  params.levels = levels;
+  params.reps = reps;
+  params.seed = config.seed;
+  core::store::ResidentLabels out;
+  out.backend = core::BackendKind::kDp21Agm;
+  core::store::ByteWriter pw;
+  core::store::encode_agm_params(params, pw);
+  out.params = pw.take();
+  out.write_vertex_records(anc2, g.num_vertices());
 
   // Per-T'-vertex sketch of incident non-tree edges, then subtree XOR.
   // AGM sketch cells are XOR fingerprints (toggle == merge == word XOR),
@@ -123,36 +127,25 @@ AgmFtc AgmFtc::build(const graph::Graph& g, const AgmFtcConfig& config) {
   std::vector<EdgeId> sigma_inv(aux.g2.num_edges(), graph::kNoEdge);
   for (EdgeId e = 0; e < g.num_edges(); ++e) sigma_inv[aux.sigma[e]] = e;
 
-  // Write-out: non-root v (tin >= 1) finalizes its unique parent edge.
-  scheme.edge_labels_.resize(g.num_edges());
+  // Write-out: non-root v (tin >= 1) finalizes its unique parent edge's
+  // blob.
+  out.assign_edge_blobs(g.num_edges(),
+                        core::store::agm_edge_blob_bytes(params));
   pool.run(stripes, [&](unsigned b) {
+    AgmSketch s;
     for (VertexId v = static_cast<VertexId>(bounds[b]);
          v < static_cast<VertexId>(bounds[b + 1]); ++v) {
       if (v == aux.t2.root) continue;
       const EdgeId eo = sigma_inv[aux.t2.parent_edge[v]];
       FTC_CHECK(eo != graph::kNoEdge, "T' tree edge without sigma preimage");
-      AgmEdgeLabel& label = scheme.edge_labels_[eo];
-      label.lower = anc2.label(v);
-      label.upper = anc2.label(aux.t2.parent[v]);
-      AgmSketch s = acc[tout[v]];
+      s = acc[tout[v]];
       s.merge(acc[static_cast<std::size_t>(tin[v]) - 1]);
-      label.sketch = std::move(s);
+      core::store::write_agm_edge_at(out.edge_blob(eo), params,
+                                     anc2.label(aux.t2.parent[v]),
+                                     anc2.label(v), s.words());
     }
   });
-  scheme.sketch_bits_ = scheme.edge_labels_.empty()
-                            ? 0
-                            : scheme.edge_labels_[0].sketch.size_bits();
-  return scheme;
-}
-
-AgmVertexLabel AgmFtc::vertex_label(VertexId v) const {
-  FTC_REQUIRE(v < vertex_anc_.size(), "vertex out of range");
-  return AgmVertexLabel{vertex_anc_[v]};
-}
-
-AgmEdgeLabel AgmFtc::edge_label(EdgeId e) const {
-  FTC_REQUIRE(e < edge_labels_.size(), "edge out of range");
-  return edge_labels_[e];
+  return out;
 }
 
 // Fault-set-only work: dedup, fragment structure, and the initial
@@ -188,7 +181,6 @@ AgmFtc::Prepared AgmFtc::Prepared::prepare(
 
   prep.frag_words_.assign(
       static_cast<std::size_t>(prep.num_frag_) * prep.words_per_frag_, 0);
-  std::vector<std::uint64_t> scratch;
   for (std::size_t j = 0; j < nf; ++j) {
     // Full geometry check (not just word count): sketches built under a
     // different seed have incompatible fingerprints and must fail fast,
@@ -197,15 +189,14 @@ AgmFtc::Prepared AgmFtc::Prepared::prepare(
                     uniq[j]->sketch.reps() == prep.reps_ &&
                     uniq[j]->sketch.seed() == prep.seed_,
                 "fault labels from different AGM schemes");
-    scratch.clear();
-    uniq[j]->sketch.append_words(scratch);
-    FTC_CHECK(scratch.size() == prep.words_per_frag_,
+    const std::span<const std::uint64_t> words = uniq[j]->sketch.words();
+    FTC_CHECK(words.size() == prep.words_per_frag_,
               "AGM sketch word count inconsistent with its geometry");
     const int below = loc.fragment_of_fault(j);
     const int above = loc.parent_fragment(below);
     for (const int fr : {below, above}) {
       xor_words(prep.frag_words_.data() + fr * prep.words_per_frag_,
-                scratch.data(), prep.words_per_frag_);
+                words.data(), prep.words_per_frag_);
     }
   }
   prep.loc_ = std::move(loc);
@@ -264,12 +255,6 @@ bool AgmFtc::connected(const AgmVertexLabel& s, const AgmVertexLabel& t,
       return true;
     }
   }
-}
-
-bool AgmFtc::connected(const AgmVertexLabel& s, const AgmVertexLabel& t,
-                       std::span<const AgmEdgeLabel> faults) {
-  Workspace workspace;
-  return connected(s, t, Prepared::prepare(faults), workspace);
 }
 
 }  // namespace ftc::dp21

@@ -19,6 +19,10 @@
 #include "graph/union_find.hpp"
 #include "sketch/agm_sketch.hpp"
 
+namespace ftc::core::store {
+struct ResidentLabels;  // core/label_store.hpp
+}  // namespace ftc::core::store
+
 namespace ftc::dp21 {
 
 struct AgmFtcConfig {
@@ -44,14 +48,11 @@ struct AgmEdgeLabel {
 
 class AgmFtc {
  public:
-  static AgmFtc build(const graph::Graph& g, const AgmFtcConfig& config);
-
-  AgmVertexLabel vertex_label(graph::VertexId v) const;
-  AgmEdgeLabel edge_label(graph::EdgeId e) const;
-  // Moves every edge label out, leaving the scheme without edge labels.
-  // Lets a caller re-encode them one at a time, freeing each label's
-  // payload as it goes, so no second full copy of the labels exists.
-  std::vector<AgmEdgeLabel> take_edge_labels() { return std::move(edge_labels_); }
+  // Builds the labels of the connected graph g straight into container
+  // layout (core/label_store.hpp): the params blob, one vertex record per
+  // vertex and one edge blob per edge, written in place.
+  static core::store::ResidentLabels build(const graph::Graph& g,
+                                           const AgmFtcConfig& config);
 
   // Immutable per-fault-set session state: deduplicated faults, the
   // fragment locator of T' - sigma(F), and every fragment's initial
@@ -92,34 +93,10 @@ class AgmFtc {
     std::vector<char> closed_;
   };
 
-  // Session decoder: the batch-engine hot path.
+  // Session decoder: the batch-engine hot path; correct whp over the
+  // sketch hash seeds.
   static bool connected(const AgmVertexLabel& s, const AgmVertexLabel& t,
                         const Prepared& prepared, Workspace& workspace);
-
-  // One-shot universal decoder; correct whp over the sketch hash seeds.
-  static bool connected(const AgmVertexLabel& s, const AgmVertexLabel& t,
-                        std::span<const AgmEdgeLabel> faults);
-
-  std::size_t vertex_label_bits() const { return 2 * coord_bits_; }
-  std::size_t edge_label_bits() const {
-    return 4 * coord_bits_ + sketch_bits_;
-  }
-
-  // Sketch geometry, shared by every edge label (serialization stores it
-  // once per scheme instead of once per sketch).
-  unsigned coord_bits() const { return coord_bits_; }
-  unsigned sketch_levels() const { return levels_; }
-  unsigned sketch_reps() const { return reps_; }
-  std::uint64_t sketch_seed() const { return seed_; }
-
- private:
-  unsigned coord_bits_ = 0;
-  unsigned levels_ = 0;
-  unsigned reps_ = 0;
-  std::uint64_t seed_ = 0;
-  std::size_t sketch_bits_ = 0;
-  std::vector<graph::AncestryLabel> vertex_anc_;
-  std::vector<AgmEdgeLabel> edge_labels_;
 };
 
 }  // namespace ftc::dp21

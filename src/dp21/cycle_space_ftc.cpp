@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/label_store.hpp"
 #include "graph/euler_tour.hpp"
 #include "graph/fragments.hpp"
 #include "graph/spanning_tree.hpp"
@@ -31,14 +32,16 @@ bool is_zero(const std::vector<std::uint64_t>& v) {
 
 }  // namespace
 
-CycleSpaceFtc CycleSpaceFtc::build(const graph::Graph& g,
-                                   const CycleSpaceConfig& config) {
+core::store::ResidentLabels CycleSpaceFtc::build(
+    const graph::Graph& g, const CycleSpaceConfig& config) {
   FTC_REQUIRE(graph::is_connected(g), "input graph must be connected");
   const VertexId n = g.num_vertices();
+  const EdgeId m = g.num_edges();
   const unsigned logn = std::max(1u, ceil_log2(std::max<VertexId>(n, 2)));
 
-  CycleSpaceFtc scheme;
-  scheme.bits_ =
+  core::store::CycleParams params;
+  params.coord_bits = logn;
+  params.vector_bits =
       config.bits_override != 0
           ? config.bits_override
           : std::max<unsigned>(
@@ -47,32 +50,40 @@ CycleSpaceFtc CycleSpaceFtc::build(const graph::Graph& g,
                        (config.full_support
                             ? static_cast<double>(config.f) * logn
                             : static_cast<double>(config.f) + logn)));
-  scheme.coord_bits_ = logn;
-  const std::size_t words = (scheme.bits_ + 63) / 64;
+  const std::size_t words = params.vector_words();
   const std::uint64_t top_mask =
-      (scheme.bits_ % 64 == 0) ? ~std::uint64_t{0}
-                               : ((std::uint64_t{1} << (scheme.bits_ % 64)) - 1);
+      (params.vector_bits % 64 == 0)
+          ? ~std::uint64_t{0}
+          : ((std::uint64_t{1} << (params.vector_bits % 64)) - 1);
 
   const graph::SpanningTree t = graph::bfs_spanning_tree(g, 0);
   const graph::EulerTour et = graph::euler_tour(t);
   const graph::AncestryLabeling anc(t, et);
-  scheme.vertex_anc_.reserve(n);
-  for (VertexId v = 0; v < n; ++v) scheme.vertex_anc_.push_back(anc.label(v));
+
+  core::store::ResidentLabels out;
+  out.backend = core::BackendKind::kDp21CycleSpace;
+  core::store::ByteWriter pw;
+  core::store::encode_cycle_params(params, pw);
+  out.params = pw.take();
+  out.write_vertex_records(anc, n);
+  out.assign_edge_blobs(m, core::store::cycle_edge_blob_bytes(params));
 
   // Pass 1 (always serial): lambda draws per non-tree edge in edge-ID
   // order — the RNG stream is position-dependent, so this order IS the
-  // determinism contract and must not depend on the thread count.
+  // determinism contract and must not depend on the thread count. A
+  // non-tree edge's blob is final as soon as its lambda is drawn.
   SplitMix64 rng(config.seed);
-  scheme.edge_labels_.resize(g.num_edges());
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    CsEdgeLabel& label = scheme.edge_labels_[e];
-    label.is_tree = t.is_tree_edge[e] != 0;
-    if (label.is_tree) continue;
-    label.a = anc.label(g.edge(e).u);
-    label.b = anc.label(g.edge(e).v);
-    label.vec.resize(words);
-    for (auto& w : label.vec) w = rng.next();
-    label.vec.back() &= top_mask;
+  std::vector<std::uint64_t> lambda(static_cast<std::size_t>(m) * words, 0);
+  for (EdgeId e = 0; e < m; ++e) {
+    if (t.is_tree_edge[e] != 0) continue;
+    const std::span<std::uint64_t> vec(
+        lambda.data() + static_cast<std::size_t>(e) * words, words);
+    for (auto& w : vec) w = rng.next();
+    vec.back() &= top_mask;
+    core::store::write_cycle_edge_at(out.edge_blob(e), params,
+                                     /*is_tree=*/false,
+                                     anc.label(g.edge(e).u),
+                                     anc.label(g.edge(e).v), vec);
   }
 
   // Pass 2: a tree edge (p, v) is crossed by exactly the non-tree edges
@@ -103,13 +114,14 @@ CycleSpaceFtc CycleSpaceFtc::build(const graph::Graph& g,
   pool.run(stripes, [&](unsigned b) {
     const std::size_t lo = bounds[b];
     const std::size_t hi = bounds[b + 1];
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      const CsEdgeLabel& label = scheme.edge_labels_[e];
-      if (label.is_tree) continue;
+    for (EdgeId e = 0; e < m; ++e) {
+      if (t.is_tree_edge[e] != 0) continue;
       for (const VertexId u : {g.edge(e).u, g.edge(e).v}) {
         const std::size_t tu = tin[u];
         if (tu >= lo && tu < hi) {
-          xor_words(acc.data() + tu * words, label.vec.data(), words);
+          xor_words(acc.data() + tu * words,
+                    lambda.data() + static_cast<std::size_t>(e) * words,
+                    words);
         }
       }
     }
@@ -135,42 +147,25 @@ CycleSpaceFtc CycleSpaceFtc::build(const graph::Graph& g,
       xor_words(acc.data() + ti * words, cb, words);
     }
   });
-  // Write-out: non-root v finalizes its (unique) parent tree edge.
+  // Write-out: non-root v finalizes its (unique) parent tree edge's blob.
   pool.run(stripes, [&](unsigned b) {
+    std::vector<std::uint64_t> vec(words);
     for (VertexId v = static_cast<VertexId>(bounds[b]);
          v < static_cast<VertexId>(bounds[b + 1]); ++v) {
       if (v == t.root) continue;
-      CsEdgeLabel& label = scheme.edge_labels_[t.parent_edge[v]];
-      label.a = anc.label(t.parent[v]);
-      label.b = anc.label(v);
-      label.vec.assign(words, 0);
-      xor_words(label.vec.data(),
-                acc.data() + static_cast<std::size_t>(tout[v]) * words,
-                words);
-      xor_words(label.vec.data(),
+      const std::uint64_t* hi_row =
+          acc.data() + static_cast<std::size_t>(tout[v]) * words;
+      std::copy(hi_row, hi_row + words, vec.begin());
+      xor_words(vec.data(),
                 acc.data() + (static_cast<std::size_t>(tin[v]) - 1) * words,
                 words);
+      core::store::write_cycle_edge_at(out.edge_blob(t.parent_edge[v]),
+                                       params, /*is_tree=*/true,
+                                       anc.label(t.parent[v]), anc.label(v),
+                                       vec);
     }
   });
-  return scheme;
-}
-
-CsVertexLabel CycleSpaceFtc::vertex_label(VertexId v) const {
-  FTC_REQUIRE(v < vertex_anc_.size(), "vertex out of range");
-  return CsVertexLabel{vertex_anc_[v]};
-}
-
-CsEdgeLabel CycleSpaceFtc::edge_label(EdgeId e) const {
-  FTC_REQUIRE(e < edge_labels_.size(), "edge out of range");
-  return edge_labels_[e];
-}
-
-std::size_t CycleSpaceFtc::vertex_label_bits() const {
-  return 2 * coord_bits_;
-}
-
-std::size_t CycleSpaceFtc::edge_label_bits() const {
-  return 4 * coord_bits_ + bits_ + 1;
+  return out;
 }
 
 // All fault-set-only work — fragment structure, per-fragment cut
@@ -311,11 +306,6 @@ bool CycleSpaceFtc::connected(const CsVertexLabel& s, const CsVertexLabel& t,
     if (bit(kv, fs) != bit(kv, ft)) return false;
   }
   return true;
-}
-
-bool CycleSpaceFtc::connected(const CsVertexLabel& s, const CsVertexLabel& t,
-                              std::span<const CsEdgeLabel> faults) {
-  return connected(s, t, Prepared::prepare(faults));
 }
 
 }  // namespace ftc::dp21

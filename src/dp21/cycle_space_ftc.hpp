@@ -21,6 +21,10 @@
 #include "graph/fragments.hpp"
 #include "graph/graph.hpp"
 
+namespace ftc::core::store {
+struct ResidentLabels;  // core/label_store.hpp
+}  // namespace ftc::core::store
+
 namespace ftc::dp21 {
 
 struct CycleSpaceConfig {
@@ -53,15 +57,11 @@ struct CsEdgeLabel {
 
 class CycleSpaceFtc {
  public:
-  static CycleSpaceFtc build(const graph::Graph& g,
-                             const CycleSpaceConfig& config);
-
-  CsVertexLabel vertex_label(graph::VertexId v) const;
-  CsEdgeLabel edge_label(graph::EdgeId e) const;
-  // Moves every edge label out, leaving the scheme without edge labels.
-  // Lets a caller re-encode them one at a time, freeing each label's
-  // payload as it goes, so no second full copy of the labels exists.
-  std::vector<CsEdgeLabel> take_edge_labels() { return std::move(edge_labels_); }
+  // Builds the labels of the connected graph g straight into container
+  // layout (core/label_store.hpp): the params blob, one vertex record per
+  // vertex and one edge blob per edge, written in place.
+  static core::store::ResidentLabels build(const graph::Graph& g,
+                                           const CycleSpaceConfig& config);
 
   // Per-fault-set session state, built once and shared by any number of
   // queries (and threads — it is immutable after prepare). Everything
@@ -89,26 +89,12 @@ class CycleSpaceFtc {
     std::vector<std::vector<std::uint64_t>> kernel_;
   };
 
-  // Session decoder: the batch-engine hot path.
+  // Session decoder: the batch-engine hot path. Correct with high
+  // probability over the sampled lambdas (one-sided: "connected" answers
+  // are always correct, a "disconnected" answer is wrong only on a lambda
+  // collision).
   static bool connected(const CsVertexLabel& s, const CsVertexLabel& t,
                         const Prepared& prepared);
-
-  // One-shot universal decoder; correct with high probability over the
-  // sampled lambdas (one-sided: "connected" answers are always correct,
-  // a "disconnected" answer is wrong only on a lambda collision).
-  static bool connected(const CsVertexLabel& s, const CsVertexLabel& t,
-                        std::span<const CsEdgeLabel> faults);
-
-  unsigned vector_bits() const { return bits_; }
-  unsigned coord_bits() const { return coord_bits_; }
-  std::size_t vertex_label_bits() const;
-  std::size_t edge_label_bits() const;
-
- private:
-  unsigned bits_ = 0;
-  unsigned coord_bits_ = 0;
-  std::vector<graph::AncestryLabel> vertex_anc_;
-  std::vector<CsEdgeLabel> edge_labels_;
 };
 
 }  // namespace ftc::dp21

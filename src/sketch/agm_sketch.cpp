@@ -63,10 +63,6 @@ std::optional<PackedId> AgmSketch::sample_words(
   return std::nullopt;
 }
 
-void AgmSketch::append_words(std::vector<std::uint64_t>& out) const {
-  out.insert(out.end(), words_.begin(), words_.end());
-}
-
 AgmSketch AgmSketch::from_words(unsigned levels, unsigned reps,
                                 std::uint64_t seed,
                                 std::span<const std::uint64_t> words) {

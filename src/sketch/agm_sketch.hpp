@@ -57,7 +57,7 @@ class AgmSketch {
   // Round-trips exactly through from_words with the same
   // (levels, reps, seed).
   std::size_t num_words() const { return words_.size(); }
-  void append_words(std::vector<std::uint64_t>& out) const;
+  std::span<const std::uint64_t> words() const { return words_; }
   static AgmSketch from_words(unsigned levels, unsigned reps,
                               std::uint64_t seed,
                               std::span<const std::uint64_t> words);

@@ -1,12 +1,14 @@
 // Tests for the Dory-Parter baselines: the cycle-space scheme (whp /
-// full-support variants) and the AGM-sketch scheme. Their guarantees are
+// full-support variants) and the AGM-sketch scheme, built and queried
+// through make_scheme like every other backend. The whp variants are set
+// explicitly (the factory defaults to full support). Their guarantees are
 // probabilistic, so sweeps assert exact agreement with ground truth on
 // fixed seeds (any failure here means a fixed-seed regression, not bad
 // luck: the per-query failure probability at these parameters is ~2^-60).
 #include <gtest/gtest.h>
 
-#include "dp21/agm_ftc.hpp"
-#include "dp21/cycle_space_ftc.hpp"
+#include "core/connectivity_scheme.hpp"
+#include "core/label_store.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "util/common.hpp"
@@ -14,9 +16,31 @@
 namespace ftc::dp21 {
 namespace {
 
+using core::BackendKind;
+using core::FaultSpec;
+using core::SchemeConfig;
 using graph::EdgeId;
 using graph::Graph;
 using graph::VertexId;
+
+SchemeConfig cycle_config(const CycleSpaceConfig& cycle) {
+  SchemeConfig cfg;
+  cfg.backend = BackendKind::kDp21CycleSpace;
+  cfg.cycle = cycle;
+  return cfg;
+}
+
+SchemeConfig agm_config(const AgmFtcConfig& agm) {
+  SchemeConfig cfg;
+  cfg.backend = BackendKind::kDp21Agm;
+  cfg.agm = agm;
+  return cfg;
+}
+
+bool connected(const core::ConnectivityScheme& scheme, VertexId s, VertexId t,
+               const std::vector<EdgeId>& faults) {
+  return scheme.connected(s, t, FaultSpec::edges(faults));
+}
 
 TEST(CycleSpaceFtc, RandomSweepsMatchGroundTruth) {
   SplitMix64 rng(71);
@@ -24,21 +48,18 @@ TEST(CycleSpaceFtc, RandomSweepsMatchGroundTruth) {
     const Graph g = graph::random_connected(40, 110, 6000 + seed);
     CycleSpaceConfig cfg;
     cfg.f = 4;
+    cfg.full_support = false;
     cfg.seed = 99 + seed;
-    const CycleSpaceFtc scheme = CycleSpaceFtc::build(g, cfg);
+    const auto scheme = core::make_scheme(g, cycle_config(cfg));
     for (int it = 0; it < 80; ++it) {
       const unsigned nf = rng.next_below(5);
       std::vector<EdgeId> faults;
-      std::vector<CsEdgeLabel> labels;
       for (unsigned i = 0; i < nf; ++i) {
-        const EdgeId e = static_cast<EdgeId>(rng.next_below(g.num_edges()));
-        faults.push_back(e);
-        labels.push_back(scheme.edge_label(e));
+        faults.push_back(static_cast<EdgeId>(rng.next_below(g.num_edges())));
       }
       const VertexId s = static_cast<VertexId>(rng.next_below(40));
       const VertexId t = static_cast<VertexId>(rng.next_below(40));
-      ASSERT_EQ(CycleSpaceFtc::connected(scheme.vertex_label(s),
-                                         scheme.vertex_label(t), labels),
+      ASSERT_EQ(connected(*scheme, s, t, faults),
                 graph::connected_avoiding(g, s, t, faults))
           << "seed=" << seed << " it=" << it;
     }
@@ -51,20 +72,17 @@ TEST(CycleSpaceFtc, StructuredGraphs) {
                          graph::barbell(5, 2), graph::hypercube(4)}) {
     CycleSpaceConfig cfg;
     cfg.f = 3;
-    const CycleSpaceFtc scheme = CycleSpaceFtc::build(g, cfg);
+    cfg.full_support = false;
+    const auto scheme = core::make_scheme(g, cycle_config(cfg));
     for (int it = 0; it < 50; ++it) {
       const unsigned nf = rng.next_below(4);
       std::vector<EdgeId> faults;
-      std::vector<CsEdgeLabel> labels;
       for (unsigned i = 0; i < nf; ++i) {
-        const EdgeId e = static_cast<EdgeId>(rng.next_below(g.num_edges()));
-        faults.push_back(e);
-        labels.push_back(scheme.edge_label(e));
+        faults.push_back(static_cast<EdgeId>(rng.next_below(g.num_edges())));
       }
       const VertexId s = static_cast<VertexId>(rng.next_below(g.num_vertices()));
       const VertexId t = static_cast<VertexId>(rng.next_below(g.num_vertices()));
-      ASSERT_EQ(CycleSpaceFtc::connected(scheme.vertex_label(s),
-                                         scheme.vertex_label(t), labels),
+      ASSERT_EQ(connected(*scheme, s, t, faults),
                 graph::connected_avoiding(g, s, t, faults));
     }
   }
@@ -74,21 +92,21 @@ TEST(CycleSpaceFtc, NonTreeOnlyFaultsKeepTreeConnectivity) {
   const Graph g = graph::cycle(10);
   CycleSpaceConfig cfg;
   cfg.f = 1;
-  const CycleSpaceFtc scheme = CycleSpaceFtc::build(g, cfg);
-  // Find the single non-tree edge (the BFS tree misses exactly one).
-  std::vector<CsEdgeLabel> labels;
+  cfg.full_support = false;
+  const auto scheme = core::make_scheme(g, cycle_config(cfg));
+  // Find the single non-tree edge (the BFS tree misses exactly one) from
+  // the tree flag of the built edge blobs.
+  const auto view = scheme->store_view();
+  core::store::ByteReader pr(view->params_blob());
+  const core::store::CycleParams params = core::store::decode_cycle_params(pr);
   std::vector<EdgeId> faults;
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const auto l = scheme.edge_label(e);
-    if (!l.is_tree) {
-      labels.push_back(l);
-      faults.push_back(e);
-    }
+    core::store::ByteReader r(view->edge_blob(e));
+    if (!core::store::decode_cycle_edge(r, params).is_tree) faults.push_back(e);
   }
-  ASSERT_EQ(labels.size(), 1u);
+  ASSERT_EQ(faults.size(), 1u);
   for (VertexId v = 1; v < 10; ++v) {
-    EXPECT_TRUE(CycleSpaceFtc::connected(scheme.vertex_label(0),
-                                         scheme.vertex_label(v), labels));
+    EXPECT_TRUE(connected(*scheme, 0, v, faults));
   }
 }
 
@@ -99,12 +117,16 @@ TEST(CycleSpaceFtc, LabelSizesTrackVariant) {
   whp.full_support = false;
   CycleSpaceConfig full = whp;
   full.full_support = true;
-  const CycleSpaceFtc a = CycleSpaceFtc::build(g, whp);
-  const CycleSpaceFtc b = CycleSpaceFtc::build(g, full);
+  const auto a = core::make_scheme(g, cycle_config(whp));
+  const auto b = core::make_scheme(g, cycle_config(full));
+  const auto vector_bits = [](const core::ConnectivityScheme& scheme) {
+    core::store::ByteReader r(scheme.store_view()->params_blob());
+    return core::store::decode_cycle_params(r).vector_bits;
+  };
   // whp: O(f + log n) bits; full: O(f log n) bits.
-  EXPECT_LT(a.vector_bits(), b.vector_bits());
-  EXPECT_EQ(a.vertex_label_bits(), 2 * 6u);  // ceil(log2 64) = 6 per coord
-  EXPECT_GT(a.edge_label_bits(), a.vector_bits());
+  EXPECT_LT(vector_bits(*a), vector_bits(*b));
+  EXPECT_EQ(a->vertex_label_bits(), 2 * 6u);  // ceil(log2 64) = 6 per coord
+  EXPECT_GT(a->edge_label_bits(), vector_bits(*a));
 }
 
 TEST(AgmFtc, RandomSweepsMatchGroundTruth) {
@@ -113,25 +135,24 @@ TEST(AgmFtc, RandomSweepsMatchGroundTruth) {
     const Graph g = graph::random_connected(35, 90, 7000 + seed);
     AgmFtcConfig cfg;
     cfg.f = 3;
+    cfg.full_support = false;
     cfg.seed = 1000 + seed;
     cfg.scale = 2.0;
-    const AgmFtc scheme = AgmFtc::build(g, cfg);
+    const auto scheme = core::make_scheme(g, agm_config(cfg));
     int correct = 0;
     const int total = 60;
     for (int it = 0; it < total; ++it) {
       const unsigned nf = rng.next_below(4);
       std::vector<EdgeId> faults;
-      std::vector<AgmEdgeLabel> labels;
       for (unsigned i = 0; i < nf; ++i) {
-        const EdgeId e = static_cast<EdgeId>(rng.next_below(g.num_edges()));
-        faults.push_back(e);
-        labels.push_back(scheme.edge_label(e));
+        faults.push_back(static_cast<EdgeId>(rng.next_below(g.num_edges())));
       }
       const VertexId s = static_cast<VertexId>(rng.next_below(35));
       const VertexId t = static_cast<VertexId>(rng.next_below(35));
-      const bool got = AgmFtc::connected(scheme.vertex_label(s),
-                                         scheme.vertex_label(t), labels);
-      if (got == graph::connected_avoiding(g, s, t, faults)) ++correct;
+      if (connected(*scheme, s, t, faults) ==
+          graph::connected_avoiding(g, s, t, faults)) {
+        ++correct;
+      }
     }
     // whp semantics: allow a tiny slack, but expect near-perfect.
     EXPECT_GE(correct, total - 1) << "seed " << seed;
@@ -142,32 +163,29 @@ TEST(AgmFtc, DisconnectionDetected) {
   const Graph g = graph::barbell(5, 1);
   AgmFtcConfig cfg;
   cfg.f = 2;
-  const AgmFtc scheme = AgmFtc::build(g, cfg);
-  std::vector<AgmEdgeLabel> bridge;
+  cfg.full_support = false;
+  const auto scheme = core::make_scheme(g, agm_config(cfg));
   std::vector<EdgeId> faults;
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (g.edge(e).u == 10 || g.edge(e).v == 10) {
-      bridge.push_back(scheme.edge_label(e));
-      faults.push_back(e);
-    }
+    if (g.edge(e).u == 10 || g.edge(e).v == 10) faults.push_back(e);
   }
-  ASSERT_EQ(bridge.size(), 2u);
-  EXPECT_FALSE(AgmFtc::connected(scheme.vertex_label(0),
-                                 scheme.vertex_label(6), bridge));
-  EXPECT_TRUE(AgmFtc::connected(scheme.vertex_label(0),
-                                scheme.vertex_label(4), bridge));
+  ASSERT_EQ(faults.size(), 2u);
+  EXPECT_FALSE(connected(*scheme, 0, 6, faults));
+  EXPECT_TRUE(connected(*scheme, 0, 4, faults));
 }
 
 TEST(AgmFtc, FullSupportUsesMoreBits) {
   const Graph g = graph::random_connected(40, 100, 9);
   AgmFtcConfig whp;
   whp.f = 4;
+  whp.full_support = false;
   AgmFtcConfig full = whp;
   full.full_support = true;
-  const AgmFtc a = AgmFtc::build(g, whp);
-  const AgmFtc b = AgmFtc::build(g, full);
-  EXPECT_GT(b.edge_label_bits(), a.edge_label_bits());
-  EXPECT_GE(b.edge_label_bits() / std::max<std::size_t>(a.edge_label_bits(), 1),
+  const auto a = core::make_scheme(g, agm_config(whp));
+  const auto b = core::make_scheme(g, agm_config(full));
+  EXPECT_GT(b->edge_label_bits(), a->edge_label_bits());
+  EXPECT_GE(b->edge_label_bits() /
+                std::max<std::size_t>(a->edge_label_bits(), 1),
             3u);  // roughly (f+1)x
 }
 

@@ -5,6 +5,7 @@
 
 #include "core/ftc_query.hpp"
 #include "core/ftc_scheme.hpp"
+#include "core/label_store.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "util/common.hpp"
@@ -271,37 +272,17 @@ TEST(FtcScheme, DeterministicSchemeBitReproducible) {
   cfg.f = 3;
   const FtcScheme a = FtcScheme::build(g, cfg);
   const FtcScheme b = FtcScheme::build(g, cfg);
+  EXPECT_EQ(a.params(), b.params());
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    EXPECT_EQ(serialize(a.edge_label(e)), serialize(b.edge_label(e)));
+    const EdgeLabel la = a.edge_label(e);
+    const EdgeLabel lb = b.edge_label(e);
+    EXPECT_EQ(la.upper, lb.upper);
+    EXPECT_EQ(la.lower, lb.lower);
+    EXPECT_EQ(la.sketch_words, lb.sketch_words);
   }
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_EQ(serialize(a.vertex_label(v)), serialize(b.vertex_label(v)));
+    EXPECT_EQ(a.vertex_label(v).anc, b.vertex_label(v).anc);
   }
-}
-
-TEST(FtcScheme, SerializationRoundTrip) {
-  const Graph g = graph::random_connected(25, 60, 31);
-  FtcConfig cfg;
-  cfg.f = 2;
-  const FtcScheme scheme = FtcScheme::build(g, cfg);
-  const VertexLabel v = scheme.vertex_label(7);
-  const auto vb = serialize(v);
-  const VertexLabel v2 = deserialize_vertex_label(vb);
-  EXPECT_EQ(v2.params, v.params);
-  EXPECT_EQ(v2.anc, v.anc);
-  const EdgeLabel e = scheme.edge_label(11);
-  const auto eb = serialize(e);
-  const EdgeLabel e2 = deserialize_edge_label(eb);
-  EXPECT_EQ(e2.params, e.params);
-  EXPECT_EQ(e2.upper, e.upper);
-  EXPECT_EQ(e2.lower, e.lower);
-  EXPECT_EQ(e2.sketch_words, e.sketch_words);
-  // Queries on deserialized labels behave identically.
-  std::vector<EdgeLabel> faults{e2};
-  EXPECT_EQ(FtcDecoder::connected(v2, deserialize_vertex_label(
-                                          serialize(scheme.vertex_label(9))),
-                                  faults),
-            graph::connected_avoiding(g, 7, 9, std::vector<EdgeId>{11}));
 }
 
 TEST(FtcScheme, LabelSizeAccounting) {
@@ -314,11 +295,10 @@ TEST(FtcScheme, LabelSizeAccounting) {
   EXPECT_EQ(scheme.edge_label_bits(),
             4 * p.coord_bits() +
                 static_cast<std::size_t>(p.num_levels) * p.k * p.field_bits);
-  // Serialized size is consistent (up to the fixed header + padding byte).
-  const auto bytes = serialize(scheme.edge_label(0));
-  EXPECT_LE(scheme.edge_label_bits(), bytes.size() * 8);
-  EXPECT_LE(bytes.size() * 8,
-            scheme.edge_label_bits() + /*header*/ 112 + /*padding*/ 8);
+  // The container blob stores the same payload, with each of the four
+  // endpoint coordinates widened to a full u32.
+  EXPECT_EQ(store::core_edge_blob_bytes(p) * 8,
+            scheme.edge_label_bits() + 4 * (32 - p.coord_bits()));
 }
 
 TEST(FtcScheme, RejectsBadInputs) {

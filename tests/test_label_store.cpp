@@ -22,7 +22,6 @@
 
 #include "core/batch_engine.hpp"
 #include "core/connectivity_scheme.hpp"
-#include "core/ftc_scheme.hpp"
 #include "core/label_store.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
@@ -137,10 +136,14 @@ TEST_P(LabelStoreParity, SaveLoadRoundTripMatchesInMemoryAndBfs) {
 }
 
 // make_scheme serves its labels from a resident view that reports what
-// the saved container does, and accounts label bits like the builders.
+// the saved container does, and accounts label bits as the paper does:
+// two coordinates per vertex; four coordinates plus the payload per edge.
 TEST_P(LabelStoreParity, ResidentViewMatchesSavedContainer) {
   const Graph g = graph::random_connected(30, 70, 9);
-  const SchemeConfig cfg = test_config(GetParam(), 3);
+  SchemeConfig cfg = test_config(GetParam(), 3);
+  cfg.ftc.k_override = 12;
+  cfg.cycle.bits_override = 40;
+  cfg.agm.reps_override = 5;
   const auto scheme = make_scheme(g, cfg);
   const auto resident = scheme->store_view();
   ASSERT_NE(resident, nullptr);
@@ -159,25 +162,75 @@ TEST_P(LabelStoreParity, ResidentViewMatchesSavedContainer) {
   EXPECT_EQ(got.has_adjacency, want.has_adjacency);
   EXPECT_TRUE(got.has_adjacency);
 
+  // The overridden dimension must reach the params blob unchanged; the
+  // rest (coordinate width, hierarchy or sampler depth) is read back.
   const auto n = static_cast<std::size_t>(g.num_vertices());
   const auto m = static_cast<std::size_t>(g.num_edges());
-  std::size_t builder_bits = 0;
+  store::ByteReader pr(resident->params_blob());
+  std::size_t coord_bits = 0;
+  std::size_t payload_bits = 0;
   switch (GetParam()) {
-    case BackendKind::kCoreFtc:
-      builder_bits = FtcScheme::build(g, cfg.ftc).total_label_bits();
+    case BackendKind::kCoreFtc: {
+      const LabelParams p =
+          store::decode_core_params(pr, store::kFormatVersion);
+      EXPECT_EQ(p.k, 12u);
+      coord_bits = ceil_log2(p.n_aux);
+      payload_bits = std::size_t{p.num_levels} * 12 * p.field_bits;
       break;
+    }
     case BackendKind::kDp21CycleSpace: {
-      const auto b = dp21::CycleSpaceFtc::build(g, cfg.cycle);
-      builder_bits = n * b.vertex_label_bits() + m * b.edge_label_bits();
+      const store::CycleParams p = store::decode_cycle_params(pr);
+      EXPECT_EQ(p.vector_bits, 40u);
+      EXPECT_EQ(p.coord_bits, ceil_log2(g.num_vertices()));
+      coord_bits = p.coord_bits;
+      payload_bits = 40 + 1;  // the vector plus the tree-edge flag
       break;
     }
     case BackendKind::kDp21Agm: {
-      const auto b = dp21::AgmFtc::build(g, cfg.agm);
-      builder_bits = n * b.vertex_label_bits() + m * b.edge_label_bits();
+      const store::AgmParams p = store::decode_agm_params(pr);
+      EXPECT_EQ(p.reps, 5u);
+      coord_bits = p.coord_bits;
+      // 3 words per cell (ID lo/hi, fingerprint), levels x reps cells.
+      payload_bits = std::size_t{p.levels} * 5 * 3 * 64;
       break;
     }
   }
-  EXPECT_EQ(scheme->total_label_bits(), builder_bits);
+  EXPECT_EQ(scheme->vertex_label_bits(), 2 * coord_bits);
+  EXPECT_EQ(scheme->edge_label_bits(), 4 * coord_bits + payload_bits);
+  EXPECT_EQ(scheme->total_label_bits(),
+            n * 2 * coord_bits + m * (4 * coord_bits + payload_bits));
+}
+
+// The smallest inputs every builder must handle: one vertex (no edge
+// blobs at all) and one edge. Each survives save/load with the same
+// label accounting and answers like BFS.
+TEST_P(LabelStoreParity, TinyGraphsSurviveSaveAndLoad) {
+  Graph single_vertex(1);
+  Graph single_edge(2);
+  single_edge.add_edge(0, 1);
+  for (const Graph* g : {&single_vertex, &single_edge}) {
+    SCOPED_TRACE("n=" + std::to_string(g->num_vertices()));
+    const auto built = make_scheme(*g, test_config(GetParam(), 1));
+    StoreFile file("tiny_" + std::to_string(g->num_vertices()) + "_" +
+                   std::to_string(static_cast<int>(GetParam())));
+    built->save(file.path());
+    const auto loaded = load_scheme(file.path());
+    EXPECT_EQ(loaded->num_vertices(), g->num_vertices());
+    EXPECT_EQ(loaded->num_edges(), g->num_edges());
+    EXPECT_EQ(loaded->total_label_bits(), built->total_label_bits());
+
+    std::vector<std::vector<EdgeId>> fault_sets{{}};
+    for (EdgeId e = 0; e < g->num_edges(); ++e) fault_sets.push_back({e});
+    for (const auto& faults : fault_sets) {
+      for (VertexId s = 0; s < g->num_vertices(); ++s) {
+        for (VertexId t = 0; t < g->num_vertices(); ++t) {
+          const bool want = graph::connected_avoiding(*g, s, t, faults);
+          EXPECT_EQ(built->connected(s, t, FaultSpec::edges(faults)), want);
+          EXPECT_EQ(loaded->connected(s, t, FaultSpec::edges(faults)), want);
+        }
+      }
+    }
+  }
 }
 
 TEST_P(LabelStoreParity, SaveFromLoadedViewIsByteIdentical) {
@@ -336,6 +389,38 @@ TEST(StoreCodec, TruncatedEdgeBlobsThrow) {
                                   blob.size() / 2, blob.size() - 1}) {
       EXPECT_THROW(decode(blob.first(cut)), StoreError) << "cut=" << cut;
     }
+  }
+}
+
+// A params blob cut short anywhere, or carrying an impossible dimension
+// (field width, coordinate width, sampler depth), throws StoreError.
+TEST(StoreCodec, TruncatedOrCorruptParamsThrow) {
+  const Graph g = graph::random_connected(16, 30, 9);
+  for (const BackendKind backend : kAllBackends) {
+    SCOPED_TRACE(backend_name(backend));
+    const auto view = make_scheme(g, test_config(backend, 2))->store_view();
+    const auto params = view->params_blob();
+    const auto blob_bytes = [&](std::span<const std::uint8_t> bytes) {
+      return store::expected_edge_blob_bytes(backend, bytes,
+                                             store::kFormatVersion);
+    };
+    EXPECT_EQ(blob_bytes(params), view->edge_blob(0).size());
+    for (std::size_t cut = 0; cut < params.size(); ++cut) {
+      EXPECT_THROW(blob_bytes(params.first(cut)), StoreError) << "cut=" << cut;
+    }
+    std::vector<std::uint8_t> bad(params.begin(), params.end());
+    switch (backend) {
+      case BackendKind::kCoreFtc:
+        bad[0] = 77;  // field_bits
+        break;
+      case BackendKind::kDp21CycleSpace:
+        std::fill(bad.begin(), bad.begin() + 4, 0);  // coord_bits
+        break;
+      case BackendKind::kDp21Agm:
+        std::fill(bad.begin() + 4, bad.begin() + 8, 0);  // levels
+        break;
+    }
+    EXPECT_THROW(blob_bytes(bad), StoreError);
   }
 }
 

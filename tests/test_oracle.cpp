@@ -1,14 +1,13 @@
 // Tests for a labeling scheme used as a centralized oracle (Section 1.4):
-// edge-fault queries, the vertex-fault reduction, batch queries through
-// a session, and robustness of the serialization layer against corrupt
-// inputs.
+// edge-fault queries, the vertex-fault reduction and batch queries
+// through a session. (Corrupt-input robustness of the label codecs is
+// covered by the StoreCodec and LabelStoreAdversarial suites.)
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "core/batch_engine.hpp"
 #include "core/connectivity_scheme.hpp"
-#include "core/ftc_scheme.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "util/common.hpp"
@@ -137,29 +136,6 @@ TEST(SchemeAsOracle, BatchMatchesSingleQueries) {
     EXPECT_EQ(results[i], oracle->connected(queries[i].s, queries[i].t,
                                            FaultSpec::edges(faults)));
   }
-}
-
-TEST(Serialization, TruncatedInputsThrow) {
-  const Graph g = graph::random_connected(20, 50, 29);
-  FtcConfig cfg;
-  cfg.f = 2;
-  const FtcScheme scheme = FtcScheme::build(g, cfg);
-  const auto vbytes = serialize(scheme.vertex_label(3));
-  const auto ebytes = serialize(scheme.edge_label(5));
-  for (const std::size_t cut : {std::size_t{0}, std::size_t{1},
-                                vbytes.size() / 2}) {
-    std::vector<std::uint8_t> trunc(vbytes.begin(), vbytes.begin() + cut);
-    EXPECT_THROW(deserialize_vertex_label(trunc), std::invalid_argument);
-  }
-  for (const std::size_t cut : {std::size_t{4}, ebytes.size() / 2,
-                                ebytes.size() - 1}) {
-    std::vector<std::uint8_t> trunc(ebytes.begin(), ebytes.begin() + cut);
-    EXPECT_THROW(deserialize_edge_label(trunc), std::invalid_argument);
-  }
-  // Corrupt field width in the header is rejected.
-  auto bad = vbytes;
-  bad[0] = 77;
-  EXPECT_THROW(deserialize_vertex_label(bad), std::invalid_argument);
 }
 
 }  // namespace

@@ -420,21 +420,40 @@ TEST(StoreSwap, LiveSwapUnderLoadIsNeverTorn) {
   // truth_a and even epochs truth_b.
   BatchQueryEngine session(load_scheme(store_a.path()),
                            FaultSpec::edges(faults));
-  std::atomic<std::uint64_t> batches_done{0};
-  constexpr std::uint64_t kBatches = 60;
+  std::atomic<bool> load_done{false};
+  std::atomic<std::uint64_t> swaps_installed{0};
   std::thread swapper([&] {
     std::uint64_t swaps = 0;
-    while (batches_done.load(std::memory_order_relaxed) < kBatches) {
+    while (!load_done.load(std::memory_order_relaxed)) {
       const bool to_b = swaps % 2 == 0;
       session.swap_store(load_scheme(to_b ? store_b.path() : store_a.path()));
-      ++swaps;
+      swaps_installed.store(++swaps, std::memory_order_release);
       std::this_thread::sleep_for(std::chrono::microseconds(300));
     }
   });
 
+  // At least kBatches batches, and on until a recorded batch starts after
+  // the swapper has installed two more generations than when the first
+  // one started: a batch is fast next to a load_scheme, so a fixed count
+  // can finish before the first swap lands. The deadline turns a stuck
+  // swapper into a failure, not a hang.
+  constexpr std::uint64_t kBatches = 60;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  const std::uint64_t swaps_at_start =
+      swaps_installed.load(std::memory_order_acquire);
+  std::uint64_t swaps_before_last_recorded = swaps_at_start;
+  bool timed_out = false;
   std::uint64_t torn = 0;
   std::vector<std::uint64_t> epochs_seen;
-  for (std::uint64_t b = 0; b < kBatches; ++b) {
+  for (std::uint64_t b = 0;
+       b < kBatches || swaps_before_last_recorded < swaps_at_start + 2; ++b) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      timed_out = true;
+      break;
+    }
+    const std::uint64_t swaps_now =
+        swaps_installed.load(std::memory_order_acquire);
     std::vector<bool> results;
     switch (b % 3) {
       case 0:
@@ -455,20 +474,22 @@ TEST(StoreSwap, LiveSwapUnderLoadIsNeverTorn) {
                            : graph::connected_avoiding(g_b, q.s, q.t, faults));
           torn += got != want;
         }
-        batches_done.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
     }
     const std::uint64_t epoch = session.last_run_epoch();
     epochs_seen.push_back(epoch);
+    swaps_before_last_recorded = swaps_now;
     const std::vector<bool>& truth = epoch % 2 == 1 ? truth_a : truth_b;
     for (std::size_t i = 0; i < queries.size(); ++i) {
       torn += results[i] != truth[i];
     }
-    batches_done.fetch_add(1, std::memory_order_relaxed);
   }
+  load_done.store(true, std::memory_order_relaxed);
   swapper.join();
 
+  EXPECT_FALSE(timed_out) << "swapper installed fewer than two generations "
+                             "before the deadline";
   EXPECT_EQ(torn, 0u) << "answers inconsistent with their reported epoch";
   // The load really did span generations (not one epoch throughout).
   std::sort(epochs_seen.begin(), epochs_seen.end());
