@@ -4,13 +4,23 @@
 //  * sketch toggle cost ~ k;
 //  * decode cost versus actual support size d (adaptive decoding makes it
 //    ~d^2 rather than k^2 — the Section 6 / Appendix B point);
-//  * Berlekamp-Massey vs root-finding split.
+//  * Berlekamp-Massey vs root-finding split, with root finding timed on
+//    random roots and on EdgeCode IDs of a real auxiliary graph.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <set>
+#include <utility>
 
+#include "core/edge_code.hpp"
 #include "gf/berlekamp_massey.hpp"
+#include "gf/gf2_poly.hpp"
 #include "gf/trace_roots.hpp"
+#include "graph/ancestry.hpp"
+#include "graph/aux_graph.hpp"
+#include "graph/euler_tour.hpp"
+#include "graph/generators.hpp"
+#include "graph/spanning_tree.hpp"
 #include "sketch/rs_sketch.hpp"
 #include "util/common.hpp"
 
@@ -114,26 +124,71 @@ void BM_BerlekampMassey(benchmark::State& state) {
       syn[i] += p;
     }
   }
+  std::vector<GF2_64> sigma, prev;
   for (auto _ : state) {
-    auto sigma = ftc::gf::berlekamp_massey(std::span<const GF2_64>(syn));
-    benchmark::DoNotOptimize(sigma);
+    const int deg = ftc::gf::berlekamp_massey(std::span<const GF2_64>(syn),
+                                              sigma, prev);
+    benchmark::DoNotOptimize(deg);
+    benchmark::DoNotOptimize(sigma.data());
   }
   state.SetComplexityN(t);
 }
 BENCHMARK(BM_BerlekampMassey)->RangeMultiplier(2)->Range(4, 64)->Complexity();
 
-void BM_TraceRootFinding(benchmark::State& state) {
-  const unsigned d = static_cast<unsigned>(state.range(0));
-  SplitMix64 rng(6);
-  const auto xs = random_distinct<GF2_64>(rng, d);
+// find_roots on the monic polynomial with the given roots, with a warm
+// scratch as the decoder keeps it.
+void time_root_finding(benchmark::State& state, const std::vector<GF2_64>& xs) {
   const auto poly = ftc::gf::poly_from_roots<GF2_64>(xs);
+  ftc::gf::RootScratch<GF2_64> ws;
+  std::vector<GF2_64> roots;
   for (auto _ : state) {
-    auto roots = ftc::gf::find_roots(poly);
-    benchmark::DoNotOptimize(roots);
+    const bool ok = ftc::gf::find_roots<GF2_64>(poly.coeffs(), ws, roots);
+    benchmark::DoNotOptimize(ok);
+    benchmark::DoNotOptimize(roots.data());
   }
-  state.SetComplexityN(d);
+  if (roots.size() != xs.size()) state.SkipWithError("roots not recovered");
+  state.SetComplexityN(static_cast<std::int64_t>(xs.size()));
+}
+
+// Random roots: the first trace-basis element already splits them about
+// in half, so these rows understate the cost on structured IDs.
+void BM_TraceRootFinding(benchmark::State& state) {
+  SplitMix64 rng(6);
+  time_root_finding(
+      state, random_distinct<GF2_64>(rng, static_cast<unsigned>(state.range(0))));
 }
 BENCHMARK(BM_TraceRootFinding)->RangeMultiplier(2)->Range(2, 32)->Complexity();
+
+// The roots the decoder actually sees: EdgeCode IDs of d consecutive
+// non-tree edges (by endpoint tin) of a real auxiliary graph, so they
+// share endpoints and differ in a few low bits of each coordinate.
+std::vector<GF2_64> edge_code_ids(unsigned d) {
+  const auto g = ftc::graph::random_connected(2048, 8192, 1);
+  const auto t = ftc::graph::bfs_spanning_tree(g, 0);
+  const auto aux = ftc::graph::build_aux_graph(g, t);
+  const auto et = ftc::graph::euler_tour(aux.t2);
+  const ftc::graph::AncestryLabeling anc(aux.t2, et);
+  std::vector<std::pair<std::uint32_t, GF2_64>> ids;
+  for (ftc::graph::EdgeId e = 0; e < aux.g2.num_edges(); ++e) {
+    if (aux.t2.is_tree_edge[e]) continue;
+    const auto a = anc.label(aux.g2.edge(e).u);
+    const auto b = anc.label(aux.g2.edge(e).v);
+    ids.emplace_back(std::min(a.tin, b.tin),
+                     ftc::core::EdgeCode<GF2_64>::encode(a, b));
+  }
+  std::sort(ids.begin(), ids.end());
+  std::vector<GF2_64> out;
+  for (std::size_t i = ids.size() / 2; out.size() < d; ++i) {
+    out.push_back(ids[i].second);
+  }
+  return out;
+}
+
+void BM_TraceRootFindingEdgeCode(benchmark::State& state) {
+  time_root_finding(state,
+                    edge_code_ids(static_cast<unsigned>(state.range(0))));
+}
+BENCHMARK(BM_TraceRootFindingEdgeCode)->Arg(3)->Arg(8)->Arg(16)->Arg(64);
 
 }  // namespace
 

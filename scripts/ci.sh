@@ -16,7 +16,11 @@
 #                             # builder writes blobs at computed offsets;
 #                             # adversarial inputs, in-place blob writes
 #                             # and the copy-on-write decoder state are
-#                             # what most need the sanitizers)
+#                             # what most need the sanitizers), plus the
+#                             # sketch-decode algebra suites and the
+#                             # zero-allocation decode check (the root
+#                             # finder indexes flat buffers by computed
+#                             # degree)
 #   scripts/ci.sh store-v2    # format-v2 focused asan leg: v1 fixture
 #                             # load + v2 round-trip + vertex-fault
 #                             # parity (fault-model suites) plus an
@@ -91,11 +95,12 @@ if [ "${1:-}" = "store" ]; then
   cmake --build --preset asan -j "$jobs" \
     --target test_label_store test_golden_bytes test_stress_differential \
     test_decoder_workspace test_backends test_batch_engine test_dp21 \
-    test_parallel_build ftc_store
+    test_parallel_build test_decoder test_rs_sketch test_poly test_gf2 \
+    test_decode_alloc ftc_store
   ctest --preset asan \
-    -R 'test_label_store|test_golden_bytes|test_stress_differential|test_decoder_workspace|test_backends|test_batch_engine|test_dp21|test_parallel_build' \
+    -R 'test_label_store|test_golden_bytes|test_stress_differential|test_decoder_workspace|test_backends|test_batch_engine|test_dp21|test_parallel_build|test_decoder$|test_rs_sketch|test_poly|test_gf2|test_decode_alloc' \
     -j "$jobs"
-  echo "ci: store/golden/stress/workspace/backend/engine/dp21/parallel-build suites green under asan"
+  echo "ci: store/golden/stress/workspace/backend/engine/dp21/parallel-build/sketch-decode suites green under asan"
   exit 0
 fi
 

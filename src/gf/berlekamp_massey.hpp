@@ -1,7 +1,7 @@
 // Berlekamp-Massey: minimal LFSR synthesis over GF(2^m).
 //
 // Given the power-sum syndrome sequence S_1, ..., S_{2t} of an unknown
-// support set X (|X| <= t), returns the error-locator polynomial
+// support set X (|X| <= t), finds the error-locator polynomial
 //   sigma(z) = prod_{x in X} (1 - x z),
 // i.e. the minimal connection polynomial with sigma(0) = 1 whose
 // coefficients satisfy sum_j sigma_j S_{i-j} = 0 for all i > deg sigma.
@@ -9,49 +9,77 @@
 #pragma once
 
 #include <span>
+#include <utility>
 #include <vector>
 
-#include "gf/gf2_poly.hpp"
+#include "gf/gf2.hpp"
 
 namespace ftc::gf {
 
-// s[0..N-1] holds S_1..S_N. Returns the connection polynomial sigma
-// (constant term 1). If the sequence is not generated by an LFSR of
-// length <= N/2 the result is unspecified (callers must verify).
+// s[0..N-1] holds S_1..S_N. Writes the connection polynomial into
+// sigma[0..N] (sigma[0] = 1, higher coefficients zero-padded) and returns
+// its degree, the index of its highest nonzero coefficient. prev is
+// scratch. Both buffers are sized to N + 1 and swapped, never copied, so
+// reused buffers make this allocation-free. If the sequence is not
+// generated by an LFSR of length <= N/2 the result is unspecified
+// (callers must verify).
+//
+// The iteration is inversion-free: where textbook BM adds
+// (d / bb) x^m prev to sigma, this sets sigma <- bb sigma + d x^m prev, a
+// nonzero multiple of the textbook polynomial with the same discrepancies
+// up to scale, hence the same decisions. One inversion at the end makes
+// sigma[0] = 1, and none is needed when sigma[0] is already 1 — always
+// so for a support of size 1, the common case.
 template <typename F>
-Poly<F> berlekamp_massey(std::span<const F> s) {
-  std::vector<F> c{F::one()};  // current connection polynomial
-  std::vector<F> b{F::one()};  // previous connection polynomial
-  unsigned l = 0;              // current LFSR length
-  unsigned m = 1;              // steps since last length change
-  F bb = F::one();             // discrepancy at last length change
+int berlekamp_massey(std::span<const F> s, std::vector<F>& sigma,
+                     std::vector<F>& prev) {
+  const std::size_t n_total = s.size();
+  sigma.assign(n_total + 1, F::zero());
+  prev.assign(n_total + 1, F::zero());
+  sigma[0] = F::one();
+  prev[0] = F::one();
+  // Invariants at step n: deg sigma <= l and m + deg prev <= n + 1 - l,
+  // so x^m prev never reaches past x^max(l, n + 1 - l), and every
+  // coefficient written below has index <= N.
+  unsigned l = 0;   // current LFSR length
+  unsigned m = 1;   // steps since the last length change
+  F bb = F::one();  // discrepancy at that change
 
-  for (std::size_t n = 0; n < s.size(); ++n) {
-    // Discrepancy d = S_{n+1} + sum_{i=1}^{l} c_i * S_{n+1-i}.
-    F d = s[n];
-    for (unsigned i = 1; i <= l && i <= n; ++i) {
-      if (i < c.size()) d += c[i] * s[n - i];
-    }
+  for (std::size_t n = 0; n < n_total; ++n) {
+    // Discrepancy d = sum_{i=0}^{l} sigma_i * S_{n+1-i}.
+    F d = sigma[0] * s[n];
+    for (unsigned i = 1; i <= l && i <= n; ++i) d += sigma[i] * s[n - i];
     if (d.is_zero()) {
       ++m;
       continue;
     }
-    const F coef = d * inverse(bb);
     if (2 * l <= n) {
-      std::vector<F> t = c;
-      if (c.size() < b.size() + m) c.resize(b.size() + m, F::zero());
-      for (std::size_t i = 0; i < b.size(); ++i) c[i + m] += coef * b[i];
-      l = static_cast<unsigned>(n + 1 - l);
-      b = std::move(t);
+      // bb sigma + d x^m prev, built over prev from the top down so each
+      // prev coefficient is read before it is overwritten; the old sigma
+      // becomes prev by a swap.
+      const unsigned nl = static_cast<unsigned>(n + 1 - l);
+      for (unsigned i = nl + 1; i-- > 0;) {
+        prev[i] = i >= m ? bb * sigma[i] + d * prev[i - m] : bb * sigma[i];
+      }
+      std::swap(sigma, prev);
+      l = nl;
       bb = d;
       m = 1;
     } else {
-      if (c.size() < b.size() + m) c.resize(b.size() + m, F::zero());
-      for (std::size_t i = 0; i < b.size(); ++i) c[i + m] += coef * b[i];
+      for (unsigned i = 0; i < m; ++i) sigma[i] *= bb;
+      for (unsigned i = m; i <= l; ++i) {
+        sigma[i] = bb * sigma[i] + d * prev[i - m];
+      }
       ++m;
     }
   }
-  return Poly<F>(std::move(c));
+  int deg = static_cast<int>(l);
+  while (deg > 0 && sigma[deg].is_zero()) --deg;
+  if (sigma[0] != F::one()) {
+    const F inv = inverse(sigma[0]);
+    for (int i = 0; i <= deg; ++i) sigma[i] *= inv;
+  }
+  return deg;
 }
 
 }  // namespace ftc::gf

@@ -19,6 +19,12 @@ namespace ftc::gf {
 struct U128 {
   std::uint64_t lo = 0;
   std::uint64_t hi = 0;
+
+  U128& operator^=(U128 o) {
+    lo ^= o.lo;
+    hi ^= o.hi;
+    return *this;
+  }
 };
 
 inline U128 clmul_portable(std::uint64_t a, std::uint64_t b) {

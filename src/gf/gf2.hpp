@@ -16,10 +16,10 @@
 // multiplication uses carry-less multiply with reduction folds.
 #pragma once
 
+#include <array>
 #include <compare>
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "gf/clmul.hpp"
 #include "util/common.hpp"
@@ -67,13 +67,22 @@ class GF2Small {
     return *this;
   }
 
-  friend GF2Small operator*(GF2Small a, GF2Small b) {
-    std::uint64_t p = clmul(a.v_, b.v_).lo;
+  // Unreduced product. Reduction is GF(2)-linear, so an XOR-sum of wide
+  // products reduces to the sum of the field products: a dot product pays
+  // for one reduction, not one per term.
+  using Wide = U128;
+  static Wide mul_wide(GF2Small a, GF2Small b) { return clmul(a.v_, b.v_); }
+  static GF2Small reduce(Wide w) {
+    std::uint64_t p = w.lo;  // Bits <= 32: the product fits one word
     for (int rep = 0; rep < 2; ++rep) {
       const std::uint64_t hi = p >> Bits;
       p = (p & kMask) ^ clmul(hi, ReducerPoly).lo;
     }
     return GF2Small(p);
+  }
+
+  friend GF2Small operator*(GF2Small a, GF2Small b) {
+    return reduce(mul_wide(a, b));
   }
   GF2Small& operator*=(GF2Small o) {
     *this = *this * o;
@@ -123,13 +132,19 @@ class GF2_64 {
     return *this;
   }
 
-  friend GF2_64 operator*(GF2_64 a, GF2_64 b) {
-    const U128 p = clmul(a.v_, b.v_);
+  // Unreduced product; see GF2Small::Wide.
+  using Wide = U128;
+  static Wide mul_wide(GF2_64 a, GF2_64 b) { return clmul(a.v_, b.v_); }
+  static GF2_64 reduce(Wide p) {
     // Fold the high word: x^64 == kReducer (degree 4), two folds suffice.
     const U128 t = clmul(p.hi, kReducer);
     std::uint64_t lo = p.lo ^ t.lo;
     lo ^= clmul(t.hi, kReducer).lo;
     return GF2_64(lo);
+  }
+
+  friend GF2_64 operator*(GF2_64 a, GF2_64 b) {
+    return reduce(mul_wide(a, b));
   }
   GF2_64& operator*=(GF2_64 o) {
     *this = *this * o;
@@ -181,23 +196,41 @@ class GF2_128 {
     return *this;
   }
 
-  friend GF2_128 operator*(GF2_128 a, GF2_128 b) {
+  // Unreduced 256-bit product, little-endian words; see GF2Small::Wide.
+  struct Wide {
+    std::uint64_t w0 = 0, w1 = 0, w2 = 0, w3 = 0;
+
+    Wide& operator^=(const Wide& o) {
+      w0 ^= o.w0;
+      w1 ^= o.w1;
+      w2 ^= o.w2;
+      w3 ^= o.w3;
+      return *this;
+    }
+  };
+  static Wide mul_wide(GF2_128 a, GF2_128 b) {
     // Karatsuba: 3 carry-less multiplies for the 128x128 -> 256 product.
     const U128 p0 = clmul(a.lo_, b.lo_);
     const U128 p2 = clmul(a.hi_, b.hi_);
     const U128 pm = clmul(a.lo_ ^ a.hi_, b.lo_ ^ b.hi_);
-    std::uint64_t w0 = p0.lo;
-    std::uint64_t w1 = p0.hi ^ pm.lo ^ p0.lo ^ p2.lo;
-    std::uint64_t w2 = p2.lo ^ pm.hi ^ p0.hi ^ p2.hi;
-    std::uint64_t w3 = p2.hi;
+    return {p0.lo, p0.hi ^ pm.lo ^ p0.lo ^ p2.lo,
+            p2.lo ^ pm.hi ^ p0.hi ^ p2.hi, p2.hi};
+  }
+  static GF2_128 reduce(Wide p) {
     // Reduce 256 -> 128 bits. x^192 == kReducer * x^64, x^128 == kReducer.
-    const U128 d = clmul(w3, kReducer);
+    std::uint64_t w0 = p.w0;
+    std::uint64_t w1 = p.w1;
+    const U128 d = clmul(p.w3, kReducer);
     w1 ^= d.lo;
     w0 ^= clmul(d.hi, kReducer).lo;
-    const U128 e = clmul(w2, kReducer);
+    const U128 e = clmul(p.w2, kReducer);
     w0 ^= e.lo;
     w1 ^= e.hi;
     return GF2_128(w0, w1);
+  }
+
+  friend GF2_128 operator*(GF2_128 a, GF2_128 b) {
+    return reduce(mul_wide(a, b));
   }
   GF2_128& operator*=(GF2_128 o) {
     *this = *this * o;
@@ -243,9 +276,18 @@ F inverse(F a) {
   return r;
 }
 
-// Absolute trace Tr: F -> GF(2) (returned as the field's 0 or 1 element).
+// Square root (unique in characteristic 2): x^(2^(m-1)).
 template <typename F>
-F trace(F x) {
+F sqrt(F x) {
+  for (unsigned i = 0; i + 1 < F::kBits; ++i) x = x.square();
+  return x;
+}
+
+namespace detail {
+
+// Tr(x) = x + x^2 + x^4 + ... + x^(2^(m-1)), by its definition.
+template <typename F>
+F trace_by_frobenius(F x) {
   F acc = x;
   F cur = x;
   for (unsigned i = 1; i < F::kBits; ++i) {
@@ -255,60 +297,102 @@ F trace(F x) {
   return acc;
 }
 
-// Square root (unique in characteristic 2): x^(2^(m-1)).
+// The trace and the Artin-Schreier solution are both GF(2)-linear in
+// their argument, so each is fixed by its values on the monomial basis
+// x^k. Built once per field: Tr(c) is then a masked parity and S(c) an
+// XOR of one table row per set bit of c.
 template <typename F>
-F sqrt(F x) {
-  for (unsigned i = 0; i + 1 < F::kBits; ++i) x = x.square();
-  return x;
+struct TraceTables {
+  // Bit k is Tr(x^k), so Tr(c) is the parity of c & mask.
+  std::uint64_t mask[2] = {0, 0};
+  // as_image[k] = S(x^k) for the linear map
+  //   S(c) = sum_{i=0}^{m-2} c^(2^i) * sum_{j=i+1}^{m-1} theta^(2^j),
+  // where Tr(theta) = 1. S(c)^2 + S(c) = c + Tr(c) theta, so S solves
+  // y^2 + y = c whenever Tr(c) = 0.
+  std::array<F, F::kBits> as_image{};
+
+  TraceTables() {
+    F theta = F::zero();
+    for (unsigned k = 0; k < F::kBits; ++k) {
+      if (trace_by_frobenius(F::basis_element(k)) == F::one()) {
+        mask[k / 64] |= std::uint64_t{1} << (k % 64);
+        if (theta.is_zero()) theta = F::basis_element(k);
+      }
+    }
+    FTC_CHECK(!theta.is_zero(),
+              "no trace-one element found (modulus not irreducible?)");
+    std::array<F, F::kBits> theta_pow{};  // theta^(2^j)
+    theta_pow[0] = theta;
+    for (unsigned j = 1; j < F::kBits; ++j) {
+      theta_pow[j] = theta_pow[j - 1].square();
+    }
+    std::array<F, F::kBits + 1> suffix{};  // sum_{j >= i} theta^(2^j)
+    for (unsigned j = F::kBits; j-- > 0;) {
+      suffix[j] = suffix[j + 1] + theta_pow[j];
+    }
+    for (unsigned k = 0; k < F::kBits; ++k) {
+      F y = F::zero();
+      F cpow = F::basis_element(k);  // (x^k)^(2^i)
+      for (unsigned i = 0; i + 1 < F::kBits; ++i) {
+        y += cpow * suffix[i + 1];
+        cpow = cpow.square();
+      }
+      as_image[k] = y;
+    }
+  }
+};
+
+template <typename F>
+const TraceTables<F>& trace_tables() {
+  static const TraceTables<F> tables;
+  return tables;
 }
 
-namespace detail {
-// An element theta with Tr(theta) = 1, found by scanning basis elements.
-template <typename F>
-F trace_one_element() {
-  for (unsigned i = 0; i < F::kBits; ++i) {
-    const F b = F::basis_element(i);
-    if (trace(b) == F::one()) return b;
-  }
-  FTC_CHECK(false, "no trace-one element found (modulus not irreducible?)");
-}
 }  // namespace detail
+
+// Absolute trace Tr: F -> GF(2) (returned as the field's 0 or 1 element).
+template <typename F>
+F trace(F x) {
+  const auto& t = detail::trace_tables<F>();
+  unsigned parity = 0;
+  for (unsigned w = 0; w < F::kWords; ++w) {
+    parity ^= static_cast<unsigned>(__builtin_popcountll(x.word(w) & t.mask[w]));
+  }
+  return (parity & 1) != 0 ? F::one() : F::zero();
+}
 
 // Solves y^2 + y = c. Returns true and writes a solution to *out iff
 // Tr(c) = 0 (the solvability criterion); the other solution is *out + 1.
 template <typename F>
 bool solve_artin_schreier(F c, F* out) {
   if (trace(c) != F::zero()) return false;
-  static const F theta = detail::trace_one_element<F>();
-  // y = sum_{i=0}^{m-2} c^(2^i) * s_i with s_i = sum_{j=i+1}^{m-1} theta^(2^j).
-  const unsigned m = F::kBits;
-  std::vector<F> theta_pow(m);  // theta^(2^j)
-  theta_pow[0] = theta;
-  for (unsigned j = 1; j < m; ++j) theta_pow[j] = theta_pow[j - 1].square();
-  std::vector<F> suffix(m + 1, F::zero());  // suffix[i] = sum_{j>=i} theta^(2^j)
-  for (int j = static_cast<int>(m) - 1; j >= 0; --j)
-    suffix[j] = suffix[j + 1] + theta_pow[j];
+  const auto& t = detail::trace_tables<F>();
   F y = F::zero();
-  F cpow = c;  // c^(2^i)
-  for (unsigned i = 0; i + 1 < m; ++i) {
-    y += cpow * suffix[i + 1];
-    cpow = cpow.square();
+  for (unsigned w = 0; w < F::kWords; ++w) {
+    for (std::uint64_t bits = c.word(w); bits != 0; bits &= bits - 1) {
+      y += t.as_image[w * 64 + static_cast<unsigned>(__builtin_ctzll(bits))];
+    }
   }
   FTC_CHECK(y.square() + y == c, "Artin-Schreier solver self-check failed");
   *out = y;
   return true;
 }
 
-// Roots of x^2 + b*x + c over F. Returns 0, 1 (double root), or 2 roots.
+// Roots of x^2 + b*x + c over F, written to out[0..n) where n is the
+// return value: 0 (no root in F), 1 (b = 0: the double root sqrt(c),
+// reported once) or 2 (distinct roots).
 template <typename F>
-std::vector<F> solve_quadratic(F b, F c) {
+unsigned solve_quadratic(F b, F c, F out[2]) {
   if (b.is_zero()) {
-    return {sqrt(c)};  // (x + sqrt(c))^2: a double root, reported once
+    out[0] = sqrt(c);  // (x + sqrt(c))^2
+    return 1;
   }
-  const F binv2 = inverse(b * b);
+  // x = b*y turns the equation into y^2 + y = c / b^2.
   F y;
-  if (!solve_artin_schreier(c * binv2, &y)) return {};
-  return {b * y, b * y + b};
+  if (!solve_artin_schreier(c * inverse(b * b), &y)) return 0;
+  out[0] = b * y;
+  out[1] = out[0] + b;
+  return 2;
 }
 
 }  // namespace ftc::gf

@@ -1,9 +1,11 @@
-// Dense univariate polynomials over a GF(2^m) field.
+// Dense univariate polynomials over a GF(2^m) field: value-type reference
+// arithmetic that allocates per operation.
 //
-// Used by the syndrome decoder of the k-threshold outdetect labeling
-// scheme (paper Section 7.4): Berlekamp-Massey produces an error-locator
-// polynomial, whose roots (found by the Berlekamp trace algorithm) are the
-// IDs of the outgoing edges.
+// The syndrome decoder of the k-threshold outdetect labeling scheme
+// (paper Section 7.4) does not use this class: Berlekamp-Massey and root
+// finding work in place on flat buffers (berlekamp_massey.hpp,
+// trace_roots.hpp). Tests and benchmarks use it to build polynomials with
+// known roots (poly_from_roots) and to check the in-place algebra.
 #pragma once
 
 #include <span>

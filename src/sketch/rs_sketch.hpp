@@ -28,7 +28,6 @@
 
 #include "gf/berlekamp_massey.hpp"
 #include "gf/gf2.hpp"
-#include "gf/gf2_poly.hpp"
 #include "gf/trace_roots.hpp"
 #include "util/common.hpp"
 
@@ -100,13 +99,16 @@ bool power_sums_match(std::span<const F> xs, std::span<const F> syn,
 // Reusable scratch for the span-based decoders below. Owning one of these
 // per worker thread (the decoder keeps one in DecoderWorkspace) makes the
 // query-time decode allocation-free after warm-up: the expanded power-sum
-// table, the candidate support and the verification syndromes all live in
-// buffers that are recycled across calls instead of re-allocated per
-// sketch.
+// table, the locator polynomials, the root finder's factor stack, the
+// candidate support and the verification syndromes all live in buffers
+// that are recycled across calls instead of re-allocated per sketch.
 template <typename F>
 struct SketchDecodeScratch {
   std::vector<F> syn;      // staging: syndromes gathered from raw words
   std::vector<F> s;        // expanded S_1..S_2k (index 1-based)
+  std::vector<F> sigma;    // Berlekamp-Massey connection polynomial
+  std::vector<F> aux;      // BM's previous polynomial, then sigma*
+  gf::RootScratch<F> roots;
   std::vector<F> support;  // decoded support — the decoders' output
   std::vector<F> check;    // verification power sums
 };
@@ -115,8 +117,8 @@ struct SketchDecodeScratch {
 // sketched by `syn` assuming its size is <= t (t <= syn.size()). On
 // success returns true with the sorted support in scratch.support; on
 // failure returns false (fail-stop, never mis-reports a set of size <= k).
-// Allocation-free given a warm scratch, except inside Berlekamp-Massey /
-// root finding whose temporaries are O(t).
+// Allocation-free given a warm scratch: no polynomial object is built,
+// Berlekamp-Massey and the root finder work in the scratch buffers.
 template <typename F>
 bool decode_syndromes(std::span<const F> syn, unsigned t,
                       SketchDecodeScratch<F>& scratch) {
@@ -136,11 +138,11 @@ bool decode_syndromes(std::span<const F> syn, unsigned t,
   for (unsigned i = 1; i <= 2 * kk; ++i) {
     s[i] = (i % 2 == 1) ? syn[(i - 1) / 2] : s[i / 2].square();
   }
-  const gf::Poly<F> sigma =
-      gf::berlekamp_massey(std::span<const F>(s.data() + 1, 2 * t));
-  const int deg = sigma.degree();
-  if (deg < 0 || static_cast<unsigned>(deg) > t) return false;
+  const int deg = gf::berlekamp_massey<F>(
+      std::span<const F>(s.data() + 1, 2 * t), scratch.sigma, scratch.aux);
+  if (static_cast<unsigned>(deg) > t) return false;
   if (deg == 0) return all_zero();
+  const F* sigma = scratch.sigma.data();
   // Cheap consistency filter before the (expensive) root finding: a
   // correct locator annihilates the whole syndrome sequence, so check
   // the LFSR recurrence on the syndromes beyond the 2t used by BM.
@@ -148,19 +150,17 @@ bool decode_syndromes(std::span<const F> syn, unsigned t,
   // instead of surviving to the trace algorithm.
   for (unsigned i = 2 * t + 1; i <= 2 * kk; ++i) {
     F acc = s[i];
-    for (int j = 1; j <= deg; ++j) acc += sigma.coeff(j) * s[i - j];
+    for (int j = 1; j <= deg; ++j) acc += sigma[j] * s[i - j];
     if (!acc.is_zero()) return false;
   }
-  // sigma(z) = prod (1 - x z): its roots are the inverses of the support.
-  const std::vector<F> roots = gf::find_roots(sigma);
-  if (static_cast<int>(roots.size()) != deg) return false;
-  scratch.support.reserve(roots.size());
-  for (const F& r : roots) {
-    if (r.is_zero()) {
-      scratch.support.clear();
-      return false;
-    }
-    scratch.support.push_back(gf::inverse(r));
+  // sigma(z) = prod (1 - x z), so the reciprocal locator
+  // sigma*(z) = z^deg sigma(1/z) = prod (z + x) is monic and its roots are
+  // the support itself: no per-root inversion.
+  std::vector<F>& locator = scratch.aux;
+  locator.resize(static_cast<std::size_t>(deg) + 1);
+  for (int i = 0; i <= deg; ++i) locator[i] = sigma[deg - i];
+  if (!gf::find_roots<F>(locator, scratch.roots, scratch.support)) {
+    return false;
   }
   // Full verification against every stored syndrome (fail-stop). s is
   // done serving the expansion at this point and doubles as scratch.
@@ -169,8 +169,7 @@ bool decode_syndromes(std::span<const F> syn, unsigned t,
     scratch.support.clear();
     return false;
   }
-  std::sort(scratch.support.begin(), scratch.support.end());
-  return true;
+  return true;  // find_roots returns the support sorted
 }
 
 // One field element from its little-endian word representation (the

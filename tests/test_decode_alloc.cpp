@@ -1,0 +1,163 @@
+// Steady-state query decoding allocates nothing.
+//
+// DecoderWorkspace owns every buffer a query needs: the copy-on-write
+// fragment rows, the merge heap and the sketch-decode scratch, down to
+// Berlekamp-Massey's polynomials and the root finder's factor stack. So
+// once one pass over a set of queries has grown those buffers, repeating
+// the same queries on the same PreparedFaults and workspace must not call
+// operator new at all. This file replaces the global operator new with a
+// counting one to check exactly that, for both field widths, with a fault
+// set whose decodes include a support of at least 8 edges.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <vector>
+
+#include "core/ftc_query.hpp"
+#include "core/ftc_scheme.hpp"
+#include "graph/generators.hpp"
+#include "graph/spanning_tree.hpp"
+#include "sketch/rs_sketch.hpp"
+#include "util/common.hpp"
+
+namespace {
+std::atomic<bool> g_counting{false};
+std::atomic<std::size_t> g_allocations{0};
+std::vector<int>* volatile g_sink = nullptr;
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace ftc::core {
+namespace {
+
+using graph::EdgeId;
+using graph::VertexId;
+
+// Size of the support the decoder recovers from a fragment whose only
+// boundary fault is this edge: its label's sketch at the top nonzero
+// level. 0 if that level does not decode.
+template <typename F>
+unsigned top_level_support(const EdgeLabel& label) {
+  const unsigned k = label.params.k;
+  const std::size_t level_words = static_cast<std::size_t>(k) * F::kWords;
+  sketch::SketchDecodeScratch<F> scratch;
+  for (unsigned lev = label.params.num_levels; lev-- > 0;) {
+    const std::uint64_t* lw = label.sketch_words.data() + lev * level_words;
+    if (std::all_of(lw, lw + level_words,
+                    [](std::uint64_t w) { return w == 0; })) {
+      continue;
+    }
+    if (!sketch::decode_sketch_words<F>(lw, k, scratch, true)) return 0;
+    return static_cast<unsigned>(scratch.support.size());
+  }
+  return 0;
+}
+
+template <typename F>
+void expect_steady_state_allocation_free(FieldKind field) {
+  const graph::Graph g = graph::random_connected(400, 3200, 7);
+  FtcConfig cfg;
+  cfg.f = 16;
+  cfg.field = field;
+  const FtcScheme scheme = FtcScheme::build(g, cfg);
+  ASSERT_EQ(scheme.params().field_bits, F::kBits);
+  const graph::SpanningTree t = graph::bfs_spanning_tree(g, 0);
+
+  // The tree edge whose lone-fault fragment decodes the largest support.
+  EdgeId big = graph::kNoEdge;
+  unsigned big_support = 0;
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    if (!t.is_tree_edge[e]) continue;
+    const unsigned d = top_level_support<F>(scheme.edge_label(e));
+    if (d > big_support) {
+      big = e;
+      big_support = d;
+    }
+  }
+  ASSERT_GE(big_support, 8u);
+
+  // F = that edge plus 15 faults outside its subtree, so the fragment
+  // below it keeps the edge as its only boundary fault.
+  const graph::AncestryLabel big_lower = scheme.edge_label(big).lower;
+  std::vector<EdgeLabel> faults{scheme.edge_label(big)};
+  SplitMix64 rng(11);
+  while (faults.size() < cfg.f) {
+    const EdgeId e = static_cast<EdgeId>(rng.next_below(g.num_edges()));
+    EdgeLabel label = scheme.edge_label(e);
+    if (graph::is_ancestor_or_self(big_lower, label.lower)) continue;
+    faults.push_back(std::move(label));
+  }
+  const PreparedFaults prepared = PreparedFaults::prepare(faults);
+
+  // Queries from below the big cut, in source-first order so that the
+  // first decode is exactly that fragment's, plus random pairs.
+  const VertexId below = t.lower_endpoint(g, big);
+  std::vector<std::pair<VertexLabel, VertexLabel>> queries;
+  for (int i = 0; i < 40; ++i) {
+    const auto v = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+    const auto w = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+    queries.emplace_back(scheme.vertex_label(below), scheme.vertex_label(v));
+    queries.emplace_back(scheme.vertex_label(v), scheme.vertex_label(w));
+  }
+  QueryOptions source_first;
+  source_first.smallest_cut_first = false;
+
+  DecoderWorkspace ws;
+  QueryStats stats;
+  const auto run_all = [&] {
+    std::size_t answered = 0;
+    for (const QueryOptions& options : {source_first, QueryOptions{}}) {
+      for (const auto& [s, u] : queries) {
+        FtcDecoder::connected(s, u, prepared, ws, options, &stats);
+        ++answered;
+      }
+    }
+    return answered;
+  };
+  run_all();  // warm-up: grows every workspace buffer
+  ASSERT_GT(stats.outdetect_calls, 0u);
+
+  g_allocations.store(0);
+  g_counting.store(true);
+  std::size_t answered = 0;
+  for (int rep = 0; rep < 3; ++rep) answered += run_all();
+  g_counting.store(false);
+  EXPECT_EQ(answered, 3 * 2 * queries.size());
+  EXPECT_EQ(g_allocations.load(), 0u)
+      << "heap allocations in " << answered << " steady-state queries";
+}
+
+TEST(DecodeAlloc, CounterSeesAllocations) {
+  g_allocations.store(0);
+  g_counting.store(true);
+  g_sink = new std::vector<int>(100);
+  g_counting.store(false);
+  delete g_sink;
+  EXPECT_GE(g_allocations.load(), 2u);
+}
+
+TEST(DecodeAlloc, SteadyStateQueriesAllocateNothingGF64) {
+  expect_steady_state_allocation_free<gf::GF2_64>(FieldKind::kGF64);
+}
+
+TEST(DecodeAlloc, SteadyStateQueriesAllocateNothingGF128) {
+  expect_steady_state_allocation_free<gf::GF2_128>(FieldKind::kGF128);
+}
+
+}  // namespace
+}  // namespace ftc::core

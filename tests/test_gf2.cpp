@@ -3,6 +3,9 @@
 // and the Artin-Schreier / quadratic solvers used by the root finder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "gf/clmul.hpp"
 #include "gf/gf2.hpp"
 #include "gf/modulus_check.hpp"
@@ -162,6 +165,21 @@ TYPED_TEST(FieldTest, TraceIsGF2LinearAndBalanced) {
   EXPECT_LT(ones, 3 * kSamples / 4);
 }
 
+TYPED_TEST(FieldTest, TraceMaskMatchesFrobeniusSum) {
+  // trace() reads a precomputed GF(2)-linear mask; it must agree with the
+  // definition Tr(a) = a + a^2 + ... + a^(2^(m-1)).
+  using F = TypeParam;
+  SplitMix64 rng(10);
+  for (int i = 0; i < 200; ++i) {
+    const F a = this->random_elem(rng);
+    EXPECT_EQ(trace(a), detail::trace_by_frobenius(a));
+  }
+  for (unsigned k = 0; k < F::kBits; ++k) {
+    const F e = F::basis_element(k);
+    EXPECT_EQ(trace(e), detail::trace_by_frobenius(e)) << "x^" << k;
+  }
+}
+
 TYPED_TEST(FieldTest, ArtinSchreierSolver) {
   using F = TypeParam;
   SplitMix64 rng(8);
@@ -191,8 +209,9 @@ TYPED_TEST(FieldTest, QuadraticSolver) {
     F r2 = this->random_nonzero(rng);
     if (r1 == r2) continue;
     // (x + r1)(x + r2) = x^2 + (r1 + r2) x + r1 r2.
-    auto roots = solve_quadratic(r1 + r2, r1 * r2);
-    ASSERT_EQ(roots.size(), 2u);
+    F out[2];
+    ASSERT_EQ(solve_quadratic(r1 + r2, r1 * r2, out), 2u);
+    std::vector<F> roots(out, out + 2);
     std::sort(roots.begin(), roots.end());
     std::vector<F> expect{r1, r2};
     std::sort(expect.begin(), expect.end());
@@ -201,8 +220,8 @@ TYPED_TEST(FieldTest, QuadraticSolver) {
   // Double root: x^2 + c = (x + sqrt(c))^2.
   for (int i = 0; i < 50; ++i) {
     const F c = this->random_elem(rng);
-    const auto roots = solve_quadratic(F::zero(), c);
-    ASSERT_EQ(roots.size(), 1u);
+    F roots[2];
+    ASSERT_EQ(solve_quadratic(F::zero(), c, roots), 1u);
     EXPECT_EQ(roots[0].square(), c);
   }
 }
