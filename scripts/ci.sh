@@ -71,7 +71,9 @@
 #                             # run of the concurrency-heavy suites
 #                             # (sharded prefetch races, live epoch swap,
 #                             # shard-cache fetch/evict races, parallel
-#                             # builder dispatches)
+#                             # builder dispatches, and batch workers
+#                             # carrying decoder sessions through a batch
+#                             # while workspaces move across fault sets)
 #   scripts/ci.sh build-parallel # parallel-build determinism leg: asan
 #                             # run of the byte-identity suite
 #                             # (test_parallel_build) + the randomized
@@ -437,11 +439,11 @@ if [ "${1:-}" = "tsan" ]; then
   cmake --preset tsan
   cmake --build --preset tsan -j "$jobs" \
     --target test_sharded_store test_store_swap test_shard_cache \
-    test_parallel_build
+    test_parallel_build test_decoder_workspace test_batch_engine
   ctest --preset tsan \
-    -R 'test_sharded_store|test_store_swap|test_shard_cache|test_parallel_build' \
+    -R 'test_sharded_store|test_store_swap|test_shard_cache|test_parallel_build|test_decoder_workspace|test_batch_engine' \
     -j "$jobs"
-  echo "ci: sharded prefetch + live-swap + shard-cache + parallel-build suites green under tsan"
+  echo "ci: sharded prefetch + live-swap + shard-cache + parallel-build + decoder-session + batch-engine suites green under tsan"
   exit 0
 fi
 

@@ -1,6 +1,7 @@
 #include "core/ftc_query.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -17,6 +18,10 @@ namespace {
 
 using graph::AncestryLabel;
 
+// Source of PreparedFaults::Impl::serial. 0 is never handed out, so it
+// can mark a workspace that holds no session.
+std::atomic<std::uint64_t> g_next_serial{0};
+
 }  // namespace
 
 // Fault-set context shared by all queries: parameters, the fragment
@@ -27,6 +32,10 @@ using graph::AncestryLabel;
 // sum_words[fr * words_per_frag ..] (level-major, k syndromes per level,
 // field_bits/64 words per syndrome).
 struct PreparedFaults::Impl {
+  // Process-unique identity of this fault set. A workspace keys its
+  // carried session on it, never on the address: a freed fault set's
+  // address can be reused by the next one while the workspace lives on.
+  std::uint64_t serial = 0;
   LabelParams params;
   graph::FragmentLocator loc{std::vector<std::pair<std::uint32_t, std::uint32_t>>{}};
   std::size_t nf = 0;              // deduplicated fault count
@@ -43,19 +52,27 @@ struct PreparedFaults::Impl {
   std::vector<std::uint32_t> level_bounds;
 };
 
-// Scratch reused across queries on one thread. The fragment state is
+// Scratch reused across queries on one thread, plus the merge state of
+// the current session: the queries against one PreparedFaults (`serial`)
+// under one QueryOptions (`options`). The union-find forest, the closed
+// flags, the heap with its versions, the materialized rows and
+// decode_hint all survive from one query of a session to the next, so a
+// session walks its merge sequence once, however many queries it serves.
+// A query with another key starts a new session. The fragment rows are
 // copy-on-write against PreparedFaults: a fragment's cut/sums row is
 // copied into this workspace only when a merge first mutates it
 // (frag_epoch[fr] == epoch marks a live materialization); reads of
 // untouched fragments go straight to the immutable prepared arrays, and
-// bumping `epoch` at query start invalidates every materialization in
+// bumping `epoch` at session start invalidates every materialization in
 // O(1). The word buffers carry no type, so one workspace serves either
 // field width and any number of distinct PreparedFaults objects.
 struct DecoderWorkspace::Impl {
+  std::uint64_t serial = 0;  // session's PreparedFaults; 0 = no session
+  QueryOptions options;
   std::uint64_t epoch = 0;
-  // Decode start hint: the previous round's support size within the
-  // current query (boundaries change slowly across merges), seeding the
-  // adaptive doubling threshold. Reset at query start.
+  // Decode start hint: the previous decode's support size in this session
+  // (boundaries change slowly across merges), seeding the adaptive
+  // doubling threshold. Reset at session start.
   unsigned decode_hint = 0;
   std::vector<std::uint64_t> frag_epoch;  // per fragment: epoch when copied
   std::vector<std::uint64_t> cut;         // materialized cut rows
@@ -120,6 +137,7 @@ std::unique_ptr<PreparedFaults::Impl> prepare_any(
   const int num_frag = loc.fragment_count();
 
   auto impl = std::make_unique<PreparedFaults::Impl>();
+  impl->serial = g_next_serial.fetch_add(1, std::memory_order_relaxed) + 1;
   impl->params = params;
   impl->nf = nf;
   impl->cut_words = (nf + 63) / 64;
@@ -216,32 +234,63 @@ void decode_outgoing(const std::uint64_t* sum_row,
   }
 }
 
+// Starts a new session on `ws`: every fragment a singleton set, nothing
+// closed, the heap seeded with the initial cut sizes. Bumping the epoch
+// kills every materialized row of any earlier session (against this or
+// any other PreparedFaults) in O(1). The word buffers are only ever
+// grown; stale contents are unreachable because frag_epoch gates every
+// read.
+void start_session(const PreparedFaults::Impl& prep,
+                   const QueryOptions& options, DecoderWorkspace::Impl& ws) {
+  const std::size_t nfrag = static_cast<std::size_t>(prep.num_frag);
+  ++ws.epoch;
+  ws.decode_hint = 0;
+  if (ws.frag_epoch.size() < nfrag) ws.frag_epoch.resize(nfrag, 0);
+  if (ws.cut.size() < nfrag * prep.cut_words) {
+    ws.cut.resize(nfrag * prep.cut_words);
+  }
+  if (ws.sum_words.size() < nfrag * prep.words_per_frag) {
+    ws.sum_words.resize(nfrag * prep.words_per_frag);
+  }
+  ws.uf.reset(nfrag);
+  ws.closed.assign(nfrag, 0);
+  // Only smallest-cut-first mode ever pops the heap, so only that mode
+  // pays for building it.
+  if (options.smallest_cut_first) {
+    ws.version.assign(nfrag, 0);
+    ws.heap.clear();
+    ws.heap.reserve(nfrag);
+    for (int fr = 0; fr < prep.num_frag; ++fr) {
+      ws.heap.push_back({prep.init_cut_size[fr], fr, 0u});
+    }
+    std::make_heap(ws.heap.begin(), ws.heap.end(), std::greater<>{});
+  }
+  ws.serial = prep.serial;
+  ws.options = options;
+}
+
+// Answers from the session state when it already decides (s, t), and
+// otherwise continues the session's merge sequence one whole round at a
+// time until it does. Rounds always finish, so between queries the state
+// sits between two steps of the sequence. In smallest-cut-first order
+// the sequence depends on the fault set alone, so every answer and every
+// FtcCapacityError equals a fresh session's; in source-first order every
+// carried merge and closure is still a fact about G - F.
 template <typename F>
 bool query_impl(const VertexLabel& s, const VertexLabel& t,
                 const PreparedFaults::Impl& prep, DecoderWorkspace::Impl& ws,
                 const QueryOptions& options, QueryStats* stats) {
-  const LabelParams& params = prep.params;
   const std::size_t wpf = prep.words_per_frag;
   const std::size_t cut_words = prep.cut_words;
-  const int num_frag = prep.num_frag;
-  if (stats != nullptr) stats->fragments = static_cast<unsigned>(num_frag);
+  if (stats != nullptr) stats->fragments = static_cast<unsigned>(prep.num_frag);
 
   const int fs = prep.loc.locate(s.anc.tin);
   const int ft = prep.loc.locate(t.anc.tin);
   if (fs == ft) return true;  // connected within T' - sigma(F) already
 
-  // New query: bump the epoch — every materialized row from any earlier
-  // query (against this or any other PreparedFaults) dies in O(1). The
-  // word buffers are only ever grown; stale contents are unreachable
-  // because frag_epoch gates every read.
-  ++ws.epoch;
-  ws.decode_hint = 0;
-  const std::size_t nfrag = static_cast<std::size_t>(num_frag);
-  if (ws.frag_epoch.size() < nfrag) ws.frag_epoch.resize(nfrag, 0);
-  if (ws.cut.size() < nfrag * cut_words) ws.cut.resize(nfrag * cut_words);
-  if (ws.sum_words.size() < nfrag * wpf) ws.sum_words.resize(nfrag * wpf);
-  ws.uf.reset(nfrag);
-  ws.closed.assign(nfrag, 0);
+  if (ws.serial != prep.serial || ws.options != options) {
+    start_session(prep, options, ws);
+  }
 
   const auto materialized = [&](std::size_t fr) {
     return ws.frag_epoch[fr] == ws.epoch;
@@ -289,52 +338,34 @@ bool query_impl(const VertexLabel& s, const VertexLabel& t,
     ws.heap.pop_back();
     return e;
   };
-  // Only smallest-cut-first mode ever pops the heap, so only that mode
-  // pays for building it (source-first queries skip it entirely).
-  if (options.smallest_cut_first) {
-    ws.version.assign(nfrag, 0);
-    ws.heap.clear();
-    ws.heap.reserve(nfrag);
-    for (int fr = 0; fr < num_frag; ++fr) {
-      ws.heap.push_back({prep.init_cut_size[fr], fr, 0u});
-    }
-    std::make_heap(ws.heap.begin(), ws.heap.end(), std::greater<>{});
-  }
 
   graph::UnionFind& uf = ws.uf;
-  const auto pick_source_first = [&]() -> int {
-    const int root = static_cast<int>(uf.find(fs));
-    return ws.closed[root] ? -1 : root;
-  };
-
   while (true) {
-    int fr = -1;
+    const std::size_t rs = uf.find(fs);
+    const std::size_t rt = uf.find(ft);
+    if (rs == rt) return true;
+    // A closed set is a complete component of G - F. If it holds s or t,
+    // the two can no longer meet.
+    if (ws.closed[rs] || ws.closed[rt]) return false;
+
+    int fr = static_cast<int>(rs);
     if (options.smallest_cut_first) {
-      while (!ws.heap.empty()) {
+      // Every open root has a live entry: the seed or its last re-push.
+      fr = -1;
+      while (fr < 0) {
+        FTC_CHECK(!ws.heap.empty(), "merge heap lost an open fragment set");
         const auto [sz, cand, ver] = heap_pop();
-        if (ws.closed[cand] || ws.version[cand] != ver ||
-            uf.find(cand) != static_cast<std::size_t>(cand)) {
-          continue;
-        }
         (void)sz;
-        fr = cand;
-        break;
+        if (!ws.closed[cand] && ws.version[cand] == ver &&
+            uf.find(cand) == static_cast<std::size_t>(cand)) {
+          fr = cand;
+        }
       }
-      if (fr < 0) return false;  // everything closed; s and t never met
-    } else {
-      fr = pick_source_first();
-      if (fr < 0) return false;
     }
 
     decode_outgoing<F>(sum_row(fr), prep, options, ws, stats);
     if (ws.edges.empty()) {
       ws.closed[fr] = 1;
-      // A closed set is a complete component of G - F. If it holds s or
-      // t, the two can no longer meet.
-      if (static_cast<std::size_t>(fr) == uf.find(fs) ||
-          static_cast<std::size_t>(fr) == uf.find(ft)) {
-        return false;
-      }
       continue;
     }
     for (const auto& [a, b] : ws.edges) {
@@ -346,7 +377,6 @@ bool query_impl(const VertexLabel& s, const VertexLabel& t,
       const std::size_t other = root == fa ? fb : fa;
       merge_state(root, other);
       if (stats != nullptr) ++stats->merges;
-      if (uf.find(fs) == uf.find(ft)) return true;
     }
     if (options.smallest_cut_first) {
       const std::size_t root = uf.find(fr);
@@ -410,12 +440,18 @@ bool FtcDecoder::connected(const VertexLabel& s, const VertexLabel& t,
   const PreparedFaults::Impl& impl = *faults.impl_;
   FTC_REQUIRE(s.params == impl.params && t.params == impl.params,
               "vertex and edge labels from different schemes");
-  if (impl.params.field_bits == 64) {
-    return query_impl<gf::GF2_64>(s, t, impl, *workspace.impl_, options,
-                                  stats);
+  DecoderWorkspace::Impl& ws = *workspace.impl_;
+  try {
+    if (impl.params.field_bits == 64) {
+      return query_impl<gf::GF2_64>(s, t, impl, ws, options, stats);
+    }
+    return query_impl<gf::GF2_128>(s, t, impl, ws, options, stats);
+  } catch (...) {
+    // A throwing query may leave its round half merged: end the session,
+    // so the next query starts fresh.
+    ws.serial = 0;
+    throw;
   }
-  return query_impl<gf::GF2_128>(s, t, impl, *workspace.impl_, options,
-                                 stats);
 }
 
 }  // namespace ftc::core

@@ -17,11 +17,25 @@
 // sketch sums) is independent of (s, t). PreparedFaults materializes it
 // once — as flattened std::uint64_t arrays, since GF(2^w) addition is
 // XOR — so a batch of queries against the same fault set skips that work.
-// DecoderWorkspace holds the per-thread scratch and is copy-on-write
-// against PreparedFaults: a query never copies the prepared fragment
-// state up front; a fragment's row is materialized into the workspace
-// only when a merge first mutates it (epoch-tagged, so invalidating all
-// materializations between queries is O(1)), reads of untouched fragments
+// The merges are fault-set work too: in smallest-cut-first order which
+// set decodes next depends only on the fault labels, and (s, t) only
+// decide when to stop. So DecoderWorkspace carries its merge state
+// (union-find forest, closed flags, cut heap, merged rows, decode hint)
+// from one query to the next while they use the same PreparedFaults and
+// the same QueryOptions. A query first answers from that state — s and t
+// already merged, or one of them in a closed component — and otherwise
+// continues the merge sequence where the last query stopped, finishing
+// every round it starts. Each fault set's merge sequence is thus decoded
+// at most once per workspace, not once per query. In smallest-cut-first
+// order every answer and every FtcCapacityError equals a fresh
+// workspace's. In source-first order the carried merges are still facts
+// about G - F, so answers stay exact, though under KMode::kPractical the
+// set of refused queries may differ. A query against another fault set
+// or with other options starts a new session; so does the query after
+// one that threw. Merged rows are copy-on-write against
+// PreparedFaults: a fragment's row is materialized into the workspace
+// only when a merge first mutates it (epoch-tagged, so a new session
+// invalidates all materializations in O(1)), reads of untouched fragments
 // fall through to the immutable prepared arrays, and sketch decoding runs
 // out of reusable scratch buffers instead of per-call allocations. One
 // workspace may serve queries against any number of PreparedFaults
@@ -38,8 +52,13 @@ namespace ftc::core {
 struct QueryOptions {
   bool adaptive = true;
   bool smallest_cut_first = true;
+
+  friend bool operator==(const QueryOptions&, const QueryOptions&) = default;
 };
 
+// What one connected() call did. `fragments` is set; the other counts
+// are incremented by the work of this call only, so a query answered from
+// a workspace's carried session state adds nothing to them.
 struct QueryStats {
   unsigned fragments = 0;        // |F'| + 1 after dedup
   unsigned outdetect_calls = 0;  // sketch decode invocations
@@ -84,12 +103,17 @@ class PreparedFaults {
   friend class FtcDecoder;
 };
 
-// Reusable per-thread scratch: copy-on-write fragment-state rows
-// (epoch-tagged against the PreparedFaults being queried), the union-find
-// forest, closed/version flags, the merge heap and the sketch-decode
-// buffers. NOT thread-safe — give each worker thread its own workspace
-// and reuse it across that thread's queries (against one or many fault
-// sets) to amortize allocation.
+// Reusable per-thread scratch and session state: copy-on-write
+// fragment-state rows (epoch-tagged against the PreparedFaults being
+// queried), the union-find forest, closed/version flags, the merge heap
+// and the sketch-decode buffers. The merge state carries over between
+// queries on the same PreparedFaults with the same QueryOptions (see
+// "Query sessions" above); it is keyed on the fault set's identity, so a
+// new fault set at a freed one's address still starts fresh. NOT
+// thread-safe — give each worker thread its own workspace and reuse it
+// across that thread's queries (against one or many fault sets): queries
+// on one fault set then share their decodes, and all of them share the
+// buffers.
 class DecoderWorkspace {
  public:
   DecoderWorkspace();

@@ -127,6 +127,41 @@ TEST_P(BatchEngine, ResetFaultsReusesWorkspaces) {
   }
 }
 
+// Workers carry decoder state through a whole batch, and the workspaces
+// move across reset_faults: a sequential batch on fault set A, then on
+// B, then B again in parallel, must all match BFS.
+TEST_P(BatchEngine, SequentialThenParallelAcrossFaultSets) {
+  const Graph g = graph::random_connected(80, 200, 37);
+  const auto scheme = make_scheme(g, test_config(GetParam(), 6));
+  SplitMix64 rng(43);
+  const auto queries = random_queries(g, 300, rng);
+  const auto random_faults = [&] {
+    std::vector<EdgeId> faults;
+    for (int i = 0; i < 6; ++i) {
+      faults.push_back(static_cast<EdgeId>(rng.next_below(g.num_edges())));
+    }
+    return faults;
+  };
+  const auto check = [&](const std::vector<bool>& results,
+                         const std::vector<EdgeId>& faults,
+                         const char* phase) {
+    ASSERT_EQ(results.size(), queries.size());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_EQ(results[i], graph::connected_avoiding(g, queries[i].s,
+                                                      queries[i].t, faults))
+          << backend_name(GetParam()) << " " << phase << " i=" << i;
+    }
+  };
+  const std::vector<EdgeId> a = random_faults();
+  const std::vector<EdgeId> b = random_faults();
+  BatchQueryEngine engine(*scheme, FaultSpec{});
+  engine.reset_faults(FaultSpec::edges(a));
+  check(engine.run_sequential(queries), a, "A sequential");
+  engine.reset_faults(FaultSpec::edges(b));
+  check(engine.run_sequential(queries), b, "B sequential");
+  check(engine.run_parallel(queries, 2), b, "B parallel");
+}
+
 TEST_P(BatchEngine, ManyThreadsOnTinyBatchIsSafe) {
   const Graph g = graph::cycle(16);
   const auto scheme = make_scheme(g, test_config(GetParam(), 2));

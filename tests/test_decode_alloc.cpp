@@ -4,10 +4,14 @@
 // fragment rows, the merge heap and the sketch-decode scratch, down to
 // Berlekamp-Massey's polynomials and the root finder's factor stack. So
 // once one pass over a set of queries has grown those buffers, repeating
-// the same queries on the same PreparedFaults and workspace must not call
-// operator new at all. This file replaces the global operator new with a
-// counting one to check exactly that, for both field widths, with a fault
-// set whose decodes include a support of at least 8 edges.
+// the same queries on the same workspace must not call operator new at
+// all. A workspace carries its merge state from one query of a fault set
+// to the next, so repeated queries on one fault set would soon stop
+// decoding; the passes therefore alternate two fault sets, and every pass
+// starts a fresh session that decodes again. This file replaces the
+// global operator new with a counting one to check exactly that, for
+// both field widths, with fault sets whose decodes include a support of
+// at least 8 edges inside the counted window.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -91,23 +95,33 @@ void expect_steady_state_allocation_free(FieldKind field) {
   }
   ASSERT_GE(big_support, 8u);
 
-  // F = that edge plus 15 faults outside its subtree, so the fragment
-  // below it keeps the edge as its only boundary fault.
+  // Two fault sets, each that edge plus 15 faults outside its subtree,
+  // so the fragment below it keeps the edge as its only boundary fault.
   const graph::AncestryLabel big_lower = scheme.edge_label(big).lower;
-  std::vector<EdgeLabel> faults{scheme.edge_label(big)};
   SplitMix64 rng(11);
-  while (faults.size() < cfg.f) {
-    const EdgeId e = static_cast<EdgeId>(rng.next_below(g.num_edges()));
-    EdgeLabel label = scheme.edge_label(e);
-    if (graph::is_ancestor_or_self(big_lower, label.lower)) continue;
-    faults.push_back(std::move(label));
-  }
-  const PreparedFaults prepared = PreparedFaults::prepare(faults);
+  const auto make_faults = [&] {
+    std::vector<EdgeLabel> faults{scheme.edge_label(big)};
+    while (faults.size() < cfg.f) {
+      const EdgeId e = static_cast<EdgeId>(rng.next_below(g.num_edges()));
+      EdgeLabel label = scheme.edge_label(e);
+      if (graph::is_ancestor_or_self(big_lower, label.lower)) continue;
+      faults.push_back(std::move(label));
+    }
+    return PreparedFaults::prepare(faults);
+  };
+  const PreparedFaults fault_sets[2] = {make_faults(), make_faults()};
 
-  // Queries from below the big cut, in source-first order so that the
-  // first decode is exactly that fragment's, plus random pairs.
+  // The first query runs from below the big cut to a vertex outside it,
+  // so in source-first order a fresh session's first decode is exactly
+  // that fragment's. Random pairs follow.
   const VertexId below = t.lower_endpoint(g, big);
-  std::vector<std::pair<VertexLabel, VertexLabel>> queries;
+  VertexId outside = 0;
+  while (graph::is_ancestor_or_self(big_lower,
+                                    scheme.vertex_label(outside).anc)) {
+    ++outside;
+  }
+  std::vector<std::pair<VertexLabel, VertexLabel>> queries{
+      {scheme.vertex_label(below), scheme.vertex_label(outside)}};
   for (int i = 0; i < 40; ++i) {
     const auto v = static_cast<VertexId>(rng.next_below(g.num_vertices()));
     const auto w = static_cast<VertexId>(rng.next_below(g.num_vertices()));
@@ -119,25 +133,37 @@ void expect_steady_state_allocation_free(FieldKind field) {
 
   DecoderWorkspace ws;
   QueryStats stats;
+  // Fault-set passes whose first source-first query decoded; its first
+  // decode is the support-of-8+ fragment's.
+  unsigned big_decodes = 0;
   const auto run_all = [&] {
     std::size_t answered = 0;
-    for (const QueryOptions& options : {source_first, QueryOptions{}}) {
-      for (const auto& [s, u] : queries) {
-        FtcDecoder::connected(s, u, prepared, ws, options, &stats);
-        ++answered;
+    for (const PreparedFaults& prepared : fault_sets) {
+      for (const QueryOptions& options : {source_first, QueryOptions{}}) {
+        for (const auto& [s, u] : queries) {
+          const unsigned before = stats.outdetect_calls;
+          FtcDecoder::connected(s, u, prepared, ws, options, &stats);
+          if (answered % queries.size() == 0 && !options.smallest_cut_first) {
+            big_decodes += stats.outdetect_calls > before;
+          }
+          ++answered;
+        }
       }
     }
     return answered;
   };
   run_all();  // warm-up: grows every workspace buffer
-  ASSERT_GT(stats.outdetect_calls, 0u);
 
+  stats = QueryStats{};
+  big_decodes = 0;
   g_allocations.store(0);
   g_counting.store(true);
   std::size_t answered = 0;
   for (int rep = 0; rep < 3; ++rep) answered += run_all();
   g_counting.store(false);
-  EXPECT_EQ(answered, 3 * 2 * queries.size());
+  EXPECT_EQ(answered, 3 * 2 * 2 * queries.size());
+  EXPECT_GT(stats.outdetect_calls, 0u);
+  EXPECT_EQ(big_decodes, 3u * 2u);
   EXPECT_EQ(g_allocations.load(), 0u)
       << "heap allocations in " << answered << " steady-state queries";
 }

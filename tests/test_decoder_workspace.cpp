@@ -1,17 +1,25 @@
-// Regression traps for the copy-on-write DecoderWorkspace
-// (core/ftc_query.cpp): one workspace serving interleaved queries across
-// multiple PreparedFaults objects — different fault sets, different
-// schemes, and both field widths — must answer exactly like a fresh
-// workspace (and like BFS ground truth). If the epoch/copy-on-write
-// logic ever reads a stale or foreign materialized row, these
-// interleavings catch it.
+// Regression traps for the DecoderWorkspace (core/ftc_query.cpp): one
+// workspace serving interleaved queries across multiple PreparedFaults
+// objects — different fault sets, different schemes, and both field
+// widths — must answer exactly like a fresh workspace (and like BFS
+// ground truth). If the epoch/copy-on-write logic or the session key
+// ever lets a query read stale or foreign state, these interleavings
+// catch it.
 //
-// Also pins the "same decode decisions, just cheaper" contract:
-// QueryStats (fragments / outdetect_calls / merges / levels_scanned) on a
-// seeded corpus must be identical between a long-lived reused workspace
-// and a throwaway fresh one, for every QueryOptions combination.
+// Also pins the session contract: consecutive queries on one
+// PreparedFaults under one QueryOptions carry the merge state forward,
+// so they walk the fault set's merge sequence once. In smallest-cut-first
+// order that sequence depends on the fault labels alone: a carried
+// workspace gives every answer and every FtcCapacityError a fresh one
+// gives, and a session's summed decode work equals its most expensive
+// cold query's. In source-first order the carried merges are still facts
+// about G - F, so answers stay exact and a session never does more work
+// than its cold queries together.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/ftc_query.hpp"
@@ -128,39 +136,237 @@ TEST(DecoderWorkspace, LargeSmallLargeFaultSetCycles) {
   }
 }
 
-// Decode decisions are a function of (labels, fault set, options) only:
-// workspace reuse must not change QueryStats, just the cost of producing
-// them. Runs the full option matrix on a seeded corpus.
-TEST(DecoderWorkspace, QueryStatsUnchangedByWorkspaceReuse) {
+// The session contract on a seeded corpus, for the full option matrix.
+// A session is 25 queries on one carried workspace; each query is also
+// run cold, on a fresh workspace.
+TEST(DecoderWorkspace, QueryStatsSessionContract) {
   SplitMix64 rng(123);
   const Graph g = graph::random_connected(56, 140, 13);
-  for (const unsigned f : {1u, 3u, 6u}) {
-    const Session sess(g, config_for(f), random_faults(rng, g, f));
-    for (const bool adaptive : {true, false}) {
+  int sessions = 0;
+  int sessions_with_decodes = 0;
+  for (const unsigned f : {1u, 3u, 6u, 10u}) {
+    for (int set = 0; set < 20; ++set) {
+      const Session sess(g, config_for(f), random_faults(rng, g, f));
+      for (const bool adaptive : {true, false}) {
+        for (const bool smallest_cut : {true, false}) {
+          const QueryOptions options{adaptive, smallest_cut};
+          DecoderWorkspace carried;
+          QueryStats sum{};
+          QueryStats cold_max{};
+          QueryStats cold_sum{};
+          for (int i = 0; i < 25; ++i) {
+            const auto s =
+                static_cast<VertexId>(rng.next_below(g.num_vertices()));
+            const auto t =
+                static_cast<VertexId>(rng.next_below(g.num_vertices()));
+            QueryStats warm{};
+            const bool got = sess.query(s, t, carried, options, &warm);
+            DecoderWorkspace fresh;
+            QueryStats cold{};
+            const bool expected = sess.query(s, t, fresh, options, &cold);
+            ASSERT_EQ(got, expected)
+                << "f=" << f << " set=" << set << " adaptive=" << adaptive
+                << " smallest_cut=" << smallest_cut << " i=" << i;
+            ASSERT_EQ(got, sess.ground_truth(s, t));
+            EXPECT_EQ(warm.fragments, cold.fragments);
+            sum.outdetect_calls += warm.outdetect_calls;
+            sum.merges += warm.merges;
+            sum.levels_scanned += warm.levels_scanned;
+            cold_sum.outdetect_calls += cold.outdetect_calls;
+            cold_sum.merges += cold.merges;
+            cold_sum.levels_scanned += cold.levels_scanned;
+            cold_max.outdetect_calls =
+                std::max(cold_max.outdetect_calls, cold.outdetect_calls);
+            cold_max.merges = std::max(cold_max.merges, cold.merges);
+            cold_max.levels_scanned =
+                std::max(cold_max.levels_scanned, cold.levels_scanned);
+          }
+          ++sessions;
+          if (cold_sum.outdetect_calls > cold_max.outdetect_calls) {
+            ++sessions_with_decodes;
+          }
+          if (smallest_cut) {
+            // The session decodes a prefix of the fixed sequence once: as
+            // far as its deepest query needs, no further. Cold and
+            // carried queries both finish every round they start, so the
+            // merges match too.
+            EXPECT_EQ(sum.outdetect_calls, cold_max.outdetect_calls)
+                << "f=" << f << " set=" << set << " adaptive=" << adaptive;
+            EXPECT_EQ(sum.levels_scanned, cold_max.levels_scanned)
+                << "f=" << f << " set=" << set << " adaptive=" << adaptive;
+            EXPECT_EQ(sum.merges, cold_max.merges)
+                << "f=" << f << " set=" << set << " adaptive=" << adaptive;
+          } else {
+            EXPECT_LE(sum.outdetect_calls, cold_sum.outdetect_calls);
+            EXPECT_LE(sum.merges, cold_sum.merges);
+            EXPECT_LE(sum.levels_scanned, cold_sum.levels_scanned);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(sessions, 320);
+  // The corpus must exercise reuse: many sessions whose cold queries
+  // repeat decodes that the carried session does once.
+  EXPECT_GT(sessions_with_decodes, sessions / 4);
+}
+
+std::vector<EdgeLabel> labels_of(const FtcScheme& scheme,
+                                 const std::vector<EdgeId>& fault_ids) {
+  std::vector<EdgeLabel> out;
+  for (const EdgeId e : fault_ids) out.push_back(scheme.edge_label(e));
+  return out;
+}
+
+// One query's outcome: an answer, or the message of a typed refusal.
+struct Outcome {
+  std::optional<bool> answer;
+  std::string refusal;
+
+  bool operator==(const Outcome&) const = default;
+};
+
+Outcome run_query(const FtcScheme& scheme, VertexId s, VertexId t,
+                  const PreparedFaults& prepared, DecoderWorkspace& ws,
+                  const QueryOptions& options) {
+  try {
+    return {FtcDecoder::connected(scheme.vertex_label(s),
+                                  scheme.vertex_label(t), prepared, ws,
+                                  options),
+            {}};
+  } catch (const FtcCapacityError& e) {
+    return {std::nullopt, e.what()};
+  }
+}
+
+// kPractical with a k far too small for the fault sets: some decodes
+// refuse. A refusal ends the session, so the next query starts fresh;
+// in smallest-cut-first order every outcome on the carried workspace,
+// refusals and the queries right after them included, must equal a
+// fresh workspace's. In source-first order the refusal set may differ,
+// but every answer must still be right.
+TEST(DecoderWorkspace, RefusalsMatchFreshWorkspace) {
+  const Graph g = graph::random_connected(300, 1200, 21);
+  for (const double k_scale : {0.05, 0.1}) {
+    FtcConfig cfg;
+    cfg.f = 12;
+    cfg.k_mode = KMode::kPractical;
+    cfg.k_scale = k_scale;
+    const FtcScheme scheme = FtcScheme::build(g, cfg);
+    SplitMix64 rng(static_cast<std::uint64_t>(k_scale * 1000));
+    int refusals = 0;
+    int after_refusal = 0;
+    int answered_source_first = 0;
+    for (int set = 0; set < 12; ++set) {
+      const std::vector<EdgeId> fault_ids = random_faults(rng, g, cfg.f);
+      const PreparedFaults prepared =
+          PreparedFaults::prepare(labels_of(scheme, fault_ids));
       for (const bool smallest_cut : {true, false}) {
-        const QueryOptions options{adaptive, smallest_cut};
-        DecoderWorkspace reused;
-        for (int i = 0; i < 25; ++i) {
+        const QueryOptions options{true, smallest_cut};
+        DecoderWorkspace carried;
+        bool last_refused = false;
+        for (int i = 0; i < 40; ++i) {
           const auto s =
               static_cast<VertexId>(rng.next_below(g.num_vertices()));
           const auto t =
               static_cast<VertexId>(rng.next_below(g.num_vertices()));
-          QueryStats warm{};
-          const bool got = sess.query(s, t, reused, options, &warm);
+          const Outcome got = run_query(scheme, s, t, prepared, carried,
+                                        options);
+          if (got.answer.has_value()) {
+            EXPECT_EQ(*got.answer,
+                      graph::connected_avoiding(g, s, t, fault_ids))
+                << "k_scale=" << k_scale << " set=" << set
+                << " smallest_cut=" << smallest_cut << " i=" << i;
+          }
+          if (!smallest_cut) {
+            answered_source_first += got.answer.has_value();
+            continue;
+          }
           DecoderWorkspace fresh;
-          QueryStats cold{};
-          const bool expected = sess.query(s, t, fresh, options, &cold);
-          ASSERT_EQ(got, expected)
-              << "f=" << f << " adaptive=" << adaptive
-              << " smallest_cut=" << smallest_cut << " i=" << i;
-          EXPECT_EQ(warm.fragments, cold.fragments);
-          EXPECT_EQ(warm.outdetect_calls, cold.outdetect_calls);
-          EXPECT_EQ(warm.merges, cold.merges);
-          EXPECT_EQ(warm.levels_scanned, cold.levels_scanned);
-          EXPECT_EQ(got, sess.ground_truth(s, t));
+          const Outcome cold = run_query(scheme, s, t, prepared, fresh,
+                                         options);
+          EXPECT_EQ(got, cold) << "k_scale=" << k_scale << " set=" << set
+                               << " i=" << i;
+          after_refusal += last_refused;
+          last_refused = !got.answer.has_value();
+          refusals += last_refused;
         }
       }
     }
+    EXPECT_GT(refusals, 0) << "k_scale=" << k_scale;
+    EXPECT_GT(after_refusal, 0) << "k_scale=" << k_scale;
+    EXPECT_GT(answered_source_first, 0) << "k_scale=" << k_scale;
+  }
+}
+
+// A session is keyed on the fault set's identity, not its address:
+// fault set B, prepared right after A is destroyed, may reuse A's
+// storage, and must still start a fresh session.
+TEST(DecoderWorkspace, FaultSetReplacedInScopeStartsFreshSession) {
+  const Graph g = graph::random_connected(80, 200, 17);
+  const FtcScheme scheme = FtcScheme::build(g, config_for(6));
+  SplitMix64 rng(29);
+  DecoderWorkspace ws;
+  for (int generation = 0; generation < 8; ++generation) {
+    const std::vector<EdgeId> a_ids = random_faults(rng, g, 6);
+    const std::vector<EdgeId> b_ids = random_faults(rng, g, 6);
+    {
+      const PreparedFaults a =
+          PreparedFaults::prepare(labels_of(scheme, a_ids));
+      for (int i = 0; i < 20; ++i) {
+        const auto s = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+        const auto t = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+        EXPECT_EQ(FtcDecoder::connected(scheme.vertex_label(s),
+                                        scheme.vertex_label(t), a, ws),
+                  graph::connected_avoiding(g, s, t, a_ids));
+      }
+    }
+    const PreparedFaults b = PreparedFaults::prepare(labels_of(scheme, b_ids));
+    for (int i = 0; i < 20; ++i) {
+      const auto s = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+      const auto t = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+      EXPECT_EQ(FtcDecoder::connected(scheme.vertex_label(s),
+                                      scheme.vertex_label(t), b, ws),
+                graph::connected_avoiding(g, s, t, b_ids))
+          << "generation " << generation << " i=" << i;
+    }
+  }
+}
+
+// Alternating A/B/A/B on one workspace, first under fixed options, then
+// also switching the options between queries on the same fault set: every
+// switch starts a new session, and no query sees another session's
+// merges or its missing heap.
+TEST(DecoderWorkspace, InterleavedSessionsOnOneWorkspace) {
+  const Graph g = graph::random_connected(80, 200, 23);
+  const FtcScheme scheme = FtcScheme::build(g, config_for(6));
+  SplitMix64 rng(31);
+  const std::vector<EdgeId> a_ids = random_faults(rng, g, 6);
+  const std::vector<EdgeId> b_ids = random_faults(rng, g, 6);
+  const PreparedFaults a = PreparedFaults::prepare(labels_of(scheme, a_ids));
+  const PreparedFaults b = PreparedFaults::prepare(labels_of(scheme, b_ids));
+  const QueryOptions smallest_cut{true, true};
+  const QueryOptions source_first{true, false};
+  const auto check = [&](DecoderWorkspace& ws, bool use_a,
+                         const QueryOptions& options, int i) {
+    const auto s = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+    const auto t = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+    EXPECT_EQ(FtcDecoder::connected(scheme.vertex_label(s),
+                                    scheme.vertex_label(t), use_a ? a : b,
+                                    ws, options),
+              graph::connected_avoiding(g, s, t, use_a ? a_ids : b_ids))
+        << "use_a=" << use_a
+        << " smallest_cut=" << options.smallest_cut_first << " i=" << i;
+  };
+  for (const QueryOptions& options : {smallest_cut, source_first}) {
+    DecoderWorkspace ws;
+    for (int i = 0; i < 200; ++i) check(ws, i % 2 == 0, options, i);
+  }
+  // Random (fault set, options) keys hit every transition between them.
+  DecoderWorkspace ws;
+  for (int i = 0; i < 400; ++i) {
+    const std::uint64_t key = rng.next_below(4);
+    check(ws, key < 2, key % 2 == 0 ? smallest_cut : source_first, i);
   }
 }
 
