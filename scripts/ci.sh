@@ -5,7 +5,9 @@
 # builds land in <repo>/build and <repo>/build-asan.
 #
 #   scripts/ci.sh             # both presets, full suite
-#   scripts/ci.sh release     # just the release leg
+#   scripts/ci.sh release     # just the release leg (also compiles,
+#                             # without running, the ftcbench/
+#                             # end-to-end benchmark in build-ftcbench/)
 #   scripts/ci.sh asan        # just the sanitizer leg
 #   scripts/ci.sh store       # fast loop: asan build + run of the label
 #                             # store / golden bytes / differential
@@ -598,6 +600,13 @@ for preset in "${presets[@]}"; do
   cmake --preset "$preset"
   cmake --build --preset "$preset" -j "$jobs"
   ctest --preset "$preset" -j "$jobs"
+  if [ "$preset" = "release" ]; then
+    # Compile-only build of the end-to-end benchmark in its own build
+    # directory (nothing is run): a library API change that breaks
+    # ftcbench/ fails here instead of in the benchmark pipeline.
+    cmake -S ftcbench -B build-ftcbench -DCMAKE_BUILD_TYPE=Release
+    cmake --build build-ftcbench --target ftcbench -j "$jobs"
+  fi
 done
 
 echo "ci: all presets green"

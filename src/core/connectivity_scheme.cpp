@@ -9,6 +9,54 @@
 
 namespace ftc::core {
 
+namespace {
+
+// Adjacency provider over the view's CSR side-table: degrees and
+// incidence lists decode on the fly, so serving vertex faults costs no
+// load-time materialization.
+class ViewAdjacency final : public AdjacencyProvider {
+ public:
+  explicit ViewAdjacency(const StoreView& view) : view_(view) {}
+
+  graph::VertexId num_vertices() const override {
+    return view_.info().num_vertices;
+  }
+  std::size_t degree(graph::VertexId v) const override {
+    return view_.adjacency_degree(v);
+  }
+  void append_incident(graph::VertexId v,
+                       std::vector<graph::EdgeId>& out) const override {
+    view_.adjacency_append(v, out);
+  }
+
+ private:
+  const StoreView& view_;  // owned by the scheme, which outlives this
+};
+
+}  // namespace
+
+ConnectivityScheme::ConnectivityScheme(std::shared_ptr<const StoreView> view)
+    : view_(std::move(view)),
+      backend_(view_->info().backend),
+      num_vertices_(view_->info().num_vertices),
+      num_edges_(view_->info().num_edges) {
+  if (view_->info().has_adjacency) {
+    adjacency_ = std::make_unique<ViewAdjacency>(*view_);
+  }
+}
+
+std::size_t ConnectivityScheme::vertex_label_bits() const {
+  return view_->info().vertex_label_bits;
+}
+
+std::size_t ConnectivityScheme::edge_label_bits() const {
+  return view_->info().edge_label_bits;
+}
+
+void ConnectivityScheme::prefetch(unsigned threads) const {
+  view_->prefetch(threads);
+}
+
 // ------------------------------------------------------------------
 // Base-class fault model: every public entry point funnels through here,
 // so validation, the vertex -> incident-edges reduction and the

@@ -7,10 +7,14 @@
 // batch_engine.hpp for sessions), so every backend can sit behind the
 // same facade and be benchmarked head-to-head.
 //
-// A scheme is its labels: each backend has exactly one scheme class,
-// serving labels through a StoreView (label_store.hpp). make_scheme()
-// builds the labels into a resident view; load_scheme() serves a
-// container file or a sharded store the same way.
+// A scheme is its StoreView (label_store.hpp): the base class holds the
+// view, and every accessor — dimensions, label sizes, adjacency,
+// prefetch, store_view() — is a non-virtual read of it. Each backend has
+// exactly one scheme class, made only by load_scheme(view); make_scheme()
+// builds the labels into a resident view, and files and sharded stores
+// are served the same way. Persisting a scheme copies container bytes
+// straight out of its view, so the only virtuals are the three backend
+// hooks: make_workspace, prepare_edge_faults and query_edges.
 //
 // The fault model is a first-class value type (fault_spec.hpp): a
 // FaultSpec names faulty edges AND faulty vertices, canonicalized once.
@@ -51,10 +55,6 @@
 
 namespace ftc::core {
 
-namespace store {
-class ByteWriter;
-}  // namespace store
-
 class DeletionJournal;  // journal.hpp
 class StoreView;        // label_store.hpp
 
@@ -89,25 +89,26 @@ class ConnectivityScheme {
 
   virtual ~ConnectivityScheme() = default;
 
-  virtual BackendKind backend() const = 0;
+  // Backend and dimensions, cached from the view's header.
+  BackendKind backend() const { return backend_; }
   std::string_view name() const { return backend_name(backend()); }
 
-  virtual graph::VertexId num_vertices() const = 0;
-  virtual graph::EdgeId num_edges() const = 0;
+  graph::VertexId num_vertices() const { return num_vertices_; }
+  graph::EdgeId num_edges() const { return num_edges_; }
 
   // Label-size accounting in bits, per label and for the whole scheme
   // (the centralized-oracle space bound of Section 1.4).
-  virtual std::size_t vertex_label_bits() const = 0;
-  virtual std::size_t edge_label_bits() const = 0;
-  virtual std::size_t total_label_bits() const {
+  std::size_t vertex_label_bits() const;
+  std::size_t edge_label_bits() const;
+  std::size_t total_label_bits() const {
     return static_cast<std::size_t>(num_vertices()) * vertex_label_bits() +
            static_cast<std::size_t>(num_edges()) * edge_label_bits();
   }
 
   // Incidence lists for the vertex-fault reduction, or nullptr when the
-  // scheme carries none (format-v1 label stores). Vertex-fault capability
+  // view carries none (format-v1 label stores). Vertex-fault capability
   // is exactly `adjacency() != nullptr`.
-  virtual const AdjacencyProvider* adjacency() const { return nullptr; }
+  const AdjacencyProvider* adjacency() const { return adjacency_.get(); }
 
   // Warm-up hook: maps any lazily-opened label backing (the shards of a
   // sharded store) and resolves the flat route tables, so the first
@@ -116,7 +117,15 @@ class ConnectivityScheme {
   // queries. Forwards to StoreView::prefetch (a no-op for resident and
   // single-container views) and surfaces its typed StoreError on a
   // corrupt backing.
-  virtual void prefetch(unsigned threads = 0) const { (void)threads; }
+  void prefetch(unsigned threads = 0) const;
+
+  // The view the labels are served from (label_store.hpp): the resident
+  // view of a freshly built scheme, or a store's file-backed view. Never
+  // null. The writers (save(), save_sharded, digest_container) copy the
+  // container bytes straight out of it, and swap paths use it to adopt
+  // the current generation's already-mapped shards when installing a
+  // delta-pushed manifest (sharded_store.hpp).
+  const std::shared_ptr<const StoreView>& store_view() const { return view_; }
 
   // Validates the spec's IDs against this scheme's dimensions
   // (std::invalid_argument on out-of-range), reduces vertex faults to
@@ -126,6 +135,7 @@ class ConnectivityScheme {
   // budget), and materializes the deduplicated fault-edge labels once.
   std::unique_ptr<FaultSet> prepare_faults(const FaultSpec& spec) const;
 
+  // Per-thread decode scratch for query(); a backend hook.
   virtual std::unique_ptr<Workspace> make_workspace() const = 0;
 
   // s-t connectivity in G - F. `faults` must come from this scheme's
@@ -153,34 +163,22 @@ class ConnectivityScheme {
   }
   const DeletionJournal* journal() const { return journal_.get(); }
 
-  // The view the labels are served from (label_store.hpp): the resident
-  // view of a freshly built scheme, or a store's file-backed view. Only
-  // wrapper schemes that forward another scheme's labels return nullptr.
-  // Swap paths use it to adopt the current generation's already-mapped
-  // shards when installing a delta-pushed manifest (sharded_store.hpp).
-  virtual std::shared_ptr<const StoreView> store_view() const {
-    return nullptr;
-  }
-
   // ----------------------------------------------------------- persistence
-  // Label export for the LabelStore container (label_store.hpp): the
-  // backend-specific parameter blob plus fixed-layout per-vertex /
-  // per-edge label blobs, re-emitted from the serving view, so any
-  // scheme can be persisted.
-  virtual void serialize_params(store::ByteWriter& out) const = 0;
-  virtual void serialize_vertex_label(graph::VertexId v,
-                                      store::ByteWriter& out) const = 0;
-  virtual void serialize_edge_label(graph::EdgeId e,
-                                    store::ByteWriter& out) const = 0;
-
   // Writes the whole scheme as one versioned container file (atomically:
-  // a temp file is renamed into place). Format v2; includes the
-  // adjacency side-table iff adjacency() != nullptr, so saved schemes
-  // keep their vertex-fault capability. Implemented in label_store.cpp;
-  // load it back with load_scheme(). Throws StoreError on I/O failure.
+  // a temp file is renamed into place), copying the labels straight out
+  // of store_view(). Format v2; includes the adjacency side-table iff
+  // adjacency() != nullptr, so saved schemes keep their vertex-fault
+  // capability. Implemented in label_store.cpp; load it back with
+  // load_scheme(). Throws StoreError on I/O failure, and StoreIoError
+  // (DegradedError for a sharded view) when the backing file was
+  // truncated or replaced behind the mapping.
   void save(const std::string& path) const;
 
  protected:
+  // Only the per-backend scheme classes behind load_scheme() construct
+  // a scheme (label_store.cpp).
+  explicit ConnectivityScheme(std::shared_ptr<const StoreView> view);
+
   // Backend hooks. `edge_faults` arrives validated, sorted and
   // deduplicated (vertex faults already reduced to incident edges);
   // `query_edges` never sees a deleted endpoint (the base class resolves
@@ -192,6 +190,11 @@ class ConnectivityScheme {
                            const QueryOptions& options) const = 0;
 
  private:
+  std::shared_ptr<const StoreView> view_;
+  BackendKind backend_;
+  graph::VertexId num_vertices_;
+  graph::EdgeId num_edges_;
+  std::unique_ptr<AdjacencyProvider> adjacency_;  // null: v1 container
   // Journaled deletions folded into every prepared fault set (null when
   // no journal is attached). Shared: generations of a serving session
   // may reference the same journal.

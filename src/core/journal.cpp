@@ -295,11 +295,8 @@ void attach_journal_sidecar(ConnectivityScheme& scheme,
                                 ? fetch_remote_journal(store_path)
                                 : journal_path_for(store_path);
   if (jpath.empty() || !DeletionJournal::exists(jpath)) return;
-  const std::shared_ptr<const StoreView> view = scheme.store_view();
-  FTC_CHECK(view != nullptr,
-            "journal replay needs a store-served scheme");
   auto journal = DeletionJournal::open(jpath);
-  journal->validate_against(view->info(), store_path);
+  journal->validate_against(scheme.store_view()->info(), store_path);
   scheme.attach_journal(std::move(journal));
 }
 

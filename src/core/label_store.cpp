@@ -211,83 +211,233 @@ std::vector<std::uint8_t> csr_adjacency_section(VertexId n, EdgeId m,
   return section.take();
 }
 
-}  // namespace
-
-std::vector<std::uint8_t> build_adjacency_section(
-    const ConnectivityScheme& scheme) {
-  const AdjacencyProvider* adj = scheme.adjacency();
-  if (adj == nullptr) return {};
-  FTC_CHECK(adj->num_vertices() == scheme.num_vertices(),
-            "adjacency provider inconsistent with the scheme");
-  return csr_adjacency_section(
-      scheme.num_vertices(), scheme.num_edges(),
-      [adj](VertexId v, std::vector<EdgeId>& out) {
-        adj->append_incident(v, out);
-      });
+// Runs `copy` — memcpy out of the view's bytes into memory the caller
+// already owns — under one SIGBUS guard when the view is file-backed, so
+// a backing file truncated or replaced behind the mapping lands in
+// view.on_mapped_fault (StoreIoError; DegradedError naming the shard of
+// a sharded view) instead of killing the process. `copy` must not
+// allocate: siglongjmp skips destructors.
+template <typename Copy>
+void copy_guarded(const StoreView& view, Copy&& copy) {
+  if (!view.file_backed()) {
+    copy();
+    return;
+  }
+  util::SigbusGuard guard;
+  if (sigsetjmp(guard.jump(), 0) == 0) {
+    guard.arm();
+    copy();
+    return;
+  }
+  view.on_mapped_fault(guard.fault_addr());
 }
 
-namespace {
+std::vector<std::uint8_t> copy_out(const StoreView& view,
+                                   std::span<const std::uint8_t> bytes) {
+  std::vector<std::uint8_t> out(bytes.size());
+  copy_guarded(view, [&] {
+    if (!bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
+  });
+  return out;
+}
 
-// Serial shared by every temp-file writer (write_file_atomic and the
-// streaming FileSink), so concurrent saves of the same path from one
-// process can never collide on a temp name.
+// Serial shared by every temp-file write, so concurrent saves of the
+// same path from one process can never collide on a temp name.
 unsigned next_save_serial() {
   static std::atomic<unsigned> save_counter{0};
   return save_counter.fetch_add(1);
 }
 
-// Flush granularity of the streaming emitter: label records are
-// serialized into a scratch ByteWriter and handed to the sink whenever
-// it crosses this size, so writer memory is O(chunk) regardless of the
-// container size.
+// The one atomic-write protocol, shared by write_file_atomic and the
+// streaming FileSink: write a unique temp file (per process AND per
+// call), fsync it, close it, rename it into place and fsync the
+// directory — so a crashed, failed or racing write never leaves a
+// half-written artifact under the target name, even across power loss
+// on writeback filesystems. The failpoints store.write.{open, write,
+// fsync, close, rename, dirsync} sit at those boundaries, in that
+// order. A file destroyed before commit() removes its temp file.
+class AtomicFile {
+ public:
+  explicit AtomicFile(std::string path)
+      : path_(std::move(path)),
+        tmp_(path_ + ".tmp." + std::to_string(static_cast<long>(::getpid())) +
+             "." + std::to_string(next_save_serial())) {
+    if (const int fe = FTC_FAILPOINT("store.write.open")) {
+      errno = fe;
+    } else {
+      fd_.reset(
+          ::open(tmp_.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644));
+    }
+    if (!fd_) throw StoreIoError("cannot open for writing: " + tmp_);
+  }
+
+  ~AtomicFile() {
+    if (!done_) {
+      fd_.reset();
+      std::remove(tmp_.c_str());
+    }
+  }
+
+  AtomicFile(const AtomicFile&) = delete;
+  AtomicFile& operator=(const AtomicFile&) = delete;
+
+  // Writes all of `b`: appended, or at byte offset `at` when at >= 0.
+  void write(std::span<const std::uint8_t> b, ::off_t at = -1) {
+    std::size_t written = 0;
+    while (written < b.size()) {
+      ::ssize_t n;
+      if (const int fe = FTC_FAILPOINT("store.write.write")) {
+        errno = fe;
+        n = -1;
+      } else if (at < 0) {
+        n = ::write(fd_.get(), b.data() + written, b.size() - written);
+      } else {
+        n = ::pwrite(fd_.get(), b.data() + written, b.size() - written,
+                     at + static_cast<::off_t>(written));
+      }
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        throw fail("write failed");
+      }
+      written += static_cast<std::size_t>(n);
+    }
+  }
+
+  // fsync + close + rename into place + best-effort directory fsync.
+  // After this returns the file is durably at its target path.
+  void commit() {
+    int rc;
+    if (const int fe = FTC_FAILPOINT("store.write.fsync")) {
+      errno = fe;
+      rc = -1;
+    } else {
+      rc = ::fsync(fd_.get());
+    }
+    if (rc != 0) throw fail("fsync failed");
+    if (const int fe = FTC_FAILPOINT("store.write.close")) {
+      errno = fe;
+      fd_.reset();  // still close the real fd; the injected error wins
+      rc = -1;
+    } else {
+      rc = fd_.close_now();
+    }
+    if (rc != 0) throw fail("close failed");
+    if (const int fe = FTC_FAILPOINT("store.write.rename")) {
+      errno = fe;
+      rc = -1;
+    } else {
+      rc = std::rename(tmp_.c_str(), path_.c_str());
+    }
+    if (rc != 0) {
+      std::remove(tmp_.c_str());
+      done_ = true;
+      throw StoreIoError("cannot rename " + tmp_ + " -> " + path_);
+    }
+    done_ = true;
+    // Persist the rename itself (best-effort: the data is already
+    // synced, and some filesystems reject directory fsync). The
+    // failpoint only counts the boundary — a skipped directory sync
+    // never fails a write.
+    if (FTC_FAILPOINT("store.write.dirsync") == 0) {
+      const std::size_t slash = path_.find_last_of('/');
+      const std::string dir = slash == std::string::npos
+                                  ? std::string(".")
+                                  : path_.substr(0, slash + 1);
+      const util::ScopedFd dir_fd(
+          ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC));
+      if (dir_fd) ::fsync(dir_fd.get());
+    }
+  }
+
+ private:
+  StoreIoError fail(const std::string& what) {
+    fd_.reset();
+    std::remove(tmp_.c_str());
+    done_ = true;
+    return StoreIoError(what + ": " + tmp_);
+  }
+
+  const std::string path_;
+  const std::string tmp_;
+  util::ScopedFd fd_;
+  bool done_ = false;
+};
+
+// Flush granularity of the streaming emitter: records are copied into a
+// chunk buffer of at most this size and handed to the sink, so writer
+// memory is O(chunk) regardless of the container size.
 constexpr std::size_t kStreamChunkBytes = std::size_t{1} << 20;
 
-// One emitter, three sinks. emit_container produces the container byte
-// stream for a sink exposing
+// Streams records [first, last) of `width` bytes each, record i at
+// at(i), to the sink through `chunk`. Each chunk is filled with one
+// memcpy per run of adjacent records (one run for a contiguous view, one
+// per shard for a sharded one), all under one SIGBUS guard.
+template <typename Sink, typename At>
+void copy_records(const StoreView& view, std::size_t first, std::size_t last,
+                  std::size_t width, At&& at, std::vector<std::uint8_t>& chunk,
+                  Sink& sink) {
+  if (width == 0) return;
+  const std::size_t per_chunk =
+      std::max<std::size_t>(1, kStreamChunkBytes / width);
+  for (std::size_t i = first; i < last;) {
+    const std::size_t k = std::min(per_chunk, last - i);
+    chunk.resize(k * width);
+    copy_guarded(view, [&] {
+      for (std::size_t j = 0; j < k;) {
+        const std::uint8_t* src = at(i + j);
+        std::size_t run = 1;
+        while (j + run < k && at(i + j + run) == src + run * width) ++run;
+        std::memcpy(chunk.data() + j * width, src, run * width);
+        j += run;
+      }
+    });
+    sink.write(chunk);
+    i += k;
+  }
+}
+
+// One emitter, two sinks. emit_container writes the container for the
+// given ranges straight from the view's bytes to a sink exposing
 //     void write(std::span<const std::uint8_t>);
 //     std::uint64_t offset() const;   // bytes written so far
-// The header is emitted FIRST with both checksum fields zero; each sink
-// finalizes the checksums its own way (MemorySink patches its buffer,
-// FileSink rewrites the 64-byte header in place, DigestSink never needs
-// them — the payload checksum is definitionally over bytes past the
-// header). Routing build_container_bytes, write_container_streamed and
-// digest_container through this one function is what guarantees the
-// in-memory, streamed and digest-only outputs can never drift apart.
+// The header is emitted FIRST with both checksum fields zero; FileSink
+// rewrites the 64-byte header in place at the end, DigestSink never
+// needs them (the payload checksum is definitionally over bytes past the
+// header). Routing write_container_streamed and digest_container
+// through this one function is what keeps the written bytes and the
+// digest-only pass from drifting apart. The params blob is the only
+// record that is not copied verbatim: a v1 core blob is upgraded to the
+// current layout (upgrade_params).
 template <typename Sink>
-void emit_container(const ConnectivityScheme& scheme, VertexId v_begin,
-                    VertexId v_end, EdgeId e_begin, EdgeId e_end,
-                    bool include_adjacency, Sink& sink) {
-  FTC_REQUIRE(v_begin <= v_end && v_end <= scheme.num_vertices(),
+void emit_container(const StoreView& view, VertexId v_begin, VertexId v_end,
+                    EdgeId e_begin, EdgeId e_end, bool include_adjacency,
+                    Sink& sink) {
+  const StoreInfo& info = view.info();
+  FTC_REQUIRE(v_begin <= v_end && v_end <= info.num_vertices,
               "vertex range out of order or out of range");
-  FTC_REQUIRE(e_begin <= e_end && e_end <= scheme.num_edges(),
+  FTC_REQUIRE(e_begin <= e_end && e_end <= info.num_edges,
               "edge range out of order or out of range");
   const auto n = static_cast<VertexId>(v_end - v_begin);
   const auto m = static_cast<EdgeId>(e_end - e_begin);
 
-  store::ByteWriter params;
-  scheme.serialize_params(params);
+  // Maps every shard of a sharded view, so each record below is one
+  // route-table lookup away.
+  view.prefetch(1);
+  const FlatRoutes* routes = view.routes();
+  FTC_CHECK(routes != nullptr, "view published no route table");
+  const std::size_t blob_bytes = routes->edge_blob_bytes;
 
-  // The offset index precedes the blobs in the file, but blobs of one
-  // scheme are uniform-width (the reader enforces this at open), so the
-  // index is arithmetic: probe one blob for the width instead of
-  // buffering the whole section to learn its offsets.
-  std::uint64_t blob_bytes = 0;
-  if (m > 0) {
-    store::ByteWriter probe;
-    scheme.serialize_edge_label(e_begin, probe);
-    blob_bytes = probe.size();
-  }
-
-  // Adjacency side-table (format v2): present iff the scheme can name
-  // its incidence lists, so saved schemes keep vertex-fault capability.
-  // Only meaningful for a full-range container (the lists name global
-  // edge IDs); shard containers carry none — the manifest does instead.
+  const std::vector<std::uint8_t> params = saved_params(view);
+  // Adjacency side-table (format v2): present iff the view carries one,
+  // so saved schemes keep vertex-fault capability. Only meaningful for a
+  // full-range container (the lists name global edge IDs); shard
+  // containers carry none — the manifest does instead.
   std::vector<std::uint8_t> adj_section;
-  if (include_adjacency && scheme.adjacency() != nullptr) {
-    FTC_CHECK(v_begin == 0 && v_end == scheme.num_vertices() &&
-                  e_begin == 0 && e_end == scheme.num_edges(),
+  if (include_adjacency && info.has_adjacency) {
+    FTC_CHECK(v_begin == 0 && v_end == info.num_vertices && e_begin == 0 &&
+                  e_end == info.num_edges,
               "adjacency requires the full vertex/edge ranges");
-    adj_section = build_adjacency_section(scheme);
+    adj_section = saved_adjacency(view);
   }
 
   const auto pad8 = [&sink] {
@@ -297,17 +447,11 @@ void emit_container(const ConnectivityScheme& scheme, VertexId v_begin,
       sink.write(std::span<const std::uint8_t>(zeros, 8 - rem));
     }
   };
-  store::ByteWriter chunk;
-  const auto flush = [&sink, &chunk](std::size_t watermark) {
-    if (chunk.size() < watermark) return;
-    sink.write(chunk.view());
-    chunk = store::ByteWriter{};
-  };
 
   store::ByteWriter header;
   header.u64(store::kMagic);
   header.u32(static_cast<std::uint32_t>(store::kFormatVersion));
-  header.u8(static_cast<std::uint8_t>(scheme.backend()));
+  header.u8(static_cast<std::uint8_t>(info.backend));
   header.u8(!adj_section.empty() ? store::kFlagHasAdjacency : 0);  // flags
   header.u8(0);
   header.u8(0);
@@ -321,60 +465,35 @@ void emit_container(const ConnectivityScheme& scheme, VertexId v_begin,
             "store header layout drifted");
   sink.write(header.view());
 
-  sink.write(params.view());
+  sink.write(params);
   pad8();
-  for (VertexId v = v_begin; v < v_end; ++v) {
-    const std::size_t before = chunk.size();
-    scheme.serialize_vertex_label(v, chunk);
-    FTC_CHECK(chunk.size() - before == store::kVertexRecordBytes,
-              "vertex record must be fixed-size");
-    flush(kStreamChunkBytes);
-  }
-  flush(1);
+  std::vector<std::uint8_t> chunk;
+  copy_records(
+      view, v_begin, v_end, kVertexRecordBytes,
+      [routes](std::size_t v) { return routes->vertex(static_cast<VertexId>(v)); },
+      chunk, sink);
   pad8();
+  // Blobs of one scheme are uniform-width (the reader enforces this at
+  // open), so the offset index is arithmetic.
+  store::ByteWriter index;
   for (EdgeId e = 0; e <= m; ++e) {
-    chunk.u64(static_cast<std::uint64_t>(e) * blob_bytes);
-    flush(kStreamChunkBytes);
+    index.u64(static_cast<std::uint64_t>(e) * blob_bytes);
+    if (index.size() >= kStreamChunkBytes || e == m) {
+      sink.write(index.view());
+      index.clear();
+    }
   }
-  for (EdgeId e = e_begin; e < e_end; ++e) {
-    const std::size_t before = chunk.size();
-    scheme.serialize_edge_label(e, chunk);
-    // The arithmetic index above is only valid for uniform blobs; a
-    // scheme violating that must fail the save, not corrupt the index.
-    FTC_CHECK(chunk.size() - before == blob_bytes,
-              "edge blobs must be uniform-width");
-    flush(kStreamChunkBytes);
-  }
-  flush(1);
+  copy_records(
+      view, e_begin, e_end, blob_bytes,
+      [routes](std::size_t e) { return routes->edge(static_cast<EdgeId>(e)); },
+      chunk, sink);
   if (!adj_section.empty()) {
     pad8();
     sink.write(adj_section);
   }
 }
 
-// Sink 1: buffer everything, then patch the checksums — the historical
-// build_container_bytes behavior.
-class MemorySink {
- public:
-  void write(std::span<const std::uint8_t> b) {
-    buf_.insert(buf_.end(), b.begin(), b.end());
-  }
-  std::uint64_t offset() const { return buf_.size(); }
-
-  std::vector<std::uint8_t> finish() {
-    FTC_CHECK(buf_.size() >= store::kHeaderBytes, "container without header");
-    const std::span<const std::uint8_t> file(buf_);
-    util::write_u64_le(buf_.data() + 40,
-                 store::fnv1a(file.subspan(store::kHeaderBytes)));
-    util::write_u64_le(buf_.data() + 56, store::fnv1a(file.first(56)));
-    return std::move(buf_);
-  }
-
- private:
-  std::vector<std::uint8_t> buf_;
-};
-
-// Sink 2: fold the stream straight into the payload digest — the
+// Sink 1: fold the stream straight into the payload digest — the
 // no-I/O pass delta pushes use to detect unchanged shards.
 class DigestSink {
  public:
@@ -396,14 +515,88 @@ class DigestSink {
   std::uint64_t digest_ = store::kFnvBasis;
 };
 
+// Sink 2: stream straight to disk through the atomic-write protocol,
+// without ever materializing the container: the only buffered state is
+// the 64-byte header copy (its checksum fields are patched with one
+// pwrite at finish) and the emitter's flush chunk.
+class FileSink {
+ public:
+  explicit FileSink(std::string path) : file_(std::move(path)) {}
+
+  void write(std::span<const std::uint8_t> b) {
+    // Keep a copy of the header bytes (they stream out with zeroed
+    // checksum fields) and fold everything after them into the payload
+    // checksum as it passes through.
+    if (offset_ < store::kHeaderBytes) {
+      const std::size_t take = static_cast<std::size_t>(
+          std::min<std::uint64_t>(b.size(), store::kHeaderBytes - offset_));
+      std::copy_n(b.data(), take,
+                  header_ + static_cast<std::size_t>(offset_));
+      if (take < b.size()) digest_ = store::fnv1a(b.subspan(take), digest_);
+    } else {
+      digest_ = store::fnv1a(b, digest_);
+    }
+    offset_ += b.size();
+    file_.write(b);
+  }
+
+  std::uint64_t offset() const { return offset_; }
+
+  // Patches the header checksums in place, then commits the file.
+  ContainerDigest finish() {
+    FTC_CHECK(offset_ >= store::kHeaderBytes, "container without header");
+    util::write_u64_le(header_ + 40, digest_);
+    util::write_u64_le(header_ + 56,
+                       store::fnv1a(std::span<const std::uint8_t>(header_, 56)));
+    file_.write(header_, 0);
+    file_.commit();
+    return {offset_, digest_};
+  }
+
+ private:
+  AtomicFile file_;
+  std::uint8_t header_[store::kHeaderBytes] = {};
+  std::uint64_t offset_ = 0;
+  std::uint64_t digest_ = store::kFnvBasis;
+};
+
 }  // namespace
 
-std::vector<std::uint8_t> build_container_bytes(
-    const ConnectivityScheme& scheme, VertexId v_begin, VertexId v_end,
-    EdgeId e_begin, EdgeId e_end, bool include_adjacency) {
-  MemorySink sink;
-  emit_container(scheme, v_begin, v_end, e_begin, e_end, include_adjacency,
-                 sink);
+std::vector<std::uint8_t> saved_params(const StoreView& view) {
+  const StoreInfo& info = view.info();
+  return upgrade_params(info.backend, copy_out(view, view.params_blob()),
+                        info.format_version);
+}
+
+std::vector<std::uint8_t> saved_adjacency(const StoreView& view) {
+  return copy_out(view, view.adjacency_section());
+}
+
+void write_file_atomic(const std::string& path,
+                       std::span<const std::uint8_t> bytes) {
+  AtomicFile file(path);
+  file.write(bytes);
+  file.commit();
+}
+
+ContainerDigest write_container_streamed(const ConnectivityScheme& scheme,
+                                         const std::string& path,
+                                         VertexId v_begin, VertexId v_end,
+                                         EdgeId e_begin, EdgeId e_end,
+                                         bool include_adjacency) {
+  FileSink sink(path);
+  emit_container(*scheme.store_view(), v_begin, v_end, e_begin, e_end,
+                 include_adjacency, sink);
+  return sink.finish();
+}
+
+ContainerDigest digest_container(const ConnectivityScheme& scheme,
+                                 VertexId v_begin, VertexId v_end,
+                                 EdgeId e_begin, EdgeId e_end,
+                                 bool include_adjacency) {
+  DigestSink sink;
+  emit_container(*scheme.store_view(), v_begin, v_end, e_begin, e_end,
+                 include_adjacency, sink);
   return sink.finish();
 }
 
@@ -460,263 +653,6 @@ void unmap_file(const MappedFile& file) {
   if (file.data == nullptr) return;
   util::unregister_mapped_range(file.data);
   ::munmap(const_cast<std::uint8_t*>(file.data), file.size);
-}
-
-void write_file_atomic(const std::string& path,
-                       std::span<const std::uint8_t> file) {
-  // Write to a unique temp file (per process AND per call, for
-  // concurrent saves from one process), fsync it, rename into place and
-  // fsync the directory — so a crashed, failed or racing save never
-  // leaves a half-written store under the target name, even across
-  // power loss on writeback filesystems.
-  const std::string tmp = path + ".tmp." +
-                          std::to_string(static_cast<long>(::getpid())) +
-                          "." + std::to_string(next_save_serial());
-  util::ScopedFd fd;
-  if (const int fe = FTC_FAILPOINT("store.write.open")) {
-    errno = fe;
-  } else {
-    fd.reset(
-        ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644));
-  }
-  if (!fd) throw StoreIoError("cannot open for writing: " + tmp);
-  const auto fail_write = [&](const std::string& what) -> StoreIoError {
-    fd.reset();
-    std::remove(tmp.c_str());
-    return StoreIoError(what + ": " + tmp);
-  };
-  std::size_t written = 0;
-  while (written < file.size()) {
-    ::ssize_t n;
-    if (const int fe = FTC_FAILPOINT("store.write.write")) {
-      errno = fe;
-      n = -1;
-    } else {
-      n = ::write(fd.get(), file.data() + written, file.size() - written);
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw fail_write("write failed");
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  int rc;
-  if (const int fe = FTC_FAILPOINT("store.write.fsync")) {
-    errno = fe;
-    rc = -1;
-  } else {
-    rc = ::fsync(fd.get());
-  }
-  if (rc != 0) throw fail_write("fsync failed");
-  if (const int fe = FTC_FAILPOINT("store.write.close")) {
-    errno = fe;
-    fd.reset();  // still close the real fd; the injected error wins
-    rc = -1;
-  } else {
-    rc = fd.close_now();
-  }
-  if (rc != 0) {
-    std::remove(tmp.c_str());
-    throw StoreIoError("close failed: " + tmp);
-  }
-  if (const int fe = FTC_FAILPOINT("store.write.rename")) {
-    errno = fe;
-    rc = -1;
-  } else {
-    rc = std::rename(tmp.c_str(), path.c_str());
-  }
-  if (rc != 0) {
-    std::remove(tmp.c_str());
-    throw StoreIoError("cannot rename " + tmp + " -> " + path);
-  }
-  // Persist the rename itself (best-effort: the data is already synced,
-  // and some filesystems reject directory fsync). The failpoint only
-  // counts the boundary — a skipped directory sync never fails a save.
-  if (FTC_FAILPOINT("store.write.dirsync") == 0) {
-    const std::size_t slash = path.find_last_of('/');
-    const std::string dir = slash == std::string::npos
-                                ? std::string(".")
-                                : path.substr(0, slash + 1);
-    const util::ScopedFd dir_fd(
-        ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC));
-    if (dir_fd) ::fsync(dir_fd.get());
-  }
-}
-
-namespace {
-
-// Sink 3: stream straight to disk with write_file_atomic's exact crash
-// story and failpoint surface (store.write.{open,write,fsync,close,
-// rename,dirsync}), without ever materializing the container: the only
-// buffered state is the 64-byte header copy (its checksum fields are
-// patched with one pwrite at finish) and the emitter's flush chunk.
-class FileSink {
- public:
-  explicit FileSink(std::string path)
-      : path_(std::move(path)),
-        tmp_(path_ + ".tmp." + std::to_string(static_cast<long>(::getpid())) +
-             "." + std::to_string(next_save_serial())) {
-    if (const int fe = FTC_FAILPOINT("store.write.open")) {
-      errno = fe;
-    } else {
-      fd_.reset(
-          ::open(tmp_.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644));
-    }
-    if (!fd_) throw StoreIoError("cannot open for writing: " + tmp_);
-  }
-
-  ~FileSink() {
-    // Abandoned before finish() (the emitter threw): never leave the
-    // partial temp file behind.
-    if (!finished_) {
-      fd_.reset();
-      std::remove(tmp_.c_str());
-    }
-  }
-
-  FileSink(const FileSink&) = delete;
-  FileSink& operator=(const FileSink&) = delete;
-
-  void write(std::span<const std::uint8_t> b) {
-    // Keep a copy of the header bytes (they stream out with zeroed
-    // checksum fields) and fold everything after them into the payload
-    // checksum as it passes through.
-    if (offset_ < store::kHeaderBytes) {
-      const std::size_t take = static_cast<std::size_t>(
-          std::min<std::uint64_t>(b.size(), store::kHeaderBytes - offset_));
-      std::copy_n(b.data(), take,
-                  header_ + static_cast<std::size_t>(offset_));
-      if (take < b.size()) digest_ = store::fnv1a(b.subspan(take), digest_);
-    } else {
-      digest_ = store::fnv1a(b, digest_);
-    }
-    offset_ += b.size();
-    std::size_t written = 0;
-    while (written < b.size()) {
-      ::ssize_t n;
-      if (const int fe = FTC_FAILPOINT("store.write.write")) {
-        errno = fe;
-        n = -1;
-      } else {
-        n = ::write(fd_.get(), b.data() + written, b.size() - written);
-      }
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        throw fail("write failed");
-      }
-      written += static_cast<std::size_t>(n);
-    }
-  }
-
-  std::uint64_t offset() const { return offset_; }
-
-  // Patches the header checksums in place, then fsync + rename exactly
-  // like write_file_atomic. After this returns the container is durably
-  // at path_.
-  ContainerDigest finish() {
-    FTC_CHECK(offset_ >= store::kHeaderBytes, "container without header");
-    util::write_u64_le(header_ + 40, digest_);
-    util::write_u64_le(header_ + 56,
-                 store::fnv1a(std::span<const std::uint8_t>(header_, 56)));
-    std::size_t written = 0;
-    while (written < store::kHeaderBytes) {
-      ::ssize_t n;
-      if (const int fe = FTC_FAILPOINT("store.write.write")) {
-        errno = fe;
-        n = -1;
-      } else {
-        n = ::pwrite(fd_.get(), header_ + written,
-                     store::kHeaderBytes - written,
-                     static_cast<::off_t>(written));
-      }
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        throw fail("write failed");
-      }
-      written += static_cast<std::size_t>(n);
-    }
-    int rc;
-    if (const int fe = FTC_FAILPOINT("store.write.fsync")) {
-      errno = fe;
-      rc = -1;
-    } else {
-      rc = ::fsync(fd_.get());
-    }
-    if (rc != 0) throw fail("fsync failed");
-    if (const int fe = FTC_FAILPOINT("store.write.close")) {
-      errno = fe;
-      fd_.reset();  // still close the real fd; the injected error wins
-      rc = -1;
-    } else {
-      rc = fd_.close_now();
-    }
-    if (rc != 0) {
-      std::remove(tmp_.c_str());
-      finished_ = true;
-      throw StoreIoError("close failed: " + tmp_);
-    }
-    if (const int fe = FTC_FAILPOINT("store.write.rename")) {
-      errno = fe;
-      rc = -1;
-    } else {
-      rc = std::rename(tmp_.c_str(), path_.c_str());
-    }
-    if (rc != 0) {
-      std::remove(tmp_.c_str());
-      finished_ = true;
-      throw StoreIoError("cannot rename " + tmp_ + " -> " + path_);
-    }
-    finished_ = true;
-    if (FTC_FAILPOINT("store.write.dirsync") == 0) {
-      const std::size_t slash = path_.find_last_of('/');
-      const std::string dir = slash == std::string::npos
-                                  ? std::string(".")
-                                  : path_.substr(0, slash + 1);
-      const util::ScopedFd dir_fd(
-          ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC));
-      if (dir_fd) ::fsync(dir_fd.get());
-    }
-    return {offset_, digest_};
-  }
-
- private:
-  StoreIoError fail(const std::string& what) {
-    fd_.reset();
-    std::remove(tmp_.c_str());
-    finished_ = true;
-    return StoreIoError(what + ": " + tmp_);
-  }
-
-  const std::string path_;
-  const std::string tmp_;
-  util::ScopedFd fd_;
-  std::uint8_t header_[store::kHeaderBytes] = {};
-  std::uint64_t offset_ = 0;
-  std::uint64_t digest_ = store::kFnvBasis;
-  bool finished_ = false;
-};
-
-}  // namespace
-
-ContainerDigest write_container_streamed(const ConnectivityScheme& scheme,
-                                         const std::string& path,
-                                         VertexId v_begin, VertexId v_end,
-                                         EdgeId e_begin, EdgeId e_end,
-                                         bool include_adjacency) {
-  FileSink sink(path);
-  emit_container(scheme, v_begin, v_end, e_begin, e_end, include_adjacency,
-                 sink);
-  return sink.finish();
-}
-
-ContainerDigest digest_container(const ConnectivityScheme& scheme,
-                                 VertexId v_begin, VertexId v_end,
-                                 EdgeId e_begin, EdgeId e_end,
-                                 bool include_adjacency) {
-  DigestSink sink;
-  emit_container(scheme, v_begin, v_end, e_begin, e_end, include_adjacency,
-                 sink);
-  return sink.finish();
 }
 
 }  // namespace store
@@ -952,15 +888,6 @@ std::span<const std::uint8_t> LabelStoreView::edge_blob(EdgeId e) const {
   return {routes_.edge(e), routes_.edge_blob_bytes};
 }
 
-std::size_t LabelStoreView::adjacency_degree(VertexId v) const {
-  return adj_.degree(v);
-}
-
-void LabelStoreView::adjacency_append(VertexId v,
-                                      std::vector<graph::EdgeId>& out) const {
-  adj_.append(v, out);
-}
-
 // ------------------------------------------------------------------
 // Resident view.
 
@@ -1024,20 +951,12 @@ class ResidentStoreView final : public StoreView {
     FTC_REQUIRE(e < info_.num_edges, "edge out of range");
     return {routes_.edge(e), routes_.edge_blob_bytes};
   }
-  std::size_t adjacency_degree(VertexId v) const override {
-    return adj_.degree(v);
-  }
-  void adjacency_append(VertexId v,
-                        std::vector<graph::EdgeId>& out) const override {
-    adj_.append(v, out);
-  }
   bool file_backed() const override { return false; }
   const store::FlatRoutes* routes() const override { return &routes_; }
 
  private:
   store::ResidentLabels labels_;
   std::vector<std::uint8_t> adjacency_;
-  store::CsrAdjacency adj_;
   store::FlatRoutes routes_;
 };
 
@@ -1127,82 +1046,16 @@ using CycleFaults = PreparedFaultSet<dp21::CycleSpaceFtc::Prepared>;
 using AgmFaults = PreparedFaultSet<dp21::AgmFtc::Prepared>;
 using AgmWorkspace = BackendWorkspace<dp21::AgmFtc::Workspace>;
 
-// Adjacency provider over the view's CSR side-table: degrees and
-// incidence lists decode on the fly, so serving vertex faults costs no
-// load-time materialization.
-class ViewAdjacency final : public AdjacencyProvider {
- public:
-  explicit ViewAdjacency(std::shared_ptr<const StoreView> view)
-      : view_(std::move(view)) {}
-
-  VertexId num_vertices() const override {
-    return view_->info().num_vertices;
-  }
-  std::size_t degree(VertexId v) const override {
-    return view_->adjacency_degree(v);
-  }
-  void append_incident(VertexId v,
-                       std::vector<EdgeId>& out) const override {
-    view_->adjacency_append(v, out);
-  }
-
- private:
-  std::shared_ptr<const StoreView> view_;
-};
-
-// Shared plumbing: the view, header-derived sizes, the adjacency
-// side-table (when the view carries one), and save() support by
-// re-emitting the stored blobs (a served scheme round-trips bit-exactly).
+// Shared plumbing of the per-backend scheme classes: the two label
+// reads every backend's query path makes, over the base class's view.
 class SchemeBase : public ConnectivityScheme {
  public:
   explicit SchemeBase(std::shared_ptr<const StoreView> view)
-      : view_(std::move(view)),
-        guarded_(view_->file_backed()),
-        num_vertices_(view_->info().num_vertices),
-        vertex_base_(view_->routes() != nullptr ? view_->routes()->vertex_base
-                                                : nullptr) {
-    if (view_->info().has_adjacency) {
-      adjacency_ = std::make_unique<ViewAdjacency>(view_);
-    }
-  }
-
-  VertexId num_vertices() const override { return num_vertices_; }
-  EdgeId num_edges() const override { return view_->info().num_edges; }
-  std::size_t vertex_label_bits() const override {
-    return view_->info().vertex_label_bits;
-  }
-  std::size_t edge_label_bits() const override {
-    return view_->info().edge_label_bits;
-  }
-
-  // Vertex-fault capability is exactly "the view has the side-table".
-  const AdjacencyProvider* adjacency() const override {
-    return adjacency_.get();
-  }
-
-  void serialize_params(store::ByteWriter& out) const override {
-    out.bytes(view_->params_blob());
-  }
-  void serialize_vertex_label(VertexId v,
-                              store::ByteWriter& out) const override {
-    out.bytes(view_->vertex_blob(v));
-  }
-  void serialize_edge_label(EdgeId e, store::ByteWriter& out) const override {
-    out.bytes(view_->edge_blob(e));
-  }
-
-  // Warm-up: map every lazily-opened shard and resolve the route table,
-  // surfacing the view's typed StoreError on a corrupt backing.
-  void prefetch(unsigned threads = 0) const override {
-    view_->prefetch(threads);
-  }
-
-  // The backing view, so a swap can thread the serving generation's
-  // mappings through open_store_view(path, verify, reuse_from) and adopt
-  // unchanged shards across a delta push.
-  std::shared_ptr<const StoreView> store_view() const override {
-    return view_;
-  }
+      : ConnectivityScheme(std::move(view)),
+        guarded_(store_view()->file_backed()),
+        vertex_base_(store_view()->routes() != nullptr
+                         ? store_view()->routes()->vertex_base
+                         : nullptr) {}
 
  protected:
   // Both endpoint ancestry records — the only label reads of an
@@ -1215,7 +1068,7 @@ class SchemeBase : public ConnectivityScheme {
   // DegradedError) instead of killing the process.
   std::pair<graph::AncestryLabel, graph::AncestryLabel> anc_pair(
       VertexId s, VertexId t) const {
-    FTC_REQUIRE(s < num_vertices_ && t < num_vertices_,
+    FTC_REQUIRE(s < num_vertices() && t < num_vertices(),
                 "vertex out of range");
     const std::uint8_t* ps;
     const std::uint8_t* pt;
@@ -1228,8 +1081,8 @@ class SchemeBase : public ConnectivityScheme {
     } else {
       // Pre-routes path: may lazily open (and internally guard) the
       // owning shards; only the final record reads run under our guard.
-      ps = view_->vertex_blob(s).data();
-      pt = view_->vertex_blob(t).data();
+      ps = store_view()->vertex_blob(s).data();
+      pt = store_view()->vertex_blob(t).data();
     }
     if (!guarded_) {
       return {store::decode_vertex_record_at(ps),
@@ -1242,7 +1095,7 @@ class SchemeBase : public ConnectivityScheme {
       const graph::AncestryLabel b = store::decode_vertex_record_at(pt);
       return {a, b};
     }
-    view_->on_mapped_fault(guard.fault_addr());
+    store_view()->on_mapped_fault(guard.fault_addr());
     __builtin_unreachable();  // noreturn through a virtual call
   }
 
@@ -1265,7 +1118,7 @@ class SchemeBase : public ConnectivityScheme {
           guard.arm();
           std::memcpy(copy.data(), blob.data(), blob.size());
         } else {
-          view_->on_mapped_fault(guard.fault_addr());
+          store_view()->on_mapped_fault(guard.fault_addr());
         }
         blob = copy;
       }
@@ -1275,8 +1128,6 @@ class SchemeBase : public ConnectivityScheme {
     return labels;
   }
 
-  std::shared_ptr<const StoreView> view_;
-
  private:
   // Edge blob bytes through the resolved-route fast path.
   std::span<const std::uint8_t> edge_bytes(EdgeId e) const {
@@ -1284,39 +1135,27 @@ class SchemeBase : public ConnectivityScheme {
       FTC_REQUIRE(e < rt->num_edges, "edge out of range");
       return {rt->edge(e), rt->edge_blob_bytes};
     }
-    return view_->edge_blob(e);
+    return store_view()->edge_blob(e);
   }
 
   const bool guarded_;
-  const VertexId num_vertices_;
   // The vertex section of a contiguous view (null for a sharded one),
   // cached so the per-query reads need no route-table load.
   const std::uint8_t* const vertex_base_;
-  RouteCache routes_{*view_};  // after view_: init order matters
-  std::unique_ptr<AdjacencyProvider> adjacency_;  // null: v1 container
+  RouteCache routes_{*store_view()};
 };
 
 class CoreScheme final : public SchemeBase {
  public:
   explicit CoreScheme(std::shared_ptr<const StoreView> view)
       : SchemeBase(std::move(view)) {
-    store::ByteReader pr(view_->params_blob());
-    params_ = store::decode_core_params(pr, view_->info().format_version,
-                                        &level_bounds_);
+    store::ByteReader pr(store_view()->params_blob());
+    params_ = store::decode_core_params(
+        pr, store_view()->info().format_version, &level_bounds_);
   }
-
-  BackendKind backend() const override { return BackendKind::kCoreFtc; }
 
   std::unique_ptr<Workspace> make_workspace() const override {
     return std::make_unique<CoreWorkspace>();
-  }
-
-  // Re-encode instead of re-emitting the stored blob: a v1 container's
-  // core params carry no bounds fields, and save() always writes format
-  // v2 (the re-encode emits count 0 then; for v2 inputs it reproduces
-  // the stored bytes exactly, keeping re-saves byte-identical).
-  void serialize_params(store::ByteWriter& out) const override {
-    store::encode_core_params(params_, level_bounds_, out);
   }
 
  protected:
@@ -1355,12 +1194,8 @@ class CycleSpaceScheme final : public SchemeBase {
  public:
   explicit CycleSpaceScheme(std::shared_ptr<const StoreView> view)
       : SchemeBase(std::move(view)) {
-    store::ByteReader pr(view_->params_blob());
+    store::ByteReader pr(store_view()->params_blob());
     params_ = store::decode_cycle_params(pr);
-  }
-
-  BackendKind backend() const override {
-    return BackendKind::kDp21CycleSpace;
   }
 
   std::unique_ptr<Workspace> make_workspace() const override {
@@ -1396,11 +1231,9 @@ class AgmScheme final : public SchemeBase {
  public:
   explicit AgmScheme(std::shared_ptr<const StoreView> view)
       : SchemeBase(std::move(view)) {
-    store::ByteReader pr(view_->params_blob());
+    store::ByteReader pr(store_view()->params_blob());
     params_ = store::decode_agm_params(pr);
   }
-
-  BackendKind backend() const override { return BackendKind::kDp21Agm; }
 
   std::unique_ptr<Workspace> make_workspace() const override {
     return std::make_unique<AgmWorkspace>();

@@ -208,6 +208,14 @@ CycleParams decode_cycle_params(ByteReader& r);
 void encode_agm_params(const AgmParams& p, ByteWriter& w);
 AgmParams decode_agm_params(ByteReader& r);
 
+// A params blob read from a container of format `version`, in the layout
+// the current format writes: a v1 core-ftc blob gains the v2 trailer (an
+// empty level-bounds list); every other blob is already current and is
+// returned unchanged. Throws StoreError on a malformed v1 core blob.
+std::vector<std::uint8_t> upgrade_params(BackendKind backend,
+                                         std::vector<std::uint8_t> params,
+                                         std::uint32_t version);
+
 // Vertex records are the same for all backends: one ancestry label.
 inline constexpr std::size_t kVertexRecordBytes = 8;
 // Zero-copy decode of one fixed 8-byte vertex record (LE tin, tout)
@@ -333,22 +341,13 @@ struct CsrAdjacency {
   void append(graph::VertexId v, std::vector<graph::EdgeId>& out) const;
 };
 
-// Serializes one container holding the scheme's labels restricted to
-// the given vertex/edge ranges — the whole scheme for save(), one shard
-// for save_sharded() (sharded_store.hpp). include_adjacency emits the
-// CSR side-table when the scheme carries one and requires the full
-// ranges (the lists name global edge IDs); shard containers pass false —
-// the manifest carries the adjacency instead.
-std::vector<std::uint8_t> build_container_bytes(
-    const ConnectivityScheme& scheme, graph::VertexId v_begin,
-    graph::VertexId v_end, graph::EdgeId e_begin, graph::EdgeId e_end,
-    bool include_adjacency);
-
-// The CSR adjacency section bytes for a scheme, or empty when it
-// carries no adjacency. Shared by the container writer above and the
-// manifest writer (sharded_store.cpp).
-std::vector<std::uint8_t> build_adjacency_section(
-    const ConnectivityScheme& scheme);
+// The params blob and the adjacency section a save writes for `view`,
+// copied out of its bytes under its SIGBUS guard: the params upgraded to
+// the current format (upgrade_params), the adjacency empty when the view
+// carries none. Shared by the container writer below and the manifest
+// writer (sharded_store.cpp).
+std::vector<std::uint8_t> saved_params(const StoreView& view);
+std::vector<std::uint8_t> saved_adjacency(const StoreView& view);
 
 // Identity of one serialized container: enough to decide delta-push
 // shard reuse (sharded_store.cpp) without writing — or even fully
@@ -360,14 +359,19 @@ struct ContainerDigest {
   std::uint64_t payload_checksum = 0;
 };
 
-// Streams the container for the given ranges straight to `path`: label
-// records are serialized in bounded chunks and written as they are
-// produced, so peak writer memory is O(chunk), not O(container). The
-// bytes, the temp-file + fsync + rename atomicity protocol, and the
-// store.write.* failpoint sites are IDENTICAL to build_container_bytes
-// + write_file_atomic (one shared emitter produces both). Returns the
-// written container's digest. Throws StoreIoError on I/O failure, with
-// the temp file removed.
+// Streams one container holding the scheme's labels restricted to the
+// given vertex/edge ranges — the whole scheme for save(), one shard for
+// save_sharded() (sharded_store.hpp) — straight from its store_view() to
+// `path`: records are copied in bounded chunks and written as they are
+// produced, so peak writer memory is O(chunk), not O(container).
+// include_adjacency emits the CSR side-table when the view carries one
+// and requires the full ranges (the lists name global edge IDs); shard
+// containers pass false — the manifest carries the adjacency instead.
+// Writes through the same atomic protocol and store.write.* failpoints
+// as write_file_atomic. Returns the written container's digest. Throws
+// StoreIoError on I/O failure, with the temp file removed, and
+// StoreIoError (DegradedError for a sharded view) when a mapped read
+// faults because the backing file was truncated or replaced.
 ContainerDigest write_container_streamed(const ConnectivityScheme& scheme,
                                          const std::string& path,
                                          graph::VertexId v_begin,
@@ -377,19 +381,21 @@ ContainerDigest write_container_streamed(const ConnectivityScheme& scheme,
                                          bool include_adjacency);
 
 // The digest write_container_streamed would produce, with no file I/O:
-// one serialization pass folded directly into the checksum. Used by
-// delta pushes to detect byte-identical shards before writing anything.
+// one copy pass folded directly into the checksum, with the same
+// SIGBUS behavior. Used by delta pushes to detect byte-identical shards
+// before writing anything.
 ContainerDigest digest_container(const ConnectivityScheme& scheme,
                                  graph::VertexId v_begin,
                                  graph::VertexId v_end,
                                  graph::EdgeId e_begin, graph::EdgeId e_end,
                                  bool include_adjacency);
 
-// Durable atomic file write shared by the container and manifest
-// writers: unique temp file (per process and per call) + fsync + rename
+// Durable atomic write of a whole buffer (manifests, journals, cached
+// shards): unique temp file (per process and per call) + fsync + rename
 // into place + best-effort directory fsync, so a crashed, failed or
 // racing write never leaves a half-written artifact under the target
-// name. Throws StoreError on I/O failure.
+// name. The streamed container writer above runs the same protocol
+// through the same code. Throws StoreIoError on I/O failure.
 void write_file_atomic(const std::string& path,
                        std::span<const std::uint8_t> bytes);
 
@@ -485,10 +491,21 @@ class StoreView {
       graph::VertexId v) const = 0;
   virtual std::span<const std::uint8_t> edge_blob(graph::EdgeId e) const = 0;
 
-  // Adjacency side-table reads (valid only when info().has_adjacency).
-  virtual std::size_t adjacency_degree(graph::VertexId v) const = 0;
-  virtual void adjacency_append(graph::VertexId v,
-                                std::vector<graph::EdgeId>& out) const = 0;
+  // Adjacency side-table reads (valid only when info().has_adjacency;
+  // the section was validated at open).
+  std::size_t adjacency_degree(graph::VertexId v) const {
+    return adj_.degree(v);
+  }
+  void adjacency_append(graph::VertexId v,
+                        std::vector<graph::EdgeId>& out) const {
+    adj_.append(v, out);
+  }
+  // The whole CSR side-table section in container layout (empty when the
+  // view carries none) — what a save writes, byte for byte.
+  std::span<const std::uint8_t> adjacency_section() const {
+    if (adj_.base == nullptr) return {};
+    return {adj_.base + adj_.off, adj_.bytes};
+  }
 
   // Whether the label bytes live in file mappings that can fault (a file
   // truncated or replaced behind the mmap). Only such views pay for the
@@ -516,8 +533,8 @@ class StoreView {
   virtual const store::FlatRoutes* routes() const { return nullptr; }
 
   // Translates a SIGBUS caught inside this view's registered mappings:
-  // guarded reads (query-path ancestry reads, prepare-time blob copies)
-  // land here with the faulting address. A sharded view attributes the
+  // guarded reads (query-path ancestry reads, prepare-time blob copies,
+  // the writers' chunk copies) land here with the faulting address. A sharded view attributes the
   // fault to the owning shard, quarantines it, and throws DegradedError
   // naming the unservable ranges; the base and single-container views
   // throw StoreIoError.
@@ -526,6 +543,7 @@ class StoreView {
  protected:
   StoreView() = default;
   StoreInfo info_;
+  store::CsrAdjacency adj_;  // base == nullptr when no adjacency section
 };
 
 // Read-only mmap view of a single container file. open() validates the
@@ -545,12 +563,6 @@ class LabelStoreView final : public StoreView {
   std::span<const std::uint8_t> params_blob() const override;
   std::span<const std::uint8_t> vertex_blob(graph::VertexId v) const override;
   std::span<const std::uint8_t> edge_blob(graph::EdgeId e) const override;
-
-  // Adjacency side-table reads (valid only when info().has_adjacency;
-  // offsets were validated monotone and in-range at open).
-  std::size_t adjacency_degree(graph::VertexId v) const override;
-  void adjacency_append(graph::VertexId v,
-                        std::vector<graph::EdgeId>& out) const override;
 
   // A single container is mapped, validated and route-resolved entirely
   // at open(): prefetch has nothing left to do and routes() is always
@@ -575,7 +587,6 @@ class LabelStoreView final : public StoreView {
   std::size_t vertex_off_ = 0;
   std::size_t index_off_ = 0;
   std::size_t blob_off_ = 0;
-  store::CsrAdjacency adj_;  // base == nullptr when no adjacency section
   store::FlatRoutes routes_;  // built at open (the index walk is O(m) anyway)
 };
 
@@ -618,9 +629,10 @@ std::unique_ptr<ConnectivityScheme> load_scheme(const std::string& path,
                                                 const LoadOptions& options = {});
 
 // Same, over an already-open view (shares the mapping; several schemes
-// and threads may serve from one view). This is the one scheme class per
-// backend: freshly built labels (make_scheme), single containers and
-// sharded stores are all served through it.
+// and threads may serve from one view). This is the only way a scheme is
+// made, and it yields the one scheme class per backend: freshly built
+// labels (make_scheme), single containers and sharded stores are all
+// served through it.
 std::unique_ptr<ConnectivityScheme> load_scheme(
     std::shared_ptr<const StoreView> view);
 

@@ -130,6 +130,19 @@ LabelParams decode_core_params(ByteReader& r, std::uint32_t format_version,
   return p;
 }
 
+std::vector<std::uint8_t> upgrade_params(BackendKind backend,
+                                         std::vector<std::uint8_t> params,
+                                         std::uint32_t version) {
+  if (backend != BackendKind::kCoreFtc || version >= kFormatVersion) {
+    return params;
+  }
+  ByteReader r(params);
+  const LabelParams p = decode_core_params(r, version);
+  ByteWriter w;
+  encode_core_params(p, {}, w);
+  return w.take();
+}
+
 void encode_cycle_params(const CycleParams& p, ByteWriter& w) {
   w.u32(p.coord_bits);
   w.u32(p.vector_bits);

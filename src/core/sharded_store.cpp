@@ -210,7 +210,7 @@ DeltaPushStats save_sharded_impl(const ConnectivityScheme& scheme,
   // name only once all of them built, so a failed save never disturbs a
   // prior generation living under this path; the manifest goes last, so
   // a crash mid-save never publishes a manifest naming missing shards.
-  // Shards stream straight from the scheme to disk
+  // Shards stream straight from the scheme's view to disk
   // (write_container_streamed), so peak save memory per worker is one
   // flush chunk, not one shard image. In delta mode a no-I/O digest
   // pass runs first; a shard matching a parent record (payload digest +
@@ -218,6 +218,9 @@ DeltaPushStats save_sharded_impl(const ConnectivityScheme& scheme,
   // byte-identical files) is hard-linked from the parent instead of
   // written, and only changed shards pay the serialize-again-to-disk
   // pass.
+  // Map a sharded source's shards once, up front, rather than in every
+  // worker's writer.
+  scheme.prefetch();
   std::vector<std::exception_ptr> errors(num_shards);
   const auto build_shard = [&](unsigned k) {
     try {
@@ -290,10 +293,9 @@ DeltaPushStats save_sharded_impl(const ConnectivityScheme& scheme,
       if (e) std::rethrow_exception(e);
     }
 
-    store::ByteWriter params;
-    scheme.serialize_params(params);
-    const std::vector<std::uint8_t> adj_section =
-        store::build_adjacency_section(scheme);
+    const StoreView& view = *scheme.store_view();
+    const std::vector<std::uint8_t> params = store::saved_params(view);
+    const std::vector<std::uint8_t> adj_section = store::saved_adjacency(view);
 
     store::ByteWriter w;
     w.u64(store::kManifestMagic);
@@ -306,7 +308,7 @@ DeltaPushStats save_sharded_impl(const ConnectivityScheme& scheme,
     w.u64(m);
     w.u64(num_shards);
     w.u64(params.size());
-    w.u64(store::fnv1a(params.view()));
+    w.u64(store::fnv1a(params));
     w.u64(adj_section.size());
     w.u64(stats.epoch);
     w.u64(parent != nullptr ? parent->manifest_digest : 0);
@@ -317,7 +319,7 @@ DeltaPushStats save_sharded_impl(const ConnectivityScheme& scheme,
     FTC_CHECK(w.size() == store::kManifestHeaderBytes,
               "manifest header layout drifted");
 
-    w.bytes(params.view());
+    w.bytes(params);
     w.pad_to(8);
     for (const store::ShardRecord& rec : records) {
       store::encode_shard_record(rec, w);
@@ -1056,15 +1058,6 @@ std::span<const std::uint8_t> ShardedStoreView::edge_blob(EdgeId e) const {
   }
   const std::size_t k = shard_of_edge(e);
   return shard(k).edge_blob(static_cast<EdgeId>(e - records_[k].edge_begin));
-}
-
-std::size_t ShardedStoreView::adjacency_degree(VertexId v) const {
-  return adj_.degree(v);
-}
-
-void ShardedStoreView::adjacency_append(VertexId v,
-                                        std::vector<EdgeId>& out) const {
-  adj_.append(v, out);
 }
 
 std::size_t ShardedStoreView::shards_open() const {

@@ -279,9 +279,6 @@ class ShardedStoreView : public StoreView {
   std::span<const std::uint8_t> params_blob() const override;
   std::span<const std::uint8_t> vertex_blob(graph::VertexId v) const override;
   std::span<const std::uint8_t> edge_blob(graph::EdgeId e) const override;
-  std::size_t adjacency_degree(graph::VertexId v) const override;
-  void adjacency_append(graph::VertexId v,
-                        std::vector<graph::EdgeId>& out) const override;
 
   // Maps + digest-verifies every still-unmapped shard in parallel
   // (work-stealing over shard indices, the same thread pattern as
@@ -385,7 +382,6 @@ class ShardedStoreView : public StoreView {
   const std::uint8_t* map_ = nullptr;  // manifest file
   std::size_t map_bytes_ = 0;
   std::size_t params_off_ = 0;
-  store::CsrAdjacency adj_;  // base == nullptr when no adjacency section
   std::string dir_;          // manifest directory, for shard resolution
   std::string path_;         // manifest path, for error messages
   bool verify_checksum_ = true;

@@ -464,6 +464,68 @@ TEST(FaultInjection, TruncatedShardBehindLiveGenerationDegradesTyped) {
   EXPECT_EQ(stats.quarantine[0].vertex_begin, recs[damaged].vertex_begin);
 }
 
+// ------------------------------------------------------------------
+// Writers over a backing truncated behind the live mapping: save(),
+// digest_container and save_sharded copy container bytes straight out
+// of the loaded scheme's view, so the damage must surface as the typed
+// error — StoreIoError for a single container, DegradedError for a
+// sharded source — and never kill the process.
+
+bool path_exists(const std::string& path) {
+  struct stat st{};
+  return ::stat(path.c_str(), &st) == 0;
+}
+
+TEST(FaultInjection, WritersOverTruncatedContainerThrowTyped) {
+  StoreFile source("sigbus_writer_src");
+  StoreFile copy("sigbus_writer_copy");
+  ManifestFile sharded("sigbus_writer_sharded");
+  const Graph g = graph::random_connected(512, 2048, 41);
+  make_scheme(g, test_config(4))->save(source.path());
+  const auto loaded = load_scheme(source.path());
+  ASSERT_EQ(::truncate(source.path().c_str(), 4096), 0);
+
+  EXPECT_THROW(loaded->save(copy.path()), StoreIoError);
+  EXPECT_THROW((void)store::digest_container(*loaded, 0, g.num_vertices(), 0,
+                                             g.num_edges(), true),
+               StoreIoError);
+  EXPECT_THROW(save_sharded(*loaded, sharded.path(), 4), StoreIoError);
+  EXPECT_FALSE(path_exists(copy.path()));
+  EXPECT_FALSE(path_exists(sharded.path()));
+  for (unsigned k = 0; k < 4; ++k) {
+    EXPECT_FALSE(path_exists(sharded.shard_path(k))) << "shard " << k;
+  }
+}
+
+TEST(FaultInjection, WritersOverTruncatedShardThrowDegraded) {
+  ManifestFile source("sigbus_writer_shsrc");
+  StoreFile copy("sigbus_writer_shcopy");
+  ManifestFile sharded("sigbus_writer_shout");
+  const Graph g = graph::random_connected(512, 2048, 43);
+  save_sharded(*make_scheme(g, test_config(4)), source.path(), 4);
+  const auto loaded = load_scheme(source.path());
+  loaded->prefetch();  // every shard mapped: the damage lands behind it
+  const std::size_t damaged = 2;
+  ASSERT_EQ(::truncate(source.shard_path(damaged).c_str(), 0), 0);
+
+  const auto expect_degraded = [&](auto&& write) {
+    try {
+      write();
+      ADD_FAILURE() << "write over a truncated shard must degrade";
+    } catch (const DegradedError& e) {
+      EXPECT_EQ(e.shard, damaged);
+    }
+  };
+  expect_degraded([&] { loaded->save(copy.path()); });
+  expect_degraded([&] {
+    (void)store::digest_container(*loaded, 0, g.num_vertices(), 0,
+                                  g.num_edges(), true);
+  });
+  expect_degraded([&] { save_sharded(*loaded, sharded.path(), 4); });
+  EXPECT_FALSE(path_exists(copy.path()));
+  EXPECT_FALSE(path_exists(sharded.path()));
+}
+
 TEST(FaultInjection, TruncationUnderConcurrentSessionsNeverCrashes) {
   ManifestFile manifest("sigbus_concurrent");
   const unsigned f = 2;

@@ -125,6 +125,31 @@ struct ServedStore {
   ShardHttpServer server;
 };
 
+// A copy of `scheme`'s labels (built over g) with every byte of edge
+// `flip`'s blob inverted, served from a resident view — a one-shard
+// content change.
+std::unique_ptr<ConnectivityScheme> flip_edge(const ConnectivityScheme& scheme,
+                                              const Graph& g, EdgeId flip) {
+  const StoreView& view = *scheme.store_view();
+  store::ResidentLabels labels;
+  labels.backend = scheme.backend();
+  const auto params = view.params_blob();
+  labels.params.assign(params.begin(), params.end());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const auto rec = view.vertex_blob(v);
+    labels.vertex_records.insert(labels.vertex_records.end(), rec.begin(),
+                                 rec.end());
+  }
+  labels.assign_edge_blobs(g.num_edges(), view.edge_blob(0).size());
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const auto blob = view.edge_blob(e);
+    for (std::size_t i = 0; i < blob.size(); ++i) {
+      labels.edge_blob(e)[i] = e == flip ? ~blob[i] : blob[i];
+    }
+  }
+  return load_scheme(open_resident_view(std::move(labels), g));
+}
+
 // ------------------------------------------------------------------
 // HttpShardSource against the in-process origin: the raw transport.
 
@@ -280,63 +305,9 @@ TEST(RemoteStore, SwapToDeltaPushedChildFetchesOnlyChangedShard) {
 
   // Push a child epoch whose only change is edge 0's label — exactly
   // shard 0's bytes differ — and serve it from the same origin dir.
-  class EdgeFlipScheme : public ConnectivityScheme {
-   public:
-    EdgeFlipScheme(const ConnectivityScheme& inner, EdgeId flip)
-        : inner_(inner), flip_(flip) {}
-    BackendKind backend() const override { return inner_.backend(); }
-    VertexId num_vertices() const override { return inner_.num_vertices(); }
-    EdgeId num_edges() const override { return inner_.num_edges(); }
-    std::size_t vertex_label_bits() const override {
-      return inner_.vertex_label_bits();
-    }
-    std::size_t edge_label_bits() const override {
-      return inner_.edge_label_bits();
-    }
-    const AdjacencyProvider* adjacency() const override {
-      return inner_.adjacency();
-    }
-    void serialize_params(store::ByteWriter& out) const override {
-      inner_.serialize_params(out);
-    }
-    void serialize_vertex_label(VertexId v,
-                                store::ByteWriter& out) const override {
-      inner_.serialize_vertex_label(v, out);
-    }
-    void serialize_edge_label(EdgeId e,
-                              store::ByteWriter& out) const override {
-      if (e != flip_) {
-        inner_.serialize_edge_label(e, out);
-        return;
-      }
-      store::ByteWriter tmp;
-      inner_.serialize_edge_label(e, tmp);
-      std::vector<std::uint8_t> flipped(tmp.view().begin(), tmp.view().end());
-      for (std::uint8_t& b : flipped) b ^= 0xff;
-      out.bytes(flipped);
-    }
-    std::unique_ptr<Workspace> make_workspace() const override {
-      throw std::logic_error("write-only scheme");
-    }
-
-   protected:
-    std::unique_ptr<FaultSet> prepare_edge_faults(
-        std::span<const EdgeId>) const override {
-      throw std::logic_error("write-only scheme");
-    }
-    bool query_edges(VertexId, VertexId, const FaultSet&, Workspace&,
-                     const QueryOptions&) const override {
-      throw std::logic_error("write-only scheme");
-    }
-
-   private:
-    const ConnectivityScheme& inner_;
-    EdgeId flip_;
-  };
-
-  const EdgeFlipScheme patched(*served.scheme, 0);
+  const auto patched = flip_edge(*served.scheme, served.graph, 0);
   const DeltaPushStats push = save_sharded_delta(
-      patched, served.dir.file("child.ftcm"), served.manifest());
+      *patched, served.dir.file("child.ftcm"), served.manifest());
   ASSERT_EQ(push.shards_written, 1u);
   ASSERT_EQ(push.shards_reused, 3u);
 

@@ -31,6 +31,7 @@
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "util/common.hpp"
+#include "util/failpoint.hpp"
 
 namespace ftc::core {
 namespace {
@@ -621,68 +622,41 @@ TEST_F(ShardedStoreAdversarial, EpochZeroManifestThrows) {
 // save_sharded failure / shrink hygiene, and the content-addressed
 // delta-push + shard-adoption path.
 
-// Delegating wrapper that serializes exactly like `inner` except for
-// one poisoned edge, whose label either throws mid-save (failure
-// hygiene) or flips its bytes (a one-shard content change for the delta
-// tests). Never used for queries.
-class EdgePatchScheme : public ConnectivityScheme {
- public:
-  enum class Mode { kThrow, kFlip };
-  EdgePatchScheme(const ConnectivityScheme& inner, EdgeId poison, Mode mode)
-      : inner_(inner), poison_(poison), mode_(mode) {}
-
-  BackendKind backend() const override { return inner_.backend(); }
-  VertexId num_vertices() const override { return inner_.num_vertices(); }
-  EdgeId num_edges() const override { return inner_.num_edges(); }
-  std::size_t vertex_label_bits() const override {
-    return inner_.vertex_label_bits();
+// A copy of `scheme`'s labels (built over g) with every byte of edge
+// `flip`'s blob inverted, served from a resident view — a one-shard
+// content change for the delta tests.
+std::unique_ptr<ConnectivityScheme> flip_edge(const ConnectivityScheme& scheme,
+                                              const Graph& g, EdgeId flip) {
+  const StoreView& view = *scheme.store_view();
+  store::ResidentLabels labels;
+  labels.backend = scheme.backend();
+  const auto params = view.params_blob();
+  labels.params.assign(params.begin(), params.end());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const auto rec = view.vertex_blob(v);
+    labels.vertex_records.insert(labels.vertex_records.end(), rec.begin(),
+                                 rec.end());
   }
-  std::size_t edge_label_bits() const override {
-    return inner_.edge_label_bits();
-  }
-  const AdjacencyProvider* adjacency() const override {
-    return inner_.adjacency();
-  }
-  void serialize_params(store::ByteWriter& out) const override {
-    inner_.serialize_params(out);
-  }
-  void serialize_vertex_label(VertexId v,
-                              store::ByteWriter& out) const override {
-    inner_.serialize_vertex_label(v, out);
-  }
-  void serialize_edge_label(EdgeId e, store::ByteWriter& out) const override {
-    if (e != poison_) {
-      inner_.serialize_edge_label(e, out);
-      return;
+  labels.assign_edge_blobs(g.num_edges(), view.edge_blob(0).size());
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const auto blob = view.edge_blob(e);
+    for (std::size_t i = 0; i < blob.size(); ++i) {
+      labels.edge_blob(e)[i] = e == flip ? ~blob[i] : blob[i];
     }
-    if (mode_ == Mode::kThrow) {
-      throw std::runtime_error("poisoned edge label");
-    }
-    store::ByteWriter tmp;
-    inner_.serialize_edge_label(e, tmp);
-    std::vector<std::uint8_t> flipped(tmp.view().begin(), tmp.view().end());
-    for (std::uint8_t& b : flipped) b ^= 0xff;
-    out.bytes(flipped);
   }
-  std::unique_ptr<Workspace> make_workspace() const override {
-    throw std::logic_error("EdgePatchScheme does not serve queries");
-  }
+  return load_scheme(open_resident_view(std::move(labels), g));
+}
 
- protected:
-  std::unique_ptr<FaultSet> prepare_edge_faults(
-      std::span<const EdgeId>) const override {
-    throw std::logic_error("EdgePatchScheme does not serve queries");
-  }
-  bool query_edges(VertexId, VertexId, const FaultSet&, Workspace&,
-                   const QueryOptions&) const override {
-    throw std::logic_error("EdgePatchScheme does not serve queries");
-  }
-
- private:
-  const ConnectivityScheme& inner_;
-  EdgeId poison_;
-  Mode mode_;
-};
+// The store.write.write hits of one save_sharded(scheme, path, shards).
+// The manifest's single write is the last of them, so failing hit
+// (count - 1) aborts the save on the last shard-container write, after
+// every other shard file was staged.
+std::uint64_t count_save_writes(const ConnectivityScheme& scheme,
+                                const std::string& path, unsigned shards) {
+  const failpoint::Scoped counter("store.write.write", "count");
+  save_sharded(scheme, path, shards);
+  return counter.hits();
+}
 
 bool file_exists(const std::string& path) {
   struct stat st{};
@@ -693,12 +667,17 @@ TEST(ShardedStoreHygiene, MidSaveThrowLeavesNoOrphanShards) {
   const Graph g = graph::random_connected(48, 120, 13);
   const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 3));
   ManifestFile manifest("midthrow");
-  // An edge in the LAST shard's range, so earlier shard files have
-  // already been written when the save aborts.
-  const EdgePatchScheme poisoned(*scheme, g.num_edges() - 1,
-                                 EdgePatchScheme::Mode::kThrow);
-  EXPECT_THROW(save_sharded(poisoned, manifest.path(), 4),
-               std::runtime_error);
+  std::uint64_t writes = 0;
+  {
+    ManifestFile counted("midthrow_count");
+    writes = count_save_writes(*scheme, counted.path(), 4);
+  }
+  ASSERT_GE(writes, 2u);
+  {
+    const failpoint::Scoped fp("store.write.write",
+                               "nth:" + std::to_string(writes - 1));
+    EXPECT_THROW(save_sharded(*scheme, manifest.path(), 4), StoreIoError);
+  }
   EXPECT_FALSE(file_exists(manifest.path()));
   for (unsigned k = 0; k < 8; ++k) {
     EXPECT_FALSE(file_exists(manifest.shard_path(k))) << "shard " << k;
@@ -712,14 +691,16 @@ TEST(ShardedStoreHygiene, MidSaveThrowKeepsPriorGenerationIntact) {
   const Graph g = graph::random_connected(32, 80, 17);
   const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 3));
   ManifestFile manifest("midthrow_prior");
-  save_sharded(*scheme, manifest.path(), 4);
+  const std::uint64_t writes = count_save_writes(*scheme, manifest.path(), 4);
+  ASSERT_GE(writes, 2u);
   const auto manifest_before = read_file(manifest.path());
   const auto shard0_before = read_file(manifest.shard_path(0));
 
-  const EdgePatchScheme poisoned(*scheme, g.num_edges() - 1,
-                                 EdgePatchScheme::Mode::kThrow);
-  EXPECT_THROW(save_sharded(poisoned, manifest.path(), 4),
-               std::runtime_error);
+  {
+    const failpoint::Scoped fp("store.write.write",
+                               "nth:" + std::to_string(writes - 1));
+    EXPECT_THROW(save_sharded(*scheme, manifest.path(), 4), StoreIoError);
+  }
   // A failed re-save must not tear down the generation already on disk
   // (the build failed before anything was published over it).
   EXPECT_EQ(read_file(manifest.path()), manifest_before);
@@ -803,9 +784,9 @@ TEST(ShardedStoreDelta, SingleChangedShardWritesExactlyOneShard) {
 
   // Edge 0 lives in shard 0's range; flipping its label bytes must
   // rewrite shard 0 and ONLY shard 0.
-  const EdgePatchScheme patched(*scheme, 0, EdgePatchScheme::Mode::kFlip);
+  const auto patched = flip_edge(*scheme, g, 0);
   const DeltaPushStats stats = save_sharded_delta(
-      patched, files.child().path(), files.parent().path());
+      *patched, files.child().path(), files.parent().path());
   EXPECT_EQ(stats.epoch, 2u);
   EXPECT_EQ(stats.shards_written, 1u);
   EXPECT_EQ(stats.shards_reused, 3u);
@@ -875,8 +856,8 @@ TEST(ShardedStoreDelta, AdoptionSharesUnchangedShardMaps) {
 
   // One changed shard: adoption must carry the three unchanged maps
   // over and leave exactly the changed one for prefetch to open.
-  const EdgePatchScheme patched(*scheme, 0, EdgePatchScheme::Mode::kFlip);
-  save_sharded_delta(patched, files.child().path(), files.parent().path());
+  const auto patched = flip_edge(*scheme, g, 0);
+  save_sharded_delta(*patched, files.child().path(), files.parent().path());
   const auto child_view = ShardedStoreView::open(
       files.child().path(), /*verify_checksum=*/true, parent_view);
   EXPECT_EQ(child_view->shards_adopted(), 3u);

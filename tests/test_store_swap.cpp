@@ -505,61 +505,31 @@ TEST(StoreSwap, LiveSwapUnderLoadIsNeverTorn) {
 // outgoing generation (mapping only the changed ones) and replay the
 // new path's journal sidecar.
 
-// Serializes exactly like `inner` except edge `flip`, whose label bytes
-// are inverted — a one-shard content change. Only used to WRITE stores;
-// the flipped edge is never queried or faulted in these tests.
-class FlipEdgeScheme : public ConnectivityScheme {
- public:
-  FlipEdgeScheme(const ConnectivityScheme& inner, EdgeId flip)
-      : inner_(inner), flip_(flip) {}
-  BackendKind backend() const override { return inner_.backend(); }
-  VertexId num_vertices() const override { return inner_.num_vertices(); }
-  EdgeId num_edges() const override { return inner_.num_edges(); }
-  std::size_t vertex_label_bits() const override {
-    return inner_.vertex_label_bits();
+// A copy of `scheme`'s labels (built over g) with every byte of edge
+// `flip`'s blob inverted, served from a resident view — a one-shard
+// content change. Only used to WRITE stores; the flipped edge is never
+// queried or faulted in these tests.
+std::unique_ptr<ConnectivityScheme> flip_edge(const ConnectivityScheme& scheme,
+                                              const Graph& g, EdgeId flip) {
+  const StoreView& view = *scheme.store_view();
+  store::ResidentLabels labels;
+  labels.backend = scheme.backend();
+  const auto params = view.params_blob();
+  labels.params.assign(params.begin(), params.end());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const auto rec = view.vertex_blob(v);
+    labels.vertex_records.insert(labels.vertex_records.end(), rec.begin(),
+                                 rec.end());
   }
-  std::size_t edge_label_bits() const override {
-    return inner_.edge_label_bits();
-  }
-  const AdjacencyProvider* adjacency() const override {
-    return inner_.adjacency();
-  }
-  void serialize_params(store::ByteWriter& out) const override {
-    inner_.serialize_params(out);
-  }
-  void serialize_vertex_label(VertexId v,
-                              store::ByteWriter& out) const override {
-    inner_.serialize_vertex_label(v, out);
-  }
-  void serialize_edge_label(EdgeId e, store::ByteWriter& out) const override {
-    if (e != flip_) {
-      inner_.serialize_edge_label(e, out);
-      return;
+  labels.assign_edge_blobs(g.num_edges(), view.edge_blob(0).size());
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const auto blob = view.edge_blob(e);
+    for (std::size_t i = 0; i < blob.size(); ++i) {
+      labels.edge_blob(e)[i] = e == flip ? ~blob[i] : blob[i];
     }
-    store::ByteWriter tmp;
-    inner_.serialize_edge_label(e, tmp);
-    std::vector<std::uint8_t> flipped(tmp.view().begin(), tmp.view().end());
-    for (std::uint8_t& b : flipped) b ^= 0xff;
-    out.bytes(flipped);
   }
-  std::unique_ptr<Workspace> make_workspace() const override {
-    throw std::logic_error("FlipEdgeScheme does not serve queries");
-  }
-
- protected:
-  std::unique_ptr<FaultSet> prepare_edge_faults(
-      std::span<const EdgeId>) const override {
-    throw std::logic_error("FlipEdgeScheme does not serve queries");
-  }
-  bool query_edges(VertexId, VertexId, const FaultSet&, Workspace&,
-                   const QueryOptions&) const override {
-    throw std::logic_error("FlipEdgeScheme does not serve queries");
-  }
-
- private:
-  const ConnectivityScheme& inner_;
-  EdgeId flip_;
-};
+  return load_scheme(open_resident_view(std::move(labels), g));
+}
 
 std::shared_ptr<const ShardedStoreView> serving_sharded_view(
     const BatchQueryEngine& session) {
@@ -618,9 +588,9 @@ TEST(StoreSwapDelta, SwapByPathMapsOnlyTheChangedShard) {
                            FaultSpec::edges(faults));
   const auto baseline = session.run_sequential(queries);
 
-  const FlipEdgeScheme patched(*scheme, 0);
+  const auto patched = flip_edge(*scheme, g, 0);
   const DeltaPushStats stats =
-      save_sharded_delta(patched, store_b.path(), store_a.path());
+      save_sharded_delta(*patched, store_b.path(), store_a.path());
   ASSERT_EQ(stats.shards_written, 1u);
   ASSERT_EQ(stats.shards_reused, 3u);
 

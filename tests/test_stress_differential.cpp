@@ -14,6 +14,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -70,6 +72,11 @@ std::optional<Instance> make_instance(const std::string& family, unsigned n,
     return std::nullopt;
   }
   return inst;
+}
+
+std::vector<char> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
 std::string fault_list(const std::vector<EdgeId>& faults) {
@@ -323,10 +330,17 @@ TEST_P(StressDifferential, ParallelBuildsMatchSerialAcrossFamilies) {
 
     // Store-byte equality: the strongest statement — every label, every
     // parameter, every checksum identical.
-    const auto serial_bytes = store::build_container_bytes(
-        *serial, 0, g.num_vertices(), 0, g.num_edges(), true);
-    const auto parallel_bytes = store::build_container_bytes(
-        *parallel, 0, g.num_vertices(), 0, g.num_edges(), true);
+    const std::string stem = ::testing::TempDir() + "ftc_pbstress_" +
+                             sweep.family + "_" +
+                             std::to_string(static_cast<int>(GetParam())) +
+                             "_" + std::to_string(::getpid());
+    serial->save(stem + "_serial.ftcs");
+    parallel->save(stem + "_parallel.ftcs");
+    const auto serial_bytes = read_file(stem + "_serial.ftcs");
+    const auto parallel_bytes = read_file(stem + "_parallel.ftcs");
+    std::remove((stem + "_serial.ftcs").c_str());
+    std::remove((stem + "_parallel.ftcs").c_str());
+    ASSERT_FALSE(serial_bytes.empty());
     EXPECT_EQ(parallel_bytes, serial_bytes)
         << "REPLAY (family=" << sweep.family << ", n=" << sweep.n
         << ", seed=" << sweep.seed << ") backend=" << backend_name(GetParam())
