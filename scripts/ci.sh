@@ -22,12 +22,23 @@
 #                             # sketch-decode algebra suites and the
 #                             # zero-allocation decode check (the root
 #                             # finder indexes flat buffers by computed
-#                             # degree)
-#   scripts/ci.sh store-v2    # format-v2 focused asan leg: v1 fixture
-#                             # load + v2 round-trip + vertex-fault
-#                             # parity (fault-model suites) plus an
+#                             # degree), plus the payload-digest suite
+#                             # (CRC-64 fold kernel and the every-bit-
+#                             # flip / every-truncation container sweep)
+#   scripts/ci.sh store-v2    # store format focused asan leg: v1 and v2
+#                             # fixture load + v3 round-trip + vertex-
+#                             # fault parity (fault-model suites) plus an
 #                             # end-to-end ftc_store build/inspect/query
 #                             # exercise with --vertex-faults
+#   scripts/ci.sh portable    # portable-digest leg: Release build with
+#                             # -DFTC_NATIVE=OFF (no -march=native, so no
+#                             # PCLMUL) into build-portable/, running the
+#                             # digest, golden-bytes, label-store and
+#                             # GF(2^m) suites; the pinned golden
+#                             # checksums then prove the table-driven
+#                             # CRC-64 and the portable carry-less
+#                             # multiply write the same bytes as the
+#                             # PCLMUL build
 #   scripts/ci.sh bench-smoke # Release build of bench_decoder_hotpath +
 #                             # bench_vertex_faults + bench_shard_swap,
 #                             # tiny-size runs, JSON outputs validated —
@@ -100,41 +111,56 @@ if [ "${1:-}" = "store" ]; then
     --target test_label_store test_golden_bytes test_stress_differential \
     test_decoder_workspace test_backends test_batch_engine test_dp21 \
     test_parallel_build test_decoder test_rs_sketch test_poly test_gf2 \
-    test_decode_alloc ftc_store
+    test_decode_alloc test_digest ftc_store
   ctest --preset asan \
-    -R 'test_label_store|test_golden_bytes|test_stress_differential|test_decoder_workspace|test_backends|test_batch_engine|test_dp21|test_parallel_build|test_decoder$|test_rs_sketch|test_poly|test_gf2|test_decode_alloc' \
+    -R 'test_label_store|test_golden_bytes|test_stress_differential|test_decoder_workspace|test_backends|test_batch_engine|test_dp21|test_parallel_build|test_decoder$|test_rs_sketch|test_poly|test_gf2|test_decode_alloc|test_digest' \
     -j "$jobs"
-  echo "ci: store/golden/stress/workspace/backend/engine/dp21/parallel-build/sketch-decode suites green under asan"
+  echo "ci: store/golden/stress/workspace/backend/engine/dp21/parallel-build/sketch-decode/digest suites green under asan"
+  exit 0
+fi
+
+if [ "${1:-}" = "portable" ]; then
+  echo "=== portable digest leg (release, FTC_NATIVE=OFF) ==="
+  cmake -S . -B build-portable -DCMAKE_BUILD_TYPE=Release -DFTC_NATIVE=OFF
+  cmake --build build-portable -j "$jobs" \
+    --target test_digest test_golden_bytes test_label_store test_gf2
+  ctest --test-dir build-portable --output-on-failure \
+    -R 'test_digest|test_golden_bytes|test_label_store|test_gf2' -j "$jobs"
+  echo "ci: portable leg green (table CRC-64 reproduces the golden bytes)"
   exit 0
 fi
 
 if [ "${1:-}" = "store-v2" ]; then
-  echo "=== store format-v2 / fault-model leg (asan) ==="
+  echo "=== store format / fault-model leg (asan) ==="
   cmake --preset asan
   cmake --build --preset asan -j "$jobs" \
     --target test_label_store test_stress_differential test_fault_spec \
     ftc_store
-  # v1 fixture compat, v2 adjacency round-trip + adversarial corpus, and
+  # v1/v2 fixture compat, v3 adjacency round-trip + adversarial corpus, and
   # the vertex/mixed-fault differential sweeps, all under asan.
   ctest --preset asan \
     -R 'test_label_store|test_stress_differential|test_fault_spec' \
     -j "$jobs"
-  # End-to-end CLI exercise: build a v2 store, inspect it, serve a
-  # vertex-fault query, and confirm the v1 fixture still loads but
-  # refuses vertex faults with the typed capability error (exit 2).
+  # End-to-end CLI exercise: build a v3 store, inspect it, serve a
+  # vertex-fault query, confirm the v2 fixture still verifies (FNV-1a
+  # payload digest), and confirm the v1 fixture still loads but refuses
+  # vertex faults with the typed capability error (exit 2).
   tmp="$(mktemp -d)"
   trap 'rm -rf "$tmp"' EXIT
-  build-asan/ftc_store build --out "$tmp/v2.ftcs" --family grid \
+  build-asan/ftc_store build --out "$tmp/v3.ftcs" --family grid \
     --rows 6 --cols 6 --backend core-ftc --f 8 >/dev/null
-  build-asan/ftc_store inspect "$tmp/v2.ftcs" | grep -q 'format version     2'
-  build-asan/ftc_store inspect "$tmp/v2.ftcs" | grep -q 'supported (adjacency'
-  out="$(build-asan/ftc_store query "$tmp/v2.ftcs" --faults 1 \
+  build-asan/ftc_store inspect "$tmp/v3.ftcs" | grep -q 'format version     3'
+  build-asan/ftc_store inspect "$tmp/v3.ftcs" | grep -q 'payload digest     crc64'
+  build-asan/ftc_store inspect "$tmp/v3.ftcs" | grep -q 'supported (adjacency'
+  out="$(build-asan/ftc_store query "$tmp/v3.ftcs" --faults 1 \
     --vertex-faults 7 --pairs 0:35,7:7)"
   # Anchored: 'connected' is a substring of 'disconnected'. Deleting one
   # interior vertex (+ one edge) leaves the 6x6 grid connected, and a
   # deleted vertex stays connected to itself.
   printf '%s\n' "$out" | grep -qx '0 35 connected'
   printf '%s\n' "$out" | grep -qx '7 7 connected'
+  build-asan/ftc_store inspect tests/data/v2_core_ftc.ftcs \
+    | grep -q 'payload digest     fnv1a'
   build-asan/ftc_store inspect tests/data/v1_core_ftc.ftcs \
     | grep -q 'format version     1'
   if build-asan/ftc_store query tests/data/v1_core_ftc.ftcs \
@@ -142,7 +168,7 @@ if [ "${1:-}" = "store-v2" ]; then
     echo "ci: v1 store unexpectedly served a vertex-fault query" >&2
     exit 1
   fi
-  echo "ci: store-v2 leg green (fixture compat + v2 round-trip + CLI)"
+  echo "ci: store-v2 leg green (fixture compat + v3 round-trip + CLI)"
   exit 0
 fi
 

@@ -493,6 +493,10 @@ void emit_container(const StoreView& view, VertexId v_begin, VertexId v_end,
   }
 }
 
+// Both sinks produce the current format, so they digest its payload
+// with the current format's checksum.
+constexpr auto kVersion = static_cast<std::uint32_t>(store::kFormatVersion);
+
 // Sink 1: fold the stream straight into the payload digest — the
 // no-I/O pass delta pushes use to detect unchanged shards.
 class DigestSink {
@@ -504,7 +508,7 @@ class DigestSink {
     if (off < store::kHeaderBytes) {
       b = b.subspan(static_cast<std::size_t>(store::kHeaderBytes - off));
     }
-    digest_ = store::fnv1a(b, digest_);
+    digest_ = store::payload_digest(kVersion, b, digest_);
   }
   std::uint64_t offset() const { return offset_; }
 
@@ -512,7 +516,7 @@ class DigestSink {
 
  private:
   std::uint64_t offset_ = 0;
-  std::uint64_t digest_ = store::kFnvBasis;
+  std::uint64_t digest_ = store::payload_digest(kVersion, {});
 };
 
 // Sink 2: stream straight to disk through the atomic-write protocol,
@@ -532,9 +536,11 @@ class FileSink {
           std::min<std::uint64_t>(b.size(), store::kHeaderBytes - offset_));
       std::copy_n(b.data(), take,
                   header_ + static_cast<std::size_t>(offset_));
-      if (take < b.size()) digest_ = store::fnv1a(b.subspan(take), digest_);
+      if (take < b.size()) {
+        digest_ = store::payload_digest(kVersion, b.subspan(take), digest_);
+      }
     } else {
-      digest_ = store::fnv1a(b, digest_);
+      digest_ = store::payload_digest(kVersion, b, digest_);
     }
     offset_ += b.size();
     file_.write(b);
@@ -557,7 +563,7 @@ class FileSink {
   AtomicFile file_;
   std::uint8_t header_[store::kHeaderBytes] = {};
   std::uint64_t offset_ = 0;
-  std::uint64_t digest_ = store::kFnvBasis;
+  std::uint64_t digest_ = store::payload_digest(kVersion, {});
 };
 
 }  // namespace
@@ -850,11 +856,12 @@ std::shared_ptr<const LabelStoreView> LabelStoreView::open(
 
   if (verify_checksum) {
     // The O(file) scan — by far the widest SIGBUS window at open.
-    std::uint64_t payload_fnv = 0;
+    std::uint64_t payload_digest = 0;
     store::with_sigbus_guard(path, "label store payload", [&] {
-      payload_fnv = store::fnv1a(bytes.subspan(store::kHeaderBytes));
+      payload_digest = store::payload_digest(
+          info.format_version, bytes.subspan(store::kHeaderBytes));
     });
-    if (payload_fnv != info.payload_checksum) {
+    if (payload_digest != info.payload_checksum) {
       throw StoreError("payload checksum mismatch (corrupt label store): " +
                        path);
     }

@@ -10,17 +10,18 @@
 // materializing per-label std::vector copies on the query path (only the
 // <= f fault-edge labels of a session are decoded, once per fault set).
 //
-// Container format, version 2 (all integers little-endian):
+// Container format, version 3 (all integers little-endian):
 //
 //   header (64 bytes)
 //     0   u64  magic "FTCSTORE"
-//     8   u32  format version (2)
+//     8   u32  format version (3)
 //     12  u8   BackendKind
 //     13  u8   flags (bit 0: adjacency section present), u8[2] reserved
 //     16  u64  num_vertices
 //     24  u64  num_edges
 //     32  u64  params blob size in bytes
-//     40  u64  payload checksum: FNV-1a over bytes [64, file end)
+//     40  u64  payload checksum over bytes [64, file end): CRC-64/XZ
+//              in v3, FNV-1a in v1 and v2 (store::payload_digest)
 //     48  u64  adjacency section size in bytes (0 when absent)
 //     56  u64  header checksum: FNV-1a over bytes [0, 56)
 //   params blob          backend-specific scheme parameters; for the core
@@ -48,13 +49,18 @@
 // exactly as they always did, and vertex-fault queries raise the typed
 // CapabilityError because the container carries no adjacency.
 //
-// Versioning policy: the format version is bumped on any layout change;
-// readers accept versions [1, 2] and reject anything else (no silent
-// best-effort parsing). Every structural property — magic, both
-// checksums, section bounds, index monotonicity, blob sizes implied by
-// the params, adjacency offset monotonicity and edge-ID ranges — is
-// validated at open, and every read is bounds-checked, so corrupt or
-// adversarial files throw StoreError and never invoke UB.
+// Version 3 has the v2 layout byte for byte; only the payload checksum
+// changed, from byte-serial FNV-1a to CRC-64/XZ (util/digest.hpp), which
+// the carry-less multiply folds 64 bytes at a time. v2 files keep
+// verifying with FNV-1a.
+//
+// Versioning policy: the format version is bumped on any layout or
+// digest change; readers accept versions [1, 3] and reject anything
+// else (no silent best-effort parsing). Every structural property —
+// magic, both checksums, section bounds, index monotonicity, blob sizes
+// implied by the params, adjacency offset monotonicity and edge-ID
+// ranges — is validated at open, and every read is bounds-checked, so
+// corrupt or adversarial files throw StoreError and never invoke UB.
 #pragma once
 
 #include <cstdint>
@@ -94,7 +100,7 @@ class StoreIoError : public StoreError {
 namespace store {
 
 // Written format version; readers accept [kMinFormatVersion, kFormatVersion].
-inline constexpr std::uint64_t kFormatVersion = 2;
+inline constexpr std::uint64_t kFormatVersion = 3;
 inline constexpr std::uint64_t kMinFormatVersion = 1;
 inline constexpr std::size_t kHeaderBytes = 64;
 // "FTCSTORE" read as a little-endian u64.
@@ -104,9 +110,34 @@ inline constexpr std::uint8_t kFlagHasAdjacency = 0x01;
 
 // FNV-1a over a byte range (seedable so checksums can be streamed).
 // The implementation lives in util/digest.hpp — one digest shared by
-// containers, manifests, journals and the remote shard cache.
+// container headers, manifests, journals and the remote shard cache.
 using util::fnv1a;
 using util::kFnvBasis;
+
+// The container payload checksum (header offset 40) of `format_version`:
+// FNV-1a for v1 and v2, CRC-64/XZ from v3 on. The one place that picks
+// between them — writers, the open-time verify pass and the remote
+// cache's fetch check all call it. `prev` is the digest of the payload
+// bytes before these; a stream starts from the digest of no bytes,
+// payload_digest(format_version, {}).
+inline bool payload_uses_crc64(std::uint32_t format_version) {
+  return format_version >= 3;
+}
+inline std::uint64_t payload_digest(std::uint32_t format_version,
+                                    std::span<const std::uint8_t> bytes,
+                                    std::uint64_t prev) {
+  return payload_uses_crc64(format_version) ? util::crc64(bytes, prev)
+                                            : util::fnv1a(bytes, prev);
+}
+inline std::uint64_t payload_digest(std::uint32_t format_version,
+                                    std::span<const std::uint8_t> bytes) {
+  return payload_uses_crc64(format_version) ? util::crc64(bytes)
+                                            : util::fnv1a(bytes);
+}
+// Name of that digest, for inspection tools.
+inline const char* payload_digest_name(std::uint32_t format_version) {
+  return payload_uses_crc64(format_version) ? "crc64" : "fnv1a";
+}
 
 // Little-endian byte sink used by the container writer and the
 // per-backend label blob encoders.
@@ -354,8 +385,8 @@ std::vector<std::uint8_t> saved_adjacency(const StoreView& view);
 // materializing — the container.
 struct ContainerDigest {
   std::uint64_t file_bytes = 0;
-  // FNV-1a over bytes [kHeaderBytes, file end), as stored at header
-  // offset 40.
+  // store::payload_digest of the current format (CRC-64/XZ) over bytes
+  // [kHeaderBytes, file end), as stored at header offset 40.
   std::uint64_t payload_checksum = 0;
 };
 
@@ -553,8 +584,8 @@ class StoreView {
 class LabelStoreView final : public StoreView {
  public:
   // Maps the file and validates it. verify_checksum=false skips only the
-  // full-payload FNV pass (an O(file) read) — every structural check and
-  // all per-read bounds checks stay on unconditionally.
+  // full-payload digest pass (an O(file) read) — every structural check
+  // and all per-read bounds checks stay on unconditionally.
   static std::shared_ptr<const LabelStoreView> open(
       const std::string& path, bool verify_checksum = true);
 

@@ -133,13 +133,14 @@ LabelParams decode_core_params(ByteReader& r, std::uint32_t format_version,
 std::vector<std::uint8_t> upgrade_params(BackendKind backend,
                                          std::vector<std::uint8_t> params,
                                          std::uint32_t version) {
-  if (backend != BackendKind::kCoreFtc || version >= kFormatVersion) {
-    return params;
-  }
+  // The core params layout last changed in v2 (v3 changed only the
+  // payload digest), so v2 and later blobs are already current.
+  if (backend != BackendKind::kCoreFtc || version >= 2) return params;
   ByteReader r(params);
-  const LabelParams p = decode_core_params(r, version);
+  std::vector<std::uint32_t> bounds;
+  const LabelParams p = decode_core_params(r, version, &bounds);
   ByteWriter w;
-  encode_core_params(p, {}, w);
+  encode_core_params(p, bounds, w);
   return w.take();
 }
 

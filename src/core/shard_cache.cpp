@@ -171,10 +171,15 @@ std::string ShardCache::fetch_shard(const ShardSource& source,
                          std::to_string(rec.file_bytes) + "): " +
                          source.describe(rec.name));
     }
+    // The digest algorithm follows the fetched container's own format
+    // version (header offset 8); a corrupt version field either picks
+    // the wrong digest (a mismatch below) or fails the open later.
     std::uint64_t digest =
         bytes.size() >= store::kHeaderBytes
-            ? util::fnv1a(std::span<const std::uint8_t>(bytes).subspan(
-                  store::kHeaderBytes))
+            ? store::payload_digest(
+                  util::read_u32_le(bytes.data() + 8),
+                  std::span<const std::uint8_t>(bytes).subspan(
+                      store::kHeaderBytes))
             : 0;
     if (FTC_FAILPOINT("remote.digest") != 0) digest = ~digest;
     if (digest != rec.payload_digest) {

@@ -3,8 +3,10 @@
 //
 // A RemoteStoreView never maps network bytes directly: every shard is
 // fetched into this cache, verified against its manifest record (exact
-// file size AND FNV-1a payload digest — the same digest the shard
-// writer computed), atomically published under a content-addressed
+// file size AND payload digest — the same digest the shard writer
+// computed: store::payload_digest of the version in the fetched header,
+// CRC-64/XZ for v3 shards, FNV-1a for v1/v2), atomically published
+// under a content-addressed
 // name, and only then mmapped. The cache directory therefore holds
 // verbatim shard containers keyed by payload digest: any file in it is
 // a complete, checksummed .ftcs container that fsck, cp, or a later

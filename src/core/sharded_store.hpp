@@ -7,7 +7,7 @@
 // artifacts outgrow one file. save_sharded() splits a scheme's labels
 // across K shards by CONTIGUOUS vertex and edge ranges — shard k holds
 // vertex records [vk, vk+1) and edge blobs [ek, ek+1), each shard a
-// fully valid format-v2 container in its own right (inspectable and
+// fully valid container (format v3) in its own right (inspectable and
 // loadable with the ordinary tools) — and writes a manifest recording
 // the ranges, the params blob, and a per-shard digest. Shards build and
 // write in parallel, the first concrete step toward billion-edge stores
@@ -40,10 +40,12 @@
 //   (pad to 8)
 //   shard table          K records (see store::ShardRecord): vertex and
 //                        edge ranges, expected shard file size, the
-//                        shard's payload checksum as its digest, and the
+//                        shard's payload checksum as its digest (the
+//                        CRC-64/XZ of a v3 shard's payload, FNV-1a for
+//                        a v1/v2 shard: store::payload_digest), and the
 //                        shard's file name relative to the manifest
 //   adjacency section    optional CSR incidence side-table, identical
-//                        layout and validation to container v2 — carried
+//                        layout and validation to container v2/v3 — carried
 //                        by the manifest (not the shards: incidence
 //                        lists name global edge IDs), so sharded stores
 //                        keep vertex-fault capability
@@ -72,7 +74,7 @@
 // without ".." segments, and every shard file must exist with exactly
 // the recorded size. Shards themselves are mmapped LAZILY, on the first
 // lookup that routes into them; at that point the shard is opened with
-// the full container-v2 validation plus the manifest cross-checks
+// the full container validation plus the manifest cross-checks
 // (backend, range dimensions, byte-identical params blob, digest). Any
 // mismatch throws the typed StoreError.
 #pragma once

@@ -1,13 +1,16 @@
-// The one FNV-1a implementation every artifact format shares.
+// The digests every artifact format shares: FNV-1a and CRC-64/XZ.
 //
 // Container headers (label_store.hpp), sharded manifests
 // (sharded_store.hpp), deletion-journal frame chains (journal.hpp), the
-// remote shard cache's fetch verification (shard_cache.hpp) and the
-// delta-push content addresses all digest bytes the same way: 64-bit
-// FNV-1a, seedable so checksums can be streamed or chained. Keeping the
-// constants and the loop here — plus the little-endian field readers the
-// binary parsers share — is what guarantees a digest computed by one
-// layer (say, a shard writer) verifies in another (say, the cache
+// manifest params hash and the remote cache's blob keys (shard_cache.hpp)
+// digest bytes with 64-bit FNV-1a: those inputs are small or chained.
+// Container *payloads* (format v3) use CRC-64/XZ, which folds 64 bytes per
+// step with the carry-less multiply instead of one dependent multiply per
+// byte; store::payload_digest (label_store.hpp) picks between the two by
+// container version. Both are seedable so checksums can be streamed.
+// Keeping the constants and the loops here — plus the little-endian field
+// readers the binary parsers share — is what guarantees a digest computed
+// by one layer (say, a shard writer) verifies in another (say, the cache
 // publishing a fetched shard against its manifest record).
 #pragma once
 
@@ -32,6 +35,18 @@ inline std::uint64_t fnv1a(std::span<const std::uint8_t> bytes,
   }
   return h;
 }
+
+// CRC-64/XZ (reflected polynomial 0x42F0E1EBA9EA3693, init and final
+// XOR all ones; crc64("123456789") == 0x995DC9BBDF1939FA). `prev` is the
+// CRC of the bytes before these (0 for none), so crc64(b, crc64(a)) ==
+// crc64(a ++ b) wherever the chunk boundary falls. Built with PCLMUL
+// (-march=native on x86-64) it runs a 4-lane carry-less fold; otherwise
+// it is crc64_portable, the slice-by-8 table loop, which gives the same
+// value and is always compiled.
+std::uint64_t crc64(std::span<const std::uint8_t> bytes,
+                    std::uint64_t prev = 0);
+std::uint64_t crc64_portable(std::span<const std::uint8_t> bytes,
+                             std::uint64_t prev = 0);
 
 // Unchecked little-endian field reads and writes for binary codecs that
 // have already bounds-checked the enclosing region (header copies,

@@ -4,7 +4,8 @@
 // adjacency side-table), save() must produce a container of a recorded
 // size and payload checksum, and save_sharded() with K = 4 a manifest of
 // a recorded size and whole-file digest (the manifest records every
-// shard's payload digest, so it pins the shard bytes too). Any change to
+// shard's payload digest, so it pins the shard bytes too). The payload
+// checksum is CRC-64/XZ (container format v3). Any change to
 // how labels are built, held in memory or serialized that moves a single
 // byte on disk fails here.
 #include <gtest/gtest.h>
@@ -74,20 +75,24 @@ class ScratchDir {
 };
 
 // Recorded at the commit that introduced this test; a deliberate format
-// change must update them together with the format version.
+// change must update them together with the format version. The payload
+// checksums and manifest digests were re-recorded for container format
+// v3 (payload checksum CRC-64/XZ instead of FNV-1a); file and manifest
+// sizes did not move, since v3 keeps the v2 layout. A portable
+// (non-PCLMUL) build must reproduce these same values.
 constexpr Golden kGolden[] = {
-    {BackendKind::kCoreFtc, "random", 112232, 0x003475818ab060d7ULL, 1792,
-     0xb8bf8d14fcf7549fULL},
-    {BackendKind::kCoreFtc, "grid", 47064, 0xf5449d4d76abaa8eULL, 1192,
-     0xbb3916ac2f37650dULL},
-    {BackendKind::kDp21CycleSpace, "random", 6136, 0x2eb60b5427dbc138ULL, 1776,
-     0x7d032af44d7b2e47ULL},
-    {BackendKind::kDp21CycleSpace, "grid", 3200, 0x2a961dbac396cedcULL, 1176,
-     0x2d50905e8696f642ULL},
-    {BackendKind::kDp21Agm, "random", 1294952, 0x0c517e253053c912ULL, 1792,
-     0xd06898173baa1d40ULL},
-    {BackendKind::kDp21Agm, "grid", 470232, 0x4a5f4eaf130af996ULL, 1192,
-     0x597f8a8b3f35bb51ULL},
+    {BackendKind::kCoreFtc, "random", 112232, 0x594246094b7e8ac5ULL, 1792,
+     0x4cec7523f37f6efeULL},
+    {BackendKind::kCoreFtc, "grid", 47064, 0x874dde3b122510adULL, 1192,
+     0xadea0aadf7cf9681ULL},
+    {BackendKind::kDp21CycleSpace, "random", 6136, 0x367dd0be237231c0ULL, 1776,
+     0xa4d7c5b1a7e46c26ULL},
+    {BackendKind::kDp21CycleSpace, "grid", 3200, 0xaef56c62ebc7892bULL, 1176,
+     0x8bd213d58f81e4b4ULL},
+    {BackendKind::kDp21Agm, "random", 1294952, 0x1dcc1c9994262bbcULL, 1792,
+     0x4f534a93c17ca516ULL},
+    {BackendKind::kDp21Agm, "grid", 470232, 0x25d8d2e55444d119ULL, 1192,
+     0xf46c888c726dc883ULL},
 };
 
 TEST(GoldenBytes, SavesAreByteIdenticalToRecordedConstants) {

@@ -22,6 +22,7 @@
 
 #include "core/batch_engine.hpp"
 #include "core/connectivity_scheme.hpp"
+#include "core/ftc_scheme.hpp"
 #include "core/label_store.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
@@ -648,12 +649,12 @@ TEST_F(LabelStoreAdversarial, AdjacencyEdgeIdOutOfRangeThrows) {
 // identically to a freshly built scheme, and raise the typed capability
 // error on vertex faults (v1 carries no adjacency).
 
-struct V1Fixture {
+struct StoreFixture {
   const char* file;
   BackendKind backend;
 };
 
-class LabelStoreV1Compat : public ::testing::TestWithParam<V1Fixture> {
+class LabelStoreV1Compat : public ::testing::TestWithParam<StoreFixture> {
  protected:
   // The exact graph + config the fixtures were generated with (see
   // tests/data/: barbell(4, 3), f = 2, seed 7, k_override 12 /
@@ -715,10 +716,10 @@ TEST_P(LabelStoreV1Compat, VertexFaultsRaiseTypedCapabilityError) {
                CapabilityError);
 }
 
-// A v1 container re-saved through the new writer becomes a valid v2
-// container (core params gain an empty bounds trailer, still no
-// adjacency) and keeps serving identical answers.
-TEST_P(LabelStoreV1Compat, ResaveUpgradesToV2WithoutAdjacency) {
+// A v1 container re-saved through the new writer becomes a valid
+// current-format container (core params gain an empty bounds trailer,
+// still no adjacency) and keeps serving identical answers.
+TEST_P(LabelStoreV1Compat, ResaveUpgradesToCurrentFormatWithoutAdjacency) {
   const std::string path = fixture_path(GetParam().file);
   const auto loaded = load_scheme(path);
   StoreFile upgraded("v1_upgrade_" +
@@ -742,8 +743,121 @@ TEST_P(LabelStoreV1Compat, ResaveUpgradesToV2WithoutAdjacency) {
 
 INSTANTIATE_TEST_SUITE_P(
     Fixtures, LabelStoreV1Compat,
-    ::testing::Values(V1Fixture{"v1_core_ftc.ftcs", BackendKind::kCoreFtc},
-                      V1Fixture{"v1_dp21_cycle.ftcs",
+    ::testing::Values(StoreFixture{"v1_core_ftc.ftcs", BackendKind::kCoreFtc},
+                      StoreFixture{"v1_dp21_cycle.ftcs",
+                                BackendKind::kDp21CycleSpace}),
+    [](const auto& info) {
+      return std::string(info.param.backend == BackendKind::kCoreFtc
+                             ? "core_ftc"
+                             : "dp21_cycle");
+    });
+
+// ------------------------------------------------------------------
+// Format-v2 fixtures (same graph and config as the v1 ones, written by
+// the last v2 writer, with adjacency): they verify through the FNV-1a
+// payload digest and serve edge and vertex faults. Re-saving one gives a
+// v3 container (CRC-64 payload digest) whose params blob — including the
+// per-level population bounds — is byte-identical to the fixture's.
+
+class LabelStoreV2Compat : public LabelStoreV1Compat {
+ protected:
+  static std::vector<std::uint32_t> level_bounds(const StoreView& view) {
+    store::ByteReader r(view.params_blob());
+    std::vector<std::uint32_t> bounds;
+    (void)store::decode_core_params(r, view.info().format_version, &bounds);
+    return bounds;
+  }
+};
+
+TEST_P(LabelStoreV2Compat, VerifiesWithFnvAndServesFaults) {
+  const std::string path = fixture_path(GetParam().file);
+  const auto view = LabelStoreView::open(path, /*verify_checksum=*/true);
+  EXPECT_EQ(view->info().format_version, 2u);
+  EXPECT_EQ(view->info().backend, GetParam().backend);
+  EXPECT_TRUE(view->info().has_adjacency);
+  const std::vector<std::uint8_t> bytes = read_file(path);
+  EXPECT_EQ(view->info().payload_checksum,
+            util::fnv1a(std::span<const std::uint8_t>(bytes).subspan(
+                store::kHeaderBytes)));
+
+  const Graph g = fixture_graph();
+  const auto loaded = load_scheme(path);
+  ASSERT_NE(loaded->adjacency(), nullptr);
+  SplitMix64 rng(79);
+  for (int it = 0; it < 40; ++it) {
+    const auto faults = random_faults(rng, g, 2);
+    const auto s = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+    const auto t = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+    EXPECT_EQ(loaded->connected(s, t, FaultSpec::edges(faults)),
+              graph::connected_avoiding(g, s, t, faults))
+        << "it=" << it;
+  }
+  const std::vector<VertexId> vf{1};
+  for (VertexId s = 0; s < g.num_vertices(); ++s) {
+    if (s == 1) continue;
+    EXPECT_EQ(loaded->connected(s, 0, FaultSpec::vertices(vf)),
+              graph::connected_avoiding(g, s, 0, {}, vf))
+        << "s=" << s;
+  }
+}
+
+TEST_P(LabelStoreV2Compat, ResaveWritesV3WithIdenticalParamsAndAnswers) {
+  const std::string path = fixture_path(GetParam().file);
+  const auto fixture_view = LabelStoreView::open(path);
+  const auto loaded = load_scheme(path);
+  StoreFile upgraded("v2_upgrade_" +
+                     std::to_string(static_cast<int>(GetParam().backend)));
+  loaded->save(upgraded.path());
+  const auto view = LabelStoreView::open(upgraded.path());
+  EXPECT_EQ(view->info().format_version, 3u);
+  EXPECT_TRUE(view->info().has_adjacency);
+  const std::vector<std::uint8_t> bytes = read_file(upgraded.path());
+  EXPECT_EQ(view->info().payload_checksum,
+            util::crc64(std::span<const std::uint8_t>(bytes).subspan(
+                store::kHeaderBytes)));
+  // Only the version and the two checksums differ from the v2 bytes.
+  const std::vector<std::uint8_t> fixture_bytes = read_file(path);
+  ASSERT_EQ(bytes.size(), fixture_bytes.size());
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    const bool header_field = i == 8 || (i >= 40 && i < 48) || i >= 56;
+    if (i < store::kHeaderBytes && header_field) continue;
+    ASSERT_EQ(bytes[i], fixture_bytes[i]) << "byte " << i;
+  }
+  const auto want_params = fixture_view->params_blob();
+  const auto got_params = view->params_blob();
+  EXPECT_TRUE(std::equal(want_params.begin(), want_params.end(),
+                         got_params.begin(), got_params.end()));
+  if (GetParam().backend == BackendKind::kCoreFtc) {
+    // The per-level bounds survive the re-save, and they are what a
+    // fresh build of the same input computes.
+    const auto built = FtcScheme::build(
+        fixture_graph(), fixture_config(BackendKind::kCoreFtc).ftc);
+    const auto pops = built.level_populations();
+    const std::vector<std::uint32_t> want(pops.begin(), pops.end());
+    ASSERT_FALSE(want.empty());
+    EXPECT_EQ(level_bounds(*fixture_view), want);
+    EXPECT_EQ(level_bounds(*view), want);
+  }
+
+  const auto reloaded = load_scheme(upgraded.path());
+  const Graph g = fixture_graph();
+  SplitMix64 rng(80);
+  for (int it = 0; it < 40; ++it) {
+    const auto faults = random_faults(rng, g, 2);
+    const auto s = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+    const auto t = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+    const bool answer = loaded->connected(s, t, FaultSpec::edges(faults));
+    EXPECT_EQ(reloaded->connected(s, t, FaultSpec::edges(faults)), answer)
+        << "it=" << it;
+    EXPECT_EQ(answer, graph::connected_avoiding(g, s, t, faults))
+        << "it=" << it;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fixtures, LabelStoreV2Compat,
+    ::testing::Values(StoreFixture{"v2_core_ftc.ftcs", BackendKind::kCoreFtc},
+                      StoreFixture{"v2_dp21_cycle.ftcs",
                                 BackendKind::kDp21CycleSpace}),
     [](const auto& info) {
       return std::string(info.param.backend == BackendKind::kCoreFtc

@@ -393,6 +393,12 @@ int cmd_inspect(int argc, char** argv) {
   std::printf("edge label bits    %zu\n", info.edge_label_bits);
   std::printf("payload checksum   %016llx\n",
               static_cast<unsigned long long>(info.payload_checksum));
+  // A manifest's own payload is always FNV-1a; each shard container
+  // carries the digest of its own format version.
+  std::printf("payload digest     %s\n",
+              sharded != nullptr
+                  ? "fnv1a (manifest)"
+                  : core::store::payload_digest_name(info.format_version));
   // Deletion-journal sidecar occupancy (the churn budget): report it
   // even when the journal itself is unusable, so operators can see WHY
   // (over capacity, digest mismatch after a push, corruption).
