@@ -16,8 +16,9 @@
 #                             # parallel-build suites (every built scheme
 #                             # serves through the store path and every
 #                             # builder writes blobs at computed offsets;
-#                             # adversarial inputs, in-place blob writes
-#                             # and the copy-on-write decoder state are
+#                             # adversarial inputs, in-place blob writes,
+#                             # the prepare-time blob-prefix copy and the
+#                             # decoder's cut-indexed level sums are
 #                             # what most need the sanitizers), plus the
 #                             # sketch-decode algebra suites and the
 #                             # zero-allocation decode check (the root
@@ -33,12 +34,16 @@
 #   scripts/ci.sh portable    # portable-digest leg: Release build with
 #                             # -DFTC_NATIVE=OFF (no -march=native, so no
 #                             # PCLMUL) into build-portable/, running the
-#                             # digest, golden-bytes, label-store and
-#                             # GF(2^m) suites; the pinned golden
-#                             # checksums then prove the table-driven
-#                             # CRC-64 and the portable carry-less
-#                             # multiply write the same bytes as the
-#                             # PCLMUL build
+#                             # digest, golden-bytes, label-store,
+#                             # GF(2^m), decoder-workspace and
+#                             # decode-allocation suites; the pinned
+#                             # golden checksums then prove the
+#                             # table-driven CRC-64 and the portable
+#                             # carry-less multiply write the same bytes
+#                             # as the PCLMUL build, and the pinned
+#                             # golden-outcome digest that the portable
+#                             # decode gives the same answers, refusals
+#                             # and decode counts
 #   scripts/ci.sh bench-smoke # Release build of bench_decoder_hotpath +
 #                             # bench_vertex_faults + bench_shard_swap,
 #                             # tiny-size runs, JSON outputs validated —
@@ -123,10 +128,12 @@ if [ "${1:-}" = "portable" ]; then
   echo "=== portable digest leg (release, FTC_NATIVE=OFF) ==="
   cmake -S . -B build-portable -DCMAKE_BUILD_TYPE=Release -DFTC_NATIVE=OFF
   cmake --build build-portable -j "$jobs" \
-    --target test_digest test_golden_bytes test_label_store test_gf2
+    --target test_digest test_golden_bytes test_label_store test_gf2 \
+    test_decoder_workspace test_decode_alloc
   ctest --test-dir build-portable --output-on-failure \
-    -R 'test_digest|test_golden_bytes|test_label_store|test_gf2' -j "$jobs"
-  echo "ci: portable leg green (table CRC-64 reproduces the golden bytes)"
+    -R 'test_digest|test_golden_bytes|test_label_store|test_gf2|test_decoder_workspace|test_decode_alloc' \
+    -j "$jobs"
+  echo "ci: portable leg green (golden bytes and golden decode outcomes reproduced)"
   exit 0
 fi
 

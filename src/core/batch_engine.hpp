@@ -6,9 +6,10 @@
 // in bulk. One session therefore
 //   1. materializes and deduplicates the fault-edge labels ONCE
 //      (ConnectivityScheme::prepare_faults) instead of per query;
-//   2. keeps an arena of per-thread decoder workspaces (fragment state,
-//      cut bitsets, sketch sums) that are reused across queries instead
-//      of reallocated inside every decode; and
+//   2. keeps an arena of per-thread decoder workspaces (merge state,
+//      cut bitsets, the level-row and sketch-decode scratch) that are
+//      reused across queries instead of reallocated inside every
+//      decode; and
 //   3. fans batches across a PERSISTENT pool of condition-variable-parked
 //      worker threads that pull chunks off a shared std::atomic work
 //      index. The pool is created on first run_parallel() and reused

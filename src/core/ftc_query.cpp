@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <memory>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -25,12 +27,13 @@ std::atomic<std::uint64_t> g_next_serial{0};
 }  // namespace
 
 // Fault-set context shared by all queries: parameters, the fragment
-// locator, and flattened per-fragment initial state, kept as raw
-// std::uint64_t words so the XOR kernels (util/xor_kernel.hpp) apply and
-// so the copy-on-write workspace can alias rows without knowing the field
-// type. Fragment fr owns cut[fr * cut_words ..] and
-// sum_words[fr * words_per_frag ..] (level-major, k syndromes per level,
-// field_bits/64 words per syndrome).
+// locator, per-fragment cut bitsets, and every deduplicated fault's
+// k_b-clamped payload, kept as raw std::uint64_t words so the XOR kernels
+// (util/xor_kernel.hpp) apply without knowing the field type. Fragment fr
+// owns cut[fr * cut_words ..]. Fault j — the one whose lower endpoint
+// defines fragment j + 1, and bit j of every cut — has its payload at
+// fault_row[j]: level-major, level_width[lev] syndromes of level lev at
+// word level_offset[lev], field_bits/64 words per syndrome.
 struct PreparedFaults::Impl {
   // Process-unique identity of this fault set. A workspace keys its
   // carried session on it, never on the address: a freed fault set's
@@ -38,45 +41,42 @@ struct PreparedFaults::Impl {
   std::uint64_t serial = 0;
   LabelParams params;
   graph::FragmentLocator loc{std::vector<std::pair<std::uint32_t, std::uint32_t>>{}};
-  std::size_t nf = 0;              // deduplicated fault count
-  std::size_t cut_words = 0;       // bitset words per fragment
-  std::size_t words_per_frag = 0;  // num_levels * k * (field_bits / 64)
-  int num_frag = 0;
+  std::size_t cut_words = 0;  // bitset words per fragment
+  int num_frag = 0;           // deduplicated fault count + 1
   std::vector<std::uint64_t> cut;
-  std::vector<std::uint64_t> sum_words;
   // Initial |cut| per fragment, precomputed so the merge heap seeds
   // without re-popcounting prepared rows on every query.
   std::vector<unsigned> init_cut_size;
-  // Optional sound per-level boundary-size bounds (empty = none); the
-  // windowed decode clamps its capacity to min(k, bound) per level.
-  std::vector<std::uint32_t> level_bounds;
+  std::vector<unsigned> level_width;
+  std::vector<std::size_t> level_offset;
+  std::size_t row_words = 0;  // payload words per fault
+  // One row per added fault, duplicates included, left uninitialized
+  // until add()'s caller fills it; fault_row picks one row per distinct
+  // fault.
+  std::unique_ptr<std::uint64_t[]> payload;
+  std::vector<const std::uint64_t*> fault_row;
+  // Builder state: the lower-endpoint interval of each added row.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> intervals;
 };
 
 // Scratch reused across queries on one thread, plus the merge state of
 // the current session: the queries against one PreparedFaults (`serial`)
-// under one QueryOptions (`options`). The union-find forest, the closed
-// flags, the heap with its versions, the materialized rows and
-// decode_hint all survive from one query of a session to the next, so a
-// session walks its merge sequence once, however many queries it serves.
-// A query with another key starts a new session. The fragment rows are
-// copy-on-write against PreparedFaults: a fragment's cut/sums row is
-// copied into this workspace only when a merge first mutates it
-// (frag_epoch[fr] == epoch marks a live materialization); reads of
-// untouched fragments go straight to the immutable prepared arrays, and
-// bumping `epoch` at session start invalidates every materialization in
-// O(1). The word buffers carry no type, so one workspace serves either
-// field width and any number of distinct PreparedFaults objects.
+// under one QueryOptions (`options`). The union-find forest, the cut
+// rows, the closed flags, the heap with its versions and decode_hint all
+// survive from one query of a session to the next, so a session walks
+// its merge sequence once, however many queries it serves. A query with
+// another key starts a new session, which copies the prepared cut rows.
+// The word buffers carry no type, so one workspace serves either field
+// width and any number of distinct PreparedFaults objects.
 struct DecoderWorkspace::Impl {
   std::uint64_t serial = 0;  // session's PreparedFaults; 0 = no session
   QueryOptions options;
-  std::uint64_t epoch = 0;
   // Decode start hint: the previous decode's support size in this session
   // (boundaries change slowly across merges), seeding the adaptive
   // doubling threshold. Reset at session start.
   unsigned decode_hint = 0;
-  std::vector<std::uint64_t> frag_epoch;  // per fragment: epoch when copied
-  std::vector<std::uint64_t> cut;         // materialized cut rows
-  std::vector<std::uint64_t> sum_words;   // materialized sum rows
+  std::vector<std::uint64_t> cut;        // per fragment set: its cut row
+  std::vector<std::uint64_t> level_row;  // the one level sum being scanned
   graph::UnionFind uf{0};
   std::vector<char> closed;
   std::vector<std::uint32_t> version;
@@ -90,6 +90,92 @@ struct DecoderWorkspace::Impl {
   std::vector<std::pair<AncestryLabel, AncestryLabel>> edges;
 };
 
+PreparedFaults::Builder::Builder(const LabelParams& params,
+                                 std::span<const std::uint32_t> level_bounds,
+                                 std::size_t capacity)
+    : impl_(std::make_unique<Impl>()) {
+  FTC_REQUIRE(params.field_bits == 64 || params.field_bits == 128,
+              "unsupported field width in edge label");
+  FTC_REQUIRE(level_bounds.empty() || level_bounds.size() == params.num_levels,
+              "level bounds inconsistent with the label hierarchy");
+  impl_->params = params;
+  impl_->level_width.reserve(params.num_levels);
+  impl_->level_offset.reserve(params.num_levels);
+  for (unsigned lev = 0; lev < params.num_levels; ++lev) {
+    const std::uint32_t bound = level_bounds.empty() ? 0 : level_bounds[lev];
+    const unsigned width = bound == 0 ? params.k : std::min(params.k, bound);
+    impl_->level_width.push_back(width);
+    impl_->level_offset.push_back(impl_->row_words);
+    impl_->row_words +=
+        static_cast<std::size_t>(width) * params.words_per_elem();
+  }
+  impl_->payload = std::make_unique_for_overwrite<std::uint64_t[]>(
+      capacity * impl_->row_words);
+  impl_->intervals.reserve(capacity);
+}
+
+PreparedFaults::Builder::~Builder() = default;
+
+const LabelParams& PreparedFaults::Builder::params() const {
+  return impl_->params;
+}
+
+unsigned PreparedFaults::Builder::level_width(unsigned lev) const {
+  return impl_->level_width[lev];
+}
+
+std::size_t PreparedFaults::Builder::level_offset(unsigned lev) const {
+  return impl_->level_offset[lev];
+}
+
+std::uint64_t* PreparedFaults::Builder::add(const graph::AncestryLabel& lower) {
+  Impl& impl = *impl_;
+  const std::size_t row = impl.intervals.size();
+  FTC_REQUIRE(row < impl.intervals.capacity(),
+              "more faults than the builder was sized for");
+  impl.intervals.push_back({lower.tin, lower.tout});
+  return impl.payload.get() + row * impl.row_words;
+}
+
+PreparedFaults PreparedFaults::Builder::finish() && {
+  Impl& impl = *impl_;
+  const std::size_t rows = impl.intervals.size();
+  if (rows == 0) return PreparedFaults(nullptr);
+
+  // Fragment structure of T' - sigma(F) from the labels alone. The
+  // locator dedups the intervals and numbers fragments by increasing tin,
+  // so fault j (bit j of every cut) is the one defining fragment j + 1.
+  impl.loc = graph::FragmentLocator(std::move(impl.intervals));
+  impl.intervals = {};
+  impl.num_frag = impl.loc.fragment_count();
+  const std::size_t nf = static_cast<std::size_t>(impl.num_frag) - 1;
+  impl.cut_words = (nf + 63) / 64;
+  impl.serial = g_next_serial.fetch_add(1, std::memory_order_relaxed) + 1;
+
+  // Each fault edge is on the boundary of the fragment below it and the
+  // fragment above it (Proposition 4), so it sets its bit in both cuts.
+  impl.cut.assign(static_cast<std::size_t>(impl.num_frag) * impl.cut_words,
+                  0);
+  impl.fault_row.assign(nf, nullptr);
+  for (std::size_t i = 0; i < rows; ++i) {
+    const int below = impl.loc.fragment_of_fault(i);
+    const std::size_t j = static_cast<std::size_t>(below) - 1;
+    if (impl.fault_row[j] != nullptr) continue;  // a duplicate edge
+    impl.fault_row[j] = impl.payload.get() + i * impl.row_words;
+    const int above = impl.loc.parent_fragment(below);
+    FTC_CHECK(above >= 0, "fault fragment without parent");
+    for (const int fr : {below, above}) {
+      impl.cut[fr * impl.cut_words + j / 64] ^= std::uint64_t{1} << (j % 64);
+    }
+  }
+  impl.init_cut_size.reserve(impl.num_frag);
+  for (int fr = 0; fr < impl.num_frag; ++fr) {
+    impl.init_cut_size.push_back(
+        popcount_words(impl.cut.data() + fr * impl.cut_words, impl.cut_words));
+  }
+  return PreparedFaults(std::move(impl_));
+}
+
 namespace {
 
 template <typename F>
@@ -101,123 +187,60 @@ sketch::SketchDecodeScratch<F>& workspace_scratch(DecoderWorkspace::Impl& ws) {
   }
 }
 
-std::unique_ptr<PreparedFaults::Impl> prepare_any(
-    std::span<const EdgeLabel> faults,
-    std::span<const std::uint32_t> level_bounds) {
-  const LabelParams& params = faults[0].params;
-  for (const EdgeLabel& f : faults) {
-    FTC_REQUIRE(f.params == params, "fault labels from different schemes");
-  }
-  const unsigned k = params.k;
-  const unsigned num_levels = params.num_levels;
-  const std::size_t field_words = params.field_bits / 64;
-
-  // Deduplicate faults: the lower endpoint identifies a tree edge.
-  std::vector<const EdgeLabel*> uniq;
-  uniq.reserve(faults.size());
-  for (const EdgeLabel& f : faults) uniq.push_back(&f);
-  std::sort(uniq.begin(), uniq.end(),
-            [](const EdgeLabel* a, const EdgeLabel* b) {
-              return a->lower.tin < b->lower.tin;
-            });
-  uniq.erase(std::unique(uniq.begin(), uniq.end(),
-                         [](const EdgeLabel* a, const EdgeLabel* b) {
-                           return a->lower.tin == b->lower.tin;
-                         }),
-             uniq.end());
-  const std::size_t nf = uniq.size();
-
-  // Fragment structure of T' - sigma(F) from the labels alone.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> intervals;
-  intervals.reserve(nf);
-  for (const EdgeLabel* f : uniq) {
-    intervals.push_back({f->lower.tin, f->lower.tout});
-  }
-  graph::FragmentLocator loc(std::move(intervals));
-  const int num_frag = loc.fragment_count();
-
-  auto impl = std::make_unique<PreparedFaults::Impl>();
-  impl->serial = g_next_serial.fetch_add(1, std::memory_order_relaxed) + 1;
-  impl->params = params;
-  impl->nf = nf;
-  impl->cut_words = (nf + 63) / 64;
-  impl->words_per_frag =
-      static_cast<std::size_t>(num_levels) * k * field_words;
-  impl->num_frag = num_frag;
-
-  // Per-fragment cut bitsets and sketch sums (Proposition 4): each fault
-  // edge contributes its subtree sketch to the fragment below it and the
-  // fragment above it. GF(2^w) addition is XOR, so the whole label
-  // payload folds in as one word-level kernel call per fragment.
-  impl->cut.assign(static_cast<std::size_t>(num_frag) * impl->cut_words, 0);
-  impl->sum_words.assign(
-      static_cast<std::size_t>(num_frag) * impl->words_per_frag, 0);
-  for (std::size_t j = 0; j < nf; ++j) {
-    const int below = loc.fragment_of_fault(j);
-    const int above = loc.parent_fragment(below);
-    FTC_CHECK(above >= 0, "fault fragment without parent");
-    FTC_REQUIRE(uniq[j]->sketch_words.size() == impl->words_per_frag,
-                "edge label sketch payload has wrong size");
-    for (const int fr : {below, above}) {
-      impl->cut[fr * impl->cut_words + j / 64] ^= std::uint64_t{1}
-                                                  << (j % 64);
-      xor_words(impl->sum_words.data() + fr * impl->words_per_frag,
-                uniq[j]->sketch_words.data(), impl->words_per_frag);
+// Writes the level-lev sketch sum of the fragment set with cut row `cut`
+// into `row` — the XOR of the level's slices of the faults in the cut,
+// since internal faults cancel — and returns whether it is nonzero.
+bool level_sum(const PreparedFaults::Impl& prep, const std::uint64_t* cut,
+               unsigned lev, std::uint64_t* row, std::size_t words) {
+  const std::size_t offset = prep.level_offset[lev];
+  bool any = false;
+  for (std::size_t w = 0; w < prep.cut_words; ++w) {
+    for (std::uint64_t bits = cut[w]; bits != 0; bits &= bits - 1) {
+      const std::uint64_t* src =
+          prep.fault_row[w * 64 + std::countr_zero(bits)] + offset;
+      if (any) {
+        xor_words(row, src, words);
+      } else {
+        std::copy_n(src, words, row);
+        any = true;
+      }
     }
   }
-  impl->init_cut_size.reserve(num_frag);
-  for (int fr = 0; fr < num_frag; ++fr) {
-    impl->init_cut_size.push_back(
-        popcount_words(impl->cut.data() + fr * impl->cut_words,
-                       impl->cut_words));
-  }
-  impl->loc = std::move(loc);
-  if (!level_bounds.empty()) {
-    FTC_REQUIRE(level_bounds.size() == num_levels,
-                "level bounds inconsistent with the label hierarchy");
-    impl->level_bounds.assign(level_bounds.begin(), level_bounds.end());
-  }
-  return impl;
+  return any && any_word_nonzero(row, words);
 }
 
-// Decodes the outgoing edges of a fragment set from its per-level sketch
-// sums: scan from the sparsest level down; the first level with a nonzero
-// sketch is the top nonempty boundary, which the hierarchy guarantees to
-// be decodable (Lemma 2). The level scan is a raw word scan — field
-// elements only materialize (into the workspace scratch) for the one
-// level that actually decodes. Fills ws.edges with endpoint
-// ancestry-label pairs; empty means no outgoing edge (the component is
-// complete).
+// Decodes the outgoing edges of a fragment set from its cut: scan from
+// the sparsest level down; the first level with a nonzero sketch sum is
+// the top nonempty boundary, which the hierarchy guarantees to be
+// decodable (Lemma 2). Each level's sum is built at its clamped width
+// k_b in the workspace's level row, and field elements only materialize
+// (into the workspace scratch) for the one level that actually decodes.
+// Fills ws.edges with endpoint ancestry-label pairs; empty means no
+// outgoing edge (the component is complete).
 template <typename F>
-void decode_outgoing(const std::uint64_t* sum_row,
+void decode_outgoing(const std::uint64_t* cut,
                      const PreparedFaults::Impl& prep,
                      const QueryOptions& options, DecoderWorkspace::Impl& ws,
                      QueryStats* stats) {
-  const LabelParams& params = prep.params;
-  const unsigned k = params.k;
-  const std::size_t level_words =
-      static_cast<std::size_t>(k) * F::kWords;
   sketch::SketchDecodeScratch<F>& scratch = workspace_scratch<F>(ws);
   ws.edges.clear();
-  for (unsigned lev = params.num_levels; lev-- > 0;) {
+  for (unsigned lev = prep.params.num_levels; lev-- > 0;) {
     if (stats != nullptr) ++stats->levels_scanned;
-    const std::uint64_t* lw = sum_row + lev * level_words;
-    if (!any_word_nonzero(lw, level_words)) continue;
+    const unsigned width = prep.level_width[lev];
+    const std::size_t words = static_cast<std::size_t>(width) * F::kWords;
+    if (!level_sum(prep, cut, lev, ws.level_row.data(), words)) continue;
     if (stats != nullptr) ++stats->outdetect_calls;
-    // A sound per-level population bound (format v2) shrinks the decode
-    // capacity and its fail-stop window; 0 / missing means "use k".
-    const unsigned bound =
-        lev < prep.level_bounds.size() ? prep.level_bounds[lev] : 0;
+    // Every boundary at this level has at most k_b edges (a sound bound),
+    // so the k_b-prefix is the whole sketch as far as the decode goes.
     const bool decoded = sketch::decode_sketch_words<F>(
-        lw, k, scratch, options.adaptive, bound, ws.decode_hint);
-    if (decoded) {
-      ws.decode_hint = static_cast<unsigned>(scratch.support.size());
-    }
+        ws.level_row.data(), width, scratch, options.adaptive, 0,
+        ws.decode_hint);
     if (!decoded) {
       throw FtcCapacityError(
           "outdetect sketch failed to decode: boundary exceeds k; rebuild "
           "with larger k (or KMode::kProvable)");
     }
+    ws.decode_hint = static_cast<unsigned>(scratch.support.size());
     FTC_CHECK(!scratch.support.empty(),
               "nonzero sketch decoded to the empty set");
     ws.edges.reserve(scratch.support.size());
@@ -234,23 +257,16 @@ void decode_outgoing(const std::uint64_t* sum_row,
   }
 }
 
-// Starts a new session on `ws`: every fragment a singleton set, nothing
-// closed, the heap seeded with the initial cut sizes. Bumping the epoch
-// kills every materialized row of any earlier session (against this or
-// any other PreparedFaults) in O(1). The word buffers are only ever
-// grown; stale contents are unreachable because frag_epoch gates every
-// read.
+// Starts a new session on `ws`: every fragment a singleton set with its
+// prepared cut row, nothing closed, the heap seeded with the initial cut
+// sizes. The buffers are only ever grown.
 void start_session(const PreparedFaults::Impl& prep,
                    const QueryOptions& options, DecoderWorkspace::Impl& ws) {
   const std::size_t nfrag = static_cast<std::size_t>(prep.num_frag);
-  ++ws.epoch;
   ws.decode_hint = 0;
-  if (ws.frag_epoch.size() < nfrag) ws.frag_epoch.resize(nfrag, 0);
-  if (ws.cut.size() < nfrag * prep.cut_words) {
-    ws.cut.resize(nfrag * prep.cut_words);
-  }
-  if (ws.sum_words.size() < nfrag * prep.words_per_frag) {
-    ws.sum_words.resize(nfrag * prep.words_per_frag);
+  ws.cut.assign(prep.cut.begin(), prep.cut.end());
+  if (ws.level_row.size() < prep.row_words) {
+    ws.level_row.resize(prep.row_words);
   }
   ws.uf.reset(nfrag);
   ws.closed.assign(nfrag, 0);
@@ -280,7 +296,6 @@ template <typename F>
 bool query_impl(const VertexLabel& s, const VertexLabel& t,
                 const PreparedFaults::Impl& prep, DecoderWorkspace::Impl& ws,
                 const QueryOptions& options, QueryStats* stats) {
-  const std::size_t wpf = prep.words_per_frag;
   const std::size_t cut_words = prep.cut_words;
   if (stats != nullptr) stats->fragments = static_cast<unsigned>(prep.num_frag);
 
@@ -292,39 +307,8 @@ bool query_impl(const VertexLabel& s, const VertexLabel& t,
     start_session(prep, options, ws);
   }
 
-  const auto materialized = [&](std::size_t fr) {
-    return ws.frag_epoch[fr] == ws.epoch;
-  };
-  const auto cut_row = [&](std::size_t fr) -> const std::uint64_t* {
-    return (materialized(fr) ? ws.cut.data() : prep.cut.data()) +
-           fr * cut_words;
-  };
-  const auto sum_row = [&](std::size_t fr) -> const std::uint64_t* {
-    return (materialized(fr) ? ws.sum_words.data() : prep.sum_words.data()) +
-           fr * wpf;
-  };
-  const auto cut_size = [&](std::size_t fr) {
-    // An unmaterialized fragment still holds its initial state.
-    return materialized(fr) ? popcount_words(ws.cut.data() + fr * cut_words,
-                                             cut_words)
-                            : prep.init_cut_size[fr];
-  };
-  // Copy-on-write merge: the first mutation of `root` materializes it by
-  // fusing the copy from the prepared row with the first XOR (one
-  // streaming pass); later merges XOR in place.
-  const auto merge_state = [&](std::size_t root, std::size_t other) {
-    const std::uint64_t* oc = cut_row(other);
-    const std::uint64_t* os = sum_row(other);
-    if (materialized(root)) {
-      xor_words(ws.cut.data() + root * cut_words, oc, cut_words);
-      xor_words(ws.sum_words.data() + root * wpf, os, wpf);
-    } else {
-      xor_words_into(ws.cut.data() + root * cut_words,
-                     prep.cut.data() + root * cut_words, oc, cut_words);
-      xor_words_into(ws.sum_words.data() + root * wpf,
-                     prep.sum_words.data() + root * wpf, os, wpf);
-      ws.frag_epoch[root] = ws.epoch;
-    }
+  const auto cut_row = [&](std::size_t fr) {
+    return ws.cut.data() + fr * cut_words;
   };
 
   using HeapEntry = std::tuple<unsigned, int, std::uint32_t>;
@@ -363,7 +347,7 @@ bool query_impl(const VertexLabel& s, const VertexLabel& t,
       }
     }
 
-    decode_outgoing<F>(sum_row(fr), prep, options, ws, stats);
+    decode_outgoing<F>(cut_row(fr), prep, options, ws, stats);
     if (ws.edges.empty()) {
       ws.closed[fr] = 1;
       continue;
@@ -375,13 +359,15 @@ bool query_impl(const VertexLabel& s, const VertexLabel& t,
       uf.unite(fa, fb);
       const std::size_t root = uf.find(fa);
       const std::size_t other = root == fa ? fb : fa;
-      merge_state(root, other);
+      // Internal faults cancel: the union's cut is the XOR of the two.
+      xor_words(cut_row(root), cut_row(other), cut_words);
       if (stats != nullptr) ++stats->merges;
     }
     if (options.smallest_cut_first) {
       const std::size_t root = uf.find(fr);
       ++ws.version[root];
-      heap_push({cut_size(root), static_cast<int>(root), ws.version[root]});
+      heap_push({popcount_words(cut_row(root), cut_words),
+                 static_cast<int>(root), ws.version[root]});
     }
   }
 }
@@ -398,16 +384,28 @@ PreparedFaults PreparedFaults::prepare(
     std::span<const EdgeLabel> faults,
     std::span<const std::uint32_t> level_bounds) {
   if (faults.empty()) return PreparedFaults(nullptr);
-  FTC_REQUIRE(faults[0].params.field_bits == 64 ||
-                  faults[0].params.field_bits == 128,
-              "unsupported field width in edge label");
-  return PreparedFaults(prepare_any(faults, level_bounds));
+  Builder builder(faults[0].params, level_bounds, faults.size());
+  const LabelParams& params = builder.params();
+  const std::size_t level_words =
+      static_cast<std::size_t>(params.k) * params.words_per_elem();
+  for (const EdgeLabel& f : faults) {
+    FTC_REQUIRE(f.params == params, "fault labels from different schemes");
+    FTC_REQUIRE(f.sketch_words.size() == params.num_levels * level_words,
+                "edge label sketch payload has wrong size");
+    std::uint64_t* row = builder.add(f.lower);
+    for (unsigned lev = 0; lev < params.num_levels; ++lev) {
+      std::copy_n(f.sketch_words.data() + lev * level_words,
+                  builder.level_width(lev) * params.words_per_elem(),
+                  row + builder.level_offset(lev));
+    }
+  }
+  return std::move(builder).finish();
 }
 
 bool PreparedFaults::empty() const { return impl_ == nullptr; }
 
 std::size_t PreparedFaults::num_faults() const {
-  return impl_ == nullptr ? 0 : impl_->nf;
+  return impl_ == nullptr ? 0 : impl_->fault_row.size();
 }
 
 const LabelParams& PreparedFaults::params() const {

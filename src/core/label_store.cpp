@@ -7,10 +7,11 @@
 // and no construction state, only the label blobs of a StoreView, and
 // answers queries through the backends' universal decoders. The
 // per-query cost is two 8-byte vertex-record reads — no std::vector is
-// materialized on the query path; only the <= f fault-edge labels of a
-// session are decoded, once, inside prepare_faults(). The core backend
-// queries through PreparedFaults + the copy-on-write DecoderWorkspace of
-// core/ftc_query.cpp, and all fragment/sketch merges (core RS sums, AGM
+// materialized on the query path; only the fault-edge labels of a
+// session are read, once, inside prepare_faults(). The core backend
+// copies each fault's readable level prefixes straight from its blob into
+// a PreparedFaults and queries through the DecoderWorkspace of
+// core/ftc_query.cpp; all fragment/sketch sums (core RS level rows, AGM
 // cells, cycle-space vectors) go through the word-XOR kernels in
 // util/xor_kernel.hpp.
 #include "core/label_store.hpp"
@@ -1109,8 +1110,9 @@ class SchemeBase : public ConnectivityScheme {
   // Decodes the labels of a (deduplicated) fault-edge list. A resident
   // view's blobs decode in place; a file-backed view's are first copied
   // out under a SIGBUS guard, and the decoder then runs on the owned
-  // copy, unguarded (it allocates). Prepare-time only (<= f blobs per
-  // fault set), so the copy is off the per-query path.
+  // copy, unguarded (it allocates). Prepare-time only, so the copy is
+  // off the per-query path: a fault set has up to f edges, or up to
+  // Delta * f once vertex faults and a deletion journal are folded in.
   template <typename Decode>
   auto decode_edges(std::span<const EdgeId> edges, Decode&& decode) const {
     std::vector<decltype(decode(std::declval<store::ByteReader&>()))> labels;
@@ -1120,13 +1122,9 @@ class SchemeBase : public ConnectivityScheme {
       std::span<const std::uint8_t> blob = edge_bytes(e);
       if (guarded_) {
         copy.resize(blob.size());
-        util::SigbusGuard guard;
-        if (sigsetjmp(guard.jump(), 0) == 0) {
-          guard.arm();
+        store::copy_guarded(*store_view(), [&] {
           std::memcpy(copy.data(), blob.data(), blob.size());
-        } else {
-          store_view()->on_mapped_fault(guard.fault_addr());
-        }
+        });
         blob = copy;
       }
       store::ByteReader r(blob);
@@ -1135,8 +1133,9 @@ class SchemeBase : public ConnectivityScheme {
     return labels;
   }
 
- private:
-  // Edge blob bytes through the resolved-route fast path.
+  // Edge blob bytes through the resolved-route fast path. Without
+  // routes it may lazily open the owning shard (which allocates), so it
+  // must run outside any SIGBUS guard.
   std::span<const std::uint8_t> edge_bytes(EdgeId e) const {
     if (const store::FlatRoutes* rt = routes_.get()) {
       FTC_REQUIRE(e < rt->num_edges, "edge out of range");
@@ -1145,6 +1144,7 @@ class SchemeBase : public ConnectivityScheme {
     return store_view()->edge_blob(e);
   }
 
+ private:
   const bool guarded_;
   // The vertex section of a contiguous view (null for a sharded one),
   // cached so the per-query reads need no route-table load.
@@ -1159,6 +1159,7 @@ class CoreScheme final : public SchemeBase {
     store::ByteReader pr(store_view()->params_blob());
     params_ = store::decode_core_params(
         pr, store_view()->info().format_version, &level_bounds_);
+    blob_bytes_ = store::core_edge_blob_bytes(params_);
   }
 
   std::unique_ptr<Workspace> make_workspace() const override {
@@ -1166,15 +1167,26 @@ class CoreScheme final : public SchemeBase {
   }
 
  protected:
+  // Copies each fault's lower endpoint and readable level prefixes
+  // straight from its blob into the fault set, one guarded copy per
+  // fault: no EdgeLabel is built and no payload word is copied twice.
+  // Built labels and v2 containers carry the builder's per-level
+  // population bounds, so every serving path keeps and decodes the same
+  // clamped prefixes.
   std::unique_ptr<FaultSet> prepare_edge_faults(
       std::span<const EdgeId> edge_faults) const override {
-    const auto labels = decode_edges(edge_faults, [&](store::ByteReader& r) {
-      return store::decode_core_edge(r, params_);
-    });
-    // Built labels and v2 containers carry the builder's per-level
-    // population bounds, so every serving path runs the same shrunken
-    // decode windows.
-    auto prepared = PreparedFaults::prepare(labels, level_bounds_);
+    PreparedFaults::Builder builder(params_, level_bounds_,
+                                    edge_faults.size());
+    for (const EdgeId e : edge_faults) {
+      const std::span<const std::uint8_t> blob = edge_bytes(e);
+      if (blob.size() != blob_bytes_) {
+        throw StoreError("core-ftc edge blob has the wrong size");
+      }
+      store::copy_guarded(*store_view(), [&] {
+        store::copy_core_edge_prefixes(blob.data(), builder);
+      });
+    }
+    auto prepared = std::move(builder).finish();
     const std::size_t nf = prepared.num_faults();
     return std::make_unique<CoreFaults>(std::move(prepared), nf);
   }
@@ -1195,6 +1207,7 @@ class CoreScheme final : public SchemeBase {
  private:
   LabelParams params_;
   std::vector<std::uint32_t> level_bounds_;  // empty for v1 containers
+  std::size_t blob_bytes_ = 0;
 };
 
 class CycleSpaceScheme final : public SchemeBase {

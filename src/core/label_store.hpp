@@ -264,6 +264,13 @@ inline void write_vertex_record_at(std::uint8_t* p,
 }
 
 EdgeLabel decode_core_edge(ByteReader& r, const LabelParams& params);
+// Adds the core edge at `blob` (core_edge_blob_bytes(builder.params())
+// bytes) to a fault set under construction: its lower endpoint record
+// and, per level, the first builder.level_width(l) syndromes, copied
+// straight into the builder's payload row. Reads only the blob and
+// allocates nothing, so it may run under a SIGBUS guard.
+void copy_core_edge_prefixes(const std::uint8_t* blob,
+                             PreparedFaults::Builder& builder);
 dp21::CsEdgeLabel decode_cycle_edge(ByteReader& r, const CycleParams& params);
 dp21::AgmEdgeLabel decode_agm_edge(ByteReader& r, const AgmParams& params);
 

@@ -4,6 +4,8 @@
 // against them (mismatch -> StoreError, never UB). The dp21 builders'
 // in-place edge blob writers sit next to the decoders, so this file is
 // the one place that knows those layouts.
+#include <bit>
+#include <cstring>
 #include <iterator>
 
 #include "core/ftc_labels.hpp"
@@ -69,6 +71,19 @@ class LeWordIterator {
  private:
   const std::uint8_t* p_ = nullptr;
 };
+
+// Copies `count` LE words at an arbitrary byte offset into host-order
+// words: a plain memcpy on little-endian hosts.
+void copy_le_words(std::uint64_t* out, const std::uint8_t* p,
+                   std::size_t count) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out, p, 8 * count);
+  } else {
+    for (std::size_t i = 0; i < count; ++i) {
+      out[i] = util::read_u64_le(p + 8 * i);
+    }
+  }
+}
 
 // Reads `count` LE words with ONE bounds-checked take: a truncated
 // payload throws before any word is read, and the copy itself is plain
@@ -194,6 +209,21 @@ EdgeLabel decode_core_edge(ByteReader& r, const LabelParams& params) {
                              params.k * params.words_per_elem();
   read_words(r, expect, label.sketch_words);
   return label;
+}
+
+void copy_core_edge_prefixes(const std::uint8_t* blob,
+                             PreparedFaults::Builder& builder) {
+  const LabelParams& params = builder.params();
+  const std::size_t elem_words = params.words_per_elem();
+  const std::size_t level_bytes = 8 * static_cast<std::size_t>(params.k) *
+                                  elem_words;
+  std::uint64_t* row =
+      builder.add(decode_vertex_record_at(blob + kVertexRecordBytes));
+  const std::uint8_t* payload = blob + kEndpointBytes;
+  for (unsigned lev = 0; lev < params.num_levels; ++lev) {
+    copy_le_words(row + builder.level_offset(lev), payload + lev * level_bytes,
+                  builder.level_width(lev) * elem_words);
+  }
 }
 
 std::size_t core_edge_blob_bytes(const LabelParams& params) {

@@ -31,6 +31,7 @@ FragmentLocator::FragmentLocator(std::vector<Interval> intervals) {
   // fragment when interval i is top-level).
   parent_.assign(sorted_.size(), 0);
   std::vector<int> stack;  // indices into sorted_, currently-open intervals
+  stack.reserve(sorted_.size());
   for (std::size_t i = 0; i < sorted_.size(); ++i) {
     const auto [lo, hi] = sorted_[i];
     FTC_REQUIRE(lo <= hi, "malformed interval");

@@ -225,8 +225,9 @@ bool decode_sketch_words(const std::uint64_t* words, unsigned k,
     }
   };
   if (!adaptive) {
-    // Ablation path (QueryOptions::adaptive = false): the plain full-width
-    // decode, verified against every syndrome.
+    // Ablation path (QueryOptions::adaptive = false): the plain decode at
+    // the full width k the caller passes (a level's k_b on the query
+    // path), verified against every syndrome.
     gather(k);
     return decode_syndromes<F>(syn, k, scratch);
   }

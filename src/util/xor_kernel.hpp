@@ -2,14 +2,14 @@
 //
 // Everything the serving path accumulates — RS-sketch power sums over
 // GF(2^64)/GF(2^128), AGM l0-sampler cells, cycle-space bit vectors and
-// the per-fragment cut bitsets — is addition in characteristic 2, i.e.
-// XOR of flattened std::uint64_t arrays. Keeping the merge kernels here,
-// as plain restrict-qualified word loops, lets the compiler auto-vectorize
-// one implementation that is shared by the in-memory decoder
-// (core/ftc_query.cpp), the label-served backends behind load_scheme()
-// (core/label_store.cpp -> dp21/*, sketch/agm_sketch.cpp), and
-// prepare-time fragment-sum accumulation. bench_decoder_hotpath measures
-// the result.
+// the fragment sets' cut bitsets — is addition in characteristic 2, i.e.
+// XOR of flattened std::uint64_t arrays. Keeping the kernels here, as
+// plain restrict-qualified word loops, lets the compiler auto-vectorize
+// one implementation shared by the core decoder (core/ftc_query.cpp:
+// merging cut bitsets, and summing a fragment set's level row from the
+// clamped payloads of the faults in its cut) and the dp21 backends
+// (dp21/*, sketch/agm_sketch.cpp). bench_decoder_hotpath measures the
+// result.
 #pragma once
 
 #include <cstddef>
@@ -21,15 +21,6 @@ namespace ftc {
 inline void xor_words(std::uint64_t* __restrict dst,
                       const std::uint64_t* __restrict src, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] ^= src[i];
-}
-
-// dst[i] = a[i] ^ b[i]. No range may overlap another. Fuses the decoder's
-// copy-on-write materialization with the first merge into that row: one
-// streaming pass instead of copy-then-xor.
-inline void xor_words_into(std::uint64_t* __restrict dst,
-                           const std::uint64_t* __restrict a,
-                           const std::uint64_t* __restrict b, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = a[i] ^ b[i];
 }
 
 // Population count of an n-word bitset.

@@ -12,16 +12,25 @@
 // global operator new with a counting one to check exactly that, for
 // both field widths, with fault sets whose decodes include a support of
 // at least 8 edges inside the counted window.
+//
+// Preparing a fault set copies every fault's payload into one buffer of
+// the fault set, so its allocation count must not grow with |F|: a
+// per-fault std::vector anywhere on the store path would show here.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
+#include "core/connectivity_scheme.hpp"
 #include "core/ftc_query.hpp"
 #include "core/ftc_scheme.hpp"
+#include "core/label_store.hpp"
 #include "graph/generators.hpp"
 #include "graph/spanning_tree.hpp"
 #include "sketch/rs_sketch.hpp"
@@ -183,6 +192,47 @@ TEST(DecodeAlloc, SteadyStateQueriesAllocateNothingGF64) {
 
 TEST(DecodeAlloc, SteadyStateQueriesAllocateNothingGF128) {
   expect_steady_state_allocation_free<gf::GF2_128>(FieldKind::kGF128);
+}
+
+// Heap allocations made by one prepare_faults call on `scheme`, after a
+// warm-up call on the same spec.
+std::size_t prepare_allocations(const ConnectivityScheme& scheme,
+                                 const FaultSpec& spec) {
+  (void)scheme.prepare_faults(spec);
+  g_allocations.store(0);
+  g_counting.store(true);
+  auto faults = scheme.prepare_faults(spec);
+  g_counting.store(false);
+  EXPECT_NE(faults, nullptr);
+  return g_allocations.load();
+}
+
+TEST(DecodeAlloc, PrepareAllocationsDoNotGrowWithFaultCount) {
+  const graph::Graph g = graph::random_connected(400, 3200, 5);
+  SchemeConfig cfg;
+  cfg.set_f(16);
+  const std::string path = ::testing::TempDir() + "ftc_decode_alloc_" +
+                           std::to_string(::getpid()) + ".ftcs";
+  make_scheme(g, cfg)->save(path);
+  const auto scheme = load_scheme(path);
+  std::remove(path.c_str());  // the mapping stays valid
+  ASSERT_TRUE(scheme->store_view()->file_backed());
+
+  SplitMix64 rng(3);
+  std::vector<EdgeId> edges;
+  while (edges.size() < 16) {
+    const auto e = static_cast<EdgeId>(rng.next_below(g.num_edges()));
+    if (std::find(edges.begin(), edges.end(), e) == edges.end()) {
+      edges.push_back(e);
+    }
+  }
+  const FaultSpec four = FaultSpec::edges(std::span(edges).first(4));
+  const FaultSpec sixteen = FaultSpec::edges(edges);
+  const std::size_t with_four = prepare_allocations(*scheme, four);
+  const std::size_t with_sixteen = prepare_allocations(*scheme, sixteen);
+  EXPECT_GT(with_four, 0u);
+  EXPECT_EQ(with_four, with_sixteen)
+      << "prepare_faults allocations grow with |F|";
 }
 
 }  // namespace

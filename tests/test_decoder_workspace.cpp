@@ -17,16 +17,24 @@
 // than its cold queries together.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdio>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "core/connectivity_scheme.hpp"
 #include "core/ftc_query.hpp"
 #include "core/ftc_scheme.hpp"
+#include "core/label_store.hpp"
+#include "core/sharded_store.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "util/common.hpp"
+#include "util/digest.hpp"
 
 namespace ftc::core {
 namespace {
@@ -368,6 +376,183 @@ TEST(DecoderWorkspace, InterleavedSessionsOnOneWorkspace) {
     const std::uint64_t key = rng.next_below(4);
     check(ws, key < 2, key % 2 == 0 ? smallest_cut : source_first, i);
   }
+}
+
+// Golden outcomes. Every query's outcome (connected, disconnected or
+// refused) and, on the label-span path, its QueryStats are folded into
+// one FNV-1a digest. The corpus covers a practical k small enough that
+// some decodes refuse, a practical k whose sparse levels decode below k,
+// a provable k and a GF(2^128) scheme; all four QueryOptions; and every
+// serving path: the resident view, a flat mmap container, a sharded
+// store and PreparedFaults::prepare over EdgeLabels with the builder's
+// level bounds. Each (fault set, options) pair runs its queries in a
+// fixed order on one carried workspace, so the digest also pins
+// source-first refusals, which depend on that order. The pinned value
+// was recorded before fault-set sums were rebuilt from cut bitsets over
+// level-clamped payloads: that change must alter no answer, no refusal
+// and no decode count.
+constexpr std::uint64_t kGoldenOutcomeDigest = 0x54451346f828d865ULL;
+
+enum : std::uint8_t { kDisconnected = 0, kConnected = 1, kRefused = 2 };
+
+class StoreFiles {
+ public:
+  explicit StoreFiles(const std::string& name)
+      : base_(::testing::TempDir() + "ftc_golden_" + name + "_" +
+              std::to_string(::getpid())) {
+    cleanup();
+  }
+  ~StoreFiles() { cleanup(); }
+  std::string flat() const { return base_ + ".ftcs"; }
+  std::string manifest() const { return base_ + ".ftcm"; }
+
+ private:
+  void cleanup() {
+    std::remove(flat().c_str());
+    std::remove(manifest().c_str());
+    for (unsigned k = 0; k < 4; ++k) {
+      std::remove((manifest() + ".shard" + std::to_string(k) + ".ftcs")
+                      .c_str());
+    }
+  }
+  std::string base_;
+};
+
+void digest_value(std::uint64_t& h, std::uint64_t v) {
+  std::uint8_t bytes[8];
+  for (int i = 0; i < 8; ++i) {
+    bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+  h = util::fnv1a(bytes, h);
+}
+
+TEST(DecoderWorkspace, GoldenOutcomesAcrossServingPaths) {
+  struct Case {
+    const char* name;
+    Graph g;
+    FtcConfig cfg;
+  };
+  const auto practical = [](unsigned f, unsigned k_override,
+                            FieldKind field = FieldKind::kAuto) {
+    FtcConfig cfg = config_for(f, field);
+    cfg.k_mode = KMode::kPractical;
+    cfg.k_override = k_override;
+    return cfg;
+  };
+  FtcConfig provable;
+  provable.f = 3;
+  provable.k_mode = KMode::kProvable;
+  std::vector<Case> cases;
+  // Sparse graphs, so that f faults often disconnect.
+  cases.push_back({"refusing", graph::random_connected(120, 170, 3),
+                   practical(6, 3)});
+  cases.push_back({"practical", graph::random_connected(600, 900, 4),
+                   practical(6, 0)});
+  cases.push_back({"provable", graph::random_connected(32, 44, 5), provable});
+  cases.push_back({"gf128", graph::random_connected(60, 85, 6),
+                   practical(5, 4, FieldKind::kGF128)});
+
+  std::uint64_t digest = util::kFnvBasis;
+  unsigned outcomes[3] = {0, 0, 0};
+  unsigned clamped_levels = 0;  // levels whose bound is below k
+  QueryStats total{};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const FtcScheme labels = FtcScheme::build(c.g, c.cfg);
+    for (const std::uint32_t bound : labels.level_populations()) {
+      clamped_levels += bound > 0 && bound < labels.params().k;
+    }
+    SchemeConfig scfg;
+    scfg.ftc = c.cfg;
+    const auto resident = make_scheme(c.g, scfg);
+    StoreFiles files(c.name);
+    resident->save(files.flat());
+    save_sharded(*resident, files.manifest(), 3);
+    const std::unique_ptr<ConnectivityScheme> schemes[] = {
+        load_scheme(resident->store_view()), load_scheme(files.flat()),
+        load_scheme(files.manifest())};
+
+    SplitMix64 rng(c.cfg.f * 1000 + c.g.num_vertices());
+    for (int set = 0; set < 6; ++set) {
+      const std::vector<EdgeId> fault_ids =
+          random_faults(rng, c.g, c.cfg.f);
+      const PreparedFaults prepared = PreparedFaults::prepare(
+          labels_of(labels, fault_ids), labels.level_populations());
+      std::vector<std::unique_ptr<ConnectivityScheme::FaultSet>> fault_sets;
+      for (const auto& scheme : schemes) {
+        fault_sets.push_back(
+            scheme->prepare_faults(FaultSpec::edges(fault_ids)));
+      }
+      std::vector<std::pair<VertexId, VertexId>> pairs;
+      for (int i = 0; i < 40; ++i) {
+        pairs.emplace_back(
+            static_cast<VertexId>(rng.next_below(c.g.num_vertices())),
+            static_cast<VertexId>(rng.next_below(c.g.num_vertices())));
+      }
+      for (const bool adaptive : {true, false}) {
+        for (const bool smallest_cut : {true, false}) {
+          const QueryOptions options{adaptive, smallest_cut};
+          DecoderWorkspace ws;
+          std::vector<std::unique_ptr<ConnectivityScheme::Workspace>> wss;
+          for (const auto& scheme : schemes) {
+            wss.push_back(scheme->make_workspace());
+          }
+          for (const auto& [s, t] : pairs) {
+            QueryStats stats;
+            std::uint8_t outcome = kRefused;
+            try {
+              outcome = FtcDecoder::connected(labels.vertex_label(s),
+                                              labels.vertex_label(t),
+                                              prepared, ws, options, &stats)
+                            ? kConnected
+                            : kDisconnected;
+            } catch (const FtcCapacityError&) {
+            }
+            ++outcomes[outcome];
+            if (outcome != kRefused) {
+              EXPECT_EQ(outcome == kConnected,
+                        graph::connected_avoiding(c.g, s, t, fault_ids))
+                  << "set=" << set << " s=" << s << " t=" << t;
+            }
+            digest_value(digest, outcome);
+            digest_value(digest, stats.fragments);
+            digest_value(digest, stats.outdetect_calls);
+            digest_value(digest, stats.merges);
+            digest_value(digest, stats.levels_scanned);
+            total.outdetect_calls += stats.outdetect_calls;
+            total.merges += stats.merges;
+            for (std::size_t p = 0; p < std::size(schemes); ++p) {
+              std::uint8_t served = kRefused;
+              try {
+                served = schemes[p]->query(s, t, *fault_sets[p], *wss[p],
+                                           options)
+                             ? kConnected
+                             : kDisconnected;
+              } catch (const FtcCapacityError&) {
+              }
+              EXPECT_EQ(served, outcome)
+                  << "path=" << p << " set=" << set << " adaptive="
+                  << adaptive << " smallest_cut=" << smallest_cut
+                  << " s=" << s << " t=" << t;
+              digest_value(digest, served);
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(outcomes[kConnected], 0u);
+  EXPECT_GT(outcomes[kDisconnected], 0u);
+  EXPECT_GT(outcomes[kRefused], 0u);
+  EXPECT_GT(clamped_levels, 0u);
+  EXPECT_GT(total.merges, 0u);
+  EXPECT_EQ(digest, kGoldenOutcomeDigest)
+      << "digest 0x" << std::hex << digest << "; outcomes connected="
+      << std::dec << outcomes[kConnected]
+      << " disconnected=" << outcomes[kDisconnected]
+      << " refused=" << outcomes[kRefused] << "; decodes "
+      << total.outdetect_calls << ", merges " << total.merges
+      << ", clamped levels " << clamped_levels;
 }
 
 }  // namespace

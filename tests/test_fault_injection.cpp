@@ -526,6 +526,107 @@ TEST(FaultInjection, WritersOverTruncatedShardThrowDegraded) {
   EXPECT_FALSE(path_exists(sharded.path()));
 }
 
+// Preparing a fault set copies each fault's label prefixes straight out
+// of the mapped blobs. Over a backing truncated behind the live mapping
+// that copy must fail typed — StoreIoError for a single container,
+// DegradedError naming the shard for a sharded store — and the engine's
+// previous fault set, already copied out, must keep answering.
+TEST(FaultInjection, PrepareOverTruncatedStoreThrowsTyped) {
+  const std::size_t kPage = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  SplitMix64 rng(61);
+  const auto answers_unchanged = [&](const Graph& g, BatchQueryEngine& session,
+                                     const std::vector<EdgeId>& faults,
+                                     const auto& allowed) {
+    int checked = 0;
+    while (checked < 200) {
+      const auto s = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+      const auto t = static_cast<VertexId>(rng.next_below(g.num_vertices()));
+      if (!allowed(s) || !allowed(t)) continue;
+      ASSERT_EQ(session.connected(s, t),
+                graph::connected_avoiding(g, s, t, faults))
+          << "s=" << s << " t=" << t;
+      ++checked;
+    }
+  };
+
+  {
+    StoreFile source("prepare_trunc");
+    const Graph g = graph::random_connected(512, 2048, 47);
+    make_scheme(g, test_config(4))->save(source.path());
+    const std::vector<EdgeId> early = {1, 5, 9, 14};
+    BatchQueryEngine session(load_scheme(source.path()),
+                             FaultSpec::edges(early));
+    const StoreView& view = *session.scheme().store_view();
+    const std::uint8_t* base = view.params_blob().data() - store::kHeaderBytes;
+    const auto offset = [&](EdgeId e) {
+      return static_cast<std::size_t>(view.edge_blob(e).data() - base);
+    };
+    // Cut at a page boundary halfway through the edge blobs. The page
+    // holding the new end of file stays readable, so "late" edges start
+    // a page past it.
+    const std::size_t cut = offset(g.num_edges() / 2) / kPage * kPage;
+    for (const EdgeId e : early) {
+      ASSERT_LE(offset(e) + view.edge_blob(e).size(), cut) << "edge " << e;
+    }
+    std::vector<EdgeId> late;
+    for (EdgeId e = g.num_edges() - 1; late.size() < 3; --e) {
+      if (offset(e) >= cut + kPage) late.push_back(e);
+    }
+    answers_unchanged(g, session, early, [](VertexId) { return true; });
+    ASSERT_EQ(::truncate(source.path().c_str(), static_cast<off_t>(cut)), 0);
+
+    EXPECT_THROW((void)session.scheme().prepare_faults(FaultSpec::edges(late)),
+                 StoreIoError);
+    std::vector<EdgeId> mixed = early;
+    mixed.push_back(late[0]);
+    EXPECT_THROW(session.reset_faults(FaultSpec::edges(mixed)), StoreIoError);
+    EXPECT_THROW(session.reset_faults(FaultSpec::edges(late)), StoreIoError);
+    answers_unchanged(g, session, early, [](VertexId) { return true; });
+  }
+
+  {
+    ManifestFile manifest("prepare_trunc_sharded");
+    const Graph g = graph::random_connected(512, 2048, 53);
+    save_sharded(*make_scheme(g, test_config(4)), manifest.path(), 4);
+    auto loaded = load_scheme(manifest.path());
+    loaded->prefetch();  // every shard mapped: the damage lands behind it
+    const auto view =
+        std::dynamic_pointer_cast<const ShardedStoreView>(loaded->store_view());
+    ASSERT_NE(view, nullptr);
+    const auto recs = view->shards();
+    const std::size_t damaged = 2;
+    const auto& dead = recs[damaged];
+    ASSERT_LT(dead.edge_begin, dead.edge_end);
+    const std::vector<EdgeId> healthy = {
+        static_cast<EdgeId>(recs[0].edge_begin),
+        static_cast<EdgeId>(recs[1].edge_begin + 3),
+        static_cast<EdgeId>(recs[3].edge_end - 1)};
+    const std::vector<EdgeId> late = {static_cast<EdgeId>(dead.edge_begin),
+                                      static_cast<EdgeId>(dead.edge_end - 1)};
+    BatchQueryEngine session(std::move(loaded), FaultSpec::edges(healthy));
+    const auto outside_dead = [&](VertexId v) {
+      return v < dead.vertex_begin || v >= dead.vertex_end;
+    };
+    answers_unchanged(g, session, healthy, outside_dead);
+    ASSERT_EQ(::truncate(manifest.shard_path(damaged).c_str(), 0), 0);
+
+    const auto expect_degraded = [&](auto&& prepare) {
+      try {
+        prepare();
+        ADD_FAILURE() << "prepare over a truncated shard must degrade";
+      } catch (const DegradedError& e) {
+        EXPECT_EQ(e.shard, damaged);
+      }
+    };
+    expect_degraded(
+        [&] { (void)session.scheme().prepare_faults(FaultSpec::edges(late)); });
+    std::vector<EdgeId> mixed = healthy;
+    mixed.push_back(late[1]);
+    expect_degraded([&] { session.reset_faults(FaultSpec::edges(mixed)); });
+    answers_unchanged(g, session, healthy, outside_dead);
+  }
+}
+
 TEST(FaultInjection, TruncationUnderConcurrentSessionsNeverCrashes) {
   ManifestFile manifest("sigbus_concurrent");
   const unsigned f = 2;
