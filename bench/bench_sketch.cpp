@@ -5,10 +5,12 @@
 //  * decode cost versus actual support size d (adaptive decoding makes it
 //    ~d^2 rather than k^2 — the Section 6 / Appendix B point);
 //  * Berlekamp-Massey vs root-finding split, with root finding timed on
-//    random roots and on EdgeCode IDs of a real auxiliary graph.
+//    random roots and on EdgeCode IDs of a real auxiliary graph;
+//  * one FTC_FAILPOINT() check at a site that is not armed.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -23,6 +25,7 @@
 #include "graph/spanning_tree.hpp"
 #include "sketch/rs_sketch.hpp"
 #include "util/common.hpp"
+#include "util/failpoint.hpp"
 
 namespace {
 
@@ -189,6 +192,22 @@ void BM_TraceRootFindingEdgeCode(benchmark::State& state) {
                     edge_code_ids(static_cast<unsigned>(state.range(0))));
 }
 BENCHMARK(BM_TraceRootFindingEdgeCode)->Arg(3)->Arg(8)->Arg(16)->Arg(64);
+
+// What a syscall-boundary failpoint costs the store when it is not armed:
+// with nothing armed (armed_miss:0) one relaxed load and an untaken
+// branch; with an unrelated point armed (armed_miss:1), as during a
+// drill, the registry lookup that misses.
+void BM_FailpointCheck(benchmark::State& state) {
+  std::optional<ftc::failpoint::Scoped> other;
+  if (state.range(0) != 0) other.emplace("bench.unrelated.site", "count");
+  int fired = 0;
+  for (auto _ : state) {
+    fired += FTC_FAILPOINT("bench.disabled.site");
+    benchmark::DoNotOptimize(fired);
+  }
+  if (fired != 0) state.SkipWithError("a disarmed failpoint fired");
+}
+BENCHMARK(BM_FailpointCheck)->ArgName("armed_miss")->Arg(0)->Arg(1);
 
 }  // namespace
 

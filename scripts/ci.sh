@@ -2,7 +2,9 @@
 # CI entry point: release build + tests, then Debug+ASan/UBSan build +
 # tests. Any ctest failure in any leg fails the script (set -e), so a
 # regression in either preset is a CI regression. Run from anywhere;
-# builds land in <repo>/build and <repo>/build-asan.
+# builds land in <repo>/build-release and <repo>/build-asan (build/ is
+# left to the plain `cmake -B build` line, whose Makefile generator the
+# Ninja presets cannot share a directory with).
 #
 #   scripts/ci.sh             # both presets, full suite
 #   scripts/ci.sh release     # just the release leg (also compiles,
@@ -44,10 +46,13 @@
 #                             # golden-outcome digest that the portable
 #                             # decode gives the same answers, refusals
 #                             # and decode counts
-#   scripts/ci.sh bench-smoke # Release build of bench_decoder_hotpath +
-#                             # bench_vertex_faults + bench_shard_swap,
-#                             # tiny-size runs, JSON outputs validated —
-#                             # keeps bench binaries from silently rotting
+#   scripts/ci.sh bench-smoke # Release build of bench_serving and
+#                             # bench_sketch: a tiny-size serving run
+#                             # (every answer BFS-checked, nonzero exit
+#                             # on a mismatch) plus the failpoint check
+#                             # case, with one JSON shape check per
+#                             # record kind — keeps the benches from
+#                             # silently rotting
 #   scripts/ci.sh store-shard # sharded-store leg: asan run of the
 #                             # sharded/manifest + live-swap suites, then
 #                             # an end-to-end CLI exercise — shard a
@@ -541,82 +546,54 @@ fi
 if [ "${1:-}" = "bench-smoke" ]; then
   echo "=== bench smoke leg (release) ==="
   cmake --preset release
-  cmake --build --preset release -j "$jobs" \
-    --target bench_decoder_hotpath bench_vertex_faults bench_shard_swap \
-    bench_delta_push bench_fault_injection bench_remote_fetch \
-    bench_build_scaling
-  # Run inside build/ so the smoke-size JSON cannot clobber the
-  # checked-in repo-root baseline (regenerate that via bench_all.sh).
-  (cd build && ./bench_decoder_hotpath --smoke)
-  (cd build && ./bench_vertex_faults --smoke)
-  (cd build && ./bench_shard_swap --smoke)
-  (cd build && ./bench_delta_push --smoke)
-  (cd build && ./bench_fault_injection --smoke)
-  (cd build && ./bench_remote_fetch --smoke)
-  (cd build && ./bench_build_scaling --smoke)
+  cmake --build --preset release -j "$jobs" --target bench_serving bench_sketch
+  out=build-release/bench-smoke
+  mkdir -p "$out"
+  # bench_serving exits nonzero if any timed answer disagrees with BFS or
+  # a delta-push/retry/degraded gate fails; pipefail keeps that status.
+  (cd "$out" && ../bench_serving --smoke) | tee "$out/serving.log"
+  sed -n 's/^JSON //p' "$out/serving.log" > "$out/BENCH_serving.json"
+  build-release/bench_sketch --benchmark_filter=BM_FailpointCheck \
+    --benchmark_min_time=0.01 --benchmark_format=json \
+    > "$out/BENCH_failpoint.json"
   if command -v python3 >/dev/null; then
-    python3 - build/BENCH_decoder_hotpath.json build/BENCH_vertex_faults.json \
-      build/BENCH_shard_swap.json build/BENCH_delta_push.json \
-      build/BENCH_fault_injection.json build/BENCH_remote_fetch.json \
-      build/BENCH_build_scaling.json <<'EOF'
+    python3 - "$out/BENCH_serving.json" "$out/BENCH_failpoint.json" <<'EOF'
 import json, sys
 required = {
-    "BENCH_decoder_hotpath.json": {"backend", "f", "single_query_us",
-                                   "batch_qps"},
-    "BENCH_vertex_faults.json": {"backend", "vertex_faults",
-                                 "reduced_edge_faults", "single_query_us",
-                                 "batch_qps"},
-    "BENCH_shard_swap.json": {"backend", "k_shards", "save_ms", "open_us",
-                              "batch_qps", "prefetch_us",
-                              "prefetched_first_query_us",
-                              "prefetched_batch_qps", "swap_us"},
-    "BENCH_delta_push.json": {"backend", "k_shards", "shards_changed",
-                              "full_save_ms", "delta_push_ms",
-                              "shards_written", "shards_reused",
-                              "bytes_written", "bytes_reused", "swap_ms",
-                              "shards_adopted", "shards_remapped"},
-    "BENCH_fault_injection.json": {"k_shards", "failpoint_off_ns",
-                                   "failpoint_armed_miss_ns",
-                                   "open_clean_ms", "open_retry_ms",
-                                   "healthy_us_per_query",
-                                   "degraded_us_per_query",
-                                   "shards_quarantined"},
-    "BENCH_remote_fetch.json": {"k_shards", "store_bytes", "bytes_fetched",
-                                "cold_open_ms", "cold_prefetch_ms",
-                                "warm_open_ms", "warm_prefetch_ms",
-                                "cold_first_query_us", "warm_first_query_us",
-                                "local_batch_qps", "remote_batch_qps"},
-    "BENCH_build_scaling.json": {"family", "backend", "threads", "build_ms",
-                                 "hierarchy_ms", "sketch_ms",
-                                 "speedup_vs_serial",
-                                 "digest_matches_serial",
-                                 "hardware_concurrency"},
+    "cell": {"backend", "path", "model", "faults", "reduced", "f",
+             "open_us_p50", "first_us_p50", "prepare_us_p50",
+             "prepare_us_p99", "query_us_p50", "query_us_p99", "query_us_n",
+             "seq_qps", "oneshot_us_p50"},
+    "push": {"backend", "k_shards", "shards_changed", "save_us_p50",
+             "save_sharded_us_p50", "delta_us_p50", "shards_written",
+             "shards_reused", "bytes_written", "bytes_reused", "swap_us_p50",
+             "shards_adopted", "shards_remapped"},
+    "retry": {"backend", "k_shards", "open_clean_us_p50",
+              "open_retry_us_p50"},
+    "degraded": {"backend", "shards_quarantined", "healthy_query_us_p50",
+                 "healthy_query_us_p99", "degraded_throw_us_p50"},
 }
-# The build-scaling bench hard-fails in-process on a digest mismatch;
-# the recorded flag must therefore always be true — a false here means
-# the bench's own gate was bypassed.
-with open("build/BENCH_build_scaling.json") as fh:
-    assert all(r["digest_matches_serial"] for r in json.load(fh)), \
-        "parallel build digest mismatch recorded in BENCH_build_scaling.json"
-for path in sys.argv[1:]:
-    with open(path) as fh:
-        records = json.load(fh)
-    assert isinstance(records, list) and records, f"no bench records: {path}"
-    need = required[path.split("/")[-1]]
-    for r in records:
+with open(sys.argv[1]) as fh:
+    records = json.load(fh)
+for kind, need in required.items():
+    rows = [r for r in records if r.get("kind") == kind]
+    assert rows, f"bench_serving: no {kind} records"
+    for r in rows:
         missing = need - r.keys()
-        assert not missing, f"{path}: record missing {missing}: {r}"
-    print(f"bench-smoke: {path}: {len(records)} records, JSON well-formed")
+        assert not missing, f"{kind} record missing {missing}: {r}"
+    print(f"bench-smoke: {len(rows)} {kind} records well-formed")
+with open(sys.argv[2]) as fh:
+    names = {b["name"] for b in json.load(fh)["benchmarks"]}
+assert names == {"BM_FailpointCheck/armed_miss:0",
+                 "BM_FailpointCheck/armed_miss:1"}, names
+print("bench-smoke: failpoint check case well-formed")
 EOF
   else
-    # Degraded check without python3: the files must exist and at least
-    # look like non-empty JSON arrays of objects.
-    grep -q '^\[{.*}\]$' build/BENCH_decoder_hotpath.json
-    grep -q '^\[{.*}\]$' build/BENCH_vertex_faults.json
-    grep -q '^\[{.*}\]$' build/BENCH_shard_swap.json
-    grep -q '^\[{.*}\]$' build/BENCH_fault_injection.json
-    grep -q '^\[{.*}\]$' build/BENCH_remote_fetch.json
-    grep -q '^\[{.*}\]$' build/BENCH_build_scaling.json
+    # Degraded check without python3: every record kind is present.
+    for kind in cell push retry degraded; do
+      grep -q "\"kind\":\"$kind\"" "$out/BENCH_serving.json"
+    done
+    grep -q 'BM_FailpointCheck/armed_miss:1' "$out/BENCH_failpoint.json"
     echo "bench-smoke: JSON shape check passed (python3 unavailable)"
   fi
   echo "ci: bench smoke green"

@@ -7,7 +7,6 @@
 #include <atomic>
 #include <exception>
 #include <functional>
-#include <thread>
 #include <utility>
 
 namespace ftc::core {
@@ -208,9 +207,7 @@ std::vector<bool> BatchQueryEngine::run_sequential(
 
 std::vector<bool> BatchQueryEngine::run_parallel(
     std::span<const Query> queries, unsigned num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
-  }
+  FTC_REQUIRE(num_threads >= 1, "run_parallel needs at least one thread");
   const std::size_t max_useful = (queries.size() + kChunk - 1) / kChunk;
   num_threads = static_cast<unsigned>(
       std::min<std::size_t>(num_threads, std::max<std::size_t>(max_useful, 1)));

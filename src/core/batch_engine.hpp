@@ -143,10 +143,12 @@ class BatchQueryEngine {
   // Batch on the calling thread (one workspace, zero thread overhead).
   std::vector<bool> run_sequential(std::span<const Query> queries);
 
-  // Batch fanned across num_threads workers (0 = hardware concurrency).
-  // Falls back to the sequential path for tiny batches or one thread.
+  // Batch fanned across num_threads workers. The count is the caller's
+  // to choose (>= 1, std::invalid_argument otherwise): hardware
+  // concurrency overstates what a shared host delivers. Falls back to
+  // the sequential path for tiny batches or one thread.
   std::vector<bool> run_parallel(std::span<const Query> queries,
-                                 unsigned num_threads = 0);
+                                 unsigned num_threads);
 
   std::size_t num_faults() const;
   // The scheme of the current generation. The reference stays valid

@@ -166,7 +166,7 @@ class ConnectivityScheme {
   // ----------------------------------------------------------- persistence
   // Writes the whole scheme as one versioned container file (atomically:
   // a temp file is renamed into place), copying the labels straight out
-  // of store_view(). Format v2; includes the adjacency side-table iff
+  // of store_view(). Format v3; includes the adjacency side-table iff
   // adjacency() != nullptr, so saved schemes keep their vertex-fault
   // capability. Implemented in label_store.cpp; load it back with
   // load_scheme(). Throws StoreError on I/O failure, and StoreIoError

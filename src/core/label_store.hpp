@@ -7,8 +7,11 @@
 // from the labels alone. This subsystem takes that seriously as a
 // deployment story — labels are built offline, written as one
 // self-describing binary file, and served by mmap without ever
-// materializing per-label std::vector copies on the query path (only the
-// <= f fault-edge labels of a session are decoded, once per fault set).
+// materializing per-label std::vector copies on the query path. Only a
+// session's fault-edge labels are read ahead, once per fault set at
+// prepare: core-ftc copies each one's readable syndrome prefixes, the
+// dp21 backends decode them. A fault set holds up to Delta * f edges
+// once vertex faults are reduced to their incident edges.
 //
 // Container format, version 3 (all integers little-endian):
 //

@@ -13,6 +13,7 @@
 #include <cstring>
 
 #include "util/digest.hpp"
+#include "util/env.hpp"
 #include "util/failpoint.hpp"
 
 namespace ftc::core {
@@ -236,15 +237,6 @@ namespace {
 std::mutex g_default_cache_mu;
 std::shared_ptr<ShardCache> g_default_cache;
 
-std::uint64_t parse_bytes_env(const char* value, std::uint64_t fallback) {
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(value, &end, 10);
-  if (errno != 0 || end == value || *end != '\0') return fallback;
-  return static_cast<std::uint64_t>(v);
-}
-
 }  // namespace
 
 std::shared_ptr<ShardCache> default_remote_cache() {
@@ -259,8 +251,8 @@ std::shared_ptr<ShardCache> default_remote_cache() {
       if (dir.back() != '/') dir += '/';
       dir += "ftc-shard-cache-" + std::to_string(::getuid());
     }
-    const std::uint64_t budget = parse_bytes_env(
-        std::getenv("FTC_CACHE_BYTES"), std::uint64_t{256} << 20);
+    const std::uint64_t budget =
+        util::env_u64("FTC_CACHE_BYTES").value_or(std::uint64_t{256} << 20);
     g_default_cache = std::make_shared<ShardCache>(dir, budget);
   }
   return g_default_cache;

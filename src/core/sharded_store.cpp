@@ -29,6 +29,7 @@
 
 #include "core/shard_source.hpp"
 #include "util/digest.hpp"
+#include "util/env.hpp"
 #include "util/failpoint.hpp"
 #include "util/scoped_fd.hpp"
 
@@ -41,26 +42,15 @@ namespace {
 // values keep the compiled default for that field only.
 RetryPolicy policy_from_env() {
   RetryPolicy policy;
-  const auto read_u64 = [](const char* name, std::uint64_t* out) {
-    const char* value = std::getenv(name);
-    if (value == nullptr || *value == '\0') return false;
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(value, &end, 10);
-    if (errno != 0 || end == value || *end != '\0') return false;
-    *out = static_cast<std::uint64_t>(v);
-    return true;
-  };
-  std::uint64_t v = 0;
-  if (read_u64("FTC_RETRY_ATTEMPTS", &v) && v >= 1) {
+  if (const auto v = util::env_u64("FTC_RETRY_ATTEMPTS"); v && *v >= 1) {
     policy.max_attempts = static_cast<unsigned>(std::min<std::uint64_t>(
-        v, std::numeric_limits<unsigned>::max()));
+        *v, std::numeric_limits<unsigned>::max()));
   }
-  if (read_u64("FTC_RETRY_BASE_US", &v)) {
-    policy.initial_backoff = std::chrono::microseconds(v);
+  if (const auto v = util::env_u64("FTC_RETRY_BASE_US")) {
+    policy.initial_backoff = std::chrono::microseconds(*v);
   }
-  if (read_u64("FTC_RETRY_CAP_US", &v)) {
-    policy.max_backoff = std::chrono::microseconds(v);
+  if (const auto v = util::env_u64("FTC_RETRY_CAP_US")) {
+    policy.max_backoff = std::chrono::microseconds(*v);
   }
   return policy;
 }

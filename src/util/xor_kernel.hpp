@@ -8,8 +8,8 @@
 // one implementation shared by the core decoder (core/ftc_query.cpp:
 // merging cut bitsets, and summing a fragment set's level row from the
 // clamped payloads of the faults in its cut) and the dp21 backends
-// (dp21/*, sketch/agm_sketch.cpp). bench_decoder_hotpath measures the
-// result.
+// (dp21/*, sketch/agm_sketch.cpp). ftcbench's outage workload and the
+// query latency of bench_serving measure the result.
 #pragma once
 
 #include <cstddef>

@@ -173,6 +173,17 @@ TEST_P(BatchEngine, ManyThreadsOnTinyBatchIsSafe) {
   EXPECT_TRUE(results[0]);  // a cycle minus one edge stays connected
 }
 
+// No implicit thread count: hardware concurrency is not what a shared
+// host delivers, so zero threads is a caller error, even on an empty batch.
+TEST_P(BatchEngine, ZeroThreadsIsRejected) {
+  const Graph g = graph::cycle(16);
+  const auto scheme = make_scheme(g, test_config(GetParam(), 2));
+  BatchQueryEngine engine(*scheme, FaultSpec::edges(std::vector<EdgeId>{0}));
+  const std::vector<BatchQueryEngine::Query> queries{{1, 15}};
+  EXPECT_THROW(engine.run_parallel(queries, 0), std::invalid_argument);
+  EXPECT_THROW(engine.run_parallel({}, 0), std::invalid_argument);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, BatchEngine,
                          ::testing::ValuesIn(kAllBackends),
                          [](const auto& info) {

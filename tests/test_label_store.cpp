@@ -114,12 +114,19 @@ TEST_P(LabelStoreParity, SaveLoadRoundTripMatchesInMemoryAndBfs) {
                    std::to_string(static_cast<int>(GetParam())));
     scheme->save(file.path());
 
+    // Both load modes: with the payload checksum pass, and without it
+    // (the label bytes served must be the same either way).
     const auto loaded = load_scheme(file.path());
-    EXPECT_EQ(loaded->backend(), GetParam());
-    EXPECT_EQ(loaded->num_vertices(), scheme->num_vertices());
-    EXPECT_EQ(loaded->num_edges(), scheme->num_edges());
-    EXPECT_EQ(loaded->vertex_label_bits(), scheme->vertex_label_bits());
-    EXPECT_EQ(loaded->edge_label_bits(), scheme->edge_label_bits());
+    const auto unverified =
+        load_scheme(file.path(), {.verify_checksum = false});
+    for (const ConnectivityScheme* served :
+         {loaded.get(), unverified.get()}) {
+      EXPECT_EQ(served->backend(), GetParam());
+      EXPECT_EQ(served->num_vertices(), scheme->num_vertices());
+      EXPECT_EQ(served->num_edges(), scheme->num_edges());
+      EXPECT_EQ(served->vertex_label_bits(), scheme->vertex_label_bits());
+      EXPECT_EQ(served->edge_label_bits(), scheme->edge_label_bits());
+    }
 
     SplitMix64 rng(900 + static_cast<int>(GetParam()));
     for (int it = 0; it < 25; ++it) {
@@ -132,6 +139,9 @@ TEST_P(LabelStoreParity, SaveLoadRoundTripMatchesInMemoryAndBfs) {
           << fam.name << " it=" << it;
       EXPECT_EQ(loaded->connected(s, t, FaultSpec::edges(faults)), expected)
           << fam.name << " it=" << it;
+      EXPECT_EQ(unverified->connected(s, t, FaultSpec::edges(faults)),
+                expected)
+          << fam.name << " it=" << it << " (no checksum pass)";
     }
   }
 }

@@ -27,6 +27,7 @@
 #include "core/sharded_store.hpp"
 #include "graph/generators.hpp"
 #include "util/common.hpp"
+#include "util/env.hpp"
 #include "util/failpoint.hpp"
 
 namespace ftc::core {
@@ -345,6 +346,32 @@ TEST(ShardCache, DefaultCacheSeedsFromEnvironment) {
   EXPECT_EQ(cache->dir(), cache_dir.path() + "/");
   EXPECT_EQ(cache->max_bytes(), 12345u);
   EXPECT_EQ(default_remote_cache(), cache);  // one instance per process
+  ::unsetenv("FTC_CACHE_DIR");
+  ::unsetenv("FTC_CACHE_BYTES");
+  set_default_remote_cache(prior);
+}
+
+// Numeric environment knobs take plain decimal digits only: a sign or a
+// leading space must not wrap "-1" into a 2^64 - 1 byte budget or
+// UINT_MAX retry attempts.
+TEST(EnvParse, AcceptsOnlyPlainDecimalDigits) {
+  EXPECT_EQ(util::parse_decimal_u64("42"), 42u);
+  EXPECT_EQ(util::parse_decimal_u64("18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(util::parse_decimal_u64("-1"), std::nullopt);
+  EXPECT_EQ(util::parse_decimal_u64(" 7"), std::nullopt);
+  EXPECT_EQ(util::parse_decimal_u64("+5"), std::nullopt);
+  EXPECT_EQ(util::parse_decimal_u64(""), std::nullopt);
+  EXPECT_EQ(util::parse_decimal_u64(nullptr), std::nullopt);
+  EXPECT_EQ(util::parse_decimal_u64("18446744073709551616"), std::nullopt);
+  EXPECT_EQ(util::parse_decimal_u64("99999999999999999999"), std::nullopt);
+}
+
+TEST(ShardCache, MalformedCacheBytesKeepsTheDefaultBudget) {
+  ScratchDir cache_dir("cache_env_bad");
+  const auto prior = set_default_remote_cache(nullptr);
+  ::setenv("FTC_CACHE_DIR", cache_dir.path().c_str(), 1);
+  ::setenv("FTC_CACHE_BYTES", "-1", 1);
+  EXPECT_EQ(default_remote_cache()->max_bytes(), std::uint64_t{256} << 20);
   ::unsetenv("FTC_CACHE_DIR");
   ::unsetenv("FTC_CACHE_BYTES");
   set_default_remote_cache(prior);
