@@ -28,17 +28,20 @@
 #                             # degree), plus the payload-digest suite
 #                             # (CRC-64 fold kernel and the every-bit-
 #                             # flip / every-truncation container sweep)
-#   scripts/ci.sh store-v2    # store format focused asan leg: v1 and v2
-#                             # fixture load + v3 round-trip + vertex-
-#                             # fault parity (fault-model suites) plus an
+#   scripts/ci.sh store-v2    # store format focused asan leg: v1, v2 and
+#                             # v3 fixture load + their v4 re-saves (and
+#                             # the manifest-v2 fixture) + the exhaustive
+#                             # |F| <= 2 fixture check + vertex-fault
+#                             # parity (fault-model suites) plus an
 #                             # end-to-end ftc_store build/inspect/query
-#                             # exercise with --vertex-faults
+#                             # exercise with --vertex-faults and a CLI
+#                             # v3 -> v4 re-save round-trip
 #   scripts/ci.sh portable    # portable-digest leg: Release build with
 #                             # -DFTC_NATIVE=OFF (no -march=native, so no
 #                             # PCLMUL) into build-portable/, running the
 #                             # digest, golden-bytes, label-store,
-#                             # GF(2^m), decoder-workspace and
-#                             # decode-allocation suites; the pinned
+#                             # store-compat, GF(2^m), decoder-workspace
+#                             # and decode-allocation suites; the pinned
 #                             # golden checksums then prove the
 #                             # table-driven CRC-64 and the portable
 #                             # carry-less multiply write the same bytes
@@ -133,10 +136,10 @@ if [ "${1:-}" = "portable" ]; then
   echo "=== portable digest leg (release, FTC_NATIVE=OFF) ==="
   cmake -S . -B build-portable -DCMAKE_BUILD_TYPE=Release -DFTC_NATIVE=OFF
   cmake --build build-portable -j "$jobs" \
-    --target test_digest test_golden_bytes test_label_store test_gf2 \
-    test_decoder_workspace test_decode_alloc
+    --target test_digest test_golden_bytes test_label_store \
+    test_store_compat test_gf2 test_decoder_workspace test_decode_alloc
   ctest --test-dir build-portable --output-on-failure \
-    -R 'test_digest|test_golden_bytes|test_label_store|test_gf2|test_decoder_workspace|test_decode_alloc' \
+    -R 'test_digest|test_golden_bytes|test_label_store|test_store_compat|test_gf2|test_decoder_workspace|test_decode_alloc' \
     -j "$jobs"
   echo "ci: portable leg green (golden bytes and golden decode outcomes reproduced)"
   exit 0
@@ -146,31 +149,58 @@ if [ "${1:-}" = "store-v2" ]; then
   echo "=== store format / fault-model leg (asan) ==="
   cmake --preset asan
   cmake --build --preset asan -j "$jobs" \
-    --target test_label_store test_stress_differential test_fault_spec \
-    ftc_store
-  # v1/v2 fixture compat, v3 adjacency round-trip + adversarial corpus, and
-  # the vertex/mixed-fault differential sweeps, all under asan.
+    --target test_label_store test_store_compat test_stress_differential \
+    test_fault_spec ftc_store
+  # v1/v2/v3 fixture compat and their v4 re-saves, the manifest-v2
+  # fixture, the exhaustive |F| <= 2 fixture check, the v4 adjacency
+  # round-trip + adversarial corpus, and the vertex/mixed-fault
+  # differential sweeps, all under asan.
   ctest --preset asan \
-    -R 'test_label_store|test_stress_differential|test_fault_spec' \
+    -R 'test_label_store|test_store_compat|test_stress_differential|test_fault_spec' \
     -j "$jobs"
-  # End-to-end CLI exercise: build a v3 store, inspect it, serve a
-  # vertex-fault query, confirm the v2 fixture still verifies (FNV-1a
+  # End-to-end CLI exercise: build a v4 store, inspect it, serve a
+  # vertex-fault query, re-save the v3 fixture as v4 (narrower level
+  # widths, same answers), confirm the v2 fixture still verifies (FNV-1a
   # payload digest), and confirm the v1 fixture still loads but refuses
   # vertex faults with the typed capability error (exit 2).
   tmp="$(mktemp -d)"
   trap 'rm -rf "$tmp"' EXIT
-  build-asan/ftc_store build --out "$tmp/v3.ftcs" --family grid \
+  build-asan/ftc_store build --out "$tmp/v4.ftcs" --family grid \
     --rows 6 --cols 6 --backend core-ftc --f 8 >/dev/null
-  build-asan/ftc_store inspect "$tmp/v3.ftcs" | grep -q 'format version     3'
-  build-asan/ftc_store inspect "$tmp/v3.ftcs" | grep -q 'payload digest     crc64'
-  build-asan/ftc_store inspect "$tmp/v3.ftcs" | grep -q 'supported (adjacency'
-  out="$(build-asan/ftc_store query "$tmp/v3.ftcs" --faults 1 \
+  build-asan/ftc_store inspect "$tmp/v4.ftcs" | grep -q 'format version     4'
+  build-asan/ftc_store inspect "$tmp/v4.ftcs" | grep -q 'payload digest     crc64'
+  build-asan/ftc_store inspect "$tmp/v4.ftcs" | grep -q 'supported (adjacency'
+  build-asan/ftc_store inspect "$tmp/v4.ftcs" | grep -q '^level widths '
+  if build-asan/ftc_store inspect "$tmp/v4.ftcs" | grep -q 're-save drops'; then
+    echo "ci: a v4 store claims a re-save would shrink it" >&2
+    exit 1
+  fi
+  out="$(build-asan/ftc_store query "$tmp/v4.ftcs" --faults 1 \
     --vertex-faults 7 --pairs 0:35,7:7)"
   # Anchored: 'connected' is a substring of 'disconnected'. Deleting one
   # interior vertex (+ one edge) leaves the 6x6 grid connected, and a
   # deleted vertex stays connected to itself.
   printf '%s\n' "$out" | grep -qx '0 35 connected'
   printf '%s\n' "$out" | grep -qx '7 7 connected'
+  build-asan/ftc_store inspect tests/data/v3_core_ftc.ftcs \
+    | grep -q 're-save drops      768 bytes (v4 widths 6)'
+  build-asan/ftc_store merge tests/data/v3_core_ftc.ftcs \
+    --out "$tmp/v3_resaved.ftcs" >/dev/null
+  build-asan/ftc_store inspect "$tmp/v3_resaved.ftcs" \
+    | grep -q 'level widths       6 of k=12'
+  [ "$(stat -c %s "$tmp/v3_resaved.ftcs")" -lt \
+    "$(stat -c %s tests/data/v3_core_ftc.ftcs)" ]
+  pairs="0:10,2:9,3:7,5:6,1:8"
+  for faults in 0 3,7 5,6 1,12; do
+    a="$(build-asan/ftc_store query tests/data/v3_core_ftc.ftcs \
+      --faults "$faults" --pairs "$pairs")"
+    b="$(build-asan/ftc_store query "$tmp/v3_resaved.ftcs" \
+      --faults "$faults" --pairs "$pairs")"
+    if [ "$a" != "$b" ]; then
+      echo "ci: v4 re-save of the v3 fixture answers differently" >&2
+      exit 1
+    fi
+  done
   build-asan/ftc_store inspect tests/data/v2_core_ftc.ftcs \
     | grep -q 'payload digest     fnv1a'
   build-asan/ftc_store inspect tests/data/v1_core_ftc.ftcs \
@@ -180,7 +210,7 @@ if [ "${1:-}" = "store-v2" ]; then
     echo "ci: v1 store unexpectedly served a vertex-fault query" >&2
     exit 1
   fi
-  echo "ci: store-v2 leg green (fixture compat + v3 round-trip + CLI)"
+  echo "ci: store-v2 leg green (v1/v2/v3 fixture compat + v4 round-trip + CLI)"
   exit 0
 fi
 

@@ -80,8 +80,8 @@ struct FtcConfig {
   unsigned group_len = 0;    // NetFind group length (0 = provable default)
   std::uint64_t seed = 1;    // randomized hierarchy seed
   FieldKind field = FieldKind::kAuto;
-  // Build worker threads (0 = hardware concurrency). Any value produces
-  // byte-identical labels; this is purely a wall-clock knob.
+  // Build worker threads, at least 1. Any value produces byte-identical
+  // labels; this is purely a wall-clock knob.
   unsigned build_threads = 1;
 };
 

@@ -166,7 +166,7 @@ class ConnectivityScheme {
   // ----------------------------------------------------------- persistence
   // Writes the whole scheme as one versioned container file (atomically:
   // a temp file is renamed into place), copying the labels straight out
-  // of store_view(). Format v3; includes the adjacency side-table iff
+  // of store_view(). Format v4; includes the adjacency side-table iff
   // adjacency() != nullptr, so saved schemes keep their vertex-fault
   // capability. Implemented in label_store.cpp; load it back with
   // load_scheme(). Throws StoreError on I/O failure, and StoreIoError
@@ -231,8 +231,9 @@ struct SchemeConfig {
     agm.seed = seed;
     return *this;
   }
-  // Build worker threads for every backend (0 = hardware concurrency).
-  // Purely a wall-clock knob: any value yields byte-identical labels.
+  // Build worker threads for every backend, at least 1 (0 is rejected
+  // at build). Purely a wall-clock knob: any value yields byte-identical
+  // labels.
   unsigned build_threads() const { return ftc.build_threads; }
   SchemeConfig& set_build_threads(unsigned threads) {
     ftc.build_threads = threads;

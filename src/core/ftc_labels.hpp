@@ -49,15 +49,18 @@ struct EdgeLabel {
   LabelParams params;
   graph::AncestryLabel upper;  // endpoint nearer the root in T'
   graph::AncestryLabel lower;  // endpoint whose subtree the edge cuts
-  // Sketch payload: num_levels * k field elements, level-major, each as
-  // words_per_elem() 64-bit words (little-endian).
+  // Syndromes stored per hierarchy level: one entry per level, or empty
+  // for k on every level. A level stores its first level_widths[l]
+  // syndromes, the k_b-threshold sketch of its boundaries (Proposition
+  // 6), and a query never reads past them.
+  std::vector<std::uint32_t> level_widths;
+  // Sketch payload: each level's stored syndromes, level-major, each as
+  // words_per_elem() 64-bit words (little-endian), at the word offsets
+  // store::core_edge_layout(params, level_widths) gives.
   std::vector<std::uint64_t> sketch_words;
 
-  std::size_t size_bits() const {
-    return 4 * params.coord_bits() +
-           static_cast<std::size_t>(params.num_levels) * params.k *
-               params.field_bits;
-  }
+  // Defined with the layout, in serialize.cpp.
+  std::size_t size_bits() const;
 };
 
 // Thrown by the decoder when a sketch fails to decode within its capacity

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/edge_code.hpp"
+#include "core/label_store.hpp"
 #include "graph/fragments.hpp"
 #include "graph/union_find.hpp"
 #include "sketch/rs_sketch.hpp"
@@ -32,8 +33,8 @@ std::atomic<std::uint64_t> g_next_serial{0};
 // (util/xor_kernel.hpp) apply without knowing the field type. Fragment fr
 // owns cut[fr * cut_words ..]. Fault j — the one whose lower endpoint
 // defines fragment j + 1, and bit j of every cut — has its payload at
-// fault_row[j]: level-major, level_width[lev] syndromes of level lev at
-// word level_offset[lev], field_bits/64 words per syndrome.
+// fault_row[j], in `layout`: level-major, layout.width(lev) syndromes of
+// level lev at word layout.offset(lev), field_bits/64 words per syndrome.
 struct PreparedFaults::Impl {
   // Process-unique identity of this fault set. A workspace keys its
   // carried session on it, never on the address: a freed fault set's
@@ -47,9 +48,8 @@ struct PreparedFaults::Impl {
   // Initial |cut| per fragment, precomputed so the merge heap seeds
   // without re-popcounting prepared rows on every query.
   std::vector<unsigned> init_cut_size;
-  std::vector<unsigned> level_width;
-  std::vector<std::size_t> level_offset;
-  std::size_t row_words = 0;  // payload words per fault
+  // The kept prefixes: the current container layout of the bounds.
+  store::CoreEdgeLayout layout;
   // One row per added fault, duplicates included, left uninitialized
   // until add()'s caller fills it; fault_row picks one row per distinct
   // fault.
@@ -96,21 +96,10 @@ PreparedFaults::Builder::Builder(const LabelParams& params,
     : impl_(std::make_unique<Impl>()) {
   FTC_REQUIRE(params.field_bits == 64 || params.field_bits == 128,
               "unsupported field width in edge label");
-  FTC_REQUIRE(level_bounds.empty() || level_bounds.size() == params.num_levels,
-              "level bounds inconsistent with the label hierarchy");
   impl_->params = params;
-  impl_->level_width.reserve(params.num_levels);
-  impl_->level_offset.reserve(params.num_levels);
-  for (unsigned lev = 0; lev < params.num_levels; ++lev) {
-    const std::uint32_t bound = level_bounds.empty() ? 0 : level_bounds[lev];
-    const unsigned width = bound == 0 ? params.k : std::min(params.k, bound);
-    impl_->level_width.push_back(width);
-    impl_->level_offset.push_back(impl_->row_words);
-    impl_->row_words +=
-        static_cast<std::size_t>(width) * params.words_per_elem();
-  }
+  impl_->layout = store::core_edge_layout(params, level_bounds);
   impl_->payload = std::make_unique_for_overwrite<std::uint64_t[]>(
-      capacity * impl_->row_words);
+      capacity * impl_->layout.payload_words);
   impl_->intervals.reserve(capacity);
 }
 
@@ -121,11 +110,11 @@ const LabelParams& PreparedFaults::Builder::params() const {
 }
 
 unsigned PreparedFaults::Builder::level_width(unsigned lev) const {
-  return impl_->level_width[lev];
+  return impl_->layout.width(lev);
 }
 
 std::size_t PreparedFaults::Builder::level_offset(unsigned lev) const {
-  return impl_->level_offset[lev];
+  return impl_->layout.offset(lev);
 }
 
 std::uint64_t* PreparedFaults::Builder::add(const graph::AncestryLabel& lower) {
@@ -134,7 +123,7 @@ std::uint64_t* PreparedFaults::Builder::add(const graph::AncestryLabel& lower) {
   FTC_REQUIRE(row < impl.intervals.capacity(),
               "more faults than the builder was sized for");
   impl.intervals.push_back({lower.tin, lower.tout});
-  return impl.payload.get() + row * impl.row_words;
+  return impl.payload.get() + row * impl.layout.payload_words;
 }
 
 PreparedFaults PreparedFaults::Builder::finish() && {
@@ -161,7 +150,7 @@ PreparedFaults PreparedFaults::Builder::finish() && {
     const int below = impl.loc.fragment_of_fault(i);
     const std::size_t j = static_cast<std::size_t>(below) - 1;
     if (impl.fault_row[j] != nullptr) continue;  // a duplicate edge
-    impl.fault_row[j] = impl.payload.get() + i * impl.row_words;
+    impl.fault_row[j] = impl.payload.get() + i * impl.layout.payload_words;
     const int above = impl.loc.parent_fragment(below);
     FTC_CHECK(above >= 0, "fault fragment without parent");
     for (const int fr : {below, above}) {
@@ -192,7 +181,7 @@ sketch::SketchDecodeScratch<F>& workspace_scratch(DecoderWorkspace::Impl& ws) {
 // since internal faults cancel — and returns whether it is nonzero.
 bool level_sum(const PreparedFaults::Impl& prep, const std::uint64_t* cut,
                unsigned lev, std::uint64_t* row, std::size_t words) {
-  const std::size_t offset = prep.level_offset[lev];
+  const std::size_t offset = prep.layout.offset(lev);
   bool any = false;
   for (std::size_t w = 0; w < prep.cut_words; ++w) {
     for (std::uint64_t bits = cut[w]; bits != 0; bits &= bits - 1) {
@@ -212,8 +201,9 @@ bool level_sum(const PreparedFaults::Impl& prep, const std::uint64_t* cut,
 // Decodes the outgoing edges of a fragment set from its cut: scan from
 // the sparsest level down; the first level with a nonzero sketch sum is
 // the top nonempty boundary, which the hierarchy guarantees to be
-// decodable (Lemma 2). Each level's sum is built at its clamped width
-// k_b in the workspace's level row, and field elements only materialize
+// decodable (Lemma 2). A level of width 0 (an empty level) has no sum
+// and is skipped. Each level's sum is built at its clamped width k_b in
+// the workspace's level row, and field elements only materialize
 // (into the workspace scratch) for the one level that actually decodes.
 // Fills ws.edges with endpoint ancestry-label pairs; empty means no
 // outgoing edge (the component is complete).
@@ -226,7 +216,8 @@ void decode_outgoing(const std::uint64_t* cut,
   ws.edges.clear();
   for (unsigned lev = prep.params.num_levels; lev-- > 0;) {
     if (stats != nullptr) ++stats->levels_scanned;
-    const unsigned width = prep.level_width[lev];
+    const unsigned width = prep.layout.width(lev);
+    if (width == 0) continue;
     const std::size_t words = static_cast<std::size_t>(width) * F::kWords;
     if (!level_sum(prep, cut, lev, ws.level_row.data(), words)) continue;
     if (stats != nullptr) ++stats->outdetect_calls;
@@ -265,8 +256,8 @@ void start_session(const PreparedFaults::Impl& prep,
   const std::size_t nfrag = static_cast<std::size_t>(prep.num_frag);
   ws.decode_hint = 0;
   ws.cut.assign(prep.cut.begin(), prep.cut.end());
-  if (ws.level_row.size() < prep.row_words) {
-    ws.level_row.resize(prep.row_words);
+  if (ws.level_row.size() < prep.layout.payload_words) {
+    ws.level_row.resize(prep.layout.payload_words);
   }
   ws.uf.reset(nfrag);
   ws.closed.assign(nfrag, 0);
@@ -384,17 +375,31 @@ PreparedFaults PreparedFaults::prepare(
     std::span<const EdgeLabel> faults,
     std::span<const std::uint32_t> level_bounds) {
   if (faults.empty()) return PreparedFaults(nullptr);
-  Builder builder(faults[0].params, level_bounds, faults.size());
-  const LabelParams& params = builder.params();
-  const std::size_t level_words =
-      static_cast<std::size_t>(params.k) * params.words_per_elem();
+  const LabelParams& params = faults[0].params;
+  // A label stores no more of a level than a query can read, so the
+  // labels' own widths bound what the fault set keeps, too.
+  const store::CoreEdgeLayout given =
+      store::core_edge_layout(params, level_bounds);
+  std::vector<std::uint32_t> bounds(params.num_levels);
+  for (unsigned lev = 0; lev < params.num_levels; ++lev) {
+    bounds[lev] = given.width(lev);
+  }
+  std::vector<store::CoreEdgeLayout> stored;
+  stored.reserve(faults.size());
   for (const EdgeLabel& f : faults) {
     FTC_REQUIRE(f.params == params, "fault labels from different schemes");
-    FTC_REQUIRE(f.sketch_words.size() == params.num_levels * level_words,
+    stored.push_back(store::core_edge_layout(params, f.level_widths));
+    FTC_REQUIRE(f.sketch_words.size() == stored.back().payload_words,
                 "edge label sketch payload has wrong size");
-    std::uint64_t* row = builder.add(f.lower);
     for (unsigned lev = 0; lev < params.num_levels; ++lev) {
-      std::copy_n(f.sketch_words.data() + lev * level_words,
+      bounds[lev] = std::min(bounds[lev], stored.back().width(lev));
+    }
+  }
+  Builder builder(params, bounds, faults.size());
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    std::uint64_t* row = builder.add(faults[i].lower);
+    for (unsigned lev = 0; lev < params.num_levels; ++lev) {
+      std::copy_n(faults[i].sketch_words.data() + stored[i].offset(lev),
                   builder.level_width(lev) * params.words_per_elem(),
                   row + builder.level_offset(lev));
     }

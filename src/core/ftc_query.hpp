@@ -99,8 +99,10 @@ class PreparedFaults {
   // store format v2). A level bounded below k keeps and decodes only
   // its first k_b = bound syndromes, and fail-stop-verifies against a
   // (k_b + d)/2 window instead of (k + d)/2 — same exact answers, less
-  // memory traffic and fewer field operations. An empty span or a 0
-  // entry means "no bound" (that level keeps all k).
+  // memory traffic and fewer field operations. A 0 entry marks an empty
+  // level, which keeps nothing and is never decoded. An empty span
+  // means "no bound". The labels' own level_widths bound each level as
+  // well: a label stores only what a query can read.
   static PreparedFaults prepare(std::span<const EdgeLabel> faults,
                                 std::span<const std::uint32_t> level_bounds = {});
 
@@ -119,7 +121,8 @@ class PreparedFaults {
     ~Builder();
 
     const LabelParams& params() const;
-    // Syndromes kept of level `lev`: min(k, bound), or k unbounded.
+    // Syndromes kept of level `lev`: min(k, bound), or k unbounded
+    // (store::core_edge_layout of the bounds).
     unsigned level_width(unsigned lev) const;
     // Word offset of level `lev` within a fault's payload row.
     std::size_t level_offset(unsigned lev) const;

@@ -72,19 +72,19 @@ struct FtcScheme::Impl {
   // The labels, held once and in container layout (label_store.hpp), so
   // release_labels() hands them to a resident view without a copy:
   //   vertex_records  per original vertex, its T'-ancestry record;
-  //   edge_words      per original edge, one blob_bytes-wide blob (a
-  //                   whole number of words): the upper and lower
-  //                   sigma-image endpoint records, then num_levels * k
-  //                   field elements as LE words, level-major then
-  //                   syndrome index, F::kWords each.
+  //   edge_words      per original edge, one layout.blob_bytes()-wide
+  //                   blob (a whole number of words): the upper and
+  //                   lower sigma-image endpoint records, then level l's
+  //                   first layout.width(l) syndromes at payload word
+  //                   layout.offset(l), as LE words, F::kWords each.
   std::vector<std::uint8_t> vertex_records;
   std::vector<std::uint64_t> edge_words;
-  std::size_t blob_bytes = 0;
+  // Built from the level populations, so layout.widths holds each
+  // level's edge population clamped to k (a sound boundary-size bound).
+  store::CoreEdgeLayout layout;
   static constexpr std::size_t kSketchWord = 2 * store::kVertexRecordBytes / 8;
-  // Per level: edge population clamped to k (sound boundary-size bound).
-  std::vector<std::uint32_t> level_pops;
 
-  std::size_t blob_words() const { return blob_bytes / 8; }
+  std::size_t blob_words() const { return layout.blob_bytes() / 8; }
   std::uint8_t* blob(EdgeId e) {
     return reinterpret_cast<std::uint8_t*>(
         edge_words.data() + static_cast<std::size_t>(e) * blob_words());
@@ -93,7 +93,10 @@ struct FtcScheme::Impl {
   // Computes, per hierarchy level, every T'-vertex's outdetect label (XOR
   // of incident level-edge IDs) and the subtree sum below every non-root
   // vertex; the sum below sigma(e)'s lower endpoint is recorded as e's
-  // level sketch (Lemma 1 / Proposition 4).
+  // level sketch (Lemma 1 / Proposition 4). Level l is computed at its
+  // stored width w = layout.width(l) only: the first w power sums are
+  // the w-threshold sketch (Proposition 6), bit-identical to the first w
+  // of a k-wide one, and an empty level (w = 0) is skipped.
   //
   // Parallel formulation. The subtree of v is the contiguous Euler-tin
   // range [tin(v), tout(v)], and all sums live in a characteristic-2
@@ -104,10 +107,10 @@ struct FtcScheme::Impl {
   // Every stage partitions the tin axis into one stripe per worker:
   //   1. accumulate: each worker zeroes its stripe, then folds the
   //      power-sum contributions of exactly the edge endpoints whose tin
-  //      it owns (an edge spanning two stripes recomputes its k power
+  //      it owns (an edge spanning two stripes recomputes its w power
   //      sums once per side — bounded 2x duplication, no communication);
   //   2. scan: stripe-local inclusive XOR scan;
-  //   3. carry: a serial chain of per-stripe totals (k field elements
+  //   3. carry: a serial chain of per-stripe totals (w field elements
   //      per stripe — negligible), then a parallel carry application;
   //   4. write-out: per-vertex sketch rows; target rows are disjoint
   //      because parent_edge is injective over non-root vertices.
@@ -120,7 +123,6 @@ struct FtcScheme::Impl {
                       const geometry::EdgeHierarchy& hier,
                       util::WorkerPool& pool) {
     const VertexId n2 = aux.g2.num_vertices();
-    const unsigned k = params.k;
     const unsigned levels = params.num_levels;
     constexpr unsigned wpe = F::kWords;
     edge_words.assign(static_cast<std::size_t>(orig_m) * blob_words(), 0);
@@ -143,16 +145,23 @@ struct FtcScheme::Impl {
       bounds[b] = static_cast<std::size_t>(n2) * b / stripes;
     }
 
-    std::vector<F> acc(static_cast<std::size_t>(n2) * k);  // indexed by tin
-    std::vector<F> carry(static_cast<std::size_t>(stripes) * k, F::zero());
+    unsigned max_width = 0;
     for (unsigned lev = 0; lev < levels; ++lev) {
+      max_width = std::max(max_width, layout.width(lev));
+    }
+    // Indexed by tin; at each level, rows are that level's width wide.
+    std::vector<F> acc(static_cast<std::size_t>(n2) * max_width);
+    std::vector<F> carry(static_cast<std::size_t>(stripes) * max_width);
+    for (unsigned lev = 0; lev < levels; ++lev) {
+      const unsigned w = layout.width(lev);
+      if (w == 0) continue;
       // Stages 1 + 2 in one dispatch: a worker only touches rows in its
       // own tin stripe.
       pool.run(stripes, [&](unsigned b) {
         const std::size_t lo = bounds[b];
         const std::size_t hi = bounds[b + 1];
-        std::fill(acc.begin() + static_cast<std::ptrdiff_t>(lo * k),
-                  acc.begin() + static_cast<std::ptrdiff_t>(hi * k),
+        std::fill(acc.begin() + static_cast<std::ptrdiff_t>(lo * w),
+                  acc.begin() + static_cast<std::ptrdiff_t>(hi * w),
                   F::zero());
         // Own contributions: odd power sums of incident edge IDs.
         for (const EdgeId e2 : hier.levels[lev]) {
@@ -165,9 +174,9 @@ struct FtcScheme::Impl {
           const F id = EdgeCode<F>::encode(anc2.label(ed.u), anc2.label(ed.v));
           const F id2 = id.square();
           F p = id;
-          F* au = own_u ? &acc[tu * k] : nullptr;
-          F* av = own_v ? &acc[tv * k] : nullptr;
-          for (unsigned j = 0; j < k; ++j) {
+          F* au = own_u ? &acc[tu * w] : nullptr;
+          F* av = own_v ? &acc[tv * w] : nullptr;
+          for (unsigned j = 0; j < w; ++j) {
             if (au != nullptr) au[j] += p;
             if (av != nullptr) av[j] += p;
             p *= id2;
@@ -175,28 +184,28 @@ struct FtcScheme::Impl {
         }
         // Stripe-local inclusive XOR scan over the tin axis.
         for (std::size_t t = lo + 1; t < hi; ++t) {
-          const F* prev = &acc[(t - 1) * k];
-          F* curr = &acc[t * k];
-          for (unsigned j = 0; j < k; ++j) curr[j] += prev[j];
+          const F* prev = &acc[(t - 1) * w];
+          F* curr = &acc[t * w];
+          for (unsigned j = 0; j < w; ++j) curr[j] += prev[j];
         }
       });
       // Stage 3a, serial: carry[b] = XOR of stripe totals before b (a
       // stripe's total after the local scan is its last row).
-      for (unsigned j = 0; j < k; ++j) carry[j] = F::zero();
+      for (unsigned j = 0; j < w; ++j) carry[j] = F::zero();
       for (unsigned b = 1; b < stripes; ++b) {
-        const F* last = &acc[(bounds[b] - 1) * k];
-        for (unsigned j = 0; j < k; ++j) {
-          carry[static_cast<std::size_t>(b) * k + j] =
-              carry[static_cast<std::size_t>(b - 1) * k + j] + last[j];
+        const F* last = &acc[(bounds[b] - 1) * w];
+        for (unsigned j = 0; j < w; ++j) {
+          carry[static_cast<std::size_t>(b) * w + j] =
+              carry[static_cast<std::size_t>(b - 1) * w + j] + last[j];
         }
       }
       // Stage 3b: apply carries; acc now holds the global prefix P[t].
       pool.run(stripes, [&](unsigned b) {
         if (b == 0) return;
-        const F* cb = &carry[static_cast<std::size_t>(b) * k];
+        const F* cb = &carry[static_cast<std::size_t>(b) * w];
         for (std::size_t t = bounds[b]; t < bounds[b + 1]; ++t) {
-          F* row = &acc[t * k];
-          for (unsigned j = 0; j < k; ++j) row[j] += cb[j];
+          F* row = &acc[t * w];
+          for (unsigned j = 0; j < w; ++j) row[j] += cb[j];
         }
       });
       // Stage 4: per-vertex write-out. Non-root v has tin >= 1 (the root
@@ -205,20 +214,19 @@ struct FtcScheme::Impl {
         for (VertexId v = static_cast<VertexId>(bounds[b]);
              v < static_cast<VertexId>(bounds[b + 1]); ++v) {
           if (v == aux.t2.root) continue;
-          const F* hi_row = &acc[static_cast<std::size_t>(tout[v]) * k];
-          const F* lo_row = &acc[(static_cast<std::size_t>(tin[v]) - 1) * k];
+          const F* hi_row = &acc[static_cast<std::size_t>(tout[v]) * w];
+          const F* lo_row = &acc[(static_cast<std::size_t>(tin[v]) - 1) * w];
           const EdgeId eo = sigma_inv[aux.t2.parent_edge[v]];
           FTC_CHECK(eo != graph::kNoEdge,
                     "T' tree edge without sigma preimage");
           std::uint64_t* out =
               &edge_words[static_cast<std::size_t>(eo) * blob_words() +
-                          kSketchWord +
-                          static_cast<std::size_t>(lev) * k * wpe];
-          for (unsigned j = 0; j < k; ++j) {
+                          kSketchWord + layout.offset(lev)];
+          for (unsigned j = 0; j < w; ++j) {
             F s = hi_row[j];
             s += lo_row[j];
-            for (unsigned w = 0; w < wpe; ++w) {
-              out[j * wpe + w] = util::to_le(s.word(w));
+            for (unsigned i = 0; i < wpe; ++i) {
+              out[j * wpe + i] = util::to_le(s.word(i));
             }
           }
         }
@@ -283,9 +291,10 @@ FtcScheme FtcScheme::build(const graph::Graph& g, const FtcConfig& config) {
   impl->params.k = resolve_k(config, n_aux, points.size());
   impl->params.num_levels = static_cast<std::uint32_t>(hier.levels.size());
   impl->params.kind = static_cast<std::uint8_t>(config.kind);
-  impl->level_pops.reserve(hier.levels.size());
+  std::vector<std::uint32_t> level_pops;
+  level_pops.reserve(hier.levels.size());
   for (const auto& level : hier.levels) {
-    impl->level_pops.push_back(static_cast<std::uint32_t>(
+    level_pops.push_back(static_cast<std::uint32_t>(
         std::min<std::size_t>(level.size(), impl->params.k)));
   }
 
@@ -298,7 +307,7 @@ FtcScheme FtcScheme::build(const graph::Graph& g, const FtcConfig& config) {
             static_cast<std::size_t>(v) * store::kVertexRecordBytes,
         anc2.label(v));
   }
-  impl->blob_bytes = store::core_edge_blob_bytes(impl->params);
+  impl->layout = store::core_edge_layout(impl->params, level_pops);
 
   // Sketch payload (allocates the edge blobs).
   // Wall-clock on the coordinating thread (NOT summed per-worker CPU):
@@ -346,24 +355,24 @@ VertexLabel FtcScheme::vertex_label(VertexId v) const {
 
 EdgeLabel FtcScheme::edge_label(EdgeId e) const {
   FTC_REQUIRE(e < impl_->orig_m, "edge out of range");
-  store::ByteReader r({impl_->blob(e), impl_->blob_bytes});
-  return store::decode_core_edge(r, impl_->params);
+  store::ByteReader r({impl_->blob(e), impl_->layout.blob_bytes()});
+  return store::decode_core_edge(r, impl_->params, impl_->layout);
 }
 
 store::ResidentLabels FtcScheme::release_labels() && {
   store::ResidentLabels out;
   out.backend = BackendKind::kCoreFtc;
   store::ByteWriter params;
-  store::encode_core_params(impl_->params, impl_->level_pops, params);
+  store::encode_core_params(impl_->params, impl_->layout.widths, params);
   out.params = params.take();
   out.vertex_records = std::move(impl_->vertex_records);
   out.edge_words = std::move(impl_->edge_words);
-  out.edge_blob_bytes = impl_->blob_bytes;
+  out.edge_blob_bytes = impl_->layout.blob_bytes();
   return out;
 }
 
 std::span<const std::uint32_t> FtcScheme::level_populations() const {
-  return impl_->level_pops;
+  return impl_->layout.widths;
 }
 
 graph::VertexId FtcScheme::num_vertices() const { return impl_->orig_n; }
@@ -378,6 +387,7 @@ std::size_t FtcScheme::vertex_label_bits() const {
 std::size_t FtcScheme::edge_label_bits() const {
   EdgeLabel label;
   label.params = impl_->params;
+  label.level_widths = impl_->layout.widths;
   return label.size_bits();
 }
 

@@ -62,7 +62,9 @@ class FtcScheme {
   // sound upper bound on any fragment boundary's size at that level
   // (boundaries are subsets of the level's edge set). Persisted by label
   // store format v2 and fed to PreparedFaults::prepare so the windowed
-  // decode can shrink its capacity and fail-stop window per level.
+  // decode can shrink its capacity and fail-stop window per level. Since
+  // format v4 it is also how many syndromes each level of an edge label
+  // stores.
   std::span<const std::uint32_t> level_populations() const;
 
   // Hands the labels to a resident StoreView (open_resident_view in

@@ -77,10 +77,12 @@ std::size_t expected_edge_blob_bytes(BackendKind backend,
   store::ByteReader r(params);
   std::size_t expect = 0;
   switch (backend) {
-    case BackendKind::kCoreFtc:
-      expect =
-          store::core_edge_blob_bytes(store::decode_core_params(r, version));
+    case BackendKind::kCoreFtc: {
+      std::vector<std::uint32_t> bounds;
+      const LabelParams p = store::decode_core_params(r, version, &bounds);
+      expect = store::core_edge_layout(p, bounds, version).blob_bytes();
       break;
+    }
     case BackendKind::kDp21CycleSpace:
       expect = store::cycle_edge_blob_bytes(store::decode_cycle_params(r));
       break;
@@ -102,8 +104,11 @@ StoreLabelBits derive_label_bits(BackendKind backend,
   switch (backend) {
     case BackendKind::kCoreFtc: {
       // The core label types carry their own size accounting.
+      std::vector<std::uint32_t> bounds;
       EdgeLabel edge;
-      edge.params = store::decode_core_params(r, version);
+      edge.params = store::decode_core_params(r, version, &bounds);
+      edge.level_widths =
+          store::core_edge_layout(edge.params, bounds, version).widths;
       bits.vertex_label_bits = VertexLabel{edge.params, {}}.size_bits();
       bits.edge_label_bits = edge.size_bits();
       break;
@@ -369,33 +374,50 @@ class AtomicFile {
 // memory is O(chunk) regardless of the container size.
 constexpr std::size_t kStreamChunkBytes = std::size_t{1} << 20;
 
-// Streams records [first, last) of `width` bytes each, record i at
-// at(i), to the sink through `chunk`. Each chunk is filled with one
-// memcpy per run of adjacent records (one run for a contiguous view, one
-// per shard for a sharded one), all under one SIGBUS guard.
-template <typename Sink, typename At>
-void copy_records(const StoreView& view, std::size_t first, std::size_t last,
-                  std::size_t width, At&& at, std::vector<std::uint8_t>& chunk,
-                  Sink& sink) {
+// Streams records [first, last), `width` output bytes each, to the sink
+// through `chunk`: fill(dst, i, count) writes records [i, i + count) at
+// dst. Each chunk is filled under one SIGBUS guard, so `fill` reads
+// mapped bytes and allocates nothing.
+template <typename Sink, typename Fill>
+void stream_records(const StoreView& view, std::size_t first, std::size_t last,
+                    std::size_t width, Fill&& fill,
+                    std::vector<std::uint8_t>& chunk, Sink& sink) {
   if (width == 0) return;
   const std::size_t per_chunk =
       std::max<std::size_t>(1, kStreamChunkBytes / width);
   for (std::size_t i = first; i < last;) {
     const std::size_t k = std::min(per_chunk, last - i);
     chunk.resize(k * width);
-    copy_guarded(view, [&] {
-      for (std::size_t j = 0; j < k;) {
-        const std::uint8_t* src = at(i + j);
-        std::size_t run = 1;
-        while (j + run < k && at(i + j + run) == src + run * width) ++run;
-        std::memcpy(chunk.data() + j * width, src, run * width);
-        j += run;
-      }
-    });
+    copy_guarded(view, [&] { fill(chunk.data(), i, k); });
     sink.write(chunk);
     i += k;
   }
 }
+
+// Streams records [first, last) of `width` bytes each, record i at
+// at(i), verbatim: one memcpy per run of adjacent records (one run for a
+// contiguous view, one per shard for a sharded one).
+template <typename Sink, typename At>
+void copy_records(const StoreView& view, std::size_t first, std::size_t last,
+                  std::size_t width, At&& at, std::vector<std::uint8_t>& chunk,
+                  Sink& sink) {
+  stream_records(
+      view, first, last, width,
+      [&](std::uint8_t* dst, std::size_t i, std::size_t k) {
+        for (std::size_t j = 0; j < k;) {
+          const std::uint8_t* src = at(i + j);
+          std::size_t run = 1;
+          while (j + run < k && at(i + j + run) == src + run * width) ++run;
+          std::memcpy(dst + j * width, src, run * width);
+          j += run;
+        }
+      },
+      chunk, sink);
+}
+
+// The format every save writes. Both sinks below digest its payload
+// with its checksum.
+constexpr auto kVersion = static_cast<std::uint32_t>(store::kFormatVersion);
 
 // One emitter, two sinks. emit_container writes the container for the
 // given ranges straight from the view's bytes to a sink exposing
@@ -406,9 +428,10 @@ void copy_records(const StoreView& view, std::size_t first, std::size_t last,
 // needs them (the payload checksum is definitionally over bytes past the
 // header). Routing write_container_streamed and digest_container
 // through this one function is what keeps the written bytes and the
-// digest-only pass from drifting apart. The params blob is the only
-// record that is not copied verbatim: a v1 core blob is upgraded to the
-// current layout (upgrade_params).
+// digest-only pass from drifting apart. Two kinds of record are not
+// copied verbatim: a v1 core params blob is upgraded to the current
+// layout (upgrade_params), and the core edge blobs of a v1-v3 view with
+// level bounds are re-strided to the current widths (restride_core_edge).
 template <typename Sink>
 void emit_container(const StoreView& view, VertexId v_begin, VertexId v_end,
                     EdgeId e_begin, EdgeId e_end, bool include_adjacency,
@@ -429,6 +452,23 @@ void emit_container(const StoreView& view, VertexId v_begin, VertexId v_end,
   const std::size_t blob_bytes = routes->edge_blob_bytes;
 
   const std::vector<std::uint8_t> params = saved_params(view);
+  // A core view of format 1-3 stores k syndromes on every level; the
+  // current format stores each level's readable prefix only.
+  CoreEdgeLayout stored;
+  CoreEdgeLayout saved;
+  bool restride = false;
+  if (info.backend == BackendKind::kCoreFtc) {
+    ByteReader r(params);
+    std::vector<std::uint32_t> bounds;
+    const LabelParams p = decode_core_params(r, kVersion, &bounds);
+    stored = core_edge_layout(p, bounds, info.format_version);
+    saved = core_edge_layout(p, bounds, kVersion);
+    FTC_CHECK(stored.blob_bytes() == blob_bytes,
+              "view blob width inconsistent with its params");
+    restride = saved.payload_words != stored.payload_words;
+  }
+  const std::size_t saved_blob_bytes =
+      restride ? saved.blob_bytes() : blob_bytes;
   // Adjacency side-table (format v2): present iff the view carries one,
   // so saved schemes keep vertex-fault capability. Only meaningful for a
   // full-range container (the lists name global edge IDs); shard
@@ -478,25 +518,33 @@ void emit_container(const StoreView& view, VertexId v_begin, VertexId v_end,
   // open), so the offset index is arithmetic.
   store::ByteWriter index;
   for (EdgeId e = 0; e <= m; ++e) {
-    index.u64(static_cast<std::uint64_t>(e) * blob_bytes);
+    index.u64(static_cast<std::uint64_t>(e) * saved_blob_bytes);
     if (index.size() >= kStreamChunkBytes || e == m) {
       sink.write(index.view());
       index.clear();
     }
   }
-  copy_records(
-      view, e_begin, e_end, blob_bytes,
-      [routes](std::size_t e) { return routes->edge(static_cast<EdgeId>(e)); },
-      chunk, sink);
+  const auto edge_at = [routes](std::size_t e) {
+    return routes->edge(static_cast<EdgeId>(e));
+  };
+  if (restride) {
+    stream_records(
+        view, e_begin, e_end, saved_blob_bytes,
+        [&](std::uint8_t* dst, std::size_t i, std::size_t k) {
+          for (std::size_t j = 0; j < k; ++j) {
+            restride_core_edge(edge_at(i + j), stored, saved,
+                               dst + j * saved_blob_bytes);
+          }
+        },
+        chunk, sink);
+  } else {
+    copy_records(view, e_begin, e_end, blob_bytes, edge_at, chunk, sink);
+  }
   if (!adj_section.empty()) {
     pad8();
     sink.write(adj_section);
   }
 }
-
-// Both sinks produce the current format, so they digest its payload
-// with the current format's checksum.
-constexpr auto kVersion = static_cast<std::uint32_t>(store::kFormatVersion);
 
 // Sink 1: fold the stream straight into the payload digest — the
 // no-I/O pass delta pushes use to detect unchanged shards.
@@ -1156,10 +1204,10 @@ class CoreScheme final : public SchemeBase {
  public:
   explicit CoreScheme(std::shared_ptr<const StoreView> view)
       : SchemeBase(std::move(view)) {
+    const std::uint32_t version = store_view()->info().format_version;
     store::ByteReader pr(store_view()->params_blob());
-    params_ = store::decode_core_params(
-        pr, store_view()->info().format_version, &level_bounds_);
-    blob_bytes_ = store::core_edge_blob_bytes(params_);
+    params_ = store::decode_core_params(pr, version, &level_bounds_);
+    layout_ = store::core_edge_layout(params_, level_bounds_, version);
   }
 
   std::unique_ptr<Workspace> make_workspace() const override {
@@ -1170,20 +1218,20 @@ class CoreScheme final : public SchemeBase {
   // Copies each fault's lower endpoint and readable level prefixes
   // straight from its blob into the fault set, one guarded copy per
   // fault: no EdgeLabel is built and no payload word is copied twice.
-  // Built labels and v2 containers carry the builder's per-level
+  // Built labels and v2+ containers carry the builder's per-level
   // population bounds, so every serving path keeps and decodes the same
-  // clamped prefixes.
+  // clamped prefixes; a v4 blob stores exactly those.
   std::unique_ptr<FaultSet> prepare_edge_faults(
       std::span<const EdgeId> edge_faults) const override {
     PreparedFaults::Builder builder(params_, level_bounds_,
                                     edge_faults.size());
     for (const EdgeId e : edge_faults) {
       const std::span<const std::uint8_t> blob = edge_bytes(e);
-      if (blob.size() != blob_bytes_) {
+      if (blob.size() != layout_.blob_bytes()) {
         throw StoreError("core-ftc edge blob has the wrong size");
       }
       store::copy_guarded(*store_view(), [&] {
-        store::copy_core_edge_prefixes(blob.data(), builder);
+        store::copy_core_edge_prefixes(blob.data(), layout_, builder);
       });
     }
     auto prepared = std::move(builder).finish();
@@ -1207,7 +1255,7 @@ class CoreScheme final : public SchemeBase {
  private:
   LabelParams params_;
   std::vector<std::uint32_t> level_bounds_;  // empty for v1 containers
-  std::size_t blob_bytes_ = 0;
+  store::CoreEdgeLayout layout_;              // of the view's blobs
 };
 
 class CycleSpaceScheme final : public SchemeBase {

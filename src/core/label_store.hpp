@@ -13,18 +13,18 @@
 // dp21 backends decode them. A fault set holds up to Delta * f edges
 // once vertex faults are reduced to their incident edges.
 //
-// Container format, version 3 (all integers little-endian):
+// Container format, version 4 (all integers little-endian):
 //
 //   header (64 bytes)
 //     0   u64  magic "FTCSTORE"
-//     8   u32  format version (3)
+//     8   u32  format version (4)
 //     12  u8   BackendKind
 //     13  u8   flags (bit 0: adjacency section present), u8[2] reserved
 //     16  u64  num_vertices
 //     24  u64  num_edges
 //     32  u64  params blob size in bytes
 //     40  u64  payload checksum over bytes [64, file end): CRC-64/XZ
-//              in v3, FNV-1a in v1 and v2 (store::payload_digest)
+//              from v3 on, FNV-1a in v1 and v2 (store::payload_digest)
 //     48  u64  adjacency section size in bytes (0 when absent)
 //     56  u64  header checksum: FNV-1a over bytes [0, 56)
 //   params blob          backend-specific scheme parameters; for the core
@@ -37,7 +37,9 @@
 //   (pad to 8)
 //   edge offset index    (num_edges + 1) u64, byte offsets into the blob
 //                        section; blob e spans [index[e], index[e+1])
-//   edge blob section    concatenated per-edge label blobs
+//   edge blob section    concatenated per-edge label blobs; a core-ftc
+//                        blob keeps level l's first min(k, bound_l)
+//                        syndromes (store::CoreEdgeLayout)
 //   (pad to 8)
 //   adjacency section    optional incidence side-table in CSR layout:
 //                        (num_vertices + 1) u64 entry offsets, then the
@@ -57,8 +59,16 @@
 // the carry-less multiply folds 64 bytes at a time. v2 files keep
 // verifying with FNV-1a.
 //
+// Version 4 changes only the core-ftc edge blobs: level l stores its
+// first min(k, bound_l) syndromes instead of k, bound_l coming from the
+// params trailer. That prefix is the whole sketch as far as any query
+// reads (Proposition 6). The width depends on the level only, so blobs
+// stay uniform and every other section is unchanged. Core blobs of v1-v3
+// views keep stride k when read and are re-strided when saved again, so
+// a v4 header never fronts stride-k blobs.
+//
 // Versioning policy: the format version is bumped on any layout or
-// digest change; readers accept versions [1, 3] and reject anything
+// digest change; readers accept versions [1, 4] and reject anything
 // else (no silent best-effort parsing). Every structural property —
 // magic, both checksums, section bounds, index monotonicity, blob sizes
 // implied by the params, adjacency offset monotonicity and edge-ID
@@ -103,7 +113,7 @@ class StoreIoError : public StoreError {
 namespace store {
 
 // Written format version; readers accept [kMinFormatVersion, kFormatVersion].
-inline constexpr std::uint64_t kFormatVersion = 3;
+inline constexpr std::uint64_t kFormatVersion = 4;
 inline constexpr std::uint64_t kMinFormatVersion = 1;
 inline constexpr std::size_t kHeaderBytes = 64;
 // "FTCSTORE" read as a little-endian u64.
@@ -266,14 +276,63 @@ inline void write_vertex_record_at(std::uint8_t* p,
   util::write_u32_le(p + 4, anc.tout);
 }
 
-EdgeLabel decode_core_edge(ByteReader& r, const LabelParams& params);
-// Adds the core edge at `blob` (core_edge_blob_bytes(builder.params())
-// bytes) to a fault set under construction: its lower endpoint record
-// and, per level, the first builder.level_width(l) syndromes, copied
-// straight into the builder's payload row. Reads only the blob and
-// allocates nothing, so it may run under a SIGBUS guard.
+// Where a core-ftc edge blob keeps each level's syndromes. A blob is the
+// upper and lower endpoint records, then the sketch payload: level l
+// stores its first width(l) syndromes at word offset(l) of the payload,
+// elem_words LE words each. Format v4 stores w_l = min(k, bound_l) at
+// level l, bound_l being the params trailer's population bound: by the
+// prefix property (Proposition 6) that prefix is all a query can read.
+// An empty trailer keeps k, and a bound of 0 stores nothing. Formats 1-3
+// store k syndromes on every level. w_l depends on the level alone, so
+// every edge blob of one scheme has the same size.
+struct CoreEdgeLayout {
+  std::uint32_t num_levels = 0;
+  std::uint32_t k = 0;
+  std::uint32_t elem_words = 1;  // LE words per syndrome
+  // Per level, or both empty when every level stores k.
+  std::vector<std::uint32_t> widths;
+  std::vector<std::size_t> offsets;
+  std::size_t payload_words = 0;
+
+  std::uint32_t width(unsigned lev) const {
+    return widths.empty() ? k : widths[lev];
+  }
+  std::size_t offset(unsigned lev) const {
+    return offsets.empty() ? std::size_t{lev} * k * elem_words : offsets[lev];
+  }
+  std::size_t blob_bytes() const {
+    return 2 * kVertexRecordBytes + 8 * payload_words;
+  }
+};
+
+// The core edge layout of `format_version` for these params and level
+// bounds (empty, or one per level). The one definition of it: the
+// builder, the container reader and writer, the blob decoders, the
+// label-size accounting and PreparedFaults::Builder all ask here.
+CoreEdgeLayout core_edge_layout(
+    const LabelParams& params, std::span<const std::uint32_t> level_bounds,
+    std::uint32_t format_version = static_cast<std::uint32_t>(kFormatVersion));
+
+// Decodes a core edge blob of the given layout; the label's level_widths
+// record that layout.
+EdgeLabel decode_core_edge(ByteReader& r, const LabelParams& params,
+                           const CoreEdgeLayout& layout);
+// Adds the core edge at `blob` (stored.blob_bytes() bytes) to a fault
+// set under construction: its lower endpoint record and, per level, the
+// first builder.level_width(l) syndromes, copied straight into the
+// builder's payload row. The builder may keep fewer syndromes of a level
+// than the blob stores, never more. Reads only the blob and allocates
+// nothing, so it may run under a SIGBUS guard.
 void copy_core_edge_prefixes(const std::uint8_t* blob,
+                             const CoreEdgeLayout& stored,
                              PreparedFaults::Builder& builder);
+// Writes the core edge blob at `src`, stored in layout `from`, to `dst`
+// in layout `to`: the endpoint records, then each level's first
+// to.width(l) syndromes. `to` may store fewer syndromes of a level than
+// `from`, never more. How a save of a format 1-3 view writes format v4
+// blobs. Reads only the blob and allocates nothing.
+void restride_core_edge(const std::uint8_t* src, const CoreEdgeLayout& from,
+                        const CoreEdgeLayout& to, std::uint8_t* dst);
 dp21::CsEdgeLabel decode_cycle_edge(ByteReader& r, const CycleParams& params);
 dp21::AgmEdgeLabel decode_agm_edge(ByteReader& r, const AgmParams& params);
 
@@ -292,8 +351,8 @@ void write_agm_edge_at(std::uint8_t* blob, const AgmParams& params,
                        std::span<const std::uint64_t> sketch_words);
 
 // Fixed per-edge blob size implied by a backend's params (every edge
-// label of one scheme serializes to the same number of bytes).
-std::size_t core_edge_blob_bytes(const LabelParams& params);
+// label of one scheme serializes to the same number of bytes; core-ftc's
+// is core_edge_layout(...).blob_bytes()).
 std::size_t cycle_edge_blob_bytes(const CycleParams& params);
 std::size_t agm_edge_blob_bytes(const AgmParams& params);
 
@@ -499,7 +558,7 @@ struct StoreInfo {
   // behind this view; 0 for a plain single-container store. When
   // nonzero, file_bytes covers the manifest plus every shard.
   std::uint32_t num_shards = 0;
-  // Manifest lineage (format v2 manifests; see sharded_store.hpp).
+  // Manifest lineage (format v2+ manifests; see sharded_store.hpp).
   // Epoch 1 with parent_digest 0 for full saves and v1 manifests; a
   // delta push writes parent epoch + 1 and the parent manifest's payload
   // checksum. Both 0 for single-container stores.

@@ -1,9 +1,11 @@
 // The LabelStore container blob codecs (label_store.hpp): byte-aligned
 // fixed-layout records for all three backends, where the scheme
 // parameters are stored once per container and every decode is validated
-// against them (mismatch -> StoreError, never UB). The dp21 builders'
-// in-place edge blob writers sit next to the decoders, so this file is
-// the one place that knows those layouts.
+// against them (mismatch -> StoreError, never UB). The core edge blob
+// layout (core_edge_layout) and the dp21 builders' in-place edge blob
+// writers sit next to the decoders, so this file is the one place that
+// knows those layouts.
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <iterator>
@@ -29,6 +31,9 @@ constexpr std::uint32_t kMaxSketchDim = 1u << 24;
 // tree edge) and three zero bytes, the two endpoint records, then the
 // cycle-space vector words.
 constexpr std::size_t kEndpointBytes = 2 * kVertexRecordBytes;
+// The first container format whose core edge blobs store per-level
+// widths instead of k syndromes on every level (CoreEdgeLayout).
+constexpr std::uint32_t kFirstLevelWidthVersion = 4;
 constexpr std::size_t kCycleHeaderBytes = 4 + kEndpointBytes;
 
 // Writes LE words at an arbitrary (not necessarily aligned) byte offset.
@@ -149,7 +154,8 @@ std::vector<std::uint8_t> upgrade_params(BackendKind backend,
                                          std::vector<std::uint8_t> params,
                                          std::uint32_t version) {
   // The core params layout last changed in v2 (v3 changed only the
-  // payload digest), so v2 and later blobs are already current.
+  // payload digest, v4 only the edge blob widths), so v2 and later blobs
+  // are already current.
   if (backend != BackendKind::kCoreFtc || version >= 2) return params;
   ByteReader r(params);
   std::vector<std::uint32_t> bounds;
@@ -198,37 +204,65 @@ AgmParams decode_agm_params(ByteReader& r) {
   return p;
 }
 
-EdgeLabel decode_core_edge(ByteReader& r, const LabelParams& params) {
+CoreEdgeLayout core_edge_layout(const LabelParams& params,
+                                std::span<const std::uint32_t> level_bounds,
+                                std::uint32_t format_version) {
+  FTC_REQUIRE(level_bounds.empty() || level_bounds.size() == params.num_levels,
+              "level bounds inconsistent with the label hierarchy");
+  CoreEdgeLayout layout;
+  layout.num_levels = params.num_levels;
+  layout.k = params.k;
+  layout.elem_words = params.words_per_elem();
+  if (format_version < kFirstLevelWidthVersion || level_bounds.empty()) {
+    layout.payload_words = static_cast<std::size_t>(params.num_levels) *
+                           params.k * layout.elem_words;
+    return layout;
+  }
+  layout.widths.reserve(params.num_levels);
+  layout.offsets.reserve(params.num_levels);
+  for (const std::uint32_t bound : level_bounds) {
+    const std::uint32_t width = std::min(params.k, bound);
+    layout.widths.push_back(width);
+    layout.offsets.push_back(layout.payload_words);
+    layout.payload_words += static_cast<std::size_t>(width) * layout.elem_words;
+  }
+  return layout;
+}
+
+EdgeLabel decode_core_edge(ByteReader& r, const LabelParams& params,
+                           const CoreEdgeLayout& layout) {
   EdgeLabel label;
   label.params = params;
+  label.level_widths = layout.widths;
   label.upper.tin = r.u32();
   label.upper.tout = r.u32();
   label.lower.tin = r.u32();
   label.lower.tout = r.u32();
-  const std::size_t expect = static_cast<std::size_t>(params.num_levels) *
-                             params.k * params.words_per_elem();
-  read_words(r, expect, label.sketch_words);
+  read_words(r, layout.payload_words, label.sketch_words);
   return label;
 }
 
 void copy_core_edge_prefixes(const std::uint8_t* blob,
+                             const CoreEdgeLayout& stored,
                              PreparedFaults::Builder& builder) {
-  const LabelParams& params = builder.params();
-  const std::size_t elem_words = params.words_per_elem();
-  const std::size_t level_bytes = 8 * static_cast<std::size_t>(params.k) *
-                                  elem_words;
   std::uint64_t* row =
       builder.add(decode_vertex_record_at(blob + kVertexRecordBytes));
   const std::uint8_t* payload = blob + kEndpointBytes;
-  for (unsigned lev = 0; lev < params.num_levels; ++lev) {
-    copy_le_words(row + builder.level_offset(lev), payload + lev * level_bytes,
-                  builder.level_width(lev) * elem_words);
+  for (unsigned lev = 0; lev < stored.num_levels; ++lev) {
+    copy_le_words(row + builder.level_offset(lev),
+                  payload + 8 * stored.offset(lev),
+                  builder.level_width(lev) * stored.elem_words);
   }
 }
 
-std::size_t core_edge_blob_bytes(const LabelParams& params) {
-  return kEndpointBytes + 8 * static_cast<std::size_t>(params.num_levels) *
-                              params.k * params.words_per_elem();
+void restride_core_edge(const std::uint8_t* src, const CoreEdgeLayout& from,
+                        const CoreEdgeLayout& to, std::uint8_t* dst) {
+  std::memcpy(dst, src, kEndpointBytes);
+  for (unsigned lev = 0; lev < to.num_levels; ++lev) {
+    std::memcpy(dst + kEndpointBytes + 8 * to.offset(lev),
+                src + kEndpointBytes + 8 * from.offset(lev),
+                8 * static_cast<std::size_t>(to.width(lev)) * to.elem_words);
+  }
 }
 
 void write_cycle_edge_at(std::uint8_t* blob, const CycleParams& params,
@@ -338,5 +372,10 @@ ShardRecord decode_shard_record(ByteReader& r) {
 }
 
 }  // namespace store
+
+std::size_t EdgeLabel::size_bits() const {
+  return 4 * params.coord_bits() +
+         64 * store::core_edge_layout(params, level_widths).payload_words;
+}
 
 }  // namespace ftc::core

@@ -619,9 +619,12 @@ void ShardedStoreView::open_impl(
   }
 
   // Params must decode for this backend (also yields the per-edge blob
-  // width for the aggregate accounting below). Format v2 semantics: the
-  // manifest writer and the shard containers share the v2 params codec.
-  info.format_version = static_cast<std::uint32_t>(store::kFormatVersion);
+  // width for the aggregate accounting below). The manifest writer and
+  // the shard containers share the v2+ params codec; the manifest
+  // version names its shards' container version (sharded_store.hpp).
+  info.format_version = manifest_version >= 3
+                            ? static_cast<std::uint32_t>(store::kFormatVersion)
+                            : 3;
   std::size_t blob_bytes = 0;
   store::StoreLabelBits bits;
   store::with_sigbus_guard(path, "store manifest params", [&] {
@@ -676,6 +679,7 @@ void ShardedStoreView::open_impl(
   info.edge_index_bytes =
       (static_cast<std::size_t>(info.num_edges) + info.num_shards) * 8;
   info.edge_blob_bytes = static_cast<std::size_t>(info.num_edges) * blob_bytes;
+  view->edge_blob_width_ = blob_bytes;
 
   view->shard_views_.resize(info.num_shards);
   view->opened_ = std::make_unique<std::atomic<bool>[]>(info.num_shards);
@@ -754,6 +758,10 @@ std::shared_ptr<const LabelStoreView> ShardedStoreView::open_shard_once(
       si.payload_checksum != rec.payload_digest) {
     throw StoreError("shard digest mismatch (stale or swapped shard): " +
                      shard_path);
+  }
+  if (v->routes()->edge_blob_bytes != edge_blob_width_) {
+    throw StoreError("shard edge blob width disagrees with manifest "
+                     "version: " + shard_path);
   }
   const auto sp = v->params_blob();
   const auto mp = params_blob();

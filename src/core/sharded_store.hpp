@@ -7,17 +7,17 @@
 // artifacts outgrow one file. save_sharded() splits a scheme's labels
 // across K shards by CONTIGUOUS vertex and edge ranges — shard k holds
 // vertex records [vk, vk+1) and edge blobs [ek, ek+1), each shard a
-// fully valid container (format v3) in its own right (inspectable and
+// fully valid container (format v4) in its own right (inspectable and
 // loadable with the ordinary tools) — and writes a manifest recording
 // the ranges, the params blob, and a per-shard digest. Shards build and
 // write in parallel, the first concrete step toward billion-edge stores
 // whose labels are produced and distributed shard-by-shard.
 //
-// Manifest format, version 2 (all integers little-endian):
+// Manifest format, version 3 (all integers little-endian):
 //
 //   header (96 bytes)
 //     0   u64  magic "FTCMANIF"
-//     8   u32  manifest format version (2)
+//     8   u32  manifest format version (3)
 //     12  u8   BackendKind
 //     13  u8   flags (bit 0: adjacency section present), u8[2] reserved
 //     16  u64  total num_vertices
@@ -41,14 +41,21 @@
 //   shard table          K records (see store::ShardRecord): vertex and
 //                        edge ranges, expected shard file size, the
 //                        shard's payload checksum as its digest (the
-//                        CRC-64/XZ of a v3 shard's payload, FNV-1a for
+//                        CRC-64/XZ of a v3+ shard's payload, FNV-1a for
 //                        a v1/v2 shard: store::payload_digest), and the
 //                        shard's file name relative to the manifest
 //   adjacency section    optional CSR incidence side-table, identical
-//                        layout and validation to container v2/v3 — carried
+//                        layout and validation to container v2+ — carried
 //                        by the manifest (not the shards: incidence
 //                        lists name global edge IDs), so sharded stores
 //                        keep vertex-fault capability
+//
+// Version 3 has the v2 layout byte for byte. The version says which
+// container layout its shards have: a v3 manifest fronts format-v4
+// shards (level-width core edge blobs, label_store.hpp), a v1 or v2
+// manifest fronts shards of formats 1-3 (k syndromes per level). The
+// view reports that container version, and a shard whose blobs have
+// another width is rejected at open.
 //
 // Version 1 manifests (80-byte header: no epoch/parent fields, payload
 // checksum at offset 64 over [80, end), header checksum at 72 over
@@ -155,7 +162,7 @@ namespace store {
 
 // Written manifest version; readers accept
 // [kMinManifestFormatVersion, kManifestFormatVersion].
-inline constexpr std::uint64_t kManifestFormatVersion = 2;
+inline constexpr std::uint64_t kManifestFormatVersion = 3;
 inline constexpr std::uint64_t kMinManifestFormatVersion = 1;
 inline constexpr std::size_t kManifestHeaderBytes = 96;
 inline constexpr std::size_t kManifestHeaderBytesV1 = 80;
@@ -388,6 +395,7 @@ class ShardedStoreView : public StoreView {
   std::string path_;         // manifest path, for error messages
   bool verify_checksum_ = true;
   std::vector<store::ShardRecord> records_;
+  std::size_t edge_blob_width_ = 0;  // every shard's, implied by the params
 
   // Lazy shard slots: slot k is written exactly once under mutex_ and
   // read lock-free afterwards through an acquire load of opened_[k].

@@ -31,7 +31,7 @@ struct AgmFtcConfig {
   double scale = 1.0;         // multiplier on the log n repetition count
   unsigned reps_override = 0;
   std::uint64_t seed = 1;
-  // Build worker threads (0 = hardware concurrency); byte-identical
+  // Build worker threads (at least 1); byte-identical
   // labels for any value (sketch toggles/merges are XOR-commutative).
   unsigned build_threads = 1;
 };

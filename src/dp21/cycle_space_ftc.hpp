@@ -35,7 +35,7 @@ struct CycleSpaceConfig {
   double scale = 2.0;
   unsigned bits_override = 0;
   std::uint64_t seed = 1;
-  // Build worker threads (0 = hardware concurrency); byte-identical
+  // Build worker threads (at least 1); byte-identical
   // labels for any value (the RNG pass stays serial in edge-ID order).
   unsigned build_threads = 1;
 };

@@ -32,16 +32,19 @@
 #include <utility>
 #include <vector>
 
+#include "util/common.hpp"
+
 namespace ftc::util {
 
 class WorkerPool {
  public:
-  // Thread-count knob semantics shared by every build config: 0 = one
-  // worker per hardware thread, N = exactly N workers (1 = serial).
+  // Thread-count knob semantics shared by every build config: N =
+  // exactly N workers (1 = serial). The count must be explicit and at
+  // least 1: hardware_concurrency counts hardware threads, not the
+  // parallelism a shared host delivers, so it is no default.
   static unsigned resolve_threads(unsigned requested) {
-    if (requested != 0) return requested;
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw != 0 ? hw : 1;
+    FTC_REQUIRE(requested >= 1, "build_threads must be at least 1");
+    return requested;
   }
 
   explicit WorkerPool(unsigned default_active = 1)

@@ -66,16 +66,18 @@ using graph::VertexId;
 // level. 0 if that level does not decode.
 template <typename F>
 unsigned top_level_support(const EdgeLabel& label) {
-  const unsigned k = label.params.k;
-  const std::size_t level_words = static_cast<std::size_t>(k) * F::kWords;
+  const store::CoreEdgeLayout layout =
+      store::core_edge_layout(label.params, label.level_widths);
   sketch::SketchDecodeScratch<F> scratch;
   for (unsigned lev = label.params.num_levels; lev-- > 0;) {
-    const std::uint64_t* lw = label.sketch_words.data() + lev * level_words;
+    const unsigned width = layout.width(lev);
+    const std::size_t level_words = static_cast<std::size_t>(width) * F::kWords;
+    const std::uint64_t* lw = label.sketch_words.data() + layout.offset(lev);
     if (std::all_of(lw, lw + level_words,
                     [](std::uint64_t w) { return w == 0; })) {
       continue;
     }
-    if (!sketch::decode_sketch_words<F>(lw, k, scratch, true)) return 0;
+    if (!sketch::decode_sketch_words<F>(lw, width, scratch, true)) return 0;
     return static_cast<unsigned>(scratch.support.size());
   }
   return 0;

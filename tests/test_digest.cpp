@@ -115,12 +115,14 @@ TEST(PayloadDigest, PicksTheDigestByContainerVersion) {
               util::fnv1a(b));
     EXPECT_STREQ(core::store::payload_digest_name(v), "fnv1a");
   }
-  EXPECT_EQ(core::store::kFormatVersion, 3u);
-  EXPECT_EQ(core::store::payload_digest(3, b), util::crc64(b));
-  EXPECT_EQ(core::store::payload_digest(
-                3, tail, core::store::payload_digest(3, head)),
-            util::crc64(b));
-  EXPECT_STREQ(core::store::payload_digest_name(3), "crc64");
+  EXPECT_EQ(core::store::kFormatVersion, 4u);
+  for (const std::uint32_t v : {3u, 4u}) {
+    EXPECT_EQ(core::store::payload_digest(v, b), util::crc64(b));
+    EXPECT_EQ(core::store::payload_digest(
+                  v, tail, core::store::payload_digest(v, head)),
+              util::crc64(b));
+    EXPECT_STREQ(core::store::payload_digest_name(v), "crc64");
+  }
 }
 
 // ------------------------------------------------------------------
@@ -212,8 +214,20 @@ TEST_P(ContainerCorruption, EveryBitFlipAndTruncationIsRejected) {
   StoreFile file(std::string("flip_") + core::backend_name(GetParam()));
   scheme->save(file.path());
   const Bytes bytes = read_file(file.path());
-  ASSERT_EQ(core::LabelStoreView::open(file.path())->info().format_version,
-            core::store::kFormatVersion);
+  {
+    const auto view = core::LabelStoreView::open(file.path());
+    ASSERT_EQ(view->info().format_version, core::store::kFormatVersion);
+    if (GetParam() == core::BackendKind::kCoreFtc) {
+      // A format-v4 core store whose levels store fewer than k
+      // syndromes: the sweep covers the level-width blob layout.
+      core::store::ByteReader r(view->params_blob());
+      std::vector<std::uint32_t> bounds;
+      const core::LabelParams p = core::store::decode_core_params(
+          r, view->info().format_version, &bounds);
+      ASSERT_LT(core::store::core_edge_layout(p, bounds).payload_words,
+                std::size_t{p.num_levels} * p.k * p.words_per_elem());
+    }
+  }
   ASSERT_LT(bytes.size(), 64u * 1024) << "keep the flip sweep small";
   EXPECT_EQ(accepted_bit_flips(file.path(), bytes), 0u);
   EXPECT_EQ(accepted_truncations(file.path(), bytes), 0u);

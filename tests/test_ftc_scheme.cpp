@@ -292,13 +292,61 @@ TEST(FtcScheme, LabelSizeAccounting) {
   const FtcScheme scheme = FtcScheme::build(g, cfg);
   const auto& p = scheme.params();
   EXPECT_EQ(scheme.vertex_label_bits(), 2 * p.coord_bits());
+  // Level l stores min(k, pop_l) syndromes (container format v4).
+  const auto pops = scheme.level_populations();
+  ASSERT_EQ(pops.size(), p.num_levels);
+  std::size_t stored = 0;
+  for (const std::uint32_t pop : pops) stored += std::min(pop, p.k);
   EXPECT_EQ(scheme.edge_label_bits(),
-            4 * p.coord_bits() +
-                static_cast<std::size_t>(p.num_levels) * p.k * p.field_bits);
+            4 * p.coord_bits() + stored * p.field_bits);
+  EXPECT_EQ(scheme.edge_label(0).size_bits(), scheme.edge_label_bits());
+  EXPECT_EQ(scheme.edge_label(0).sketch_words.size(),
+            stored * p.words_per_elem());
   // The container blob stores the same payload, with each of the four
   // endpoint coordinates widened to a full u32.
-  EXPECT_EQ(store::core_edge_blob_bytes(p) * 8,
+  EXPECT_EQ(store::core_edge_layout(p, pops).blob_bytes() * 8,
             scheme.edge_label_bits() + 4 * (32 - p.coord_bits()));
+}
+
+// A tree has no non-tree edge, so its one hierarchy level is empty: the
+// level stores zero syndromes (an edge blob is its endpoint records
+// only), and the decoder's level scan skips it without a decode.
+TEST(FtcScheme, EmptyLevelStoresNothingAndIsSkipped) {
+  const Graph g = graph::random_connected(12, 11, 5);  // a spanning tree
+  FtcConfig cfg;
+  cfg.f = 2;
+  const FtcScheme scheme = FtcScheme::build(g, cfg);
+  const auto& p = scheme.params();
+  ASSERT_EQ(p.num_levels, 1u);
+  const auto pops = scheme.level_populations();
+  ASSERT_EQ(pops.size(), 1u);
+  EXPECT_EQ(pops[0], 0u);
+  EXPECT_GT(p.k, 0u);
+  EXPECT_EQ(scheme.edge_label_bits(), 4 * p.coord_bits());
+  EXPECT_EQ(store::core_edge_layout(p, pops).blob_bytes(),
+            2 * store::kVertexRecordBytes);
+  const EdgeLabel label = scheme.edge_label(0);
+  EXPECT_TRUE(label.sketch_words.empty());
+  EXPECT_EQ(label.level_widths, std::vector<std::uint32_t>{0});
+
+  DecoderWorkspace ws;
+  for (EdgeId a = 0; a < g.num_edges(); ++a) {
+    const EdgeId b = (a + 5) % g.num_edges();
+    const std::vector<EdgeId> faults{a, b};
+    const std::vector<EdgeLabel> labels{scheme.edge_label(a),
+                                        scheme.edge_label(b)};
+    const PreparedFaults prepared = PreparedFaults::prepare(labels, pops);
+    for (VertexId s = 0; s < g.num_vertices(); ++s) {
+      const VertexId t = (s * 7 + 3) % g.num_vertices();
+      QueryStats stats;
+      EXPECT_EQ(FtcDecoder::connected(scheme.vertex_label(s),
+                                      scheme.vertex_label(t), prepared, ws,
+                                      {}, &stats),
+                graph::connected_avoiding(g, s, t, faults))
+          << "faults " << a << "," << b << " s=" << s << " t=" << t;
+      EXPECT_EQ(stats.outdetect_calls, 0u);
+    }
+  }
 }
 
 TEST(FtcScheme, RejectsBadInputs) {

@@ -5,7 +5,7 @@
 // size and payload checksum, and save_sharded() with K = 4 a manifest of
 // a recorded size and whole-file digest (the manifest records every
 // shard's payload digest, so it pins the shard bytes too). The payload
-// checksum is CRC-64/XZ (container format v3). Any change to
+// checksum is CRC-64/XZ (container formats v3 and v4). Any change to
 // how labels are built, held in memory or serialized that moves a single
 // byte on disk fails here.
 #include <gtest/gtest.h>
@@ -78,21 +78,26 @@ class ScratchDir {
 // change must update them together with the format version. The payload
 // checksums and manifest digests were re-recorded for container format
 // v3 (payload checksum CRC-64/XZ instead of FNV-1a); file and manifest
-// sizes did not move, since v3 keeps the v2 layout. A portable
-// (non-PCLMUL) build must reproduce these same values.
+// sizes did not move, since v3 keeps the v2 layout. They were
+// re-recorded again for container format v4 and manifest format v3:
+// core-ftc edge blobs store min(k, bound_l) syndromes per level, so the
+// core files shrink and their checksums move, and every manifest digest
+// moves with the manifest version byte (the dp21 containers are
+// unchanged). A portable (non-PCLMUL) build must reproduce these same
+// values.
 constexpr Golden kGolden[] = {
-    {BackendKind::kCoreFtc, "random", 112232, 0x594246094b7e8ac5ULL, 1792,
-     0x4cec7523f37f6efeULL},
-    {BackendKind::kCoreFtc, "grid", 47064, 0x874dde3b122510adULL, 1192,
-     0xadea0aadf7cf9681ULL},
+    {BackendKind::kCoreFtc, "random", 74792, 0x8fae8658e7306636ULL, 1792,
+     0x761e5881a6de567cULL},
+    {BackendKind::kCoreFtc, "grid", 13656, 0x11b166ddba2c2571ULL, 1192,
+     0x638d7874ccabe430ULL},
     {BackendKind::kDp21CycleSpace, "random", 6136, 0x367dd0be237231c0ULL, 1776,
-     0xa4d7c5b1a7e46c26ULL},
+     0x0b93f0cb1ea5a74cULL},
     {BackendKind::kDp21CycleSpace, "grid", 3200, 0xaef56c62ebc7892bULL, 1176,
-     0x8bd213d58f81e4b4ULL},
+     0xc6f9115ac09c0944ULL},
     {BackendKind::kDp21Agm, "random", 1294952, 0x1dcc1c9994262bbcULL, 1792,
-     0x4f534a93c17ca516ULL},
+     0x1ed27d5b7bbf2c6bULL},
     {BackendKind::kDp21Agm, "grid", 470232, 0x25d8d2e55444d119ULL, 1192,
-     0xf46c888c726dc883ULL},
+     0x63de4e06e28a421eULL},
 };
 
 TEST(GoldenBytes, SavesAreByteIdenticalToRecordedConstants) {

@@ -8,8 +8,10 @@
 // container records.
 //
 // Adversarial: truncations, bad magic, unsupported versions, flipped
-// checksum/payload bytes and corrupt offset indices must throw the typed
-// StoreError — never UB (the suite also runs under the asan preset).
+// checksum/payload bytes, corrupt offset indices and blob widths that
+// disagree with the format version must throw the typed StoreError —
+// never UB (the suite also runs under the asan preset). The checked-in
+// fixtures of older formats are covered by test_store_compat.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -182,11 +184,16 @@ TEST_P(LabelStoreParity, ResidentViewMatchesSavedContainer) {
   std::size_t payload_bits = 0;
   switch (GetParam()) {
     case BackendKind::kCoreFtc: {
+      std::vector<std::uint32_t> bounds;
       const LabelParams p =
-          store::decode_core_params(pr, store::kFormatVersion);
+          store::decode_core_params(pr, store::kFormatVersion, &bounds);
       EXPECT_EQ(p.k, 12u);
+      ASSERT_EQ(bounds.size(), p.num_levels);
       coord_bits = ceil_log2(p.n_aux);
-      payload_bits = std::size_t{p.num_levels} * 12 * p.field_bits;
+      // Level l stores min(k, bound_l) syndromes.
+      for (const std::uint32_t b : bounds) {
+        payload_bits += std::size_t{std::min(b, 12u)} * p.field_bits;
+      }
       break;
     }
     case BackendKind::kDp21CycleSpace: {
@@ -382,10 +389,14 @@ TEST(StoreCodec, TruncatedEdgeBlobsThrow) {
       store::ByteReader pr(view->params_blob());
       store::ByteReader r(bytes);
       switch (backend) {
-        case BackendKind::kCoreFtc:
-          (void)store::decode_core_edge(
-              r, store::decode_core_params(pr, store::kFormatVersion));
+        case BackendKind::kCoreFtc: {
+          std::vector<std::uint32_t> bounds;
+          const LabelParams p =
+              store::decode_core_params(pr, store::kFormatVersion, &bounds);
+          (void)store::decode_core_edge(r, p,
+                                        store::core_edge_layout(p, bounds));
           break;
+        }
         case BackendKind::kDp21CycleSpace:
           (void)store::decode_cycle_edge(r, store::decode_cycle_params(pr));
           break;
@@ -653,227 +664,29 @@ TEST_F(LabelStoreAdversarial, AdjacencyEdgeIdOutOfRangeThrows) {
   EXPECT_THROW((void)LabelStoreView::open(file.path(), false), StoreError);
 }
 
-// ------------------------------------------------------------------
-// Backward compatibility: checked-in format-v1 fixtures (written by the
-// PR-2/PR-3 era writer) must still load, serve edge-fault queries
-// identically to a freshly built scheme, and raise the typed capability
-// error on vertex faults (v1 carries no adjacency).
+// A v4 header must never front stride-k core blobs, nor a v3 header
+// level-width ones: the offset index spacing then disagrees with the
+// blob size the params imply (16 + 8 * sum_l w_l * words_per_elem), and
+// open throws the typed StoreError even without the checksum pass.
+TEST_F(LabelStoreAdversarial, CoreBlobWidthDisagreeingWithVersionThrows) {
+  StoreFile file("widths");
+  auto v3 = read_file(std::string(FTC_TEST_DATA_DIR) + "/v3_core_ftc.ftcs");
+  ASSERT_EQ(v3[8], 3);
+  v3[8] = 4;
+  fix_header_checksum(v3);
+  write_file(file.path(), v3);
+  EXPECT_THROW((void)LabelStoreView::open(file.path(), false), StoreError);
+  EXPECT_THROW((void)LabelStoreView::open(file.path()), StoreError);
 
-struct StoreFixture {
-  const char* file;
-  BackendKind backend;
-};
-
-class LabelStoreV1Compat : public ::testing::TestWithParam<StoreFixture> {
- protected:
-  // The exact graph + config the fixtures were generated with (see
-  // tests/data/: barbell(4, 3), f = 2, seed 7, k_override 12 /
-  // bits_override 64).
-  static Graph fixture_graph() { return graph::barbell(4, 3); }
-  static SchemeConfig fixture_config(BackendKind backend) {
-    SchemeConfig cfg;
-    cfg.backend = backend;
-    cfg.set_f(2).set_seed(7);
-    cfg.ftc.k_override = 12;
-    cfg.cycle.bits_override = 64;
-    return cfg;
-  }
-  static std::string fixture_path(const char* file) {
-    return std::string(FTC_TEST_DATA_DIR) + "/" + file;
-  }
-};
-
-TEST_P(LabelStoreV1Compat, LoadsAndServesEdgeFaultsUnchanged) {
-  const std::string path = fixture_path(GetParam().file);
-  const auto view = LabelStoreView::open(path);
-  EXPECT_EQ(view->info().format_version, 1u);
-  EXPECT_EQ(view->info().backend, GetParam().backend);
-  EXPECT_FALSE(view->info().has_adjacency);
-  EXPECT_EQ(view->info().adjacency_bytes, 0u);
-
-  const Graph g = fixture_graph();
-  const auto rebuilt = make_scheme(g, fixture_config(GetParam().backend));
-  const auto loaded = load_scheme(path);
-  EXPECT_EQ(loaded->num_vertices(), g.num_vertices());
-  EXPECT_EQ(loaded->num_edges(), g.num_edges());
-  EXPECT_EQ(loaded->adjacency(), nullptr);
-  SplitMix64 rng(77);
-  for (int it = 0; it < 40; ++it) {
-    const auto faults = random_faults(rng, g, 2);
-    const auto s = static_cast<VertexId>(rng.next_below(g.num_vertices()));
-    const auto t = static_cast<VertexId>(rng.next_below(g.num_vertices()));
-    const bool expected = graph::connected_avoiding(g, s, t, faults);
-    EXPECT_EQ(loaded->connected(s, t, FaultSpec::edges(faults)), expected)
-        << "it=" << it;
-    EXPECT_EQ(rebuilt->connected(s, t, FaultSpec::edges(faults)), expected)
-        << "it=" << it;
-  }
+  // The reverse: a v4 core store relabelled v3. Its level bounds are
+  // below k, so its blobs are narrower than stride k.
+  auto v4 = make_store_bytes(BackendKind::kCoreFtc, file);
+  ASSERT_EQ(v4[8], 4);
+  v4[8] = 3;
+  fix_header_checksum(v4);
+  write_file(file.path(), v4);
+  EXPECT_THROW((void)LabelStoreView::open(file.path(), false), StoreError);
 }
-
-TEST_P(LabelStoreV1Compat, VertexFaultsRaiseTypedCapabilityError) {
-  const std::string path = fixture_path(GetParam().file);
-  const auto loaded = load_scheme(path);
-  EXPECT_EQ(loaded->adjacency(), nullptr);
-  const std::vector<VertexId> vf{1};
-  EXPECT_THROW((void)loaded->prepare_faults(FaultSpec::vertices(vf)),
-               CapabilityError);
-  EXPECT_THROW((void)loaded->connected(0, 2, FaultSpec::vertices(vf)),
-               CapabilityError);
-  // Edge-only specs keep working through the same session API.
-  BatchQueryEngine session(load_scheme(path),
-                           FaultSpec::edges(std::vector<EdgeId>{0, 3}));
-  EXPECT_THROW(session.reset_faults(FaultSpec::vertices(vf)),
-               CapabilityError);
-}
-
-// A v1 container re-saved through the new writer becomes a valid
-// current-format container (core params gain an empty bounds trailer,
-// still no adjacency) and keeps serving identical answers.
-TEST_P(LabelStoreV1Compat, ResaveUpgradesToCurrentFormatWithoutAdjacency) {
-  const std::string path = fixture_path(GetParam().file);
-  const auto loaded = load_scheme(path);
-  StoreFile upgraded("v1_upgrade_" +
-                     std::to_string(static_cast<int>(GetParam().backend)));
-  loaded->save(upgraded.path());
-  const auto view = LabelStoreView::open(upgraded.path());
-  EXPECT_EQ(view->info().format_version, store::kFormatVersion);
-  EXPECT_FALSE(view->info().has_adjacency);
-  const auto reloaded = load_scheme(upgraded.path());
-  const Graph g = fixture_graph();
-  SplitMix64 rng(78);
-  for (int it = 0; it < 25; ++it) {
-    const auto faults = random_faults(rng, g, 2);
-    const auto s = static_cast<VertexId>(rng.next_below(g.num_vertices()));
-    const auto t = static_cast<VertexId>(rng.next_below(g.num_vertices()));
-    EXPECT_EQ(reloaded->connected(s, t, FaultSpec::edges(faults)),
-              graph::connected_avoiding(g, s, t, faults))
-        << "it=" << it;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Fixtures, LabelStoreV1Compat,
-    ::testing::Values(StoreFixture{"v1_core_ftc.ftcs", BackendKind::kCoreFtc},
-                      StoreFixture{"v1_dp21_cycle.ftcs",
-                                BackendKind::kDp21CycleSpace}),
-    [](const auto& info) {
-      return std::string(info.param.backend == BackendKind::kCoreFtc
-                             ? "core_ftc"
-                             : "dp21_cycle");
-    });
-
-// ------------------------------------------------------------------
-// Format-v2 fixtures (same graph and config as the v1 ones, written by
-// the last v2 writer, with adjacency): they verify through the FNV-1a
-// payload digest and serve edge and vertex faults. Re-saving one gives a
-// v3 container (CRC-64 payload digest) whose params blob — including the
-// per-level population bounds — is byte-identical to the fixture's.
-
-class LabelStoreV2Compat : public LabelStoreV1Compat {
- protected:
-  static std::vector<std::uint32_t> level_bounds(const StoreView& view) {
-    store::ByteReader r(view.params_blob());
-    std::vector<std::uint32_t> bounds;
-    (void)store::decode_core_params(r, view.info().format_version, &bounds);
-    return bounds;
-  }
-};
-
-TEST_P(LabelStoreV2Compat, VerifiesWithFnvAndServesFaults) {
-  const std::string path = fixture_path(GetParam().file);
-  const auto view = LabelStoreView::open(path, /*verify_checksum=*/true);
-  EXPECT_EQ(view->info().format_version, 2u);
-  EXPECT_EQ(view->info().backend, GetParam().backend);
-  EXPECT_TRUE(view->info().has_adjacency);
-  const std::vector<std::uint8_t> bytes = read_file(path);
-  EXPECT_EQ(view->info().payload_checksum,
-            util::fnv1a(std::span<const std::uint8_t>(bytes).subspan(
-                store::kHeaderBytes)));
-
-  const Graph g = fixture_graph();
-  const auto loaded = load_scheme(path);
-  ASSERT_NE(loaded->adjacency(), nullptr);
-  SplitMix64 rng(79);
-  for (int it = 0; it < 40; ++it) {
-    const auto faults = random_faults(rng, g, 2);
-    const auto s = static_cast<VertexId>(rng.next_below(g.num_vertices()));
-    const auto t = static_cast<VertexId>(rng.next_below(g.num_vertices()));
-    EXPECT_EQ(loaded->connected(s, t, FaultSpec::edges(faults)),
-              graph::connected_avoiding(g, s, t, faults))
-        << "it=" << it;
-  }
-  const std::vector<VertexId> vf{1};
-  for (VertexId s = 0; s < g.num_vertices(); ++s) {
-    if (s == 1) continue;
-    EXPECT_EQ(loaded->connected(s, 0, FaultSpec::vertices(vf)),
-              graph::connected_avoiding(g, s, 0, {}, vf))
-        << "s=" << s;
-  }
-}
-
-TEST_P(LabelStoreV2Compat, ResaveWritesV3WithIdenticalParamsAndAnswers) {
-  const std::string path = fixture_path(GetParam().file);
-  const auto fixture_view = LabelStoreView::open(path);
-  const auto loaded = load_scheme(path);
-  StoreFile upgraded("v2_upgrade_" +
-                     std::to_string(static_cast<int>(GetParam().backend)));
-  loaded->save(upgraded.path());
-  const auto view = LabelStoreView::open(upgraded.path());
-  EXPECT_EQ(view->info().format_version, 3u);
-  EXPECT_TRUE(view->info().has_adjacency);
-  const std::vector<std::uint8_t> bytes = read_file(upgraded.path());
-  EXPECT_EQ(view->info().payload_checksum,
-            util::crc64(std::span<const std::uint8_t>(bytes).subspan(
-                store::kHeaderBytes)));
-  // Only the version and the two checksums differ from the v2 bytes.
-  const std::vector<std::uint8_t> fixture_bytes = read_file(path);
-  ASSERT_EQ(bytes.size(), fixture_bytes.size());
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    const bool header_field = i == 8 || (i >= 40 && i < 48) || i >= 56;
-    if (i < store::kHeaderBytes && header_field) continue;
-    ASSERT_EQ(bytes[i], fixture_bytes[i]) << "byte " << i;
-  }
-  const auto want_params = fixture_view->params_blob();
-  const auto got_params = view->params_blob();
-  EXPECT_TRUE(std::equal(want_params.begin(), want_params.end(),
-                         got_params.begin(), got_params.end()));
-  if (GetParam().backend == BackendKind::kCoreFtc) {
-    // The per-level bounds survive the re-save, and they are what a
-    // fresh build of the same input computes.
-    const auto built = FtcScheme::build(
-        fixture_graph(), fixture_config(BackendKind::kCoreFtc).ftc);
-    const auto pops = built.level_populations();
-    const std::vector<std::uint32_t> want(pops.begin(), pops.end());
-    ASSERT_FALSE(want.empty());
-    EXPECT_EQ(level_bounds(*fixture_view), want);
-    EXPECT_EQ(level_bounds(*view), want);
-  }
-
-  const auto reloaded = load_scheme(upgraded.path());
-  const Graph g = fixture_graph();
-  SplitMix64 rng(80);
-  for (int it = 0; it < 40; ++it) {
-    const auto faults = random_faults(rng, g, 2);
-    const auto s = static_cast<VertexId>(rng.next_below(g.num_vertices()));
-    const auto t = static_cast<VertexId>(rng.next_below(g.num_vertices()));
-    const bool answer = loaded->connected(s, t, FaultSpec::edges(faults));
-    EXPECT_EQ(reloaded->connected(s, t, FaultSpec::edges(faults)), answer)
-        << "it=" << it;
-    EXPECT_EQ(answer, graph::connected_avoiding(g, s, t, faults))
-        << "it=" << it;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Fixtures, LabelStoreV2Compat,
-    ::testing::Values(StoreFixture{"v2_core_ftc.ftcs", BackendKind::kCoreFtc},
-                      StoreFixture{"v2_dp21_cycle.ftcs",
-                                BackendKind::kDp21CycleSpace}),
-    [](const auto& info) {
-      return std::string(info.param.backend == BackendKind::kCoreFtc
-                             ? "core_ftc"
-                             : "dp21_cycle");
-    });
 
 }  // namespace
 }  // namespace ftc::core

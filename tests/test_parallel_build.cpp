@@ -222,11 +222,27 @@ TEST(ParallelBuildStats, WallClockTimingsAndThreadCount) {
   EXPECT_LE(stats.hierarchy_seconds + stats.sketch_seconds,
             stats.total_seconds);
 
-  // threads = 0 resolves to the host's hardware concurrency.
+}
+
+// The worker count must be explicit: 0 is rejected, by every backend's
+// builder, rather than resolved to hardware_concurrency (which counts
+// hardware threads, not the parallelism a shared host delivers).
+TEST(ParallelBuildStats, ZeroThreadsIsRejected) {
+  EXPECT_THROW((void)util::WorkerPool::resolve_threads(0),
+               std::invalid_argument);
+  EXPECT_EQ(util::WorkerPool::resolve_threads(3), 3u);
+  const Graph g = graph::random_connected(40, 90, 7);
+  FtcConfig cfg;
+  cfg.f = 2;
   cfg.build_threads = 0;
-  const auto auto_scheme = FtcScheme::build(g, cfg);
-  EXPECT_EQ(auto_scheme.build_stats().threads,
-            util::WorkerPool::resolve_threads(0));
+  EXPECT_THROW((void)FtcScheme::build(g, cfg), std::invalid_argument);
+  for (const BackendKind backend : kAllBackends) {
+    SCOPED_TRACE(backend_name(backend));
+    SchemeConfig scfg;
+    scfg.backend = backend;
+    scfg.set_f(2).set_build_threads(0);
+    EXPECT_THROW((void)make_scheme(g, scfg), std::invalid_argument);
+  }
 }
 
 // util::parallel_sort must be byte-identical to std::sort whenever ties

@@ -335,8 +335,8 @@ int cmd_build(int argc, char** argv) {
   config.backend = core::parse_backend(flag_or(flags, "backend", "core-ftc"));
   config.set_f(static_cast<unsigned>(flag_u64(flags, "f", 3)));
   config.set_seed(flag_u64(flags, "scheme-seed", 1));
-  // Build worker threads (0 = hardware concurrency). The store bytes are
-  // identical for any value — only the wall-clock changes.
+  // Build worker threads, at least 1 (0 is rejected). The store bytes
+  // are identical for any value — only the wall-clock changes.
   config.set_build_threads(
       static_cast<unsigned>(flag_u64(flags, "threads", 1)));
   const auto shards = static_cast<unsigned>(flag_u64(flags, "shards", 0));
@@ -360,6 +360,38 @@ int cmd_build(int argc, char** argv) {
       static_cast<double>(view->info().edge_label_bits),
       static_cast<unsigned long long>(view->info().payload_checksum));
   return 0;
+}
+
+std::string join_widths(const core::store::CoreEdgeLayout& layout) {
+  std::string out;
+  for (unsigned lev = 0; lev < layout.num_levels; ++lev) {
+    if (lev > 0) out += '/';
+    out += std::to_string(layout.width(lev));
+  }
+  return out;
+}
+
+// A core-ftc store's stored syndromes per level and, for a store of an
+// older format, what saving it again would drop: format v4 keeps only
+// each level's first min(k, bound) syndromes (label_store.hpp).
+void print_core_widths(const core::StoreView& view) {
+  const core::StoreInfo& info = view.info();
+  core::store::ByteReader r(view.params_blob());
+  std::vector<std::uint32_t> bounds;
+  const core::LabelParams p =
+      core::store::decode_core_params(r, info.format_version, &bounds);
+  const auto stored =
+      core::store::core_edge_layout(p, bounds, info.format_version);
+  std::printf("level widths       %s of k=%u\n", join_widths(stored).c_str(),
+              p.k);
+  if (info.format_version < core::store::kFormatVersion) {
+    const auto saved = core::store::core_edge_layout(p, bounds);
+    std::printf("re-save drops      %zu bytes (v%u widths %s)\n",
+                static_cast<std::size_t>(info.num_edges) *
+                    (stored.blob_bytes() - saved.blob_bytes()),
+                static_cast<unsigned>(core::store::kFormatVersion),
+                join_widths(saved).c_str());
+  }
 }
 
 int cmd_inspect(int argc, char** argv) {
@@ -391,6 +423,7 @@ int cmd_inspect(int argc, char** argv) {
                                  : "unsupported (no adjacency; format v1?)");
   std::printf("vertex label bits  %zu\n", info.vertex_label_bits);
   std::printf("edge label bits    %zu\n", info.edge_label_bits);
+  if (info.backend == core::BackendKind::kCoreFtc) print_core_widths(*view);
   std::printf("payload checksum   %016llx\n",
               static_cast<unsigned long long>(info.payload_checksum));
   // A manifest's own payload is always FNV-1a; each shard container
