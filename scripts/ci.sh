@@ -28,6 +28,7 @@
 #                             # degree), plus the payload-digest suite
 #                             # (CRC-64 fold kernel and the every-bit-
 #                             # flip / every-truncation container sweep)
+#                             # and the tiny-k decoder refusal sweep
 #   scripts/ci.sh store-v2    # store format focused asan leg: v1, v2 and
 #                             # v3 fixture load + their v4 re-saves (and
 #                             # the manifest-v2 fixture) + the exhaustive
@@ -124,9 +125,9 @@ if [ "${1:-}" = "store" ]; then
     --target test_label_store test_golden_bytes test_stress_differential \
     test_decoder_workspace test_backends test_batch_engine test_dp21 \
     test_parallel_build test_decoder test_rs_sketch test_poly test_gf2 \
-    test_decode_alloc test_digest ftc_store
+    test_decode_alloc test_digest test_decoder_capacity ftc_store
   ctest --preset asan \
-    -R 'test_label_store|test_golden_bytes|test_stress_differential|test_decoder_workspace|test_backends|test_batch_engine|test_dp21|test_parallel_build|test_decoder$|test_rs_sketch|test_poly|test_gf2|test_decode_alloc|test_digest' \
+    -R 'test_label_store|test_golden_bytes|test_stress_differential|test_decoder_workspace|test_backends|test_batch_engine|test_dp21|test_parallel_build|test_decoder$|test_rs_sketch|test_poly|test_gf2|test_decode_alloc|test_digest|test_decoder_capacity' \
     -j "$jobs"
   echo "ci: store/golden/stress/workspace/backend/engine/dp21/parallel-build/sketch-decode/digest suites green under asan"
   exit 0
@@ -249,9 +250,9 @@ if [ "${1:-}" = "store-shard" ]; then
     exit 1
   fi
   [ "$(wc -l < "$tmp/sharded.out")" = "1000" ]
-  # Prefetch parity: the warmed route-table fast path must answer
-  # byte-identically to the lazy-open path (prefetch diagnostics go to
-  # stderr, so stdout is comparable as-is).
+  # Prefetch parity: the prefetched store must answer byte-identically
+  # to the lazy-open path (prefetch diagnostics go to stderr, so stdout
+  # is comparable as-is).
   build-asan/ftc_store query "$tmp/labels.ftcm" --prefetch=4 --faults 3,40 \
     --vertex-faults 77 --pairs "$pairs" > "$tmp/prefetched.out" \
     2> "$tmp/prefetch.log"
@@ -261,7 +262,7 @@ if [ "${1:-}" = "store-shard" ]; then
   fi
   grep -q 'prefetch: 4 shard(s) newly mapped' "$tmp/prefetch.log"
   build-asan/ftc_store inspect "$tmp/labels.ftcm" --verbose \
-    | grep -q 'route table resolved'
+    | grep -q 'shards open 4/4'
   build-asan/ftc_store merge "$tmp/labels.ftcm" --out "$tmp/merged.ftcs" \
     >/dev/null
   cmp "$tmp/flat.ftcs" "$tmp/merged.ftcs"

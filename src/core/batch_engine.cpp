@@ -99,10 +99,9 @@ std::uint64_t BatchQueryEngine::install(
     std::shared_ptr<const ConnectivityScheme> scheme) {
   // Warm the incoming labels OUTSIDE the lock before anything is
   // published: a sharded store maps + digest-verifies every shard here,
-  // in parallel, and resolves its flat route table — so the first
-  // queries on the new epoch never hit a cold lazy open (the
-  // swap-under-load collapse) and a corrupt shard fails the swap while
-  // the old generation keeps serving.
+  // in parallel — so the first queries on the new epoch never hit a cold
+  // lazy open (the swap-under-load collapse) and a corrupt shard fails
+  // the swap while the old generation keeps serving.
   scheme->prefetch();
   // Prepare the incoming generation outside the lock too (fault-label
   // decoding is the expensive part of a swap), then publish it only if

@@ -96,10 +96,9 @@ class BatchQueryEngine {
 
   // Installs a new label generation — the zero-downtime cut-over. The
   // incoming scheme is prefetched off-lock first (a sharded store maps
-  // and digest-verifies all shards in parallel and resolves its flat
-  // route table, so the new epoch never serves a cold lazy open; a
-  // corrupt shard throws StoreError with the old generation left fully
-  // serving). The session's fault set is then prepared against the new
+  // and digest-verifies all shards in parallel, so the new epoch never
+  // serves a cold lazy open; a corrupt shard throws StoreError with the
+  // old generation left fully serving). The session's fault set is then prepared against the new
   // scheme (it must still name valid IDs there; std::invalid_argument
   // otherwise, again leaving the old generation serving), and the
   // generation is published under the next epoch. Safe to call from a

@@ -111,12 +111,11 @@ class ConnectivityScheme {
   const AdjacencyProvider* adjacency() const { return adjacency_.get(); }
 
   // Warm-up hook: maps any lazily-opened label backing (the shards of a
-  // sharded store) and resolves the flat route tables, so the first
-  // query afterwards pays no cold-open cliff. threads = 0 lets the
-  // backing pick its fan-out. Idempotent, safe concurrently with
-  // queries. Forwards to StoreView::prefetch (a no-op for resident and
-  // single-container views) and surfaces its typed StoreError on a
-  // corrupt backing.
+  // sharded store), so the first query afterwards pays no cold-open
+  // cliff. threads = 0 lets the backing pick its fan-out. Idempotent,
+  // safe concurrently with queries. Forwards to StoreView::prefetch (a
+  // no-op for resident and single-container views) and surfaces its
+  // typed StoreError on a corrupt backing.
   void prefetch(unsigned threads = 0) const;
 
   // The view the labels are served from (label_store.hpp): the resident

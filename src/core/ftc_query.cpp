@@ -343,6 +343,7 @@ bool query_impl(const VertexLabel& s, const VertexLabel& t,
       ws.closed[fr] = 1;
       continue;
     }
+    bool merged = false;
     for (const auto& [a, b] : ws.edges) {
       const std::size_t fa = uf.find(prep.loc.locate(a.tin));
       const std::size_t fb = uf.find(prep.loc.locate(b.tin));
@@ -353,6 +354,16 @@ bool query_impl(const VertexLabel& s, const VertexLabel& t,
       // Internal faults cancel: the union's cut is the XOR of the two.
       xor_words(cut_row(root), cut_row(other), cut_words);
       if (stats != nullptr) ++stats->merges;
+      merged = true;
+    }
+    // A true outgoing edge leaves the set, so a nonempty decode that
+    // merges nothing named only edges inside it: the sketch overflowed
+    // into a plausible but wrong support. Repeating the round would
+    // decode the same cut again, forever.
+    if (!merged) {
+      throw FtcCapacityError(
+          "decoded edges all lie inside their fragment set; sketch "
+          "capacity exceeded");
     }
     if (options.smallest_cut_first) {
       const std::size_t root = uf.find(fr);

@@ -51,20 +51,6 @@ std::uint32_t read_u32_at(const std::uint8_t* base, std::size_t offset) {
   return util::read_u32_le(base + offset);
 }
 
-// Flat route table over a contiguous vertex section and blob section —
-// the layout of a single container and of a resident view alike.
-store::FlatRoutes contiguous_routes(const std::uint8_t* vertex_records,
-                                    VertexId n, const std::uint8_t* blobs,
-                                    EdgeId m, std::size_t blob_bytes) {
-  store::FlatRoutes routes;
-  routes.num_vertices = n;
-  routes.num_edges = m;
-  routes.edge_blob_bytes = blob_bytes;
-  routes.vertex_base = vertex_records;
-  routes.edge_base = blobs;
-  return routes;
-}
-
 }  // namespace
 
 namespace store {
@@ -444,12 +430,10 @@ void emit_container(const StoreView& view, VertexId v_begin, VertexId v_end,
   const auto n = static_cast<VertexId>(v_end - v_begin);
   const auto m = static_cast<EdgeId>(e_end - e_begin);
 
-  // Maps every shard of a sharded view, so each record below is one
-  // route-table lookup away.
+  // Maps every shard of a sharded view, so the record reads below never
+  // open one (which allocates) under the chunk copies' SIGBUS guard.
   view.prefetch(1);
-  const FlatRoutes* routes = view.routes();
-  FTC_CHECK(routes != nullptr, "view published no route table");
-  const std::size_t blob_bytes = routes->edge_blob_bytes;
+  const std::size_t blob_bytes = view.edge_blob_width();
 
   const std::vector<std::uint8_t> params = saved_params(view);
   // A core view of format 1-3 stores k syndromes on every level; the
@@ -511,7 +495,9 @@ void emit_container(const StoreView& view, VertexId v_begin, VertexId v_end,
   std::vector<std::uint8_t> chunk;
   copy_records(
       view, v_begin, v_end, kVertexRecordBytes,
-      [routes](std::size_t v) { return routes->vertex(static_cast<VertexId>(v)); },
+      [&view](std::size_t v) {
+        return view.vertex_blob(static_cast<VertexId>(v)).data();
+      },
       chunk, sink);
   pad8();
   // Blobs of one scheme are uniform-width (the reader enforces this at
@@ -524,8 +510,8 @@ void emit_container(const StoreView& view, VertexId v_begin, VertexId v_end,
       index.clear();
     }
   }
-  const auto edge_at = [routes](std::size_t e) {
-    return routes->edge(static_cast<EdgeId>(e));
+  const auto edge_at = [&view](std::size_t e) {
+    return view.edge_blob(static_cast<EdgeId>(e)).data();
   };
   if (restride) {
     stream_records(
@@ -745,6 +731,14 @@ void StoreView::on_mapped_fault(const void* addr) const {
       "mapped label store read faulted (backing file truncated or replaced)");
 }
 
+const std::uint8_t* StoreView::routed_record(Section section,
+                                             std::uint64_t id) const {
+  (void)section;
+  (void)id;
+  FTC_CHECK(false, "view has neither contiguous sections nor a router");
+  return nullptr;  // unreachable
+}
+
 std::shared_ptr<const LabelStoreView> LabelStoreView::open(
     const std::string& path, bool verify_checksum) {
   const store::MappedFile mapped =
@@ -821,22 +815,23 @@ std::shared_ptr<const LabelStoreView> LabelStoreView::open(
   if (params_size > size - store::kHeaderBytes) throw fail_bounds();
   view->params_off_ = store::kHeaderBytes;
   info.params_bytes = static_cast<std::size_t>(params_size);
-  view->vertex_off_ = align8(view->params_off_ + info.params_bytes);
-  if (view->vertex_off_ > size) throw fail_bounds();
+  const std::size_t vertex_off =
+      align8(view->params_off_ + info.params_bytes);
+  if (vertex_off > size) throw fail_bounds();
   info.vertex_section_bytes =
       static_cast<std::size_t>(info.num_vertices) * store::kVertexRecordBytes;
-  if (info.vertex_section_bytes > size - view->vertex_off_) {
+  if (info.vertex_section_bytes > size - vertex_off) {
     throw fail_bounds();
   }
-  view->index_off_ = view->vertex_off_ + info.vertex_section_bytes;
+  const std::size_t index_off = vertex_off + info.vertex_section_bytes;
   info.edge_index_bytes = (static_cast<std::size_t>(info.num_edges) + 1) * 8;
-  if (info.edge_index_bytes > size - view->index_off_) throw fail_bounds();
-  view->blob_off_ = view->index_off_ + info.edge_index_bytes;
+  if (info.edge_index_bytes > size - index_off) throw fail_bounds();
+  const std::size_t blob_off = index_off + info.edge_index_bytes;
 
   // The blob section runs to the (8-aligned) adjacency section when one
   // is present (format v2), otherwise to the end of the file.
   info.adjacency_bytes = static_cast<std::size_t>(adj_size);
-  std::size_t blob_region = size - view->blob_off_;
+  std::size_t blob_region = size - blob_off;
   std::size_t adj_off = 0;
   if (info.has_adjacency) {
     // Placement only; CsrAdjacency::validate() (below) enforces the
@@ -846,7 +841,7 @@ std::shared_ptr<const LabelStoreView> LabelStoreView::open(
     if (adj_off % 8 != 0) {
       throw StoreError("corrupt adjacency section (misaligned): " + path);
     }
-    blob_region = adj_off - view->blob_off_;
+    blob_region = adj_off - blob_off;
   }
 
   // Offset index: starts at 0, non-decreasing, ends exactly at the blob
@@ -859,14 +854,14 @@ std::shared_ptr<const LabelStoreView> LabelStoreView::open(
         info.backend, view->params_blob(), info.format_version);
   });
   store::with_sigbus_guard(path, "label store edge index", [&] {
-    std::uint64_t prev = read_u64_at(view->map_, view->index_off_);
+    std::uint64_t prev = read_u64_at(view->map_, index_off);
     if (prev != 0) {
       throw StoreError("corrupt edge index (must start at 0): " + path);
     }
     for (EdgeId e = 0; e < info.num_edges; ++e) {
       const std::uint64_t next = read_u64_at(
           view->map_,
-          view->index_off_ + 8 * (static_cast<std::size_t>(e) + 1));
+          index_off + 8 * (static_cast<std::size_t>(e) + 1));
       if (next < prev || next > blob_region) {
         throw StoreError("corrupt edge index (offsets not monotone): " + path);
       }
@@ -916,14 +911,12 @@ std::shared_ptr<const LabelStoreView> LabelStoreView::open(
     }
   }
 
-  // Flat route table: the container is one contiguous mapping with
-  // fixed-width records (the index walk above proved it), so routing is
-  // base + stride arithmetic. Sharded views splice these per-shard
-  // tables into their global one (sharded_store.cpp).
-  view->routes_ = contiguous_routes(view->map_ + view->vertex_off_,
-                                    info.num_vertices,
-                                    view->map_ + view->blob_off_,
-                                    info.num_edges, expected_blob);
+  // The container is one contiguous mapping with fixed-width records
+  // (the index walk above proved it), so a read is base + stride: the
+  // span the two index reads would produce, minus the reads.
+  view->vertex_base_ = view->map_ + vertex_off;
+  view->edge_base_ = view->map_ + blob_off;
+  view->edge_blob_width_ = expected_blob;
   return view;
 }
 
@@ -931,18 +924,6 @@ std::span<const std::uint8_t> LabelStoreView::params_blob() const {
   return {map_ + params_off_, info_.params_bytes};
 }
 
-std::span<const std::uint8_t> LabelStoreView::vertex_blob(VertexId v) const {
-  FTC_REQUIRE(v < info_.num_vertices, "vertex out of range");
-  return {routes_.vertex(v), store::kVertexRecordBytes};
-}
-
-std::span<const std::uint8_t> LabelStoreView::edge_blob(EdgeId e) const {
-  // The route table was derived from (and validated against) the offset
-  // index at open — blobs are fixed-width — so this is the same span the
-  // two index reads would produce, minus the two reads.
-  FTC_REQUIRE(e < info_.num_edges, "edge out of range");
-  return {routes_.edge(e), routes_.edge_blob_bytes};
-}
 
 // ------------------------------------------------------------------
 // Resident view.
@@ -992,28 +973,19 @@ class ResidentStoreView final : public StoreView {
     info.vertex_label_bits = bits.vertex_label_bits;
     info.edge_label_bits = bits.edge_label_bits;
 
-    routes_ = contiguous_routes(labels_.vertex_records.data(), n,
-                                labels_.edge_blobs(), m, blob_bytes);
+    vertex_base_ = labels_.vertex_records.data();
+    edge_base_ = labels_.edge_blobs();
+    edge_blob_width_ = blob_bytes;
   }
 
   std::span<const std::uint8_t> params_blob() const override {
     return labels_.params;
   }
-  std::span<const std::uint8_t> vertex_blob(VertexId v) const override {
-    FTC_REQUIRE(v < info_.num_vertices, "vertex out of range");
-    return {routes_.vertex(v), store::kVertexRecordBytes};
-  }
-  std::span<const std::uint8_t> edge_blob(EdgeId e) const override {
-    FTC_REQUIRE(e < info_.num_edges, "edge out of range");
-    return {routes_.edge(e), routes_.edge_blob_bytes};
-  }
   bool file_backed() const override { return false; }
-  const store::FlatRoutes* routes() const override { return &routes_; }
 
  private:
   store::ResidentLabels labels_;
   std::vector<std::uint8_t> adjacency_;
-  store::FlatRoutes routes_;
 };
 
 }  // namespace
@@ -1027,29 +999,6 @@ std::shared_ptr<const StoreView> open_resident_view(
 // The scheme classes: one per backend, over any StoreView.
 
 namespace {
-
-// Caches the owning view's resolved flat route table so the per-query
-// hot path pays one acquire load + direct index instead of a virtual
-// call per label read. A view publishes its FlatRoutes at most once and
-// never retracts it (label_store.hpp), so caching the pointer is safe:
-// until publication get() keeps asking the view (a sharded store may
-// resolve routes mid-serve, via prefetch() or the last lazy open).
-class RouteCache {
- public:
-  explicit RouteCache(const StoreView& view) : view_(&view) {}
-
-  const store::FlatRoutes* get() const {
-    const store::FlatRoutes* rt = cached_.load(std::memory_order_acquire);
-    if (rt != nullptr) return rt;
-    rt = view_->routes();
-    if (rt != nullptr) cached_.store(rt, std::memory_order_release);
-    return rt;
-  }
-
- private:
-  const StoreView* view_;
-  mutable std::atomic<const store::FlatRoutes*> cached_{nullptr};
-};
 
 // Immutable fault-set adapter: the backend's prepared session state plus
 // the deduplicated fault-edge count reported through num_faults().
@@ -1108,38 +1057,20 @@ class SchemeBase : public ConnectivityScheme {
  public:
   explicit SchemeBase(std::shared_ptr<const StoreView> view)
       : ConnectivityScheme(std::move(view)),
-        guarded_(store_view()->file_backed()),
-        vertex_base_(store_view()->routes() != nullptr
-                         ? store_view()->routes()->vertex_base
-                         : nullptr) {}
+        guarded_(store_view()->file_backed()) {}
 
  protected:
   // Both endpoint ancestry records — the only label reads of an
-  // edge-fault query. A contiguous view's records are base + stride; a
-  // sharded view's come through its resolved route table (one cached
-  // pointer load and a direct index, no binary search or lazy-open
-  // check). On a file-backed view both reads run under ONE SIGBUS guard,
-  // so a backing file mutated behind the mapping lands in
-  // on_mapped_fault (the sharded view quarantines the shard and throws
-  // DegradedError) instead of killing the process.
+  // edge-fault query. Locating them may lazily open (and internally
+  // guard) the owning shards of a sharded view; only the record reads
+  // themselves run under our guard. On a file-backed view both reads
+  // run under ONE SIGBUS guard, so a backing file mutated behind the
+  // mapping lands in on_mapped_fault (the sharded view quarantines the
+  // shard and throws DegradedError) instead of killing the process.
   std::pair<graph::AncestryLabel, graph::AncestryLabel> anc_pair(
       VertexId s, VertexId t) const {
-    FTC_REQUIRE(s < num_vertices() && t < num_vertices(),
-                "vertex out of range");
-    const std::uint8_t* ps;
-    const std::uint8_t* pt;
-    if (vertex_base_ != nullptr) {
-      ps = vertex_base_ + static_cast<std::size_t>(s) * store::kVertexRecordBytes;
-      pt = vertex_base_ + static_cast<std::size_t>(t) * store::kVertexRecordBytes;
-    } else if (const store::FlatRoutes* rt = routes_.get()) {
-      ps = rt->vertex(s);
-      pt = rt->vertex(t);
-    } else {
-      // Pre-routes path: may lazily open (and internally guard) the
-      // owning shards; only the final record reads run under our guard.
-      ps = store_view()->vertex_blob(s).data();
-      pt = store_view()->vertex_blob(t).data();
-    }
+    const std::uint8_t* ps = store_view()->vertex_blob(s).data();
+    const std::uint8_t* pt = store_view()->vertex_blob(t).data();
     if (!guarded_) {
       return {store::decode_vertex_record_at(ps),
               store::decode_vertex_record_at(pt)};
@@ -1167,7 +1098,7 @@ class SchemeBase : public ConnectivityScheme {
     labels.reserve(edges.size());
     std::vector<std::uint8_t> copy;
     for (const EdgeId e : edges) {
-      std::span<const std::uint8_t> blob = edge_bytes(e);
+      std::span<const std::uint8_t> blob = store_view()->edge_blob(e);
       if (guarded_) {
         copy.resize(blob.size());
         store::copy_guarded(*store_view(), [&] {
@@ -1181,23 +1112,9 @@ class SchemeBase : public ConnectivityScheme {
     return labels;
   }
 
-  // Edge blob bytes through the resolved-route fast path. Without
-  // routes it may lazily open the owning shard (which allocates), so it
-  // must run outside any SIGBUS guard.
-  std::span<const std::uint8_t> edge_bytes(EdgeId e) const {
-    if (const store::FlatRoutes* rt = routes_.get()) {
-      FTC_REQUIRE(e < rt->num_edges, "edge out of range");
-      return {rt->edge(e), rt->edge_blob_bytes};
-    }
-    return store_view()->edge_blob(e);
-  }
 
  private:
   const bool guarded_;
-  // The vertex section of a contiguous view (null for a sharded one),
-  // cached so the per-query reads need no route-table load.
-  const std::uint8_t* const vertex_base_;
-  RouteCache routes_{*store_view()};
 };
 
 class CoreScheme final : public SchemeBase {
@@ -1226,7 +1143,7 @@ class CoreScheme final : public SchemeBase {
     PreparedFaults::Builder builder(params_, level_bounds_,
                                     edge_faults.size());
     for (const EdgeId e : edge_faults) {
-      const std::span<const std::uint8_t> blob = edge_bytes(e);
+      const std::span<const std::uint8_t> blob = store_view()->edge_blob(e);
       if (blob.size() != layout_.blob_bytes()) {
         throw StoreError("core-ftc edge blob has the wrong size");
       }

@@ -373,43 +373,10 @@ StoreLabelBits derive_label_bits(BackendKind backend,
                                  std::span<const std::uint8_t> params,
                                  std::uint32_t version);
 
-// Generation-resolved flat route table: where every vertex record and
-// edge blob sits in the (already open and validated) backing. Resolving
-// routing ONCE — at open for a single container or a resident view, or
-// when the last shard of a sharded store is mapped — replaces the
-// per-query virtual dispatch + binary-search + lazy-open check with
-// arithmetic or a single array deref, so a K-shard store serves at
-// flat-container speed. Pointers stay valid for the lifetime of the
-// StoreView that published the table.
-struct FlatRoutes {
-  graph::VertexId num_vertices = 0;
-  graph::EdgeId num_edges = 0;
-  std::size_t edge_blob_bytes = 0;  // fixed width implied by the params
-  // Contiguous sections (a single container or a resident view): record
-  // v at vertex_base + 8v, blob e at edge_base + e * edge_blob_bytes; the
-  // pointer tables stay empty.
-  const std::uint8_t* vertex_base = nullptr;
-  const std::uint8_t* edge_base = nullptr;
-  // Otherwise (a sharded store) one pointer per ID, 16 bytes per ID.
-  std::vector<const std::uint8_t*> vertex_ptr;  // [n] 8-byte records
-  std::vector<const std::uint8_t*> edge_ptr;    // [m] label blobs
-
-  // Unchecked: callers bound v < num_vertices / e < num_edges.
-  const std::uint8_t* vertex(graph::VertexId v) const {
-    return vertex_base != nullptr
-               ? vertex_base + static_cast<std::size_t>(v) * kVertexRecordBytes
-               : vertex_ptr[v];
-  }
-  const std::uint8_t* edge(graph::EdgeId e) const {
-    return edge_base != nullptr
-               ? edge_base + static_cast<std::size_t>(e) * edge_blob_bytes
-               : edge_ptr[e];
-  }
-};
-
 // What one prefetch() call did: thread fan-out, wall time, and the
-// per-shard map+digest cost (empty for single-container views; 0 for a
-// shard that was already mapped when the call claimed it).
+// per-shard map+digest cost (empty for a view with contiguous sections,
+// which has no shards to map; 0 for a shard that was already mapped when
+// the call claimed it).
 struct PrefetchStats {
   unsigned threads = 1;
   double total_us = 0.0;
@@ -579,6 +546,13 @@ struct StoreInfo {
 // ever see this interface, so built, single-file and sharded labels
 // serve queries through identical code. Implementations are safe to
 // share across threads after a successful open.
+//
+// There is one route to a label. A view whose vertex records and edge
+// blobs each sit in one contiguous section (a single container, a
+// resident view) sets the section bases and the blob width at open, and
+// a read is base + stride, inlined. A sharded view leaves the bases null
+// and every read falls through to routed_record(), which finds the
+// owning shard by its manifest range.
 class StoreView {
  public:
   virtual ~StoreView() = default;
@@ -587,9 +561,29 @@ class StoreView {
 
   const StoreInfo& info() const { return info_; }
   virtual std::span<const std::uint8_t> params_blob() const = 0;
-  virtual std::span<const std::uint8_t> vertex_blob(
-      graph::VertexId v) const = 0;
-  virtual std::span<const std::uint8_t> edge_blob(graph::EdgeId e) const = 0;
+
+  // Vertex v's 8-byte ancestry record and edge e's label blob, zero-copy.
+  // Throws std::invalid_argument for an ID out of range. A sharded view
+  // may map the owning shard on first touch here (it allocates and may
+  // throw StoreError / DegradedError), so callers that read the bytes
+  // under a SIGBUS guard take the span before arming it.
+  std::span<const std::uint8_t> vertex_blob(graph::VertexId v) const {
+    FTC_REQUIRE(v < info_.num_vertices, "vertex out of range");
+    return {vertex_base_ != nullptr
+                ? vertex_base_ +
+                      static_cast<std::size_t>(v) * store::kVertexRecordBytes
+                : routed_record(Section::kVertex, v),
+            store::kVertexRecordBytes};
+  }
+  std::span<const std::uint8_t> edge_blob(graph::EdgeId e) const {
+    FTC_REQUIRE(e < info_.num_edges, "edge out of range");
+    return {edge_base_ != nullptr
+                ? edge_base_ + static_cast<std::size_t>(e) * edge_blob_width_
+                : routed_record(Section::kEdge, e),
+            edge_blob_width_};
+  }
+  // The fixed size of every edge blob, implied by the params.
+  std::size_t edge_blob_width() const { return edge_blob_width_; }
 
   // Adjacency side-table reads (valid only when info().has_adjacency;
   // the section was validated at open).
@@ -614,23 +608,16 @@ class StoreView {
   virtual bool file_backed() const { return true; }
 
   // Maps and digest-verifies any lazily-opened backing (every shard of a
-  // sharded view) so nothing cold remains on the query path, and
-  // publishes the flat route table. threads = 0 picks min(shards,
-  // hardware concurrency); work is stolen over shard indices. Idempotent
-  // and safe to call concurrently with queries and with lazy first-touch
-  // opens; a corrupt shard throws the same typed StoreError the lazy
-  // open would. Single-container and resident views are fully validated
-  // and routed at open, so the base implementation is a no-op.
+  // sharded view) so nothing cold remains on the query path. threads = 0
+  // picks min(shards, hardware concurrency); work is stolen over shard
+  // indices. Idempotent and safe to call concurrently with queries and
+  // with lazy first-touch opens; a corrupt shard throws the same typed
+  // StoreError the lazy open would. Single-container and resident views
+  // are fully validated at open, so the base implementation is a no-op.
   virtual store::PrefetchStats prefetch(unsigned threads = 0) const {
     (void)threads;
     return {};
   }
-
-  // The resolved flat route table, or nullptr while part of the backing
-  // is still unmapped (a sharded view before prefetch() or before every
-  // shard has been lazily touched). Never reverts to nullptr once
-  // published; the table lives as long as this view.
-  virtual const store::FlatRoutes* routes() const { return nullptr; }
 
   // Translates a SIGBUS caught inside this view's registered mappings:
   // guarded reads (query-path ancestry reads, prepare-time blob copies,
@@ -642,8 +629,21 @@ class StoreView {
 
  protected:
   StoreView() = default;
+
+  enum class Section { kVertex, kEdge };
+  // Where record `id` (already range-checked) of a section lives, for a
+  // view that left that section's base null. Only a sharded view does;
+  // the base implementation throws std::logic_error.
+  virtual const std::uint8_t* routed_record(Section section,
+                                            std::uint64_t id) const;
+
   StoreInfo info_;
   store::CsrAdjacency adj_;  // base == nullptr when no adjacency section
+  // Contiguous sections, set at open: record v at vertex_base_ + 8v, blob
+  // e at edge_base_ + e * edge_blob_width_. Null for a sharded view.
+  const std::uint8_t* vertex_base_ = nullptr;
+  const std::uint8_t* edge_base_ = nullptr;
+  std::size_t edge_blob_width_ = 0;
 };
 
 // Read-only mmap view of a single container file. open() validates the
@@ -661,13 +661,6 @@ class LabelStoreView final : public StoreView {
   ~LabelStoreView() override;
 
   std::span<const std::uint8_t> params_blob() const override;
-  std::span<const std::uint8_t> vertex_blob(graph::VertexId v) const override;
-  std::span<const std::uint8_t> edge_blob(graph::EdgeId e) const override;
-
-  // A single container is mapped, validated and route-resolved entirely
-  // at open(): prefetch has nothing left to do and routes() is always
-  // available.
-  const store::FlatRoutes* routes() const override { return &routes_; }
 
   [[noreturn]] void on_mapped_fault(const void* addr) const override;
 
@@ -684,10 +677,6 @@ class LabelStoreView final : public StoreView {
   const std::uint8_t* map_ = nullptr;  // whole file
   std::size_t map_bytes_ = 0;
   std::size_t params_off_ = 0;
-  std::size_t vertex_off_ = 0;
-  std::size_t index_off_ = 0;
-  std::size_t blob_off_ = 0;
-  store::FlatRoutes routes_;  // built at open (the index walk is O(m) anyway)
 };
 
 struct LoadOptions {

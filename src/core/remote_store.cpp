@@ -8,7 +8,7 @@
 // routes each first touch through ShardCache::fetch_shard(), and from
 // there on the shard is a local mmap like any other. All the
 // serving-tier machinery above (retry, quarantine, DegradedError,
-// FlatRoutes, swap_store adoption) is inherited unchanged.
+// routing by shard range, swap_store adoption) is inherited unchanged.
 #include "core/sharded_store.hpp"
 
 #include <thread>

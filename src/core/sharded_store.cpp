@@ -32,6 +32,7 @@
 #include "util/env.hpp"
 #include "util/failpoint.hpp"
 #include "util/scoped_fd.hpp"
+#include "util/worker_pool.hpp"
 
 namespace ftc::core {
 
@@ -68,6 +69,22 @@ using graph::EdgeId;
 using graph::VertexId;
 
 std::size_t align8(std::size_t x) { return (x + 7) & ~std::size_t{7}; }
+
+// The one shard fan-out, shared by the writers and prefetch: runs fn(k)
+// for every shard k in [0, num_shards) on `threads` pooled workers that
+// each steal the next unclaimed index. fn handles its own failures.
+template <typename Fn>
+void for_each_shard(std::size_t num_shards, unsigned threads, Fn&& fn) {
+  std::atomic<std::size_t> next{0};
+  util::WorkerPool pool(threads);
+  pool.run([&](unsigned) {
+    for (;;) {
+      const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
+      if (k >= num_shards) return;
+      fn(k);
+    }
+  });
+}
 
 // Splits path into (directory prefix including the trailing slash — or
 // empty for the current directory — and the file name).
@@ -212,7 +229,7 @@ DeltaPushStats save_sharded_impl(const ConnectivityScheme& scheme,
   // worker's writer.
   scheme.prefetch();
   std::vector<std::exception_ptr> errors(num_shards);
-  const auto build_shard = [&](unsigned k) {
+  const auto build_shard = [&](std::size_t k) {
     try {
       store::ShardRecord& rec = records[k];
       const auto v_begin = static_cast<VertexId>(rec.vertex_begin);
@@ -265,20 +282,11 @@ DeltaPushStats save_sharded_impl(const ConnectivityScheme& scheme,
   };
 
   try {
-    const unsigned workers = std::min<unsigned>(
-        num_shards, std::max(1u, std::thread::hardware_concurrency()));
-    if (workers <= 1) {
-      for (unsigned k = 0; k < num_shards; ++k) build_shard(k);
-    } else {
-      std::vector<std::thread> threads;
-      threads.reserve(workers);
-      for (unsigned w = 0; w < workers; ++w) {
-        threads.emplace_back([&, w] {
-          for (unsigned k = w; k < num_shards; k += workers) build_shard(k);
-        });
-      }
-      for (std::thread& t : threads) t.join();
-    }
+    for_each_shard(
+        num_shards,
+        std::min<unsigned>(num_shards,
+                           std::max(1u, std::thread::hardware_concurrency())),
+        build_shard);
     for (const std::exception_ptr& e : errors) {
       if (e) std::rethrow_exception(e);
     }
@@ -721,14 +729,10 @@ void ShardedStoreView::adopt_shards(const ShardedStoreView& parent) {
       if (!parent.opened_[j].load(std::memory_order_acquire)) continue;
       shard_views_[k] = parent.shard_views_[j];
       opened_[k].store(true, std::memory_order_release);
-      ++open_count_;
       ++adopted_count_;
       break;
     }
   }
-  // Adopting every shard (a zero-delta republish) resolves routing
-  // immediately; open() still has exclusive access, so no lock.
-  if (open_count_ == records_.size()) resolve_routes();
 }
 
 std::string ShardedStoreView::shard_local_path(std::size_t k) const {
@@ -759,7 +763,7 @@ std::shared_ptr<const LabelStoreView> ShardedStoreView::open_shard_once(
     throw StoreError("shard digest mismatch (stale or swapped shard): " +
                      shard_path);
   }
-  if (v->routes()->edge_blob_bytes != edge_blob_width_) {
+  if (v->edge_blob_width() != edge_blob_width_) {
     throw StoreError("shard edge blob width disagrees with manifest "
                      "version: " + shard_path);
   }
@@ -884,38 +888,7 @@ bool ShardedStoreView::publish_shard(
   if (opened_[k].load(std::memory_order_relaxed)) return false;  // racer won
   shard_views_[k] = std::move(v);
   opened_[k].store(true, std::memory_order_release);
-  if (++open_count_ < records_.size()) return true;
-  resolve_routes();
   return true;
-}
-
-void ShardedStoreView::resolve_routes() const {
-  // Last shard in: resolve routing once. Every shard container already
-  // resolved its own flat table at open, so the global one is a splice of
-  // absolute per-ID pointers — only the array positions shift by the
-  // manifest ranges. Published with a release store; queries that loaded
-  // nullptr a moment ago keep using the per-shard path, bit-identically.
-  auto routes = std::make_unique<store::FlatRoutes>();
-  routes->num_vertices = info_.num_vertices;
-  routes->num_edges = info_.num_edges;
-  routes->vertex_ptr.reserve(info_.num_vertices);
-  routes->edge_ptr.reserve(info_.num_edges);
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    const store::FlatRoutes* sub = shard_views_[i]->routes();
-    FTC_CHECK(sub != nullptr, "shard container missing its route table");
-    routes->edge_blob_bytes = sub->edge_blob_bytes;
-    for (VertexId v = 0; v < sub->num_vertices; ++v) {
-      routes->vertex_ptr.push_back(sub->vertex(v));
-    }
-    for (EdgeId e = 0; e < sub->num_edges; ++e) {
-      routes->edge_ptr.push_back(sub->edge(e));
-    }
-  }
-  FTC_CHECK(routes->vertex_ptr.size() == info_.num_vertices &&
-                routes->edge_ptr.size() == info_.num_edges,
-            "spliced route table does not tile the store");
-  routes_storage_ = std::move(routes);
-  routes_ptr_.store(routes_storage_.get(), std::memory_order_release);
 }
 
 const LabelStoreView& ShardedStoreView::shard(std::size_t k) const {
@@ -937,59 +910,42 @@ store::PrefetchStats ShardedStoreView::prefetch(unsigned threads) const {
   store::PrefetchStats stats;
   stats.shard_us.assign(num_shards, 0.0);
 
-  // Work-stealing over shard indices (the save_sharded writer pattern):
-  // every worker pulls the next unclaimed shard, maps + digest-verifies
-  // it outside any lock, and publishes through the same slot discipline
-  // as the lazy path — so prefetch composes safely with concurrent
-  // queries and with itself.
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> opened{0};
-  std::mutex error_mutex;
-  std::exception_ptr error;
-  const auto worker = [&] {
-    for (;;) {
-      const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
-      if (k >= num_shards) return;
-      if (opened_[k].load(std::memory_order_acquire)) continue;
-      try {
-        if (quarantined_[k].load(std::memory_order_acquire)) {
-          throw_degraded(k);
-        }
-        const auto s0 = std::chrono::steady_clock::now();
-        auto v = open_shard(k);
-        stats.shard_us[k] =
-            std::chrono::duration<double, std::micro>(
-                std::chrono::steady_clock::now() - s0)
-                .count();
-        if (publish_shard(k, std::move(v))) {
-          opened.fetch_add(1, std::memory_order_relaxed);
-        }
-      } catch (...) {
-        // Record the first failure but keep draining the queue: every
-        // other shard still opens, so a single bad shard degrades its
-        // own range instead of aborting the whole prefetch (swap_store
-        // keeps the old generation serving when this rethrows below).
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!error) error = std::current_exception();
-      }
-    }
-  };
-
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
   }
   threads = static_cast<unsigned>(
       std::min<std::size_t>(threads, std::max<std::size_t>(num_shards, 1)));
   stats.threads = threads;
-  if (threads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads - 1);
-    for (unsigned w = 1; w < threads; ++w) pool.emplace_back(worker);
-    worker();
-    for (std::thread& t : pool) t.join();
-  }
+
+  // Every worker maps + digest-verifies its shard outside any lock and
+  // publishes through the same slot discipline as the lazy path — so
+  // prefetch composes safely with concurrent queries and with itself.
+  std::atomic<std::size_t> opened{0};
+  std::mutex error_mutex;
+  std::exception_ptr error;
+  for_each_shard(num_shards, threads, [&](std::size_t k) {
+    if (opened_[k].load(std::memory_order_acquire)) return;
+    try {
+      if (quarantined_[k].load(std::memory_order_acquire)) {
+        throw_degraded(k);
+      }
+      const auto s0 = std::chrono::steady_clock::now();
+      auto v = open_shard(k);
+      stats.shard_us[k] = std::chrono::duration<double, std::micro>(
+                              std::chrono::steady_clock::now() - s0)
+                              .count();
+      if (publish_shard(k, std::move(v))) {
+        opened.fetch_add(1, std::memory_order_relaxed);
+      }
+    } catch (...) {
+      // Record the first failure but keep draining the queue: every
+      // other shard still opens, so a single bad shard degrades its own
+      // range instead of aborting the whole prefetch (swap_store keeps
+      // the old generation serving when this rethrows below).
+      const std::lock_guard<std::mutex> lock(error_mutex);
+      if (!error) error = std::current_exception();
+    }
+  });
   if (error) std::rethrow_exception(error);
 
   stats.shards_opened = opened.load(std::memory_order_relaxed);
@@ -1000,62 +956,30 @@ store::PrefetchStats ShardedStoreView::prefetch(unsigned threads) const {
   return stats;
 }
 
-std::size_t ShardedStoreView::shard_of_vertex(VertexId v) const {
-  FTC_REQUIRE(v < info_.num_vertices, "vertex out of range");
-  // Last shard whose vertex_begin <= v; the tiling invariant makes it
-  // the unique shard with vertex_begin <= v < vertex_end.
-  std::size_t lo = 0;
-  std::size_t hi = records_.size();
-  while (hi - lo > 1) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (records_[mid].vertex_begin <= v) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-std::size_t ShardedStoreView::shard_of_edge(EdgeId e) const {
-  FTC_REQUIRE(e < info_.num_edges, "edge out of range");
-  std::size_t lo = 0;
-  std::size_t hi = records_.size();
-  while (hi - lo > 1) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (records_[mid].edge_begin <= e) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
 std::span<const std::uint8_t> ShardedStoreView::params_blob() const {
   return {map_ + params_off_, info_.params_bytes};
 }
 
-std::span<const std::uint8_t> ShardedStoreView::vertex_blob(
-    VertexId v) const {
-  // Once the global route table is published, a lookup is one acquire
-  // load and a direct index — no binary search, no shard indirection.
-  if (const store::FlatRoutes* rt = routes()) {
-    FTC_REQUIRE(v < rt->num_vertices, "vertex out of range");
-    return {rt->vertex(v), store::kVertexRecordBytes};
-  }
-  const std::size_t k = shard_of_vertex(v);
-  return shard(k).vertex_blob(
-      static_cast<VertexId>(v - records_[k].vertex_begin));
-}
-
-std::span<const std::uint8_t> ShardedStoreView::edge_blob(EdgeId e) const {
-  if (const store::FlatRoutes* rt = routes()) {
-    FTC_REQUIRE(e < rt->num_edges, "edge out of range");
-    return {rt->edge(e), rt->edge_blob_bytes};
-  }
-  const std::size_t k = shard_of_edge(e);
-  return shard(k).edge_blob(static_cast<EdgeId>(e - records_[k].edge_begin));
+const std::uint8_t* ShardedStoreView::routed_record(Section section,
+                                                    std::uint64_t id) const {
+  const bool edge = section == Section::kEdge;
+  const auto begin_of = [edge](const store::ShardRecord& rec) {
+    return edge ? rec.edge_begin : rec.vertex_begin;
+  };
+  // The last shard whose range begins at or before id; the tiling
+  // invariant makes it the unique shard holding id (an empty shard
+  // shares its begin with the next one and is skipped).
+  const auto next = std::upper_bound(
+      records_.begin() + 1, records_.end(), id,
+      [&](std::uint64_t x, const store::ShardRecord& rec) {
+        return x < begin_of(rec);
+      });
+  const std::size_t k =
+      static_cast<std::size_t>(next - records_.begin()) - 1;
+  const LabelStoreView& owner = shard(k);
+  const std::uint64_t local = id - begin_of(records_[k]);
+  return edge ? owner.edge_blob(static_cast<EdgeId>(local)).data()
+              : owner.vertex_blob(static_cast<VertexId>(local)).data();
 }
 
 std::size_t ShardedStoreView::shards_open() const {

@@ -244,9 +244,10 @@ DeltaPushStats save_sharded_delta(const ConnectivityScheme& scheme,
                                   unsigned num_shards = 0);
 
 // Manifest-routed StoreView over K lazily-opened shard containers.
-// vertex_blob/edge_blob binary-search the range index and forward to the
-// owning shard, mmapping it on first touch (thread-safe; concurrent
-// queries may race to open the same shard and one open wins). Adjacency
+// Every vertex_blob/edge_blob read binary-searches the K manifest ranges
+// and reads the owning shard's contiguous section, mmapping the shard on
+// first touch (thread-safe; concurrent queries may race to open the same
+// shard and one open wins). Adjacency
 // reads come from the manifest's own side-table. info() aggregates the
 // whole store: file_bytes spans manifest plus shards, num_shards > 0.
 //
@@ -255,7 +256,7 @@ DeltaPushStats save_sharded_delta(const ConnectivityScheme& scheme,
 // next to the manifest — the local-directory transport today's opens
 // always were. RemoteStoreView overrides it to pull the shard through a
 // ShardSource into the digest-verified ShardCache first; everything
-// else (lazy opens, retry, quarantine, routes, adoption) is shared.
+// else (lazy opens, retry, quarantine, routing, adoption) is shared.
 class ShardedStoreView : public StoreView {
  public:
   // Maps and validates the manifest (structure always; the manifest
@@ -286,24 +287,16 @@ class ShardedStoreView : public StoreView {
   ~ShardedStoreView() override;
 
   std::span<const std::uint8_t> params_blob() const override;
-  std::span<const std::uint8_t> vertex_blob(graph::VertexId v) const override;
-  std::span<const std::uint8_t> edge_blob(graph::EdgeId e) const override;
 
   // Maps + digest-verifies every still-unmapped shard in parallel
-  // (work-stealing over shard indices, the same thread pattern as
-  // save_sharded's writers) and publishes the flat route table, so the
-  // first-touch cliff and the lazy double-checked open leave the query
-  // path entirely. Idempotent; safe concurrently with queries, with lazy
-  // first-touch opens, and with other prefetch calls. A shard that fails
-  // validation throws the same typed StoreError a lazy open would (the
-  // first failure wins; already-published shards stay served).
+  // (work-stealing over shard indices on a util::WorkerPool, the same
+  // fan-out as save_sharded's writers), so the first-touch cliff leaves
+  // the query path entirely. Idempotent; safe concurrently with queries,
+  // with lazy first-touch opens, and with other prefetch calls. A shard
+  // that fails validation throws the same typed StoreError a lazy open
+  // would (the first failure wins; already-published shards stay
+  // served).
   store::PrefetchStats prefetch(unsigned threads = 0) const override;
-
-  // Non-null once every shard is mapped — after prefetch(), or once lazy
-  // traffic has touched all K shards.
-  const store::FlatRoutes* routes() const override {
-    return routes_ptr_.load(std::memory_order_acquire);
-  }
 
   // Manifest metadata, for inspection tooling.
   std::span<const store::ShardRecord> shards() const { return records_; }
@@ -332,6 +325,12 @@ class ShardedStoreView : public StoreView {
 
  protected:
   ShardedStoreView() = default;
+
+  // Finds the shard whose manifest range holds `id` and returns the
+  // record's address in that shard's contiguous section, opening the
+  // shard on first touch.
+  const std::uint8_t* routed_record(Section section,
+                                    std::uint64_t id) const override;
 
   // Resolves shard k to a local file path LabelStoreView::open can
   // mmap. Called on the lazy first-touch / prefetch / verify paths,
@@ -373,20 +372,12 @@ class ShardedStoreView : public StoreView {
   // the slot lock; racing opens of one shard let the first win).
   const LabelStoreView& shard(std::size_t k) const;
   // Publishes an opened shard into slot k under mutex_; returns false
-  // when a racing open published first. When the last slot fills,
-  // splices the shards' per-container route tables into the global one
-  // and publishes routes_ptr_.
+  // when a racing open published first.
   bool publish_shard(std::size_t k,
                      std::shared_ptr<const LabelStoreView> v) const;
-  // Splices the K per-shard route tables into the global one and
-  // publishes routes_ptr_. Callers must hold mutex_ or have exclusive
-  // access (open-time adoption, before the view is shared).
-  void resolve_routes() const;
   // Open-time only (exclusive access): adopt byte-identical, already-
   // open shards from a previous-generation view of the same store.
   void adopt_shards(const ShardedStoreView& parent);
-  std::size_t shard_of_vertex(graph::VertexId v) const;
-  std::size_t shard_of_edge(graph::EdgeId e) const;
 
   const std::uint8_t* map_ = nullptr;  // manifest file
   std::size_t map_bytes_ = 0;
@@ -395,24 +386,18 @@ class ShardedStoreView : public StoreView {
   std::string path_;         // manifest path, for error messages
   bool verify_checksum_ = true;
   std::vector<store::ShardRecord> records_;
-  std::size_t edge_blob_width_ = 0;  // every shard's, implied by the params
 
   // Lazy shard slots: slot k is written exactly once under mutex_ and
   // read lock-free afterwards through an acquire load of opened_[k].
   mutable std::mutex mutex_;
   mutable std::vector<std::shared_ptr<const LabelStoreView>> shard_views_;
   mutable std::unique_ptr<std::atomic<bool>[]> opened_;
-  mutable std::size_t open_count_ = 0;  // slots published, guarded by mutex_
   // Quarantine state: flag read lock-free on the routing path, reasons
   // guarded by mutex_. Sticky for the life of the view — a repaired file
   // is picked up by the next generation's swap, not by un-quarantining.
   mutable std::unique_ptr<std::atomic<bool>[]> quarantined_;
   mutable std::vector<std::string> quarantine_reasons_;  // guarded by mutex_
   std::size_t adopted_count_ = 0;       // set once at open()
-  // Global flat route table, built once under mutex_ when open_count_
-  // reaches K and then read lock-free through routes_ptr_.
-  mutable std::unique_ptr<store::FlatRoutes> routes_storage_;
-  mutable std::atomic<const store::FlatRoutes*> routes_ptr_{nullptr};
 };
 
 class ShardSource;  // core/shard_source.hpp
@@ -423,7 +408,7 @@ class ShardCache;   // core/shard_cache.hpp
 // parked in the shard cache, then parsed by the ordinary manifest
 // reader; shards are fetched through the cache on first touch — a warm
 // cache makes a remote open byte-for-byte the local lazy-open path.
-// Everything above this class (FlatRoutes, BatchQueryEngine,
+// Everything above this class (shard routing, BatchQueryEngine,
 // swap_store adoption, quarantine/degraded serving, journal sidecars)
 // is unchanged: open_store_view() dispatches URLs here, so callers
 // never name this type.

@@ -295,14 +295,12 @@ TEST(ShardedStore, ShardsOpenLazily) {
 }
 
 // ------------------------------------------------------------------
-// Prefetch: the parallel warm-up path and the flat route table it
-// publishes must compose with lazy opens, concurrent queries and
-// corrupt shards exactly like the lazy path does.
+// Prefetch: the parallel warm-up path must compose with lazy opens,
+// concurrent queries and corrupt shards exactly like the lazy path does.
 
-// prefetch() maps every shard, publishes the route table, and the blobs
-// served through the resolved routes are byte-identical to the
-// unsharded container.
-TEST(ShardedStorePrefetch, OpensAllShardsResolvesRoutesAndKeepsParity) {
+// prefetch() maps every shard, and the blobs served through the shard
+// routing are byte-identical to the unsharded container.
+TEST(ShardedStorePrefetch, OpensAllShardsAndKeepsParity) {
   const Graph g = graph::random_connected(40, 100, 21);
   const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 3));
   StoreFile flat("prefetch_flat");
@@ -312,15 +310,13 @@ TEST(ShardedStorePrefetch, OpensAllShardsResolvesRoutesAndKeepsParity) {
   save_sharded(*scheme, manifest.path(), 8);
 
   const auto view = ShardedStoreView::open(manifest.path());
-  EXPECT_EQ(view->routes(), nullptr);
+  EXPECT_EQ(view->shards_open(), 0u);
   const store::PrefetchStats stats = view->prefetch(4);
   EXPECT_EQ(stats.shards_opened, 8u);
   EXPECT_EQ(stats.shard_us.size(), 8u);
   EXPECT_GT(stats.threads, 0u);
   EXPECT_EQ(view->shards_open(), 8u);
-  ASSERT_NE(view->routes(), nullptr);
-  EXPECT_EQ(view->routes()->num_vertices, g.num_vertices());
-  EXPECT_EQ(view->routes()->num_edges, g.num_edges());
+  EXPECT_EQ(view->edge_blob_width(), flat_view->edge_blob_width());
 
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     EXPECT_TRUE(spans_equal(view->vertex_blob(v), flat_view->vertex_blob(v)));
@@ -335,18 +331,23 @@ TEST(ShardedStorePrefetch, OpensAllShardsResolvesRoutesAndKeepsParity) {
   EXPECT_EQ(view->shards_open(), 8u);
 }
 
-// The single-container view resolves its routes at open; prefetch is a
-// no-op there but routes() is live immediately.
-TEST(ShardedStorePrefetch, FlatContainerRoutesAvailableAtOpen) {
+// The single-container view serves straight from its mapping at open;
+// prefetch is a no-op there, and every read is byte-identical to the
+// resident view the container was saved from.
+TEST(ShardedStorePrefetch, FlatContainerServesAtOpen) {
   const Graph g = graph::cycle(16);
   const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 2));
   StoreFile flat("routes_flat");
   scheme->save(flat.path());
   const auto view = LabelStoreView::open(flat.path());
-  ASSERT_NE(view->routes(), nullptr);
-  EXPECT_EQ(view->routes()->num_vertices, g.num_vertices());
-  EXPECT_EQ(view->routes()->num_edges, g.num_edges());
-  (void)view->prefetch(3);  // no-op, must not throw
+  const StoreView& resident = *scheme->store_view();
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    EXPECT_TRUE(spans_equal(view->vertex_blob(v), resident.vertex_blob(v)));
+  }
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    EXPECT_TRUE(spans_equal(view->edge_blob(e), resident.edge_blob(e)));
+  }
+  EXPECT_TRUE(view->prefetch(3).shard_us.empty());  // no-op, must not throw
 }
 
 // Prefetch racing lazy first-touch opens and concurrent queries: every
@@ -387,7 +388,6 @@ TEST(ShardedStorePrefetch, RacesLazyOpensAndConcurrentQueries) {
     for (std::thread& t : threads) t.join();
     EXPECT_EQ(mismatches.load(), 0);
     EXPECT_EQ(view->shards_open(), 16u);
-    EXPECT_NE(view->routes(), nullptr);
   }
 }
 
@@ -407,10 +407,10 @@ TEST(ShardedStorePrefetch, CorruptShardThrowsTypedStoreError) {
   const auto view = ShardedStoreView::open(manifest.path());
   EXPECT_THROW((void)view->prefetch(4), StoreError);
   // The failure is sticky for the bad shard, not for the store: healthy
-  // shards were published and still serve, the route table never
-  // resolves, and re-touching the bad shard throws again.
-  EXPECT_EQ(view->routes(), nullptr);
-  EXPECT_LT(view->shards_open(), 4u);
+  // shards were published and still serve, and re-touching the bad shard
+  // throws again.
+  EXPECT_EQ(view->shards_open(), 3u);
+  EXPECT_EQ(view->shards_quarantined(), 1u);
   (void)view->vertex_blob(0);  // shard 0 serves
   EXPECT_THROW((void)view->edge_blob(g.num_edges() - 25), StoreError);
 }
@@ -875,7 +875,7 @@ TEST(ShardedStoreDelta, AdoptionSharesUnchangedShardMaps) {
   }
 }
 
-TEST(ShardedStoreDelta, ZeroDeltaAdoptionResolvesRoutesImmediately) {
+TEST(ShardedStoreDelta, ZeroDeltaAdoptionOpensEveryShardImmediately) {
   const Graph g = graph::random_connected(40, 100, 43);
   const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 3));
   DeltaFiles files("adoptall");
@@ -886,11 +886,16 @@ TEST(ShardedStoreDelta, ZeroDeltaAdoptionResolvesRoutesImmediately) {
   save_sharded_delta(*scheme, files.child().path(), files.parent().path());
   const auto child_view = ShardedStoreView::open(
       files.child().path(), /*verify_checksum=*/true, parent_view);
-  // Everything adopted: the view is fully warm at open — routes already
-  // resolved, a prefetch has nothing left to map.
+  // Everything adopted: the view is fully warm at open — every shard
+  // already mapped, a prefetch has nothing left to map, and the adopted
+  // maps serve the parent's bytes.
   EXPECT_EQ(child_view->shards_adopted(), 4u);
-  EXPECT_NE(child_view->routes(), nullptr);
+  EXPECT_EQ(child_view->shards_open(), 4u);
   EXPECT_EQ(child_view->prefetch(2).shards_opened, 0u);
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    EXPECT_TRUE(
+        spans_equal(child_view->edge_blob(e), parent_view->edge_blob(e)));
+  }
 }
 
 TEST(ShardedStoreDelta, AdoptionFromColdParentAdoptsNothing) {

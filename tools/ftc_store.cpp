@@ -7,8 +7,8 @@
 //                     [--dim D] [--seed S] [--threads T]
 //       generates the graph, builds the selected backend's labels and
 //       writes them as one container file. --threads T fans the build
-//       across T workers (0 = hardware concurrency); the output bytes
-//       are identical for every T.
+//       across T >= 1 workers (0 is rejected); the output bytes are
+//       identical for every T.
 //
 //   ftc_store inspect labels.ftcs [--verbose]
 //       prints the parsed header: backend, dimensions, per-section and
@@ -480,9 +480,8 @@ int cmd_inspect(int argc, char** argv) {
       ++k;
     }
     if (verbose) {
-      std::printf("prefetch           %.1f us total, route table %s\n",
-                  stats.total_us,
-                  sharded->routes() != nullptr ? "resolved" : "unresolved");
+      std::printf("prefetch           %.1f us total, shards open %zu/%u\n",
+                  stats.total_us, sharded->shards_open(), info.num_shards);
     }
   }
   return 0;
