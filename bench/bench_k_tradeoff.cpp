@@ -3,7 +3,8 @@
 // library defaults to k = ceil(k_scale (f+1) log2 n') with a fail-stop
 // decoder. This bench sweeps k downward and reports, over many random
 // queries: answers correct / capacity errors raised (fail-stop) / wrong
-// answers (must be zero — the decoder detects shortfalls, it never lies).
+// answers (must be zero — the decoder detects shortfalls, it never lies;
+// any wrong answer makes the bench exit 1).
 #include "bench_util.hpp"
 #include "core/ftc_query.hpp"
 #include "core/ftc_scheme.hpp"
@@ -13,13 +14,15 @@ namespace {
 
 using graph::EdgeId;
 
-void run(unsigned n, unsigned m, unsigned f) {
+// Returns the number of wrong answers.
+int run(unsigned n, unsigned m, unsigned f) {
   const auto g = graph::random_connected(n, m, 2024);
   const auto cases = make_query_cases(g, f, 150, 31337);
 
   std::printf("\n== k tradeoff: n=%u m=%u f=%u (150 queries each) ==\n", n, m,
               f);
   Table table({"k", "edge label", "correct", "fail-stop", "wrong"});
+  int total_wrong = 0;
   for (const unsigned k : {4u, 6u, 8u, 12u, 24u, 48u}) {
     core::FtcConfig cfg;
     cfg.f = f;
@@ -40,12 +43,14 @@ void run(unsigned n, unsigned m, unsigned f) {
     table.add_row({std::to_string(k), fmt_bits(scheme.edge_label_bits()),
                    std::to_string(correct), std::to_string(failstop),
                    std::to_string(wrong)});
+    total_wrong += wrong;
   }
   table.print();
-  std::printf("(practical default for this size would be k=%u)\n",
-              std::max(4u, static_cast<unsigned>(
-                               4.0 * (f + 1) *
-                               ceil_log2(std::max<unsigned>(2 * m, 2)))));
+  core::FtcConfig defaults;
+  defaults.f = f;
+  std::printf("(practical default for this size is k=%u)\n",
+              core::FtcScheme::build(g, defaults).build_stats().k);
+  return total_wrong;
 }
 
 }  // namespace
@@ -53,7 +58,11 @@ void run(unsigned n, unsigned m, unsigned f) {
 
 int main() {
   std::printf("bench_k_tradeoff: practical sketch capacity vs fail-stop rate\n");
-  ftc::bench::run(1024, 4096, 4);
-  ftc::bench::run(1024, 4096, 8);
+  const int wrong =
+      ftc::bench::run(1024, 4096, 4) + ftc::bench::run(1024, 4096, 8);
+  if (wrong != 0) {
+    std::printf("FAILED: %d wrong answers\n", wrong);
+    return 1;
+  }
   return 0;
 }

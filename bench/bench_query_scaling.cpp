@@ -14,10 +14,10 @@ namespace {
 
 using graph::EdgeId;
 
+// Mean decode time per case; counts wrong answers into `wrong`.
 double measure_query_us(const core::FtcScheme& scheme,
-                        const graph::Graph& g,
                         const std::vector<QueryCase>& cases,
-                        const core::QueryOptions& opts) {
+                        const core::QueryOptions& opts, int& wrong) {
   // Pre-fetch labels so the measurement is decode-only.
   std::vector<std::vector<core::EdgeLabel>> fault_labels;
   std::vector<std::pair<core::VertexLabel, core::VertexLabel>> endpoints;
@@ -27,19 +27,20 @@ double measure_query_us(const core::FtcScheme& scheme,
     fault_labels.push_back(std::move(labels));
     endpoints.emplace_back(scheme.vertex_label(qc.s), scheme.vertex_label(qc.t));
   }
-  (void)g;
   Timer t;
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const bool got = core::FtcDecoder::connected(
         endpoints[i].first, endpoints[i].second, fault_labels[i], opts);
     if (got != cases[i].expected) {
       std::printf("  !! incorrect answer on case %zu\n", i);
+      ++wrong;
     }
   }
   return t.micros() / static_cast<double>(cases.size());
 }
 
-void run() {
+// Returns the number of wrong answers.
+int run() {
   const unsigned n = 2048;
   const auto g = graph::random_connected(n, 3 * n, 5);
   const unsigned fmax = 16;
@@ -58,14 +59,15 @@ void run() {
               n, 3 * n, fmax);
   Table table({"|F|", "det adaptive", "det fixed-k", "rand adaptive"});
   std::vector<double> xs, det_t, rnd_t;
+  int wrong = 0;
   for (const unsigned nf : {1u, 2u, 4u, 8u, 16u}) {
     const auto cases = make_query_cases(g, nf, 40, 777 + nf);
     core::QueryOptions adaptive;
     core::QueryOptions fixed;
     fixed.adaptive = false;
-    const double da = measure_query_us(det_scheme, g, cases, adaptive);
-    const double df = measure_query_us(det_scheme, g, cases, fixed);
-    const double ra = measure_query_us(rnd_scheme, g, cases, adaptive);
+    const double da = measure_query_us(det_scheme, cases, adaptive, wrong);
+    const double df = measure_query_us(det_scheme, cases, fixed, wrong);
+    const double ra = measure_query_us(rnd_scheme, cases, adaptive, wrong);
     table.add_row({std::to_string(nf), fmt(da, "%.1f us"), fmt(df, "%.1f us"),
                    fmt(ra, "%.1f us")});
     xs.push_back(nf);
@@ -77,6 +79,7 @@ void run() {
       "log-log slope in |F|: det %.2f, rand %.2f (theory: <=4 and <=2; both "
       "are upper bounds, real instances decode far below worst case)\n",
       loglog_slope(xs, det_t), loglog_slope(xs, rnd_t));
+  return wrong;
 }
 
 }  // namespace
@@ -84,6 +87,10 @@ void run() {
 
 int main() {
   std::printf("bench_query_scaling: Theorem 1 / Section 6 query-time shape\n");
-  ftc::bench::run();
+  const int wrong = ftc::bench::run();
+  if (wrong != 0) {
+    std::printf("FAILED: %d incorrect answers\n", wrong);
+    return 1;
+  }
   return 0;
 }

@@ -50,13 +50,15 @@
 #                             # golden-outcome digest that the portable
 #                             # decode gives the same answers, refusals
 #                             # and decode counts
-#   scripts/ci.sh bench-smoke # Release build of bench_serving and
-#                             # bench_sketch: a tiny-size serving run
+#   scripts/ci.sh bench-smoke # Release build of bench_serving,
+#                             # bench_sketch, bench_query_scaling and
+#                             # bench_k_tradeoff: a tiny-size serving run
 #                             # (every answer BFS-checked, nonzero exit
-#                             # on a mismatch) plus the failpoint check
-#                             # case, with one JSON shape check per
-#                             # record kind — keeps the benches from
-#                             # silently rotting
+#                             # on a mismatch), the two paper-table
+#                             # benches (nonzero exit on a wrong answer)
+#                             # and the failpoint check case, with one
+#                             # JSON shape check per record kind — keeps
+#                             # the benches from silently rotting
 #   scripts/ci.sh store-shard # sharded-store leg: asan run of the
 #                             # sharded/manifest + live-swap suites, then
 #                             # an end-to-end CLI exercise — shard a
@@ -577,12 +579,16 @@ fi
 if [ "${1:-}" = "bench-smoke" ]; then
   echo "=== bench smoke leg (release) ==="
   cmake --preset release
-  cmake --build --preset release -j "$jobs" --target bench_serving bench_sketch
+  cmake --build --preset release -j "$jobs" --target bench_serving \
+    bench_sketch bench_query_scaling bench_k_tradeoff
   out=build-release/bench-smoke
   mkdir -p "$out"
   # bench_serving exits nonzero if any timed answer disagrees with BFS or
   # a delta-push/retry/degraded gate fails; pipefail keeps that status.
   (cd "$out" && ../bench_serving --smoke) | tee "$out/serving.log"
+  # The paper-table benches exit nonzero on any wrong answer.
+  build-release/bench_query_scaling
+  build-release/bench_k_tradeoff
   sed -n 's/^JSON //p' "$out/serving.log" > "$out/BENCH_serving.json"
   build-release/bench_sketch --benchmark_filter=BM_FailpointCheck \
     --benchmark_min_time=0.01 --benchmark_format=json \

@@ -9,41 +9,11 @@
 
 namespace ftc::core {
 
-namespace {
-
-// Adjacency provider over the view's CSR side-table: degrees and
-// incidence lists decode on the fly, so serving vertex faults costs no
-// load-time materialization.
-class ViewAdjacency final : public AdjacencyProvider {
- public:
-  explicit ViewAdjacency(const StoreView& view) : view_(view) {}
-
-  graph::VertexId num_vertices() const override {
-    return view_.info().num_vertices;
-  }
-  std::size_t degree(graph::VertexId v) const override {
-    return view_.adjacency_degree(v);
-  }
-  void append_incident(graph::VertexId v,
-                       std::vector<graph::EdgeId>& out) const override {
-    view_.adjacency_append(v, out);
-  }
-
- private:
-  const StoreView& view_;  // owned by the scheme, which outlives this
-};
-
-}  // namespace
-
 ConnectivityScheme::ConnectivityScheme(std::shared_ptr<const StoreView> view)
     : view_(std::move(view)),
       backend_(view_->info().backend),
       num_vertices_(view_->info().num_vertices),
-      num_edges_(view_->info().num_edges) {
-  if (view_->info().has_adjacency) {
-    adjacency_ = std::make_unique<ViewAdjacency>(*view_);
-  }
-}
+      num_edges_(view_->info().num_edges) {}
 
 std::size_t ConnectivityScheme::vertex_label_bits() const {
   return view_->info().vertex_label_bits;
@@ -51,6 +21,10 @@ std::size_t ConnectivityScheme::vertex_label_bits() const {
 
 std::size_t ConnectivityScheme::edge_label_bits() const {
   return view_->info().edge_label_bits;
+}
+
+bool ConnectivityScheme::has_adjacency() const {
+  return view_->info().has_adjacency;
 }
 
 void ConnectivityScheme::prefetch(unsigned threads) const {
@@ -77,8 +51,7 @@ ConnectivityScheme::prepare_faults(const FaultSpec& spec) const {
   std::vector<graph::EdgeId> edges(spec.edge_faults().begin(),
                                    spec.edge_faults().end());
   if (spec.has_vertex_faults()) {
-    const AdjacencyProvider* adj = adjacency();
-    if (adj == nullptr) {
+    if (!has_adjacency()) {
       throw CapabilityError(
           "vertex faults need adjacency, which this scheme does not carry "
           "(e.g. it was loaded from a format-v1 label store; rebuild or "
@@ -87,7 +60,7 @@ ConnectivityScheme::prepare_faults(const FaultSpec& spec) const {
     // The Section 1.4 reduction: a faulty vertex becomes its incident
     // edges — Delta * f labels in the worst case.
     for (const graph::VertexId v : spec.vertex_faults()) {
-      adj->append_incident(v, edges);
+      view_->adjacency_append(v, edges);
     }
     std::sort(edges.begin(), edges.end());
     edges.erase(std::unique(edges.begin(), edges.end()), edges.end());

@@ -20,7 +20,7 @@
 // FaultSpec names faulty edges AND faulty vertices, canonicalized once.
 // The vertex -> incident-edges reduction (label cost Delta * f — the
 // reduction the paper's open-problems section wants to beat) lives HERE,
-// in the base class, behind the AdjacencyProvider abstraction: backends
+// in the base class, over the view's CSR adjacency side-table: backends
 // only ever see deduplicated edge faults, and any scheme that can name
 // its adjacency — built schemes and format-v2 label stores alike —
 // serves vertex and mixed faults identically. Schemes without adjacency
@@ -105,10 +105,10 @@ class ConnectivityScheme {
            static_cast<std::size_t>(num_edges()) * edge_label_bits();
   }
 
-  // Incidence lists for the vertex-fault reduction, or nullptr when the
-  // view carries none (format-v1 label stores). Vertex-fault capability
-  // is exactly `adjacency() != nullptr`.
-  const AdjacencyProvider* adjacency() const { return adjacency_.get(); }
+  // Whether the view carries the incidence lists the vertex-fault
+  // reduction reads (StoreView::adjacency_append); format-v1 label stores
+  // do not. Vertex-fault capability is exactly this.
+  bool has_adjacency() const;
 
   // Warm-up hook: maps any lazily-opened label backing (the shards of a
   // sharded store), so the first query afterwards pays no cold-open
@@ -128,7 +128,7 @@ class ConnectivityScheme {
 
   // Validates the spec's IDs against this scheme's dimensions
   // (std::invalid_argument on out-of-range), reduces vertex faults to
-  // their incident edges (CapabilityError if adjacency() is null and the
+  // their incident edges (CapabilityError if !has_adjacency() and the
   // spec names vertices), folds in any attached deletion journal
   // (CapacityError when the merged set exceeds the journal's fault
   // budget), and materializes the deduplicated fault-edge labels once.
@@ -166,7 +166,7 @@ class ConnectivityScheme {
   // Writes the whole scheme as one versioned container file (atomically:
   // a temp file is renamed into place), copying the labels straight out
   // of store_view(). Format v4; includes the adjacency side-table iff
-  // adjacency() != nullptr, so saved schemes keep their vertex-fault
+  // has_adjacency(), so saved schemes keep their vertex-fault
   // capability. Implemented in label_store.cpp; load it back with
   // load_scheme(). Throws StoreError on I/O failure, and StoreIoError
   // (DegradedError for a sharded view) when the backing file was
@@ -193,7 +193,6 @@ class ConnectivityScheme {
   BackendKind backend_;
   graph::VertexId num_vertices_;
   graph::EdgeId num_edges_;
-  std::unique_ptr<AdjacencyProvider> adjacency_;  // null: v1 container
   // Journaled deletions folded into every prepared fault set (null when
   // no journal is attached). Shared: generations of a serving session
   // may reference the same journal.

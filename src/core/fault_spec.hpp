@@ -95,22 +95,4 @@ class FaultSpec {
   std::vector<graph::VertexId> vertices_; // sorted, unique
 };
 
-// Incidence access for the vertex -> incident-edges reduction, decoupled
-// from graph::Graph: every scheme reads the CSR adjacency side-table of
-// its StoreView (label_store.hpp) — a mapped container or manifest, or
-// the resident view make_scheme() builds from the graph — through this
-// one interface.
-class AdjacencyProvider {
- public:
-  virtual ~AdjacencyProvider() = default;
-
-  virtual graph::VertexId num_vertices() const = 0;
-  virtual std::size_t degree(graph::VertexId v) const = 0;
-  // Appends v's incident edge IDs to out (order unspecified; callers
-  // sort + dedup the merged set). Append-style instead of span-returning
-  // so mapped providers can decode on the fly without stable storage.
-  virtual void append_incident(graph::VertexId v,
-                               std::vector<graph::EdgeId>& out) const = 0;
-};
-
 }  // namespace ftc::core

@@ -19,8 +19,6 @@ namespace ftc::core {
 
 namespace {
 
-using graph::AncestryLabel;
-
 // Source of PreparedFaults::Impl::serial. 0 is never handed out, so it
 // can mark a workspace that holds no session.
 std::atomic<std::uint64_t> g_next_serial{0};
@@ -75,6 +73,9 @@ struct DecoderWorkspace::Impl {
   // (boundaries change slowly across merges), seeding the adaptive
   // doubling threshold. Reset at session start.
   unsigned decode_hint = 0;
+  // Decode rounds run in this session; a session needs at most
+  // num_frag - 1 merging rounds and num_frag closing ones.
+  unsigned rounds = 0;
   std::vector<std::uint64_t> cut;        // per fragment set: its cut row
   std::vector<std::uint64_t> level_row;  // the one level sum being scanned
   graph::UnionFind uf{0};
@@ -84,10 +85,11 @@ struct DecoderWorkspace::Impl {
   // only in smallest-cut-first mode; source-first queries never pop it.
   std::vector<std::tuple<unsigned, int, std::uint32_t>> heap;
   // Allocation-free decode: per-field sketch scratch plus the reused
-  // decoded-edge buffer decode_outgoing fills.
+  // decoded-edge buffer decode_outgoing fills, one (fragment of a,
+  // fragment of b) pair per decoded edge (a, b).
   sketch::SketchDecodeScratch<gf::GF2_64> scratch64;
   sketch::SketchDecodeScratch<gf::GF2_128> scratch128;
-  std::vector<std::pair<AncestryLabel, AncestryLabel>> edges;
+  std::vector<std::pair<int, int>> edges;
 };
 
 PreparedFaults::Builder::Builder(const LabelParams& params,
@@ -205,8 +207,8 @@ bool level_sum(const PreparedFaults::Impl& prep, const std::uint64_t* cut,
 // and is skipped. Each level's sum is built at its clamped width k_b in
 // the workspace's level row, and field elements only materialize
 // (into the workspace scratch) for the one level that actually decodes.
-// Fills ws.edges with endpoint ancestry-label pairs; empty means no
-// outgoing edge (the component is complete).
+// Fills ws.edges with the fragments of each decoded edge's endpoints;
+// empty means no outgoing edge (the component is complete).
 template <typename F>
 void decode_outgoing(const std::uint64_t* cut,
                      const PreparedFaults::Impl& prep,
@@ -224,7 +226,7 @@ void decode_outgoing(const std::uint64_t* cut,
     // Every boundary at this level has at most k_b edges (a sound bound),
     // so the k_b-prefix is the whole sketch as far as the decode goes.
     const bool decoded = sketch::decode_sketch_words<F>(
-        ws.level_row.data(), width, scratch, options.adaptive, 0,
+        ws.level_row.data(), width, scratch, options.adaptive,
         ws.decode_hint);
     if (!decoded) {
       throw FtcCapacityError(
@@ -242,7 +244,7 @@ void decode_outgoing(const std::uint64_t* cut,
             "decoded edge ID is structurally invalid; sketch capacity "
             "exceeded");
       }
-      ws.edges.emplace_back(a, b);
+      ws.edges.emplace_back(prep.loc.locate(a.tin), prep.loc.locate(b.tin));
     }
     return;
   }
@@ -255,6 +257,7 @@ void start_session(const PreparedFaults::Impl& prep,
                    const QueryOptions& options, DecoderWorkspace::Impl& ws) {
   const std::size_t nfrag = static_cast<std::size_t>(prep.num_frag);
   ws.decode_hint = 0;
+  ws.rounds = 0;
   ws.cut.assign(prep.cut.begin(), prep.cut.end());
   if (ws.level_row.size() < prep.layout.payload_words) {
     ws.level_row.resize(prep.layout.payload_words);
@@ -315,6 +318,7 @@ bool query_impl(const VertexLabel& s, const VertexLabel& t,
   };
 
   graph::UnionFind& uf = ws.uf;
+  const unsigned max_rounds = 2 * static_cast<unsigned>(prep.num_frag) - 1;
   while (true) {
     const std::size_t rs = uf.find(fs);
     const std::size_t rt = uf.find(ft);
@@ -338,15 +342,35 @@ bool query_impl(const VertexLabel& s, const VertexLabel& t,
       }
     }
 
+    // Every round merges or closes a set, so a session that needs more
+    // rounds than that is decoding garbage.
+    if (ws.rounds == max_rounds) {
+      throw FtcCapacityError(
+          "decoder session exceeded its round bound; sketch capacity "
+          "exceeded");
+    }
+    ++ws.rounds;
     decode_outgoing<F>(cut_row(fr), prep, options, ws, stats);
     if (ws.edges.empty()) {
       ws.closed[fr] = 1;
       continue;
     }
-    bool merged = false;
+    // Certify the decode before merging anything: the top nonzero level
+    // sum of a set decodes to edges of that set's boundary (Lemma 2), so
+    // each decoded edge has exactly one endpoint in the set. An edge
+    // inside the set, or one joining two other sets, means the sketch
+    // overflowed into a plausible but wrong support.
     for (const auto& [a, b] : ws.edges) {
-      const std::size_t fa = uf.find(prep.loc.locate(a.tin));
-      const std::size_t fb = uf.find(prep.loc.locate(b.tin));
+      if ((uf.find(a) == static_cast<std::size_t>(fr)) ==
+          (uf.find(b) == static_cast<std::size_t>(fr))) {
+        throw FtcCapacityError(
+            "decoded edge does not leave its fragment set; sketch "
+            "capacity exceeded");
+      }
+    }
+    for (const auto& [a, b] : ws.edges) {
+      const std::size_t fa = uf.find(a);
+      const std::size_t fb = uf.find(b);
       if (fa == fb) continue;  // joined by an earlier edge this round
       uf.unite(fa, fb);
       const std::size_t root = uf.find(fa);
@@ -354,16 +378,6 @@ bool query_impl(const VertexLabel& s, const VertexLabel& t,
       // Internal faults cancel: the union's cut is the XOR of the two.
       xor_words(cut_row(root), cut_row(other), cut_words);
       if (stats != nullptr) ++stats->merges;
-      merged = true;
-    }
-    // A true outgoing edge leaves the set, so a nonempty decode that
-    // merges nothing named only edges inside it: the sketch overflowed
-    // into a plausible but wrong support. Repeating the round would
-    // decode the same cut again, forever.
-    if (!merged) {
-      throw FtcCapacityError(
-          "decoded edges all lie inside their fragment set; sketch "
-          "capacity exceeded");
     }
     if (options.smallest_cut_first) {
       const std::size_t root = uf.find(fr);

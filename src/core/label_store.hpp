@@ -220,7 +220,8 @@ class ByteReader {
 // blob layouts). Each backend has a params blob stored once per
 // container plus fixed-size vertex/edge blobs; decode validates against
 // the params and throws StoreError on any inconsistency. Builders write
-// blobs in place, straight into a ResidentLabels buffer.
+// blobs in place, straight into a ResidentLabels buffer, through the
+// edge blob writers below (core-ftc's sit beside decode_core_edge).
 
 struct CycleParams {
   std::uint32_t coord_bits = 0;
@@ -317,6 +318,21 @@ CoreEdgeLayout core_edge_layout(
 // record that layout.
 EdgeLabel decode_core_edge(ByteReader& r, const LabelParams& params,
                            const CoreEdgeLayout& layout);
+// In-place core edge blob writers for FtcScheme::build, into one edge's
+// slot (layout.blob_bytes() bytes) of a ResidentLabels edge section:
+// the upper and lower endpoint records, and level `lev`'s
+// layout.width(lev) syndromes, given as host-order words (elem_words per
+// syndrome), at that level's payload offset. Every edge blob writer
+// takes an optional xor_with span of the payload's width and then writes
+// the word-wise XOR of the two: the builders hand over a subtree sum as
+// the two prefix rows of graph/subtree_xor.hpp.
+void write_core_edge_endpoints_at(std::uint8_t* blob,
+                                  const graph::AncestryLabel& upper,
+                                  const graph::AncestryLabel& lower);
+void write_core_edge_level_at(std::uint8_t* blob, const CoreEdgeLayout& layout,
+                              unsigned lev,
+                              std::span<const std::uint64_t> syndromes,
+                              std::span<const std::uint64_t> xor_with = {});
 // Adds the core edge at `blob` (stored.blob_bytes() bytes) to a fault
 // set under construction: its lower endpoint record and, per level, the
 // first builder.level_width(l) syndromes, copied straight into the
@@ -344,11 +360,13 @@ dp21::AgmEdgeLabel decode_agm_edge(ByteReader& r, const AgmParams& params);
 void write_cycle_edge_at(std::uint8_t* blob, const CycleParams& params,
                          bool is_tree, const graph::AncestryLabel& a,
                          const graph::AncestryLabel& b,
-                         std::span<const std::uint64_t> vec);
+                         std::span<const std::uint64_t> vec,
+                         std::span<const std::uint64_t> xor_with = {});
 void write_agm_edge_at(std::uint8_t* blob, const AgmParams& params,
                        const graph::AncestryLabel& upper,
                        const graph::AncestryLabel& lower,
-                       std::span<const std::uint64_t> sketch_words);
+                       std::span<const std::uint64_t> sketch_words,
+                       std::span<const std::uint64_t> xor_with = {});
 
 // Fixed per-edge blob size implied by a backend's params (every edge
 // label of one scheme serializes to the same number of bytes; core-ftc's
@@ -757,6 +775,9 @@ struct ResidentLabels {
     edge_words.assign(words_for(m * blob_bytes), 0);
   }
   std::uint8_t* edge_blob(std::size_t e) {
+    return edge_blobs() + e * edge_blob_bytes;
+  }
+  const std::uint8_t* edge_blob(std::size_t e) const {
     return edge_blobs() + e * edge_blob_bytes;
   }
   // Sizes the vertex section for vertices [0, n) and writes record v =

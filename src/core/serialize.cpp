@@ -2,7 +2,7 @@
 // fixed-layout records for all three backends, where the scheme
 // parameters are stored once per container and every decode is validated
 // against them (mismatch -> StoreError, never UB). The core edge blob
-// layout (core_edge_layout) and the dp21 builders' in-place edge blob
+// layout (core_edge_layout) and every builder's in-place edge blob
 // writers sit next to the decoders, so this file is the one place that
 // knows those layouts.
 #include <algorithm>
@@ -36,11 +36,24 @@ constexpr std::size_t kEndpointBytes = 2 * kVertexRecordBytes;
 constexpr std::uint32_t kFirstLevelWidthVersion = 4;
 constexpr std::size_t kCycleHeaderBytes = 4 + kEndpointBytes;
 
-// Writes LE words at an arbitrary (not necessarily aligned) byte offset.
-void write_words_at(std::uint8_t* p, std::span<const std::uint64_t> words) {
-  for (const std::uint64_t word : words) {
-    util::write_u64_le(p, word);
-    p += 8;
+// Writes LE words at an arbitrary (not necessarily aligned) byte offset:
+// words[i], or words[i] ^ xor_with[i] when xor_with is given. A builder
+// hands over a subtree sum as its two prefix rows (graph/subtree_xor.hpp)
+// and the sum is formed as it is written, in one pass.
+void write_words_at(std::uint8_t* p, std::span<const std::uint64_t> words,
+                    std::span<const std::uint64_t> xor_with = {}) {
+  if (xor_with.empty()) {
+    for (const std::uint64_t word : words) {
+      util::write_u64_le(p, word);
+      p += 8;
+    }
+    return;
+  }
+  FTC_CHECK(xor_with.size() == words.size(), "word row width mismatch");
+  const std::uint64_t* __restrict a = words.data();
+  const std::uint64_t* __restrict b = xor_with.data();
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    util::write_u64_le(p + 8 * i, a[i] ^ b[i]);
   }
 }
 
@@ -242,6 +255,24 @@ EdgeLabel decode_core_edge(ByteReader& r, const LabelParams& params,
   return label;
 }
 
+void write_core_edge_endpoints_at(std::uint8_t* blob,
+                                  const graph::AncestryLabel& upper,
+                                  const graph::AncestryLabel& lower) {
+  write_vertex_record_at(blob, upper);
+  write_vertex_record_at(blob + kVertexRecordBytes, lower);
+}
+
+void write_core_edge_level_at(std::uint8_t* blob, const CoreEdgeLayout& layout,
+                              unsigned lev,
+                              std::span<const std::uint64_t> syndromes,
+                              std::span<const std::uint64_t> xor_with) {
+  FTC_CHECK(syndromes.size() ==
+                static_cast<std::size_t>(layout.width(lev)) * layout.elem_words,
+            "core level syndrome count inconsistent with the layout");
+  write_words_at(blob + kEndpointBytes + 8 * layout.offset(lev), syndromes,
+                 xor_with);
+}
+
 void copy_core_edge_prefixes(const std::uint8_t* blob,
                              const CoreEdgeLayout& stored,
                              PreparedFaults::Builder& builder) {
@@ -268,7 +299,8 @@ void restride_core_edge(const std::uint8_t* src, const CoreEdgeLayout& from,
 void write_cycle_edge_at(std::uint8_t* blob, const CycleParams& params,
                          bool is_tree, const graph::AncestryLabel& a,
                          const graph::AncestryLabel& b,
-                         std::span<const std::uint64_t> vec) {
+                         std::span<const std::uint64_t> vec,
+                         std::span<const std::uint64_t> xor_with) {
   FTC_CHECK(vec.size() == params.vector_words(),
             "cycle-space vector width inconsistent with parameters");
   blob[0] = is_tree ? 1 : 0;
@@ -277,7 +309,7 @@ void write_cycle_edge_at(std::uint8_t* blob, const CycleParams& params,
   blob[3] = 0;
   write_vertex_record_at(blob + 4, a);
   write_vertex_record_at(blob + 4 + kVertexRecordBytes, b);
-  write_words_at(blob + kCycleHeaderBytes, vec);
+  write_words_at(blob + kCycleHeaderBytes, vec, xor_with);
 }
 
 dp21::CsEdgeLabel decode_cycle_edge(ByteReader& r, const CycleParams& params) {
@@ -303,12 +335,13 @@ std::size_t cycle_edge_blob_bytes(const CycleParams& params) {
 void write_agm_edge_at(std::uint8_t* blob, const AgmParams& params,
                        const graph::AncestryLabel& upper,
                        const graph::AncestryLabel& lower,
-                       std::span<const std::uint64_t> sketch_words) {
+                       std::span<const std::uint64_t> sketch_words,
+                       std::span<const std::uint64_t> xor_with) {
   FTC_CHECK(sketch_words.size() == params.sketch_words(),
             "AGM sketch word count inconsistent with parameters");
   write_vertex_record_at(blob, upper);
   write_vertex_record_at(blob + kVertexRecordBytes, lower);
-  write_words_at(blob + kEndpointBytes, sketch_words);
+  write_words_at(blob + kEndpointBytes, sketch_words, xor_with);
 }
 
 dp21::AgmEdgeLabel decode_agm_edge(ByteReader& r, const AgmParams& params) {

@@ -77,9 +77,9 @@ class ShardSource {
 // The local-directory source: fetch-by-name over plain file reads from
 // one directory — the transport the sharded view's path-based opens
 // always implied, now behind the same interface the HTTP source
-// implements. Also the read half of ftc_store serve (shard_server.hpp),
-// so the bytes a loopback server hands out go through exactly this
-// code.
+// implements. ftc_store serve (shard_server.hpp) does not use it: the
+// server reads the files it hands out itself, streaming each response
+// from an open descriptor.
 class LocalDirShardSource final : public ShardSource {
  public:
   // dir: directory the names resolve under ("" = current directory; a

@@ -7,6 +7,7 @@
 #include "graph/euler_tour.hpp"
 #include "graph/fragments.hpp"
 #include "graph/spanning_tree.hpp"
+#include "graph/subtree_xor.hpp"
 #include "graph/union_find.hpp"
 #include "util/common.hpp"
 #include "util/worker_pool.hpp"
@@ -70,81 +71,41 @@ core::store::ResidentLabels AgmFtc::build(const graph::Graph& g,
   out.params = pw.take();
   out.write_vertex_records(anc2, g.num_vertices());
 
-  // Per-T'-vertex sketch of incident non-tree edges, then subtree XOR.
-  // AGM sketch cells are XOR fingerprints (toggle == merge == word XOR),
-  // so the subtree sum below v — a contiguous Euler-tin range — comes
-  // from a prefix scan over the tin axis exactly as in ftc_scheme.cpp:
-  //     P[t]       = merge of per-vertex sketches with tin <= t
-  //     subtree(v) = P[tout(v)] ^ P[tin(v) - 1]
-  // Each stage stripes the tin axis per worker; XOR commutativity makes
-  // the result byte-identical for any worker count.
+  // Each tree edge's sketch is the merge of the per-T'-vertex sketches of
+  // incident non-tree edges over its lower endpoint's subtree. AGM cells
+  // are XOR fingerprints (toggle == merge == word XOR), so the subtree
+  // sums come from the shared subtree-XOR kernel (graph/subtree_xor.hpp)
+  // over flat sketch-word rows.
   util::WorkerPool pool(
       util::WorkerPool::resolve_threads(config.build_threads));
-  std::vector<std::uint32_t> tin(n2), tout(n2);
-  for (VertexId v = 0; v < n2; ++v) {
-    const AncestryLabel l = anc2.label(v);
-    tin[v] = l.tin;
-    tout[v] = l.tout;
+  const std::size_t words = params.sketch_words();
+  std::vector<EdgeId> nontree;
+  for (EdgeId e2 = 0; e2 < aux.g2.num_edges(); ++e2) {
+    if (!aux.t2.is_tree_edge[e2]) nontree.push_back(e2);
   }
-  const unsigned stripes = static_cast<unsigned>(std::min<std::size_t>(
-      pool.default_active(), static_cast<std::size_t>(n2)));
-  std::vector<std::size_t> bounds(stripes + 1);
-  for (unsigned b = 0; b <= stripes; ++b) {
-    bounds[b] = static_cast<std::size_t>(n2) * b / stripes;
-  }
-  std::vector<AgmSketch> acc(n2, AgmSketch(levels, reps, config.seed));
-  // Accumulate + stripe-local scan (acc indexed by tin).
-  pool.run(stripes, [&](unsigned b) {
-    const std::size_t lo = bounds[b];
-    const std::size_t hi = bounds[b + 1];
-    for (EdgeId e2 = 0; e2 < aux.g2.num_edges(); ++e2) {
-      if (aux.t2.is_tree_edge[e2]) continue;
-      const auto& ed = aux.g2.edge(e2);
-      const std::size_t tu = tin[ed.u];
-      const std::size_t tv = tin[ed.v];
-      const bool own_u = tu >= lo && tu < hi;
-      const bool own_v = tv >= lo && tv < hi;
-      if (!own_u && !own_v) continue;
-      const PackedId id = pack_id(anc2.label(ed.u), anc2.label(ed.v));
-      if (own_u) acc[tu].toggle(id);
-      if (own_v) acc[tv].toggle(id);
-    }
-    for (std::size_t ti = lo + 1; ti < hi; ++ti) acc[ti].merge(acc[ti - 1]);
-  });
-  // Serial carry chain of stripe totals, then parallel application.
-  std::vector<AgmSketch> carry(stripes, AgmSketch(levels, reps, config.seed));
-  for (unsigned b = 1; b < stripes; ++b) {
-    carry[b] = carry[b - 1];
-    carry[b].merge(acc[bounds[b] - 1]);
-  }
-  pool.run(stripes, [&](unsigned b) {
-    if (b == 0) return;
-    for (std::size_t ti = bounds[b]; ti < bounds[b + 1]; ++ti) {
-      acc[ti].merge(carry[b]);
-    }
-  });
-
   std::vector<EdgeId> sigma_inv(aux.g2.num_edges(), graph::kNoEdge);
   for (EdgeId e = 0; e < g.num_edges(); ++e) sigma_inv[aux.sigma[e]] = e;
-
-  // Write-out: non-root v (tin >= 1) finalizes its unique parent edge's
-  // blob.
   out.assign_edge_blobs(g.num_edges(),
                         core::store::agm_edge_blob_bytes(params));
-  pool.run(stripes, [&](unsigned b) {
-    AgmSketch s;
-    for (VertexId v = static_cast<VertexId>(bounds[b]);
-         v < static_cast<VertexId>(bounds[b + 1]); ++v) {
-      if (v == aux.t2.root) continue;
-      const EdgeId eo = sigma_inv[aux.t2.parent_edge[v]];
-      FTC_CHECK(eo != graph::kNoEdge, "T' tree edge without sigma preimage");
-      s = acc[tout[v]];
-      s.merge(acc[static_cast<std::size_t>(tin[v]) - 1]);
-      core::store::write_agm_edge_at(out.edge_blob(eo), params,
-                                     anc2.label(aux.t2.parent[v]),
-                                     anc2.label(v), s.words());
-    }
-  });
+
+  graph::SubtreeXor scan(pool, anc2, aux.t2.root, words);
+  scan.run(
+      aux.g2, nontree, words,
+      [&](EdgeId e2, std::uint64_t* au, std::uint64_t* av) {
+        const auto& ed = aux.g2.edge(e2);
+        const PackedId id = pack_id(anc2.label(ed.u), anc2.label(ed.v));
+        for (std::uint64_t* row : {au, av}) {
+          if (row == nullptr) continue;
+          AgmSketch::toggle_words({row, words}, levels, reps, config.seed, id);
+        }
+      },
+      [&](VertexId v, const std::uint64_t* hi, const std::uint64_t* lo) {
+        const EdgeId eo = sigma_inv[aux.t2.parent_edge[v]];
+        FTC_CHECK(eo != graph::kNoEdge, "T' tree edge without sigma preimage");
+        core::store::write_agm_edge_at(out.edge_blob(eo), params,
+                                       anc2.label(aux.t2.parent[v]),
+                                       anc2.label(v), {hi, words}, {lo, words});
+      });
   return out;
 }
 

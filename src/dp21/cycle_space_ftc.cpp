@@ -6,13 +6,13 @@
 #include "graph/euler_tour.hpp"
 #include "graph/fragments.hpp"
 #include "graph/spanning_tree.hpp"
+#include "graph/subtree_xor.hpp"
 #include "util/common.hpp"
 #include "util/worker_pool.hpp"
 #include "util/xor_kernel.hpp"
 
 namespace ftc::dp21 {
 
-using graph::AncestryLabel;
 using graph::EdgeId;
 using graph::VertexId;
 
@@ -74,8 +74,10 @@ core::store::ResidentLabels CycleSpaceFtc::build(
   // non-tree edge's blob is final as soon as its lambda is drawn.
   SplitMix64 rng(config.seed);
   std::vector<std::uint64_t> lambda(static_cast<std::size_t>(m) * words, 0);
+  std::vector<EdgeId> nontree;
   for (EdgeId e = 0; e < m; ++e) {
     if (t.is_tree_edge[e] != 0) continue;
+    nontree.push_back(e);
     const std::span<std::uint64_t> vec(
         lambda.data() + static_cast<std::size_t>(e) * words, words);
     for (auto& w : vec) w = rng.next();
@@ -87,84 +89,25 @@ core::store::ResidentLabels CycleSpaceFtc::build(
   }
 
   // Pass 2: a tree edge (p, v) is crossed by exactly the non-tree edges
-  // with an odd number of endpoints below v, i.e. the subtree XOR of the
-  // endpoint accumulators. Subtrees are contiguous Euler-tin ranges and
-  // the sum is XOR, so instead of the bottom-up fold compute a prefix
-  // scan over the tin axis (see ftc_scheme.cpp for the stage contract;
-  // GF(2) makes any accumulation order bit-identical):
-  //     P[t]       = XOR of endpoint accumulators with tin <= t
-  //     subtree(v) = P[tout(v)] ^ P[tin(v) - 1]
+  // with an odd number of endpoints below v, i.e. the XOR of their lambda
+  // rows over v's subtree (graph/subtree_xor.hpp).
   util::WorkerPool pool(
       util::WorkerPool::resolve_threads(config.build_threads));
-  std::vector<std::uint32_t> tin(n), tout(n);
-  for (VertexId v = 0; v < n; ++v) {
-    const AncestryLabel l = anc.label(v);
-    tin[v] = l.tin;
-    tout[v] = l.tout;
-  }
-  const unsigned stripes = static_cast<unsigned>(std::min<std::size_t>(
-      pool.default_active(), static_cast<std::size_t>(n)));
-  std::vector<std::size_t> bounds(stripes + 1);
-  for (unsigned b = 0; b <= stripes; ++b) {
-    bounds[b] = static_cast<std::size_t>(n) * b / stripes;
-  }
-  std::vector<std::uint64_t> acc(static_cast<std::size_t>(n) * words, 0);
-  // Accumulate + stripe-local scan: each worker touches only the tin
-  // rows of its own stripe.
-  pool.run(stripes, [&](unsigned b) {
-    const std::size_t lo = bounds[b];
-    const std::size_t hi = bounds[b + 1];
-    for (EdgeId e = 0; e < m; ++e) {
-      if (t.is_tree_edge[e] != 0) continue;
-      for (const VertexId u : {g.edge(e).u, g.edge(e).v}) {
-        const std::size_t tu = tin[u];
-        if (tu >= lo && tu < hi) {
-          xor_words(acc.data() + tu * words,
-                    lambda.data() + static_cast<std::size_t>(e) * words,
-                    words);
-        }
-      }
-    }
-    for (std::size_t ti = lo + 1; ti < hi; ++ti) {
-      xor_words(acc.data() + ti * words, acc.data() + (ti - 1) * words,
-                words);
-    }
-  });
-  // Serial carry chain of stripe totals, then parallel application.
-  std::vector<std::uint64_t> carry(static_cast<std::size_t>(stripes) * words,
-                                   0);
-  for (unsigned b = 1; b < stripes; ++b) {
-    std::uint64_t* cb = carry.data() + static_cast<std::size_t>(b) * words;
-    std::copy(carry.data() + static_cast<std::size_t>(b - 1) * words,
-              carry.data() + static_cast<std::size_t>(b) * words, cb);
-    xor_words(cb, acc.data() + (bounds[b] - 1) * words, words);
-  }
-  pool.run(stripes, [&](unsigned b) {
-    if (b == 0) return;
-    const std::uint64_t* cb =
-        carry.data() + static_cast<std::size_t>(b) * words;
-    for (std::size_t ti = bounds[b]; ti < bounds[b + 1]; ++ti) {
-      xor_words(acc.data() + ti * words, cb, words);
-    }
-  });
-  // Write-out: non-root v finalizes its (unique) parent tree edge's blob.
-  pool.run(stripes, [&](unsigned b) {
-    std::vector<std::uint64_t> vec(words);
-    for (VertexId v = static_cast<VertexId>(bounds[b]);
-         v < static_cast<VertexId>(bounds[b + 1]); ++v) {
-      if (v == t.root) continue;
-      const std::uint64_t* hi_row =
-          acc.data() + static_cast<std::size_t>(tout[v]) * words;
-      std::copy(hi_row, hi_row + words, vec.begin());
-      xor_words(vec.data(),
-                acc.data() + (static_cast<std::size_t>(tin[v]) - 1) * words,
-                words);
-      core::store::write_cycle_edge_at(out.edge_blob(t.parent_edge[v]),
-                                       params, /*is_tree=*/true,
-                                       anc.label(t.parent[v]), anc.label(v),
-                                       vec);
-    }
-  });
+  graph::SubtreeXor scan(pool, anc, t.root, words);
+  scan.run(
+      g, nontree, words,
+      [&](EdgeId e, std::uint64_t* au, std::uint64_t* av) {
+        const std::uint64_t* row =
+            lambda.data() + static_cast<std::size_t>(e) * words;
+        if (au != nullptr) xor_words(au, row, words);
+        if (av != nullptr) xor_words(av, row, words);
+      },
+      [&](VertexId v, const std::uint64_t* hi, const std::uint64_t* lo) {
+        core::store::write_cycle_edge_at(out.edge_blob(t.parent_edge[v]),
+                                         params, /*is_tree=*/true,
+                                         anc.label(t.parent[v]), anc.label(v),
+                                         {hi, words}, {lo, words});
+      });
   return out;
 }
 

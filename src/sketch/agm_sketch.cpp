@@ -11,9 +11,10 @@ AgmSketch::AgmSketch(unsigned levels, unsigned reps, std::uint64_t seed)
   words_.assign(static_cast<std::size_t>(levels_) * reps_ * 3, 0);
 }
 
-std::uint64_t AgmSketch::item_hash(const PackedId& id, unsigned rep) const {
+std::uint64_t AgmSketch::item_hash(const PackedId& id, unsigned rep,
+                                   std::uint64_t seed) {
   return mix_hash(id.lo ^ (id.hi * 0x9e3779b97f4a7c15ULL),
-                  seed_ + 0x1000003 * (rep + 1));
+                  seed + 0x1000003 * (rep + 1));
 }
 
 std::uint64_t AgmSketch::fingerprint(std::uint64_t lo, std::uint64_t hi,
@@ -22,14 +23,22 @@ std::uint64_t AgmSketch::fingerprint(std::uint64_t lo, std::uint64_t hi,
 }
 
 void AgmSketch::toggle(const PackedId& id) {
+  toggle_words(words_, levels_, reps_, seed_, id);
+}
+
+void AgmSketch::toggle_words(std::span<std::uint64_t> words, unsigned levels,
+                             unsigned reps, std::uint64_t seed,
+                             const PackedId& id) {
   FTC_REQUIRE(!id.is_zero(), "sketch items must be nonzero");
-  const std::uint64_t f = fingerprint(id.lo, id.hi, seed_);
-  for (unsigned r = 0; r < reps_; ++r) {
-    const std::uint64_t h = item_hash(id, r);
+  FTC_CHECK(words.size() == static_cast<std::size_t>(levels) * reps * 3,
+            "AGM sketch word count inconsistent with (levels, reps)");
+  const std::uint64_t f = fingerprint(id.lo, id.hi, seed);
+  for (unsigned r = 0; r < reps; ++r) {
+    const std::uint64_t h = item_hash(id, r, seed);
     unsigned level = h == 0 ? 63u : static_cast<unsigned>(__builtin_ctzll(h));
-    if (level >= levels_) level = levels_ - 1;
+    if (level >= levels) level = levels - 1;
     std::uint64_t* c =
-        words_.data() + 3 * (static_cast<std::size_t>(r) * levels_ + level);
+        words.data() + 3 * (static_cast<std::size_t>(r) * levels + level);
     c[0] ^= id.lo;
     c[1] ^= id.hi;
     c[2] ^= f;

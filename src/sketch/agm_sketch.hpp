@@ -37,6 +37,13 @@ class AgmSketch {
   void toggle(const PackedId& id);
   void merge(const AgmSketch& o);
 
+  // toggle() over a raw cell array of (levels, reps) geometry (the
+  // layout below) without materializing an AgmSketch — the dp21 builder
+  // accumulates sketches as flat word rows.
+  static void toggle_words(std::span<std::uint64_t> words, unsigned levels,
+                           unsigned reps, std::uint64_t seed,
+                           const PackedId& id);
+
   // Attempts to return some element of the sketched set. Fails (whp only
   // if the set is empty; with small probability also on nonempty sets or
   // returns a bogus ID on adversarial collisions — callers may verify).
@@ -69,7 +76,8 @@ class AgmSketch {
       std::span<const std::uint64_t> words, std::uint64_t seed);
 
  private:
-  std::uint64_t item_hash(const PackedId& id, unsigned rep) const;
+  static std::uint64_t item_hash(const PackedId& id, unsigned rep,
+                                 std::uint64_t seed);
   static std::uint64_t fingerprint(std::uint64_t lo, std::uint64_t hi,
                                    std::uint64_t seed);
 

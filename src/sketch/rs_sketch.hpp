@@ -195,18 +195,17 @@ F element_from_words(const std::uint64_t* w) {
 // verifies against it alone.
 //
 // Fail-stop is preserved EXACTLY: a candidate support S (|S| = d) is
-// accepted only after it also matches the first w* >= (kb + d) / 2
-// syndromes, where kb <= k is a SOUND upper bound on the sketched set's
-// size (kb = k when the caller has none). Matching w* odd power sums pins
-// S_1..S_{2w*} (even sums are squares in characteristic 2), so by the BCH
-// minimum-distance argument X != S would need
-// |X Δ S| >= 2w* + 1 > kb + d >= |X| + |S| — impossible for any true set
-// X of size <= kb. Hence, like the full decoder, a set within the bound
-// is never mis-reported; sets exceeding capacity fail (false). Cost: a
-// set of size d pays O(d^2) per failed attempt and one O(d * kb/2)
-// closure verification, and only ~kb/2 of the k elements are ever
-// gathered — label format v2 persists per-level population bounds
-// precisely to shrink kb below k.
+// accepted only after it also matches the first w* >= (k + d) / 2
+// syndromes. Matching w* odd power sums pins S_1..S_{2w*} (even sums are
+// squares in characteristic 2), so by the BCH minimum-distance argument
+// X != S would need |X Δ S| >= 2w* + 1 > k + d >= |X| + |S| — impossible
+// for any true set X of size <= k. Hence, like the full decoder, a set
+// within capacity is never mis-reported; sets exceeding capacity fail
+// (false). Cost: a set of size d pays O(d^2) per failed attempt and one
+// O(d * k/2) closure verification, and only ~k/2 of the k elements are
+// ever gathered. The query path passes a level's clamped width
+// min(k, bound_l) as k, so a sound per-level population bound shrinks
+// both.
 //
 // start_hint seeds the doubling threshold (0 = start at 1). Any value is
 // sound — every attempt is exact and closure-verified — so callers pass
@@ -216,7 +215,7 @@ F element_from_words(const std::uint64_t* w) {
 template <typename F>
 bool decode_sketch_words(const std::uint64_t* words, unsigned k,
                          SketchDecodeScratch<F>& scratch, bool adaptive,
-                         unsigned k_bound = 0, unsigned start_hint = 0) {
+                         unsigned start_hint = 0) {
   std::vector<F>& syn = scratch.syn;
   syn.clear();
   const auto gather = [&](unsigned upto) {
@@ -231,19 +230,17 @@ bool decode_sketch_words(const std::uint64_t* words, unsigned k,
     gather(k);
     return decode_syndromes<F>(syn, k, scratch);
   }
-  const unsigned kb =
-      k_bound == 0 ? k : std::max(1u, std::min(k, k_bound));
-  unsigned t = std::max(1u, std::min(kb, start_hint));
+  unsigned t = std::max(1u, std::min(k, start_hint));
   while (true) {
-    const unsigned w = std::min(kb, 4 * t);
+    const unsigned w = std::min(k, 4 * t);
     gather(w);
     // An empty support from a zero window can only be trusted at full
-    // width (a nonzero sketch with a zero w*-prefix means |X| > kb): keep
-    // doubling so the t = kb round gives the exact bounded-width answer.
+    // width (a nonzero sketch with a zero w*-prefix means |X| > k): keep
+    // doubling so the t = k round gives the exact bounded-width answer.
     if (decode_syndromes<F>(std::span<const F>(syn.data(), w), t, scratch) &&
-        (!scratch.support.empty() || w == kb)) {
+        (!scratch.support.empty() || w == k)) {
       const unsigned d = static_cast<unsigned>(scratch.support.size());
-      const unsigned w_star = std::min(kb, std::max(w, (kb + d + 1) / 2));
+      const unsigned w_star = std::min(k, std::max(w, (k + d + 1) / 2));
       if (w_star <= w) return true;  // the attempt window already closes it
       gather(w_star);
       if (!scratch.support.empty() &&
@@ -253,11 +250,11 @@ bool decode_sketch_words(const std::uint64_t* words, unsigned k,
         return true;
       }
       // A window-w collision from a set larger than w: keep doubling —
-      // at t = kb this becomes the exact bounded-width decode.
+      // at t = k this becomes the exact bounded-width decode.
       scratch.support.clear();
     }
-    if (t == kb) return false;
-    t = std::min(2 * t, kb);
+    if (t == k) return false;
+    t = std::min(2 * t, k);
   }
 }
 

@@ -1,5 +1,5 @@
 // The FaultSpec fault model: canonicalization, endpoint-deletion rules,
-// the vertex -> incident-edges reduction behind AdjacencyProvider, typed
+// the vertex -> incident-edges reduction over the view's adjacency, typed
 // capability errors, and the dp21 session plumbing (Prepared fault-set
 // state + reusable workspaces) that backs it.
 #include <gtest/gtest.h>
@@ -8,6 +8,7 @@
 
 #include "core/batch_engine.hpp"
 #include "core/connectivity_scheme.hpp"
+#include "core/label_store.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "util/common.hpp"
@@ -60,13 +61,13 @@ TEST(FaultSpec, CapabilityErrorIsTypedAndBackCompatible) {
 TEST(ResidentAdjacencyTest, MatchesGraphIncidence) {
   const Graph g = graph::barbell(5, 2);
   const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 2));
-  ASSERT_NE(scheme->adjacency(), nullptr);
-  const AdjacencyProvider& adj = *scheme->adjacency();
-  ASSERT_EQ(adj.num_vertices(), g.num_vertices());
+  ASSERT_TRUE(scheme->has_adjacency());
+  const StoreView& view = *scheme->store_view();
+  ASSERT_EQ(view.info().num_vertices, g.num_vertices());
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_EQ(adj.degree(v), g.degree(v));
+    EXPECT_EQ(view.adjacency_degree(v), g.degree(v));
     std::vector<EdgeId> got;
-    adj.append_incident(v, got);
+    view.adjacency_append(v, got);
     const auto want = g.incident_edges(v);
     EXPECT_EQ(got, std::vector<EdgeId>(want.begin(), want.end()));
   }
@@ -77,7 +78,7 @@ class FaultModel : public ::testing::TestWithParam<BackendKind> {};
 TEST_P(FaultModel, EndpointDeletionRules) {
   const Graph g = graph::cycle(8);
   const auto scheme = make_scheme(g, test_config(GetParam(), 6));
-  ASSERT_NE(scheme->adjacency(), nullptr);
+  ASSERT_TRUE(scheme->has_adjacency());
   const auto spec = FaultSpec::vertices(std::vector<VertexId>{3});
   EXPECT_FALSE(scheme->connected(3, 5, spec));
   EXPECT_FALSE(scheme->connected(5, 3, spec));

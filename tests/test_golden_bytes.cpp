@@ -109,7 +109,7 @@ TEST(GoldenBytes, SavesAreByteIdenticalToRecordedConstants) {
                          want.input);
     const auto scheme =
         make_scheme(golden_input(want.input), golden_config(want.backend));
-    ASSERT_NE(scheme->adjacency(), nullptr);
+    ASSERT_TRUE(scheme->has_adjacency());
 
     const std::string flat = dir.file("golden.ftcs");
     scheme->save(flat);

@@ -317,7 +317,7 @@ TEST_P(LabelStoreParity, OracleFromStoreServesVertexAndMixedFaults) {
 
   const auto oracle = load_scheme(file.path());
   EXPECT_EQ(oracle->backend(), GetParam());
-  EXPECT_NE(oracle->adjacency(), nullptr);
+  EXPECT_TRUE(oracle->has_adjacency());
   SplitMix64 rng(5);
   for (int it = 0; it < 20; ++it) {
     const auto edge_faults = random_faults(rng, g, 2);

@@ -227,7 +227,7 @@ TEST_P(ShardedStoreParity, OracleFromManifestServesMixedFaults) {
   ManifestFile manifest("oracle_" + std::to_string(static_cast<int>(GetParam())));
   save_sharded(*scheme, manifest.path(), 4);
   const auto oracle = load_scheme(manifest.path());
-  EXPECT_NE(oracle->adjacency(), nullptr);
+  EXPECT_TRUE(oracle->has_adjacency());
   SplitMix64 rng(5);
   for (int it = 0; it < 20; ++it) {
     std::vector<EdgeId> edge_faults;

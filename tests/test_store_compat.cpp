@@ -147,7 +147,7 @@ void expect_edge_faults_match_bfs(const ConnectivityScheme& scheme,
 
 void expect_vertex_faults_match_bfs(const ConnectivityScheme& scheme) {
   const Graph g = fixture_graph();
-  ASSERT_NE(scheme.adjacency(), nullptr);
+  ASSERT_TRUE(scheme.has_adjacency());
   const std::vector<VertexId> vf{1};
   for (VertexId s = 0; s < g.num_vertices(); ++s) {
     if (s == 1) continue;
@@ -265,7 +265,7 @@ TEST_P(LabelStoreV1Compat, LoadsAndServesEdgeFaultsUnchanged) {
   const auto loaded = load_scheme(path);
   EXPECT_EQ(loaded->num_vertices(), g.num_vertices());
   EXPECT_EQ(loaded->num_edges(), g.num_edges());
-  EXPECT_EQ(loaded->adjacency(), nullptr);
+  EXPECT_FALSE(loaded->has_adjacency());
   expect_edge_faults_match_bfs(*loaded, 77);
   expect_edge_faults_match_bfs(*rebuilt, 77);
 }
@@ -273,7 +273,7 @@ TEST_P(LabelStoreV1Compat, LoadsAndServesEdgeFaultsUnchanged) {
 TEST_P(LabelStoreV1Compat, VertexFaultsRaiseTypedCapabilityError) {
   const std::string path = fixture_path(GetParam().file);
   const auto loaded = load_scheme(path);
-  EXPECT_EQ(loaded->adjacency(), nullptr);
+  EXPECT_FALSE(loaded->has_adjacency());
   const std::vector<VertexId> vf{1};
   EXPECT_THROW((void)loaded->prepare_faults(FaultSpec::vertices(vf)),
                CapabilityError);
