@@ -4,7 +4,10 @@
 // decoder. This bench sweeps k downward and reports, over many random
 // queries: answers correct / capacity errors raised (fail-stop) / wrong
 // answers (must be zero — the decoder detects shortfalls, it never lies;
-// any wrong answer makes the bench exit 1).
+// any wrong answer makes the bench exit 1). Faults are BFS balls with s
+// on a failed edge, as in ftcbench's `outage`: uniform faults rarely give
+// a fragment a boundary wider than the smallest k, so they never show the
+// fail-stop side of the tradeoff.
 #include "bench_util.hpp"
 #include "core/ftc_query.hpp"
 #include "core/ftc_scheme.hpp"
@@ -17,10 +20,12 @@ using graph::EdgeId;
 // Returns the number of wrong answers.
 int run(unsigned n, unsigned m, unsigned f) {
   const auto g = graph::random_connected(n, m, 2024);
-  const auto cases = make_query_cases(g, f, 150, 31337);
+  const auto cases = make_query_cases(g, f, 150, 31337, /*ball=*/true);
 
-  std::printf("\n== k tradeoff: n=%u m=%u f=%u (150 queries each) ==\n", n, m,
-              f);
+  std::printf(
+      "\n== k tradeoff: n=%u m=%u f=%u, BFS-ball faults (150 queries each) "
+      "==\n",
+      n, m, f);
   Table table({"k", "edge label", "correct", "fail-stop", "wrong"});
   int total_wrong = 0;
   for (const unsigned k : {4u, 6u, 8u, 12u, 24u, 48u}) {

@@ -165,19 +165,61 @@ struct QueryCase {
   bool expected = false;
 };
 
+// The first `count` edges a BFS from `centre` reaches: a regional
+// failure, as ftcbench's `outage` workload draws them.
+inline std::vector<graph::EdgeId> ball_edges(const graph::Graph& g,
+                                             graph::VertexId centre,
+                                             unsigned count) {
+  std::vector<graph::EdgeId> edges;
+  std::vector<char> taken(g.num_edges(), 0);
+  std::vector<char> seen(g.num_vertices(), 0);
+  std::vector<graph::VertexId> queue{centre};
+  seen[centre] = 1;
+  for (std::size_t head = 0; head < queue.size() && edges.size() < count;
+       ++head) {
+    const graph::VertexId v = queue[head];
+    for (const graph::EdgeId e : g.incident_edges(v)) {
+      if (edges.size() == count) break;
+      if (taken[e]) continue;
+      taken[e] = 1;
+      edges.push_back(e);
+      const graph::VertexId u = g.other_endpoint(e, v);
+      if (!seen[u]) {
+        seen[u] = 1;
+        queue.push_back(u);
+      }
+    }
+  }
+  return edges;
+}
+
+// `count` query cases of `num_faults` faults each, t uniform. Uniform
+// faults and s by default; with `ball`, the faults are a BFS ball around
+// a uniform centre and s is an endpoint of a failed edge, so the queries
+// start next to the cuts that are hardest to decode.
 inline std::vector<QueryCase> make_query_cases(const graph::Graph& g,
                                                unsigned num_faults,
-                                               int count, std::uint64_t seed) {
+                                               int count, std::uint64_t seed,
+                                               bool ball = false) {
   SplitMix64 rng(seed);
   std::vector<QueryCase> cases;
   cases.reserve(count);
   for (int i = 0; i < count; ++i) {
     QueryCase qc;
-    for (unsigned j = 0; j < num_faults; ++j) {
-      qc.faults.push_back(
-          static_cast<graph::EdgeId>(rng.next_below(g.num_edges())));
+    if (ball) {
+      const auto centre =
+          static_cast<graph::VertexId>(rng.next_below(g.num_vertices()));
+      qc.faults = ball_edges(g, centre, num_faults);
+      const graph::Edge& ed =
+          g.edge(qc.faults[rng.next_below(qc.faults.size())]);
+      qc.s = rng.next_below(2) == 0 ? ed.u : ed.v;
+    } else {
+      for (unsigned j = 0; j < num_faults; ++j) {
+        qc.faults.push_back(
+            static_cast<graph::EdgeId>(rng.next_below(g.num_edges())));
+      }
+      qc.s = static_cast<graph::VertexId>(rng.next_below(g.num_vertices()));
     }
-    qc.s = static_cast<graph::VertexId>(rng.next_below(g.num_vertices()));
     qc.t = static_cast<graph::VertexId>(rng.next_below(g.num_vertices()));
     qc.expected = graph::connected_avoiding(g, qc.s, qc.t, qc.faults);
     cases.push_back(std::move(qc));

@@ -11,6 +11,7 @@
 #include "graph/euler_tour.hpp"
 #include "graph/spanning_tree.hpp"
 #include "graph/subtree_xor.hpp"
+#include "sketch/rs_sketch.hpp"
 #include "util/worker_pool.hpp"
 
 namespace ftc::core {
@@ -70,8 +71,8 @@ struct FtcScheme::Impl {
   VertexId orig_n = 0;
   EdgeId orig_m = 0;
   // The labels, held once and in container layout (label_store.hpp), so
-  // release_labels() hands them to a resident view without a copy. The
-  // edge blobs are written through serialize.cpp's core edge writers.
+  // release_labels() hands them to a resident view without a copy. Where
+  // an edge blob's parts sit is serialize.cpp's to say.
   store::ResidentLabels labels;
   // Built from the level populations, so layout.widths holds each
   // level's edge population clamped to k (a sound boundary-size bound).
@@ -84,9 +85,9 @@ struct FtcScheme::Impl {
   // its stored width w = layout.width(l) only: the first w power sums
   // are the w-threshold sketch (Proposition 6), bit-identical to the
   // first w of a k-wide one, and an empty level (w = 0) is skipped. The
-  // subtree sums come from the one striped prefix scan all builders
-  // share (graph/subtree_xor.hpp), run once per level over one
-  // accumulator sized for the widest level.
+  // subtree sums are folded in place into each level's syndromes of the
+  // parent-edge blobs by the kernel all builders share
+  // (graph/subtree_xor.hpp), one syndrome per column.
   template <typename F>
   void build_sketches(const graph::AuxGraph& aux,
                       const graph::AncestryLabeling& anc2,
@@ -98,40 +99,33 @@ struct FtcScheme::Impl {
     // Map T'-tree-edge -> original edge (sigma is a bijection onto T').
     std::vector<EdgeId> sigma_inv(aux.g2.num_edges(), graph::kNoEdge);
     for (EdgeId e = 0; e < orig_m; ++e) sigma_inv[aux.sigma[e]] = e;
+    const auto blob_below = [&](VertexId v) {
+      const EdgeId eo = sigma_inv[aux.t2.parent_edge[v]];
+      FTC_CHECK(eo != graph::kNoEdge, "T' tree edge without sigma preimage");
+      return labels.edge_blob(eo);
+    };
 
-    unsigned max_width = 0;
+    graph::SubtreeXor scan(pool, aux.t2, anc2);
     for (unsigned lev = 0; lev < params.num_levels; ++lev) {
-      max_width = std::max(max_width, layout.width(lev));
-    }
-    graph::SubtreeXor scan(pool, anc2, aux.t2.root,
-                           std::size_t{max_width} * wpe);
-    for (unsigned lev = 0; lev < params.num_levels; ++lev) {
-      const unsigned w = layout.width(lev);
-      if (w == 0) continue;
       scan.run(
-          aux.g2, hier.levels[lev], std::size_t{w} * wpe,
-          // Own contributions: the first w odd power sums of the edge ID.
-          [&](EdgeId e2, std::uint64_t* au, std::uint64_t* av) {
+          aux.g2, hier.levels[lev], layout.width(lev), wpe,
+          [&](VertexId v) {
+            return store::core_edge_level_words(blob_below(v), layout, lev);
+          },
+          // Own contributions: odd power sums j0..j1-1 of the edge ID.
+          [&](EdgeId e2, std::size_t j0, std::size_t j1, std::uint8_t* ru,
+              std::uint8_t* rv) {
             const auto& ed = aux.g2.edge(e2);
             const F id =
                 EdgeCode<F>::encode(anc2.label(ed.u), anc2.label(ed.v));
-            const F id2 = id.square();
-            F p = id;
-            for (unsigned j = 0; j < w; ++j) {
-              for (unsigned i = 0; i < wpe; ++i) {
-                if (au != nullptr) au[j * wpe + i] ^= p.word(i);
-                if (av != nullptr) av[j * wpe + i] ^= p.word(i);
-              }
-              p *= id2;
-            }
-          },
-          [&](VertexId v, const std::uint64_t* hi, const std::uint64_t* lo) {
-            const EdgeId eo = sigma_inv[aux.t2.parent_edge[v]];
-            FTC_CHECK(eo != graph::kNoEdge,
-                      "T' tree edge without sigma preimage");
-            const std::size_t words = std::size_t{w} * wpe;
-            store::write_core_edge_level_at(labels.edge_blob(eo), layout, lev,
-                                            {hi, words}, {lo, words});
+            sketch::for_each_odd_power(
+                id, static_cast<unsigned>(j0), static_cast<unsigned>(j1),
+                [&](unsigned j, const F& p) {
+                  for (unsigned i = 0; i < wpe; ++i) {
+                    xor_le_word(ru, j * wpe + i, p.word(i));
+                    xor_le_word(rv, j * wpe + i, p.word(i));
+                  }
+                });
           });
     }
   }
@@ -224,8 +218,8 @@ FtcScheme FtcScheme::build(const graph::Graph& g, const FtcConfig& config) {
     const EdgeId te = aux.sigma[e];
     const VertexId lo = aux.t2.lower_endpoint(aux.g2, te);
     const VertexId up = aux.t2.parent[lo];
-    store::write_core_edge_endpoints_at(impl->labels.edge_blob(e),
-                                        anc2.label(up), anc2.label(lo));
+    store::write_edge_endpoints_at(impl->labels.edge_blob(e), anc2.label(up),
+                                   anc2.label(lo));
   }
 
   impl->stats.k = impl->params.k;

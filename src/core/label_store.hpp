@@ -318,21 +318,27 @@ CoreEdgeLayout core_edge_layout(
 // record that layout.
 EdgeLabel decode_core_edge(ByteReader& r, const LabelParams& params,
                            const CoreEdgeLayout& layout);
-// In-place core edge blob writers for FtcScheme::build, into one edge's
-// slot (layout.blob_bytes() bytes) of a ResidentLabels edge section:
-// the upper and lower endpoint records, and level `lev`'s
-// layout.width(lev) syndromes, given as host-order words (elem_words per
-// syndrome), at that level's payload offset. Every edge blob writer
-// takes an optional xor_with span of the payload's width and then writes
-// the word-wise XOR of the two: the builders hand over a subtree sum as
-// the two prefix rows of graph/subtree_xor.hpp.
-void write_core_edge_endpoints_at(std::uint8_t* blob,
-                                  const graph::AncestryLabel& upper,
-                                  const graph::AncestryLabel& lower);
-void write_core_edge_level_at(std::uint8_t* blob, const CoreEdgeLayout& layout,
-                              unsigned lev,
-                              std::span<const std::uint64_t> syndromes,
-                              std::span<const std::uint64_t> xor_with = {});
+// In-place edge blob access for the builders, into one edge's slot of a
+// ResidentLabels edge section (layout.blob_bytes() or
+// *_edge_blob_bytes(params) bytes), byte-identical to what the decoders
+// read back. The writers fill the header: the upper and lower endpoint
+// records of a core-ftc or dp21-agm blob, and the tree flag and endpoint
+// records of a dp21-cycle blob. The payload is little-endian words that
+// the builders fold subtree sums into in place (graph/subtree_xor.hpp);
+// the *_words accessors give where it starts: level `lev`'s
+// layout.width(lev) syndromes (elem_words words each) of a core blob,
+// the cycle-space vector (at a 20-byte offset, so unaligned) or the AGM
+// sketch cells.
+void write_edge_endpoints_at(std::uint8_t* blob,
+                             const graph::AncestryLabel& upper,
+                             const graph::AncestryLabel& lower);
+void write_cycle_edge_at(std::uint8_t* blob, bool is_tree,
+                         const graph::AncestryLabel& a,
+                         const graph::AncestryLabel& b);
+std::uint8_t* core_edge_level_words(std::uint8_t* blob,
+                                    const CoreEdgeLayout& layout, unsigned lev);
+std::uint8_t* cycle_edge_vector_words(std::uint8_t* blob);
+std::uint8_t* agm_edge_sketch_words(std::uint8_t* blob);
 // Adds the core edge at `blob` (stored.blob_bytes() bytes) to a fault
 // set under construction: its lower endpoint record and, per level, the
 // first builder.level_width(l) syndromes, copied straight into the
@@ -351,22 +357,6 @@ void restride_core_edge(const std::uint8_t* src, const CoreEdgeLayout& from,
                         const CoreEdgeLayout& to, std::uint8_t* dst);
 dp21::CsEdgeLabel decode_cycle_edge(ByteReader& r, const CycleParams& params);
 dp21::AgmEdgeLabel decode_agm_edge(ByteReader& r, const AgmParams& params);
-
-// In-place edge blob writers for the dp21 builders: each fills the
-// *_edge_blob_bytes(params) bytes at `blob` (one edge's slot of a
-// ResidentLabels edge section), byte-identical to what the decoders
-// above read back. The word span must hold exactly the params' vector /
-// sketch word count.
-void write_cycle_edge_at(std::uint8_t* blob, const CycleParams& params,
-                         bool is_tree, const graph::AncestryLabel& a,
-                         const graph::AncestryLabel& b,
-                         std::span<const std::uint64_t> vec,
-                         std::span<const std::uint64_t> xor_with = {});
-void write_agm_edge_at(std::uint8_t* blob, const AgmParams& params,
-                       const graph::AncestryLabel& upper,
-                       const graph::AncestryLabel& lower,
-                       std::span<const std::uint64_t> sketch_words,
-                       std::span<const std::uint64_t> xor_with = {});
 
 // Fixed per-edge blob size implied by a backend's params (every edge
 // label of one scheme serializes to the same number of bytes; core-ftc's

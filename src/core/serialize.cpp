@@ -36,27 +36,6 @@ constexpr std::size_t kEndpointBytes = 2 * kVertexRecordBytes;
 constexpr std::uint32_t kFirstLevelWidthVersion = 4;
 constexpr std::size_t kCycleHeaderBytes = 4 + kEndpointBytes;
 
-// Writes LE words at an arbitrary (not necessarily aligned) byte offset:
-// words[i], or words[i] ^ xor_with[i] when xor_with is given. A builder
-// hands over a subtree sum as its two prefix rows (graph/subtree_xor.hpp)
-// and the sum is formed as it is written, in one pass.
-void write_words_at(std::uint8_t* p, std::span<const std::uint64_t> words,
-                    std::span<const std::uint64_t> xor_with = {}) {
-  if (xor_with.empty()) {
-    for (const std::uint64_t word : words) {
-      util::write_u64_le(p, word);
-      p += 8;
-    }
-    return;
-  }
-  FTC_CHECK(xor_with.size() == words.size(), "word row width mismatch");
-  const std::uint64_t* __restrict a = words.data();
-  const std::uint64_t* __restrict b = xor_with.data();
-  for (std::size_t i = 0; i < words.size(); ++i) {
-    util::write_u64_le(p + 8 * i, a[i] ^ b[i]);
-  }
-}
-
 void check(bool ok, const char* what) {
   if (!ok) throw StoreError(what);
 }
@@ -255,22 +234,17 @@ EdgeLabel decode_core_edge(ByteReader& r, const LabelParams& params,
   return label;
 }
 
-void write_core_edge_endpoints_at(std::uint8_t* blob,
-                                  const graph::AncestryLabel& upper,
-                                  const graph::AncestryLabel& lower) {
+void write_edge_endpoints_at(std::uint8_t* blob,
+                             const graph::AncestryLabel& upper,
+                             const graph::AncestryLabel& lower) {
   write_vertex_record_at(blob, upper);
   write_vertex_record_at(blob + kVertexRecordBytes, lower);
 }
 
-void write_core_edge_level_at(std::uint8_t* blob, const CoreEdgeLayout& layout,
-                              unsigned lev,
-                              std::span<const std::uint64_t> syndromes,
-                              std::span<const std::uint64_t> xor_with) {
-  FTC_CHECK(syndromes.size() ==
-                static_cast<std::size_t>(layout.width(lev)) * layout.elem_words,
-            "core level syndrome count inconsistent with the layout");
-  write_words_at(blob + kEndpointBytes + 8 * layout.offset(lev), syndromes,
-                 xor_with);
+std::uint8_t* core_edge_level_words(std::uint8_t* blob,
+                                    const CoreEdgeLayout& layout,
+                                    unsigned lev) {
+  return blob + kEndpointBytes + 8 * layout.offset(lev);
 }
 
 void copy_core_edge_prefixes(const std::uint8_t* blob,
@@ -296,20 +270,19 @@ void restride_core_edge(const std::uint8_t* src, const CoreEdgeLayout& from,
   }
 }
 
-void write_cycle_edge_at(std::uint8_t* blob, const CycleParams& params,
-                         bool is_tree, const graph::AncestryLabel& a,
-                         const graph::AncestryLabel& b,
-                         std::span<const std::uint64_t> vec,
-                         std::span<const std::uint64_t> xor_with) {
-  FTC_CHECK(vec.size() == params.vector_words(),
-            "cycle-space vector width inconsistent with parameters");
+void write_cycle_edge_at(std::uint8_t* blob, bool is_tree,
+                         const graph::AncestryLabel& a,
+                         const graph::AncestryLabel& b) {
   blob[0] = is_tree ? 1 : 0;
   blob[1] = 0;
   blob[2] = 0;
   blob[3] = 0;
   write_vertex_record_at(blob + 4, a);
   write_vertex_record_at(blob + 4 + kVertexRecordBytes, b);
-  write_words_at(blob + kCycleHeaderBytes, vec, xor_with);
+}
+
+std::uint8_t* cycle_edge_vector_words(std::uint8_t* blob) {
+  return blob + kCycleHeaderBytes;
 }
 
 dp21::CsEdgeLabel decode_cycle_edge(ByteReader& r, const CycleParams& params) {
@@ -332,16 +305,8 @@ std::size_t cycle_edge_blob_bytes(const CycleParams& params) {
   return kCycleHeaderBytes + 8 * params.vector_words();
 }
 
-void write_agm_edge_at(std::uint8_t* blob, const AgmParams& params,
-                       const graph::AncestryLabel& upper,
-                       const graph::AncestryLabel& lower,
-                       std::span<const std::uint64_t> sketch_words,
-                       std::span<const std::uint64_t> xor_with) {
-  FTC_CHECK(sketch_words.size() == params.sketch_words(),
-            "AGM sketch word count inconsistent with parameters");
-  write_vertex_record_at(blob, upper);
-  write_vertex_record_at(blob + kVertexRecordBytes, lower);
-  write_words_at(blob + kEndpointBytes, sketch_words, xor_with);
+std::uint8_t* agm_edge_sketch_words(std::uint8_t* blob) {
+  return blob + kEndpointBytes;
 }
 
 dp21::AgmEdgeLabel decode_agm_edge(ByteReader& r, const AgmParams& params) {

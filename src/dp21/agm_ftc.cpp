@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/ftc_labels.hpp"
 #include "core/label_store.hpp"
 #include "graph/aux_graph.hpp"
 #include "graph/euler_tour.hpp"
@@ -73,12 +74,11 @@ core::store::ResidentLabels AgmFtc::build(const graph::Graph& g,
 
   // Each tree edge's sketch is the merge of the per-T'-vertex sketches of
   // incident non-tree edges over its lower endpoint's subtree. AGM cells
-  // are XOR fingerprints (toggle == merge == word XOR), so the subtree
-  // sums come from the shared subtree-XOR kernel (graph/subtree_xor.hpp)
-  // over flat sketch-word rows.
+  // are XOR fingerprints (toggle == merge == word XOR), so the shared
+  // kernel (graph/subtree_xor.hpp) folds the sketches in place into the
+  // tree edges' blobs, one repetition's cells per column.
   util::WorkerPool pool(
       util::WorkerPool::resolve_threads(config.build_threads));
-  const std::size_t words = params.sketch_words();
   std::vector<EdgeId> nontree;
   for (EdgeId e2 = 0; e2 < aux.g2.num_edges(); ++e2) {
     if (!aux.t2.is_tree_edge[e2]) nontree.push_back(e2);
@@ -87,24 +87,38 @@ core::store::ResidentLabels AgmFtc::build(const graph::Graph& g,
   for (EdgeId e = 0; e < g.num_edges(); ++e) sigma_inv[aux.sigma[e]] = e;
   out.assign_edge_blobs(g.num_edges(),
                         core::store::agm_edge_blob_bytes(params));
+  const auto blob_below = [&](VertexId v) {
+    const EdgeId eo = sigma_inv[aux.t2.parent_edge[v]];
+    FTC_CHECK(eo != graph::kNoEdge, "T' tree edge without sigma preimage");
+    return out.edge_blob(eo);
+  };
+  for (VertexId v = 0; v < n2; ++v) {
+    if (v == aux.t2.root) continue;
+    core::store::write_edge_endpoints_at(
+        blob_below(v), anc2.label(aux.t2.parent[v]), anc2.label(v));
+  }
 
-  graph::SubtreeXor scan(pool, anc2, aux.t2.root, words);
+  graph::SubtreeXor scan(pool, aux.t2, anc2);
   scan.run(
-      aux.g2, nontree, words,
-      [&](EdgeId e2, std::uint64_t* au, std::uint64_t* av) {
+      aux.g2, nontree, reps, std::size_t{3} * levels,
+      [&](VertexId v) {
+        return core::store::agm_edge_sketch_words(blob_below(v));
+      },
+      [&](EdgeId e2, std::size_t r0, std::size_t r1, std::uint8_t* ru,
+          std::uint8_t* rv) {
         const auto& ed = aux.g2.edge(e2);
         const PackedId id = pack_id(anc2.label(ed.u), anc2.label(ed.v));
-        for (std::uint64_t* row : {au, av}) {
-          if (row == nullptr) continue;
-          AgmSketch::toggle_words({row, words}, levels, reps, config.seed, id);
+        const std::uint64_t f = AgmSketch::fingerprint(id.lo, id.hi,
+                                                       config.seed);
+        for (std::size_t r = r0; r < r1; ++r) {
+          const std::size_t c = AgmSketch::cell_offset(
+              id, static_cast<unsigned>(r), levels, config.seed);
+          for (std::uint8_t* row : {ru, rv}) {
+            xor_le_word(row, c, id.lo);
+            xor_le_word(row, c + 1, id.hi);
+            xor_le_word(row, c + 2, f);
+          }
         }
-      },
-      [&](VertexId v, const std::uint64_t* hi, const std::uint64_t* lo) {
-        const EdgeId eo = sigma_inv[aux.t2.parent_edge[v]];
-        FTC_CHECK(eo != graph::kNoEdge, "T' tree edge without sigma preimage");
-        core::store::write_agm_edge_at(out.edge_blob(eo), params,
-                                       anc2.label(aux.t2.parent[v]),
-                                       anc2.label(v), {hi, words}, {lo, words});
       });
   return out;
 }
@@ -182,40 +196,41 @@ bool AgmFtc::connected(const AgmVertexLabel& s, const AgmVertexLabel& t,
   workspace.frag_words_.assign(prepared.frag_words_.begin(),
                                prepared.frag_words_.end());
   workspace.uf_.reset(num_frag);
-  workspace.closed_.assign(num_frag, 0);
   graph::UnionFind& uf = workspace.uf_;
   const auto frag_row = [&](std::size_t fr) {
     return workspace.frag_words_.data() + fr * wpf;
   };
 
-  // Source-first growth, as in DP21: grow the set containing s.
-  while (true) {
-    const std::size_t cur = uf.find(static_cast<std::size_t>(fs));
-    if (workspace.closed_[cur]) return false;
+  // Source-first growth, as in DP21: grow the set containing s. Every
+  // sample must be certified: an edge of the grown set's boundary has
+  // exactly one endpoint in it. A sample that does not cross, or that
+  // joins two other sets, is a sketch failure (a hash collision or too
+  // few repetitions for this cut) and is refused, never merged or read
+  // as "disconnected". Each certified sample merges one more fragment
+  // in, so at most num_frag - 1 rounds run.
+  const std::size_t src = static_cast<std::size_t>(fs);
+  for (std::size_t merges = 0; merges + 1 < num_frag; ++merges) {
+    const std::size_t cur = uf.find(src);
     const auto sample = sketch::AgmSketch::sample_words(
         std::span<const std::uint64_t>(frag_row(cur), wpf), prepared.seed_);
-    if (!sample.has_value()) {
-      // Empty (whp) -> the component of s is complete without t.
-      workspace.closed_[cur] = 1;
-      return false;
-    }
+    // Empty (whp) -> the component of s is complete without t.
+    if (!sample.has_value()) return false;
     const auto [a, b] = unpack_id(*sample);
     const std::size_t fa = uf.find(loc.locate(a.tin));
     const std::size_t fb = uf.find(loc.locate(b.tin));
-    if (fa == fb) {
-      // A stale or colliding sample that no longer crosses: whp this means
-      // the sketch is misleading; declare failure conservatively.
-      return false;
+    if ((fa == cur) == (fb == cur)) {
+      throw core::FtcCapacityError(
+          fa == fb ? "dp21-agm: sampled edge does not cross the grown set"
+                   : "dp21-agm: sampled edge joins two other sets");
     }
-    uf.unite(fa, fb);
-    const std::size_t root = uf.find(fa);
-    const std::size_t other = root == fa ? fb : fa;
-    xor_words(frag_row(root), frag_row(other), wpf);
-    if (uf.find(static_cast<std::size_t>(fs)) ==
-        uf.find(static_cast<std::size_t>(ft))) {
-      return true;
-    }
+    const std::size_t other = fa == cur ? fb : fa;
+    uf.unite(cur, other);
+    const std::size_t root = uf.find(cur);
+    xor_words(frag_row(root), frag_row(root == cur ? other : cur), wpf);
+    if (uf.find(src) == uf.find(static_cast<std::size_t>(ft))) return true;
   }
+  throw core::FtcCapacityError(
+      "dp21-agm: growth exceeded num_frag - 1 merges");
 }
 
 }  // namespace ftc::dp21

@@ -81,20 +81,21 @@ class AgmFtc {
   // Reusable per-thread scratch: the mutable fragment-sketch rows the
   // source-first growth merges into (seeded from Prepared at query
   // start; buffers are recycled so steady-state queries allocate
-  // nothing), plus the union-find forest and closed flags. NOT
-  // thread-safe; one workspace per worker thread. The AGM sketches are
-  // the largest per-query state of any backend, which is why this
-  // backend gains the most from workspace reuse.
+  // nothing), plus the union-find forest. NOT thread-safe; one workspace
+  // per worker thread. The AGM sketches are the largest per-query state
+  // of any backend, which is why this backend gains the most from
+  // workspace reuse.
   class Workspace {
    private:
     friend class AgmFtc;
     std::vector<std::uint64_t> frag_words_;
     graph::UnionFind uf_{0};
-    std::vector<char> closed_;
   };
 
   // Session decoder: the batch-engine hot path; correct whp over the
-  // sketch hash seeds.
+  // sketch hash seeds. A sampled edge that does not have exactly one
+  // endpoint in the set being grown throws core::FtcCapacityError (a
+  // typed refusal, never a guess).
   static bool connected(const AgmVertexLabel& s, const AgmVertexLabel& t,
                         const Prepared& prepared, Workspace& workspace);
 };

@@ -70,43 +70,53 @@ core::store::ResidentLabels CycleSpaceFtc::build(
 
   // Pass 1 (always serial): lambda draws per non-tree edge in edge-ID
   // order — the RNG stream is position-dependent, so this order IS the
-  // determinism contract and must not depend on the thread count. A
-  // non-tree edge's blob is final as soon as its lambda is drawn.
+  // determinism contract and must not depend on the thread count. Each
+  // lambda is drawn straight into its non-tree edge's blob, which is then
+  // final.
   SplitMix64 rng(config.seed);
-  std::vector<std::uint64_t> lambda(static_cast<std::size_t>(m) * words, 0);
   std::vector<EdgeId> nontree;
   for (EdgeId e = 0; e < m; ++e) {
     if (t.is_tree_edge[e] != 0) continue;
     nontree.push_back(e);
-    const std::span<std::uint64_t> vec(
-        lambda.data() + static_cast<std::size_t>(e) * words, words);
-    for (auto& w : vec) w = rng.next();
-    vec.back() &= top_mask;
-    core::store::write_cycle_edge_at(out.edge_blob(e), params,
-                                     /*is_tree=*/false,
+    std::uint8_t* blob = out.edge_blob(e);
+    core::store::write_cycle_edge_at(blob, /*is_tree=*/false,
                                      anc.label(g.edge(e).u),
-                                     anc.label(g.edge(e).v), vec);
+                                     anc.label(g.edge(e).v));
+    std::uint8_t* vec = core::store::cycle_edge_vector_words(blob);
+    for (std::size_t i = 0; i < words; ++i) {
+      const std::uint64_t w = rng.next();
+      util::write_u64_le(vec + 8 * i, i + 1 == words ? w & top_mask : w);
+    }
   }
 
   // Pass 2: a tree edge (p, v) is crossed by exactly the non-tree edges
   // with an odd number of endpoints below v, i.e. the XOR of their lambda
-  // rows over v's subtree (graph/subtree_xor.hpp).
+  // rows over v's subtree, folded in place into the tree edges' blobs
+  // (graph/subtree_xor.hpp), one vector word per column.
   util::WorkerPool pool(
       util::WorkerPool::resolve_threads(config.build_threads));
-  graph::SubtreeXor scan(pool, anc, t.root, words);
+  for (VertexId v = 0; v < n; ++v) {
+    if (v == t.root) continue;
+    core::store::write_cycle_edge_at(out.edge_blob(t.parent_edge[v]),
+                                     /*is_tree=*/true, anc.label(t.parent[v]),
+                                     anc.label(v));
+  }
+  graph::SubtreeXor scan(pool, t, anc);
   scan.run(
-      g, nontree, words,
-      [&](EdgeId e, std::uint64_t* au, std::uint64_t* av) {
-        const std::uint64_t* row =
-            lambda.data() + static_cast<std::size_t>(e) * words;
-        if (au != nullptr) xor_words(au, row, words);
-        if (av != nullptr) xor_words(av, row, words);
+      g, nontree, words, 1,
+      [&](VertexId v) {
+        return core::store::cycle_edge_vector_words(
+            out.edge_blob(t.parent_edge[v]));
       },
-      [&](VertexId v, const std::uint64_t* hi, const std::uint64_t* lo) {
-        core::store::write_cycle_edge_at(out.edge_blob(t.parent_edge[v]),
-                                         params, /*is_tree=*/true,
-                                         anc.label(t.parent[v]), anc.label(v),
-                                         {hi, words}, {lo, words});
+      [&](EdgeId e, std::size_t w0, std::size_t w1, std::uint8_t* ru,
+          std::uint8_t* rv) {
+        const std::uint8_t* lambda =
+            core::store::cycle_edge_vector_words(out.edge_blob(e));
+        for (std::size_t i = w0; i < w1; ++i) {
+          const std::uint64_t w = util::read_u64_le(lambda + 8 * i);
+          xor_le_word(ru, i, w);
+          xor_le_word(rv, i, w);
+        }
       });
   return out;
 }

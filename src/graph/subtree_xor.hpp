@@ -4,43 +4,45 @@
 // the core edge sketch is the field sum of the outdetect labels below
 // sigma(e)'s lower endpoint (Lemma 1 / Proposition 4), and the
 // Dory-Parter cycle-space vectors and AGM sketches are the same sum over
-// other cells. The subtree of v is the contiguous Euler-tin range
-// [tin(v), tout(v)], and addition is word-XOR, so instead of a serial
-// bottom-up fold the kernel indexes one flat word accumulator by tin and
-// takes a prefix scan:
-//     P[t]        = XOR of the contributions of tins <= t
-//     subtree(v)  = P[tout(v)] ^ P[tin(v) - 1]     (tin(v) >= 1)
-// Every stage partitions the tin axis into one stripe per worker:
-//   1. accumulate: each worker zeroes its stripe, then, for every edge
-//      with an endpoint whose tin it owns, calls add(e, row_u, row_v)
-//      with that endpoint's row and a null row for an endpoint another
-//      stripe owns (an edge spanning two stripes is visited once per
-//      side — bounded 2x duplication, no communication);
-//   2. scan: stripe-local inclusive XOR scan;
-//   3. carry: a serial chain of per-stripe totals (one row per stripe),
-//      then a parallel carry application;
-//   4. emit: emit(v, hi, lo) for every non-root v, from the stripe
-//      holding vertex ID v, where v's subtree sum is the word-wise XOR
-//      of the rows hi = P[tout(v)] and lo = P[tin(v) - 1] (valid during
-//      the call only). Handing over both rows lets the caller form the
-//      sum as it writes it, in one pass; a separate sum row adds a second
-//      pass that measurably slows this memory-bound write-out. Emit
-//      targets are the caller's, and must be disjoint per v (parent_edge
-//      is injective over non-root vertices).
-// XOR makes every accumulation order produce identical bits, so the
-// result is byte-identical to the serial (1-stripe) build for any worker
-// count — the contract test_parallel_build enforces.
+// other cells. Addition is word-XOR, so the kernel folds in place, in
+// the label blobs themselves. The builder names where vertex v's row
+// sits (row_of(v): a byte pointer into the blob of v's parent edge,
+// zero on entry); the root gets one scratch row of the kernel's own,
+// which never reaches a blob. Then
+//   1. add: add(e, c0, c1, row_u, row_v) XORs columns [c0, c1) of edge
+//      e's contribution into the rows of its endpoints u and v;
+//   2. fold: for v in reverse pre-order (decreasing tin, root last),
+//      row(parent(v)) ^= row(v). Every descendant of v has a larger
+//      tin, so v's row already holds its whole subtree sum when it is
+//      folded upward.
+// Workers split the columns of each row (col_words words per column: a
+// syndrome, an AGM repetition, a cycle-space word), not the vertices.
+// Each worker runs both stages for every edge and vertex over its own
+// column range, so no two workers write one word, no stage needs a
+// carry, and the bytes are the same for any worker count (the contract
+// test_parallel_build enforces).
+//
+// Why in place: the rows land in blob memory the builder writes anyway,
+// so the fold needs no second buffer. A tin-indexed accumulator of
+// n x widest-row words (about 28 MB on ftcbench `outage`) costs fresh
+// page faults (about 2.5 us per 4 KiB page on a 4-vCPU Xeon), a zero
+// fill per level, a prefix scan and a copy into the blobs; without it a
+// core build takes 20.2K minor faults instead of 27.6K on `outage` and
+// 44.6K instead of 54.8K on `steady`, and the rest are the blob pages.
+//
+// Rows are little-endian words at any byte offset (the cycle-space
+// blob's 20-byte header leaves its vector unaligned); add() writes them
+// through xor_le_word (util/xor_kernel.hpp).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "graph/ancestry.hpp"
 #include "graph/graph.hpp"
-#include "util/common.hpp"
+#include "graph/spanning_tree.hpp"
 #include "util/worker_pool.hpp"
 #include "util/xor_kernel.hpp"
 
@@ -48,103 +50,56 @@ namespace ftc::graph {
 
 class SubtreeXor {
  public:
-  // The tree is given by its ancestry labeling (tin, tout per vertex) and
-  // root. Rows of every later run() are at most max_row_words wide; the
-  // accumulator is sized once here, so a builder that scans several
-  // times (one run per hierarchy level) reuses it.
-  SubtreeXor(util::WorkerPool& pool, const AncestryLabeling& anc,
-             VertexId root, std::size_t max_row_words)
+  // The tree and its ancestry labeling (tin is a bijection onto [0, n),
+  // the root's is 0) must outlive the kernel.
+  SubtreeXor(util::WorkerPool& pool, const SpanningTree& t,
+             const AncestryLabeling& anc)
       : pool_(pool),
-        root_(root),
-        n_(anc.num_vertices()),
-        max_row_words_(max_row_words),
-        stripes_(static_cast<unsigned>(std::min<std::size_t>(
-            pool.default_active(), std::max<std::size_t>(n_, 1)))),
-        tin_(n_),
-        tout_(n_),
-        bounds_(stripes_ + 1),
-        acc_(std::make_unique_for_overwrite<std::uint64_t[]>(
-            static_cast<std::size_t>(n_) * max_row_words)),
-        carry_(static_cast<std::size_t>(stripes_) * max_row_words) {
-    for (VertexId v = 0; v < n_; ++v) {
-      tin_[v] = anc.label(v).tin;
-      tout_[v] = anc.label(v).tout;
-    }
-    for (unsigned b = 0; b <= stripes_; ++b) {
-      bounds_[b] = static_cast<std::size_t>(n_) * b / stripes_;
+        parent_(t.parent),
+        root_(t.root),
+        by_tin_(t.num_vertices()),
+        rows_(t.num_vertices()) {
+    for (VertexId v = 0; v < t.num_vertices(); ++v) {
+      by_tin_[anc.label(v).tin] = v;
     }
   }
 
-  // One scan over rows of row_words words: folds add() over `edges` (IDs
-  // of g, whose endpoints are vertices of the tree), then emits every
-  // non-root subtree sum.
-  template <typename Add, typename Emit>
-  void run(const Graph& g, std::span<const EdgeId> edges,
-           std::size_t row_words, Add&& add, Emit&& emit) {
-    FTC_CHECK(row_words <= max_row_words_, "subtree-XOR row too wide");
-    const std::size_t w = row_words;
-    std::uint64_t* acc = acc_.get();
-    // Stages 1 + 2 in one dispatch: a worker only touches rows in its own
-    // tin stripe.
-    pool_.run(stripes_, [&](unsigned b) {
-      const std::size_t lo = bounds_[b];
-      const std::size_t hi = bounds_[b + 1];
-      std::fill(acc + lo * w, acc + hi * w, std::uint64_t{0});
+  // One fold over rows of cols * col_words words: XORs add() over
+  // `edges` (IDs of g, whose endpoints are vertices of the tree) into the
+  // rows, then leaves every non-root v's row holding its subtree sum.
+  template <typename RowOf, typename Add>
+  void run(const Graph& g, std::span<const EdgeId> edges, std::size_t cols,
+           std::size_t col_words, RowOf&& row_of, Add&& add) {
+    if (cols == 0) return;
+    root_row_.assign(8 * cols * col_words, 0);
+    for (VertexId v = 0; v < rows_.size(); ++v) {
+      rows_[v] = v == root_ ? root_row_.data() : row_of(v);
+    }
+    const auto parts = static_cast<unsigned>(
+        std::min<std::size_t>(pool_.default_active(), cols));
+    pool_.run(parts, [&](unsigned c) {
+      const std::size_t c0 = cols * c / parts;
+      const std::size_t c1 = cols * (c + 1) / parts;
       for (const EdgeId e : edges) {
         const Edge& ed = g.edge(e);
-        const std::size_t tu = tin_[ed.u];
-        const std::size_t tv = tin_[ed.v];
-        const bool own_u = tu >= lo && tu < hi;
-        const bool own_v = tv >= lo && tv < hi;
-        if (!own_u && !own_v) continue;
-        add(e, own_u ? acc + tu * w : nullptr,
-            own_v ? acc + tv * w : nullptr);
+        add(e, c0, c1, rows_[ed.u], rows_[ed.v]);
       }
-      for (std::size_t t = lo + 1; t < hi; ++t) {
-        xor_words(acc + t * w, acc + (t - 1) * w, w);
-      }
-    });
-    // Stage 3a, serial: carry[b] = XOR of the stripe totals before b (a
-    // stripe's total after the local scan is its last row).
-    std::fill(carry_.begin(), carry_.begin() + static_cast<std::ptrdiff_t>(w),
-              std::uint64_t{0});
-    for (unsigned b = 1; b < stripes_; ++b) {
-      std::uint64_t* cb = carry_.data() + b * w;
-      std::copy_n(cb - w, w, cb);
-      xor_words(cb, acc + (bounds_[b] - 1) * w, w);
-    }
-    // Stage 3b: apply the carries; acc now holds the global prefix P[t].
-    pool_.run(stripes_, [&](unsigned b) {
-      if (b == 0) return;
-      const std::uint64_t* cb = carry_.data() + b * w;
-      for (std::size_t t = bounds_[b]; t < bounds_[b + 1]; ++t) {
-        xor_words(acc + t * w, cb, w);
-      }
-    });
-    // Stage 4: emit. The root is the unique tin-0 vertex, so every
-    // emitted v has a row at tin(v) - 1.
-    pool_.run(stripes_, [&](unsigned b) {
-      for (VertexId v = static_cast<VertexId>(bounds_[b]);
-           v < static_cast<VertexId>(bounds_[b + 1]); ++v) {
-        if (v == root_) continue;
-        const std::uint64_t* hi = acc + std::size_t{tout_[v]} * w;
-        const std::uint64_t* lo = acc + (std::size_t{tin_[v]} - 1) * w;
-        emit(v, hi, lo);
+      const std::size_t at = 8 * c0 * col_words;
+      const std::size_t words = (c1 - c0) * col_words;
+      for (std::size_t t = by_tin_.size(); t-- > 1;) {
+        const VertexId v = by_tin_[t];
+        xor_le_words(rows_[parent_[v]] + at, rows_[v] + at, words);
       }
     });
   }
 
  private:
   util::WorkerPool& pool_;
+  const std::vector<VertexId>& parent_;
   const VertexId root_;
-  const VertexId n_;
-  const std::size_t max_row_words_;
-  const unsigned stripes_;
-  std::vector<std::uint32_t> tin_;
-  std::vector<std::uint32_t> tout_;
-  std::vector<std::size_t> bounds_;  // stripe b owns tins [bounds_[b], bounds_[b+1])
-  std::unique_ptr<std::uint64_t[]> acc_;  // n_ rows, indexed by tin
-  std::vector<std::uint64_t> carry_;      // one row per stripe
+  std::vector<VertexId> by_tin_;        // pre-order: by_tin_[tin(v)] = v
+  std::vector<std::uint8_t*> rows_;     // this run's row of every vertex
+  std::vector<std::uint8_t> root_row_;  // the root's scratch row
 };
 
 }  // namespace ftc::graph

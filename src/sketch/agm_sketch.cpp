@@ -23,26 +23,22 @@ std::uint64_t AgmSketch::fingerprint(std::uint64_t lo, std::uint64_t hi,
 }
 
 void AgmSketch::toggle(const PackedId& id) {
-  toggle_words(words_, levels_, reps_, seed_, id);
-}
-
-void AgmSketch::toggle_words(std::span<std::uint64_t> words, unsigned levels,
-                             unsigned reps, std::uint64_t seed,
-                             const PackedId& id) {
   FTC_REQUIRE(!id.is_zero(), "sketch items must be nonzero");
-  FTC_CHECK(words.size() == static_cast<std::size_t>(levels) * reps * 3,
-            "AGM sketch word count inconsistent with (levels, reps)");
-  const std::uint64_t f = fingerprint(id.lo, id.hi, seed);
-  for (unsigned r = 0; r < reps; ++r) {
-    const std::uint64_t h = item_hash(id, r, seed);
-    unsigned level = h == 0 ? 63u : static_cast<unsigned>(__builtin_ctzll(h));
-    if (level >= levels) level = levels - 1;
-    std::uint64_t* c =
-        words.data() + 3 * (static_cast<std::size_t>(r) * levels + level);
+  const std::uint64_t f = fingerprint(id.lo, id.hi, seed_);
+  for (unsigned r = 0; r < reps_; ++r) {
+    std::uint64_t* c = words_.data() + cell_offset(id, r, levels_, seed_);
     c[0] ^= id.lo;
     c[1] ^= id.hi;
     c[2] ^= f;
   }
+}
+
+std::size_t AgmSketch::cell_offset(const PackedId& id, unsigned rep,
+                                   unsigned levels, std::uint64_t seed) {
+  const std::uint64_t h = item_hash(id, rep, seed);
+  unsigned level = h == 0 ? 63u : static_cast<unsigned>(__builtin_ctzll(h));
+  if (level >= levels) level = levels - 1;
+  return 3 * (static_cast<std::size_t>(rep) * levels + level);
 }
 
 void AgmSketch::merge(const AgmSketch& o) {

@@ -37,12 +37,15 @@ class AgmSketch {
   void toggle(const PackedId& id);
   void merge(const AgmSketch& o);
 
-  // toggle() over a raw cell array of (levels, reps) geometry (the
-  // layout below) without materializing an AgmSketch — the dp21 builder
-  // accumulates sketches as flat word rows.
-  static void toggle_words(std::span<std::uint64_t> words, unsigned levels,
-                           unsigned reps, std::uint64_t seed,
-                           const PackedId& id);
+  // What toggle(id) does to repetition `rep` of a sketch of `levels`
+  // levels, without materializing an AgmSketch (the dp21 builder folds
+  // sketches in place in its label blobs): it XORs (id.lo, id.hi,
+  // fingerprint(id.lo, id.hi, seed)) into the three words at this offset
+  // of the layout below.
+  static std::size_t cell_offset(const PackedId& id, unsigned rep,
+                                 unsigned levels, std::uint64_t seed);
+  static std::uint64_t fingerprint(std::uint64_t lo, std::uint64_t hi,
+                                   std::uint64_t seed);
 
   // Attempts to return some element of the sketched set. Fails (whp only
   // if the set is empty; with small probability also on nonempty sets or
@@ -78,8 +81,6 @@ class AgmSketch {
  private:
   static std::uint64_t item_hash(const PackedId& id, unsigned rep,
                                  std::uint64_t seed);
-  static std::uint64_t fingerprint(std::uint64_t lo, std::uint64_t hi,
-                                   std::uint64_t seed);
 
   unsigned levels_ = 0;
   unsigned reps_ = 0;

@@ -22,6 +22,9 @@
 //    <= k.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -33,18 +36,40 @@
 
 namespace ftc::sketch {
 
+// Calls sink(j, x^(2j+1)) for j = j0, ..., j1 - 1: the terms element x
+// adds to syndromes j0..j1-1. One chain p *= x^2 is latency-bound, each
+// multiply waiting on the last; this walk runs 8 independent chains,
+// chain c starting at x^(2(j0+c)+1) (the first from gf::pow) and
+// stepping by x^16, so the carry-less multiplies overlap. Every builder
+// and sketch update takes its odd powers from here.
+template <typename F, typename Sink>
+void for_each_odd_power(const F& x, unsigned j0, unsigned j1, Sink&& sink) {
+  constexpr unsigned kChains = 8;
+  if (j0 >= j1) return;
+  const F x2 = x.square();
+  std::array<F, kChains> p{};
+  p[0] = gf::pow(x, 2 * std::uint64_t{j0} + 1);
+  for (unsigned c = 1; c < std::min(kChains, j1 - j0); ++c) {
+    p[c] = p[c - 1] * x2;
+  }
+  const F stride = x2.square().square().square();  // x^16
+  unsigned j = j0;
+  for (; j1 - j >= kChains; j += kChains) {
+    for (unsigned c = 0; c < kChains; ++c) {
+      sink(j + c, p[c]);
+      p[c] *= stride;
+    }
+  }
+  for (unsigned c = 0; j < j1; ++j, ++c) sink(j, p[c]);
+}
+
 // Odd power sums S_1, S_3, ..., S_{2k-1} of xs, into a reused buffer.
 template <typename F>
 void odd_power_sums_into(std::span<const F> xs, unsigned k,
                          std::vector<F>& syn) {
   syn.assign(k, F::zero());
   for (const F& x : xs) {
-    const F x2 = x.square();
-    F p = x;
-    for (unsigned j = 0; j < k; ++j) {
-      syn[j] += p;
-      p *= x2;
-    }
+    for_each_odd_power(x, 0, k, [&](unsigned j, const F& p) { syn[j] += p; });
   }
 }
 
@@ -60,8 +85,8 @@ std::vector<F> odd_power_sums(std::span<const F> xs, unsigned k) {
 // This is the decoder's fail-stop verification, so it runs on every
 // accepted decode and its constant matters. The walk is striped: stripe
 // s of 4 holds x^(2(4q+s)+1) and advances by x^8, giving 4 * |xs|
-// independent carry-less-multiply chains — throughput-bound, versus the
-// latency-bound single chain per element of odd_power_sums_into. Exits
+// independent carry-less-multiply chains — throughput-bound, like
+// for_each_odd_power's 8 chains per element. Exits
 // on the first mismatched syndrome. pow_buf/sq_buf are caller-provided
 // scratch (clobbered); syn must not alias them.
 template <typename F>
@@ -300,12 +325,8 @@ class RsSketch {
   // Toggles membership of x (insert if absent, erase if present).
   void toggle(F x) {
     FTC_REQUIRE(!x.is_zero(), "sketch elements must be nonzero");
-    const F x2 = x.square();
-    F p = x;
-    for (F& s : syn_) {
-      s += p;
-      p *= x2;
-    }
+    for_each_odd_power(x, 0, k(),
+                       [&](unsigned j, const F& p) { syn_[j] += p; });
   }
 
   // After merging, this sketches the symmetric difference of the two sets.

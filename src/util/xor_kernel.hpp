@@ -15,12 +15,30 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "util/digest.hpp"
+
 namespace ftc {
 
 // dst[i] ^= src[i]. The ranges must not overlap.
 inline void xor_words(std::uint64_t* __restrict dst,
                       const std::uint64_t* __restrict src, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] ^= src[i];
+}
+
+// The same over little-endian words at any byte offset, the layout of
+// the label blobs the builders fold into in place (graph/subtree_xor.hpp):
+// word i of row ^= v, and dst[i] ^= src[i] over n words. The ranges must
+// not overlap.
+inline void xor_le_word(std::uint8_t* row, std::size_t i, std::uint64_t v) {
+  std::uint8_t* p = row + 8 * i;
+  util::write_u64_le(p, util::read_u64_le(p) ^ v);
+}
+inline void xor_le_words(std::uint8_t* __restrict dst,
+                         const std::uint8_t* __restrict src, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    util::write_u64_le(dst + 8 * i, util::read_u64_le(dst + 8 * i) ^
+                                        util::read_u64_le(src + 8 * i));
+  }
 }
 
 // Population count of an n-word bitset.

@@ -7,8 +7,13 @@
 // luck: the per-query failure probability at these parameters is ~2^-60).
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "core/connectivity_scheme.hpp"
+#include "core/ftc_labels.hpp"
 #include "core/label_store.hpp"
+#include "dp21/agm_ftc.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "util/common.hpp"
@@ -187,6 +192,59 @@ TEST(AgmFtc, FullSupportUsesMoreBits) {
   EXPECT_GE(b->edge_label_bits() /
                 std::max<std::size_t>(a->edge_label_bits(), 1),
             3u);  // roughly (f+1)x
+}
+
+// A sampled edge must have exactly one endpoint in the set being grown.
+// On the path 0-1-2-3-4-5 (no non-tree edges, so every honest fault
+// sketch is empty) a fault label is hand-edited to hold one forged edge
+// ID: first one inside the source's fragment, then one joining two other
+// fragments. Both forged samples used to end the growth with "false";
+// each is now refused with the typed capacity error.
+TEST(AgmFtc, UncertifiedSamplesAreRefused) {
+  Graph g(6);
+  for (VertexId v = 0; v + 1 < 6; ++v) g.add_edge(v, v + 1);  // edge v
+  AgmFtcConfig cfg;
+  cfg.f = 2;
+  cfg.reps_override = 4;
+  const core::store::ResidentLabels labels = AgmFtc::build(g, cfg);
+  core::store::ByteReader pr(labels.params);
+  const core::store::AgmParams params = core::store::decode_agm_params(pr);
+  const auto vertex = [&](VertexId v) {
+    return AgmVertexLabel{core::store::decode_vertex_record_at(
+        labels.vertex_records.data() + v * core::store::kVertexRecordBytes)};
+  };
+  const auto edge = [&](EdgeId e) {
+    core::store::ByteReader r({labels.edge_blob(e), labels.edge_blob_bytes});
+    return core::store::decode_agm_edge(r, params);
+  };
+  // The builder's edge ID: the two ancestry labels, lower tin first.
+  const auto forged = [&](VertexId x, VertexId y) {
+    graph::AncestryLabel a = vertex(x).anc;
+    graph::AncestryLabel b = vertex(y).anc;
+    if (b.tin < a.tin) std::swap(a, b);
+    return sketch::PackedId{a.tin | (std::uint64_t{a.tout} << 32),
+                            b.tin | (std::uint64_t{b.tout} << 32)};
+  };
+  AgmFtc::Workspace ws;
+
+  // Fault 1-2: fragments {0, 1} and {2, ..., 5}.
+  std::vector<AgmEdgeLabel> faults{edge(1)};
+  EXPECT_FALSE(AgmFtc::connected(vertex(0), vertex(5),
+                                 AgmFtc::Prepared::prepare(faults), ws));
+  faults[0].sketch.toggle(forged(0, 1));  // does not cross
+  const auto inside = AgmFtc::Prepared::prepare(faults);
+  EXPECT_TRUE(AgmFtc::connected(vertex(0), vertex(1), inside, ws));
+  EXPECT_THROW(AgmFtc::connected(vertex(0), vertex(5), inside, ws),
+               core::FtcCapacityError);
+
+  // Faults 1-2 and 3-4: fragments {0, 1}, {2, 3} and {4, 5}.
+  faults = {edge(1), edge(3)};
+  EXPECT_FALSE(AgmFtc::connected(vertex(0), vertex(5),
+                                 AgmFtc::Prepared::prepare(faults), ws));
+  faults[0].sketch.toggle(forged(2, 4));  // joins the two other fragments
+  EXPECT_THROW(AgmFtc::connected(vertex(0), vertex(5),
+                                 AgmFtc::Prepared::prepare(faults), ws),
+               core::FtcCapacityError);
 }
 
 }  // namespace

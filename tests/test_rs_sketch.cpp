@@ -183,5 +183,27 @@ TEST(OddPowerSums, MatchesDirectComputation) {
   }
 }
 
+// The 8-chain walk against pow() for ranges shorter than, equal to and
+// longer than the chain count, starting at 0 and mid-row (as a builder
+// worker's column range does).
+TYPED_TEST(RsSketchTest, ForEachOddPowerMatchesPow) {
+  using F = TypeParam;
+  SplitMix64 rng(91);
+  const auto xs = random_distinct_nonzero<F>(rng, 3);
+  const std::pair<unsigned, unsigned> ranges[] = {
+      {0, 0}, {0, 1}, {0, 7}, {0, 8}, {0, 9}, {0, 40}, {5, 5},
+      {5, 6}, {3, 11}, {13, 30}, {100, 131}};
+  for (const F& x : xs) {
+    for (const auto& [j0, j1] : ranges) {
+      unsigned next = j0;
+      for_each_odd_power(x, j0, j1, [&](unsigned j, const F& p) {
+        EXPECT_EQ(j, next++);
+        EXPECT_EQ(p, gf::pow(x, 2 * std::uint64_t{j} + 1)) << "j=" << j;
+      });
+      EXPECT_EQ(next, j1);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ftc::sketch
