@@ -30,7 +30,10 @@
 #                             # flip / every-truncation container sweep)
 #                             # and the tiny-k decoder refusal sweep,
 #                             # plus the in-place subtree fold kernel
-#                             # (rows at unaligned blob offsets)
+#                             # (rows at unaligned blob offsets) and the
+#                             # kernel-zeroed label buffer (its slack is
+#                             # poisoned, so a write past the last blob
+#                             # must be reported)
 #   scripts/ci.sh store-v2    # store format focused asan leg: v1, v2 and
 #                             # v3 fixture load + their v4 re-saves (and
 #                             # the manifest-v2 fixture) + the exhaustive
@@ -130,11 +133,11 @@ if [ "${1:-}" = "store" ]; then
     test_decoder_workspace test_backends test_batch_engine test_dp21 \
     test_parallel_build test_decoder test_rs_sketch test_poly test_gf2 \
     test_decode_alloc test_digest test_decoder_capacity test_subtree_xor \
-    ftc_store
+    test_page_buffer ftc_store
   ctest --preset asan \
-    -R 'test_label_store|test_golden_bytes|test_stress_differential|test_decoder_workspace|test_backends|test_batch_engine|test_dp21|test_parallel_build|test_decoder$|test_rs_sketch|test_poly|test_gf2|test_decode_alloc|test_digest|test_decoder_capacity|test_subtree_xor' \
+    -R 'test_label_store|test_golden_bytes|test_stress_differential|test_decoder_workspace|test_backends|test_batch_engine|test_dp21|test_parallel_build|test_decoder$|test_rs_sketch|test_poly|test_gf2|test_decode_alloc|test_digest|test_decoder_capacity|test_subtree_xor|test_page_buffer' \
     -j "$jobs"
-  echo "ci: store/golden/stress/workspace/backend/engine/dp21/parallel-build/sketch-decode/digest/subtree-fold suites green under asan"
+  echo "ci: store/golden/stress/workspace/backend/engine/dp21/parallel-build/sketch-decode/digest/subtree-fold/page-buffer suites green under asan"
   exit 0
 fi
 

@@ -941,8 +941,7 @@ class ResidentStoreView final : public StoreView {
                   static_cast<std::size_t>(n) * store::kVertexRecordBytes,
               "resident vertex section inconsistent with the graph");
     const std::size_t blob_section = static_cast<std::size_t>(m) * blob_bytes;
-    FTC_CHECK(labels_.edge_words.size() ==
-                  store::ResidentLabels::words_for(blob_section),
+    FTC_CHECK(labels_.edge_section.size() == blob_section,
               "resident edge section inconsistent with the graph");
     FTC_CHECK(store::expected_edge_blob_bytes(labels_.backend, labels_.params,
                                               store::kFormatVersion) ==

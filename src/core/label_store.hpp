@@ -86,6 +86,7 @@
 
 #include "core/connectivity_scheme.hpp"
 #include "util/digest.hpp"
+#include "util/page_buffer.hpp"
 #include "util/sigbus_guard.hpp"
 
 namespace ftc::core {
@@ -745,24 +746,22 @@ struct ResidentLabels {
   BackendKind backend = BackendKind::kCoreFtc;
   std::vector<std::uint8_t> params;
   std::vector<std::uint8_t> vertex_records;  // n * kVertexRecordBytes
-  // The m * edge_blob_bytes blob bytes, held in whole words (the last one
-  // zero-padded) so a builder whose blobs are word-aligned can store its
-  // sketch words as words.
-  std::vector<std::uint64_t> edge_words;
+  // Exactly m * edge_blob_bytes blob bytes in one kernel-zeroed mapping
+  // (util/page_buffer.hpp: huge pages from 2 MiB up), so sizing it writes
+  // no zeros. Builders write it as little-endian words at any byte
+  // offset (util/xor_kernel.hpp).
+  util::PageBuffer edge_section;
   std::size_t edge_blob_bytes = 0;
 
-  static std::size_t words_for(std::size_t bytes) { return (bytes + 7) / 8; }
-  std::uint8_t* edge_blobs() {
-    return reinterpret_cast<std::uint8_t*>(edge_words.data());
-  }
-  const std::uint8_t* edge_blobs() const {
-    return reinterpret_cast<const std::uint8_t*>(edge_words.data());
-  }
+  std::uint8_t* edge_blobs() { return edge_section.data(); }
+  const std::uint8_t* edge_blobs() const { return edge_section.data(); }
 
-  // Sizes the edge section for m zeroed blobs of blob_bytes each.
+  // Maps a fresh, zeroed section for m blobs of blob_bytes each (the
+  // previous one is unmapped first).
   void assign_edge_blobs(std::size_t m, std::size_t blob_bytes) {
     edge_blob_bytes = blob_bytes;
-    edge_words.assign(words_for(m * blob_bytes), 0);
+    edge_section.reset();
+    edge_section = util::PageBuffer(m * blob_bytes);
   }
   std::uint8_t* edge_blob(std::size_t e) {
     return edge_blobs() + e * edge_blob_bytes;

@@ -32,6 +32,7 @@
 #include "graph/generators.hpp"
 #include "util/common.hpp"
 #include "util/failpoint.hpp"
+#include "flip_edge.hpp"
 
 namespace ftc::core {
 namespace {
@@ -621,31 +622,6 @@ TEST_F(ShardedStoreAdversarial, EpochZeroManifestThrows) {
 // ------------------------------------------------------------------
 // save_sharded failure / shrink hygiene, and the content-addressed
 // delta-push + shard-adoption path.
-
-// A copy of `scheme`'s labels (built over g) with every byte of edge
-// `flip`'s blob inverted, served from a resident view — a one-shard
-// content change for the delta tests.
-std::unique_ptr<ConnectivityScheme> flip_edge(const ConnectivityScheme& scheme,
-                                              const Graph& g, EdgeId flip) {
-  const StoreView& view = *scheme.store_view();
-  store::ResidentLabels labels;
-  labels.backend = scheme.backend();
-  const auto params = view.params_blob();
-  labels.params.assign(params.begin(), params.end());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    const auto rec = view.vertex_blob(v);
-    labels.vertex_records.insert(labels.vertex_records.end(), rec.begin(),
-                                 rec.end());
-  }
-  labels.assign_edge_blobs(g.num_edges(), view.edge_blob(0).size());
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const auto blob = view.edge_blob(e);
-    for (std::size_t i = 0; i < blob.size(); ++i) {
-      labels.edge_blob(e)[i] = e == flip ? ~blob[i] : blob[i];
-    }
-  }
-  return load_scheme(open_resident_view(std::move(labels), g));
-}
 
 // The store.write.write hits of one save_sharded(scheme, path, shards).
 // The manifest's single write is the last of them, so failing hit

@@ -28,6 +28,7 @@
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "util/common.hpp"
+#include "flip_edge.hpp"
 
 namespace ftc::core {
 namespace {
@@ -508,32 +509,6 @@ TEST(StoreSwap, LiveSwapUnderLoadIsNeverTorn) {
 // delta-pushed manifest must adopt the unchanged shards' mmaps from the
 // outgoing generation (mapping only the changed ones) and replay the
 // new path's journal sidecar.
-
-// A copy of `scheme`'s labels (built over g) with every byte of edge
-// `flip`'s blob inverted, served from a resident view — a one-shard
-// content change. Only used to WRITE stores; the flipped edge is never
-// queried or faulted in these tests.
-std::unique_ptr<ConnectivityScheme> flip_edge(const ConnectivityScheme& scheme,
-                                              const Graph& g, EdgeId flip) {
-  const StoreView& view = *scheme.store_view();
-  store::ResidentLabels labels;
-  labels.backend = scheme.backend();
-  const auto params = view.params_blob();
-  labels.params.assign(params.begin(), params.end());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    const auto rec = view.vertex_blob(v);
-    labels.vertex_records.insert(labels.vertex_records.end(), rec.begin(),
-                                 rec.end());
-  }
-  labels.assign_edge_blobs(g.num_edges(), view.edge_blob(0).size());
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const auto blob = view.edge_blob(e);
-    for (std::size_t i = 0; i < blob.size(); ++i) {
-      labels.edge_blob(e)[i] = e == flip ? ~blob[i] : blob[i];
-    }
-  }
-  return load_scheme(open_resident_view(std::move(labels), g));
-}
 
 std::shared_ptr<const ShardedStoreView> serving_sharded_view(
     const BatchQueryEngine& session) {
