@@ -59,6 +59,7 @@
 #include "core/shard_cache.hpp"
 #include "core/shard_server.hpp"
 #include "core/sharded_store.hpp"
+#include "flip_edges.hpp"
 #include "util/failpoint.hpp"
 
 namespace ftc::bench {
@@ -343,33 +344,6 @@ void run_cell(const core::ConnectivityScheme& built, const Workload& w,
 
 // ------------------------------------------------------------ extra rows
 
-// A copy of `scheme`'s labels with every byte of the blobs of `flips`
-// (sorted) inverted, served from a resident view: the cheapest way to
-// dirty exactly the shards that own those edges.
-std::unique_ptr<core::ConnectivityScheme> flip_edges(
-    const core::ConnectivityScheme& scheme, const Graph& g,
-    const std::vector<EdgeId>& flips) {
-  const core::StoreView& view = *scheme.store_view();
-  core::store::ResidentLabels labels;
-  labels.backend = scheme.backend();
-  const auto params = view.params_blob();
-  labels.params.assign(params.begin(), params.end());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    const auto rec = view.vertex_blob(v);
-    labels.vertex_records.insert(labels.vertex_records.end(), rec.begin(),
-                                 rec.end());
-  }
-  labels.assign_edge_blobs(g.num_edges(), view.edge_blob(0).size());
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const auto blob = view.edge_blob(e);
-    const bool flip = std::binary_search(flips.begin(), flips.end(), e);
-    for (std::size_t i = 0; i < blob.size(); ++i) {
-      labels.edge_blob(e)[i] = flip ? ~blob[i] : blob[i];
-    }
-  }
-  return core::load_scheme(core::open_resident_view(std::move(labels), g));
-}
-
 void run_push(const Graph& g, const core::ConnectivityScheme& scheme,
               const Workload& w, const Store& store, const Sizes& sz,
               Table& table, JsonRecords& json) {
@@ -387,7 +361,7 @@ void run_push(const Graph& g, const core::ConnectivityScheme& scheme,
       while (std::binary_search(w.edges.begin(), w.edges.end(), e)) ++e;
       flips.push_back(e);
     }
-    const auto pushee = flip_edges(scheme, g, flips);
+    const auto pushee = test_support::flip_edges(scheme, g, flips);
 
     Series save, save_sharded, delta, swap;
     core::DeltaPushStats stats;

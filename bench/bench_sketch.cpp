@@ -6,6 +6,8 @@
 //    ~d^2 rather than k^2 — the Section 6 / Appendix B point);
 //  * Berlekamp-Massey vs root-finding split, with root finding timed on
 //    random roots and on EdgeCode IDs of a real auxiliary graph;
+//  * the decoder's fail-stop verify walk (power_sums_match) at the
+//    closure width w* ~ 230 of an ftcbench-sized level;
 //  * one FTC_FAILPOINT() check at a site that is not armed.
 #include <benchmark/benchmark.h>
 
@@ -192,6 +194,27 @@ void BM_TraceRootFindingEdgeCode(benchmark::State& state) {
                     edge_code_ids(static_cast<unsigned>(state.range(0))));
 }
 BENCHMARK(BM_TraceRootFindingEdgeCode)->Arg(3)->Arg(8)->Arg(16)->Arg(64);
+
+// The fail-stop verify walk of a support of d elements against w = 230
+// syndromes, about the closure width w* of a level of k ~ 455 (ftcbench's
+// outage workload): every syndrome compared, all of them matching.
+// GF(2^128) always walks the scalar lane body.
+template <typename F>
+void BM_VerifyWalk(benchmark::State& state) {
+  const unsigned d = static_cast<unsigned>(state.range(0));
+  const unsigned w = 230;
+  SplitMix64 rng(7);
+  const auto xs = random_distinct<F>(rng, d);
+  const auto syn = ftc::sketch::odd_power_sums<F>(xs, w);
+  bool ok = true;
+  for (auto _ : state) {
+    ok &= ftc::sketch::power_sums_match<F>(xs, syn, w);
+    benchmark::DoNotOptimize(ok);
+  }
+  if (!ok) state.SkipWithError("verify walk rejected a matching support");
+}
+BENCHMARK_TEMPLATE(BM_VerifyWalk, GF2_64)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK_TEMPLATE(BM_VerifyWalk, GF2_128)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 // What a syscall-boundary failpoint costs the store when it is not armed:
 // with nothing armed (armed_miss:0) one relaxed load and an untaken

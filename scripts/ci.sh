@@ -46,15 +46,26 @@
 #                             # -DFTC_NATIVE=OFF (no -march=native, so no
 #                             # PCLMUL) into build-portable/, running the
 #                             # digest, golden-bytes, label-store,
-#                             # store-compat, GF(2^m), decoder-workspace
-#                             # and decode-allocation suites; the pinned
-#                             # golden checksums then prove the
-#                             # table-driven CRC-64 and the portable
-#                             # carry-less multiply write the same bytes
-#                             # as the PCLMUL build, and the pinned
-#                             # golden-outcome digest that the portable
-#                             # decode gives the same answers, refusals
-#                             # and decode counts
+#                             # store-compat, GF(2^m), sketch,
+#                             # decoder-workspace and decode-allocation
+#                             # suites; the pinned golden checksums then
+#                             # prove the table-driven CRC-64 and the
+#                             # portable carry-less multiply write the
+#                             # same bytes as the PCLMUL build, and the
+#                             # pinned golden-outcome digest that the
+#                             # portable decode gives the same answers,
+#                             # refusals and decode counts
+#   scripts/ci.sh pclmul      # PCLMUL-only leg: Release build with
+#                             # -DFTC_NATIVE=OFF -march=haswell (PCLMUL,
+#                             # no VPCLMULQDQ or AVX-512) into
+#                             # build-pclmul/, running the GF(2^m),
+#                             # sketch, golden-bytes, decoder-workspace
+#                             # and decode-allocation suites: the
+#                             # decoder's lane type takes its PCLMUL
+#                             # scalar body here, the portable leg its
+#                             # portable body and the native build its
+#                             # VPCLMULQDQ body, and all three must give
+#                             # the same labels and the same answers
 #   scripts/ci.sh bench-smoke # Release build of bench_serving,
 #                             # bench_sketch, bench_query_scaling and
 #                             # bench_k_tradeoff: a tiny-size serving run
@@ -146,11 +157,26 @@ if [ "${1:-}" = "portable" ]; then
   cmake -S . -B build-portable -DCMAKE_BUILD_TYPE=Release -DFTC_NATIVE=OFF
   cmake --build build-portable -j "$jobs" \
     --target test_digest test_golden_bytes test_label_store \
-    test_store_compat test_gf2 test_decoder_workspace test_decode_alloc
+    test_store_compat test_gf2 test_rs_sketch test_decoder_workspace \
+    test_decode_alloc
   ctest --test-dir build-portable --output-on-failure \
-    -R 'test_digest|test_golden_bytes|test_label_store|test_store_compat|test_gf2|test_decoder_workspace|test_decode_alloc' \
+    -R 'test_digest|test_golden_bytes|test_label_store|test_store_compat|test_gf2|test_rs_sketch|test_decoder_workspace|test_decode_alloc' \
     -j "$jobs"
   echo "ci: portable leg green (golden bytes and golden decode outcomes reproduced)"
+  exit 0
+fi
+
+if [ "${1:-}" = "pclmul" ]; then
+  echo "=== PCLMUL-only leg (release, FTC_NATIVE=OFF, -march=haswell) ==="
+  cmake -S . -B build-pclmul -DCMAKE_BUILD_TYPE=Release -DFTC_NATIVE=OFF \
+    -DCMAKE_CXX_FLAGS=-march=haswell
+  cmake --build build-pclmul -j "$jobs" \
+    --target test_gf2 test_rs_sketch test_golden_bytes \
+    test_decoder_workspace test_decode_alloc
+  ctest --test-dir build-pclmul --output-on-failure \
+    -R 'test_gf2|test_rs_sketch|test_golden_bytes|test_decoder_workspace|test_decode_alloc' \
+    -j "$jobs"
+  echo "ci: PCLMUL-only leg green (golden bytes and golden decode outcomes reproduced)"
   exit 0
 fi
 

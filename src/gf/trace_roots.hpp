@@ -27,6 +27,7 @@
 #include <span>
 #include <vector>
 
+#include "gf/clmul_lanes.hpp"
 #include "gf/gf2.hpp"
 #include "util/common.hpp"
 
@@ -51,6 +52,8 @@ struct RootScratch {
   std::vector<F> t;     // Tr(beta x) mod g
   std::vector<F> u;     // (beta x)^(2^j) mod g
   std::vector<typename F::Wide> acc;  // u^2 mod g before reduction
+  // u, t and the squares of u as lane vectors, when Lanes<F> is a vector.
+  std::vector<Lanes<F>> lanes;
   std::vector<F> a, b;  // Euclid remainders
 };
 
@@ -68,15 +71,29 @@ F trace_basis(unsigned i) {
   }
 }
 
-// rows[(i - h) * d ..][0..d) = x^(2i) mod g for h = ceil(d/2) <= i < d:
-// the squaring table of the monic g of degree d. x^e for e < d needs no
-// reduction, so these are the only rows squaring modulo g reads.
+// Coefficients per squaring row: d, or d rounded up to whole lane
+// vectors (zero-padded) when trace_mod walks the rows as Lanes<F>.
+template <typename F>
+unsigned row_stride(unsigned d) {
+  constexpr unsigned kW = Lanes<F>::kWidth;
+  return Lanes<F>::kVector ? (d + kW - 1) / kW * kW : d;
+}
+
+// rows[(i - h) * stride ..][0..d) = x^(2i) mod g for h = ceil(d/2) <= i
+// < d: the squaring table of the monic g of degree d, each row padded
+// with zeros to row_stride<F>(d). x^e for e < d needs no reduction, so
+// these are the only rows squaring modulo g reads.
 template <typename F>
 void squaring_rows(const F* g, unsigned d, F* rows, F* r) {
   const unsigned h = (d + 1) / 2;
+  const unsigned stride = row_stride<F>(d);
   std::copy(g, g + d, r);  // x^d = g[0] + ... + g[d-1] x^(d-1) (char 2)
   for (unsigned e = d; e <= 2 * d - 2; ++e) {
-    if (e % 2 == 0) std::copy(r, r + d, rows + (e / 2 - h) * d);
+    if (e % 2 == 0) {
+      F* row = rows + (e / 2 - h) * stride;
+      std::copy(r, r + d, row);
+      std::fill(row + d, row + stride, F::zero());
+    }
     const F top = r[d - 1];  // x^(e+1) = x * x^e
     for (unsigned k = d; k-- > 1;) r[k] = r[k - 1] + top * g[k];
     r[0] = top * g[0];
@@ -109,6 +126,61 @@ void trace_mod(unsigned d, const F* rows, F beta, F* t, F* u,
       t[k] += u[k];
     }
   }
+}
+
+// trace_mod on lane vectors: u and t as nv = row_stride / 8 vectors of
+// coefficients. Each step squares every coefficient at once into sq,
+// then builds each block of the next u from its unreduced dot product
+// with the rows, c = u_i^2 (i >= h) broadcast over the row's block, plus
+// the squares u_i^2 (i < h) moved to their even slots 2i, which for
+// block B sit in sq block B / 2. t[0..stride) receives the result; its
+// padding is zero. A g of degree <= 8 is one vector and stays in
+// registers; larger ones keep u, t and sq in lanes[0 .. 3 * nv).
+template <typename F>
+void trace_mod_lanes(unsigned d, const F* rows, F beta, F* t,
+                     Lanes<F>* lanes) {
+  using L = Lanes<F>;
+  const unsigned h = (d + 1) / 2;
+  const unsigned stride = row_stride<F>(d);
+  const unsigned nv = stride / L::kWidth;
+  F first[L::kWidth] = {F::zero(), beta};
+  if (nv == 1) {
+    L u = L::load(first);
+    L tl = u;
+    for (unsigned j = 1; j < F::kBits; ++j) {
+      const L sq = u.square();
+      typename L::Wide acc;
+      const F* row = rows;
+      for (unsigned i = h; i < d; ++i, row += stride) {
+        acc ^= L::mul_wide(sq.broadcast_lane(i), L::load(row));
+      }
+      u = L::reduce(acc) + sq.spread_even(0, d);
+      tl += u;
+    }
+    tl.store(t);
+    return;
+  }
+  L* u = lanes;
+  L* tl = lanes + nv;
+  L* sq = lanes + 2 * nv;
+  u[0] = L::load(first);
+  for (unsigned b = 1; b < nv; ++b) u[b] = L::zero();
+  for (unsigned b = 0; b < nv; ++b) tl[b] = u[b];
+  for (unsigned j = 1; j < F::kBits; ++j) {
+    for (unsigned b = 0; b < nv; ++b) sq[b] = u[b].square();
+    for (unsigned b = 0; b < nv; ++b) {
+      typename L::Wide acc;
+      const F* row = rows + b * L::kWidth;
+      for (unsigned i = h; i < d; ++i, row += stride) {
+        acc ^= L::mul_wide(sq[i / L::kWidth].broadcast_lane(i % L::kWidth),
+                           L::load(row));
+      }
+      const unsigned n = std::min(L::kWidth, d - b * L::kWidth);
+      u[b] = L::reduce(acc) + sq[b / 2].spread_even(b % 2, n);
+      tl[b] += u[b];
+    }
+  }
+  for (unsigned b = 0; b < nv; ++b) tl[b].store(t + b * L::kWidth);
 }
 
 // gcd of the monic g (degree d) and t (degree dt, 1 <= dt < d), made
@@ -166,8 +238,17 @@ bool split_factor(RootScratch<F>& ws, unsigned d, unsigned basis) {
   F* t = ws.t.data();
   squaring_rows(g, d, ws.rows.data(), ws.u.data());
   for (unsigned i = basis; i < F::kBits; ++i) {
-    trace_mod(d, ws.rows.data(), trace_basis<F>(i), t, ws.u.data(),
-              ws.acc.data());
+    // On the scalar lane body trace_mod_lanes is 2.2-3.3x slower than
+    // trace_mod (BM_TraceRootFinding, d = 3..32, PCLMUL-only build, both
+    // fields): each lane is one scalar multiply, padding lanes included.
+    // So only the vector body uses it.
+    if constexpr (Lanes<F>::kVector) {
+      trace_mod_lanes(d, ws.rows.data(), trace_basis<F>(i), t,
+                      ws.lanes.data());
+    } else {
+      trace_mod(d, ws.rows.data(), trace_basis<F>(i), t, ws.u.data(),
+                ws.acc.data());
+    }
     unsigned dt = d - 1;
     while (dt > 0 && t[dt].is_zero()) --dt;
     if (dt == 0) continue;  // T constant mod g: all roots share this trace
@@ -212,11 +293,16 @@ bool find_roots(std::span<const F> f, RootScratch<F>& ws,
   roots.reserve(d);
   ws.pending.reserve(d);
   ws.factors.reserve(d);
+  const unsigned stride = detail::row_stride<F>(d);
   detail::grow(ws.g, d + 1);
-  detail::grow(ws.rows, static_cast<std::size_t>(d / 2) * d);
-  detail::grow(ws.t, d);
+  detail::grow(ws.rows, static_cast<std::size_t>(d / 2) * stride);
+  detail::grow(ws.t, stride);
   detail::grow(ws.u, d);
-  detail::grow(ws.acc, d);
+  if constexpr (Lanes<F>::kVector) {
+    detail::grow(ws.lanes, 3 * stride / Lanes<F>::kWidth);
+  } else {
+    detail::grow(ws.acc, d);
+  }
   detail::grow(ws.a, d + 1);
   detail::grow(ws.b, d + 1);
   ws.pending.assign(f.begin(), f.end() - 1);

@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
@@ -54,6 +55,28 @@ void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Over-aligned types (the root finder's zmm lane buffers) allocate
+// through the aligned forms, so they are counted too.
+void* operator new(std::size_t n, std::align_val_t al) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  const auto a = static_cast<std::size_t>(al);
+  const std::size_t size = n == 0 ? a : (n + a - 1) / a * a;
+  if (void* p = std::aligned_alloc(a, size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n, std::align_val_t al) {
+  return operator new(n, al);
+}
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace ftc::core {
 namespace {
@@ -186,6 +209,21 @@ TEST(DecodeAlloc, CounterSeesAllocations) {
   g_counting.store(false);
   delete g_sink;
   EXPECT_GE(g_allocations.load(), 2u);
+}
+
+TEST(DecodeAlloc, CounterSeesOverAlignedAllocations) {
+  struct alignas(64) Block {
+    unsigned char bytes[64];
+  };
+  g_allocations.store(0);
+  g_counting.store(true);
+  {
+    // On the stack, so the buffer is the only allocation counted.
+    std::vector<Block> blocks(3);
+    g_counting.store(false);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(blocks.data()) % 64, 0u);
+  }
+  EXPECT_EQ(g_allocations.load(), 1u);
 }
 
 TEST(DecodeAlloc, SteadyStateQueriesAllocateNothingGF64) {

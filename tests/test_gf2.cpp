@@ -1,12 +1,15 @@
 // Tests for the GF(2^m) field implementations: modulus irreducibility,
 // carry-less multiply consistency, field axioms, Frobenius structure,
-// and the Artin-Schreier / quadratic solvers used by the root finder.
+// the Artin-Schreier / quadratic solvers used by the root finder, and
+// the eight-lane Lanes<F> type against the scalar field operators.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
 #include "gf/clmul.hpp"
+#include "gf/clmul_lanes.hpp"
 #include "gf/gf2.hpp"
 #include "gf/modulus_check.hpp"
 #include "util/common.hpp"
@@ -234,6 +237,113 @@ TYPED_TEST(FieldTest, BasisElementsAreDistinctAndNonzero) {
       EXPECT_NE(F::basis_element(i), F::basis_element(j));
     }
   }
+}
+
+template <typename F>
+std::array<F, Lanes<F>::kWidth> lanes_of(const Lanes<F>& x) {
+  std::array<F, Lanes<F>::kWidth> out;
+  x.store(out.data());
+  return out;
+}
+
+// Lanes<F> against F's own operators: products, squares, sums, unreduced
+// dot products, and the lane moves the root finder uses. Every ordered
+// pair of the edge values 0, 1, all-ones and the top bit x^(m-1) sits in
+// some lane, next to random lanes.
+TYPED_TEST(FieldTest, LanesMatchScalarOps) {
+  using F = TypeParam;
+  using L = Lanes<F>;
+  constexpr unsigned kW = L::kWidth;
+  F all_ones;
+  if constexpr (F::kWords == 2) {
+    all_ones = F(~std::uint64_t{0}, ~std::uint64_t{0});
+  } else {
+    all_ones = F(~std::uint64_t{0});
+  }
+  const F edges[4] = {F::zero(), F::one(), all_ones,
+                      F::basis_element(F::kBits - 1)};
+  SplitMix64 rng(2026);
+  std::vector<std::array<F, kW>> as, bs;
+  for (unsigned base = 0; base < 16; base += kW) {
+    std::array<F, kW> a, b;
+    for (unsigned i = 0; i < kW; ++i) {
+      a[i] = edges[(base + i) / 4];
+      b[i] = edges[(base + i) % 4];
+    }
+    as.push_back(a);
+    bs.push_back(b);
+  }
+  for (int it = 0; it < 500; ++it) {
+    std::array<F, kW> a, b;
+    for (unsigned i = 0; i < kW; ++i) {
+      a[i] = rng.next_below(4) == 0 ? edges[rng.next_below(4)]
+                                    : TestFixture::random_elem(rng);
+      b[i] = rng.next_below(4) == 0 ? edges[rng.next_below(4)]
+                                    : TestFixture::random_elem(rng);
+    }
+    as.push_back(a);
+    bs.push_back(b);
+  }
+  for (std::size_t c = 0; c < as.size(); ++c) {
+    const auto& a = as[c];
+    const auto& b = bs[c];
+    const auto& a2 = as[(c + 1) % as.size()];
+    const auto& b2 = bs[(c + 1) % as.size()];
+    const L la = L::load(a.data());
+    const L lb = L::load(b.data());
+    const auto prod = lanes_of(la * lb);
+    const auto sq = lanes_of(la.square());
+    const auto sum = lanes_of(la + lb);
+    typename L::Wide wide = L::mul_wide(la, lb);
+    wide ^= L::mul_wide(L::load(a2.data()), L::load(b2.data()));
+    const auto dot = lanes_of(L::reduce(wide));
+    for (unsigned i = 0; i < kW; ++i) {
+      ASSERT_EQ(prod[i], a[i] * b[i]) << "case " << c << " lane " << i;
+      ASSERT_EQ(sq[i], a[i] * a[i]) << "case " << c << " lane " << i;
+      ASSERT_EQ(sum[i], a[i] + b[i]) << "case " << c << " lane " << i;
+      ASSERT_EQ(dot[i], a[i] * b[i] + a2[i] * b2[i])
+          << "case " << c << " lane " << i;
+      const auto bl = lanes_of(la.broadcast_lane(i));
+      for (unsigned j = 0; j < kW; ++j) ASSERT_EQ(bl[j], a[i]);
+    }
+    for (unsigned half = 0; half < 2; ++half) {
+      for (unsigned n = 0; n <= kW; ++n) {
+        const auto sp = lanes_of(la.spread_even(half, n));
+        for (unsigned j = 0; j < kW; ++j) {
+          const F want = j % 2 == 0 && j < n ? a[4 * half + j / 2] : F::zero();
+          ASSERT_EQ(sp[j], want) << "half " << half << " n " << n;
+        }
+      }
+    }
+  }
+}
+
+// A partial load zeroes the lanes past n; a partial compare looks only
+// at lanes below n, so it is true when they match and false when the
+// last of them differs.
+TYPED_TEST(FieldTest, LanesPartialLoadAndCompare) {
+  using F = TypeParam;
+  using L = Lanes<F>;
+  constexpr unsigned kW = L::kWidth;
+  SplitMix64 rng(7);
+  std::array<F, kW> a;
+  for (F& x : a) x = TestFixture::random_nonzero(rng);
+  const L full = L::load(a.data());
+  for (unsigned n = 0; n <= kW; ++n) {
+    const auto part = lanes_of(L::load(a.data(), n));
+    for (unsigned j = 0; j < kW; ++j) {
+      EXPECT_EQ(part[j], j < n ? a[j] : F::zero()) << "n " << n;
+    }
+    std::array<F, kW> b = a;
+    for (unsigned j = n; j < kW; ++j) b[j] += F::one();
+    EXPECT_TRUE(full.equals(b.data(), n)) << "n " << n;
+    if (n > 0) {
+      b[n - 1] += F::one();
+      EXPECT_FALSE(full.equals(b.data(), n)) << "n " << n;
+    }
+  }
+  for (const F& x : lanes_of(L::broadcast(a[3]))) EXPECT_EQ(x, a[3]);
+  for (const F& x : lanes_of(L::zero())) EXPECT_TRUE(x.is_zero());
 }
 
 TEST(GF2_64Known, ReductionSpotChecks) {

@@ -26,11 +26,11 @@
 #include "core/shard_server.hpp"
 #include "core/shard_source.hpp"
 #include "core/sharded_store.hpp"
+#include "flip_edges.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "util/common.hpp"
 #include "util/failpoint.hpp"
-#include "flip_edge.hpp"
 
 namespace ftc::core {
 namespace {
@@ -281,7 +281,7 @@ TEST(RemoteStore, SwapToDeltaPushedChildFetchesOnlyChangedShard) {
 
   // Push a child epoch whose only change is edge 0's label — exactly
   // shard 0's bytes differ — and serve it from the same origin dir.
-  const auto patched = flip_edge(*served.scheme, served.graph, 0);
+  const auto patched = test_support::flip_edges(*served.scheme, served.graph, {0});
   const DeltaPushStats push = save_sharded_delta(
       *patched, served.dir.file("child.ftcm"), served.manifest());
   ASSERT_EQ(push.shards_written, 1u);

@@ -205,5 +205,30 @@ TYPED_TEST(RsSketchTest, ForEachOddPowerMatchesPow) {
   }
 }
 
+// The fail-stop verify walk compares every syndrome below w exactly: one
+// flipped bit in any of them is caught, in every lane of every 8-syndrome
+// step and in every length of the masked tail, for supports of one group
+// of 8 elements or several, and across the walk's 512-syndrome blocks. A
+// flip at or past w must not change the verdict.
+TYPED_TEST(RsSketchTest, VerifyWalkCatchesEveryFlippedSyndrome) {
+  using F = TypeParam;
+  SplitMix64 rng(47);
+  for (const unsigned d : {1u, 2u, 3u, 7u, 8u, 9u, 33u}) {
+    const auto xs = random_distinct_nonzero<F>(rng, d);
+    // w mod 8 takes every value 1..7, and 16 ends on a full step.
+    for (const unsigned w : {1u, 2u, 3u, 4u, 13u, 16u, 230u, 231u, 517u}) {
+      std::vector<F> syn = odd_power_sums<F>(xs, w + 9);
+      ASSERT_TRUE(power_sums_match<F>(xs, syn, w)) << "d " << d << " w " << w;
+      for (unsigned j = 0; j < syn.size(); ++j) {
+        const F good = syn[j];
+        syn[j] += F::basis_element(j % F::kBits);
+        ASSERT_EQ(power_sums_match<F>(xs, syn, w), j >= w)
+            << "d " << d << " w " << w << " flipped syndrome " << j;
+        syn[j] = good;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ftc::sketch

@@ -28,11 +28,11 @@
 #include "core/connectivity_scheme.hpp"
 #include "core/label_store.hpp"
 #include "core/sharded_store.hpp"
+#include "flip_edges.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "util/common.hpp"
 #include "util/failpoint.hpp"
-#include "flip_edge.hpp"
 
 namespace ftc::core {
 namespace {
@@ -760,7 +760,7 @@ TEST(ShardedStoreDelta, SingleChangedShardWritesExactlyOneShard) {
 
   // Edge 0 lives in shard 0's range; flipping its label bytes must
   // rewrite shard 0 and ONLY shard 0.
-  const auto patched = flip_edge(*scheme, g, 0);
+  const auto patched = test_support::flip_edges(*scheme, g, {0});
   const DeltaPushStats stats = save_sharded_delta(
       *patched, files.child().path(), files.parent().path());
   EXPECT_EQ(stats.epoch, 2u);
@@ -832,7 +832,7 @@ TEST(ShardedStoreDelta, AdoptionSharesUnchangedShardMaps) {
 
   // One changed shard: adoption must carry the three unchanged maps
   // over and leave exactly the changed one for prefetch to open.
-  const auto patched = flip_edge(*scheme, g, 0);
+  const auto patched = test_support::flip_edges(*scheme, g, {0});
   save_sharded_delta(*patched, files.child().path(), files.parent().path());
   const auto child_view = ShardedStoreView::open(
       files.child().path(), /*verify_checksum=*/true, parent_view);

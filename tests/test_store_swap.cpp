@@ -25,10 +25,10 @@
 #include "core/journal.hpp"
 #include "core/label_store.hpp"
 #include "core/sharded_store.hpp"
+#include "flip_edges.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "util/common.hpp"
-#include "flip_edge.hpp"
 
 namespace ftc::core {
 namespace {
@@ -567,7 +567,7 @@ TEST(StoreSwapDelta, SwapByPathMapsOnlyTheChangedShard) {
                            FaultSpec::edges(faults));
   const auto baseline = session.run_sequential(queries);
 
-  const auto patched = flip_edge(*scheme, g, 0);
+  const auto patched = test_support::flip_edges(*scheme, g, {0});
   const DeltaPushStats stats =
       save_sharded_delta(*patched, store_b.path(), store_a.path());
   ASSERT_EQ(stats.shards_written, 1u);
