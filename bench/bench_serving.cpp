@@ -441,7 +441,7 @@ void run_retry(const core::ConnectivityScheme& scheme, const Store& store,
                const Sizes& sz, Table& table, JsonRecords& json) {
   const std::string where = std::string(scheme.name()) + " retry";
   const core::RetryPolicy prior = core::default_retry_policy();
-  core::default_retry_policy() = {3, std::chrono::microseconds(50), 2.0};
+  core::default_retry_policy() = {3, std::chrono::microseconds(50)};
   const auto open_all = [&](Series& series, bool keep) {
     Timer t;
     const auto view = core::ShardedStoreView::open(store.manifest());

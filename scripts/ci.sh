@@ -115,10 +115,13 @@
 #   scripts/ci.sh tsan        # ThreadSanitizer leg: tsan preset build +
 #                             # run of the concurrency-heavy suites
 #                             # (sharded prefetch races, live epoch swap,
-#                             # shard-cache fetch/evict races, parallel
-#                             # builder dispatches, and batch workers
-#                             # carrying decoder sessions through a batch
-#                             # while workspaces move across fault sets)
+#                             # shard-cache fetch/evict races, the
+#                             # remote tier's loopback origin, cache
+#                             # fetches and retrying lazy shard opens,
+#                             # parallel builder dispatches, and batch
+#                             # workers carrying decoder sessions through
+#                             # a batch while workspaces move across
+#                             # fault sets)
 #   scripts/ci.sh build-parallel # parallel-build determinism leg: asan
 #                             # run of the byte-identity suite
 #                             # (test_parallel_build) + the randomized
@@ -544,11 +547,12 @@ if [ "${1:-}" = "tsan" ]; then
   cmake --preset tsan
   cmake --build --preset tsan -j "$jobs" \
     --target test_sharded_store test_store_swap test_shard_cache \
-    test_parallel_build test_decoder_workspace test_batch_engine
+    test_remote_store test_parallel_build test_decoder_workspace \
+    test_batch_engine
   ctest --preset tsan \
-    -R 'test_sharded_store|test_store_swap|test_shard_cache|test_parallel_build|test_decoder_workspace|test_batch_engine' \
+    -R 'test_sharded_store|test_store_swap|test_shard_cache|test_remote_store|test_parallel_build|test_decoder_workspace|test_batch_engine' \
     -j "$jobs"
-  echo "ci: sharded prefetch + live-swap + shard-cache + parallel-build + decoder-session + batch-engine suites green under tsan"
+  echo "ci: sharded prefetch + live-swap + shard-cache + remote-store + parallel-build + decoder-session + batch-engine suites green under tsan"
   exit 0
 fi
 

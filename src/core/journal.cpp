@@ -119,7 +119,11 @@ bool DeletionJournal::exists(const std::string& path) {
 
 std::shared_ptr<const DeletionJournal> DeletionJournal::open(
     const std::string& path) {
-  const std::vector<std::uint8_t> bytes = read_file(path);
+  return parse(path, read_file(path));
+}
+
+std::shared_ptr<const DeletionJournal> DeletionJournal::parse(
+    const std::string& path, std::span<const std::uint8_t> bytes) {
   std::shared_ptr<DeletionJournal> j(new DeletionJournal());
   j->file_bytes_ = bytes.size();
   j->chain_ = store::kFnvBasis;
@@ -168,9 +172,7 @@ std::shared_ptr<const DeletionJournal> DeletionJournal::open(
       if (r.u8() != 0) throw fail("nonzero frame padding");
     }
     const std::uint64_t expected =
-        store::fnv1a(std::span<const std::uint8_t>(bytes).subspan(
-                         start, r.pos() - start),
-                     j->chain_);
+        store::fnv1a(bytes.subspan(start, r.pos() - start), j->chain_);
     if (r.remaining() < 8) throw fail("truncated frame");
     if (r.u64() != expected) throw fail("running digest mismatch");
     j->chain_ = expected;
@@ -206,7 +208,10 @@ std::uint64_t DeletionJournal::append(const std::string& path,
   std::uint64_t chain = store::kFnvBasis;
   std::vector<EdgeId> journaled;
   if (exists(path)) {
-    const auto prior = open(path);
+    // One read: the bytes parsed here are the prefix the new frame
+    // extends.
+    existing = read_file(path);
+    const auto prior = parse(path, existing);
     if (prior->store_digest() != store_digest) {
       throw StoreError(
           "deletion journal is bound to a different store generation "
@@ -222,7 +227,6 @@ std::uint64_t DeletionJournal::append(const std::string& path,
     chain = prior->chain_;
     journaled.assign(prior->deleted_edges().begin(),
                      prior->deleted_edges().end());
-    existing = read_file(path);
   } else {
     FTC_REQUIRE(fault_budget >= 1,
                 "a new journal needs a positive fault budget");

@@ -129,6 +129,9 @@ class DeletionJournal {
 
  private:
   DeletionJournal() = default;
+  // open() over bytes already read from `path` (named in errors).
+  static std::shared_ptr<const DeletionJournal> parse(
+      const std::string& path, std::span<const std::uint8_t> bytes);
 
   std::uint64_t epoch_ = 0;
   std::uint64_t store_digest_ = 0;

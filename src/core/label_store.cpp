@@ -696,6 +696,32 @@ void unmap_file(const MappedFile& file) {
   ::munmap(const_cast<std::uint8_t*>(file.data), file.size);
 }
 
+void check_header_fields(std::uint8_t flags, std::uint64_t adj_size,
+                         std::uint8_t backend_byte, std::uint64_t n64,
+                         std::uint64_t m64, const char* kind,
+                         const char* corrupt, const std::string& path,
+                         StoreInfo& info) {
+  if ((flags & ~kFlagHasAdjacency) != 0) {
+    throw StoreError(std::string("unknown header flags in ") + kind + ": " +
+                     path);
+  }
+  info.has_adjacency = (flags & kFlagHasAdjacency) != 0;
+  if (info.has_adjacency != (adj_size != 0)) {
+    throw StoreError(std::string(corrupt) +
+                     " (adjacency flag/size disagree): " + path);
+  }
+  if (backend_byte > static_cast<std::uint8_t>(BackendKind::kDp21Agm)) {
+    throw StoreError(std::string("unknown backend kind in ") + kind + ": " +
+                     path);
+  }
+  info.backend = static_cast<BackendKind>(backend_byte);
+  if (n64 >= graph::kNoVertex || m64 >= graph::kNoEdge) {
+    throw StoreError(std::string(kind) + " dimensions out of range: " + path);
+  }
+  info.num_vertices = static_cast<VertexId>(n64);
+  info.num_edges = static_cast<EdgeId>(m64);
+}
+
 }  // namespace store
 
 void ConnectivityScheme::save(const std::string& path) const {
@@ -789,23 +815,8 @@ std::shared_ptr<const LabelStoreView> LabelStoreView::open(
   if (info.format_version < 2 && (flags != 0 || adj_size != 0)) {
     throw StoreError("corrupt v1 header (reserved fields nonzero): " + path);
   }
-  if ((flags & ~store::kFlagHasAdjacency) != 0) {
-    throw StoreError("unknown header flags in label store: " + path);
-  }
-  info.has_adjacency = (flags & store::kFlagHasAdjacency) != 0;
-  if (info.has_adjacency != (adj_size != 0)) {
-    throw StoreError(
-        "corrupt header (adjacency flag/size disagree): " + path);
-  }
-  if (backend_byte > static_cast<std::uint8_t>(BackendKind::kDp21Agm)) {
-    throw StoreError("unknown backend kind in label store: " + path);
-  }
-  info.backend = static_cast<BackendKind>(backend_byte);
-  if (n64 >= graph::kNoVertex || m64 >= graph::kNoEdge) {
-    throw StoreError("label store dimensions out of range: " + path);
-  }
-  info.num_vertices = static_cast<VertexId>(n64);
-  info.num_edges = static_cast<EdgeId>(m64);
+  store::check_header_fields(flags, adj_size, backend_byte, n64, m64,
+                             "label store", "corrupt header", path, info);
 
   // Section layout, with every bound checked against the mapped size.
   const auto fail_bounds = [&]() -> StoreError {

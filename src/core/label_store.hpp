@@ -545,6 +545,24 @@ struct StoreInfo {
   std::size_t edge_label_bits = 0;
 };
 
+namespace store {
+
+// The header fields a container and a manifest share, checked in one
+// order for both readers: no flag but kFlagHasAdjacency, the adjacency
+// flag agreeing with the adjacency section size, a known backend byte,
+// and dimensions below the graph's sentinels. Fills info's
+// has_adjacency, backend, num_vertices and num_edges, or throws
+// StoreError. `kind` names the artifact in messages ("label store",
+// "store manifest"); `corrupt` opens the flag/size one ("corrupt
+// header", "corrupt manifest").
+void check_header_fields(std::uint8_t flags, std::uint64_t adj_size,
+                         std::uint8_t backend_byte, std::uint64_t n64,
+                         std::uint64_t m64, const char* kind,
+                         const char* corrupt, const std::string& path,
+                         StoreInfo& info);
+
+}  // namespace store
+
 // The read interface every serving path programs against: a validated,
 // immutable view of one scheme's labels. Three implementations:
 // LabelStoreView (one mmapped container file, below), ShardedStoreView

@@ -11,40 +11,12 @@
 // routing by shard range, swap_store adoption) is inherited unchanged.
 #include "core/sharded_store.hpp"
 
-#include <thread>
-
 #include "core/shard_cache.hpp"
 #include "core/shard_source.hpp"
 
 namespace ftc::core {
 
 namespace {
-
-// Whole-object fetch under default_retry_policy(): transient transport
-// failures (StoreIoError) back off and retry; structural failures
-// (absent object, malformed response) throw through immediately. The
-// shard fetch path gets its retries from open_shard(); this helper
-// covers the metadata objects (manifest, journal) that are fetched
-// outside that loop.
-std::vector<std::uint8_t> fetch_with_retry(const ShardSource& source,
-                                           const std::string& name) {
-  const RetryPolicy policy = default_retry_policy();
-  const unsigned attempts = std::max(1u, policy.max_attempts);
-  std::chrono::microseconds backoff = policy.initial_backoff;
-  for (unsigned attempt = 1;; ++attempt) {
-    try {
-      return source.fetch(name);
-    } catch (const StoreIoError&) {
-      if (attempt >= attempts) throw;
-      std::this_thread::sleep_for(backoff);
-      backoff = std::chrono::microseconds(static_cast<std::int64_t>(
-          static_cast<double>(backoff.count()) * policy.multiplier));
-      if (policy.max_backoff.count() > 0 && backoff > policy.max_backoff) {
-        backoff = policy.max_backoff;
-      }
-    }
-  }
-}
 
 HttpEndpoint parse_store_url(const std::string& url) {
   HttpEndpoint ep;
@@ -68,9 +40,10 @@ std::shared_ptr<const RemoteStoreView> RemoteStoreView::open(
   // The manifest is re-fetched on every open (it is the mutable part of
   // a store — epochs move by replacing it), but put_blob content-
   // addresses the copy, so reopening an unchanged epoch rewrites
-  // nothing.
+  // nothing. It is fetched outside open_shard's retry loop, so it runs
+  // under the same retry_transient() here.
   const std::vector<std::uint8_t> manifest_bytes =
-      fetch_with_retry(*source, ep.object);
+      retry_transient([&] { return source->fetch(ep.object); });
   const std::string local_manifest = cache->put_blob("manifest",
                                                      manifest_bytes);
 
@@ -101,7 +74,7 @@ std::string fetch_remote_journal(const std::string& store_url) {
   std::uint64_t size = 0;
   if (!source.stat(journal_name, &size)) return std::string();
   const std::vector<std::uint8_t> bytes =
-      fetch_with_retry(source, journal_name);
+      retry_transient([&] { return source.fetch(journal_name); });
   return default_remote_cache()->put_blob("journal", bytes);
 }
 

@@ -53,10 +53,6 @@ struct Request {
   std::string method;
   std::string target;
   bool close = false;
-  bool has_range = false;
-  std::uint64_t range_begin = 0;
-  bool has_range_end = false;
-  std::uint64_t range_end = 0;  // inclusive, valid when has_range_end
 };
 
 // Reads and parses one request's head. Returns false on EOF or a
@@ -96,40 +92,12 @@ bool read_request(int fd, std::string* carry, Request* out) {
     if (colon != std::string::npos && colon < eol) {
       std::string key = head.substr(pos, colon - pos);
       for (char& c : key) c = static_cast<char>(std::tolower(c));
-      std::size_t v = colon + 1;
-      while (v < eol && head[v] == ' ') ++v;
-      const std::string value = head.substr(v, eol - v);
       if (key == "connection") {
-        std::string lowered = value;
-        for (char& c : lowered) c = static_cast<char>(std::tolower(c));
-        if (lowered == "close") req.close = true;
-      } else if (key == "range") {
-        // "bytes=a-b" or "bytes=a-"; anything else is ignored (served
-        // as a full 200, which RFC 7233 permits).
-        if (value.rfind("bytes=", 0) == 0) {
-          const std::string spec = value.substr(6);
-          const std::size_t dash = spec.find('-');
-          if (dash != std::string::npos && dash > 0) {
-            bool ok = true;
-            std::uint64_t a = 0;
-            for (std::size_t i = 0; i < dash && ok; ++i) {
-              if (spec[i] < '0' || spec[i] > '9') ok = false;
-              else a = a * 10 + static_cast<std::uint64_t>(spec[i] - '0');
-            }
-            std::uint64_t b = 0;
-            const bool has_b = dash + 1 < spec.size();
-            for (std::size_t i = dash + 1; i < spec.size() && ok; ++i) {
-              if (spec[i] < '0' || spec[i] > '9') ok = false;
-              else b = b * 10 + static_cast<std::uint64_t>(spec[i] - '0');
-            }
-            if (ok && (!has_b || b >= a)) {
-              req.has_range = true;
-              req.range_begin = a;
-              req.has_range_end = has_b;
-              req.range_end = b;
-            }
-          }
-        }
+        std::size_t v = colon + 1;
+        while (v < eol && head[v] == ' ') ++v;
+        std::string value = head.substr(v, eol - v);
+        for (char& c : value) c = static_cast<char>(std::tolower(c));
+        if (value == "close") req.close = true;
       }
     }
     pos = eol + 2;
@@ -307,34 +275,15 @@ void ShardHttpServer::serve_connection(int fd) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       stats_.requests += 1;
-      if (req.has_range) stats_.range_requests += 1;
       if (!file) stats_.not_found += 1;
     }
 
+    // A Range header is ignored: every GET answers 200 with the whole
+    // object, which RFC 9110 permits.
     std::ostringstream head;
-    std::uint64_t body_begin = 0;
-    std::uint64_t body_len = 0;
     if (!file) {
       head << "HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n";
-    } else if (req.has_range) {
-      const std::uint64_t begin = req.range_begin;
-      if (begin >= file_size) {
-        head << "HTTP/1.1 416 Range Not Satisfiable\r\n"
-             << "Content-Range: bytes */" << file_size << "\r\n"
-             << "Content-Length: 0\r\n";
-      } else {
-        const std::uint64_t last =
-            req.has_range_end ? std::min(req.range_end, file_size - 1)
-                              : file_size - 1;
-        body_begin = begin;
-        body_len = last - begin + 1;
-        head << "HTTP/1.1 206 Partial Content\r\n"
-             << "Content-Range: bytes " << begin << '-' << last << '/'
-             << file_size << "\r\n"
-             << "Content-Length: " << body_len << "\r\n";
-      }
     } else {
-      body_len = file_size;
       head << "HTTP/1.1 200 OK\r\nContent-Length: " << file_size << "\r\n";
     }
     head << "Content-Type: application/octet-stream\r\n";
@@ -344,12 +293,9 @@ void ShardHttpServer::serve_connection(int fd) {
     if (!send_all(fd, head_str.data(), head_str.size())) return;
 
     std::uint64_t sent_body = 0;
-    if (!is_head && body_len > 0) {
-      if (::lseek(file.get(), static_cast<off_t>(body_begin), SEEK_SET) < 0) {
-        return;
-      }
+    if (!is_head && file_size > 0) {
       char buf[64 * 1024];
-      std::uint64_t remaining = body_len;
+      std::uint64_t remaining = file_size;
       while (remaining > 0) {
         const std::size_t want =
             static_cast<std::size_t>(std::min<std::uint64_t>(remaining,

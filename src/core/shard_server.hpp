@@ -9,13 +9,15 @@
 // this is a test and intranet-demo origin, not a hardened edge server;
 // production serving belongs behind a real static file server, which
 // works just as well because the protocol surface the client needs is
-// exactly GET/HEAD + Range + Content-Length.
+// exactly GET/HEAD + Content-Length: shards are always fetched whole,
+// so no Range support is needed on either side.
 //
-// Supported: GET and HEAD, single-range `Range: bytes=a-b` / `bytes=a-`
-// (206 + Content-Range), 404 for absent objects, 416 for unsatisfiable
-// ranges, keep-alive with `Connection: close` honored. Object names
-// resolve under the served directory with the same traversal rules as
-// manifest shard names (no "..", no absolute paths).
+// Supported: GET and HEAD (200 with the whole object; a Range header is
+// ignored, which RFC 9110 permits), 404 for absent objects, keep-alive
+// with `Connection: close` honored. The request parser reads no
+// numbers. Object names resolve under the served directory with the
+// same traversal rules as manifest shard names (no "..", no absolute
+// paths).
 #pragma once
 
 #include <atomic>
@@ -32,7 +34,6 @@ class ShardHttpServer {
  public:
   struct Stats {
     std::uint64_t requests = 0;
-    std::uint64_t range_requests = 0;
     std::uint64_t not_found = 0;
     std::uint64_t bytes_sent = 0;
   };

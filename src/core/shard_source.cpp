@@ -14,7 +14,7 @@
 #include <cstring>
 #include <sstream>
 
-#include "util/common.hpp"
+#include "util/env.hpp"
 #include "util/failpoint.hpp"
 #include "util/scoped_fd.hpp"
 
@@ -59,36 +59,6 @@ std::vector<std::uint8_t> LocalDirShardSource::fetch(const std::string& name) co
   return bytes;
 }
 
-std::vector<std::uint8_t> LocalDirShardSource::fetch_range(
-    const std::string& name, std::uint64_t offset, std::uint64_t length) const {
-  FTC_CHECK(length >= 1, "fetch_range needs a non-empty range");
-  const std::string path = dir_ + name;
-  util::ScopedFd fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
-  if (!fd) {
-    const int err = errno;
-    if (err == ENOENT || err == ENOTDIR) {
-      throw StoreError("shard source object not found: " + path);
-    }
-    throw StoreIoError("shard source open failed: " + path + errno_suffix(err));
-  }
-  struct stat st {};
-  if (::fstat(fd.get(), &st) != 0) {
-    throw StoreIoError("shard source stat failed: " + path + errno_suffix(errno));
-  }
-  if (offset + length > static_cast<std::uint64_t>(st.st_size)) {
-    throw StoreError("shard source range past end of object: " + path);
-  }
-  if (::lseek(fd.get(), static_cast<off_t>(offset), SEEK_SET) < 0) {
-    throw StoreIoError("shard source seek failed: " + path + errno_suffix(errno));
-  }
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(length));
-  if (!util::read_full(fd.get(), bytes.data(), bytes.size())) {
-    throw StoreIoError("shard source read failed: " + path +
-                       (errno != 0 ? errno_suffix(errno) : ": short read"));
-  }
-  return bytes;
-}
-
 bool LocalDirShardSource::stat(const std::string& name,
                                std::uint64_t* size_out) const {
   const std::string path = dir_ + name;
@@ -126,15 +96,10 @@ bool parse_http_url(const std::string& url, HttpEndpoint* out) {
     ep.host = authority;
   } else {
     ep.host = authority.substr(0, colon);
-    const std::string port_str = authority.substr(colon + 1);
-    if (ep.host.empty() || port_str.empty() || port_str.size() > 5) return false;
-    std::uint32_t port = 0;
-    for (const char c : port_str) {
-      if (c < '0' || c > '9') return false;
-      port = port * 10 + static_cast<std::uint32_t>(c - '0');
-    }
-    if (port < 1 || port > 65535) return false;
-    ep.port = static_cast<std::uint16_t>(port);
+    const auto port =
+        util::parse_decimal_u64(authority.substr(colon + 1).c_str());
+    if (!port || *port < 1 || *port > 65535) return false;
+    ep.port = static_cast<std::uint16_t>(*port);
   }
   if (ep.host.empty()) return false;
 
@@ -192,8 +157,7 @@ std::string HttpShardSource::describe(const std::string& name) const {
 }
 
 HttpShardSource::Response HttpShardSource::round_trip(
-    const std::string& name, const char* method, bool want_body,
-    std::uint64_t range_off, std::uint64_t range_len) const {
+    const std::string& name, const char* method, bool want_body) const {
   const std::string where = describe(name);
 
   struct addrinfo hints {};
@@ -244,12 +208,8 @@ HttpShardSource::Response HttpShardSource::round_trip(
 
   std::ostringstream req;
   req << method << ' ' << dir_ << name << " HTTP/1.1\r\n"
-      << "Host: " << host_ << ':' << port_ << "\r\n";
-  if (range_len > 0) {
-    req << "Range: bytes=" << range_off << '-' << (range_off + range_len - 1)
-        << "\r\n";
-  }
-  req << "Connection: close\r\n\r\n";
+      << "Host: " << host_ << ':' << port_ << "\r\n"
+      << "Connection: close\r\n\r\n";
   const std::string request = req.str();
   send_all(fd.get(), request.data(), request.size(), where);
 
@@ -287,13 +247,10 @@ HttpShardSource::Response HttpShardSource::round_trip(
         head.rfind("HTTP/1.", 0) != 0) {
       throw StoreError("remote response malformed: " + where);
     }
-    resp.status = 0;
-    for (std::size_t i = sp + 1; i < sp + 4; ++i) {
-      if (head[i] < '0' || head[i] > '9') {
-        throw StoreError("remote response malformed: " + where);
-      }
-      resp.status = resp.status * 10 + (head[i] - '0');
-    }
+    const auto status =
+        util::parse_decimal_u64(head.substr(sp + 1, 3).c_str());
+    if (!status) throw StoreError("remote response malformed: " + where);
+    resp.status = static_cast<int>(*status);
     // Content-Length, case-insensitive scan over header lines.
     std::size_t line = head.find("\r\n") + 2;
     while (line < body_start - 2) {
@@ -303,17 +260,14 @@ HttpShardSource::Response HttpShardSource::round_trip(
         std::string key = head.substr(line, colon - line);
         for (char& c : key) c = static_cast<char>(std::tolower(c));
         if (key == "content-length") {
-          std::size_t v = colon + 1;
-          while (v < eol && head[v] == ' ') ++v;
-          std::uint64_t cl = 0;
-          bool any = false;
-          while (v < eol && head[v] >= '0' && head[v] <= '9') {
-            cl = cl * 10 + static_cast<std::uint64_t>(head[v] - '0');
-            ++v;
-            any = true;
-          }
-          if (!any) throw StoreError("remote Content-Length malformed: " + where);
-          resp.content_length = cl;
+          // Digits only between optional whitespace, within u64 range;
+          // anything else is a structural refusal.
+          std::string value = head.substr(colon + 1, eol - colon - 1);
+          value.erase(0, value.find_first_not_of(" \t"));
+          value.erase(value.find_last_not_of(" \t") + 1);
+          const auto cl = util::parse_decimal_u64(value.c_str());
+          if (!cl) throw StoreError("remote Content-Length malformed: " + where);
+          resp.content_length = *cl;
           resp.has_content_length = true;
         }
       }
@@ -324,8 +278,9 @@ HttpShardSource::Response HttpShardSource::round_trip(
   if (!want_body) return resp;
 
   // Body: what arrived with the headers plus the rest of the stream.
+  // No reserve: the announced length is untrusted, so the buffer grows
+  // only with bytes that actually arrive.
   body.assign(head.begin() + static_cast<std::ptrdiff_t>(body_start), head.end());
-  if (resp.has_content_length) body.reserve(resp.content_length);
   {
     char buf[64 * 1024];
     for (;;) {
@@ -369,39 +324,14 @@ namespace {
 }  // namespace
 
 std::vector<std::uint8_t> HttpShardSource::fetch(const std::string& name) const {
-  Response resp = round_trip(name, "GET", /*want_body=*/true, 0, 0);
+  Response resp = round_trip(name, "GET", /*want_body=*/true);
   if (resp.status != 200) throw_for_status(resp.status, describe(name));
   return std::move(resp.body);
 }
 
-std::vector<std::uint8_t> HttpShardSource::fetch_range(
-    const std::string& name, std::uint64_t offset, std::uint64_t length) const {
-  FTC_CHECK(length >= 1, "fetch_range needs a non-empty range");
-  Response resp = round_trip(name, "GET", /*want_body=*/true, offset, length);
-  if (resp.status == 206) {
-    if (resp.body.size() != length) {
-      throw StoreIoError("remote range response wrong size: " + describe(name));
-    }
-    return std::move(resp.body);
-  }
-  if (resp.status == 200) {
-    // Origin ignored the Range header; slice the full body ourselves.
-    if (offset + length > resp.body.size()) {
-      throw StoreError("remote range past end of object: " + describe(name));
-    }
-    return std::vector<std::uint8_t>(
-        resp.body.begin() + static_cast<std::ptrdiff_t>(offset),
-        resp.body.begin() + static_cast<std::ptrdiff_t>(offset + length));
-  }
-  if (resp.status == 416) {
-    throw StoreError("remote range past end of object: " + describe(name));
-  }
-  throw_for_status(resp.status, describe(name));
-}
-
 bool HttpShardSource::stat(const std::string& name,
                            std::uint64_t* size_out) const {
-  Response resp = round_trip(name, "HEAD", /*want_body=*/false, 0, 0);
+  Response resp = round_trip(name, "HEAD", /*want_body=*/false);
   if (resp.status == 404) return false;
   if (resp.status != 200) throw_for_status(resp.status, describe(name));
   if (!resp.has_content_length) {

@@ -13,7 +13,7 @@
 //
 // Error taxonomy mirrors the store layer's: transport failures that a
 // retry can plausibly cure (connect/read/timeouts/5xx, short bodies)
-// throw StoreIoError and flow into the PR 8 RetryPolicy machinery;
+// throw StoreIoError and flow into the RetryPolicy machinery;
 // structural failures (object not found, malformed responses that
 // re-reading cannot fix) throw plain StoreError and never retry.
 //
@@ -53,15 +53,10 @@ class ShardSource {
   ShardSource& operator=(const ShardSource&) = delete;
 
   // The whole object. Throws StoreIoError (transient) / StoreError
-  // (structural, including "not found").
+  // (structural, including "not found"). Objects are only ever fetched
+  // whole: the cache checks each one against the manifest's size and
+  // CRC-64 digest, which a byte range could not be checked against.
   virtual std::vector<std::uint8_t> fetch(const std::string& name) const = 0;
-
-  // Bytes [offset, offset + length) of the object. length must be >= 1;
-  // a range past the object's end is structural (StoreError) — callers
-  // know the exact sizes from the manifest.
-  virtual std::vector<std::uint8_t> fetch_range(const std::string& name,
-                                                std::uint64_t offset,
-                                                std::uint64_t length) const = 0;
 
   // Size probe. Returns false when the object does not exist; throws
   // StoreIoError on transport failure.
@@ -87,9 +82,6 @@ class LocalDirShardSource final : public ShardSource {
   explicit LocalDirShardSource(std::string dir);
 
   std::vector<std::uint8_t> fetch(const std::string& name) const override;
-  std::vector<std::uint8_t> fetch_range(const std::string& name,
-                                        std::uint64_t offset,
-                                        std::uint64_t length) const override;
   bool stat(const std::string& name, std::uint64_t* size_out) const override;
   std::string describe(const std::string& name) const override;
 
@@ -117,17 +109,17 @@ bool parse_http_url(const std::string& url, HttpEndpoint* out);
 // The HTTP/1.1 client source: one short-lived loopback-friendly TCP
 // connection per request (Connection: close — keep-alive buys nothing
 // for shard-sized transfers and keeps the client stateless, hence
-// thread-safe), GET with Range for fetch_range, HEAD for stat. Built on
-// socket(2)/connect(2)/send(2)/recv(2) only.
+// thread-safe), GET for fetch, HEAD for stat. Built on
+// socket(2)/connect(2)/send(2)/recv(2) only. Content-Length is parsed
+// strictly (util::parse_decimal_u64): a malformed or overflowing value
+// is a StoreError, and the body buffer grows with the bytes that
+// actually arrive, never with what the origin announces.
 class HttpShardSource final : public ShardSource {
  public:
   // Objects resolve as "http://host:port<dir><name>".
   HttpShardSource(std::string host, std::uint16_t port, std::string dir);
 
   std::vector<std::uint8_t> fetch(const std::string& name) const override;
-  std::vector<std::uint8_t> fetch_range(const std::string& name,
-                                        std::uint64_t offset,
-                                        std::uint64_t length) const override;
   bool stat(const std::string& name, std::uint64_t* size_out) const override;
   std::string describe(const std::string& name) const override;
 
@@ -139,10 +131,9 @@ class HttpShardSource final : public ShardSource {
     std::vector<std::uint8_t> body;
   };
   // One request/response round trip. want_body=false (HEAD) stops after
-  // the headers. range_len == 0 means "no Range header".
+  // the headers.
   Response round_trip(const std::string& name, const char* method,
-                      bool want_body, std::uint64_t range_off,
-                      std::uint64_t range_len) const;
+                      bool want_body) const;
 
   std::string host_;
   std::uint16_t port_;

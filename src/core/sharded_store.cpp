@@ -523,23 +523,9 @@ void ShardedStoreView::open_impl(
   if (info.manifest_epoch == 0) {
     throw StoreError("corrupt manifest (epoch zero): " + path);
   }
-  if ((flags & ~store::kFlagHasAdjacency) != 0) {
-    throw StoreError("unknown header flags in store manifest: " + path);
-  }
-  info.has_adjacency = (flags & store::kFlagHasAdjacency) != 0;
-  if (info.has_adjacency != (adj_size != 0)) {
-    throw StoreError("corrupt manifest (adjacency flag/size disagree): " +
-                     path);
-  }
-  if (backend_byte > static_cast<std::uint8_t>(BackendKind::kDp21Agm)) {
-    throw StoreError("unknown backend kind in store manifest: " + path);
-  }
-  info.backend = static_cast<BackendKind>(backend_byte);
-  if (n64 >= graph::kNoVertex || m64 >= graph::kNoEdge) {
-    throw StoreError("store manifest dimensions out of range: " + path);
-  }
-  info.num_vertices = static_cast<VertexId>(n64);
-  info.num_edges = static_cast<EdgeId>(m64);
+  store::check_header_fields(flags, adj_size, backend_byte, n64, m64,
+                             "store manifest", "corrupt manifest", path,
+                             info);
   if (num_shards < 1 || num_shards > store::kMaxShards) {
     throw StoreError("store manifest shard count out of range: " + path);
   }
@@ -784,31 +770,18 @@ std::shared_ptr<const LabelStoreView> ShardedStoreView::open_shard(
   // cannot help). Either way, an exhausted shard is quarantined so the
   // next query over its range degrades instantly instead of re-paying
   // the open + backoff.
-  const RetryPolicy policy = default_retry_policy();
-  const unsigned attempts = std::max(1u, policy.max_attempts);
-  std::chrono::microseconds backoff = policy.initial_backoff;
-  for (unsigned attempt = 1;; ++attempt) {
-    try {
-      return open_shard_once(k);
-    } catch (const StoreIoError& e) {
-      if (attempt >= attempts) {
-        quarantine_shard(k, std::string(e.what()) + " (after " +
-                                std::to_string(attempt) + " attempts)");
-        throw_degraded(k);
-      }
-      std::this_thread::sleep_for(backoff);
-      backoff = std::chrono::microseconds(static_cast<std::int64_t>(
-          static_cast<double>(backoff.count()) * policy.multiplier));
-      if (policy.max_backoff.count() > 0 && backoff > policy.max_backoff) {
-        backoff = policy.max_backoff;
-      }
-    } catch (const DegradedError&) {
-      throw;  // a racing opener already quarantined this shard
-    } catch (const StoreError& e) {
-      quarantine_shard(k, e.what());
-      throw_degraded(k);
-    }
+  try {
+    return retry_transient([&] { return open_shard_once(k); });
+  } catch (const DegradedError&) {
+    throw;  // a racing opener already quarantined this shard
+  } catch (const StoreIoError& e) {
+    const unsigned attempts = default_retry_policy().attempts();
+    quarantine_shard(k, std::string(e.what()) + " (after " +
+                            std::to_string(attempts) + " attempts)");
+  } catch (const StoreError& e) {
+    quarantine_shard(k, e.what());
   }
+  throw_degraded(k);
 }
 
 void ShardedStoreView::quarantine_shard(std::size_t k,

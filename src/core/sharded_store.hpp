@@ -86,6 +86,7 @@
 // mismatch throws the typed StoreError.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -93,6 +94,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/label_store.hpp"
@@ -125,18 +127,22 @@ class DegradedError : public StoreError {
 };
 
 // Retry schedule for transient (StoreIoError-class) failures on the
-// shard open / prefetch / swap paths: flaky disks, fd pressure, racing
-// publishes. Validation failures (plain StoreError) never retry —
-// re-reading corrupt bytes cannot help.
+// shard open / prefetch / swap paths and the remote tier's fetches:
+// flaky disks, fd pressure, racing publishes, a flapping origin.
+// Validation failures (plain StoreError) never retry — re-reading
+// corrupt bytes cannot help. The backoff doubles after each failed
+// attempt (kRetryBackoffMultiplier) up to max_backoff.
 struct RetryPolicy {
   unsigned max_attempts = 3;  // total attempts, >= 1
   std::chrono::microseconds initial_backoff{100};
-  double multiplier = 2.0;  // backoff growth per attempt
-  // Ceiling the exponential growth stops at — remote fetches retry
-  // under the same policy as local opens, and unbounded doubling
+  // Ceiling the exponential growth stops at (0 = none) — remote fetches
+  // retry under the same policy as local opens, and unbounded doubling
   // against a flapping origin turns a 3-attempt budget into seconds.
   std::chrono::microseconds max_backoff{100000};
+
+  unsigned attempts() const { return std::max(1u, max_attempts); }
 };
+inline constexpr int kRetryBackoffMultiplier = 2;
 
 // Process-wide policy ShardedStoreView retries under (tests shrink it;
 // not synchronized — set it before serving traffic). Seeded once, on
@@ -146,6 +152,30 @@ struct RetryPolicy {
 //   FTC_RETRY_BASE_US   initial backoff in microseconds
 //   FTC_RETRY_CAP_US    backoff ceiling in microseconds
 RetryPolicy& default_retry_policy();
+
+// Returns fn(), calling it up to default_retry_policy().attempts() times:
+// a StoreIoError sleeps the current backoff and tries again, and the
+// last attempt's StoreIoError propagates. Any other exception
+// propagates at once. The one retry loop of the store layer: shard
+// opens (ShardedStoreView::open_shard) and the remote tier's manifest
+// and journal fetches run under it.
+template <typename Fn>
+auto retry_transient(Fn&& fn) -> decltype(fn()) {
+  const RetryPolicy policy = default_retry_policy();
+  std::chrono::microseconds backoff = policy.initial_backoff;
+  for (unsigned attempt = 1;; ++attempt) {
+    try {
+      return fn();
+    } catch (const StoreIoError&) {
+      if (attempt >= policy.attempts()) throw;
+    }
+    std::this_thread::sleep_for(backoff);
+    backoff *= kRetryBackoffMultiplier;
+    if (policy.max_backoff.count() > 0 && backoff > policy.max_backoff) {
+      backoff = policy.max_backoff;
+    }
+  }
+}
 
 // One quarantined shard: index, the ID ranges it makes unservable, and
 // the failure that quarantined it.

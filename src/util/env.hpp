@@ -1,7 +1,9 @@
-// Numeric environment knobs (FTC_CACHE_BYTES, FTC_RETRY_*). One strict
-// parser, so every knob rejects the same malformed values: strtoull
-// alone would accept a sign or leading spaces and turn "-1" into
-// 2^64 - 1.
+// Numeric environment knobs (FTC_CACHE_BYTES, FTC_RETRY_*) and the one
+// strict decimal parser behind them, which the HTTP shard client (status
+// code, Content-Length, URL port) and ftc_store's numeric flags use too,
+// so every untrusted number is refused the same way: strtoull alone
+// would accept a sign or leading spaces and turn "-1" into 2^64 - 1,
+// and a hand-rolled digit loop wraps silently past 2^64.
 #pragma once
 
 #include <cstdint>

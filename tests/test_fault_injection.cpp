@@ -282,7 +282,7 @@ TEST(FaultInjection, SniffFailuresAreTyped) {
 // Retry + quarantine on the sharded serving path.
 
 TEST(FaultInjection, TransientOpenFailureRetriesAndServes) {
-  ScopedRetryPolicy retry({3, std::chrono::microseconds(1), 2.0});
+  ScopedRetryPolicy retry({3, std::chrono::microseconds(1)});
   ManifestFile manifest("retry_ok");
   const Graph g = graph::random_connected(48, 120, 11);
   const auto scheme = make_scheme(g, test_config(2));
@@ -298,7 +298,7 @@ TEST(FaultInjection, TransientOpenFailureRetriesAndServes) {
 }
 
 TEST(FaultInjection, ExhaustedRetriesQuarantineExactlyThatShard) {
-  ScopedRetryPolicy retry({2, std::chrono::microseconds(1), 2.0});
+  ScopedRetryPolicy retry({2, std::chrono::microseconds(1)});
   ManifestFile manifest("quarantine");
   const Graph g = graph::random_connected(64, 160, 3);
   const auto scheme = make_scheme(g, test_config(2));
@@ -337,7 +337,7 @@ TEST(FaultInjection, ExhaustedRetriesQuarantineExactlyThatShard) {
 }
 
 TEST(FaultInjection, PrefetchKeepsOpeningPastAFailedShard) {
-  ScopedRetryPolicy retry({1, std::chrono::microseconds(1), 2.0});
+  ScopedRetryPolicy retry({1, std::chrono::microseconds(1)});
   ManifestFile manifest("prefetch_continue");
   const Graph g = graph::random_connected(64, 160, 5);
   const auto scheme = make_scheme(g, test_config(2));
@@ -354,7 +354,7 @@ TEST(FaultInjection, PrefetchKeepsOpeningPastAFailedShard) {
 }
 
 TEST(FaultInjection, FailedSwapLeavesOldGenerationServing) {
-  ScopedRetryPolicy retry({1, std::chrono::microseconds(1), 2.0});
+  ScopedRetryPolicy retry({1, std::chrono::microseconds(1)});
   ManifestFile gen_a("swap_a");
   ManifestFile gen_b("swap_b");
   const unsigned f = 2;
@@ -824,7 +824,7 @@ TEST(FaultInjection, JournalFailpointsAreTyped) {
 // typed, never crash, and never leak a descriptor.
 
 TEST(FaultInjection, FdExhaustionSweepIsTypedAndLeakFree) {
-  ScopedRetryPolicy retry({2, std::chrono::microseconds(1), 2.0});
+  ScopedRetryPolicy retry({2, std::chrono::microseconds(1)});
   ManifestFile manifest("fd_sweep");
   const Graph g = graph::random_connected(128, 320, 43);
   const auto scheme = make_scheme(g, test_config(2));

@@ -9,6 +9,8 @@
 // ladder as local I/O faults — healthy shards keep serving throughout.
 #include <gtest/gtest.h>
 #include <dirent.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -16,6 +18,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/batch_engine.hpp"
@@ -126,10 +129,83 @@ struct ServedStore {
   ShardHttpServer server;
 };
 
+// One request over a fresh loopback connection; returns every byte the
+// server sent until it closed.
+std::string raw_http_exchange(std::uint16_t port, const std::string& request) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  EXPECT_GE(fd, 0);
+  struct sockaddr_in addr {};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  std::string out;
+  if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                sizeof(addr)) == 0 &&
+      ::send(fd, request.data(), request.size(), MSG_NOSIGNAL) ==
+          static_cast<ssize_t>(request.size())) {
+    char buf[4096];
+    ssize_t n;
+    while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+      out.append(buf, static_cast<std::size_t>(n));
+    }
+  }
+  ::close(fd);
+  return out;
+}
+
+// A loopback listener that accepts one connection, reads the request
+// head, answers with `response` verbatim and closes: an origin that
+// says whatever a test needs it to.
+class OneShotOrigin {
+ public:
+  explicit OneShotOrigin(std::string response)
+      : response_(std::move(response)),
+        fd_(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0)) {
+    struct sockaddr_in addr {};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    EXPECT_EQ(::bind(fd_, reinterpret_cast<struct sockaddr*>(&addr), len), 0);
+    EXPECT_EQ(::listen(fd_, 1), 0);
+    EXPECT_EQ(
+        ::getsockname(fd_, reinterpret_cast<struct sockaddr*>(&addr), &len),
+        0);
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this] {
+      const int conn = ::accept(fd_, nullptr, nullptr);
+      if (conn < 0) return;
+      std::string head;
+      char buf[1024];
+      ssize_t n;
+      while (head.find("\r\n\r\n") == std::string::npos &&
+             (n = ::recv(conn, buf, sizeof(buf), 0)) > 0) {
+        head.append(buf, static_cast<std::size_t>(n));
+      }
+      (void)::send(conn, response_.data(), response_.size(), MSG_NOSIGNAL);
+      ::close(conn);
+    });
+  }
+  ~OneShotOrigin() {
+    ::shutdown(fd_, SHUT_RDWR);  // unblocks accept() if nobody connected
+    thread_.join();
+    ::close(fd_);
+  }
+  OneShotOrigin(const OneShotOrigin&) = delete;
+  OneShotOrigin& operator=(const OneShotOrigin&) = delete;
+
+  std::uint16_t port() const { return port_; }
+
+ private:
+  std::string response_;
+  int fd_;
+  std::uint16_t port_ = 0;
+  std::thread thread_;
+};
+
 // ------------------------------------------------------------------
 // HttpShardSource against the in-process origin: the raw transport.
 
-TEST(ShardHttpServer, ServesObjectsRangesAndStats) {
+TEST(ShardHttpServer, ServesObjectsAndStats) {
   ServedStore served("httpsrv", 2);
   const HttpShardSource src("127.0.0.1", served.server.port(), "/");
 
@@ -137,26 +213,71 @@ TEST(ShardHttpServer, ServesObjectsRangesAndStats) {
   const auto fetched = src.fetch("store.ftcm");
   EXPECT_EQ(fetched, disk);
 
-  const auto slice = src.fetch_range("store.ftcm", 8, 32);
-  ASSERT_EQ(slice.size(), 32u);
-  EXPECT_TRUE(spans_equal(
-      slice, std::span<const std::uint8_t>(disk).subspan(8, 32)));
-
   std::uint64_t size = 0;
   ASSERT_TRUE(src.stat("store.ftcm", &size));
   EXPECT_EQ(size, disk.size());
   EXPECT_FALSE(src.stat("absent.ftcm", &size));
   EXPECT_THROW((void)src.fetch("absent.ftcm"), StoreError);
-  EXPECT_THROW((void)src.fetch_range("store.ftcm", disk.size(), 1),
-               StoreError);
   // Traversal attempts must 404, never escape the served directory.
   EXPECT_THROW((void)src.fetch("../store.ftcm"), StoreError);
 
   const auto stats = served.server.stats();
   EXPECT_GE(stats.requests, 5u);
-  EXPECT_GE(stats.range_requests, 1u);
   EXPECT_GE(stats.not_found, 2u);
   EXPECT_GT(stats.bytes_sent, disk.size());
+}
+
+// The origin serves whole objects only: a Range request is answered
+// with 200 and every byte of the file, which RFC 9110 permits.
+TEST(ShardHttpServer, RangeRequestGetsWholeObject) {
+  ServedStore served("rangeget", 1);
+  const auto disk = read_file(served.manifest());
+  const std::string resp = raw_http_exchange(
+      served.server.port(),
+      "GET /store.ftcm HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+      "Range: bytes=0-9\r\nConnection: close\r\n\r\n");
+  ASSERT_EQ(resp.rfind("HTTP/1.1 200 ", 0), 0u)
+      << resp.substr(0, resp.find("\r\n"));
+  const std::size_t head_end = resp.find("\r\n\r\n");
+  ASSERT_NE(head_end, std::string::npos);
+  EXPECT_NE(resp.find("Content-Length: " + std::to_string(disk.size()) +
+                      "\r\n"),
+            std::string::npos);
+  const std::string body = resp.substr(head_end + 4);
+  EXPECT_EQ(std::vector<std::uint8_t>(body.begin(), body.end()), disk);
+}
+
+// An origin's announced Content-Length is untrusted: a huge one must not
+// size an allocation, and a malformed or overflowing one is refused, all
+// as typed store errors the retry/quarantine ladder understands — never
+// std::bad_alloc.
+TEST(ShardHttpSource, HugeOrMalformedContentLengthIsTypedRefusal) {
+  struct Case {
+    const char* length;
+    bool malformed;
+  };
+  const Case cases[] = {
+      {"1000000000000000000", false},        // 10^18: body cut short
+      {"1000000000000000000000000", true},   // 25 digits: past 2^64
+      {"12abc", true},
+  };
+  for (const Case& c : cases) {
+    OneShotOrigin origin(std::string("HTTP/1.1 200 OK\r\nContent-Length: ") +
+                         c.length + "\r\nConnection: close\r\n\r\nabc");
+    const HttpShardSource src("127.0.0.1", origin.port(), "/");
+    try {
+      (void)src.fetch("obj");
+      ADD_FAILURE() << c.length << ": fetch succeeded";
+    } catch (const StoreError& e) {
+      if (c.malformed) {
+        EXPECT_NE(std::string(e.what()).find("Content-Length malformed"),
+                  std::string::npos)
+            << c.length << ": " << e.what();
+      }
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << c.length << ": untyped " << e.what();
+    }
+  }
 }
 
 TEST(ShardHttpSource, ConnectFailureIsTransient) {
@@ -380,6 +501,8 @@ TEST(RemoteStoreFaults, PersistentFailureDegradesShardOthersKeepServing) {
   const auto report = remote->quarantine_report();
   ASSERT_EQ(report.size(), 1u);
   EXPECT_NE(report[0].reason.find("remote"), std::string::npos);
+  EXPECT_NE(report[0].reason.find("(after 2 attempts)"), std::string::npos)
+      << report[0].reason;
 }
 
 TEST(RemoteStoreFaults, CorruptOriginShardFailsTypedNotCrash) {

@@ -108,16 +108,13 @@ std::string make_sharded_store(const ScratchDir& dir, unsigned k_shards,
 // ------------------------------------------------------------------
 // LocalDirShardSource: the transport contract against plain files.
 
-TEST(LocalDirShardSource, FetchStatAndRangeRoundTrip) {
+TEST(LocalDirShardSource, FetchAndStatRoundTrip) {
   ScratchDir dir("localsrc");
   write_file(dir.file("obj"), "0123456789abcdef");
   const LocalDirShardSource src(dir.path());
 
   const auto all = src.fetch("obj");
   EXPECT_EQ(std::string(all.begin(), all.end()), "0123456789abcdef");
-
-  const auto mid = src.fetch_range("obj", 4, 6);
-  EXPECT_EQ(std::string(mid.begin(), mid.end()), "456789");
 
   std::uint64_t size = 0;
   EXPECT_TRUE(src.stat("obj", &size));
@@ -127,14 +124,13 @@ TEST(LocalDirShardSource, FetchStatAndRangeRoundTrip) {
   EXPECT_EQ(src.describe("obj"), dir.path() + "/obj");
 }
 
-TEST(LocalDirShardSource, MissingObjectAndBadRangeAreStructural) {
+TEST(LocalDirShardSource, MissingObjectIsStructural) {
   ScratchDir dir("localsrc_err");
   write_file(dir.file("obj"), "abc");
   const LocalDirShardSource src(dir.path());
-  // Not-found and past-end are structural (plain StoreError): retrying
-  // cannot conjure the bytes, so they must not match the retry filter.
+  // Not-found is structural (plain StoreError): retrying cannot
+  // conjure the bytes, so it must not match the retry filter.
   EXPECT_THROW((void)src.fetch("absent"), StoreError);
-  EXPECT_THROW((void)src.fetch_range("obj", 2, 5), StoreError);
   try {
     (void)src.fetch("absent");
     FAIL() << "expected StoreError";

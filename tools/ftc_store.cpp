@@ -103,6 +103,7 @@
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "util/common.hpp"
+#include "util/env.hpp"
 #include "util/failpoint.hpp"
 
 namespace {
@@ -185,16 +186,12 @@ std::map<std::string, std::string> parse_flags(
 // Strict numeric parsing with usage-error (exit 1) semantics: malformed
 // or out-of-range values must not surface as exit-2 "store errors".
 std::uint64_t parse_u64_or_die(const std::string& s) {
-  try {
-    if (s.empty() || s[0] == '-') throw std::invalid_argument(s);
-    std::size_t used = 0;
-    const std::uint64_t v = std::stoull(s, &used);
-    if (used != s.size()) throw std::invalid_argument(s);
-    return v;
-  } catch (const std::exception&) {
+  const auto v = util::parse_decimal_u64(s.c_str());
+  if (!v) {
     std::fprintf(stderr, "bad numeric value: %s\n", s.c_str());
     std::exit(1);
   }
+  return *v;
 }
 
 double parse_double_or_die(const std::string& s) {
@@ -1025,9 +1022,8 @@ int cmd_serve(int argc, char** argv) {
   const auto stats = server.stats();
   std::fprintf(stderr,
                "serve: stopped on signal %d after %llu request(s) "
-               "(%llu range, %llu not found, %llu bytes sent)\n",
+               "(%llu not found, %llu bytes sent)\n",
                sig, static_cast<unsigned long long>(stats.requests),
-               static_cast<unsigned long long>(stats.range_requests),
                static_cast<unsigned long long>(stats.not_found),
                static_cast<unsigned long long>(stats.bytes_sent));
   return 0;
