@@ -16,8 +16,11 @@
 // pipeline with Det via the greedy-net hierarchy; see bench_hierarchy.)
 //
 // Expected shape: deterministic labels are the largest, DP21-1st labels
-// the smallest; deterministic queries cost more than randomized;
-// correctness is 1.000 for deterministic and full-support rows.
+// the smallest; deterministic queries cost more than randomized. Every
+// answer is checked against BFS: `correct` is the share of right
+// answers, `refused` counts typed refusals (FtcCapacityError), and any
+// wrong answer makes the bench exit 1. The `query` column is prepare
+// plus query, so it is where a fault-set builder's cost shows.
 #include "bench_util.hpp"
 #include "core/connectivity_scheme.hpp"
 
@@ -63,24 +66,33 @@ std::vector<TableRow> table1_rows(unsigned f) {
   return rows;
 }
 
-void run_config(graph::VertexId n, EdgeId m, unsigned f) {
+// Returns the number of wrong answers.
+int run_config(graph::VertexId n, EdgeId m, unsigned f) {
   const Graph g = graph::random_connected(n, m, /*seed=*/n * 31 + f);
   const auto cases = make_query_cases(g, f, 60, /*seed=*/12345);
 
   std::printf("\n== Table 1 (empirical): n=%u m=%u f=%u (%zu queries) ==\n",
               n, m, f, cases.size());
   Table table({"scheme", "vertex label", "edge label", "construction",
-               "query", "correct"});
+               "query", "correct", "refused"});
+  int wrong = 0;
   for (const auto& row : table1_rows(f)) {
     Timer tb;
     const auto scheme = core::make_scheme(g, row.config);
     const double build_ms = tb.millis();
     int correct = 0;
+    int refused = 0;
     Timer tq;
     for (const auto& qc : cases) {
-      if (scheme->connected(qc.s, qc.t, core::FaultSpec::edges(qc.faults)) ==
-          qc.expected) {
-        ++correct;
+      try {
+        if (scheme->connected(qc.s, qc.t, core::FaultSpec::edges(qc.faults)) ==
+            qc.expected) {
+          ++correct;
+        } else {
+          ++wrong;
+        }
+      } catch (const core::FtcCapacityError&) {
+        ++refused;
       }
     }
     const double query_us = tq.micros() / static_cast<double>(cases.size());
@@ -89,9 +101,11 @@ void run_config(graph::VertexId n, EdgeId m, unsigned f) {
                    fmt(build_ms, "%.1f ms"), fmt(query_us, "%.1f us"),
                    fmt(static_cast<double>(correct) /
                            static_cast<double>(cases.size()),
-                       "%.3f")});
+                       "%.3f"),
+                   std::to_string(refused)});
   }
   table.print();
+  return wrong;
 }
 
 }  // namespace
@@ -99,9 +113,13 @@ void run_config(graph::VertexId n, EdgeId m, unsigned f) {
 
 int main() {
   std::printf("bench_table1: empirical reproduction of paper Table 1\n");
-  ftc::bench::run_config(512, 1536, 2);
-  ftc::bench::run_config(512, 1536, 4);
-  ftc::bench::run_config(2048, 6144, 2);
-  ftc::bench::run_config(2048, 6144, 4);
+  const int wrong = ftc::bench::run_config(512, 1536, 2) +
+                    ftc::bench::run_config(512, 1536, 4) +
+                    ftc::bench::run_config(2048, 6144, 2) +
+                    ftc::bench::run_config(2048, 6144, 4);
+  if (wrong != 0) {
+    std::printf("FAILED: %d incorrect answers\n", wrong);
+    return 1;
+  }
   return 0;
 }

@@ -1010,20 +1010,18 @@ std::shared_ptr<const StoreView> open_resident_view(
 
 namespace {
 
-// Immutable fault-set adapter: the backend's prepared session state plus
-// the deduplicated fault-edge count reported through num_faults().
+// Immutable fault-set adapter over the backend's prepared session state.
 template <typename Prepared>
 class PreparedFaultSet final : public ConnectivityScheme::FaultSet {
  public:
-  PreparedFaultSet(Prepared prepared, std::size_t num_faults)
-      : prepared_(std::move(prepared)), num_faults_(num_faults) {}
+  explicit PreparedFaultSet(Prepared prepared)
+      : prepared_(std::move(prepared)) {}
 
-  std::size_t num_faults() const override { return num_faults_; }
+  std::size_t num_faults() const override { return prepared_.num_faults(); }
   const Prepared& prepared() const { return prepared_; }
 
  private:
   Prepared prepared_;
-  std::size_t num_faults_ = 0;
 };
 
 // Per-thread workspace adapter over a backend's scratch type.
@@ -1061,6 +1059,12 @@ using CycleFaults = PreparedFaultSet<dp21::CycleSpaceFtc::Prepared>;
 using AgmFaults = PreparedFaultSet<dp21::AgmFtc::Prepared>;
 using AgmWorkspace = BackendWorkspace<dp21::AgmFtc::Workspace>;
 
+// The dp21 fault-set builders take each fault's blob whole.
+constexpr auto add_blob = [](auto& builder,
+                             std::span<const std::uint8_t> blob) {
+  builder.add(blob);
+};
+
 // Shared plumbing of the per-backend scheme classes: the two label
 // reads every backend's query path makes, over the base class's view.
 class SchemeBase : public ConnectivityScheme {
@@ -1096,32 +1100,24 @@ class SchemeBase : public ConnectivityScheme {
     __builtin_unreachable();  // noreturn through a virtual call
   }
 
-  // Decodes the labels of a (deduplicated) fault-edge list. A resident
-  // view's blobs decode in place; a file-backed view's are first copied
-  // out under a SIGBUS guard, and the decoder then runs on the owned
-  // copy, unguarded (it allocates). Prepare-time only, so the copy is
-  // off the per-query path: a fault set has up to f edges, or up to
-  // Delta * f once vertex faults and a deletion journal are folded in.
-  template <typename Decode>
-  auto decode_edges(std::span<const EdgeId> edges, Decode&& decode) const {
-    std::vector<decltype(decode(std::declval<store::ByteReader&>()))> labels;
-    labels.reserve(edges.size());
-    std::vector<std::uint8_t> copy;
+  // The one prepare body of every backend: `add` hands each fault's
+  // blob to the backend's fault-set builder, which checks its size
+  // (StoreError) and copies what it needs straight out of it, under one
+  // SIGBUS guard per fault on a file-backed view; then the builder
+  // finishes the fault set (up to Delta * f edges once vertex faults and
+  // a deletion journal are folded in).
+  template <typename Builder, typename Add>
+  std::unique_ptr<FaultSet> prepare_from_blobs(std::span<const EdgeId> edges,
+                                               Builder builder,
+                                               Add&& add) const {
     for (const EdgeId e : edges) {
-      std::span<const std::uint8_t> blob = store_view()->edge_blob(e);
-      if (guarded_) {
-        copy.resize(blob.size());
-        store::copy_guarded(*store_view(), [&] {
-          std::memcpy(copy.data(), blob.data(), blob.size());
-        });
-        blob = copy;
-      }
-      store::ByteReader r(blob);
-      labels.push_back(decode(r));
+      const std::span<const std::uint8_t> blob = store_view()->edge_blob(e);
+      store::copy_guarded(*store_view(), [&] { add(builder, blob); });
     }
-    return labels;
+    auto prepared = std::move(builder).finish();
+    return std::make_unique<PreparedFaultSet<decltype(prepared)>>(
+        std::move(prepared));
   }
-
 
  private:
   const bool guarded_;
@@ -1150,20 +1146,13 @@ class CoreScheme final : public SchemeBase {
   // clamped prefixes; a v4 blob stores exactly those.
   std::unique_ptr<FaultSet> prepare_edge_faults(
       std::span<const EdgeId> edge_faults) const override {
-    PreparedFaults::Builder builder(params_, level_bounds_,
-                                    edge_faults.size());
-    for (const EdgeId e : edge_faults) {
-      const std::span<const std::uint8_t> blob = store_view()->edge_blob(e);
-      if (blob.size() != layout_.blob_bytes()) {
-        throw StoreError("core-ftc edge blob has the wrong size");
-      }
-      store::copy_guarded(*store_view(), [&] {
-        store::copy_core_edge_prefixes(blob.data(), layout_, builder);
-      });
-    }
-    auto prepared = std::move(builder).finish();
-    const std::size_t nf = prepared.num_faults();
-    return std::make_unique<CoreFaults>(std::move(prepared), nf);
+    return prepare_from_blobs(
+        edge_faults,
+        PreparedFaults::Builder(params_, level_bounds_, edge_faults.size()),
+        [&](PreparedFaults::Builder& builder,
+            std::span<const std::uint8_t> blob) {
+          store::copy_core_edge_prefixes(blob, layout_, builder);
+        });
   }
 
   bool query_edges(VertexId s, VertexId t, const FaultSet& faults,
@@ -1200,11 +1189,10 @@ class CycleSpaceScheme final : public SchemeBase {
  protected:
   std::unique_ptr<FaultSet> prepare_edge_faults(
       std::span<const EdgeId> edge_faults) const override {
-    const auto labels = decode_edges(edge_faults, [&](store::ByteReader& r) {
-      return store::decode_cycle_edge(r, params_);
-    });
-    return std::make_unique<CycleFaults>(
-        dp21::CycleSpaceFtc::Prepared::prepare(labels), labels.size());
+    return prepare_from_blobs(
+        edge_faults,
+        dp21::CycleSpaceFtc::Prepared::Builder(params_, edge_faults.size()),
+        add_blob);
   }
 
   bool query_edges(VertexId s, VertexId t, const FaultSet& faults,
@@ -1213,9 +1201,7 @@ class CycleSpaceScheme final : public SchemeBase {
     const auto& fs = checked_cast<const CycleFaults&>(
         faults, "fault set from a different backend");
     const auto [anc_s, anc_t] = anc_pair(s, t);
-    return dp21::CycleSpaceFtc::connected(dp21::CsVertexLabel{anc_s},
-                                          dp21::CsVertexLabel{anc_t},
-                                          fs.prepared());
+    return dp21::CycleSpaceFtc::connected(anc_s, anc_t, fs.prepared());
   }
 
  private:
@@ -1237,11 +1223,10 @@ class AgmScheme final : public SchemeBase {
  protected:
   std::unique_ptr<FaultSet> prepare_edge_faults(
       std::span<const EdgeId> edge_faults) const override {
-    const auto labels = decode_edges(edge_faults, [&](store::ByteReader& r) {
-      return store::decode_agm_edge(r, params_);
-    });
-    return std::make_unique<AgmFaults>(
-        dp21::AgmFtc::Prepared::prepare(labels), labels.size());
+    return prepare_from_blobs(
+        edge_faults,
+        dp21::AgmFtc::Prepared::Builder(params_, edge_faults.size()),
+        add_blob);
   }
 
   bool query_edges(VertexId s, VertexId t, const FaultSet& faults,
@@ -1252,9 +1237,7 @@ class AgmScheme final : public SchemeBase {
     auto& ws = checked_cast<AgmWorkspace&>(
         workspace, "workspace from a different backend");
     const auto [anc_s, anc_t] = anc_pair(s, t);
-    return dp21::AgmFtc::connected(dp21::AgmVertexLabel{anc_s},
-                                   dp21::AgmVertexLabel{anc_t},
-                                   fs.prepared(), ws.inner());
+    return dp21::AgmFtc::connected(anc_s, anc_t, fs.prepared(), ws.inner());
   }
 
  private:

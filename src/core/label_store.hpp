@@ -9,9 +9,10 @@
 // self-describing binary file, and served by mmap without ever
 // materializing per-label std::vector copies on the query path. Only a
 // session's fault-edge labels are read ahead, once per fault set at
-// prepare: core-ftc copies each one's readable syndrome prefixes, the
-// dp21 backends decode them. A fault set holds up to Delta * f edges
-// once vertex faults are reduced to their incident edges.
+// prepare: each backend's fault-set builder copies what it needs
+// straight out of each fault's blob, with no label object in between.
+// A fault set holds up to Delta * f edges once vertex faults are reduced
+// to their incident edges.
 //
 // Container format, version 4 (all integers little-endian):
 //
@@ -188,8 +189,8 @@ class ByteWriter {
 };
 
 // Bounds-checked little-endian reader over a mapped (or in-memory) byte
-// range. Out-of-range reads throw StoreError — this is the only way the
-// decoders touch file bytes, so truncation can never read past the map.
+// range. Out-of-range reads throw StoreError, so a truncated params or
+// core edge blob can never be read past the map.
 class ByteReader {
  public:
   explicit ByteReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
@@ -219,10 +220,10 @@ class ByteReader {
 // ---------------------------------------------------------------------
 // Per-backend blob codecs (serialize.cpp, the one file that knows the
 // blob layouts). Each backend has a params blob stored once per
-// container plus fixed-size vertex/edge blobs; decode validates against
-// the params and throws StoreError on any inconsistency. Builders write
-// blobs in place, straight into a ResidentLabels buffer, through the
-// edge blob writers below (core-ftc's sit beside decode_core_edge).
+// container plus fixed-size vertex/edge blobs. Label builders write
+// blobs in place, straight into a ResidentLabels buffer, and fault-set
+// builders read them in place, through the edge blob accessors below;
+// every read is validated against the params (StoreError).
 
 struct CycleParams {
   std::uint32_t coord_bits = 0;
@@ -309,7 +310,7 @@ struct CoreEdgeLayout {
 
 // The core edge layout of `format_version` for these params and level
 // bounds (empty, or one per level). The one definition of it: the
-// builder, the container reader and writer, the blob decoders, the
+// builder, the container reader and writer, decode_core_edge, the
 // label-size accounting and PreparedFaults::Builder all ask here.
 CoreEdgeLayout core_edge_layout(
     const LabelParams& params, std::span<const std::uint32_t> level_bounds,
@@ -321,8 +322,8 @@ EdgeLabel decode_core_edge(ByteReader& r, const LabelParams& params,
                            const CoreEdgeLayout& layout);
 // In-place edge blob access for the builders, into one edge's slot of a
 // ResidentLabels edge section (layout.blob_bytes() or
-// *_edge_blob_bytes(params) bytes), byte-identical to what the decoders
-// read back. The writers fill the header: the upper and lower endpoint
+// *_edge_blob_bytes(params) bytes), byte-identical to what the readers
+// below read back. The writers fill the header: the upper and lower endpoint
 // records of a core-ftc or dp21-agm blob, and the tree flag and endpoint
 // records of a dp21-cycle blob. The payload is little-endian words that
 // the builders fold subtree sums into in place (graph/subtree_xor.hpp);
@@ -340,13 +341,14 @@ std::uint8_t* core_edge_level_words(std::uint8_t* blob,
                                     const CoreEdgeLayout& layout, unsigned lev);
 std::uint8_t* cycle_edge_vector_words(std::uint8_t* blob);
 std::uint8_t* agm_edge_sketch_words(std::uint8_t* blob);
-// Adds the core edge at `blob` (stored.blob_bytes() bytes) to a fault
-// set under construction: its lower endpoint record and, per level, the
-// first builder.level_width(l) syndromes, copied straight into the
-// builder's payload row. The builder may keep fewer syndromes of a level
-// than the blob stores, never more. Reads only the blob and allocates
-// nothing, so it may run under a SIGBUS guard.
-void copy_core_edge_prefixes(const std::uint8_t* blob,
+// Adds the core edge `blob` to a fault set under construction: its lower
+// endpoint record and, per level, the first builder.level_width(l)
+// syndromes, copied straight into the builder's payload row. The builder
+// may keep fewer syndromes of a level than the blob stores, never more.
+// A blob of other than stored.blob_bytes() bytes throws StoreError.
+// Reads only the blob and allocates nothing, so it may run under a
+// SIGBUS guard.
+void copy_core_edge_prefixes(std::span<const std::uint8_t> blob,
                              const CoreEdgeLayout& stored,
                              PreparedFaults::Builder& builder);
 // Writes the core edge blob at `src`, stored in layout `from`, to `dst`
@@ -356,8 +358,17 @@ void copy_core_edge_prefixes(const std::uint8_t* blob,
 // blobs. Reads only the blob and allocates nothing.
 void restride_core_edge(const std::uint8_t* src, const CoreEdgeLayout& from,
                         const CoreEdgeLayout& to, std::uint8_t* dst);
-dp21::CsEdgeLabel decode_cycle_edge(ByteReader& r, const CycleParams& params);
-dp21::AgmEdgeLabel decode_agm_edge(ByteReader& r, const AgmParams& params);
+// The dp21 fault-set builders' reads of one blob of the size its params
+// imply (dp21::*::Prepared::Builder::add checks it): `words` payload
+// words copied to host order, and the tree flag (StoreError above 1) and
+// both endpoint records of a dp21-cycle blob, or the lower endpoint
+// record of a dp21-agm blob. They allocate nothing.
+bool read_cycle_edge_at(const std::uint8_t* blob, std::size_t words,
+                        graph::AncestryLabel& a, graph::AncestryLabel& b,
+                        std::uint64_t* vec);
+graph::AncestryLabel read_agm_edge_at(const std::uint8_t* blob,
+                                      std::size_t words,
+                                      std::uint64_t* sketch);
 
 // Fixed per-edge blob size implied by a backend's params (every edge
 // label of one scheme serializes to the same number of bytes; core-ftc's
@@ -803,9 +814,9 @@ struct ResidentLabels {
 
 // A resident, heap-backed StoreView over built labels plus g's incidence
 // lists as the CSR adjacency section (in Graph::incident_edges order, the
-// order a save() writes). Not file-backed: reads need no SIGBUS guard and
-// fault-edge blobs decode in place. info() reports what a save would
-// record, minus the file: file_bytes and payload_checksum stay 0.
+// order a save() writes). Not file-backed: reads need no SIGBUS guard.
+// info() reports what a save would record, minus the file: file_bytes
+// and payload_checksum stay 0.
 std::shared_ptr<const StoreView> open_resident_view(
     store::ResidentLabels labels, const graph::Graph& g);
 

@@ -1,14 +1,13 @@
 // The LabelStore container blob codecs (label_store.hpp): byte-aligned
 // fixed-layout records for all three backends, where the scheme
-// parameters are stored once per container and every decode is validated
+// parameters are stored once per container and every read is validated
 // against them (mismatch -> StoreError, never UB). The core edge blob
-// layout (core_edge_layout) and every builder's in-place edge blob
-// writers sit next to the decoders, so this file is the one place that
-// knows those layouts.
+// layout (core_edge_layout), every builder's in-place edge blob writers
+// and the fault-set builders' in-place blob readers sit here, so this
+// file is the one place that knows those layouts.
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <iterator>
 
 #include "core/ftc_labels.hpp"
 #include "core/label_store.hpp"
@@ -40,35 +39,6 @@ void check(bool ok, const char* what) {
   if (!ok) throw StoreError(what);
 }
 
-// Forward iterator over the LE words of a byte range. Filling a vector
-// through assign(first, last) sizes it once and copies each word in
-// place, without zeroing the buffer first.
-class LeWordIterator {
- public:
-  using iterator_category = std::forward_iterator_tag;
-  using value_type = std::uint64_t;
-  using difference_type = std::ptrdiff_t;
-  using pointer = const std::uint64_t*;
-  using reference = std::uint64_t;
-
-  LeWordIterator() = default;
-  explicit LeWordIterator(const std::uint8_t* p) : p_(p) {}
-  std::uint64_t operator*() const { return util::read_u64_le(p_); }
-  LeWordIterator& operator++() {
-    p_ += 8;
-    return *this;
-  }
-  LeWordIterator operator++(int) {
-    const LeWordIterator old = *this;
-    p_ += 8;
-    return old;
-  }
-  friend bool operator==(LeWordIterator, LeWordIterator) = default;
-
- private:
-  const std::uint8_t* p_ = nullptr;
-};
-
 // Copies `count` LE words at an arbitrary byte offset into host-order
 // words: a plain memcpy on little-endian hosts.
 void copy_le_words(std::uint64_t* out, const std::uint8_t* p,
@@ -80,15 +50,6 @@ void copy_le_words(std::uint64_t* out, const std::uint8_t* p,
       out[i] = util::read_u64_le(p + 8 * i);
     }
   }
-}
-
-// Reads `count` LE words with ONE bounds-checked take: a truncated
-// payload throws before any word is read, and the copy itself is plain
-// word loads.
-void read_words(ByteReader& r, std::size_t count,
-                std::vector<std::uint64_t>& out) {
-  const std::uint8_t* p = r.take(8 * count).data();
-  out.assign(LeWordIterator(p), LeWordIterator(p + 8 * count));
 }
 
 }  // namespace
@@ -230,7 +191,11 @@ EdgeLabel decode_core_edge(ByteReader& r, const LabelParams& params,
   label.upper.tout = r.u32();
   label.lower.tin = r.u32();
   label.lower.tout = r.u32();
-  read_words(r, layout.payload_words, label.sketch_words);
+  // One bounds-checked take: a truncated payload throws before any word
+  // is read.
+  const std::uint8_t* words = r.take(8 * layout.payload_words).data();
+  label.sketch_words.resize(layout.payload_words);
+  copy_le_words(label.sketch_words.data(), words, layout.payload_words);
   return label;
 }
 
@@ -247,12 +212,14 @@ std::uint8_t* core_edge_level_words(std::uint8_t* blob,
   return blob + kEndpointBytes + 8 * layout.offset(lev);
 }
 
-void copy_core_edge_prefixes(const std::uint8_t* blob,
+void copy_core_edge_prefixes(std::span<const std::uint8_t> blob,
                              const CoreEdgeLayout& stored,
                              PreparedFaults::Builder& builder) {
+  check(blob.size() == stored.blob_bytes(),
+        "core-ftc edge blob has the wrong size");
   std::uint64_t* row =
-      builder.add(decode_vertex_record_at(blob + kVertexRecordBytes));
-  const std::uint8_t* payload = blob + kEndpointBytes;
+      builder.add(decode_vertex_record_at(blob.data() + kVertexRecordBytes));
+  const std::uint8_t* payload = blob.data() + kEndpointBytes;
   for (unsigned lev = 0; lev < stored.num_levels; ++lev) {
     copy_le_words(row + builder.level_offset(lev),
                   payload + 8 * stored.offset(lev),
@@ -285,20 +252,14 @@ std::uint8_t* cycle_edge_vector_words(std::uint8_t* blob) {
   return blob + kCycleHeaderBytes;
 }
 
-dp21::CsEdgeLabel decode_cycle_edge(ByteReader& r, const CycleParams& params) {
-  dp21::CsEdgeLabel label;
-  const std::uint8_t flags = r.u8();
-  check(flags <= 1, "corrupt dp21-cycle edge blob: bad flags");
-  label.is_tree = flags != 0;
-  r.u8();
-  r.u8();
-  r.u8();
-  label.a.tin = r.u32();
-  label.a.tout = r.u32();
-  label.b.tin = r.u32();
-  label.b.tout = r.u32();
-  read_words(r, params.vector_words(), label.vec);
-  return label;
+bool read_cycle_edge_at(const std::uint8_t* blob, std::size_t words,
+                        graph::AncestryLabel& a, graph::AncestryLabel& b,
+                        std::uint64_t* vec) {
+  check(blob[0] <= 1, "corrupt dp21-cycle edge blob: bad flags");
+  a = decode_vertex_record_at(blob + 4);
+  b = decode_vertex_record_at(blob + 4 + kVertexRecordBytes);
+  copy_le_words(vec, blob + kCycleHeaderBytes, words);
+  return blob[0] != 0;
 }
 
 std::size_t cycle_edge_blob_bytes(const CycleParams& params) {
@@ -309,17 +270,11 @@ std::uint8_t* agm_edge_sketch_words(std::uint8_t* blob) {
   return blob + kEndpointBytes;
 }
 
-dp21::AgmEdgeLabel decode_agm_edge(ByteReader& r, const AgmParams& params) {
-  dp21::AgmEdgeLabel label;
-  label.upper.tin = r.u32();
-  label.upper.tout = r.u32();
-  label.lower.tin = r.u32();
-  label.lower.tout = r.u32();
-  std::vector<std::uint64_t> words;
-  read_words(r, params.sketch_words(), words);
-  label.sketch = sketch::AgmSketch::from_words(params.levels, params.reps,
-                                               params.seed, words);
-  return label;
+graph::AncestryLabel read_agm_edge_at(const std::uint8_t* blob,
+                                      std::size_t words,
+                                      std::uint64_t* sketch) {
+  copy_le_words(sketch, blob + kEndpointBytes, words);
+  return decode_vertex_record_at(blob + kVertexRecordBytes);
 }
 
 std::size_t agm_edge_blob_bytes(const AgmParams& params) {

@@ -165,13 +165,8 @@ std::string ShardCache::fetch_shard(const ShardSource& source,
   // Transfer and verify outside the lock — other keys keep flowing.
   std::vector<std::uint8_t> bytes;
   try {
-    bytes = source.fetch(rec.name);
-    if (bytes.size() != rec.file_bytes) {
-      throw StoreIoError("remote shard size mismatch (got " +
-                         std::to_string(bytes.size()) + ", manifest says " +
-                         std::to_string(rec.file_bytes) + "): " +
-                         source.describe(rec.name));
-    }
+    // Exactly rec.file_bytes bytes, or the source throws size_mismatch().
+    bytes = source.fetch(rec.name, rec.file_bytes);
     // The digest algorithm follows the fetched container's own format
     // version (header offset 8); a corrupt version field either picks
     // the wrong digest (a mismatch below) or fails the open later.

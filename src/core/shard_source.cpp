@@ -28,6 +28,13 @@ std::string errno_suffix(int err) {
 
 }  // namespace
 
+StoreIoError size_mismatch(std::uint64_t got, std::uint64_t expected,
+                           const std::string& where) {
+  return StoreIoError("remote shard size mismatch (got " + std::to_string(got) +
+                      ", manifest says " + std::to_string(expected) +
+                      "): " + where);
+}
+
 // ---------------------------------------------------------------------------
 // LocalDirShardSource
 
@@ -35,7 +42,8 @@ LocalDirShardSource::LocalDirShardSource(std::string dir) : dir_(std::move(dir))
   if (!dir_.empty() && dir_.back() != '/') dir_ += '/';
 }
 
-std::vector<std::uint8_t> LocalDirShardSource::fetch(const std::string& name) const {
+std::vector<std::uint8_t> LocalDirShardSource::fetch(
+    const std::string& name, std::optional<std::uint64_t> expected_bytes) const {
   const std::string path = dir_ + name;
   util::ScopedFd fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
   if (!fd) {
@@ -48,6 +56,10 @@ std::vector<std::uint8_t> LocalDirShardSource::fetch(const std::string& name) co
   struct stat st {};
   if (::fstat(fd.get(), &st) != 0) {
     throw StoreIoError("shard source stat failed: " + path + errno_suffix(errno));
+  }
+  const auto size = static_cast<std::uint64_t>(st.st_size);
+  if (expected_bytes && size != *expected_bytes) {
+    throw size_mismatch(size, *expected_bytes, path);
   }
   std::vector<std::uint8_t> bytes(static_cast<std::size_t>(st.st_size));
   if (!bytes.empty() && !util::read_full(fd.get(), bytes.data(), bytes.size())) {
@@ -157,7 +169,8 @@ std::string HttpShardSource::describe(const std::string& name) const {
 }
 
 HttpShardSource::Response HttpShardSource::round_trip(
-    const std::string& name, const char* method, bool want_body) const {
+    const std::string& name, const char* method, bool want_body,
+    std::optional<std::uint64_t> expected_bytes) const {
   const std::string where = describe(name);
 
   struct addrinfo hints {};
@@ -275,15 +288,20 @@ HttpShardSource::Response HttpShardSource::round_trip(
     }
   }
 
-  if (!want_body) return resp;
+  // An error response's body is never read: fetch() throws by status.
+  if (!want_body || resp.status != 200) return resp;
 
   // Body: what arrived with the headers plus the rest of the stream.
   // No reserve: the announced length is untrusted, so the buffer grows
-  // only with bytes that actually arrive.
+  // only with bytes that actually arrive, and never far past
+  // expected_bytes.
   body.assign(head.begin() + static_cast<std::ptrdiff_t>(body_start), head.end());
   {
     char buf[64 * 1024];
     for (;;) {
+      if (expected_bytes && body.size() > *expected_bytes) {
+        throw size_mismatch(body.size(), *expected_bytes, where);
+      }
       if (resp.has_content_length && body.size() >= resp.content_length) break;
       const ssize_t n = recv_some(fd.get(), buf, sizeof(buf));
       if (n < 0) {
@@ -297,9 +315,18 @@ HttpShardSource::Response HttpShardSource::round_trip(
     body.resize(body.size() / 2);
   }
   if (resp.has_content_length && body.size() != resp.content_length) {
-    throw StoreIoError("remote body truncated: " + where + ": got " +
-                       std::to_string(body.size()) + " of " +
-                       std::to_string(resp.content_length) + " bytes");
+    // Longer is a wrong origin (a retry reads the same bytes); shorter
+    // is a transfer cut off mid-flight.
+    const std::string got = ": got " + std::to_string(body.size()) + " of " +
+                            std::to_string(resp.content_length) + " bytes";
+    if (body.size() > resp.content_length) {
+      throw StoreError("remote body longer than its Content-Length: " +
+                       where + got);
+    }
+    throw StoreIoError("remote body truncated: " + where + got);
+  }
+  if (expected_bytes && body.size() != *expected_bytes) {
+    throw size_mismatch(body.size(), *expected_bytes, where);
   }
   resp.body = std::move(body);
   return resp;
@@ -323,15 +350,16 @@ namespace {
 
 }  // namespace
 
-std::vector<std::uint8_t> HttpShardSource::fetch(const std::string& name) const {
-  Response resp = round_trip(name, "GET", /*want_body=*/true);
+std::vector<std::uint8_t> HttpShardSource::fetch(
+    const std::string& name, std::optional<std::uint64_t> expected_bytes) const {
+  Response resp = round_trip(name, "GET", /*want_body=*/true, expected_bytes);
   if (resp.status != 200) throw_for_status(resp.status, describe(name));
   return std::move(resp.body);
 }
 
 bool HttpShardSource::stat(const std::string& name,
                            std::uint64_t* size_out) const {
-  Response resp = round_trip(name, "HEAD", /*want_body=*/false);
+  Response resp = round_trip(name, "HEAD", /*want_body=*/false, std::nullopt);
   if (resp.status == 404) return false;
   if (resp.status != 200) throw_for_status(resp.status, describe(name));
   if (!resp.has_content_length) {

@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,11 @@ namespace ftc::core {
 inline bool is_http_url(const std::string& path) {
   return path.rfind("http://", 0) == 0;
 }
+
+// The error a fetch throws for an object whose size is not the expected
+// one: the retryable StoreIoError, since the origin may be mid-republish.
+StoreIoError size_mismatch(std::uint64_t got, std::uint64_t expected,
+                           const std::string& where);
 
 // A fetch-by-name byte source. Names are the manifest's shard names:
 // relative paths, already validated traversal-free by the manifest
@@ -56,7 +62,12 @@ class ShardSource {
   // (structural, including "not found"). Objects are only ever fetched
   // whole: the cache checks each one against the manifest's size and
   // CRC-64 digest, which a byte range could not be checked against.
-  virtual std::vector<std::uint8_t> fetch(const std::string& name) const = 0;
+  // With expected_bytes (a shard's manifest size), an object of any
+  // other size throws size_mismatch() and no more than about that many
+  // bytes are ever buffered. Overrides repeat the default.
+  virtual std::vector<std::uint8_t> fetch(
+      const std::string& name,
+      std::optional<std::uint64_t> expected_bytes = std::nullopt) const = 0;
 
   // Size probe. Returns false when the object does not exist; throws
   // StoreIoError on transport failure.
@@ -81,7 +92,9 @@ class LocalDirShardSource final : public ShardSource {
   // trailing slash is appended when missing).
   explicit LocalDirShardSource(std::string dir);
 
-  std::vector<std::uint8_t> fetch(const std::string& name) const override;
+  std::vector<std::uint8_t> fetch(
+      const std::string& name,
+      std::optional<std::uint64_t> expected_bytes = std::nullopt) const override;
   bool stat(const std::string& name, std::uint64_t* size_out) const override;
   std::string describe(const std::string& name) const override;
 
@@ -113,13 +126,17 @@ bool parse_http_url(const std::string& url, HttpEndpoint* out);
 // socket(2)/connect(2)/send(2)/recv(2) only. Content-Length is parsed
 // strictly (util::parse_decimal_u64): a malformed or overflowing value
 // is a StoreError, and the body buffer grows with the bytes that
-// actually arrive, never with what the origin announces.
+// actually arrive, never with what the origin announces. A body longer
+// than its Content-Length is a StoreError too (the origin is wrong, not
+// flaky); a shorter one is a retryable StoreIoError.
 class HttpShardSource final : public ShardSource {
  public:
   // Objects resolve as "http://host:port<dir><name>".
   HttpShardSource(std::string host, std::uint16_t port, std::string dir);
 
-  std::vector<std::uint8_t> fetch(const std::string& name) const override;
+  std::vector<std::uint8_t> fetch(
+      const std::string& name,
+      std::optional<std::uint64_t> expected_bytes = std::nullopt) const override;
   bool stat(const std::string& name, std::uint64_t* size_out) const override;
   std::string describe(const std::string& name) const override;
 
@@ -130,10 +147,12 @@ class HttpShardSource final : public ShardSource {
     bool has_content_length = false;
     std::vector<std::uint8_t> body;
   };
-  // One request/response round trip. want_body=false (HEAD) stops after
-  // the headers.
+  // One request/response round trip. want_body=false (HEAD) or a status
+  // other than 200 stops after the headers; a body past expected_bytes
+  // stops the read.
   Response round_trip(const std::string& name, const char* method,
-                      bool want_body) const;
+                      bool want_body,
+                      std::optional<std::uint64_t> expected_bytes) const;
 
   std::string host_;
   std::uint16_t port_;

@@ -10,6 +10,7 @@
 #include "graph/spanning_tree.hpp"
 #include "graph/subtree_xor.hpp"
 #include "graph/union_find.hpp"
+#include "sketch/agm_sketch.hpp"
 #include "util/common.hpp"
 #include "util/worker_pool.hpp"
 #include "util/xor_kernel.hpp"
@@ -123,69 +124,66 @@ core::store::ResidentLabels AgmFtc::build(const graph::Graph& g,
   return out;
 }
 
+AgmFtc::Prepared::Builder::Builder(const core::store::AgmParams& params,
+                                   std::size_t capacity)
+    : blob_bytes_(core::store::agm_edge_blob_bytes(params)),
+      words_(params.sketch_words()),
+      seed_(params.seed),
+      sketch_(capacity * words_) {
+  intervals_.reserve(capacity);
+}
+
+void AgmFtc::Prepared::Builder::add(std::span<const std::uint8_t> blob) {
+  if (blob.size() != blob_bytes_) {
+    throw core::StoreError("dp21-agm edge blob has the wrong size");
+  }
+  FTC_REQUIRE(intervals_.size() < intervals_.capacity(),
+              "more faults than the builder was sized for");
+  const AncestryLabel lower = core::store::read_agm_edge_at(
+      blob.data(), words_, sketch_.data() + intervals_.size() * words_);
+  intervals_.push_back({lower.tin, lower.tout});
+}
+
 // Fault-set-only work: dedup, fragment structure, and the initial
 // per-fragment sketches (Proposition 4), flattened to one word row per
 // fragment so queries can seed their mutable state with a single copy
 // and merge through the shared word-XOR kernel.
-AgmFtc::Prepared AgmFtc::Prepared::prepare(
-    std::span<const AgmEdgeLabel> faults) {
+AgmFtc::Prepared AgmFtc::Prepared::Builder::finish() && {
   Prepared prep;
-  if (faults.empty()) return prep;
+  const std::size_t rows = intervals_.size();
+  prep.num_faults_ = rows;
+  if (rows == 0) return prep;
 
-  std::vector<const AgmEdgeLabel*> uniq;
-  for (const AgmEdgeLabel& f : faults) uniq.push_back(&f);
-  std::sort(uniq.begin(), uniq.end(),
-            [](const AgmEdgeLabel* a, const AgmEdgeLabel* b) {
-              return a->lower.tin < b->lower.tin;
-            });
-  uniq.erase(std::unique(uniq.begin(), uniq.end(),
-                         [](const AgmEdgeLabel* a, const AgmEdgeLabel* b) {
-                           return a->lower.tin == b->lower.tin;
-                         }),
-             uniq.end());
-  const std::size_t nf = uniq.size();
-
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> intervals;
-  for (const auto* f : uniq) intervals.push_back({f->lower.tin, f->lower.tout});
-  graph::FragmentLocator loc(std::move(intervals));
+  // The locator maps duplicate faults to one fragment.
+  graph::FragmentLocator loc(std::move(intervals_));
   prep.num_frag_ = loc.fragment_count();
-  prep.levels_ = uniq[0]->sketch.levels();
-  prep.reps_ = uniq[0]->sketch.reps();
-  prep.seed_ = uniq[0]->sketch.seed();
-  prep.words_per_frag_ = uniq[0]->sketch.num_words();
-
+  prep.seed_ = seed_;
+  prep.words_per_frag_ = words_;
   prep.frag_words_.assign(
-      static_cast<std::size_t>(prep.num_frag_) * prep.words_per_frag_, 0);
-  for (std::size_t j = 0; j < nf; ++j) {
-    // Full geometry check (not just word count): sketches built under a
-    // different seed have incompatible fingerprints and must fail fast,
-    // not silently merge into whp-rejected cells.
-    FTC_REQUIRE(uniq[j]->sketch.levels() == prep.levels_ &&
-                    uniq[j]->sketch.reps() == prep.reps_ &&
-                    uniq[j]->sketch.seed() == prep.seed_,
-                "fault labels from different AGM schemes");
-    const std::span<const std::uint64_t> words = uniq[j]->sketch.words();
-    FTC_CHECK(words.size() == prep.words_per_frag_,
-              "AGM sketch word count inconsistent with its geometry");
-    const int below = loc.fragment_of_fault(j);
+      static_cast<std::size_t>(prep.num_frag_) * words_, 0);
+  std::vector<char> seen(prep.num_frag_, 0);
+  for (std::size_t i = 0; i < rows; ++i) {
+    const int below = loc.fragment_of_fault(i);
+    if (seen[below] != 0) continue;  // a duplicate edge
+    seen[below] = 1;
     const int above = loc.parent_fragment(below);
     for (const int fr : {below, above}) {
-      xor_words(prep.frag_words_.data() + fr * prep.words_per_frag_,
-                words.data(), prep.words_per_frag_);
+      xor_words(prep.frag_words_.data() + fr * words_,
+                sketch_.data() + i * words_, words_);
     }
   }
   prep.loc_ = std::move(loc);
   return prep;
 }
 
-bool AgmFtc::connected(const AgmVertexLabel& s, const AgmVertexLabel& t,
+bool AgmFtc::connected(const AncestryLabel& s, const AncestryLabel& t,
                        const Prepared& prepared, Workspace& workspace) {
-  if (s.anc == t.anc) return true;
+  if (s == t) return true;
   if (prepared.trivial()) return true;
 
   const graph::FragmentLocator& loc = prepared.loc_;
-  const int fs = loc.locate(s.anc.tin);
-  const int ft = loc.locate(t.anc.tin);
+  const int fs = loc.locate(s.tin);
+  const int ft = loc.locate(t.tin);
   if (fs == ft) return true;
 
   const std::size_t num_frag = static_cast<std::size_t>(prepared.num_frag_);

@@ -6,6 +6,9 @@
 // the sampler's internal geometric levels handle any boundary size, and
 // correctness is "with high probability" (label O(log^3 n) whp; the
 // full-support variant multiplies repetitions by f, giving O(f log^3 n)).
+// Labels exist only as container blobs (core/label_store.hpp), written
+// in place by build() and read in place by Prepared::Builder; a vertex
+// label is its ancestry record.
 #pragma once
 
 #include <cstdint>
@@ -17,9 +20,9 @@
 #include "graph/fragments.hpp"
 #include "graph/graph.hpp"
 #include "graph/union_find.hpp"
-#include "sketch/agm_sketch.hpp"
 
 namespace ftc::core::store {
+struct AgmParams;       // core/label_store.hpp
 struct ResidentLabels;  // core/label_store.hpp
 }  // namespace ftc::core::store
 
@@ -36,16 +39,6 @@ struct AgmFtcConfig {
   unsigned build_threads = 1;
 };
 
-struct AgmVertexLabel {
-  graph::AncestryLabel anc;
-};
-
-struct AgmEdgeLabel {
-  graph::AncestryLabel upper;  // endpoint nearer the root in T'
-  graph::AncestryLabel lower;  // subtree side
-  sketch::AgmSketch sketch;    // subtree XOR of vertex sketches
-};
-
 class AgmFtc {
  public:
   // Builds the labels of the connected graph g straight into container
@@ -60,9 +53,29 @@ class AgmFtc {
   // of threads may query against the same Prepared concurrently.
   class Prepared {
    public:
-    static Prepared prepare(std::span<const AgmEdgeLabel> faults);
+    // Assembles a fault set from up to `capacity` edge blobs: add()
+    // copies the lower endpoint record (the subtree side in T') and the
+    // sketch words (the subtree XOR of vertex sketches) into buffers
+    // reserved up front, so it allocates nothing and may run under a
+    // SIGBUS guard. A blob of the wrong size throws core::StoreError.
+    // Duplicate edges are fine; finish() keeps one of each.
+    class Builder {
+     public:
+      Builder(const core::store::AgmParams& params, std::size_t capacity);
+      void add(std::span<const std::uint8_t> blob);
+      Prepared finish() &&;
+
+     private:
+      std::size_t blob_bytes_ = 0;
+      std::size_t words_ = 0;  // sketch words per fault
+      std::uint64_t seed_ = 0;
+      std::vector<std::pair<std::uint32_t, std::uint32_t>> intervals_;
+      std::vector<std::uint64_t> sketch_;  // capacity * words_
+    };
 
     bool trivial() const { return num_frag_ == 0; }  // empty fault set
+    // Faults added to the builder, duplicates included.
+    std::size_t num_faults() const { return num_faults_; }
 
    private:
     Prepared() = default;
@@ -71,8 +84,7 @@ class AgmFtc {
     graph::FragmentLocator loc_{
         std::vector<std::pair<std::uint32_t, std::uint32_t>>{}};
     int num_frag_ = 0;
-    unsigned levels_ = 0;
-    unsigned reps_ = 0;
+    std::size_t num_faults_ = 0;
     std::uint64_t seed_ = 0;
     std::size_t words_per_frag_ = 0;
     std::vector<std::uint64_t> frag_words_;  // num_frag_ * words_per_frag_
@@ -96,7 +108,8 @@ class AgmFtc {
   // sketch hash seeds. A sampled edge that does not have exactly one
   // endpoint in the set being grown throws core::FtcCapacityError (a
   // typed refusal, never a guess).
-  static bool connected(const AgmVertexLabel& s, const AgmVertexLabel& t,
+  static bool connected(const graph::AncestryLabel& s,
+                        const graph::AncestryLabel& t,
                         const Prepared& prepared, Workspace& workspace);
 };
 

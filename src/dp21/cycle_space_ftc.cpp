@@ -18,16 +18,12 @@ using graph::VertexId;
 
 namespace {
 
-// Cycle-space vectors add over GF(2); route through the shared word-XOR
-// kernel (util/xor_kernel.hpp) like every other merge on the query path.
-void xor_into(std::vector<std::uint64_t>& dst,
-              const std::vector<std::uint64_t>& src) {
-  FTC_REQUIRE(dst.size() == src.size(), "vector width mismatch");
-  xor_words(dst.data(), src.data(), dst.size());
-}
-
-bool is_zero(const std::vector<std::uint64_t>& v) {
-  return !any_word_nonzero(v.data(), v.size());
+// Index of the highest set bit, or -1 for the zero vector.
+int leading_bit(const std::vector<std::uint64_t>& x) {
+  for (int w = static_cast<int>(x.size()) - 1; w >= 0; --w) {
+    if (x[w] != 0) return w * 64 + 63 - __builtin_clzll(x[w]);
+  }
+  return -1;
 }
 
 }  // namespace
@@ -121,72 +117,86 @@ core::store::ResidentLabels CycleSpaceFtc::build(
   return out;
 }
 
+CycleSpaceFtc::Prepared::Builder::Builder(
+    const core::store::CycleParams& params, std::size_t capacity)
+    : blob_bytes_(core::store::cycle_edge_blob_bytes(params)),
+      words_(params.vector_words()),
+      vec_(capacity * words_) {
+  rows_.reserve(capacity);
+}
+
+void CycleSpaceFtc::Prepared::Builder::add(std::span<const std::uint8_t> blob) {
+  if (blob.size() != blob_bytes_) {
+    throw core::StoreError("dp21-cycle edge blob has the wrong size");
+  }
+  FTC_REQUIRE(rows_.size() < rows_.capacity(),
+              "more faults than the builder was sized for");
+  Row row;
+  row.is_tree = core::store::read_cycle_edge_at(
+      blob.data(), words_, row.a, row.b, vec_.data() + rows_.size() * words_);
+  rows_.push_back(row);
+}
+
 // All fault-set-only work — fragment structure, per-fragment cut
 // vectors, and the GF(2) kernel of the fragment-vector matrix — happens
 // here, once per session. Queries never mutate any of it.
-CycleSpaceFtc::Prepared CycleSpaceFtc::Prepared::prepare(
-    std::span<const CsEdgeLabel> faults) {
+CycleSpaceFtc::Prepared CycleSpaceFtc::Prepared::Builder::finish() && {
   Prepared prep;
-  if (faults.empty()) return prep;
+  prep.num_faults_ = rows_.size();
+  const auto vec = [&](std::size_t i) { return vec_.data() + i * words_; };
 
-  // Distinct tree faults, identified by the lower endpoint's tin.
-  std::vector<const CsEdgeLabel*> tree_faults;
-  for (const CsEdgeLabel& f : faults) {
-    if (f.is_tree) tree_faults.push_back(&f);
+  // Tree faults by the lower endpoint's interval (the locator maps
+  // duplicates to one fragment); non-tree faults by endpoint pair.
+  std::vector<std::size_t> tree, nontree;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> intervals;
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    if (rows_[i].is_tree) {
+      tree.push_back(i);
+      intervals.push_back({rows_[i].b.tin, rows_[i].b.tout});
+    } else {
+      nontree.push_back(i);
+    }
   }
-  std::sort(tree_faults.begin(), tree_faults.end(),
-            [](const CsEdgeLabel* x, const CsEdgeLabel* y) {
-              return x->b.tin < y->b.tin;
-            });
-  tree_faults.erase(std::unique(tree_faults.begin(), tree_faults.end(),
-                                [](const CsEdgeLabel* x,
-                                   const CsEdgeLabel* y) {
-                                  return x->b.tin == y->b.tin;
-                                }),
-                    tree_faults.end());
-  if (tree_faults.empty()) return prep;  // the spanning tree survives
+  if (tree.empty()) return prep;  // the spanning tree survives
   prep.trivial_ = false;
 
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> intervals;
-  intervals.reserve(tree_faults.size());
-  for (const auto* f : tree_faults) intervals.push_back({f->b.tin, f->b.tout});
   graph::FragmentLocator loc(std::move(intervals));
   const int num_frag = loc.fragment_count();
-
-  const std::size_t words = tree_faults[0]->vec.size();
-  std::vector<std::vector<std::uint64_t>> vec(
-      num_frag, std::vector<std::uint64_t>(words, 0));
+  std::vector<std::uint64_t> frag_vec(num_frag * words_, 0);
+  const auto xor_frag = [&](int fr, std::size_t i) {
+    xor_words(frag_vec.data() + fr * words_, vec(i), words_);
+  };
   // Sigma over the fragment's tree cut: XOR of lambda over the non-tree
   // edges leaving the fragment.
-  for (std::size_t j = 0; j < tree_faults.size(); ++j) {
+  std::vector<char> seen(num_frag, 0);
+  for (std::size_t j = 0; j < tree.size(); ++j) {
     const int below = loc.fragment_of_fault(j);
-    const int above = loc.parent_fragment(below);
-    xor_into(vec[below], tree_faults[j]->vec);
-    xor_into(vec[above], tree_faults[j]->vec);
+    if (seen[below] != 0) continue;  // a duplicate edge
+    seen[below] = 1;
+    xor_frag(below, tree[j]);
+    xor_frag(loc.parent_fragment(below), tree[j]);
   }
-  // Remove the faulty non-tree edges themselves (dedup by endpoint pair).
-  std::vector<const CsEdgeLabel*> nontree;
-  for (const CsEdgeLabel& f : faults) {
-    if (!f.is_tree) nontree.push_back(&f);
-  }
-  std::sort(nontree.begin(), nontree.end(),
-            [](const CsEdgeLabel* x, const CsEdgeLabel* y) {
-              return std::make_pair(x->a.tin, x->b.tin) <
-                     std::make_pair(y->a.tin, y->b.tin);
-            });
+  // Remove the faulty non-tree edges themselves, each once. A duplicate
+  // has the same endpoints and lambda; parallel edges differ in lambda.
+  const auto less = [&](std::size_t x, std::size_t y) {
+    const auto kx = std::make_pair(rows_[x].a.tin, rows_[x].b.tin);
+    const auto ky = std::make_pair(rows_[y].a.tin, rows_[y].b.tin);
+    return kx != ky ? kx < ky
+                    : std::lexicographical_compare(vec(x), vec(x) + words_,
+                                                   vec(y), vec(y) + words_);
+  };
+  std::sort(nontree.begin(), nontree.end(), less);
   nontree.erase(std::unique(nontree.begin(), nontree.end(),
-                            [](const CsEdgeLabel* x, const CsEdgeLabel* y) {
-                              return x->a.tin == y->a.tin &&
-                                     x->b.tin == y->b.tin;
+                            [&](std::size_t x, std::size_t y) {
+                              return !less(x, y) && !less(y, x);
                             }),
                 nontree.end());
-  for (const auto* f : nontree) {
-    FTC_REQUIRE(f->vec.size() == words, "label width mismatch");
-    const int fu = loc.locate(f->a.tin);
-    const int fv = loc.locate(f->b.tin);
+  for (const std::size_t i : nontree) {
+    const int fu = loc.locate(rows_[i].a.tin);
+    const int fv = loc.locate(rows_[i].b.tin);
     if (fu == fv) continue;  // does not cross any fragment boundary
-    xor_into(vec[fu], f->vec);
-    xor_into(vec[fv], f->vec);
+    xor_frag(fu, i);
+    xor_frag(fv, i);
   }
 
   // Kernel of the fragment-vector matrix over GF(2): whp it is spanned by
@@ -197,43 +207,28 @@ CycleSpaceFtc::Prepared CycleSpaceFtc::Prepared::prepare(
   std::vector<std::vector<std::uint64_t>> kernel;     // kernel combos
   const std::size_t combo_words = (num_frag + 63) / 64;
   for (int i = 0; i < num_frag; ++i) {
-    std::vector<std::uint64_t> v = vec[i];
+    std::vector<std::uint64_t> v(frag_vec.begin() + i * words_,
+                                 frag_vec.begin() + (i + 1) * words_);
     std::vector<std::uint64_t> combo(combo_words, 0);
     combo[i / 64] |= std::uint64_t{1} << (i % 64);
     for (std::size_t b = 0; b < basis.size(); ++b) {
       // Reduce on the leading bit of basis[b].
-      const auto lead = [](const std::vector<std::uint64_t>& x) -> int {
-        for (int w = static_cast<int>(x.size()) - 1; w >= 0; --w) {
-          if (x[w] != 0) return w * 64 + 63 - __builtin_clzll(x[w]);
-        }
-        return -1;
-      };
-      const int lb = lead(basis[b]);
-      const int lv = lead(v);
-      if (lv == lb && lv >= 0) {
-        xor_into(v, basis[b]);
-        xor_into(combo, combos[b]);
+      const int lb = leading_bit(basis[b]);
+      if (leading_bit(v) == lb && lb >= 0) {
+        xor_words(v.data(), basis[b].data(), words_);
+        xor_words(combo.data(), combos[b].data(), combo_words);
       }
     }
-    if (is_zero(v)) {
+    if (!any_word_nonzero(v.data(), words_)) {
       kernel.push_back(combo);
     } else {
       basis.push_back(std::move(v));
       combos.push_back(std::move(combo));
       // Keep basis sorted by leading bit descending for stable reduction.
-      for (std::size_t b = basis.size(); b-- > 1;) {
-        const auto lead_of = [](const std::vector<std::uint64_t>& x) -> int {
-          for (int w = static_cast<int>(x.size()) - 1; w >= 0; --w) {
-            if (x[w] != 0) return w * 64 + 63 - __builtin_clzll(x[w]);
-          }
-          return -1;
-        };
-        if (lead_of(basis[b]) > lead_of(basis[b - 1])) {
-          std::swap(basis[b], basis[b - 1]);
-          std::swap(combos[b], combos[b - 1]);
-        } else {
-          break;
-        }
+      for (std::size_t b = basis.size();
+           b-- > 1 && leading_bit(basis[b]) > leading_bit(basis[b - 1]);) {
+        std::swap(basis[b], basis[b - 1]);
+        std::swap(combos[b], combos[b - 1]);
       }
     }
   }
@@ -243,12 +238,13 @@ CycleSpaceFtc::Prepared CycleSpaceFtc::Prepared::prepare(
   return prep;
 }
 
-bool CycleSpaceFtc::connected(const CsVertexLabel& s, const CsVertexLabel& t,
+bool CycleSpaceFtc::connected(const graph::AncestryLabel& s,
+                              const graph::AncestryLabel& t,
                               const Prepared& prepared) {
-  if (s.anc == t.anc) return true;
+  if (s == t) return true;
   if (prepared.trivial_) return true;
-  const int fs = prepared.loc_.locate(s.anc.tin);
-  const int ft = prepared.loc_.locate(t.anc.tin);
+  const int fs = prepared.loc_.locate(s.tin);
+  const int ft = prepared.loc_.locate(t.tin);
   if (fs == ft) return true;
   // Fragments are in the same component of G - F iff they agree on every
   // kernel basis vector.

@@ -10,6 +10,9 @@
 // union is closed in G - F iff its vector is zero (whp), and the
 // connected components of the fragment graph are recovered as the
 // co-occurrence classes of the GF(2) kernel of the fragment-vector matrix.
+// Labels exist only as container blobs (core/label_store.hpp), written
+// in place by build() and read in place by Prepared::Builder; a vertex
+// label is its ancestry record.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +25,7 @@
 #include "graph/graph.hpp"
 
 namespace ftc::core::store {
+struct CycleParams;     // core/label_store.hpp
 struct ResidentLabels;  // core/label_store.hpp
 }  // namespace ftc::core::store
 
@@ -40,21 +44,6 @@ struct CycleSpaceConfig {
   unsigned build_threads = 1;
 };
 
-struct CsVertexLabel {
-  graph::AncestryLabel anc;
-};
-
-struct CsEdgeLabel {
-  bool is_tree = false;
-  // Tree edges: a = upper endpoint, b = lower endpoint (in T).
-  // Non-tree edges: the two endpoints in arbitrary order.
-  graph::AncestryLabel a;
-  graph::AncestryLabel b;
-  // Tree edges: XOR of lambda over non-tree edges crossing it.
-  // Non-tree edges: the edge's own lambda.
-  std::vector<std::uint64_t> vec;
-};
-
 class CycleSpaceFtc {
  public:
   // Builds the labels of the connected graph g straight into container
@@ -71,17 +60,44 @@ class CycleSpaceFtc {
   // plus one bit comparison per kernel vector.
   class Prepared {
    public:
-    static Prepared prepare(std::span<const CsEdgeLabel> faults);
+    // Assembles a fault set from up to `capacity` edge blobs: add()
+    // copies the tree flag, both endpoint records (a tree edge's upper,
+    // then lower in T) and the vector words (a tree edge's XOR of lambda
+    // over the non-tree edges crossing it, a non-tree edge's own lambda)
+    // into buffers reserved up front, so it allocates nothing and may
+    // run under a SIGBUS guard. A blob of the wrong size or with a tree
+    // flag above 1 throws core::StoreError. Duplicate edges are fine;
+    // finish() keeps one of each.
+    class Builder {
+     public:
+      Builder(const core::store::CycleParams& params, std::size_t capacity);
+      void add(std::span<const std::uint8_t> blob);
+      Prepared finish() &&;
+
+     private:
+      struct Row {
+        bool is_tree = false;
+        graph::AncestryLabel a;
+        graph::AncestryLabel b;
+      };
+      std::size_t blob_bytes_ = 0;
+      std::size_t words_ = 0;  // vector words per fault
+      std::vector<Row> rows_;
+      std::vector<std::uint64_t> vec_;  // capacity * words_
+    };
 
     // True when the spanning tree survives (no tree fault): every query
     // answers "connected" without touching the locator.
     bool trivial() const { return trivial_; }
+    // Faults added to the builder, duplicates included.
+    std::size_t num_faults() const { return num_faults_; }
 
    private:
     Prepared() = default;
     friend class CycleSpaceFtc;
 
     bool trivial_ = true;
+    std::size_t num_faults_ = 0;
     graph::FragmentLocator loc_{
         std::vector<std::pair<std::uint32_t, std::uint32_t>>{}};
     // Kernel combos over fragments: two fragments are connected in G - F
@@ -93,7 +109,8 @@ class CycleSpaceFtc {
   // probability over the sampled lambdas (one-sided: "connected" answers
   // are always correct, a "disconnected" answer is wrong only on a lambda
   // collision).
-  static bool connected(const CsVertexLabel& s, const CsVertexLabel& t,
+  static bool connected(const graph::AncestryLabel& s,
+                        const graph::AncestryLabel& t,
                         const Prepared& prepared);
 };
 

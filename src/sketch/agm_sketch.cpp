@@ -68,16 +68,6 @@ std::optional<PackedId> AgmSketch::sample_words(
   return std::nullopt;
 }
 
-AgmSketch AgmSketch::from_words(unsigned levels, unsigned reps,
-                                std::uint64_t seed,
-                                std::span<const std::uint64_t> words) {
-  AgmSketch s(levels, reps, seed);
-  FTC_REQUIRE(words.size() == s.num_words(),
-              "AGM sketch word count inconsistent with (levels, reps)");
-  s.words_.assign(words.begin(), words.end());
-  return s;
-}
-
 bool AgmSketch::looks_empty() const {
   return !any_word_nonzero(words_.data(), words_.size());
 }

@@ -60,19 +60,7 @@ class AgmSketch {
   unsigned reps() const { return reps_; }
   std::uint64_t seed() const { return seed_; }
 
-  // Serialization: the raw cell payload as 3 u64 words per cell
-  // (id_lo, id_hi, fp), rep-major — num_words() of them. This is also the
-  // in-memory layout (the sketch IS a flat word array), which makes
-  // merge() a single word-XOR kernel call and (de)serialization a copy.
-  // Round-trips exactly through from_words with the same
-  // (levels, reps, seed).
-  std::size_t num_words() const { return words_.size(); }
-  std::span<const std::uint64_t> words() const { return words_; }
-  static AgmSketch from_words(unsigned levels, unsigned reps,
-                              std::uint64_t seed,
-                              std::span<const std::uint64_t> words);
-
-  // sample() over a raw cell array (3 u64 per cell, the layout above)
+  // sample() over a raw cell array (3 u64 per cell, words_ below)
   // without materializing an AgmSketch — the dp21 query workspace keeps
   // per-fragment sketches as flat word rows and samples them in place.
   static std::optional<PackedId> sample_words(
@@ -87,6 +75,8 @@ class AgmSketch {
   std::uint64_t seed_ = 0;
   // reps_ x levels_ cells, row-major by rep, 3 words per cell:
   // words_[3 * (rep * levels_ + level) + {0, 1, 2}] = id_lo, id_hi, fp.
+  // A flat word array, so merge() is one word-XOR kernel call; a
+  // dp21-agm edge blob stores the same words.
   std::vector<std::uint64_t> words_;
 };
 

@@ -14,9 +14,12 @@
 #include "core/ftc_labels.hpp"
 #include "core/label_store.hpp"
 #include "dp21/agm_ftc.hpp"
+#include "dp21/cycle_space_ftc.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
+#include "sketch/agm_sketch.hpp"
 #include "util/common.hpp"
+#include "util/xor_kernel.hpp"
 
 namespace ftc::dp21 {
 namespace {
@@ -100,19 +103,68 @@ TEST(CycleSpaceFtc, NonTreeOnlyFaultsKeepTreeConnectivity) {
   cfg.full_support = false;
   const auto scheme = core::make_scheme(g, cycle_config(cfg));
   // Find the single non-tree edge (the BFS tree misses exactly one) from
-  // the tree flag of the built edge blobs.
+  // the tree flag of the built edge blobs: a fault set of one non-tree
+  // edge leaves the spanning tree whole.
   const auto view = scheme->store_view();
   core::store::ByteReader pr(view->params_blob());
   const core::store::CycleParams params = core::store::decode_cycle_params(pr);
   std::vector<EdgeId> faults;
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    core::store::ByteReader r(view->edge_blob(e));
-    if (!core::store::decode_cycle_edge(r, params).is_tree) faults.push_back(e);
+    CycleSpaceFtc::Prepared::Builder builder(params, 1);
+    builder.add(view->edge_blob(e));
+    if (std::move(builder).finish().trivial()) faults.push_back(e);
   }
   ASSERT_EQ(faults.size(), 1u);
   for (VertexId v = 1; v < 10; ++v) {
     EXPECT_TRUE(connected(*scheme, 0, v, faults));
   }
+}
+
+// Two parallel non-tree edges are two faults, not one fault listed
+// twice. With both of them and the other two edges at vertex 2 faulty,
+// vertex 2 is cut off; deduplicating non-tree faults by endpoint pair
+// alone left one parallel edge's lambda in the cut and answered
+// "connected".
+TEST(CycleSpaceFtc, ParallelNonTreeFaultsAreDistinct) {
+  Graph g(4);
+  g.add_edge(0, 1);
+  g.add_edge(0, 2);
+  g.add_edge(1, 3);
+  g.add_edge(2, 3);
+  const EdgeId a = g.add_edge(1, 2);
+  const EdgeId b = g.add_edge(1, 2);
+  CycleSpaceConfig cfg;
+  cfg.f = 4;
+  const auto scheme = core::make_scheme(g, cycle_config(cfg));
+  const std::vector<EdgeId> faults{1, 3, a, b};
+  ASSERT_FALSE(graph::connected_avoiding(g, 0, 2, faults));
+  EXPECT_FALSE(connected(*scheme, 0, 2, faults));
+  EXPECT_TRUE(connected(*scheme, 0, 3, faults));
+}
+
+// The flags byte of a dp21-cycle edge blob is 0 (non-tree) or 1 (tree
+// edge); the fault-set builder refuses anything else, and a blob of the
+// wrong size, with StoreError.
+TEST(CycleSpaceFtc, BuilderRefusesBadTreeFlag) {
+  const Graph g = graph::cycle(10);
+  CycleSpaceConfig cfg;
+  cfg.f = 1;
+  const core::store::ResidentLabels labels = CycleSpaceFtc::build(g, cfg);
+  core::store::ByteReader pr(labels.params);
+  const core::store::CycleParams params = core::store::decode_cycle_params(pr);
+  std::vector<std::uint8_t> blob(labels.edge_blob(0),
+                                 labels.edge_blob(0) + labels.edge_blob_bytes);
+  for (const int flag : {0, 1}) {
+    blob[0] = static_cast<std::uint8_t>(flag);
+    CycleSpaceFtc::Prepared::Builder builder(params, 1);
+    EXPECT_NO_THROW(builder.add(blob)) << flag;
+  }
+  blob[0] = 2;
+  CycleSpaceFtc::Prepared::Builder builder(params, 2);
+  EXPECT_THROW(builder.add(blob), core::StoreError);
+  EXPECT_THROW(builder.add(std::span<const std::uint8_t>(blob).first(
+                   blob.size() - 1)),
+               core::StoreError);
 }
 
 TEST(CycleSpaceFtc, LabelSizesTrackVariant) {
@@ -196,10 +248,11 @@ TEST(AgmFtc, FullSupportUsesMoreBits) {
 
 // A sampled edge must have exactly one endpoint in the set being grown.
 // On the path 0-1-2-3-4-5 (no non-tree edges, so every honest fault
-// sketch is empty) a fault label is hand-edited to hold one forged edge
-// ID: first one inside the source's fragment, then one joining two other
-// fragments. Both forged samples used to end the growth with "false";
-// each is now refused with the typed capacity error.
+// sketch is empty) a copy of a fault's edge blob is hand-edited to hold
+// one forged edge ID in its sketch words: first one inside the source's
+// fragment, then one joining two other fragments. Both forged samples
+// used to end the growth with "false"; each is now refused with the
+// typed capacity error.
 TEST(AgmFtc, UncertifiedSamplesAreRefused) {
   Graph g(6);
   for (VertexId v = 0; v + 1 < 6; ++v) g.add_edge(v, v + 1);  // edge v
@@ -210,40 +263,55 @@ TEST(AgmFtc, UncertifiedSamplesAreRefused) {
   core::store::ByteReader pr(labels.params);
   const core::store::AgmParams params = core::store::decode_agm_params(pr);
   const auto vertex = [&](VertexId v) {
-    return AgmVertexLabel{core::store::decode_vertex_record_at(
-        labels.vertex_records.data() + v * core::store::kVertexRecordBytes)};
+    return core::store::decode_vertex_record_at(
+        labels.vertex_records.data() + v * core::store::kVertexRecordBytes);
   };
+  using Blob = std::vector<std::uint8_t>;
   const auto edge = [&](EdgeId e) {
-    core::store::ByteReader r({labels.edge_blob(e), labels.edge_blob_bytes});
-    return core::store::decode_agm_edge(r, params);
+    return Blob(labels.edge_blob(e),
+                labels.edge_blob(e) + labels.edge_blob_bytes);
   };
-  // The builder's edge ID: the two ancestry labels, lower tin first.
-  const auto forged = [&](VertexId x, VertexId y) {
-    graph::AncestryLabel a = vertex(x).anc;
-    graph::AncestryLabel b = vertex(y).anc;
+  const auto prepare = [&](const std::vector<Blob>& faults) {
+    AgmFtc::Prepared::Builder builder(params, faults.size());
+    for (const Blob& blob : faults) builder.add(blob);
+    return std::move(builder).finish();
+  };
+  // The builder's edge ID: the two ancestry labels, lower tin first,
+  // toggled into every repetition of the blob's sketch words as
+  // AgmSketch::toggle would.
+  const auto toggle_forged = [&](Blob& blob, VertexId x, VertexId y) {
+    graph::AncestryLabel a = vertex(x);
+    graph::AncestryLabel b = vertex(y);
     if (b.tin < a.tin) std::swap(a, b);
-    return sketch::PackedId{a.tin | (std::uint64_t{a.tout} << 32),
-                            b.tin | (std::uint64_t{b.tout} << 32)};
+    const sketch::PackedId id{a.tin | (std::uint64_t{a.tout} << 32),
+                              b.tin | (std::uint64_t{b.tout} << 32)};
+    const std::uint64_t fp =
+        sketch::AgmSketch::fingerprint(id.lo, id.hi, params.seed);
+    std::uint8_t* words = core::store::agm_edge_sketch_words(blob.data());
+    for (unsigned r = 0; r < params.reps; ++r) {
+      const std::size_t c =
+          sketch::AgmSketch::cell_offset(id, r, params.levels, params.seed);
+      xor_le_word(words, c, id.lo);
+      xor_le_word(words, c + 1, id.hi);
+      xor_le_word(words, c + 2, fp);
+    }
   };
   AgmFtc::Workspace ws;
 
   // Fault 1-2: fragments {0, 1} and {2, ..., 5}.
-  std::vector<AgmEdgeLabel> faults{edge(1)};
-  EXPECT_FALSE(AgmFtc::connected(vertex(0), vertex(5),
-                                 AgmFtc::Prepared::prepare(faults), ws));
-  faults[0].sketch.toggle(forged(0, 1));  // does not cross
-  const auto inside = AgmFtc::Prepared::prepare(faults);
+  std::vector<Blob> faults{edge(1)};
+  EXPECT_FALSE(AgmFtc::connected(vertex(0), vertex(5), prepare(faults), ws));
+  toggle_forged(faults[0], 0, 1);  // does not cross
+  const auto inside = prepare(faults);
   EXPECT_TRUE(AgmFtc::connected(vertex(0), vertex(1), inside, ws));
   EXPECT_THROW(AgmFtc::connected(vertex(0), vertex(5), inside, ws),
                core::FtcCapacityError);
 
   // Faults 1-2 and 3-4: fragments {0, 1}, {2, 3} and {4, 5}.
   faults = {edge(1), edge(3)};
-  EXPECT_FALSE(AgmFtc::connected(vertex(0), vertex(5),
-                                 AgmFtc::Prepared::prepare(faults), ws));
-  faults[0].sketch.toggle(forged(2, 4));  // joins the two other fragments
-  EXPECT_THROW(AgmFtc::connected(vertex(0), vertex(5),
-                                 AgmFtc::Prepared::prepare(faults), ws),
+  EXPECT_FALSE(AgmFtc::connected(vertex(0), vertex(5), prepare(faults), ws));
+  toggle_forged(faults[0], 2, 4);  // joins the two other fragments
+  EXPECT_THROW(AgmFtc::connected(vertex(0), vertex(5), prepare(faults), ws),
                core::FtcCapacityError);
 }
 

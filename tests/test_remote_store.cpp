@@ -280,6 +280,59 @@ TEST(ShardHttpSource, HugeOrMalformedContentLengthIsTypedRefusal) {
   }
 }
 
+// An origin that sends more than its Content-Length is wrong, not
+// flaky: a plain StoreError that says "longer", never the retryable
+// StoreIoError a cut-short body gets (which derives from StoreError).
+TEST(ShardHttpSource, BodyLongerThanContentLengthIsNotATruncation) {
+  OneShotOrigin origin(
+      "HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: close\r\n\r\nabc");
+  const HttpShardSource src("127.0.0.1", origin.port(), "/");
+  try {
+    (void)src.fetch("obj");
+    ADD_FAILURE() << "fetch succeeded";
+  } catch (const StoreIoError& e) {
+    ADD_FAILURE() << "retryable: " << e.what();
+  } catch (const StoreError& e) {
+    EXPECT_NE(std::string(e.what()).find("longer"), std::string::npos)
+        << e.what();
+  }
+}
+
+// With the manifest's size to go by, a body that runs past it stops the
+// read at once: an origin streaming 8 MiB with no Content-Length against
+// a 64 KiB shard gets the cache's size-mismatch error, not a buffer that
+// grows until the origin stops.
+TEST(ShardHttpSource, BodyPastExpectedSizeStopsTheRead) {
+  OneShotOrigin origin("HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n" +
+                       std::string(8u << 20, 'x'));
+  const HttpShardSource src("127.0.0.1", origin.port(), "/");
+  try {
+    (void)src.fetch("obj", std::uint64_t{64} << 10);
+    ADD_FAILURE() << "fetch succeeded";
+  } catch (const StoreIoError& e) {
+    EXPECT_NE(std::string(e.what()).find("size mismatch"), std::string::npos)
+        << e.what();
+  }
+}
+
+// The expected size bounds a shard's body, never an error response's:
+// a 404 stays the structural "not found", not a size mismatch.
+TEST(ShardHttpSource, ExpectedSizeDoesNotMaskTheStatus) {
+  OneShotOrigin origin(
+      "HTTP/1.1 404 Not Found\r\nContent-Length: 9\r\n"
+      "Connection: close\r\n\r\nnot found");
+  const HttpShardSource src("127.0.0.1", origin.port(), "/");
+  try {
+    (void)src.fetch("obj", 100);
+    ADD_FAILURE() << "fetch succeeded";
+  } catch (const StoreIoError& e) {
+    ADD_FAILURE() << "retryable: " << e.what();
+  } catch (const StoreError& e) {
+    EXPECT_NE(std::string(e.what()).find("not found"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ShardHttpSource, ConnectFailureIsTransient) {
   // Nothing listens on the server's port once it stops: connect must
   // fail with the retryable class, not hang or crash.

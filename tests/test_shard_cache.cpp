@@ -124,6 +124,24 @@ TEST(LocalDirShardSource, FetchAndStatRoundTrip) {
   EXPECT_EQ(src.describe("obj"), dir.path() + "/obj");
 }
 
+// Given the manifest's size, an object of any other size is the
+// retryable size-mismatch error, thrown before any byte is read.
+TEST(LocalDirShardSource, FetchChecksTheExpectedSize) {
+  ScratchDir dir("localsrc_size");
+  write_file(dir.file("obj"), "0123456789abcdef");
+  const LocalDirShardSource src(dir.path());
+  EXPECT_EQ(src.fetch("obj", 16).size(), 16u);
+  for (const std::uint64_t expected : {15u, 17u}) {
+    try {
+      (void)src.fetch("obj", expected);
+      ADD_FAILURE() << expected << ": fetch succeeded";
+    } catch (const StoreIoError& e) {
+      EXPECT_NE(std::string(e.what()).find("size mismatch"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(LocalDirShardSource, MissingObjectIsStructural) {
   ScratchDir dir("localsrc_err");
   write_file(dir.file("obj"), "abc");
