@@ -2,9 +2,9 @@
 // over a matrix of backend x serving path x fault model, and over extra
 // rows for the write (delta push) and robustness (retry, degraded) costs.
 //
-// The loop (rounds() below) runs every timed operation on this one
-// thread: warm-up rounds first, whose timings are dropped, then the
-// measured samples, reported as median, p99 and sample count. Every
+// The loop (rounds() in bench_util.hpp) runs every timed operation on
+// this one thread: warm-up rounds first, whose timings are dropped, then
+// the measured samples, reported as median, p99 and sample count. Every
 // timed answer is compared with BFS ground truth
 // (graph::connected_avoiding, edge- and vertex-avoiding); a mismatch or
 // a failed gate is reported on stderr and makes the program exit 1. The
@@ -46,7 +46,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <exception>
 #include <filesystem>
@@ -85,58 +84,6 @@ struct Sizes {
   std::size_t pushes = 5;
   std::size_t throws = 200;
 };
-
-// ------------------------------------------------------------ the loop
-
-// Latency samples of one metric, in microseconds.
-struct Series {
-  std::vector<double> us;
-
-  void add(const Timer& t, bool keep) {
-    if (keep) us.push_back(t.micros());
-  }
-  // Nearest-rank quantile.
-  double at(double q) const {
-    if (us.empty()) return 0.0;
-    std::vector<double> sorted = us;
-    std::sort(sorted.begin(), sorted.end());
-    const auto rank = static_cast<std::size_t>(
-        std::ceil(q * static_cast<double>(sorted.size())));
-    return sorted[std::max<std::size_t>(rank, 1) - 1];
-  }
-};
-
-// The measurement loop: round(i, keep) runs for the warm-up rounds with
-// keep == false, then for `samples` rounds with keep == true. A round
-// times its own phases and hands each Timer to Series::add, which drops
-// warm-up timings; checks run after the clock stops.
-template <typename Round>
-void rounds(std::size_t samples, Round&& round) {
-  const std::size_t warmup = std::max<std::size_t>(1, samples / 8);
-  for (std::size_t i = 0; i < warmup + samples; ++i) round(i, i >= warmup);
-}
-
-std::size_t g_checked = 0;
-std::size_t g_failures = 0;
-
-void fail(const std::string& what) {
-  ++g_failures;
-  std::fprintf(stderr, "FAILED: %s\n", what.c_str());
-}
-
-void check(bool got, bool truth, const std::string& where, const char* what) {
-  ++g_checked;
-  if (got != truth) {
-    fail(where + " " + what + ": answered " +
-         (got ? "connected" : "disconnected") + ", BFS disagrees");
-  }
-}
-
-void put(JsonRecords& json, const std::string& key, const Series& s) {
-  json.field(key + "_p50", s.at(0.5));
-  json.field(key + "_p99", s.at(0.99));
-  json.field(key + "_n", s.us.size());
-}
 
 // ------------------------------------------------------------ workloads
 

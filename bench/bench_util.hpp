@@ -1,8 +1,10 @@
-// Shared helpers for the benchmark harness: wall-clock timing, aligned
-// table printing (the benches emit paper-style tables), and fault/query
-// workload generation with ground-truth checking.
+// Shared helpers for the benchmark harness: the measurement loop
+// (warm-up, median, p99, sample count), ground-truth checks with one
+// exit rule, aligned table printing (the benches emit paper-style
+// tables), and fault/query workload generation.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -31,6 +33,63 @@ class Timer {
  private:
   std::chrono::steady_clock::time_point start_;
 };
+
+// ------------------------------------------------------------ the loop
+
+// Latency samples of one metric, in microseconds.
+struct Series {
+  std::vector<double> us;
+
+  void add(const Timer& t, bool keep) {
+    if (keep) us.push_back(t.micros());
+  }
+  // Nearest-rank quantile.
+  double at(double q) const {
+    if (us.empty()) return 0.0;
+    std::vector<double> sorted = us;
+    std::sort(sorted.begin(), sorted.end());
+    const auto rank = static_cast<std::size_t>(
+        std::ceil(q * static_cast<double>(sorted.size())));
+    return sorted[std::max<std::size_t>(rank, 1) - 1];
+  }
+};
+
+// The measurement loop: round(i, keep) runs for the warm-up rounds with
+// keep == false, then for `samples` rounds with keep == true. A round
+// times its own phases and hands each Timer to Series::add, which drops
+// warm-up timings; checks run after the clock stops.
+template <typename Round>
+void rounds(std::size_t samples, Round&& round) {
+  const std::size_t warmup = std::max<std::size_t>(1, samples / 8);
+  for (std::size_t i = 0; i < warmup + samples; ++i) round(i, i >= warmup);
+}
+
+// The exit rule: every failed check prints one `FAILED:` line on stderr
+// and counts in g_failures; a bench exits 1 when g_failures != 0.
+inline std::size_t g_checked = 0;
+inline std::size_t g_failures = 0;
+
+inline void fail(const std::string& what) {
+  ++g_failures;
+  std::fprintf(stderr, "FAILED: %s\n", what.c_str());
+}
+
+// One checked answer that has no BFS truth (a net property, a distance
+// bound): fails with `what` when !ok.
+inline void expect(bool ok, const std::string& what) {
+  ++g_checked;
+  if (!ok) fail(what);
+}
+
+// One connectivity answer against its ground truth.
+inline void check(bool got, bool truth, const std::string& where,
+                  const char* what) {
+  ++g_checked;
+  if (got != truth) {
+    fail(where + " " + what + ": answered " +
+         (got ? "connected" : "disconnected") + ", BFS disagrees");
+  }
+}
 
 // Minimal aligned-column table printer.
 class Table {
@@ -82,6 +141,15 @@ inline std::string fmt_bits(std::size_t bits) {
   if (bits < 8192) return std::to_string(bits) + " b";
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.1f KiB", static_cast<double>(bits) / 8192);
+  return buf;
+}
+
+// A timed cell: median, p99 and sample count, in ms or us.
+inline std::string fmt_series(const Series& s, const char* unit) {
+  const double scale = std::string(unit) == "ms" ? 1e-3 : 1.0;
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "%.1f %s (p99 %.1f, n=%zu)",
+                s.at(0.5) * scale, unit, s.at(0.99) * scale, s.us.size());
   return buf;
 }
 
@@ -156,6 +224,12 @@ class JsonRecords {
 
   std::vector<std::vector<std::string>> records_;
 };
+
+inline void put(JsonRecords& json, const std::string& key, const Series& s) {
+  json.field(key + "_p50", s.at(0.5));
+  json.field(key + "_p99", s.at(0.99));
+  json.field(key + "_n", s.us.size());
+}
 
 // A fault set plus a query endpoint pair with its ground-truth answer.
 struct QueryCase {

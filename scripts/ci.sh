@@ -67,17 +67,17 @@
 #                             # VPCLMULQDQ body, and all three must give
 #                             # the same labels and the same answers
 #   scripts/ci.sh bench-smoke # Release build of bench_serving,
-#                             # bench_sketch, bench_query_scaling,
-#                             # bench_k_tradeoff and bench_table1: a
+#                             # bench_sketch and bench_tables: a
 #                             # tiny-size serving run (every answer
 #                             # BFS-checked, nonzero exit on a mismatch),
-#                             # the three paper-table benches (nonzero
-#                             # exit on a wrong answer; bench_table1 runs
-#                             # all six backend variants through
-#                             # make_scheme and its fault-set builders)
-#                             # and the failpoint check case, with one
-#                             # JSON shape check per record kind — keeps
-#                             # the benches from silently rotting
+#                             # every paper table (bench_tables with no
+#                             # argument, ~10 s; nonzero exit on any
+#                             # wrong answer; Table 1 runs all six
+#                             # backend variants through make_scheme and
+#                             # its fault-set builders) and the failpoint
+#                             # check case, with one JSON shape check per
+#                             # record kind — keeps the benches from
+#                             # silently rotting
 #   scripts/ci.sh store-shard # sharded-store leg: asan run of the
 #                             # sharded/manifest + live-swap suites, then
 #                             # an end-to-end CLI exercise — shard a
@@ -619,16 +619,14 @@ if [ "${1:-}" = "bench-smoke" ]; then
   echo "=== bench smoke leg (release) ==="
   cmake --preset release
   cmake --build --preset release -j "$jobs" --target bench_serving \
-    bench_sketch bench_query_scaling bench_k_tradeoff bench_table1
+    bench_sketch bench_tables
   out=build-release/bench-smoke
   mkdir -p "$out"
   # bench_serving exits nonzero if any timed answer disagrees with BFS or
   # a delta-push/retry/degraded gate fails; pipefail keeps that status.
   (cd "$out" && ../bench_serving --smoke) | tee "$out/serving.log"
-  # The paper-table benches exit nonzero on any wrong answer.
-  build-release/bench_query_scaling
-  build-release/bench_k_tradeoff
-  build-release/bench_table1
+  # Every paper table; exits nonzero on any wrong answer.
+  build-release/bench_tables
   sed -n 's/^JSON //p' "$out/serving.log" > "$out/BENCH_serving.json"
   build-release/bench_sketch --benchmark_filter=BM_FailpointCheck \
     --benchmark_min_time=0.01 --benchmark_format=json \

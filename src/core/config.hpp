@@ -24,9 +24,16 @@ enum class SchemeKind : std::uint8_t {
 //  kProvable  — the worst-case bound (Lemma 5 / Prop. 5 formulas). Label
 //               sizes match the theorems' constants; practical only for
 //               small graphs.
-//  kPractical — k = ceil(k_scale * (f + 1) * log2 n'). The decoder is
-//               fail-stop (FtcCapacityError) if this ever proves too
-//               small; bench_k_tradeoff quantifies the safety margin.
+//  kPractical — k = max(4, floor(k_scale * (f + 1) * ceil(log2 n'))). The
+//               decoder answers correctly or refuses (FtcCapacityError)
+//               only while every cut boundary it decodes has at most
+//               about 2k edges: a level stores k odd-power syndromes, a
+//               code of distance 2k + 1, so a wider boundary can alias
+//               to an empty sum or to a plausible single edge and give
+//               a wrong answer. resolve_k floors this k at 4; only
+//               k_override goes below, and at k = 1 wrong answers have
+//               been found. `bench_tables k_tradeoff` measures the
+//               refusal rate against k.
 enum class KMode : std::uint8_t {
   kProvable = 0,
   kPractical = 1,
@@ -76,8 +83,10 @@ struct FtcConfig {
   SchemeKind kind = SchemeKind::kDeterministic;
   KMode k_mode = KMode::kPractical;
   double k_scale = 4.0;      // multiplier for the practical k
-  unsigned k_override = 0;   // nonzero: use exactly this k
-  unsigned group_len = 0;    // NetFind group length (0 = provable default)
+  // Nonzero: use exactly this k, bypassing the floor of 4. "Correct or
+  // a refusal" then holds only while the decoded boundaries stay within
+  // about 2k edges (see KMode::kPractical); k = 1 has answered wrong.
+  unsigned k_override = 0;
   std::uint64_t seed = 1;    // randomized hierarchy seed
   FieldKind field = FieldKind::kAuto;
   // Build worker threads, at least 1. Any value produces byte-identical

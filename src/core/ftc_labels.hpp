@@ -64,8 +64,12 @@ struct EdgeLabel {
 };
 
 // Thrown by the decoder when a sketch fails to decode within its capacity
-// k — impossible under provable parameters, possible (and detected,
-// never silently wrong) under aggressive practical ones.
+// k — impossible under provable parameters, possible under aggressive
+// practical ones. A refusal instead of a silently wrong answer is exact
+// only while every boundary the decoder meets has at most about 2k
+// edges (the syndromes' code distance is 2k + 1); past that a level sum
+// can alias and the answer can be wrong undetected. The practical k is
+// floored at 4; only FtcConfig::k_override goes lower (config.hpp).
 class FtcCapacityError : public std::runtime_error {
  public:
   explicit FtcCapacityError(const std::string& what)

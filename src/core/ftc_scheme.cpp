@@ -31,7 +31,6 @@ geometry::HierarchyConfig hierarchy_config(const FtcConfig& cfg) {
   switch (cfg.kind) {
     case SchemeKind::kDeterministic:
       h.kind = geometry::HierarchyKind::kDeterministicNetFind;
-      h.group_len = cfg.group_len;
       break;
     case SchemeKind::kDeterministicGreedy:
       h.kind = geometry::HierarchyKind::kDeterministicGreedy;
@@ -51,11 +50,9 @@ unsigned resolve_k(const FtcConfig& cfg, std::size_t n_aux,
     if (cfg.kind == SchemeKind::kRandomized) {
       return geometry::randomized_hierarchy_k(cfg.f, n_aux);
     }
-    const unsigned gl =
-        cfg.group_len != 0
-            ? cfg.group_len
-            : geometry::provable_group_len(std::max<std::size_t>(num_points, 2));
-    return geometry::provable_hierarchy_k(cfg.f, gl);
+    return geometry::provable_hierarchy_k(
+        cfg.f,
+        geometry::provable_group_len(std::max<std::size_t>(num_points, 2)));
   }
   const unsigned logn =
       std::max(1u, ceil_log2(std::max<std::size_t>(n_aux, 2)));

@@ -55,64 +55,44 @@ std::uint32_t read_u32_at(const std::uint8_t* base, std::size_t offset) {
 
 namespace store {
 
-// Fixed per-edge blob size implied by the params blob, used to
-// cross-check the offset index at open.
-std::size_t expected_edge_blob_bytes(BackendKind backend,
-                                     std::span<const std::uint8_t> params,
-                                     std::uint32_t version) {
+ParamsShape describe_params(BackendKind backend,
+                            std::span<const std::uint8_t> params,
+                            std::uint32_t version) {
   store::ByteReader r(params);
-  std::size_t expect = 0;
-  switch (backend) {
-    case BackendKind::kCoreFtc: {
-      std::vector<std::uint32_t> bounds;
-      const LabelParams p = store::decode_core_params(r, version, &bounds);
-      expect = store::core_edge_layout(p, bounds, version).blob_bytes();
-      break;
-    }
-    case BackendKind::kDp21CycleSpace:
-      expect = store::cycle_edge_blob_bytes(store::decode_cycle_params(r));
-      break;
-    case BackendKind::kDp21Agm:
-      expect = store::agm_edge_blob_bytes(store::decode_agm_params(r));
-      break;
-  }
-  if (r.remaining() != 0) {
-    throw StoreError("params blob size inconsistent with backend");
-  }
-  return expect;
-}
-
-StoreLabelBits derive_label_bits(BackendKind backend,
-                                 std::span<const std::uint8_t> params,
-                                 std::uint32_t version) {
-  store::ByteReader r(params);
-  StoreLabelBits bits;
+  ParamsShape shape;
   switch (backend) {
     case BackendKind::kCoreFtc: {
       // The core label types carry their own size accounting.
       std::vector<std::uint32_t> bounds;
       EdgeLabel edge;
       edge.params = store::decode_core_params(r, version, &bounds);
-      edge.level_widths =
-          store::core_edge_layout(edge.params, bounds, version).widths;
-      bits.vertex_label_bits = VertexLabel{edge.params, {}}.size_bits();
-      bits.edge_label_bits = edge.size_bits();
+      const store::CoreEdgeLayout layout =
+          store::core_edge_layout(edge.params, bounds, version);
+      edge.level_widths = layout.widths;
+      shape.edge_blob_bytes = layout.blob_bytes();
+      shape.vertex_label_bits = VertexLabel{edge.params, {}}.size_bits();
+      shape.edge_label_bits = edge.size_bits();
       break;
     }
     case BackendKind::kDp21CycleSpace: {
       const store::CycleParams p = store::decode_cycle_params(r);
-      bits.vertex_label_bits = 2 * p.coord_bits;
-      bits.edge_label_bits = 4 * p.coord_bits + p.vector_bits + 1;
+      shape.edge_blob_bytes = store::cycle_edge_blob_bytes(p);
+      shape.vertex_label_bits = 2 * p.coord_bits;
+      shape.edge_label_bits = 4 * p.coord_bits + p.vector_bits + 1;
       break;
     }
     case BackendKind::kDp21Agm: {
       const store::AgmParams p = store::decode_agm_params(r);
-      bits.vertex_label_bits = 2 * p.coord_bits;
-      bits.edge_label_bits = 4 * p.coord_bits + p.sketch_words() * 64;
+      shape.edge_blob_bytes = store::agm_edge_blob_bytes(p);
+      shape.vertex_label_bits = 2 * p.coord_bits;
+      shape.edge_label_bits = 4 * p.coord_bits + p.sketch_words() * 64;
       break;
     }
   }
-  return bits;
+  if (r.remaining() != 0) {
+    throw StoreError("params blob size inconsistent with backend");
+  }
+  return shape;
 }
 
 void CsrAdjacency::validate(const std::string& path) const {
@@ -859,11 +839,14 @@ std::shared_ptr<const LabelStoreView> LabelStoreView::open(
   // section end (up to the pre-adjacency alignment pad), and (the blobs
   // being fixed-size per scheme) every spacing must match the width
   // implied by the params blob.
-  std::size_t expected_blob = 0;
+  store::ParamsShape shape;
   store::with_sigbus_guard(path, "label store params", [&] {
-    expected_blob = store::expected_edge_blob_bytes(
-        info.backend, view->params_blob(), info.format_version);
+    shape = store::describe_params(info.backend, view->params_blob(),
+                                   info.format_version);
   });
+  const std::size_t expected_blob = shape.edge_blob_bytes;
+  info.vertex_label_bits = shape.vertex_label_bits;
+  info.edge_label_bits = shape.edge_label_bits;
   store::with_sigbus_guard(path, "label store edge index", [&] {
     std::uint64_t prev = read_u64_at(view->map_, index_off);
     if (prev != 0) {
@@ -900,14 +883,6 @@ std::shared_ptr<const LabelStoreView> LabelStoreView::open(
     store::with_sigbus_guard(path, "label store adjacency",
                              [&] { view->adj_.validate(path); });
   }
-
-  store::StoreLabelBits bits;
-  store::with_sigbus_guard(path, "label store params", [&] {
-    bits = store::derive_label_bits(info.backend, view->params_blob(),
-                                    info.format_version);
-  });
-  info.vertex_label_bits = bits.vertex_label_bits;
-  info.edge_label_bits = bits.edge_label_bits;
 
   if (verify_checksum) {
     // The O(file) scan — by far the widest SIGBUS window at open.
@@ -954,9 +929,9 @@ class ResidentStoreView final : public StoreView {
     const std::size_t blob_section = static_cast<std::size_t>(m) * blob_bytes;
     FTC_CHECK(labels_.edge_section.size() == blob_section,
               "resident edge section inconsistent with the graph");
-    FTC_CHECK(store::expected_edge_blob_bytes(labels_.backend, labels_.params,
-                                              store::kFormatVersion) ==
-                  blob_bytes,
+    const store::ParamsShape shape = store::describe_params(
+        labels_.backend, labels_.params, store::kFormatVersion);
+    FTC_CHECK(shape.edge_blob_bytes == blob_bytes,
               "resident edge blob width inconsistent with the params");
 
     // The CSR adjacency section, byte for byte what a save() writes.
@@ -978,10 +953,8 @@ class ResidentStoreView final : public StoreView {
     info.edge_blob_bytes = blob_section;
     info.has_adjacency = true;
     info.adjacency_bytes = adjacency_.size();
-    const store::StoreLabelBits bits = store::derive_label_bits(
-        info.backend, labels_.params, info.format_version);
-    info.vertex_label_bits = bits.vertex_label_bits;
-    info.edge_label_bits = bits.edge_label_bits;
+    info.vertex_label_bits = shape.vertex_label_bits;
+    info.edge_label_bits = shape.edge_label_bits;
 
     vertex_base_ = labels_.vertex_records.data();
     edge_base_ = labels_.edge_blobs();

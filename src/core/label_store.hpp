@@ -376,22 +376,21 @@ graph::AncestryLabel read_agm_edge_at(const std::uint8_t* blob,
 std::size_t cycle_edge_blob_bytes(const CycleParams& params);
 std::size_t agm_edge_blob_bytes(const AgmParams& params);
 
-// Decodes the params blob just far enough to answer "how many bytes is
-// one edge blob" / "how many bits is one label" for any backend; both
-// throw StoreError when the blob is inconsistent with the backend. Used
-// by the container reader to cross-check the offset index and by the
-// sharded-manifest reader (sharded_store.hpp), which carries the params
-// blob itself.
-std::size_t expected_edge_blob_bytes(BackendKind backend,
-                                     std::span<const std::uint8_t> params,
-                                     std::uint32_t version);
-struct StoreLabelBits {
+// What a params blob implies, decoded once per open for any backend:
+// the fixed per-edge blob width (every edge label of one scheme
+// serializes to the same number of bytes) and the label sizes in bits.
+// Throws StoreError when the blob is inconsistent with the backend.
+// Used by every open: the container reader (to cross-check the offset
+// index), the sharded-manifest reader (sharded_store.hpp), which
+// carries the params blob itself, and the resident view.
+struct ParamsShape {
+  std::size_t edge_blob_bytes = 0;
   std::size_t vertex_label_bits = 0;
   std::size_t edge_label_bits = 0;
 };
-StoreLabelBits derive_label_bits(BackendKind backend,
-                                 std::span<const std::uint8_t> params,
-                                 std::uint32_t version);
+ParamsShape describe_params(BackendKind backend,
+                            std::span<const std::uint8_t> params,
+                            std::uint32_t version);
 
 // What one prefetch() call did: thread fan-out, wall time, and the
 // per-shard map+digest cost (empty for a view with contiguous sections,

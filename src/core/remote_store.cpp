@@ -1,12 +1,12 @@
 // RemoteStoreView: a sharded store opened from an http:// manifest URL.
 //
-// The open fetches the manifest (small, always transferred in full),
-// parks a verbatim copy in the shard cache, and runs the ordinary
-// manifest reader over it — so a remote manifest gets every structural
-// check a local one does, including the payload checksum over the
-// transferred bytes. Shards stay lazy: the shard_local_path() override
-// routes each first touch through ShardCache::fetch_shard(), and from
-// there on the shard is a local mmap like any other. All the
+// The open fetches the manifest (a HEAD, then a GET bounded by the size
+// it reported), parks a verbatim copy in the shard cache, and runs the
+// ordinary manifest reader over it — so a remote manifest gets every
+// structural check a local one does, including the payload checksum
+// over the transferred bytes. Shards stay lazy: the shard_local_path()
+// override routes each first touch through ShardCache::fetch_shard(),
+// and from there on the shard is a local mmap like any other. All the
 // serving-tier machinery above (retry, quarantine, DegradedError,
 // routing by shard range, swap_store adoption) is inherited unchanged.
 #include "core/sharded_store.hpp"
@@ -27,6 +27,19 @@ HttpEndpoint parse_store_url(const std::string& url) {
   return ep;
 }
 
+// HEADs `name`, then GETs it bounded by the size the HEAD reported, so
+// an origin that streams past that size stops the read (a retryable
+// size mismatch) instead of growing the buffer. Callers run both
+// requests inside one retry_transient(): an object replaced between the
+// two requests retries as a pair. Returns nullopt when the object does
+// not exist.
+std::optional<std::vector<std::uint8_t>> fetch_sized(
+    const HttpShardSource& source, const std::string& name) {
+  std::uint64_t size = 0;
+  if (!source.stat(name, &size)) return std::nullopt;
+  return source.fetch(name, size);
+}
+
 }  // namespace
 
 std::shared_ptr<const RemoteStoreView> RemoteStoreView::open(
@@ -40,12 +53,16 @@ std::shared_ptr<const RemoteStoreView> RemoteStoreView::open(
   // The manifest is re-fetched on every open (it is the mutable part of
   // a store — epochs move by replacing it), but put_blob content-
   // addresses the copy, so reopening an unchanged epoch rewrites
-  // nothing. It is fetched outside open_shard's retry loop, so it runs
-  // under the same retry_transient() here.
-  const std::vector<std::uint8_t> manifest_bytes =
-      retry_transient([&] { return source->fetch(ep.object); });
+  // nothing. It is fetched outside open_shard's retry loop, so its HEAD
+  // and GET run under one retry_transient() here.
+  const auto manifest_bytes =
+      retry_transient([&] { return fetch_sized(*source, ep.object); });
+  if (!manifest_bytes) {
+    throw StoreError("remote object not found: " +
+                     source->describe(ep.object));
+  }
   const std::string local_manifest = cache->put_blob("manifest",
-                                                     manifest_bytes);
+                                                     *manifest_bytes);
 
   std::shared_ptr<RemoteStoreView> view(new RemoteStoreView());
   view->url_ = url;
@@ -71,11 +88,10 @@ std::string fetch_remote_journal(const std::string& store_url) {
   const HttpEndpoint ep = parse_store_url(store_url);
   const HttpShardSource source(ep.host, ep.port, ep.dir);
   const std::string journal_name = ep.object + ".jrnl";
-  std::uint64_t size = 0;
-  if (!source.stat(journal_name, &size)) return std::string();
-  const std::vector<std::uint8_t> bytes =
-      retry_transient([&] { return source.fetch(journal_name); });
-  return default_remote_cache()->put_blob("journal", bytes);
+  const auto bytes =
+      retry_transient([&] { return fetch_sized(source, journal_name); });
+  if (!bytes) return std::string();
+  return default_remote_cache()->put_blob("journal", *bytes);
 }
 
 }  // namespace ftc::core

@@ -30,9 +30,9 @@ std::string errno_suffix(int err) {
 
 StoreIoError size_mismatch(std::uint64_t got, std::uint64_t expected,
                            const std::string& where) {
-  return StoreIoError("remote shard size mismatch (got " + std::to_string(got) +
-                      ", manifest says " + std::to_string(expected) +
-                      "): " + where);
+  return StoreIoError("remote object size mismatch (got " +
+                      std::to_string(got) + ", expected " +
+                      std::to_string(expected) + "): " + where);
 }
 
 // ---------------------------------------------------------------------------

@@ -44,7 +44,8 @@ inline bool is_http_url(const std::string& path) {
 }
 
 // The error a fetch throws for an object whose size is not the expected
-// one: the retryable StoreIoError, since the origin may be mid-republish.
+// one (a shard's manifest size, or the size a HEAD just reported): the
+// retryable StoreIoError, since the origin may be mid-republish.
 StoreIoError size_mismatch(std::uint64_t got, std::uint64_t expected,
                            const std::string& where);
 

@@ -619,16 +619,14 @@ void ShardedStoreView::open_impl(
   info.format_version = manifest_version >= 3
                             ? static_cast<std::uint32_t>(store::kFormatVersion)
                             : 3;
-  std::size_t blob_bytes = 0;
-  store::StoreLabelBits bits;
+  store::ParamsShape shape;
   store::with_sigbus_guard(path, "store manifest params", [&] {
-    blob_bytes = store::expected_edge_blob_bytes(
-        info.backend, view->params_blob(), info.format_version);
-    bits = store::derive_label_bits(info.backend, view->params_blob(),
-                                    info.format_version);
+    shape = store::describe_params(info.backend, view->params_blob(),
+                                   info.format_version);
   });
-  info.vertex_label_bits = bits.vertex_label_bits;
-  info.edge_label_bits = bits.edge_label_bits;
+  const std::size_t blob_bytes = shape.edge_blob_bytes;
+  info.vertex_label_bits = shape.vertex_label_bits;
+  info.edge_label_bits = shape.edge_label_bits;
 
   // Every shard file must already exist with exactly the recorded size;
   // mapping and full validation stay lazy. open_degraded() turns a

@@ -470,8 +470,10 @@ class RemoteStoreView final : public ShardedStoreView {
 
 // Fetches the deletion-journal sidecar "<store url>.jrnl" into the
 // default cache and returns its local path, or "" when the origin has
-// none (journals are optional). Transient transport failures retry
-// under default_retry_policy() before throwing.
+// none (journals are optional). Like the manifest, it is a HEAD and a
+// GET bounded by the reported size; transient transport failures and
+// size mismatches retry the pair under default_retry_policy() before
+// throwing.
 std::string fetch_remote_journal(const std::string& store_url);
 
 }  // namespace ftc::core

@@ -36,7 +36,7 @@ struct SparseCover {
 
 // Builds a cover: ball growing stops as soon as the next layer grows the
 // cluster by less than factor n^(1/k), so radii are below k*r and the
-// measured overlap tracks n^(1/k) (reported by bench_distance).
+// measured overlap tracks n^(1/k) (reported by `bench_tables distance`).
 SparseCover build_sparse_cover(const WeightedGraph& g, Weight r, unsigned k);
 
 }  // namespace ftc::distance

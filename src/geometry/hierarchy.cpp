@@ -17,15 +17,12 @@ std::vector<Point2> next_level(const std::vector<Point2>& cur,
                                unsigned level, util::WorkerPool* pool) {
   switch (config.kind) {
     case HierarchyKind::kDeterministicNetFind: {
-      const unsigned gl = config.group_len != 0
-                              ? config.group_len
-                              : provable_group_len(cur.size());
-      std::vector<Point2> net = netfind(cur, gl, pool);
+      std::vector<Point2> net =
+          netfind(cur, provable_group_len(cur.size()), pool);
       if (net.size() >= cur.size()) {
-        // Only reachable with non-provable (too small) group lengths: the
-        // net failed to shrink. Keep every other point to force progress;
-        // the provable guarantee is void in this regime anyway and the
-        // decoder is fail-stop.
+        // Not expected at the provable group length (Lemma 12 bounds the
+        // net by |P|/2); a guard so the level loop always progresses.
+        // Keep every other point.
         std::vector<Point2> half;
         for (std::size_t i = 0; i < net.size(); i += 2) half.push_back(net[i]);
         return half;

@@ -27,8 +27,6 @@ enum class HierarchyKind {
 
 struct HierarchyConfig {
   HierarchyKind kind = HierarchyKind::kDeterministicNetFind;
-  // NetFind group length; 0 = provable default (4 ceil(log2 N)).
-  unsigned group_len = 0;
   // Greedy-net heaviness threshold; 0 = provable-analogue default.
   unsigned greedy_threshold = 0;
   // Seed for kRandomSampling.

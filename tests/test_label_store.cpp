@@ -443,8 +443,8 @@ TEST(StoreCodec, TruncatedOrCorruptParamsThrow) {
     const auto view = make_scheme(g, test_config(backend, 2))->store_view();
     const auto params = view->params_blob();
     const auto blob_bytes = [&](std::span<const std::uint8_t> bytes) {
-      return store::expected_edge_blob_bytes(backend, bytes,
-                                             store::kFormatVersion);
+      return store::describe_params(backend, bytes, store::kFormatVersion)
+          .edge_blob_bytes;
     };
     EXPECT_EQ(blob_bytes(params), view->edge_blob(0).size());
     for (std::size_t cut = 0; cut < params.size(); ++cut) {

@@ -14,6 +14,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -153,13 +154,15 @@ std::string raw_http_exchange(std::uint16_t port, const std::string& request) {
   return out;
 }
 
-// A loopback listener that accepts one connection, reads the request
-// head, answers with `response` verbatim and closes: an origin that
-// says whatever a test needs it to.
-class OneShotOrigin {
+// A loopback listener that answers each connection it accepts with a
+// canned response and closes it: `head_response` for a HEAD request,
+// `response` for anything else. An origin that says whatever a test
+// needs it to; it counts the HEADs it answered.
+class CannedOrigin {
  public:
-  explicit OneShotOrigin(std::string response)
+  explicit CannedOrigin(std::string response, std::string head_response = "")
       : response_(std::move(response)),
+        head_response_(std::move(head_response)),
         fd_(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0)) {
     struct sockaddr_in addr {};
     addr.sin_family = AF_INET;
@@ -172,33 +175,41 @@ class OneShotOrigin {
         0);
     port_ = ntohs(addr.sin_port);
     thread_ = std::thread([this] {
-      const int conn = ::accept(fd_, nullptr, nullptr);
-      if (conn < 0) return;
-      std::string head;
-      char buf[1024];
-      ssize_t n;
-      while (head.find("\r\n\r\n") == std::string::npos &&
-             (n = ::recv(conn, buf, sizeof(buf), 0)) > 0) {
-        head.append(buf, static_cast<std::size_t>(n));
+      for (;;) {
+        const int conn = ::accept(fd_, nullptr, nullptr);
+        if (conn < 0) return;  // the destructor shut the listener down
+        std::string head;
+        char buf[1024];
+        ssize_t n;
+        while (head.find("\r\n\r\n") == std::string::npos &&
+               (n = ::recv(conn, buf, sizeof(buf), 0)) > 0) {
+          head.append(buf, static_cast<std::size_t>(n));
+        }
+        const bool is_head = head.rfind("HEAD ", 0) == 0;
+        if (is_head) ++heads_;
+        const std::string& out = is_head ? head_response_ : response_;
+        (void)::send(conn, out.data(), out.size(), MSG_NOSIGNAL);
+        ::close(conn);
       }
-      (void)::send(conn, response_.data(), response_.size(), MSG_NOSIGNAL);
-      ::close(conn);
     });
   }
-  ~OneShotOrigin() {
-    ::shutdown(fd_, SHUT_RDWR);  // unblocks accept() if nobody connected
+  ~CannedOrigin() {
+    ::shutdown(fd_, SHUT_RDWR);  // unblocks accept()
     thread_.join();
     ::close(fd_);
   }
-  OneShotOrigin(const OneShotOrigin&) = delete;
-  OneShotOrigin& operator=(const OneShotOrigin&) = delete;
+  CannedOrigin(const CannedOrigin&) = delete;
+  CannedOrigin& operator=(const CannedOrigin&) = delete;
 
   std::uint16_t port() const { return port_; }
+  unsigned heads() const { return heads_; }
 
  private:
   std::string response_;
+  std::string head_response_;
   int fd_;
   std::uint16_t port_ = 0;
+  std::atomic<unsigned> heads_{0};
   std::thread thread_;
 };
 
@@ -262,7 +273,7 @@ TEST(ShardHttpSource, HugeOrMalformedContentLengthIsTypedRefusal) {
       {"12abc", true},
   };
   for (const Case& c : cases) {
-    OneShotOrigin origin(std::string("HTTP/1.1 200 OK\r\nContent-Length: ") +
+    CannedOrigin origin(std::string("HTTP/1.1 200 OK\r\nContent-Length: ") +
                          c.length + "\r\nConnection: close\r\n\r\nabc");
     const HttpShardSource src("127.0.0.1", origin.port(), "/");
     try {
@@ -284,7 +295,7 @@ TEST(ShardHttpSource, HugeOrMalformedContentLengthIsTypedRefusal) {
 // flaky: a plain StoreError that says "longer", never the retryable
 // StoreIoError a cut-short body gets (which derives from StoreError).
 TEST(ShardHttpSource, BodyLongerThanContentLengthIsNotATruncation) {
-  OneShotOrigin origin(
+  CannedOrigin origin(
       "HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: close\r\n\r\nabc");
   const HttpShardSource src("127.0.0.1", origin.port(), "/");
   try {
@@ -303,7 +314,7 @@ TEST(ShardHttpSource, BodyLongerThanContentLengthIsNotATruncation) {
 // a 64 KiB shard gets the cache's size-mismatch error, not a buffer that
 // grows until the origin stops.
 TEST(ShardHttpSource, BodyPastExpectedSizeStopsTheRead) {
-  OneShotOrigin origin("HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n" +
+  CannedOrigin origin("HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n" +
                        std::string(8u << 20, 'x'));
   const HttpShardSource src("127.0.0.1", origin.port(), "/");
   try {
@@ -318,7 +329,7 @@ TEST(ShardHttpSource, BodyPastExpectedSizeStopsTheRead) {
 // The expected size bounds a shard's body, never an error response's:
 // a 404 stays the structural "not found", not a size mismatch.
 TEST(ShardHttpSource, ExpectedSizeDoesNotMaskTheStatus) {
-  OneShotOrigin origin(
+  CannedOrigin origin(
       "HTTP/1.1 404 Not Found\r\nContent-Length: 9\r\n"
       "Connection: close\r\n\r\nnot found");
   const HttpShardSource src("127.0.0.1", origin.port(), "/");
@@ -514,6 +525,49 @@ TEST(RemoteStoreFaults, TransientReadFailureRetriesAndSucceeds) {
   EXPECT_GT(remote->vertex_blob(0).size(), 0u);
   EXPECT_GE(fp.hits(), 1u);  // the failing recv plus the retry's reads
   EXPECT_EQ(remote->shards_quarantined(), 0u);
+}
+
+// The manifest and the journal sidecar have no manifest size to bound
+// their reads: each is a HEAD, then a GET that stops once the body
+// passes the size the HEAD reported. An origin that reports 64 bytes
+// and then streams 8 MiB with no Content-Length gets a size mismatch,
+// retried as a HEAD + GET pair, instead of an 8 MiB buffer.
+const std::string kHead64 =
+    "HTTP/1.1 200 OK\r\nContent-Length: 64\r\nConnection: close\r\n\r\n";
+
+std::string stream_8mib() {
+  return "HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n" +
+         std::string(8u << 20, 'x');
+}
+
+TEST(RemoteStoreFaults, ManifestBodyPastHeadSizeStopsTheRead) {
+  CannedOrigin origin(stream_8mib(), kHead64);
+  ScratchDir cache_dir("manifest_past_cache");
+  const ScopedRetryPolicy policy(2, std::chrono::microseconds(50));
+  try {
+    (void)RemoteStoreView::open(
+        "http://127.0.0.1:" + std::to_string(origin.port()) + "/store.ftcm",
+        true, nullptr, std::make_shared<ShardCache>(cache_dir.path(), 0));
+    ADD_FAILURE() << "open succeeded";
+  } catch (const StoreIoError& e) {
+    EXPECT_NE(std::string(e.what()).find("size mismatch"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(origin.heads(), 2u);  // each attempt re-reads the size
+}
+
+TEST(RemoteStoreFaults, JournalBodyPastHeadSizeStopsTheRead) {
+  CannedOrigin origin(stream_8mib(), kHead64);
+  const ScopedRetryPolicy policy(2, std::chrono::microseconds(50));
+  try {
+    (void)fetch_remote_journal("http://127.0.0.1:" +
+                               std::to_string(origin.port()) + "/store.ftcm");
+    ADD_FAILURE() << "journal fetch succeeded";
+  } catch (const StoreIoError& e) {
+    EXPECT_NE(std::string(e.what()).find("size mismatch"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(origin.heads(), 2u);
 }
 
 TEST(RemoteStoreFaults, PersistentFailureDegradesShardOthersKeepServing) {
