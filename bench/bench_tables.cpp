@@ -846,23 +846,56 @@ void distance_table() {
   cfg.k = 2;
   const auto scheme = FtDistanceScheme::build(h, cfg);
   Table by_f({"|F|", "avg stretch", "max stretch", "analytical cap",
-              "disconnects exact"});
+              "disconnected pairs", "disconnects exact"});
+  // Uniform faults almost never cut a pair off, so a row whose |F|
+  // reaches the minimum degree also isolates each vertex s of degree <=
+  // |F| (F = every edge of s, t = the vertex n/2 further on): those rows
+  // must check disconnected pairs.
+  const graph::Graph& topo = h.topology();
+  std::size_t min_degree = topo.degree(0);
+  for (VertexId v = 1; v < topo.num_vertices(); ++v) {
+    min_degree = std::min(min_degree, topo.degree(v));
+  }
+  expect(min_degree <= cfg.f,
+         "distance: no |F| row reaches the minimum degree");
   SplitMix64 frng(88);
   for (const unsigned nf : {0u, 1u, 2u, 4u, 6u}) {
+    const std::string where = "distance |F|=" + std::to_string(nf);
+    std::vector<DistCase> cases;
+    for (int it = 0; it < 60; ++it) {
+      cases.push_back(draw_dist_case(h, scheme, nf, frng));
+    }
+    if (nf >= min_degree) {
+      for (VertexId s = 0; s < topo.num_vertices(); ++s) {
+        if (topo.degree(s) > nf) continue;
+        DistCase c;
+        c.s = s;
+        c.t = (s + topo.num_vertices() / 2) % topo.num_vertices();
+        for (const EdgeId e : topo.incident_edges(s)) {
+          c.faults.push_back(e);
+          c.labels.push_back(scheme.edge_label(e));
+        }
+        c.exact = distance::exact_distance(h, c.s, c.t, c.faults);
+        cases.push_back(std::move(c));
+      }
+    }
     Stretch st;
     bool disc_ok = true;
-    for (int it = 0; it < 60; ++it) {
-      const DistCase c = draw_dist_case(h, scheme, nf, frng);
-      const Weight est =
-          checked_estimate(scheme, c, "distance |F|=" + std::to_string(nf));
+    std::size_t disconnected = 0;
+    for (const DistCase& c : cases) {
+      const Weight est = checked_estimate(scheme, c, where);
       disc_ok = disc_ok && (est == kInfinity) == (c.exact == kInfinity);
+      disconnected += c.exact == kInfinity;
       if (c.exact == kInfinity || c.exact == 0) continue;
       st.add(static_cast<double>(est) / static_cast<double>(c.exact));
+    }
+    if (nf >= min_degree) {
+      expect(disconnected > 0, where + ": no disconnected pair checked");
     }
     const double cap = (2.0 * nf + 1) * 2 * (cfg.k + 1) * 2;
     by_f.add_row({std::to_string(nf), fmt(st.mean(), "%.1f"),
                   fmt(st.max, "%.1f"), fmt(cap, "%.0f"),
-                  disc_ok ? "yes" : "NO"});
+                  std::to_string(disconnected), disc_ok ? "yes" : "NO"});
   }
   by_f.print();
 }

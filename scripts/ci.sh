@@ -142,63 +142,65 @@ cd "$repo"
 
 jobs="$(nproc 2>/dev/null || echo 2)"
 
+# An anchored ctest -R for exactly the named suites. Each focused leg
+# keeps its suites in one array that feeds both --target and this regex,
+# so a renamed suite fails the build step instead of quietly dropping
+# out of the run.
+suite_regex() {
+  local IFS='|'
+  echo "^($*)\$"
+}
+
 if [ "${1:-}" = "store" ]; then
   echo "=== store/stress focused leg (asan) ==="
+  suites=(test_label_store test_golden_bytes test_stress_differential
+    test_decoder_workspace test_backends test_batch_engine test_dp21
+    test_parallel_build test_decoder test_rs_sketch test_poly test_gf2
+    test_decode_alloc test_digest test_decoder_capacity test_subtree_xor
+    test_page_buffer)
   cmake --preset asan
-  cmake --build --preset asan -j "$jobs" \
-    --target test_label_store test_golden_bytes test_stress_differential \
-    test_decoder_workspace test_backends test_batch_engine test_dp21 \
-    test_parallel_build test_decoder test_rs_sketch test_poly test_gf2 \
-    test_decode_alloc test_digest test_decoder_capacity test_subtree_xor \
-    test_page_buffer ftc_store
-  ctest --preset asan \
-    -R 'test_label_store|test_golden_bytes|test_stress_differential|test_decoder_workspace|test_backends|test_batch_engine|test_dp21|test_parallel_build|test_decoder$|test_rs_sketch|test_poly|test_gf2|test_decode_alloc|test_digest|test_decoder_capacity|test_subtree_xor|test_page_buffer' \
-    -j "$jobs"
+  cmake --build --preset asan -j "$jobs" --target "${suites[@]}" ftc_store
+  ctest --preset asan -R "$(suite_regex "${suites[@]}")" -j "$jobs"
   echo "ci: store/golden/stress/workspace/backend/engine/dp21/parallel-build/sketch-decode/digest/subtree-fold/page-buffer suites green under asan"
   exit 0
 fi
 
 if [ "${1:-}" = "portable" ]; then
   echo "=== portable digest leg (release, FTC_NATIVE=OFF) ==="
+  suites=(test_digest test_golden_bytes test_label_store test_store_compat
+    test_gf2 test_rs_sketch test_decoder_workspace test_decode_alloc)
   cmake -S . -B build-portable -DCMAKE_BUILD_TYPE=Release -DFTC_NATIVE=OFF
-  cmake --build build-portable -j "$jobs" \
-    --target test_digest test_golden_bytes test_label_store \
-    test_store_compat test_gf2 test_rs_sketch test_decoder_workspace \
-    test_decode_alloc
+  cmake --build build-portable -j "$jobs" --target "${suites[@]}"
   ctest --test-dir build-portable --output-on-failure \
-    -R 'test_digest|test_golden_bytes|test_label_store|test_store_compat|test_gf2|test_rs_sketch|test_decoder_workspace|test_decode_alloc' \
-    -j "$jobs"
+    -R "$(suite_regex "${suites[@]}")" -j "$jobs"
   echo "ci: portable leg green (golden bytes and golden decode outcomes reproduced)"
   exit 0
 fi
 
 if [ "${1:-}" = "pclmul" ]; then
   echo "=== PCLMUL-only leg (release, FTC_NATIVE=OFF, -march=haswell) ==="
+  suites=(test_gf2 test_rs_sketch test_golden_bytes test_decoder_workspace
+    test_decode_alloc)
   cmake -S . -B build-pclmul -DCMAKE_BUILD_TYPE=Release -DFTC_NATIVE=OFF \
     -DCMAKE_CXX_FLAGS=-march=haswell
-  cmake --build build-pclmul -j "$jobs" \
-    --target test_gf2 test_rs_sketch test_golden_bytes \
-    test_decoder_workspace test_decode_alloc
+  cmake --build build-pclmul -j "$jobs" --target "${suites[@]}"
   ctest --test-dir build-pclmul --output-on-failure \
-    -R 'test_gf2|test_rs_sketch|test_golden_bytes|test_decoder_workspace|test_decode_alloc' \
-    -j "$jobs"
+    -R "$(suite_regex "${suites[@]}")" -j "$jobs"
   echo "ci: PCLMUL-only leg green (golden bytes and golden decode outcomes reproduced)"
   exit 0
 fi
 
 if [ "${1:-}" = "store-v2" ]; then
   echo "=== store format / fault-model leg (asan) ==="
+  suites=(test_label_store test_store_compat test_stress_differential
+    test_fault_spec)
   cmake --preset asan
-  cmake --build --preset asan -j "$jobs" \
-    --target test_label_store test_store_compat test_stress_differential \
-    test_fault_spec ftc_store
+  cmake --build --preset asan -j "$jobs" --target "${suites[@]}" ftc_store
   # v1/v2/v3 fixture compat and their v4 re-saves, the manifest-v2
   # fixture, the exhaustive |F| <= 2 fixture check, the v4 adjacency
   # round-trip + adversarial corpus, and the vertex/mixed-fault
   # differential sweeps, all under asan.
-  ctest --preset asan \
-    -R 'test_label_store|test_store_compat|test_stress_differential|test_fault_spec' \
-    -j "$jobs"
+  ctest --preset asan -R "$(suite_regex "${suites[@]}")" -j "$jobs"
   # End-to-end CLI exercise: build a v4 store, inspect it, serve a
   # vertex-fault query, re-save the v3 fixture as v4 (narrower level
   # widths, same answers), confirm the v2 fixture still verifies (FNV-1a
@@ -257,10 +259,10 @@ fi
 
 if [ "${1:-}" = "store-shard" ]; then
   echo "=== sharded store / live swap leg (asan) ==="
+  suites=(test_sharded_store test_store_swap)
   cmake --preset asan
-  cmake --build --preset asan -j "$jobs" \
-    --target test_sharded_store test_store_swap ftc_store
-  ctest --preset asan -R 'test_sharded_store|test_store_swap' -j "$jobs"
+  cmake --build --preset asan -j "$jobs" --target "${suites[@]}" ftc_store
+  ctest --preset asan -R "$(suite_regex "${suites[@]}")" -j "$jobs"
   # End-to-end CLI exercise: build a container, shard it, reload through
   # the manifest, and parity-check 1k queries (mixed edge + vertex
   # faults) against the unsharded store; then merge back byte-identically
@@ -316,11 +318,10 @@ fi
 
 if [ "${1:-}" = "store-delta" ]; then
   echo "=== deletion journal / delta push leg (asan) ==="
+  suites=(test_journal test_sharded_store test_store_swap)
   cmake --preset asan
-  cmake --build --preset asan -j "$jobs" \
-    --target test_journal test_sharded_store test_store_swap ftc_store
-  ctest --preset asan -R 'test_journal|test_sharded_store|test_store_swap' \
-    -j "$jobs"
+  cmake --build --preset asan -j "$jobs" --target "${suites[@]}" ftc_store
+  ctest --preset asan -R "$(suite_regex "${suites[@]}")" -j "$jobs"
   tmp="$(mktemp -d)"
   trap 'rm -rf "$tmp"' EXIT
   build-asan/ftc_store build --out "$tmp/flat.ftcs" --family grid \
@@ -384,13 +385,13 @@ fi
 
 if [ "${1:-}" = "torture" ]; then
   echo "=== fault-injection / crash-consistency torture leg (asan) ==="
+  suites=(test_fault_injection test_torture)
   cmake --preset asan
-  cmake --build --preset asan -j "$jobs" \
-    --target test_fault_injection test_torture ftc_store
+  cmake --build --preset asan -j "$jobs" --target "${suites[@]}" ftc_store
   # The store's own SIGBUS translator replaces ASan's handler; tell ASan
   # to stand down on SIGBUS so guarded mapped reads stay recoverable.
   ASAN_OPTIONS="${ASAN_OPTIONS:+$ASAN_OPTIONS:}handle_sigbus=0" \
-    ctest --preset asan -R 'test_fault_injection|test_torture' -j "$jobs"
+    ctest --preset asan -R "$(suite_regex "${suites[@]}")" -j "$jobs"
   tmp="$(mktemp -d)"
   trap 'rm -rf "$tmp"' EXIT
   build-asan/ftc_store build --out "$tmp/flat.ftcs" --family grid \
@@ -431,13 +432,13 @@ fi
 
 if [ "${1:-}" = "remote" ]; then
   echo "=== remote serving tier leg (asan) ==="
+  suites=(test_shard_cache test_remote_store)
   cmake --preset asan
-  cmake --build --preset asan -j "$jobs" \
-    --target test_shard_cache test_remote_store ftc_store
+  cmake --build --preset asan -j "$jobs" --target "${suites[@]}" ftc_store
   # The suites carry the fault ladder under asan: digest-refusal on a
   # corrupt origin, retry on transient EIO, quarantine + DegradedError on
   # a persistent one WHILE warm shards keep answering.
-  ctest --preset asan -R 'test_shard_cache|test_remote_store' -j "$jobs"
+  ctest --preset asan -R "$(suite_regex "${suites[@]}")" -j "$jobs"
 
   tmp="$(mktemp -d)"
   server_pid=""
@@ -547,28 +548,25 @@ fi
 
 if [ "${1:-}" = "tsan" ]; then
   echo "=== concurrency leg (tsan) ==="
+  suites=(test_sharded_store test_store_swap test_shard_cache
+    test_remote_store test_parallel_build test_decoder_workspace
+    test_batch_engine)
   cmake --preset tsan
-  cmake --build --preset tsan -j "$jobs" \
-    --target test_sharded_store test_store_swap test_shard_cache \
-    test_remote_store test_parallel_build test_decoder_workspace \
-    test_batch_engine
-  ctest --preset tsan \
-    -R 'test_sharded_store|test_store_swap|test_shard_cache|test_remote_store|test_parallel_build|test_decoder_workspace|test_batch_engine' \
-    -j "$jobs"
+  cmake --build --preset tsan -j "$jobs" --target "${suites[@]}"
+  ctest --preset tsan -R "$(suite_regex "${suites[@]}")" -j "$jobs"
   echo "ci: sharded prefetch + live-swap + shard-cache + remote-store + parallel-build + decoder-session + batch-engine suites green under tsan"
   exit 0
 fi
 
 if [ "${1:-}" = "build-parallel" ]; then
   echo "=== parallel build determinism leg (asan) ==="
+  suites=(test_parallel_build test_stress_differential)
   cmake --preset asan
-  cmake --build --preset asan -j "$jobs" \
-    --target test_parallel_build test_stress_differential ftc_store
+  cmake --build --preset asan -j "$jobs" --target "${suites[@]}" ftc_store
   # The byte-identity suite (flat + sharded stores across thread counts,
   # all backends) and the randomized parallel-vs-serial differential
   # sweep, both under asan.
-  ctest --preset asan -R 'test_parallel_build|test_stress_differential' \
-    -j "$jobs"
+  ctest --preset asan -R "$(suite_regex "${suites[@]}")" -j "$jobs"
   # CLI end-to-end: an 8-thread build must produce the exact bytes of a
   # serial build — cmp, not just digest, so the check is independent of
   # the checksum machinery it is meant to vouch for.

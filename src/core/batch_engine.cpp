@@ -25,13 +25,6 @@ std::shared_ptr<const ConnectivityScheme> require_scheme(
 
 }  // namespace
 
-// The persistent worker pool lives in util/worker_pool.hpp now, shared
-// with the label builders: threads are created once (lazily) and parked
-// on a condition variable between batches, so a small run_parallel()
-// batch costs two mutex hand-offs instead of num_threads thread spawns
-// + joins. run() is only ever entered from the engine's (single) caller
-// thread.
-
 BatchQueryEngine::BatchQueryEngine(
     std::shared_ptr<const ConnectivityScheme> scheme, const FaultSpec& spec,
     const QueryOptions& options)

@@ -195,7 +195,11 @@ EdgeLabel decode_core_edge(ByteReader& r, const LabelParams& params,
   // is read.
   const std::uint8_t* words = r.take(8 * layout.payload_words).data();
   label.sketch_words.resize(layout.payload_words);
-  copy_le_words(label.sketch_words.data(), words, layout.payload_words);
+  // An all-empty-level label has no words, and an empty vector's data()
+  // may be null, which memcpy must not see.
+  if (layout.payload_words != 0) {
+    copy_le_words(label.sketch_words.data(), words, layout.payload_words);
+  }
   return label;
 }
 

@@ -82,11 +82,11 @@ class ShardSource {
 };
 
 // The local-directory source: fetch-by-name over plain file reads from
-// one directory — the transport the sharded view's path-based opens
-// always implied, now behind the same interface the HTTP source
-// implements. ftc_store serve (shard_server.hpp) does not use it: the
-// server reads the files it hands out itself, streaming each response
-// from an open descriptor.
+// one directory, behind the interface the HTTP source implements. No
+// serving path uses it: ShardedStoreView opens shard files directly, and
+// ftc_store serve (shard_server.hpp) streams each response from an open
+// descriptor. It lets the ShardCache tests stage shards without a
+// server.
 class LocalDirShardSource final : public ShardSource {
  public:
   // dir: directory the names resolve under ("" = current directory; a

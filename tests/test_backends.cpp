@@ -11,6 +11,7 @@
 #include "core/connectivity_scheme.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
+#include "store_fixture.hpp"
 #include "util/common.hpp"
 
 namespace ftc::core {
@@ -19,18 +20,8 @@ namespace {
 using graph::EdgeId;
 using graph::Graph;
 using graph::VertexId;
-
-SchemeConfig test_config(BackendKind backend, unsigned f) {
-  SchemeConfig cfg;
-  cfg.backend = backend;
-  cfg.set_f(f);
-  // Headroom so practical-k / whp parameters never run out of capacity
-  // on the adversarial random workloads below.
-  cfg.ftc.k_scale = 2.0;
-  cfg.cycle.scale = 3.0;
-  cfg.agm.scale = 1.5;
-  return cfg;
-}
+using test_support::backend_param_name;
+using test_support::test_config;
 
 class BackendParity : public ::testing::TestWithParam<BackendKind> {};
 
@@ -126,13 +117,7 @@ TEST_P(BackendParity, RejectsOutOfRangeFaults) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendParity,
                          ::testing::ValuesIn(kAllBackends),
-                         [](const auto& info) {
-                           std::string name = backend_name(info.param);
-                           for (char& c : name) {
-                             if (c == '-') c = '_';
-                           }
-                           return name;
-                         });
+                         backend_param_name);
 
 TEST(BackendFactory, ParseBackendRoundTripsAndRejectsUnknown) {
   for (const BackendKind b : kAllBackends) {

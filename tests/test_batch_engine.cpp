@@ -10,6 +10,7 @@
 #include "core/batch_engine.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
+#include "store_fixture.hpp"
 #include "util/common.hpp"
 
 namespace ftc::core {
@@ -18,16 +19,8 @@ namespace {
 using graph::EdgeId;
 using graph::Graph;
 using graph::VertexId;
-
-SchemeConfig test_config(BackendKind backend, unsigned f) {
-  SchemeConfig cfg;
-  cfg.backend = backend;
-  cfg.set_f(f);
-  cfg.ftc.k_scale = 2.0;
-  cfg.cycle.scale = 3.0;
-  cfg.agm.scale = 1.5;
-  return cfg;
-}
+using test_support::backend_param_name;
+using test_support::test_config;
 
 std::vector<BatchQueryEngine::Query> random_queries(const Graph& g, int count,
                                                     SplitMix64& rng) {
@@ -186,13 +179,7 @@ TEST_P(BatchEngine, ZeroThreadsIsRejected) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BatchEngine,
                          ::testing::ValuesIn(kAllBackends),
-                         [](const auto& info) {
-                           std::string name = backend_name(info.param);
-                           for (char& c : name) {
-                             if (c == '-') c = '_';
-                           }
-                           return name;
-                         });
+                         backend_param_name);
 
 }  // namespace
 }  // namespace ftc::core

@@ -17,10 +17,7 @@
 // than its cold queries together.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <cstdio>
 #include <memory>
 #include <optional>
 #include <string>
@@ -33,6 +30,7 @@
 #include "core/sharded_store.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
+#include "store_fixture.hpp"
 #include "util/common.hpp"
 #include "util/digest.hpp"
 
@@ -42,6 +40,7 @@ namespace {
 using graph::EdgeId;
 using graph::Graph;
 using graph::VertexId;
+using test_support::TempStore;
 
 struct Session {
   Graph g;
@@ -395,29 +394,6 @@ constexpr std::uint64_t kGoldenOutcomeDigest = 0x54451346f828d865ULL;
 
 enum : std::uint8_t { kDisconnected = 0, kConnected = 1, kRefused = 2 };
 
-class StoreFiles {
- public:
-  explicit StoreFiles(const std::string& name)
-      : base_(::testing::TempDir() + "ftc_golden_" + name + "_" +
-              std::to_string(::getpid())) {
-    cleanup();
-  }
-  ~StoreFiles() { cleanup(); }
-  std::string flat() const { return base_ + ".ftcs"; }
-  std::string manifest() const { return base_ + ".ftcm"; }
-
- private:
-  void cleanup() {
-    std::remove(flat().c_str());
-    std::remove(manifest().c_str());
-    for (unsigned k = 0; k < 4; ++k) {
-      std::remove((manifest() + ".shard" + std::to_string(k) + ".ftcs")
-                      .c_str());
-    }
-  }
-  std::string base_;
-};
-
 void digest_value(std::uint64_t& h, std::uint64_t v) {
   std::uint8_t bytes[8];
   for (int i = 0; i < 8; ++i) {
@@ -465,12 +441,13 @@ TEST(DecoderWorkspace, GoldenOutcomesAcrossServingPaths) {
     SchemeConfig scfg;
     scfg.ftc = c.cfg;
     const auto resident = make_scheme(c.g, scfg);
-    StoreFiles files(c.name);
-    resident->save(files.flat());
-    save_sharded(*resident, files.manifest(), 3);
+    const TempStore flat(c.name, ".ftcs");
+    const TempStore manifest(c.name, ".ftcm");
+    resident->save(flat.path());
+    save_sharded(*resident, manifest.path(), 3);
     const std::unique_ptr<ConnectivityScheme> schemes[] = {
-        load_scheme(resident->store_view()), load_scheme(files.flat()),
-        load_scheme(files.manifest())};
+        load_scheme(resident->store_view()), load_scheme(flat.path()),
+        load_scheme(manifest.path())};
 
     SplitMix64 rng(c.cfg.f * 1000 + c.g.num_vertices());
     for (int set = 0; set < 6; ++set) {

@@ -11,9 +11,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cstdio>
-#include <fstream>
-#include <iterator>
 #include <span>
 #include <string>
 #include <vector>
@@ -21,6 +18,7 @@
 #include "core/connectivity_scheme.hpp"
 #include "core/label_store.hpp"
 #include "graph/generators.hpp"
+#include "store_fixture.hpp"
 #include "util/common.hpp"
 #include "util/digest.hpp"
 #include "util/scoped_fd.hpp"
@@ -28,6 +26,10 @@
 namespace ftc {
 namespace {
 
+using test_support::TempStore;
+using test_support::backend_param_name;
+using test_support::read_file;
+using test_support::write_file;
 using Bytes = std::vector<std::uint8_t>;
 
 // Reference: one bit per step, straight from the CRC-64/XZ definition.
@@ -129,34 +131,6 @@ TEST(PayloadDigest, PicksTheDigestByContainerVersion) {
 // Every single-bit flip and every truncation of a small container is
 // caught by a verifying open.
 
-class StoreFile {
- public:
-  explicit StoreFile(const std::string& name)
-      : path_(::testing::TempDir() + "ftc_digest_" + name + "_" +
-              std::to_string(::getpid()) + ".ftcs") {
-    std::remove(path_.c_str());
-  }
-  ~StoreFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
-Bytes read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return Bytes(std::istreambuf_iterator<char>(in),
-               std::istreambuf_iterator<char>());
-}
-
-void write_file(const std::string& path, std::span<const std::uint8_t> b) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(b.data()),
-            static_cast<std::streamsize>(b.size()));
-  ASSERT_TRUE(out.good()) << path;
-}
-
 // Writes `bytes` to `path`, then flips every bit in turn (one pwrite
 // each, restored after the open) and returns how many flipped files
 // still opened with verification on. With every_bit false it flips one
@@ -211,7 +185,8 @@ TEST_P(ContainerCorruption, EveryBitFlipAndTruncationIsRejected) {
   cfg.set_f(1).set_seed(3);
   cfg.agm.reps_override = 2;  // a few hundred bytes per AGM edge blob
   const auto scheme = core::make_scheme(graph::cycle(5), cfg);
-  StoreFile file(std::string("flip_") + core::backend_name(GetParam()));
+  TempStore file(std::string("flip_") + core::backend_name(GetParam()),
+                 ".ftcs");
   scheme->save(file.path());
   const Bytes bytes = read_file(file.path());
   {
@@ -235,13 +210,7 @@ TEST_P(ContainerCorruption, EveryBitFlipAndTruncationIsRejected) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, ContainerCorruption,
                          ::testing::ValuesIn(core::kAllBackends),
-                         [](const auto& info) {
-                           std::string name = core::backend_name(info.param);
-                           for (char& c : name) {
-                             if (c == '-') c = '_';
-                           }
-                           return name;
-                         });
+                         backend_param_name);
 
 // The checked-in v2 fixtures verify through the FNV-1a path, and that
 // path catches flipped bits in every byte.
@@ -250,7 +219,7 @@ TEST(ContainerCorruption, V2FixturesRejectBitFlipsInEveryByte) {
     SCOPED_TRACE(name);
     const Bytes bytes =
         read_file(std::string(FTC_TEST_DATA_DIR) + "/" + name);
-    StoreFile file(std::string("v2flip_") + name);
+    TempStore file(std::string("v2flip_") + name, ".ftcs");
     write_file(file.path(), bytes);
     ASSERT_EQ(core::LabelStoreView::open(file.path())->info().format_version,
               2u);

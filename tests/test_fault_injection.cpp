@@ -14,7 +14,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -28,6 +27,7 @@
 #include "core/sharded_store.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
+#include "store_fixture.hpp"
 #include "util/common.hpp"
 #include "util/failpoint.hpp"
 #include "util/scoped_fd.hpp"
@@ -38,69 +38,9 @@ namespace {
 using graph::EdgeId;
 using graph::Graph;
 using graph::VertexId;
-
-class ManifestFile {
- public:
-  explicit ManifestFile(const std::string& name)
-      : path_(::testing::TempDir() + "ftc_fi_" + name + "_" +
-              std::to_string(::getpid()) + ".ftcm") {
-    cleanup();
-  }
-  ~ManifestFile() { cleanup(); }
-  const std::string& path() const { return path_; }
-  std::string shard_path(unsigned k) const {
-    return path_ + ".shard" + std::to_string(k) + ".ftcs";
-  }
-
- private:
-  void cleanup() {
-    std::remove(path_.c_str());
-    std::remove((path_ + ".jrnl").c_str());
-    std::remove((path_ + ".jrnl.lock").c_str());
-    for (unsigned k = 0; k < 64; ++k) std::remove(shard_path(k).c_str());
-  }
-  std::string path_;
-};
-
-class StoreFile {
- public:
-  explicit StoreFile(const std::string& name)
-      : path_(::testing::TempDir() + "ftc_fi_" + name + "_" +
-              std::to_string(::getpid()) + ".ftcs") {
-    cleanup();
-  }
-  ~StoreFile() { cleanup(); }
-  const std::string& path() const { return path_; }
-
- private:
-  void cleanup() {
-    std::remove(path_.c_str());
-    std::remove((path_ + ".jrnl").c_str());
-    std::remove((path_ + ".jrnl.lock").c_str());
-  }
-  std::string path_;
-};
-
-SchemeConfig test_config(unsigned f) {
-  SchemeConfig cfg;
-  cfg.backend = BackendKind::kCoreFtc;
-  cfg.set_f(f);
-  cfg.ftc.k_scale = 2.0;
-  return cfg;
-}
-
-// Fast retries for tests; restores the process-wide policy on exit.
-class ScopedRetryPolicy {
- public:
-  explicit ScopedRetryPolicy(const RetryPolicy& p)
-      : saved_(default_retry_policy()) {
-    default_retry_policy() = p;
-  }
-  ~ScopedRetryPolicy() { default_retry_policy() = saved_; }
-
- private:
-  RetryPolicy saved_;
-};
+using test_support::ScopedRetryPolicy;
+using test_support::TempStore;
+using test_support::test_config;
 
 std::size_t count_open_fds() {
   std::size_t n = 0;
@@ -216,7 +156,7 @@ TEST(ScopedFd, ClosesOnScopeExitAndSupportsMove) {
 }
 
 TEST(ScopedFd, ReadFullDistinguishesEofFromError) {
-  StoreFile f("readfull");
+  TempStore f("readfull", ".ftcs");
   {
     std::ofstream out(f.path(), std::ios::binary);
     out << "abc";  // 3 bytes: shorter than any 8-byte magic
@@ -235,9 +175,9 @@ TEST(ScopedFd, ReadFullDistinguishesEofFromError) {
 // Failpoints threaded through the store syscall boundaries.
 
 TEST(FaultInjection, MapOpenFailureIsTypedStoreIoError) {
-  StoreFile store("map_open");
+  TempStore store("map_open", ".ftcs");
   const Graph g = graph::random_connected(24, 60, 7);
-  make_scheme(g, test_config(2))->save(store.path());
+  make_scheme(g, test_config(BackendKind::kCoreFtc, 2))->save(store.path());
 
   failpoint::Scoped fp("store.map.open", "always:EMFILE");
   try {
@@ -250,11 +190,11 @@ TEST(FaultInjection, MapOpenFailureIsTypedStoreIoError) {
 
 TEST(FaultInjection, WriteBoundaryFailuresAreTypedAndLeaveNoFile) {
   const Graph g = graph::random_connected(24, 60, 7);
-  const auto scheme = make_scheme(g, test_config(2));
+  const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 2));
   for (const char* site : {"store.write.open", "store.write.write",
                            "store.write.fsync", "store.write.close",
                            "store.write.rename"}) {
-    StoreFile store(std::string("write_") + site);
+    TempStore store(std::string("write_") + site, ".ftcs");
     failpoint::Scoped fp(site, "once:ENOSPC");
     EXPECT_THROW(scheme->save(store.path()), StoreIoError) << site;
     struct stat st{};
@@ -264,9 +204,9 @@ TEST(FaultInjection, WriteBoundaryFailuresAreTypedAndLeaveNoFile) {
 }
 
 TEST(FaultInjection, SniffFailuresAreTyped) {
-  StoreFile store("sniff");
+  TempStore store("sniff", ".ftcs");
   const Graph g = graph::random_connected(24, 60, 7);
-  make_scheme(g, test_config(2))->save(store.path());
+  make_scheme(g, test_config(BackendKind::kCoreFtc, 2))->save(store.path());
   {
     failpoint::Scoped fp("store.sniff.open", "once:EACCES");
     EXPECT_THROW((void)open_store_view(store.path()), StoreIoError);
@@ -282,10 +222,10 @@ TEST(FaultInjection, SniffFailuresAreTyped) {
 // Retry + quarantine on the sharded serving path.
 
 TEST(FaultInjection, TransientOpenFailureRetriesAndServes) {
-  ScopedRetryPolicy retry({3, std::chrono::microseconds(1)});
-  ManifestFile manifest("retry_ok");
+  ScopedRetryPolicy retry(3, std::chrono::microseconds(1));
+  TempStore manifest("retry_ok", ".ftcm");
   const Graph g = graph::random_connected(48, 120, 11);
-  const auto scheme = make_scheme(g, test_config(2));
+  const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 2));
   save_sharded(*scheme, manifest.path(), 4);
 
   const auto view = ShardedStoreView::open(manifest.path());
@@ -298,10 +238,10 @@ TEST(FaultInjection, TransientOpenFailureRetriesAndServes) {
 }
 
 TEST(FaultInjection, ExhaustedRetriesQuarantineExactlyThatShard) {
-  ScopedRetryPolicy retry({2, std::chrono::microseconds(1)});
-  ManifestFile manifest("quarantine");
+  ScopedRetryPolicy retry(2, std::chrono::microseconds(1));
+  TempStore manifest("quarantine", ".ftcm");
   const Graph g = graph::random_connected(64, 160, 3);
-  const auto scheme = make_scheme(g, test_config(2));
+  const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 2));
   save_sharded(*scheme, manifest.path(), 4);
 
   const auto view = ShardedStoreView::open(manifest.path());
@@ -337,10 +277,10 @@ TEST(FaultInjection, ExhaustedRetriesQuarantineExactlyThatShard) {
 }
 
 TEST(FaultInjection, PrefetchKeepsOpeningPastAFailedShard) {
-  ScopedRetryPolicy retry({1, std::chrono::microseconds(1)});
-  ManifestFile manifest("prefetch_continue");
+  ScopedRetryPolicy retry(1, std::chrono::microseconds(1));
+  TempStore manifest("prefetch_continue", ".ftcm");
   const Graph g = graph::random_connected(64, 160, 5);
-  const auto scheme = make_scheme(g, test_config(2));
+  const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 2));
   save_sharded(*scheme, manifest.path(), 4);
 
   const auto view = ShardedStoreView::open(manifest.path());
@@ -354,17 +294,19 @@ TEST(FaultInjection, PrefetchKeepsOpeningPastAFailedShard) {
 }
 
 TEST(FaultInjection, FailedSwapLeavesOldGenerationServing) {
-  ScopedRetryPolicy retry({1, std::chrono::microseconds(1)});
-  ManifestFile gen_a("swap_a");
-  ManifestFile gen_b("swap_b");
+  ScopedRetryPolicy retry(1, std::chrono::microseconds(1));
+  TempStore gen_a("swap_a", ".ftcm");
+  TempStore gen_b("swap_b", ".ftcm");
   const unsigned f = 2;
   const Graph g = graph::random_connected(48, 120, 17);
   // gen_b is built from a DIFFERENT graph so its shards are not
   // byte-identical to gen_a's — byte-identical shards would be adopted
   // across the swap and the open failpoint would never fire.
   const Graph g2 = graph::random_connected(48, 120, 18);
-  save_sharded(*make_scheme(g, test_config(f)), gen_a.path(), 4);
-  save_sharded(*make_scheme(g2, test_config(f)), gen_b.path(), 4);
+  save_sharded(*make_scheme(g, test_config(BackendKind::kCoreFtc, f)),
+               gen_a.path(), 4);
+  save_sharded(*make_scheme(g2, test_config(BackendKind::kCoreFtc, f)),
+               gen_b.path(), 4);
 
   const std::vector<EdgeId> faults = {3, 40};
   BatchQueryEngine session(load_scheme(gen_a.path()),
@@ -390,12 +332,12 @@ TEST(FaultInjection, FailedSwapLeavesOldGenerationServing) {
 // every other range keeps answering correctly — never a crash.
 
 TEST(FaultInjection, TruncatedShardBehindLiveGenerationDegradesTyped) {
-  ManifestFile manifest("sigbus_live");
+  TempStore manifest("sigbus_live", ".ftcm");
   const unsigned f = 3;
   const VertexId n = 320;
   const EdgeId m = 800;
   const Graph g = graph::random_connected(n, m, 29);
-  const auto scheme = make_scheme(g, test_config(f));
+  const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, f));
   save_sharded(*scheme, manifest.path(), 16);
 
   const std::vector<EdgeId> faults = {10, 200, 600};
@@ -477,11 +419,11 @@ bool path_exists(const std::string& path) {
 }
 
 TEST(FaultInjection, WritersOverTruncatedContainerThrowTyped) {
-  StoreFile source("sigbus_writer_src");
-  StoreFile copy("sigbus_writer_copy");
-  ManifestFile sharded("sigbus_writer_sharded");
+  TempStore source("sigbus_writer_src", ".ftcs");
+  TempStore copy("sigbus_writer_copy", ".ftcs");
+  TempStore sharded("sigbus_writer_sharded", ".ftcm");
   const Graph g = graph::random_connected(512, 2048, 41);
-  make_scheme(g, test_config(4))->save(source.path());
+  make_scheme(g, test_config(BackendKind::kCoreFtc, 4))->save(source.path());
   const auto loaded = load_scheme(source.path());
   ASSERT_EQ(::truncate(source.path().c_str(), 4096), 0);
 
@@ -498,11 +440,12 @@ TEST(FaultInjection, WritersOverTruncatedContainerThrowTyped) {
 }
 
 TEST(FaultInjection, WritersOverTruncatedShardThrowDegraded) {
-  ManifestFile source("sigbus_writer_shsrc");
-  StoreFile copy("sigbus_writer_shcopy");
-  ManifestFile sharded("sigbus_writer_shout");
+  TempStore source("sigbus_writer_shsrc", ".ftcm");
+  TempStore copy("sigbus_writer_shcopy", ".ftcs");
+  TempStore sharded("sigbus_writer_shout", ".ftcm");
   const Graph g = graph::random_connected(512, 2048, 43);
-  save_sharded(*make_scheme(g, test_config(4)), source.path(), 4);
+  save_sharded(*make_scheme(g, test_config(BackendKind::kCoreFtc, 4)),
+               source.path(), 4);
   const auto loaded = load_scheme(source.path());
   loaded->prefetch();  // every shard mapped: the damage lands behind it
   const std::size_t damaged = 2;
@@ -550,9 +493,9 @@ TEST(FaultInjection, PrepareOverTruncatedStoreThrowsTyped) {
   };
 
   {
-    StoreFile source("prepare_trunc");
+    TempStore source("prepare_trunc", ".ftcs");
     const Graph g = graph::random_connected(512, 2048, 47);
-    make_scheme(g, test_config(4))->save(source.path());
+    make_scheme(g, test_config(BackendKind::kCoreFtc, 4))->save(source.path());
     const std::vector<EdgeId> early = {1, 5, 9, 14};
     BatchQueryEngine session(load_scheme(source.path()),
                              FaultSpec::edges(early));
@@ -585,9 +528,10 @@ TEST(FaultInjection, PrepareOverTruncatedStoreThrowsTyped) {
   }
 
   {
-    ManifestFile manifest("prepare_trunc_sharded");
+    TempStore manifest("prepare_trunc_sharded", ".ftcm");
     const Graph g = graph::random_connected(512, 2048, 53);
-    save_sharded(*make_scheme(g, test_config(4)), manifest.path(), 4);
+    save_sharded(*make_scheme(g, test_config(BackendKind::kCoreFtc, 4)),
+                 manifest.path(), 4);
     auto loaded = load_scheme(manifest.path());
     loaded->prefetch();  // every shard mapped: the damage lands behind it
     const auto view =
@@ -628,12 +572,12 @@ TEST(FaultInjection, PrepareOverTruncatedStoreThrowsTyped) {
 }
 
 TEST(FaultInjection, TruncationUnderConcurrentSessionsNeverCrashes) {
-  ManifestFile manifest("sigbus_concurrent");
+  TempStore manifest("sigbus_concurrent", ".ftcm");
   const unsigned f = 2;
   const VertexId n = 256;
   const EdgeId m = 640;
   const Graph g = graph::random_connected(n, m, 31);
-  const auto scheme = make_scheme(g, test_config(f));
+  const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, f));
   save_sharded(*scheme, manifest.path(), 16);
 
   const std::vector<EdgeId> faults = {7, 300};
@@ -684,9 +628,9 @@ TEST(FaultInjection, TruncationUnderConcurrentSessionsNeverCrashes) {
 // fsck primitives: open_degraded + verify_shard.
 
 TEST(FaultInjection, OpenDegradedQuarantinesDamagedShardAndServesRest) {
-  ManifestFile manifest("fsck_prims");
+  TempStore manifest("fsck_prims", ".ftcm");
   const Graph g = graph::random_connected(64, 160, 41);
-  const auto scheme = make_scheme(g, test_config(2));
+  const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 2));
   save_sharded(*scheme, manifest.path(), 4);
   ASSERT_EQ(::truncate(manifest.shard_path(2).c_str(), 10), 0);
 
@@ -720,10 +664,10 @@ TEST(FaultInjection, OpenDegradedQuarantinesDamagedShardAndServesRest) {
 // Delta-push link() fallback satellite.
 
 TEST(FaultInjection, LinkFailureFallsBackToByteCopyAndCounts) {
-  ManifestFile parent("link_parent");
-  ManifestFile child("link_child");
+  TempStore parent("link_parent", ".ftcm");
+  TempStore child("link_child", ".ftcm");
   const Graph g = graph::random_connected(48, 120, 23);
-  const auto scheme = make_scheme(g, test_config(2));
+  const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 2));
   save_sharded(*scheme, parent.path(), 4);
 
   failpoint::Scoped fp("store.shard.link", "always:EXDEV");
@@ -753,10 +697,10 @@ TEST(FaultInjection, LinkFailureFallsBackToByteCopyAndCounts) {
 }
 
 TEST(FaultInjection, HealthyDeltaPushRecordsZeroFallbacks) {
-  ManifestFile parent("nolink_parent");
-  ManifestFile child("nolink_child");
+  TempStore parent("nolink_parent", ".ftcm");
+  TempStore child("nolink_child", ".ftcm");
   const Graph g = graph::random_connected(48, 120, 23);
-  const auto scheme = make_scheme(g, test_config(2));
+  const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 2));
   save_sharded(*scheme, parent.path(), 4);
   const DeltaPushStats stats =
       save_sharded_delta(*scheme, child.path(), parent.path());
@@ -768,9 +712,9 @@ TEST(FaultInjection, HealthyDeltaPushRecordsZeroFallbacks) {
 // Journal locking satellite.
 
 TEST(FaultInjection, ConcurrentJournalAppendsLoseNoFrames) {
-  StoreFile store("jrnl_race");
+  TempStore store("jrnl_race", ".ftcs");
   const Graph g = graph::random_connected(48, 200, 37);
-  const auto scheme = make_scheme(g, test_config(8));
+  const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 8));
   scheme->save(store.path());
   const auto view = LabelStoreView::open(store.path());
   const std::uint64_t digest = view->info().payload_checksum;
@@ -795,9 +739,9 @@ TEST(FaultInjection, ConcurrentJournalAppendsLoseNoFrames) {
 }
 
 TEST(FaultInjection, JournalFailpointsAreTyped) {
-  StoreFile store("jrnl_fp");
+  TempStore store("jrnl_fp", ".ftcs");
   const Graph g = graph::random_connected(24, 60, 7);
-  const auto scheme = make_scheme(g, test_config(4));
+  const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 4));
   scheme->save(store.path());
   const auto view = LabelStoreView::open(store.path());
   const std::uint64_t digest = view->info().payload_checksum;
@@ -824,10 +768,10 @@ TEST(FaultInjection, JournalFailpointsAreTyped) {
 // typed, never crash, and never leak a descriptor.
 
 TEST(FaultInjection, FdExhaustionSweepIsTypedAndLeakFree) {
-  ScopedRetryPolicy retry({2, std::chrono::microseconds(1)});
-  ManifestFile manifest("fd_sweep");
+  ScopedRetryPolicy retry(2, std::chrono::microseconds(1));
+  TempStore manifest("fd_sweep", ".ftcm");
   const Graph g = graph::random_connected(128, 320, 43);
-  const auto scheme = make_scheme(g, test_config(2));
+  const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 2));
   save_sharded(*scheme, manifest.path(), 16);
 
   struct rlimit saved{};

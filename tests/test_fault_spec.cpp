@@ -11,6 +11,7 @@
 #include "core/label_store.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
+#include "store_fixture.hpp"
 #include "util/common.hpp"
 
 namespace ftc::core {
@@ -19,16 +20,8 @@ namespace {
 using graph::EdgeId;
 using graph::Graph;
 using graph::VertexId;
-
-SchemeConfig test_config(BackendKind backend, unsigned f) {
-  SchemeConfig cfg;
-  cfg.backend = backend;
-  cfg.set_f(f);
-  cfg.ftc.k_scale = 2.0;
-  cfg.cycle.scale = 3.0;
-  cfg.agm.scale = 1.5;
-  return cfg;
-}
+using test_support::backend_param_name;
+using test_support::test_config;
 
 TEST(FaultSpec, CanonicalizesOnce) {
   const std::vector<EdgeId> edges{7, 3, 7, 7, 1, 3};
@@ -171,13 +164,7 @@ TEST_P(FaultModel, NumFaultsCountsReducedEdges) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, FaultModel,
                          ::testing::ValuesIn(kAllBackends),
-                         [](const auto& info) {
-                           std::string name = backend_name(info.param);
-                           for (char& c : name) {
-                             if (c == '-') c = '_';
-                           }
-                           return name;
-                         });
+                         backend_param_name);
 
 }  // namespace
 }  // namespace ftc::core

@@ -163,6 +163,30 @@ TEST(GreedyNet, HitsAllHeavyCanonicalRects) {
   }
 }
 
+// The greedy net is part of kDeterministicGreedy labels, so its points
+// and their order are pinned: recorded from the implementation that
+// rescanned all N points for every canonical rectangle. The first
+// instance is bench_tables netfind's small-instance comparison; the
+// second has many points per row and column.
+TEST(GreedyNet, PinnedNets) {
+  SplitMix64 bench_rng(5);
+  const auto bench_pts = random_points(bench_rng, 100, 4096);
+  const std::vector<Point2> bench_net{
+      {1703, 1852, 5},  {1158, 1199, 77}, {2176, 2520, 40}, {3236, 1210, 87},
+      {835, 2355, 23},  {1427, 2965, 27}, {1593, 747, 30},  {3406, 1775, 18},
+      {398, 1509, 64},  {2483, 3382, 76}, {1264, 1626, 29}, {3525, 68, 2},
+      {2849, 3883, 3}};
+  EXPECT_EQ(greedy_rect_net(bench_pts, 15), bench_net);
+
+  SplitMix64 dense_rng(61);
+  const auto dense_pts = random_points(dense_rng, 60, 8);
+  const std::vector<Point2> dense_net{
+      {3, 4, 37}, {5, 2, 35}, {2, 6, 44}, {1, 1, 38}, {6, 5, 28},
+      {4, 0, 41}, {1, 3, 36}, {4, 7, 17}, {7, 3, 25}, {3, 1, 10},
+      {0, 6, 9},  {4, 4, 26}, {7, 7, 3}};
+  EXPECT_EQ(greedy_rect_net(dense_pts, 6), dense_net);
+}
+
 TEST(GreedyNet, RejectsLargeInputs) {
   SplitMix64 rng(59);
   const auto pts = random_points(rng, 300, 10000);

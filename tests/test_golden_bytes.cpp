@@ -9,11 +9,8 @@
 // how labels are built, held in memory or serialized that moves a single
 // byte on disk fails here.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <string>
 #include <vector>
 
@@ -21,11 +18,14 @@
 #include "core/label_store.hpp"
 #include "core/sharded_store.hpp"
 #include "graph/generators.hpp"
+#include "store_fixture.hpp"
 
 namespace ftc::core {
 namespace {
 
 namespace fs = std::filesystem;
+using test_support::ScratchDir;
+using test_support::read_file;
 
 struct Golden {
   BackendKind backend;
@@ -49,30 +49,6 @@ SchemeConfig golden_config(BackendKind backend) {
   cfg.set_build_threads(1);
   return cfg;
 }
-
-std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in),
-                                   std::istreambuf_iterator<char>());
-}
-
-// A fresh directory per case: shard file names derive from the manifest
-// file name, which is part of the manifest bytes.
-class ScratchDir {
- public:
-  explicit ScratchDir(const std::string& name)
-      : path_(fs::path(::testing::TempDir()) /
-              ("ftc_golden_" + name + "_" + std::to_string(::getpid()))) {
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~ScratchDir() { fs::remove_all(path_); }
-  std::string file(const char* name) const { return (path_ / name).string(); }
-
- private:
-  fs::path path_;
-};
 
 // Recorded at the commit that introduced this test; a deliberate format
 // change must update them together with the format version. The payload
@@ -105,6 +81,8 @@ TEST(GoldenBytes, SavesAreByteIdenticalToRecordedConstants) {
     const std::string tag =
         std::string(backend_name(want.backend)) + "/" + want.input;
     SCOPED_TRACE(tag);
+    // A fresh directory per case: shard file names derive from the
+    // manifest file name, which is part of the manifest bytes.
     const ScratchDir dir(std::string(backend_name(want.backend)) + "_" +
                          want.input);
     const auto scheme =

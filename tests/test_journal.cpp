@@ -7,10 +7,7 @@
 // FaultSpec, across every backend, both load modes, and the batch
 // engine.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
-#include <cstdio>
-#include <fstream>
 #include <span>
 #include <string>
 #include <vector>
@@ -21,6 +18,7 @@
 #include "core/label_store.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
+#include "store_fixture.hpp"
 #include "util/common.hpp"
 
 namespace ftc::core {
@@ -29,40 +27,10 @@ namespace {
 using graph::EdgeId;
 using graph::Graph;
 using graph::VertexId;
-
-// Unique store path per test; the sidecar journal is removed with it.
-class StoreFile {
- public:
-  explicit StoreFile(const std::string& name)
-      : path_(::testing::TempDir() + "ftc_journal_" + name + "_" +
-              std::to_string(::getpid()) + ".ftcs") {
-    cleanup();
-  }
-  ~StoreFile() { cleanup(); }
-  const std::string& path() const { return path_; }
-  std::string journal() const { return journal_path_for(path_); }
-
- private:
-  void cleanup() {
-    std::remove(path_.c_str());
-    std::remove(journal_path_for(path_).c_str());
-  }
-  std::string path_;
-};
-
-std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in),
-                                   std::istreambuf_iterator<char>());
-}
-
-void write_file(const std::string& path, std::span<const std::uint8_t> bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  ASSERT_TRUE(out.good()) << path;
-}
+using test_support::TempStore;
+using test_support::backend_param_name;
+using test_support::read_file;
+using test_support::write_file;
 
 // Hand-rolled frame encoder mirroring the normative layout in
 // journal.hpp, so corpus tests can produce frames the public append API
@@ -98,7 +66,7 @@ std::vector<std::uint8_t> encode_journal(const std::vector<FrameSpec>& frames) {
 // ------------------------------------------------------------ lifecycle
 
 TEST(DeletionJournal, AppendOpenRoundTrip) {
-  StoreFile file("roundtrip");
+  TempStore file("roundtrip", ".ftcs");
   const std::string jpath = file.journal();
   EXPECT_FALSE(DeletionJournal::exists(jpath));
 
@@ -122,7 +90,7 @@ TEST(DeletionJournal, AppendOpenRoundTrip) {
 }
 
 TEST(DeletionJournal, ReappendOfJournaledIdsIsIdempotent) {
-  StoreFile file("idempotent");
+  TempStore file("idempotent", ".ftcs");
   const std::string jpath = file.journal();
   const std::vector<EdgeId> ids = {5, 9};
   DeletionJournal::append(jpath, 1, 3, ids);
@@ -133,7 +101,7 @@ TEST(DeletionJournal, ReappendOfJournaledIdsIsIdempotent) {
 }
 
 TEST(DeletionJournal, FirstAppendRequiresBudgetAndEdges) {
-  StoreFile file("firstappend");
+  TempStore file("firstappend", ".ftcs");
   EXPECT_THROW(DeletionJournal::append(file.journal(), 1, 0,
                                        std::vector<EdgeId>{2}),
                std::invalid_argument);
@@ -144,7 +112,7 @@ TEST(DeletionJournal, FirstAppendRequiresBudgetAndEdges) {
 }
 
 TEST(DeletionJournal, BudgetIsFixedAtCreation) {
-  StoreFile file("fixedbudget");
+  TempStore file("fixedbudget", ".ftcs");
   DeletionJournal::append(file.journal(), 1, 3, std::vector<EdgeId>{2});
   EXPECT_THROW(DeletionJournal::append(file.journal(), 1, 4,
                                        std::vector<EdgeId>{4}),
@@ -156,7 +124,7 @@ TEST(DeletionJournal, BudgetIsFixedAtCreation) {
 }
 
 TEST(DeletionJournal, AppendToForeignStoreDigestRefused) {
-  StoreFile file("foreigndigest");
+  TempStore file("foreigndigest", ".ftcs");
   DeletionJournal::append(file.journal(), 0x1111, 3, std::vector<EdgeId>{2});
   EXPECT_THROW(DeletionJournal::append(file.journal(), 0x2222, 0,
                                        std::vector<EdgeId>{4}),
@@ -164,7 +132,7 @@ TEST(DeletionJournal, AppendToForeignStoreDigestRefused) {
 }
 
 TEST(DeletionJournal, OverCapacityAppendThrowsTypedAndLeavesFileIntact) {
-  StoreFile file("overcap");
+  TempStore file("overcap", ".ftcs");
   const std::string jpath = file.journal();
   DeletionJournal::append(jpath, 9, 3, std::vector<EdgeId>{1, 2});
   const auto before = read_file(jpath);
@@ -183,7 +151,7 @@ TEST(DeletionJournal, OverCapacityAppendThrowsTypedAndLeavesFileIntact) {
 }
 
 TEST(DeletionJournal, CompactCollapsesHistoryWithoutChangingAnswers) {
-  StoreFile file("compact");
+  TempStore file("compact", ".ftcs");
   const std::string jpath = file.journal();
   DeletionJournal::append(jpath, 7, 5, std::vector<EdgeId>{9});
   DeletionJournal::append(jpath, 7, 0, std::vector<EdgeId>{1});
@@ -219,7 +187,7 @@ struct CorruptCase {
 class JournalCorpus : public ::testing::TestWithParam<CorruptCase> {};
 
 TEST_P(JournalCorpus, StructuralDamageThrowsStoreError) {
-  StoreFile file(std::string("corpus_") + GetParam().name);
+  TempStore file(std::string("corpus_") + GetParam().name, ".ftcs");
   write_file(file.journal(), encode_journal(GetParam().frames));
   EXPECT_THROW(DeletionJournal::open(file.journal()), StoreError)
       << GetParam().name;
@@ -246,18 +214,18 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) { return std::string(info.param.name); });
 
 TEST(JournalCorpus, EmptyFileThrows) {
-  StoreFile file("corpus_empty");
+  TempStore file("corpus_empty", ".ftcs");
   write_file(file.journal(), std::vector<std::uint8_t>{});
   EXPECT_THROW(DeletionJournal::open(file.journal()), StoreError);
 }
 
 TEST(JournalCorpus, MissingFileThrows) {
-  StoreFile file("corpus_missing");
+  TempStore file("corpus_missing", ".ftcs");
   EXPECT_THROW(DeletionJournal::open(file.journal()), StoreError);
 }
 
 TEST(JournalCorpus, BadMagicThrows) {
-  StoreFile file("corpus_magic");
+  TempStore file("corpus_magic", ".ftcs");
   auto bytes = encode_journal({{1, 1, 3, {2}}});
   bytes[0] ^= 0xff;
   write_file(file.journal(), bytes);
@@ -265,7 +233,7 @@ TEST(JournalCorpus, BadMagicThrows) {
 }
 
 TEST(JournalCorpus, EveryTruncationPrefixThrows) {
-  StoreFile file("corpus_truncate");
+  TempStore file("corpus_truncate", ".ftcs");
   const auto bytes = encode_journal({{1, 1, 5, {2, 5, 9}}, {2, 1, 5, {11}}});
   // A journal is valid only at frame boundaries; every strict prefix of
   // the byte stream (except the full file) must fail typed, including
@@ -288,7 +256,7 @@ TEST(JournalCorpus, EveryTruncationPrefixThrows) {
 }
 
 TEST(JournalCorpus, FlippedPayloadBitBreaksChain) {
-  StoreFile file("corpus_bitflip");
+  TempStore file("corpus_bitflip", ".ftcs");
   auto bytes = encode_journal({{1, 1, 3, {2, 5}}});
   bytes[32] ^= 0x01;  // first edge ID, low byte
   write_file(file.journal(), bytes);
@@ -296,7 +264,7 @@ TEST(JournalCorpus, FlippedPayloadBitBreaksChain) {
 }
 
 TEST(JournalCorpus, OverCapacityJournalRefusesToOpen) {
-  StoreFile file("corpus_overcap");
+  TempStore file("corpus_overcap", ".ftcs");
   // Structurally pristine, semantically unservable: 4 deletions against
   // a budget of 3. open() must refuse typed, not serve wrong answers.
   write_file(file.journal(), encode_journal({{1, 1, 3, {1, 2, 5, 9}}}));
@@ -316,7 +284,7 @@ TEST(JournalBinding, UnknownEdgeIdsRefusedAgainstStore) {
   const Graph g = graph::random_connected(24, 60, 3);
   SchemeConfig cfg;
   cfg.set_f(3);
-  StoreFile file("unknown_ids");
+  TempStore file("unknown_ids", ".ftcs");
   make_scheme(g, cfg)->save(file.path());
   const auto view = open_store_view(file.path());
   DeletionJournal::append(file.journal(), view->info().payload_checksum, 3,
@@ -328,7 +296,7 @@ TEST(JournalBinding, StaleJournalFromOldGenerationRefused) {
   const Graph g = graph::random_connected(24, 60, 3);
   SchemeConfig cfg;
   cfg.set_f(3);
-  StoreFile file("stale");
+  TempStore file("stale", ".ftcs");
   make_scheme(g, cfg)->save(file.path());
   // Journal bound to a digest no store will ever have.
   DeletionJournal::append(file.journal(), 0xdeadbeef, 3,
@@ -354,7 +322,7 @@ TEST_P(JournalReplayParity, JournaledDeletionsMatchExplicitFaults) {
   cfg.cycle.scale = 3.0;
   cfg.agm.scale = 1.5;
   const auto scheme = make_scheme(g, cfg);
-  StoreFile file("parity_" + std::string(backend_name(GetParam())));
+  TempStore file("parity_" + std::string(backend_name(GetParam())), ".ftcs");
   scheme->save(file.path());
 
   const std::vector<EdgeId> journaled = {4, 17};
@@ -406,7 +374,7 @@ TEST_P(JournalReplayParity, BatchEngineRepliesThroughJournal) {
   cfg.cycle.scale = 3.0;
   cfg.agm.scale = 1.5;
   const auto scheme = make_scheme(g, cfg);
-  StoreFile file("batch_" + std::string(backend_name(GetParam())));
+  TempStore file("batch_" + std::string(backend_name(GetParam())), ".ftcs");
   scheme->save(file.path());
 
   const std::vector<EdgeId> journaled = {3, 9};
@@ -440,13 +408,7 @@ TEST_P(JournalReplayParity, BatchEngineRepliesThroughJournal) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, JournalReplayParity,
                          ::testing::ValuesIn(kAllBackends),
-                         [](const auto& info) {
-                           std::string name(backend_name(info.param));
-                           for (char& c : name) {
-                             if (c == '-') c = '_';
-                           }
-                           return name;
-                         });
+                         backend_param_name);
 
 }  // namespace
 }  // namespace ftc::core

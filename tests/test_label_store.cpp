@@ -13,11 +13,8 @@
 // never UB (the suite also runs under the asan preset). The checked-in
 // fixtures of older formats are covered by test_store_compat.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <span>
 #include <string>
 #include <vector>
@@ -28,6 +25,7 @@
 #include "core/label_store.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
+#include "store_fixture.hpp"
 #include "util/common.hpp"
 
 namespace ftc::core {
@@ -36,56 +34,12 @@ namespace {
 using graph::EdgeId;
 using graph::Graph;
 using graph::VertexId;
-
-SchemeConfig test_config(BackendKind backend, unsigned f) {
-  SchemeConfig cfg;
-  cfg.backend = backend;
-  cfg.set_f(f);
-  // Headroom so practical-k / whp parameters never run out of capacity
-  // on the adversarial random workloads below.
-  cfg.ftc.k_scale = 2.0;
-  cfg.cycle.scale = 3.0;
-  cfg.agm.scale = 1.5;
-  return cfg;
-}
-
-// Unique file path per test under gtest's temp dir; removed on teardown.
-class StoreFile {
- public:
-  explicit StoreFile(const std::string& name)
-      : path_(::testing::TempDir() + "ftc_store_" + name + "_" +
-              std::to_string(::getpid()) + ".ftcs") {
-    std::remove(path_.c_str());
-  }
-  ~StoreFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
-std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in),
-                                   std::istreambuf_iterator<char>());
-}
-
-void write_file(const std::string& path, std::span<const std::uint8_t> bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  ASSERT_TRUE(out.good()) << path;
-}
-
-// After editing header fields, restore the header checksum so the edit
-// (not the checksum guard) is what open() trips over.
-void fix_header_checksum(std::vector<std::uint8_t>& bytes) {
-  ASSERT_GE(bytes.size(), store::kHeaderBytes);
-  const std::uint64_t sum =
-      store::fnv1a(std::span<const std::uint8_t>(bytes.data(), 56));
-  for (int i = 0; i < 8; ++i) bytes[56 + i] = (sum >> (8 * i)) & 0xff;
-}
+using test_support::TempStore;
+using test_support::backend_param_name;
+using test_support::fix_header_checksum;
+using test_support::read_file;
+using test_support::test_config;
+using test_support::write_file;
 
 std::vector<EdgeId> random_faults(SplitMix64& rng, const Graph& g,
                                   unsigned max_faults) {
@@ -112,8 +66,8 @@ TEST_P(LabelStoreParity, SaveLoadRoundTripMatchesInMemoryAndBfs) {
   for (const Family& fam : families) {
     const Graph& g = fam.g;
     const auto scheme = make_scheme(g, test_config(GetParam(), f));
-    StoreFile file(std::string("parity_") + fam.name + "_" +
-                   std::to_string(static_cast<int>(GetParam())));
+    TempStore file(std::string("parity_") + fam.name + "_" +
+                   std::to_string(static_cast<int>(GetParam())), ".ftcs");
     scheme->save(file.path());
 
     // Both load modes: with the payload checksum pass, and without it
@@ -161,7 +115,8 @@ TEST_P(LabelStoreParity, ResidentViewMatchesSavedContainer) {
   const auto resident = scheme->store_view();
   ASSERT_NE(resident, nullptr);
   EXPECT_FALSE(resident->file_backed());
-  StoreFile file("resident_" + std::to_string(static_cast<int>(GetParam())));
+  TempStore file("resident_" + std::to_string(static_cast<int>(GetParam())),
+                 ".ftcs");
   scheme->save(file.path());
   const auto saved = LabelStoreView::open(file.path());
   EXPECT_TRUE(saved->file_backed());
@@ -229,8 +184,8 @@ TEST_P(LabelStoreParity, TinyGraphsSurviveSaveAndLoad) {
   for (const Graph* g : {&single_vertex, &single_edge}) {
     SCOPED_TRACE("n=" + std::to_string(g->num_vertices()));
     const auto built = make_scheme(*g, test_config(GetParam(), 1));
-    StoreFile file("tiny_" + std::to_string(g->num_vertices()) + "_" +
-                   std::to_string(static_cast<int>(GetParam())));
+    TempStore file("tiny_" + std::to_string(g->num_vertices()) + "_" +
+                   std::to_string(static_cast<int>(GetParam())), ".ftcs");
     built->save(file.path());
     const auto loaded = load_scheme(file.path());
     EXPECT_EQ(loaded->num_vertices(), g->num_vertices());
@@ -254,8 +209,10 @@ TEST_P(LabelStoreParity, TinyGraphsSurviveSaveAndLoad) {
 TEST_P(LabelStoreParity, SaveFromLoadedViewIsByteIdentical) {
   const Graph g = graph::random_connected(24, 50, 3);
   const auto scheme = make_scheme(g, test_config(GetParam(), 2));
-  StoreFile first("first_" + std::to_string(static_cast<int>(GetParam())));
-  StoreFile second("second_" + std::to_string(static_cast<int>(GetParam())));
+  TempStore first("first_" + std::to_string(static_cast<int>(GetParam())),
+                  ".ftcs");
+  TempStore second("second_" + std::to_string(static_cast<int>(GetParam())),
+                   ".ftcs");
   scheme->save(first.path());
   const auto loaded = load_scheme(first.path());
   loaded->save(second.path());
@@ -279,8 +236,8 @@ TEST_P(LabelStoreParity, TenThousandQueryBatchMatchesInMemory) {
   for (const Family& fam : families) {
     const Graph& g = fam.g;
     const auto scheme = make_scheme(g, test_config(GetParam(), f));
-    StoreFile file(std::string("batch_") + fam.name + "_" +
-                   std::to_string(static_cast<int>(GetParam())));
+    TempStore file(std::string("batch_") + fam.name + "_" +
+                   std::to_string(static_cast<int>(GetParam())), ".ftcs");
     scheme->save(file.path());
 
     SplitMix64 rng(42);
@@ -312,7 +269,8 @@ TEST_P(LabelStoreParity, OracleFromStoreServesVertexAndMixedFaults) {
   const Graph g = graph::barbell(8, 3);
   // Headroom for the Delta * f incident-edge reduction (Delta = 8 here).
   const auto scheme = make_scheme(g, test_config(GetParam(), 10));
-  StoreFile file("oracle_" + std::to_string(static_cast<int>(GetParam())));
+  TempStore file("oracle_" + std::to_string(static_cast<int>(GetParam())),
+                 ".ftcs");
   scheme->save(file.path());
 
   const auto oracle = load_scheme(file.path());
@@ -338,7 +296,8 @@ TEST_P(LabelStoreParity, OracleFromStoreServesVertexAndMixedFaults) {
 TEST_P(LabelStoreParity, LoadedSchemeValidatesQueryArguments) {
   const Graph g = graph::cycle(10);
   const auto scheme = make_scheme(g, test_config(GetParam(), 2));
-  StoreFile file("args_" + std::to_string(static_cast<int>(GetParam())));
+  TempStore file("args_" + std::to_string(static_cast<int>(GetParam())),
+                 ".ftcs");
   scheme->save(file.path());
   const auto loaded = load_scheme(file.path());
   const std::vector<EdgeId> bad{g.num_edges()};
@@ -354,13 +313,7 @@ TEST_P(LabelStoreParity, LoadedSchemeValidatesQueryArguments) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, LabelStoreParity,
                          ::testing::ValuesIn(kAllBackends),
-                         [](const auto& info) {
-                           std::string name = backend_name(info.param);
-                           for (char& c : name) {
-                             if (c == '-') c = '_';
-                           }
-                           return name;
-                         });
+                         backend_param_name);
 
 // ------------------------------------------------------------------
 // Blob codecs: little-endian whatever the host, and a payload cut short
@@ -474,7 +427,7 @@ class LabelStoreAdversarial : public ::testing::Test {
  protected:
   // One small store per backend, written once per test.
   std::vector<std::uint8_t> make_store_bytes(BackendKind backend,
-                                             StoreFile& file) {
+                                             TempStore& file) {
     const Graph g = graph::random_connected(16, 30, 9);
     const auto scheme = make_scheme(g, test_config(backend, 2));
     scheme->save(file.path());
@@ -490,7 +443,8 @@ TEST_F(LabelStoreAdversarial, MissingAndNonRegularFilesThrow) {
 
 TEST_F(LabelStoreAdversarial, TruncatedFilesThrow) {
   for (const BackendKind backend : kAllBackends) {
-    StoreFile file("trunc_" + std::to_string(static_cast<int>(backend)));
+    TempStore file("trunc_" + std::to_string(static_cast<int>(backend)),
+                   ".ftcs");
     const auto bytes = make_store_bytes(backend, file);
     ASSERT_GT(bytes.size(), store::kHeaderBytes);
     const std::size_t cuts[] = {0,
@@ -515,7 +469,7 @@ TEST_F(LabelStoreAdversarial, TruncatedFilesThrow) {
 }
 
 TEST_F(LabelStoreAdversarial, BadMagicThrows) {
-  StoreFile file("magic");
+  TempStore file("magic", ".ftcs");
   auto bytes = make_store_bytes(BackendKind::kCoreFtc, file);
   bytes[0] ^= 0xff;
   write_file(file.path(), bytes);
@@ -523,7 +477,7 @@ TEST_F(LabelStoreAdversarial, BadMagicThrows) {
 }
 
 TEST_F(LabelStoreAdversarial, WrongFormatVersionThrows) {
-  StoreFile file("version");
+  TempStore file("version", ".ftcs");
   auto bytes = make_store_bytes(BackendKind::kCoreFtc, file);
   bytes[8] = 99;  // format version field
   fix_header_checksum(bytes);
@@ -532,7 +486,7 @@ TEST_F(LabelStoreAdversarial, WrongFormatVersionThrows) {
 }
 
 TEST_F(LabelStoreAdversarial, UnknownBackendKindThrows) {
-  StoreFile file("backend");
+  TempStore file("backend", ".ftcs");
   auto bytes = make_store_bytes(BackendKind::kCoreFtc, file);
   bytes[12] = 7;  // backend byte
   fix_header_checksum(bytes);
@@ -541,7 +495,7 @@ TEST_F(LabelStoreAdversarial, UnknownBackendKindThrows) {
 }
 
 TEST_F(LabelStoreAdversarial, CorruptHeaderChecksumThrows) {
-  StoreFile file("hdrsum");
+  TempStore file("hdrsum", ".ftcs");
   auto bytes = make_store_bytes(BackendKind::kCoreFtc, file);
   bytes[57] ^= 0x01;  // header checksum field itself
   write_file(file.path(), bytes);
@@ -550,7 +504,8 @@ TEST_F(LabelStoreAdversarial, CorruptHeaderChecksumThrows) {
 
 TEST_F(LabelStoreAdversarial, FlippedPayloadBytesFailChecksum) {
   for (const BackendKind backend : kAllBackends) {
-    StoreFile file("payload_" + std::to_string(static_cast<int>(backend)));
+    TempStore file("payload_" + std::to_string(static_cast<int>(backend)),
+                   ".ftcs");
     const auto bytes = make_store_bytes(backend, file);
     // Flip one byte in each region of the payload: params, vertex
     // section, edge index, edge blobs (approximately — any position past
@@ -569,7 +524,7 @@ TEST_F(LabelStoreAdversarial, FlippedPayloadBytesFailChecksum) {
 }
 
 TEST_F(LabelStoreAdversarial, FlippedStoredChecksumThrows) {
-  StoreFile file("paysum");
+  TempStore file("paysum", ".ftcs");
   auto bytes = make_store_bytes(BackendKind::kCoreFtc, file);
   bytes[40] ^= 0xff;  // stored payload checksum field
   fix_header_checksum(bytes);
@@ -579,7 +534,8 @@ TEST_F(LabelStoreAdversarial, FlippedStoredChecksumThrows) {
 
 TEST_F(LabelStoreAdversarial, CorruptIndexThrowsEvenWithoutChecksum) {
   for (const BackendKind backend : kAllBackends) {
-    StoreFile file("index_" + std::to_string(static_cast<int>(backend)));
+    TempStore file("index_" + std::to_string(static_cast<int>(backend)),
+                   ".ftcs");
     const auto bytes = make_store_bytes(backend, file);
     const auto view = LabelStoreView::open(file.path());
     const StoreInfo info = view->info();
@@ -600,7 +556,7 @@ TEST_F(LabelStoreAdversarial, CorruptIndexThrowsEvenWithoutChecksum) {
 }
 
 TEST_F(LabelStoreAdversarial, OversizedDimensionsThrow) {
-  StoreFile file("dims");
+  TempStore file("dims", ".ftcs");
   auto bytes = make_store_bytes(BackendKind::kCoreFtc, file);
   // num_vertices field (offset 16): pretend there are 2^40 vertices.
   bytes[16 + 4] = 0xff;
@@ -614,7 +570,7 @@ TEST_F(LabelStoreAdversarial, OversizedDimensionsThrow) {
 // surface as StoreError — with and without the payload-checksum pass.
 
 TEST_F(LabelStoreAdversarial, AdjacencyFlagWithoutSectionThrows) {
-  StoreFile file("adjflag");
+  TempStore file("adjflag", ".ftcs");
   auto bytes = make_store_bytes(BackendKind::kCoreFtc, file);
   // Clear the adjacency size (offset 48) but keep the flag (offset 13).
   for (int i = 0; i < 8; ++i) bytes[48 + i] = 0;
@@ -624,7 +580,7 @@ TEST_F(LabelStoreAdversarial, AdjacencyFlagWithoutSectionThrows) {
 }
 
 TEST_F(LabelStoreAdversarial, UnknownHeaderFlagThrows) {
-  StoreFile file("badflag");
+  TempStore file("badflag", ".ftcs");
   auto bytes = make_store_bytes(BackendKind::kCoreFtc, file);
   bytes[13] |= 0x80;  // undefined flag bit
   fix_header_checksum(bytes);
@@ -633,7 +589,7 @@ TEST_F(LabelStoreAdversarial, UnknownHeaderFlagThrows) {
 }
 
 TEST_F(LabelStoreAdversarial, AdjacencySizeMismatchThrows) {
-  StoreFile file("adjsize");
+  TempStore file("adjsize", ".ftcs");
   auto bytes = make_store_bytes(BackendKind::kCoreFtc, file);
   bytes[48] ^= 0x08;  // adjacency size no longer matches 8(n+1) + 8m
   fix_header_checksum(bytes);
@@ -643,7 +599,8 @@ TEST_F(LabelStoreAdversarial, AdjacencySizeMismatchThrows) {
 
 TEST_F(LabelStoreAdversarial, TruncatedAdjacencySectionThrows) {
   for (const BackendKind backend : kAllBackends) {
-    StoreFile file("adjtrunc_" + std::to_string(static_cast<int>(backend)));
+    TempStore file("adjtrunc_" + std::to_string(static_cast<int>(backend)),
+                   ".ftcs");
     const auto bytes = make_store_bytes(backend, file);
     const auto view = LabelStoreView::open(file.path());
     ASSERT_TRUE(view->info().has_adjacency);
@@ -661,7 +618,7 @@ TEST_F(LabelStoreAdversarial, TruncatedAdjacencySectionThrows) {
 }
 
 TEST_F(LabelStoreAdversarial, NonMonotoneAdjacencyOffsetsThrow) {
-  StoreFile file("adjmono");
+  TempStore file("adjmono", ".ftcs");
   auto bytes = make_store_bytes(BackendKind::kDp21CycleSpace, file);
   const auto view = LabelStoreView::open(file.path());
   const std::size_t adj_off = bytes.size() - view->info().adjacency_bytes;
@@ -672,7 +629,7 @@ TEST_F(LabelStoreAdversarial, NonMonotoneAdjacencyOffsetsThrow) {
 }
 
 TEST_F(LabelStoreAdversarial, AdjacencyEdgeIdOutOfRangeThrows) {
-  StoreFile file("adjid");
+  TempStore file("adjid", ".ftcs");
   auto bytes = make_store_bytes(BackendKind::kDp21CycleSpace, file);
   const auto view = LabelStoreView::open(file.path());
   const StoreInfo info = view->info();
@@ -689,7 +646,7 @@ TEST_F(LabelStoreAdversarial, AdjacencyEdgeIdOutOfRangeThrows) {
 // blob size the params imply (16 + 8 * sum_l w_l * words_per_elem), and
 // open throws the typed StoreError even without the checksum pass.
 TEST_F(LabelStoreAdversarial, CoreBlobWidthDisagreeingWithVersionThrows) {
-  StoreFile file("widths");
+  TempStore file("widths", ".ftcs");
   auto v3 = read_file(std::string(FTC_TEST_DATA_DIR) + "/v3_core_ftc.ftcs");
   ASSERT_EQ(v3[8], 3);
   v3[8] = 4;

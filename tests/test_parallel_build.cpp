@@ -14,12 +14,9 @@
 // exception propagation). The suite runs under the asan AND tsan
 // presets; tsan is what proves the builder dispatches are race-free.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -31,6 +28,7 @@
 #include "core/sharded_store.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
+#include "store_fixture.hpp"
 #include "util/common.hpp"
 #include "util/worker_pool.hpp"
 
@@ -40,16 +38,10 @@ namespace {
 using graph::EdgeId;
 using graph::Graph;
 using graph::VertexId;
-
-SchemeConfig test_config(BackendKind backend, unsigned f) {
-  SchemeConfig cfg;
-  cfg.backend = backend;
-  cfg.set_f(f);
-  cfg.ftc.k_scale = 2.0;
-  cfg.cycle.scale = 3.0;
-  cfg.agm.scale = 1.5;
-  return cfg;
-}
+using test_support::TempStore;
+using test_support::backend_param_name;
+using test_support::read_file;
+using test_support::test_config;
 
 // The thread counts every byte-identity sweep runs: serial baseline,
 // the smallest parallel case, a typical core count, and whatever this
@@ -64,48 +56,6 @@ std::vector<unsigned> sweep_threads() {
   return threads;
 }
 
-class StoreFile {
- public:
-  explicit StoreFile(const std::string& name)
-      : path_(::testing::TempDir() + "ftc_pbuild_" + name + "_" +
-              std::to_string(::getpid()) + ".ftcs") {
-    std::remove(path_.c_str());
-  }
-  ~StoreFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
-class ManifestFile {
- public:
-  explicit ManifestFile(const std::string& name)
-      : path_(::testing::TempDir() + "ftc_pbuild_manifest_" + name + "_" +
-              std::to_string(::getpid()) + ".ftcm") {
-    cleanup();
-  }
-  ~ManifestFile() { cleanup(); }
-  const std::string& path() const { return path_; }
-  std::string shard_path(unsigned k) const {
-    return path_ + ".shard" + std::to_string(k) + ".ftcs";
-  }
-
- private:
-  void cleanup() {
-    std::remove(path_.c_str());
-    for (unsigned k = 0; k < 16; ++k) std::remove(shard_path(k).c_str());
-  }
-  std::string path_;
-};
-
-std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in),
-                                   std::istreambuf_iterator<char>());
-}
-
 class ParallelBuild : public ::testing::TestWithParam<BackendKind> {};
 
 // The tentpole guarantee, flat layout: every thread count yields the
@@ -115,16 +65,16 @@ TEST_P(ParallelBuild, FlatStoreBytesIdenticalAcrossThreadCounts) {
   SchemeConfig cfg = test_config(GetParam(), 4);
 
   cfg.set_build_threads(1);
-  StoreFile serial_file("flat_serial_" +
-                        std::to_string(static_cast<int>(GetParam())));
+  TempStore serial_file("flat_serial_" +
+                        std::to_string(static_cast<int>(GetParam())), ".ftcs");
   make_scheme(g, cfg)->save(serial_file.path());
   const auto serial_bytes = read_file(serial_file.path());
   ASSERT_FALSE(serial_bytes.empty());
 
   for (const unsigned threads : sweep_threads()) {
     cfg.set_build_threads(threads);
-    StoreFile file("flat_t" + std::to_string(threads) + "_" +
-                   std::to_string(static_cast<int>(GetParam())));
+    TempStore file("flat_t" + std::to_string(threads) + "_" +
+                   std::to_string(static_cast<int>(GetParam())), ".ftcs");
     make_scheme(g, cfg)->save(file.path());
     EXPECT_EQ(read_file(file.path()), serial_bytes)
         << backend_name(GetParam()) << " threads=" << threads;
@@ -142,7 +92,8 @@ TEST_P(ParallelBuild, ShardedStoreBytesIdenticalAcrossThreadCounts) {
   // Shard records embed file names derived from the manifest path, so
   // every thread count saves to the SAME path (a fresh generation each
   // time) and the bytes are snapshotted between saves.
-  ManifestFile manifest(std::to_string(static_cast<int>(GetParam())));
+  TempStore manifest("manifest_" + std::to_string(static_cast<int>(GetParam())),
+                     ".ftcm");
 
   cfg.set_build_threads(1);
   save_sharded(*make_scheme(g, cfg), manifest.path(), kShards);
@@ -193,13 +144,7 @@ TEST_P(ParallelBuild, ParallelBuiltSchemeAgreesWithBfsGroundTruth) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, ParallelBuild,
                          ::testing::ValuesIn(kAllBackends),
-                         [](const auto& info) {
-                           std::string name = backend_name(info.param);
-                           for (char& c : name) {
-                             if (c == '-') c = '_';
-                           }
-                           return name;
-                         });
+                         backend_param_name);
 
 // BuildStats under the parallel builder: the resolved worker count is
 // reported, and the phase timings are wall-clock on the coordinating

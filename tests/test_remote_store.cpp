@@ -8,14 +8,11 @@
 // transport faults follow the same retry → quarantine → DegradedError
 // ladder as local I/O faults — healthy shards keep serving throughout.
 #include <gtest/gtest.h>
-#include <dirent.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
-#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -33,6 +30,7 @@
 #include "flip_edges.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
+#include "store_fixture.hpp"
 #include "util/common.hpp"
 #include "util/failpoint.hpp"
 
@@ -42,55 +40,11 @@ namespace {
 using graph::EdgeId;
 using graph::Graph;
 using graph::VertexId;
-
-SchemeConfig test_config(unsigned f) {
-  SchemeConfig cfg;
-  cfg.backend = BackendKind::kCoreFtc;
-  cfg.set_f(f);
-  cfg.ftc.k_scale = 2.0;
-  return cfg;
-}
-
-class ScratchDir {
- public:
-  explicit ScratchDir(const std::string& name)
-      : path_(::testing::TempDir() + "ftc_" + name + "_" +
-              std::to_string(::getpid())) {
-    remove_all();
-    ::mkdir(path_.c_str(), 0755);
-  }
-  ~ScratchDir() { remove_all(); }
-  const std::string& path() const { return path_; }
-  std::string file(const std::string& name) const {
-    return path_ + "/" + name;
-  }
-
- private:
-  void remove_all() {
-    if (DIR* d = ::opendir(path_.c_str())) {
-      while (const struct dirent* ent = ::readdir(d)) {
-        const std::string name = ent->d_name;
-        if (name == "." || name == "..") continue;
-        std::remove((path_ + "/" + name).c_str());
-      }
-      ::closedir(d);
-    }
-    ::rmdir(path_.c_str());
-  }
-  std::string path_;
-};
-
-std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in),
-                                   std::istreambuf_iterator<char>());
-}
-
-bool spans_equal(std::span<const std::uint8_t> a,
-                 std::span<const std::uint8_t> b) {
-  return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
-}
+using test_support::ScopedRetryPolicy;
+using test_support::ScratchDir;
+using test_support::read_file;
+using test_support::spans_equal;
+using test_support::test_config;
 
 // Swaps a fresh, budget-free cache in as the process default for the
 // test's duration — load_scheme(url) and swap_store(url) reach the
@@ -116,7 +70,7 @@ struct ServedStore {
                        unsigned seed = 13, unsigned n = 48, unsigned m = 120)
       : dir(name),
         graph(graph::random_connected(n, m, seed)),
-        scheme(make_scheme(graph, test_config(3))),
+        scheme(make_scheme(graph, test_config(BackendKind::kCoreFtc, 3))),
         server(dir.path()) {
     save_sharded(*scheme, dir.file("store.ftcm"), k_shards);
     server.start();
@@ -495,21 +449,6 @@ TEST(RemoteStore, SwapToDeltaPushedChildFetchesOnlyChangedShard) {
 // ------------------------------------------------------------------
 // Fault ladder: transient retries, persistent failures degrade the one
 // shard while the rest keep serving.
-
-// Shrinks the retry schedule (and restores it) so always-failing drills
-// do not sleep through real backoff.
-class ScopedRetryPolicy {
- public:
-  ScopedRetryPolicy(unsigned attempts, std::chrono::microseconds backoff)
-      : prior_(default_retry_policy()) {
-    default_retry_policy().max_attempts = attempts;
-    default_retry_policy().initial_backoff = backoff;
-  }
-  ~ScopedRetryPolicy() { default_retry_policy() = prior_; }
-
- private:
-  RetryPolicy prior_;
-};
 
 TEST(RemoteStoreFaults, TransientReadFailureRetriesAndSucceeds) {
   ServedStore served("retry", 2);

@@ -9,13 +9,9 @@
 // concurrency test (fetch/evict/query races) is also the TSan target
 // for this subsystem (scripts/ci.sh tsan).
 #include <gtest/gtest.h>
-#include <dirent.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
-#include <cstdio>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +22,7 @@
 #include "core/shard_source.hpp"
 #include "core/sharded_store.hpp"
 #include "graph/generators.hpp"
+#include "store_fixture.hpp"
 #include "util/common.hpp"
 #include "util/env.hpp"
 #include "util/failpoint.hpp"
@@ -34,72 +31,18 @@ namespace ftc::core {
 namespace {
 
 using graph::Graph;
-
-SchemeConfig test_config(unsigned f) {
-  SchemeConfig cfg;
-  cfg.backend = BackendKind::kCoreFtc;
-  cfg.set_f(f);
-  cfg.ftc.k_scale = 2.0;
-  return cfg;
-}
-
-// A unique scratch directory under gtest's temp dir, removed (files and
-// all) on teardown.
-class ScratchDir {
- public:
-  explicit ScratchDir(const std::string& name)
-      : path_(::testing::TempDir() + "ftc_" + name + "_" +
-              std::to_string(::getpid())) {
-    remove_all();
-    ::mkdir(path_.c_str(), 0755);
-  }
-  ~ScratchDir() { remove_all(); }
-  const std::string& path() const { return path_; }
-  std::string file(const std::string& name) const {
-    return path_ + "/" + name;
-  }
-
- private:
-  void remove_all() {
-    // Scratch dirs hold only regular files (shards, manifests, cache
-    // entries) — one readdir pass is enough.
-    if (DIR* d = ::opendir(path_.c_str())) {
-      while (const struct dirent* ent = ::readdir(d)) {
-        const std::string name = ent->d_name;
-        if (name == "." || name == "..") continue;
-        std::remove((path_ + "/" + name).c_str());
-      }
-      ::closedir(d);
-    }
-    ::rmdir(path_.c_str());
-  }
-  std::string path_;
-};
-
-std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in),
-                                   std::istreambuf_iterator<char>());
-}
-
-void write_file(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  ASSERT_TRUE(out.good()) << path;
-}
-
-bool file_exists(const std::string& path) {
-  struct stat st{};
-  return ::stat(path.c_str(), &st) == 0;
-}
+using test_support::ScratchDir;
+using test_support::file_exists;
+using test_support::read_file;
+using test_support::test_config;
+using test_support::write_file;
 
 // Builds a real K-shard store in `dir` and returns its manifest path;
 // the caller reads the records through ShardedStoreView::open.
 std::string make_sharded_store(const ScratchDir& dir, unsigned k_shards,
                                unsigned seed = 13) {
   const Graph g = graph::random_connected(48, 120, seed);
-  const auto scheme = make_scheme(g, test_config(3));
+  const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 3));
   const std::string manifest = dir.file("store.ftcm");
   save_sharded(*scheme, manifest, k_shards);
   return manifest;

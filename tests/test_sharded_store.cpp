@@ -18,7 +18,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <fstream>
 #include <span>
 #include <string>
 #include <thread>
@@ -31,6 +30,7 @@
 #include "flip_edges.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
+#include "store_fixture.hpp"
 #include "util/common.hpp"
 #include "util/failpoint.hpp"
 
@@ -40,83 +40,14 @@ namespace {
 using graph::EdgeId;
 using graph::Graph;
 using graph::VertexId;
-
-SchemeConfig test_config(BackendKind backend, unsigned f) {
-  SchemeConfig cfg;
-  cfg.backend = backend;
-  cfg.set_f(f);
-  cfg.ftc.k_scale = 2.0;
-  cfg.cycle.scale = 3.0;
-  cfg.agm.scale = 1.5;
-  return cfg;
-}
-
-// Unique path prefix per test under gtest's temp dir; removes the
-// manifest AND its shard files on teardown.
-class ManifestFile {
- public:
-  explicit ManifestFile(const std::string& name)
-      : path_(::testing::TempDir() + "ftc_manifest_" + name + "_" +
-              std::to_string(::getpid()) + ".ftcm") {
-    cleanup();
-  }
-  ~ManifestFile() { cleanup(); }
-  const std::string& path() const { return path_; }
-  std::string shard_path(unsigned k) const {
-    return path_ + ".shard" + std::to_string(k) + ".ftcs";
-  }
-
- private:
-  void cleanup() {
-    std::remove(path_.c_str());
-    for (unsigned k = 0; k < 64; ++k) {
-      std::remove(shard_path(k).c_str());
-    }
-  }
-  std::string path_;
-};
-
-class StoreFile {
- public:
-  explicit StoreFile(const std::string& name)
-      : path_(::testing::TempDir() + "ftc_store_" + name + "_" +
-              std::to_string(::getpid()) + ".ftcs") {
-    std::remove(path_.c_str());
-  }
-  ~StoreFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
-std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in),
-                                   std::istreambuf_iterator<char>());
-}
-
-void write_file(const std::string& path, std::span<const std::uint8_t> bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  ASSERT_TRUE(out.good()) << path;
-}
-
-// After editing manifest header fields, restore the header checksum so
-// the edit (not the checksum guard) is what open() trips over.
-void fix_manifest_header_checksum(std::vector<std::uint8_t>& bytes) {
-  ASSERT_GE(bytes.size(), store::kManifestHeaderBytes);
-  const std::uint64_t sum =
-      store::fnv1a(std::span<const std::uint8_t>(bytes.data(), 88));
-  for (int i = 0; i < 8; ++i) bytes[88 + i] = (sum >> (8 * i)) & 0xff;
-}
-
-bool spans_equal(std::span<const std::uint8_t> a,
-                 std::span<const std::uint8_t> b) {
-  return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
-}
+using test_support::TempStore;
+using test_support::backend_param_name;
+using test_support::file_exists;
+using test_support::fix_manifest_header_checksum;
+using test_support::read_file;
+using test_support::spans_equal;
+using test_support::test_config;
+using test_support::write_file;
 
 class ShardedStoreParity : public ::testing::TestWithParam<BackendKind> {};
 
@@ -124,13 +55,15 @@ TEST_P(ShardedStoreParity, BlobsAndAnswersMatchUnshardedAcrossShardCounts) {
   const unsigned f = 4;
   const Graph g = graph::random_connected(48, 120, 13);
   const auto scheme = make_scheme(g, test_config(GetParam(), f));
-  StoreFile flat("parity_flat_" + std::to_string(static_cast<int>(GetParam())));
+  TempStore flat("parity_flat_" + std::to_string(static_cast<int>(GetParam())),
+                 ".ftcs");
   scheme->save(flat.path());
   const auto flat_view = LabelStoreView::open(flat.path());
 
   for (const unsigned k_shards : {1u, 4u, 16u}) {
-    ManifestFile manifest("parity_k" + std::to_string(k_shards) + "_" +
-                          std::to_string(static_cast<int>(GetParam())));
+    TempStore manifest("parity_k" + std::to_string(k_shards) + "_" +
+                       std::to_string(static_cast<int>(GetParam())),
+                       ".ftcm");
     save_sharded(*scheme, manifest.path(), k_shards);
     const auto view = ShardedStoreView::open(manifest.path());
 
@@ -188,7 +121,8 @@ TEST_P(ShardedStoreParity, BlobsAndAnswersMatchUnshardedAcrossShardCounts) {
 TEST_P(ShardedStoreParity, BatchEngineOverManifestMatchesInMemory) {
   const Graph g = graph::grid(7, 9);
   const auto scheme = make_scheme(g, test_config(GetParam(), 3));
-  ManifestFile manifest("batch_" + std::to_string(static_cast<int>(GetParam())));
+  TempStore manifest("batch_" + std::to_string(static_cast<int>(GetParam())),
+                     ".ftcm");
   save_sharded(*scheme, manifest.path(), 4);
 
   SplitMix64 rng(7);
@@ -211,9 +145,12 @@ TEST_P(ShardedStoreParity, BatchEngineOverManifestMatchesInMemory) {
 TEST_P(ShardedStoreParity, MergeBackToContainerIsByteIdentical) {
   const Graph g = graph::barbell(7, 3);
   const auto scheme = make_scheme(g, test_config(GetParam(), 2));
-  StoreFile flat("merge_flat_" + std::to_string(static_cast<int>(GetParam())));
-  StoreFile merged("merge_out_" + std::to_string(static_cast<int>(GetParam())));
-  ManifestFile manifest("merge_" + std::to_string(static_cast<int>(GetParam())));
+  TempStore flat("merge_flat_" + std::to_string(static_cast<int>(GetParam())),
+                 ".ftcs");
+  TempStore merged("merge_out_" + std::to_string(static_cast<int>(GetParam())),
+                   ".ftcs");
+  TempStore manifest("merge_" + std::to_string(static_cast<int>(GetParam())),
+                     ".ftcm");
   scheme->save(flat.path());
   save_sharded(*scheme, manifest.path(), 4);
   // A scheme loaded from the manifest re-saves as a single container
@@ -225,7 +162,8 @@ TEST_P(ShardedStoreParity, MergeBackToContainerIsByteIdentical) {
 TEST_P(ShardedStoreParity, OracleFromManifestServesMixedFaults) {
   const Graph g = graph::barbell(8, 3);
   const auto scheme = make_scheme(g, test_config(GetParam(), 10));
-  ManifestFile manifest("oracle_" + std::to_string(static_cast<int>(GetParam())));
+  TempStore manifest("oracle_" + std::to_string(static_cast<int>(GetParam())),
+                     ".ftcm");
   save_sharded(*scheme, manifest.path(), 4);
   const auto oracle = load_scheme(manifest.path());
   EXPECT_TRUE(oracle->has_adjacency());
@@ -251,20 +189,14 @@ TEST_P(ShardedStoreParity, OracleFromManifestServesMixedFaults) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, ShardedStoreParity,
                          ::testing::ValuesIn(kAllBackends),
-                         [](const auto& info) {
-                           std::string name = backend_name(info.param);
-                           for (char& c : name) {
-                             if (c == '-') c = '_';
-                           }
-                           return name;
-                         });
+                         backend_param_name);
 
 // More shards than vertices: the surplus shards hold empty ranges and
 // everything still routes correctly.
 TEST(ShardedStore, MoreShardsThanVertices) {
   const Graph g = graph::cycle(10);
   const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 2));
-  ManifestFile manifest("tiny");
+  TempStore manifest("tiny", ".ftcm");
   save_sharded(*scheme, manifest.path(), 16);
   const auto view = ShardedStoreView::open(manifest.path());
   EXPECT_EQ(view->info().num_shards, 16u);
@@ -283,7 +215,7 @@ TEST(ShardedStore, MoreShardsThanVertices) {
 TEST(ShardedStore, ShardsOpenLazily) {
   const Graph g = graph::grid(8, 8);
   const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 2));
-  ManifestFile manifest("lazy");
+  TempStore manifest("lazy", ".ftcm");
   save_sharded(*scheme, manifest.path(), 8);
   const auto view = ShardedStoreView::open(manifest.path());
   EXPECT_EQ(view->shards_open(), 0u);
@@ -304,10 +236,10 @@ TEST(ShardedStore, ShardsOpenLazily) {
 TEST(ShardedStorePrefetch, OpensAllShardsAndKeepsParity) {
   const Graph g = graph::random_connected(40, 100, 21);
   const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 3));
-  StoreFile flat("prefetch_flat");
+  TempStore flat("prefetch_flat", ".ftcs");
   scheme->save(flat.path());
   const auto flat_view = LabelStoreView::open(flat.path());
-  ManifestFile manifest("prefetch");
+  TempStore manifest("prefetch", ".ftcm");
   save_sharded(*scheme, manifest.path(), 8);
 
   const auto view = ShardedStoreView::open(manifest.path());
@@ -338,7 +270,7 @@ TEST(ShardedStorePrefetch, OpensAllShardsAndKeepsParity) {
 TEST(ShardedStorePrefetch, FlatContainerServesAtOpen) {
   const Graph g = graph::cycle(16);
   const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 2));
-  StoreFile flat("routes_flat");
+  TempStore flat("routes_flat", ".ftcs");
   scheme->save(flat.path());
   const auto view = LabelStoreView::open(flat.path());
   const StoreView& resident = *scheme->store_view();
@@ -357,10 +289,10 @@ TEST(ShardedStorePrefetch, FlatContainerServesAtOpen) {
 TEST(ShardedStorePrefetch, RacesLazyOpensAndConcurrentQueries) {
   const Graph g = graph::random_connected(64, 160, 33);
   const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 2));
-  StoreFile flat("race_flat");
+  TempStore flat("race_flat", ".ftcs");
   scheme->save(flat.path());
   const auto flat_view = LabelStoreView::open(flat.path());
-  ManifestFile manifest("race");
+  TempStore manifest("race", ".ftcm");
   save_sharded(*scheme, manifest.path(), 16);
 
   for (int round = 0; round < 4; ++round) {
@@ -395,7 +327,7 @@ TEST(ShardedStorePrefetch, RacesLazyOpensAndConcurrentQueries) {
 // A corrupt shard fails prefetch with the SAME typed error the lazy
 // open throws, and the healthy shards keep serving.
 TEST(ShardedStorePrefetch, CorruptShardThrowsTypedStoreError) {
-  ManifestFile manifest("prefetch_corrupt");
+  TempStore manifest("prefetch_corrupt", ".ftcm");
   const Graph g = graph::random_connected(24, 60, 9);
   const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 2));
   save_sharded(*scheme, manifest.path(), 4);
@@ -423,7 +355,7 @@ TEST(ShardedStorePrefetch, CorruptShardThrowsTypedStoreError) {
 class ShardedStoreAdversarial : public ::testing::Test {
  protected:
   // A small 4-shard store; returns the manifest bytes.
-  std::vector<std::uint8_t> make_manifest(ManifestFile& manifest) {
+  std::vector<std::uint8_t> make_manifest(TempStore& manifest) {
     const Graph g = graph::random_connected(24, 60, 9);
     const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 2));
     save_sharded(*scheme, manifest.path(), 4);
@@ -434,7 +366,7 @@ class ShardedStoreAdversarial : public ::testing::Test {
   // follow the 8-aligned params blob; each is 48 bytes of ranges/digest
   // plus the length-prefixed name padded to 8).
   std::size_t record_offset(const std::vector<std::uint8_t>& bytes,
-                            const ManifestFile& manifest, unsigned k) {
+                            const TempStore& manifest, unsigned k) {
     const auto view = [&] {
       // Parse params size from the (valid) header copy we were given.
       std::uint64_t params_size = 0;
@@ -451,7 +383,7 @@ class ShardedStoreAdversarial : public ::testing::Test {
     return off;
   }
 
-  static std::string shard_name(const ManifestFile& manifest, unsigned k) {
+  static std::string shard_name(const TempStore& manifest, unsigned k) {
     const std::string& p = manifest.path();
     const std::size_t slash = p.find_last_of('/');
     const std::string base = slash == std::string::npos ? p : p.substr(slash + 1);
@@ -460,7 +392,7 @@ class ShardedStoreAdversarial : public ::testing::Test {
 };
 
 TEST_F(ShardedStoreAdversarial, TruncatedManifestThrows) {
-  ManifestFile manifest("trunc");
+  TempStore manifest("trunc", ".ftcm");
   const auto bytes = make_manifest(manifest);
   const std::size_t cuts[] = {0,
                               1,
@@ -482,7 +414,7 @@ TEST_F(ShardedStoreAdversarial, TruncatedManifestThrows) {
 }
 
 TEST_F(ShardedStoreAdversarial, BadMagicAndVersionThrow) {
-  ManifestFile manifest("magic");
+  TempStore manifest("magic", ".ftcm");
   auto bytes = make_manifest(manifest);
   auto corrupt = bytes;
   corrupt[0] ^= 0xff;
@@ -507,7 +439,7 @@ TEST_F(ShardedStoreAdversarial, BadMagicAndVersionThrow) {
 }
 
 TEST_F(ShardedStoreAdversarial, ShardRangeOverlapAndGapThrow) {
-  ManifestFile manifest("ranges");
+  TempStore manifest("ranges", ".ftcm");
   const auto bytes = make_manifest(manifest);
   // Record 1's vertex_begin (record offset + 0): bump it by one — now it
   // no longer abuts record 0's vertex_end (a gap; bumping down overlaps).
@@ -531,7 +463,7 @@ TEST_F(ShardedStoreAdversarial, ShardRangeOverlapAndGapThrow) {
 }
 
 TEST_F(ShardedStoreAdversarial, DigestMismatchThrowsAtFirstTouch) {
-  ManifestFile manifest("digest");
+  TempStore manifest("digest", ".ftcm");
   auto bytes = make_manifest(manifest);
   // Record 0's payload digest (offset 40 in the record).
   bytes[record_offset(bytes, manifest, 0) + 40] ^= 0x01;
@@ -544,7 +476,7 @@ TEST_F(ShardedStoreAdversarial, DigestMismatchThrowsAtFirstTouch) {
 }
 
 TEST_F(ShardedStoreAdversarial, SwappedShardFilesThrow) {
-  ManifestFile manifest("swapped");
+  TempStore manifest("swapped", ".ftcm");
   (void)make_manifest(manifest);
   // Shards 0 and 2 trade places: sizes match the manifest, digests don't.
   const auto shard0 = read_file(manifest.shard_path(0));
@@ -557,7 +489,7 @@ TEST_F(ShardedStoreAdversarial, SwappedShardFilesThrow) {
 }
 
 TEST_F(ShardedStoreAdversarial, MissingShardFileThrowsAtOpen) {
-  ManifestFile manifest("missing");
+  TempStore manifest("missing", ".ftcm");
   (void)make_manifest(manifest);
   std::remove(manifest.shard_path(2).c_str());
   EXPECT_THROW((void)ShardedStoreView::open(manifest.path()), StoreError);
@@ -567,7 +499,7 @@ TEST_F(ShardedStoreAdversarial, MissingShardFileThrowsAtOpen) {
 }
 
 TEST_F(ShardedStoreAdversarial, ResizedShardFileThrowsAtOpen) {
-  ManifestFile manifest("resized");
+  TempStore manifest("resized", ".ftcm");
   (void)make_manifest(manifest);
   auto shard = read_file(manifest.shard_path(1));
   shard.pop_back();
@@ -577,7 +509,7 @@ TEST_F(ShardedStoreAdversarial, ResizedShardFileThrowsAtOpen) {
 }
 
 TEST_F(ShardedStoreAdversarial, TamperedParamsBlobThrows) {
-  ManifestFile manifest("params");
+  TempStore manifest("params", ".ftcm");
   auto bytes = make_manifest(manifest);
   bytes[store::kManifestHeaderBytes] ^= 0x01;  // first params byte
   write_file(manifest.path(), bytes);
@@ -587,7 +519,7 @@ TEST_F(ShardedStoreAdversarial, TamperedParamsBlobThrows) {
 }
 
 TEST_F(ShardedStoreAdversarial, PathTraversalShardNameThrows) {
-  ManifestFile manifest("traverse");
+  TempStore manifest("traverse", ".ftcm");
   auto bytes = make_manifest(manifest);
   // Overwrite the first bytes of record 0's name with "../" — same
   // length, but now names a parent-directory path.
@@ -601,7 +533,7 @@ TEST_F(ShardedStoreAdversarial, PathTraversalShardNameThrows) {
 }
 
 TEST_F(ShardedStoreAdversarial, PayloadChecksumGuardsEverythingElse) {
-  ManifestFile manifest("paysum");
+  TempStore manifest("paysum", ".ftcm");
   auto bytes = make_manifest(manifest);
   // Any payload flip must fail the default (verifying) open.
   bytes[bytes.size() - 1] ^= 0x10;
@@ -610,7 +542,7 @@ TEST_F(ShardedStoreAdversarial, PayloadChecksumGuardsEverythingElse) {
 }
 
 TEST_F(ShardedStoreAdversarial, EpochZeroManifestThrows) {
-  ManifestFile manifest("epoch0");
+  TempStore manifest("epoch0", ".ftcm");
   auto bytes = make_manifest(manifest);
   for (int i = 0; i < 8; ++i) bytes[64 + i] = 0;  // epoch field
   fix_manifest_header_checksum(bytes);
@@ -634,18 +566,13 @@ std::uint64_t count_save_writes(const ConnectivityScheme& scheme,
   return counter.hits();
 }
 
-bool file_exists(const std::string& path) {
-  struct stat st{};
-  return ::stat(path.c_str(), &st) == 0;
-}
-
 TEST(ShardedStoreHygiene, MidSaveThrowLeavesNoOrphanShards) {
   const Graph g = graph::random_connected(48, 120, 13);
   const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 3));
-  ManifestFile manifest("midthrow");
+  TempStore manifest("midthrow", ".ftcm");
   std::uint64_t writes = 0;
   {
-    ManifestFile counted("midthrow_count");
+    TempStore counted("midthrow_count", ".ftcm");
     writes = count_save_writes(*scheme, counted.path(), 4);
   }
   ASSERT_GE(writes, 2u);
@@ -666,7 +593,7 @@ TEST(ShardedStoreHygiene, MidSaveThrowLeavesNoOrphanShards) {
 TEST(ShardedStoreHygiene, MidSaveThrowKeepsPriorGenerationIntact) {
   const Graph g = graph::random_connected(32, 80, 17);
   const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 3));
-  ManifestFile manifest("midthrow_prior");
+  TempStore manifest("midthrow_prior", ".ftcm");
   const std::uint64_t writes = count_save_writes(*scheme, manifest.path(), 4);
   ASSERT_GE(writes, 2u);
   const auto manifest_before = read_file(manifest.path());
@@ -687,7 +614,7 @@ TEST(ShardedStoreHygiene, MidSaveThrowKeepsPriorGenerationIntact) {
 TEST(ShardedStoreHygiene, ResaveWithFewerShardsUnlinksStaleFiles) {
   const Graph g = graph::random_connected(40, 100, 19);
   const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 3));
-  ManifestFile manifest("shrink");
+  TempStore manifest("shrink", ".ftcm");
   save_sharded(*scheme, manifest.path(), 8);
   for (unsigned k = 0; k < 8; ++k) {
     ASSERT_TRUE(file_exists(manifest.shard_path(k))) << "shard " << k;
@@ -709,13 +636,13 @@ TEST(ShardedStoreHygiene, ResaveWithFewerShardsUnlinksStaleFiles) {
 class DeltaFiles {
  public:
   explicit DeltaFiles(const std::string& name)
-      : parent_(name + "_parent"), child_(name + "_child") {}
-  ManifestFile& parent() { return parent_; }
-  ManifestFile& child() { return child_; }
+      : parent_(name + "_parent", ".ftcm"), child_(name + "_child", ".ftcm") {}
+  TempStore& parent() { return parent_; }
+  TempStore& child() { return child_; }
 
  private:
-  ManifestFile parent_;
-  ManifestFile child_;
+  TempStore parent_;
+  TempStore child_;
 };
 
 TEST(ShardedStoreDelta, ZeroDeltaPushReusesEveryShardByHardLink) {
@@ -787,7 +714,7 @@ TEST(ShardedStoreDelta, SingleChangedShardWritesExactlyOneShard) {
 TEST(ShardedStoreDelta, PushOverParentPathKeepsUnchangedShardsInPlace) {
   const Graph g = graph::random_connected(40, 100, 31);
   const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 3));
-  ManifestFile manifest("inplace");
+  TempStore manifest("inplace", ".ftcm");
   save_sharded(*scheme, manifest.path(), 4);
   struct stat before{};
   ASSERT_EQ(::stat(manifest.shard_path(2).c_str(), &before), 0);
@@ -807,9 +734,9 @@ TEST(ShardedStoreDelta, PushOverParentPathKeepsUnchangedShardsInPlace) {
 TEST(ShardedStoreDelta, ChainedPushesIncrementEpochAndLinkDigests) {
   const Graph g = graph::random_connected(40, 100, 37);
   const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 3));
-  ManifestFile a("chain_a");
-  ManifestFile b("chain_b");
-  ManifestFile c("chain_c");
+  TempStore a("chain_a", ".ftcm");
+  TempStore b("chain_b", ".ftcm");
+  TempStore c("chain_c", ".ftcm");
   save_sharded(*scheme, a.path(), 4);
   // num_shards = 0 inherits the parent's K.
   EXPECT_EQ(save_sharded_delta(*scheme, b.path(), a.path()).epoch, 2u);

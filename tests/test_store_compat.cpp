@@ -14,12 +14,8 @@
 // core-ftc a typed FtcCapacityError is also an allowed outcome, but then
 // every version of the same labels must refuse the same queries.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <span>
 #include <string>
 #include <vector>
@@ -31,6 +27,7 @@
 #include "core/sharded_store.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
+#include "store_fixture.hpp"
 #include "util/common.hpp"
 #include "util/digest.hpp"
 
@@ -40,35 +37,10 @@ namespace {
 using graph::EdgeId;
 using graph::Graph;
 using graph::VertexId;
-
-// Unique file path per test under gtest's temp dir; removed on teardown.
-class StoreFile {
- public:
-  explicit StoreFile(const std::string& name)
-      : path_(::testing::TempDir() + "ftc_compat_" + name + "_" +
-              std::to_string(::getpid()) + ".ftcs") {
-    std::remove(path_.c_str());
-  }
-  ~StoreFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
-std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in),
-                                   std::istreambuf_iterator<char>());
-}
-
-void write_bytes(const std::string& path, std::span<const std::uint8_t> b) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(b.data()),
-            static_cast<std::streamsize>(b.size()));
-  ASSERT_TRUE(out.good()) << path;
-}
+using test_support::ScratchDir;
+using test_support::TempStore;
+using test_support::read_file;
+using test_support::write_file;
 
 std::vector<EdgeId> random_faults(SplitMix64& rng, const Graph& g,
                                   unsigned max_faults) {
@@ -168,7 +140,7 @@ void check_resave(const StoreFixture& fixture) {
   const std::string path = fixture_path(fixture.file);
   const auto fixture_view = LabelStoreView::open(path);
   const auto loaded = load_scheme(path);
-  StoreFile upgraded(std::string("resave_") + fixture.file);
+  TempStore upgraded(std::string("resave_") + fixture.file, ".ftcs");
   loaded->save(upgraded.path());
   const auto view = LabelStoreView::open(upgraded.path());
   EXPECT_EQ(view->info().format_version, store::kFormatVersion);
@@ -227,7 +199,7 @@ void check_resave(const StoreFixture& fixture) {
   }
 
   const auto reloaded = load_scheme(upgraded.path());
-  StoreFile again(std::string("resave2_") + fixture.file);
+  TempStore again(std::string("resave2_") + fixture.file, ".ftcs");
   reloaded->save(again.path());
   EXPECT_EQ(read_file(again.path()), bytes) << "re-save is not a fixpoint";
 
@@ -293,7 +265,7 @@ TEST_P(LabelStoreV1Compat, VertexFaultsRaiseTypedCapabilityError) {
 TEST_P(LabelStoreV1Compat, ResaveUpgradesToCurrentFormatWithoutAdjacency) {
   const std::string path = fixture_path(GetParam().file);
   const auto loaded = load_scheme(path);
-  StoreFile upgraded(std::string("v1_upgrade_") + GetParam().file);
+  TempStore upgraded(std::string("v1_upgrade_") + GetParam().file, ".ftcs");
   loaded->save(upgraded.path());
   const auto view = LabelStoreView::open(upgraded.path());
   EXPECT_EQ(view->info().format_version, store::kFormatVersion);
@@ -441,7 +413,7 @@ TEST(StrideKCompat, TwoLevelV3ServesAndResavesToTheOriginalV4Bytes) {
   cfg.set_f(1);
   cfg.ftc.k_override = 160;
   const auto built = make_scheme(g, cfg);
-  StoreFile v4_file("two_level_v4");
+  TempStore v4_file("two_level_v4", ".ftcs");
   built->save(v4_file.path());
   const std::vector<std::uint8_t> v4 = read_file(v4_file.path());
   const auto v4_view = LabelStoreView::open(v4_file.path());
@@ -449,8 +421,8 @@ TEST(StrideKCompat, TwoLevelV3ServesAndResavesToTheOriginalV4Bytes) {
   ASSERT_GE(layout.num_levels, 2u);
   ASSERT_LT(layout.width(0), layout.k);  // so level 1's offsets differ
 
-  StoreFile v3_file("two_level_v3");
-  write_bytes(v3_file.path(), as_stride_k_v3(v4, *v4_view));
+  TempStore v3_file("two_level_v3", ".ftcs");
+  write_file(v3_file.path(), as_stride_k_v3(v4, *v4_view));
   const auto v3_view = LabelStoreView::open(v3_file.path());
   EXPECT_EQ(v3_view->info().format_version, 3u);
   EXPECT_GT(v3_view->info().file_bytes, v4.size());
@@ -464,7 +436,7 @@ TEST(StrideKCompat, TwoLevelV3ServesAndResavesToTheOriginalV4Bytes) {
               graph::connected_avoiding(g, s, t, faults))
         << "it=" << it;
   }
-  StoreFile resaved("two_level_resaved");
+  TempStore resaved("two_level_resaved", ".ftcs");
   v3->save(resaved.path());
   EXPECT_EQ(read_file(resaved.path()), v4);
 }
@@ -473,25 +445,6 @@ TEST(StrideKCompat, TwoLevelV3ServesAndResavesToTheOriginalV4Bytes) {
 // Manifest v2 fronts shards of container formats 1-3: the view reports
 // format 3, serves the stride-k shards, and re-sharding writes a v3
 // manifest of format-v4 shards.
-
-// Scratch directory for sharded stores (their shard files sit next to
-// the manifest); removed on teardown.
-class ScratchDir {
- public:
-  explicit ScratchDir(const std::string& name)
-      : path_(::testing::TempDir() + "ftc_compat_" + name + "_" +
-              std::to_string(::getpid())) {
-    std::filesystem::remove_all(path_);
-    std::filesystem::create_directories(path_);
-  }
-  ~ScratchDir() { std::filesystem::remove_all(path_); }
-  std::string file(const std::string& name) const {
-    return path_ + "/" + name;
-  }
-
- private:
-  std::string path_;
-};
 
 TEST(LegacyManifestCompat, ManifestV2OfV3ShardsServesAndReshardsToV4) {
   const std::string manifest = fixture_path("v3_core_ftc_sharded.ftcm");
@@ -524,7 +477,7 @@ TEST(LegacyManifestCompat, ManifestV2OfV3ShardsServesAndReshardsToV4) {
   const std::uint64_t sum =
       store::fnv1a(std::span<const std::uint8_t>(bytes.data(), 88));
   for (int i = 0; i < 8; ++i) bytes[88 + i] = (sum >> (8 * i)) & 0xff;
-  write_bytes(resharded, bytes);
+  write_file(resharded, bytes);
   const auto mislabelled = load_scheme(resharded);
   EXPECT_THROW(mislabelled->prefetch(1), StoreError);
   const std::vector<EdgeId> one{1};
@@ -584,7 +537,7 @@ TEST(StoreFixtureExhaustive, EveryFaultSetUpToTwoAndEveryPairMatchesBfs) {
     std::vector<int> first;  // the v1 fixture's outcomes
     for (const char* version : {"v1", "v2", "v3"}) {
       const std::string file = version + suffix;
-      StoreFile resaved("exhaustive_" + file);
+      TempStore resaved("exhaustive_" + file, ".ftcs");
       load_scheme(fixture_path(file))->save(resaved.path());
       for (const std::string& path : {fixture_path(file), resaved.path()}) {
         SCOPED_TRACE(path);

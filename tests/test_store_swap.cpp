@@ -10,12 +10,10 @@
 // whose ground truths provably differ, from sequential, parallel and
 // single-query paths, partly under the asan preset.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +26,7 @@
 #include "flip_edges.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
+#include "store_fixture.hpp"
 #include "util/common.hpp"
 
 namespace ftc::core {
@@ -36,16 +35,8 @@ namespace {
 using graph::EdgeId;
 using graph::Graph;
 using graph::VertexId;
-
-SchemeConfig test_config(BackendKind backend, unsigned f) {
-  SchemeConfig cfg;
-  cfg.backend = backend;
-  cfg.set_f(f);
-  cfg.ftc.k_scale = 2.0;
-  cfg.cycle.scale = 3.0;
-  cfg.agm.scale = 1.5;
-  return cfg;
-}
+using test_support::TempStore;
+using test_support::test_config;
 
 // Smallest single-edge fault set whose BFS ground truth differs between
 // the two graphs over the given queries — guaranteeing the two label
@@ -69,27 +60,6 @@ std::vector<EdgeId> find_distinguishing_faults(
   return {};
 }
 
-class TempStore {
- public:
-  explicit TempStore(const std::string& name)
-      : path_(::testing::TempDir() + "ftc_swap_" + name + "_" +
-              std::to_string(::getpid()) + ".ftcs") {
-    cleanup();
-  }
-  ~TempStore() { cleanup(); }
-  const std::string& path() const { return path_; }
-
- private:
-  void cleanup() {
-    std::remove(path_.c_str());
-    std::remove((path_ + ".jrnl").c_str());
-    for (unsigned k = 0; k < 8; ++k) {
-      std::remove((path_ + ".shard" + std::to_string(k) + ".ftcs").c_str());
-    }
-  }
-  std::string path_;
-};
-
 TEST(StoreSwap, EpochAdvancesAndAnswersFollowTheNewGeneration) {
   // Sparse (near-tree) graphs: the removed edges genuinely disconnect
   // pairs, and differently per generation, so the two ground truths are
@@ -97,8 +67,8 @@ TEST(StoreSwap, EpochAdvancesAndAnswersFollowTheNewGeneration) {
   const Graph g_a = graph::random_connected(40, 44, 3);
   const Graph g_b = graph::random_connected(40, 44, 21);
   const auto cfg = test_config(BackendKind::kCoreFtc, 3);
-  TempStore store_a("basic_a");
-  TempStore store_b("basic_b");
+  TempStore store_a("basic_a", ".ftcs");
+  TempStore store_b("basic_b", ".ftcs");
   make_scheme(g_a, cfg)->save(store_a.path());
   make_scheme(g_b, cfg)->save(store_b.path());
 
@@ -138,8 +108,8 @@ TEST(StoreSwap, SwapAcceptsShardedManifestsAndOpenViews) {
   const Graph g = graph::grid(6, 8);
   const auto cfg = test_config(BackendKind::kCoreFtc, 3);
   const auto scheme = make_scheme(g, cfg);
-  TempStore flat("view_flat");
-  TempStore manifest("view_manifest");
+  TempStore flat("view_flat", ".ftcs");
+  TempStore manifest("view_manifest", ".ftcm");
   scheme->save(flat.path());
   save_sharded(*scheme, manifest.path(), 4);
 
@@ -164,8 +134,8 @@ TEST(StoreSwap, SwapAcceptsShardedManifestsAndOpenViews) {
 TEST(StoreSwap, OldGenerationReleasedWhenLastPinDrops) {
   const Graph g = graph::grid(5, 5);
   const auto cfg = test_config(BackendKind::kCoreFtc, 2);
-  TempStore store_a("release_a");
-  TempStore store_b("release_b");
+  TempStore store_a("release_a", ".ftcs");
+  TempStore store_b("release_b", ".ftcs");
   const auto scheme = make_scheme(g, cfg);
   scheme->save(store_a.path());
   scheme->save(store_b.path());
@@ -185,8 +155,8 @@ TEST(StoreSwap, OldGenerationReleasedWhenLastPinDrops) {
 
 TEST(StoreSwap, CrossBackendSwapRebuildsWorkspaces) {
   const Graph g = graph::random_connected(32, 80, 5);
-  TempStore store_core("cross_core");
-  TempStore store_cycle("cross_cycle");
+  TempStore store_core("cross_core", ".ftcs");
+  TempStore store_cycle("cross_cycle", ".ftcs");
   make_scheme(g, test_config(BackendKind::kCoreFtc, 3))->save(store_core.path());
   make_scheme(g, test_config(BackendKind::kDp21CycleSpace, 3))
       ->save(store_cycle.path());
@@ -217,7 +187,7 @@ TEST(StoreSwap, RejectedSwapLeavesSessionServing) {
   const Graph g_big = graph::random_connected(30, 80, 2);
   const Graph g_small = graph::cycle(10);  // only 10 edges
   const auto cfg = test_config(BackendKind::kCoreFtc, 2);
-  TempStore store_small("reject_small");
+  TempStore store_small("reject_small", ".ftcs");
   make_scheme(g_small, cfg)->save(store_small.path());
   const auto scheme = make_scheme(g_big, cfg);
 
@@ -234,7 +204,7 @@ TEST(StoreSwap, RejectedSwapLeavesSessionServing) {
 TEST(StoreSwap, ResetFaultsKeepsEpochAndCurrentGeneration) {
   const Graph g = graph::random_connected(30, 70, 8);
   const auto cfg = test_config(BackendKind::kCoreFtc, 3);
-  TempStore store("reset");
+  TempStore store("reset", ".ftcs");
   const auto scheme = make_scheme(g, cfg);
   scheme->save(store.path());
   BatchQueryEngine session(load_scheme(store.path()), FaultSpec{});
@@ -259,8 +229,8 @@ TEST(StoreSwap, ConcurrentResetFaultsAndSwapStayCoherent) {
   const Graph g_a = graph::random_connected(36, 40, 15);
   const Graph g_b = graph::random_connected(36, 40, 51);
   const auto cfg = test_config(BackendKind::kCoreFtc, 3);
-  TempStore store_a("coherent_a");
-  TempStore store_b("coherent_b");
+  TempStore store_a("coherent_a", ".ftcs");
+  TempStore store_b("coherent_b", ".ftcs");
   make_scheme(g_a, cfg)->save(store_a.path());
   make_scheme(g_b, cfg)->save(store_b.path());
 
@@ -332,8 +302,8 @@ TEST(StoreSwap, SwapPrefetchesShardedGenerationBeforePublish) {
   const Graph g = graph::grid(6, 8);
   const auto cfg = test_config(BackendKind::kCoreFtc, 3);
   const auto scheme = make_scheme(g, cfg);
-  TempStore flat("warm_flat");
-  TempStore manifest("warm_manifest");
+  TempStore flat("warm_flat", ".ftcs");
+  TempStore manifest("warm_manifest", ".ftcm");
   scheme->save(flat.path());
   save_sharded(*scheme, manifest.path(), 4);
 
@@ -358,8 +328,8 @@ TEST(StoreSwap, PrefetchRacesSwapStoreOverOneView) {
   const Graph g = graph::random_connected(48, 120, 19);
   const auto cfg = test_config(BackendKind::kCoreFtc, 3);
   const auto scheme = make_scheme(g, cfg);
-  TempStore flat("pfrace_flat");
-  TempStore manifest("pfrace_manifest");
+  TempStore flat("pfrace_flat", ".ftcs");
+  TempStore manifest("pfrace_manifest", ".ftcm");
   scheme->save(flat.path());
   save_sharded(*scheme, manifest.path(), 8);
 
@@ -402,8 +372,8 @@ TEST(StoreSwap, LiveSwapUnderLoadIsNeverTorn) {
   const Graph g_a = graph::random_connected(40, 44, 7);
   const Graph g_b = graph::random_connected(40, 44, 29);
   const auto cfg = test_config(BackendKind::kCoreFtc, f);
-  TempStore store_a("stress_a");
-  TempStore store_b("stress_b");
+  TempStore store_a("stress_a", ".ftcs");
+  TempStore store_b("stress_b", ".ftcm");
   make_scheme(g_a, cfg)->save(store_a.path());
   // Generation B is sharded: the swap path must not care.
   save_sharded(*make_scheme(g_b, cfg), store_b.path(), 4);
@@ -519,8 +489,8 @@ std::shared_ptr<const ShardedStoreView> serving_sharded_view(
 TEST(StoreSwapDelta, SwapByPathAdoptsAllShardsOfZeroDeltaPush) {
   const Graph g = graph::random_connected(48, 120, 9);
   const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 3));
-  TempStore store_a("deltaswap_a");
-  TempStore store_b("deltaswap_b");
+  TempStore store_a("deltaswap_a", ".ftcm");
+  TempStore store_b("deltaswap_b", ".ftcm");
   save_sharded(*scheme, store_a.path(), 4);
 
   const std::vector<EdgeId> faults{2, 31};
@@ -550,8 +520,8 @@ TEST(StoreSwapDelta, SwapByPathAdoptsAllShardsOfZeroDeltaPush) {
 TEST(StoreSwapDelta, SwapByPathMapsOnlyTheChangedShard) {
   const Graph g = graph::random_connected(48, 120, 25);
   const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 3));
-  TempStore store_a("onechanged_a");
-  TempStore store_b("onechanged_b");
+  TempStore store_a("onechanged_a", ".ftcm");
+  TempStore store_b("onechanged_b", ".ftcm");
   save_sharded(*scheme, store_a.path(), 4);
 
   // Faults and queries keep clear of edge 0 — the label this test
@@ -594,9 +564,9 @@ TEST(StoreSwapDelta, JournalSidecarFollowsTheGeneration) {
   // Near-tree, so single deleted edges genuinely disconnect pairs.
   const Graph g = graph::random_connected(40, 44, 35);
   const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, f));
-  TempStore store_a("jrnl_a");
-  TempStore store_b("jrnl_b");
-  TempStore store_c("jrnl_c");
+  TempStore store_a("jrnl_a", ".ftcm");
+  TempStore store_b("jrnl_b", ".ftcm");
+  TempStore store_c("jrnl_c", ".ftcm");
   save_sharded(*scheme, store_a.path(), 4);
 
   std::vector<BatchQueryEngine::Query> queries;

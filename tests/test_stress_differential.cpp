@@ -10,12 +10,8 @@
 // different fragment structures (expanders, large diameter, bridges,
 // clique chains, heavy-tailed degrees, product graphs).
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cmath>
-#include <cstdio>
-#include <fstream>
-#include <iterator>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -26,6 +22,7 @@
 #include "core/label_store.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
+#include "store_fixture.hpp"
 #include "util/common.hpp"
 
 namespace ftc::core {
@@ -34,6 +31,10 @@ namespace {
 using graph::EdgeId;
 using graph::Graph;
 using graph::VertexId;
+using test_support::TempStore;
+using test_support::backend_param_name;
+using test_support::read_file;
+using test_support::test_config;
 
 struct Instance {
   std::string family;
@@ -74,11 +75,6 @@ std::optional<Instance> make_instance(const std::string& family, unsigned n,
   return inst;
 }
 
-std::vector<char> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
-
 std::string fault_list(const std::vector<EdgeId>& faults) {
   std::ostringstream os;
   os << "{";
@@ -88,16 +84,6 @@ std::string fault_list(const std::vector<EdgeId>& faults) {
   }
   os << "}";
   return os.str();
-}
-
-SchemeConfig stress_config(BackendKind backend, unsigned f) {
-  SchemeConfig cfg;
-  cfg.backend = backend;
-  cfg.set_f(f);
-  cfg.ftc.k_scale = 2.0;
-  cfg.cycle.scale = 3.0;
-  cfg.agm.scale = 1.5;
-  return cfg;
 }
 
 class StressDifferential : public ::testing::TestWithParam<BackendKind> {};
@@ -125,7 +111,7 @@ TEST_P(StressDifferential, AllFamiliesAgreeWithBfsGroundTruth) {
         const auto inst = make_instance(sweep.family, n, seed);
         if (!inst.has_value()) continue;  // disconnected gnp draw
         const Graph& g = inst->g;
-        const auto scheme = make_scheme(g, stress_config(GetParam(), f));
+        const auto scheme = make_scheme(g, test_config(GetParam(), f));
         ++instances_built;
 
         SplitMix64 rng(mix_hash(n * 1000 + seed, 0xabcdef));
@@ -162,7 +148,7 @@ TEST_P(StressDifferential, SessionsAgreeWithOneShotAcrossAblations) {
     const auto inst = make_instance(family, family[0] == 'g' ? 5 : 4, 0);
     ASSERT_TRUE(inst.has_value());
     const Graph& g = inst->g;
-    const auto scheme = make_scheme(g, stress_config(GetParam(), f));
+    const auto scheme = make_scheme(g, test_config(GetParam(), f));
 
     SplitMix64 rng(1234);
     for (int round = 0; round < 6; ++round) {
@@ -216,16 +202,15 @@ TEST_P(StressDifferential, VertexAndMixedFaultsAgreeWithBfsGroundTruth) {
     const auto inst = make_instance(sweep.family, sweep.n, sweep.seed);
     ASSERT_TRUE(inst.has_value());
     const Graph& g = inst->g;
-    const auto scheme = make_scheme(g, stress_config(GetParam(), f));
+    const auto scheme = make_scheme(g, test_config(GetParam(), f));
 
     // Store round-trip: the saved container (format v2, with adjacency)
     // must answer vertex faults exactly like the in-memory scheme.
-    const std::string store_path =
-        ::testing::TempDir() + "ftc_vfstress_" + sweep.family + "_" +
-        std::to_string(static_cast<int>(GetParam())) + "_" +
-        std::to_string(::getpid()) + ".ftcs";
-    scheme->save(store_path);
-    const auto loaded = load_scheme(store_path);
+    const TempStore store(std::string("vfstress_") + sweep.family + "_" +
+                              std::to_string(static_cast<int>(GetParam())),
+                          ".ftcs");
+    scheme->save(store.path());
+    const auto loaded = load_scheme(store.path());
 
     SplitMix64 rng(mix_hash(sweep.n * 77 + sweep.seed, 0x5eed));
     for (int it = 0; it < 25; ++it) {
@@ -273,7 +258,7 @@ TEST_P(StressDifferential, VertexAndMixedFaultsAgreeWithBfsGroundTruth) {
     const auto spec = FaultSpec::of(ef, vf);
     BatchQueryEngine in_memory(*scheme, spec);
     BatchQueryEngine from_store(
-        load_scheme(store_path), spec);
+        load_scheme(store.path()), spec);
     std::vector<BatchQueryEngine::Query> queries;
     for (int i = 0; i < 200; ++i) {
       queries.push_back(
@@ -289,7 +274,6 @@ TEST_P(StressDifferential, VertexAndMixedFaultsAgreeWithBfsGroundTruth) {
                                           vf))
           << sweep.family << " i=" << i;
     }
-    std::remove(store_path.c_str());
   }
 }
 
@@ -322,7 +306,7 @@ TEST_P(StressDifferential, ParallelBuildsMatchSerialAcrossFamilies) {
     // 2..9 workers; the draw is part of the replay triple via the rng.
     const unsigned threads = 2 + static_cast<unsigned>(rng.next_below(8));
 
-    SchemeConfig cfg = stress_config(GetParam(), f);
+    SchemeConfig cfg = test_config(GetParam(), f);
     cfg.set_build_threads(1);
     const auto serial = make_scheme(g, cfg);
     cfg.set_build_threads(threads);
@@ -330,16 +314,14 @@ TEST_P(StressDifferential, ParallelBuildsMatchSerialAcrossFamilies) {
 
     // Store-byte equality: the strongest statement — every label, every
     // parameter, every checksum identical.
-    const std::string stem = ::testing::TempDir() + "ftc_pbstress_" +
-                             sweep.family + "_" +
-                             std::to_string(static_cast<int>(GetParam())) +
-                             "_" + std::to_string(::getpid());
-    serial->save(stem + "_serial.ftcs");
-    parallel->save(stem + "_parallel.ftcs");
-    const auto serial_bytes = read_file(stem + "_serial.ftcs");
-    const auto parallel_bytes = read_file(stem + "_parallel.ftcs");
-    std::remove((stem + "_serial.ftcs").c_str());
-    std::remove((stem + "_parallel.ftcs").c_str());
+    const std::string stem = std::string("pbstress_") + sweep.family + "_" +
+                             std::to_string(static_cast<int>(GetParam()));
+    const TempStore serial_file(stem + "_serial", ".ftcs");
+    const TempStore parallel_file(stem + "_parallel", ".ftcs");
+    serial->save(serial_file.path());
+    parallel->save(parallel_file.path());
+    const auto serial_bytes = read_file(serial_file.path());
+    const auto parallel_bytes = read_file(parallel_file.path());
     ASSERT_FALSE(serial_bytes.empty());
     EXPECT_EQ(parallel_bytes, serial_bytes)
         << "REPLAY (family=" << sweep.family << ", n=" << sweep.n
@@ -374,13 +356,7 @@ TEST_P(StressDifferential, ParallelBuildsMatchSerialAcrossFamilies) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, StressDifferential,
                          ::testing::ValuesIn(kAllBackends),
-                         [](const auto& info) {
-                           std::string name = backend_name(info.param);
-                           for (char& c : name) {
-                             if (c == '-') c = '_';
-                           }
-                           return name;
-                         });
+                         backend_param_name);
 
 }  // namespace
 }  // namespace ftc::core

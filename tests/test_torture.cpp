@@ -13,7 +13,6 @@
 // answering queries exactly as before.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstdio>
 #include <functional>
@@ -28,6 +27,7 @@
 #include "core/sharded_store.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
+#include "store_fixture.hpp"
 #include "util/common.hpp"
 #include "util/failpoint.hpp"
 
@@ -37,56 +37,8 @@ namespace {
 using graph::EdgeId;
 using graph::Graph;
 using graph::VertexId;
-
-class ManifestFile {
- public:
-  explicit ManifestFile(const std::string& name)
-      : path_(::testing::TempDir() + "ftc_torture_" + name + "_" +
-              std::to_string(::getpid()) + ".ftcm") {
-    cleanup();
-  }
-  ~ManifestFile() { cleanup(); }
-  const std::string& path() const { return path_; }
-  std::string shard_path(unsigned k) const {
-    return path_ + ".shard" + std::to_string(k) + ".ftcs";
-  }
-  void cleanup() {
-    std::remove(path_.c_str());
-    std::remove((path_ + ".jrnl").c_str());
-    std::remove((path_ + ".jrnl.lock").c_str());
-    for (unsigned k = 0; k < 64; ++k) std::remove(shard_path(k).c_str());
-  }
-
- private:
-  std::string path_;
-};
-
-class StoreFile {
- public:
-  explicit StoreFile(const std::string& name)
-      : path_(::testing::TempDir() + "ftc_torture_" + name + "_" +
-              std::to_string(::getpid()) + ".ftcs") {
-    cleanup();
-  }
-  ~StoreFile() { cleanup(); }
-  const std::string& path() const { return path_; }
-
- private:
-  void cleanup() {
-    std::remove(path_.c_str());
-    std::remove((path_ + ".jrnl").c_str());
-    std::remove((path_ + ".jrnl.lock").c_str());
-  }
-  std::string path_;
-};
-
-SchemeConfig test_config(unsigned f) {
-  SchemeConfig cfg;
-  cfg.backend = BackendKind::kCoreFtc;
-  cfg.set_f(f);
-  cfg.ftc.k_scale = 2.0;
-  return cfg;
-}
+using test_support::TempStore;
+using test_support::test_config;
 
 // Every failpoint the atomic-write / shard-stage machinery crosses.
 constexpr const char* kWriteSites[] = {
@@ -178,13 +130,13 @@ std::vector<BatchQueryEngine::Query> sample_queries(VertexId n,
 // litter (save_sharded's failure hygiene unlinks what it created).
 
 TEST(Torture, FullSaveAbortsLeaveServingGenerationAndNoLitter) {
-  ManifestFile parent("fullsave_parent");
-  ManifestFile child("fullsave_child");
+  TempStore parent("fullsave_parent", ".ftcm");
+  TempStore child("fullsave_child", ".ftcm");
   const VertexId n = 64;
   const Graph g = graph::random_connected(n, 160, 5);
   const Graph g2 = graph::random_connected(n, 160, 6);
-  const auto scheme = make_scheme(g, test_config(2));
-  const auto scheme2 = make_scheme(g2, test_config(2));
+  const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 2));
+  const auto scheme2 = make_scheme(g2, test_config(BackendKind::kCoreFtc, 2));
   save_sharded(*scheme, parent.path(), 4);
 
   const std::vector<EdgeId> faults = {1, 33};
@@ -228,10 +180,10 @@ TEST(Torture, FullSaveAbortsLeaveServingGenerationAndNoLitter) {
 // boundary must leave the store serving (possibly at the old epoch).
 
 TEST(Torture, SamePathDeltaPushAbortsKeepStoreServable) {
-  ManifestFile manifest("samepath");
+  TempStore manifest("samepath", ".ftcm");
   const VertexId n = 64;
   const Graph g = graph::random_connected(n, 160, 7);
-  const auto scheme = make_scheme(g, test_config(2));
+  const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 2));
   save_sharded(*scheme, manifest.path(), 4);
 
   const std::vector<EdgeId> faults = {2, 50};
@@ -257,13 +209,13 @@ TEST(Torture, SamePathDeltaPushAbortsKeepStoreServable) {
 // delta push only ever reads or links the parent's files.
 
 TEST(Torture, ChildDeltaPushAbortsLeaveParentIntact) {
-  ManifestFile parent("delta_parent");
-  ManifestFile child("delta_child");
+  TempStore parent("delta_parent", ".ftcm");
+  TempStore child("delta_child", ".ftcm");
   const VertexId n = 64;
   const Graph g = graph::random_connected(n, 160, 9);
   const Graph g2 = graph::random_connected(n, 160, 10);
-  const auto scheme = make_scheme(g, test_config(2));
-  const auto scheme2 = make_scheme(g2, test_config(2));
+  const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 2));
+  const auto scheme2 = make_scheme(g2, test_config(BackendKind::kCoreFtc, 2));
   save_sharded(*scheme, parent.path(), 4);
 
   const std::vector<EdgeId> faults = {4, 71};
@@ -297,9 +249,9 @@ TEST(Torture, ChildDeltaPushAbortsLeaveParentIntact) {
 // its replayed deletions stay loadable after every injected abort.
 
 TEST(Torture, JournalAppendAbortsKeepJournalValid) {
-  StoreFile store("journal");
+  TempStore store("journal", ".ftcs");
   const Graph g = graph::random_connected(48, 200, 13);
-  const auto scheme = make_scheme(g, test_config(8));
+  const auto scheme = make_scheme(g, test_config(BackendKind::kCoreFtc, 8));
   scheme->save(store.path());
   const auto view = LabelStoreView::open(store.path());
   const std::uint64_t digest = view->info().payload_checksum;
