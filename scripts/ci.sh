@@ -362,11 +362,14 @@ if [ "${1:-}" = "store-delta" ]; then
   fi
   build-asan/ftc_store query "$tmp/flat.ftcs" --ignore-journal \
     --faults 100,101,102,103,104,105 --pairs 0:1 >/dev/null
-  build-asan/ftc_store journal compact "$tmp/flat.ftcs" \
-    | grep -q 'compacted .* 2 -> 1 frames'
-  build-asan/ftc_store query "$tmp/flat.ftcs" --pairs "$pairs" \
-    > "$tmp/compacted.out"
-  cmp "$tmp/journaled.out" "$tmp/compacted.out"
+  # Every append rewrites the journal as one frame: after two appends the
+  # 3 IDs take 32 (prefix) + 12 + 4 (pad) + 8 (digest) = 56 bytes.
+  [ "$(stat -c %s "$tmp/flat.ftcs.jrnl")" = "56" ]
+  # There is no compact subcommand: it is an unknown one (exit 1).
+  rc=0
+  build-asan/ftc_store journal compact "$tmp/flat.ftcs" >/dev/null 2>&1 \
+    || rc=$?
+  [ "$rc" = "1" ]
   # Delta push: a full push seeds epoch 1; pushing the same store over
   # it must reuse every shard by hard link and bump the epoch.
   build-asan/ftc_store push "$tmp/flat.ftcs" --out "$tmp/gen.ftcm" \

@@ -124,11 +124,6 @@ std::uint64_t BatchQueryEngine::swap_store(
   return install(require_scheme(std::move(scheme)));
 }
 
-std::uint64_t BatchQueryEngine::swap_store(
-    std::shared_ptr<const StoreView> view) {
-  return install(require_scheme(load_scheme(std::move(view))));
-}
-
 std::uint64_t BatchQueryEngine::swap_store(const std::string& path,
                                            const LoadOptions& options) {
   // Open the incoming artifact with the CURRENT generation's view as
@@ -138,7 +133,7 @@ std::uint64_t BatchQueryEngine::swap_store(const std::string& path,
   const std::shared_ptr<const StoreView> current =
       snapshot()->scheme->store_view();
   auto scheme =
-      load_scheme(open_store_view(path, options.verify_checksum, current));
+      load_scheme(open_store_view(path, /*verify_checksum=*/true, current));
   attach_journal_sidecar(*scheme, path, options.replay_journal);
   return install(require_scheme(std::move(scheme)));
 }

@@ -106,9 +106,6 @@ class BatchQueryEngine {
   // in-flight queries; those finish on their pinned generation. Returns
   // the new epoch.
   std::uint64_t swap_store(std::unique_ptr<ConnectivityScheme> scheme);
-  // Convenience: swap to labels served from an already-open store view
-  // (single container or sharded manifest).
-  std::uint64_t swap_store(std::shared_ptr<const StoreView> view);
   // Convenience: open the artifact at `path` and install it. When the
   // current generation serves a sharded store and the incoming manifest
   // records byte-identical shard digests (a delta push,

@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <utility>
 
 #include "core/shard_source.hpp"
@@ -43,10 +44,10 @@ std::vector<std::uint8_t> read_file(const std::string& path) {
 }
 
 // Advisory exclusive lock serializing the journal's read-modify-write
-// cycles (append, compact) across processes. The lock lives on a
-// sidecar "<journal>.lock" file: write_file_atomic replaces the
-// journal's inode on every rewrite, so flocking the journal itself
-// would hand two writers two different inodes and no exclusion.
+// appends across processes. The lock lives on a sidecar
+// "<journal>.lock" file: write_file_atomic replaces the journal's inode
+// on every rewrite, so flocking the journal itself would hand two
+// writers two different inodes and no exclusion.
 class JournalLock {
  public:
   explicit JournalLock(const std::string& journal_path) {
@@ -79,14 +80,11 @@ class JournalLock {
   util::ScopedFd fd_;
 };
 
-// One frame appended to `w`; returns the new chain value. `chain` seeds
-// the running digest (kFnvBasis before the first frame).
-std::uint64_t encode_frame(store::ByteWriter& w, std::uint64_t epoch,
-                           std::uint64_t store_digest,
-                           std::uint32_t fault_budget,
-                           std::span<const EdgeId> edges,
-                           std::uint64_t chain) {
-  const std::size_t start = w.size();
+// The whole journal as one frame: `edges` sorted and unique, the
+// running digest seeded with kFnvBasis.
+void encode_frame(store::ByteWriter& w, std::uint64_t epoch,
+                  std::uint64_t store_digest, std::uint32_t fault_budget,
+                  std::span<const EdgeId> edges) {
   w.u64(store::kJournalMagic);
   w.u64(epoch);
   w.u64(store_digest);
@@ -94,9 +92,7 @@ std::uint64_t encode_frame(store::ByteWriter& w, std::uint64_t epoch,
   w.u32(static_cast<std::uint32_t>(edges.size()));
   for (const EdgeId e : edges) w.u32(e);
   w.pad_to(8);
-  chain = store::fnv1a(w.view().subspan(start), chain);
-  w.u64(chain);
-  return chain;
+  w.u64(store::fnv1a(w.view(), store::kFnvBasis));
 }
 
 std::vector<EdgeId> canonical(std::span<const EdgeId> ids) {
@@ -126,7 +122,6 @@ std::shared_ptr<const DeletionJournal> DeletionJournal::parse(
     const std::string& path, std::span<const std::uint8_t> bytes) {
   std::shared_ptr<DeletionJournal> j(new DeletionJournal());
   j->file_bytes_ = bytes.size();
-  j->chain_ = store::kFnvBasis;
 
   const auto fail = [&](const char* why) -> StoreError {
     return StoreError(std::string("corrupt deletion journal (") + why +
@@ -136,6 +131,7 @@ std::shared_ptr<const DeletionJournal> DeletionJournal::parse(
 
   store::ByteReader r(bytes);
   std::uint64_t last_epoch = 0;
+  std::uint64_t chain = store::kFnvBasis;
   while (r.remaining() > 0) {
     const std::size_t start = r.pos();
     // A tail shorter than any legal frame is truncation, not a frame.
@@ -150,7 +146,7 @@ std::shared_ptr<const DeletionJournal> DeletionJournal::parse(
     const std::uint32_t count = r.u32();
     if (budget == 0) throw fail("zero fault budget");
     if (count == 0) throw fail("empty frame");
-    if (j->num_frames_ == 0) {
+    if (start == 0) {
       j->store_digest_ = digest;
       j->fault_budget_ = budget;
     } else if (digest != j->store_digest_) {
@@ -172,12 +168,11 @@ std::shared_ptr<const DeletionJournal> DeletionJournal::parse(
       if (r.u8() != 0) throw fail("nonzero frame padding");
     }
     const std::uint64_t expected =
-        store::fnv1a(bytes.subspan(start, r.pos() - start), j->chain_);
+        store::fnv1a(bytes.subspan(start, r.pos() - start), chain);
     if (r.remaining() < 8) throw fail("truncated frame");
     if (r.u64() != expected) throw fail("running digest mismatch");
-    j->chain_ = expected;
+    chain = expected;
     last_epoch = epoch;
-    ++j->num_frames_;
   }
   j->epoch_ = last_epoch;
 
@@ -200,18 +195,13 @@ std::uint64_t DeletionJournal::append(const std::string& path,
   FTC_REQUIRE(!ids.empty(), "journal append needs at least one edge ID");
 
   // Exclusive for the whole read-modify-write: two appenders serialized
-  // here cannot drop each other's frames.
+  // here cannot drop each other's deletions.
   const JournalLock lock(path);
 
-  std::vector<std::uint8_t> existing;
   std::uint64_t epoch = 0;
-  std::uint64_t chain = store::kFnvBasis;
   std::vector<EdgeId> journaled;
   if (exists(path)) {
-    // One read: the bytes parsed here are the prefix the new frame
-    // extends.
-    existing = read_file(path);
-    const auto prior = parse(path, existing);
+    const auto prior = open(path);
     if (prior->store_digest() != store_digest) {
       throw StoreError(
           "deletion journal is bound to a different store generation "
@@ -224,52 +214,28 @@ std::uint64_t DeletionJournal::append(const std::string& path,
     }
     fault_budget = prior->fault_budget();
     epoch = prior->epoch();
-    chain = prior->chain_;
-    journaled.assign(prior->deleted_edges().begin(),
-                     prior->deleted_edges().end());
+    journaled = prior->edges_;
   } else {
     FTC_REQUIRE(fault_budget >= 1,
                 "a new journal needs a positive fault budget");
   }
 
-  // Drop already-journaled IDs: deletions are idempotent, and only
-  // distinct edges count against the budget.
-  std::vector<EdgeId> fresh;
-  for (const EdgeId e : ids) {
-    if (!std::binary_search(journaled.begin(), journaled.end(), e)) {
-      fresh.push_back(e);
-    }
-  }
-  if (fresh.empty()) return epoch;
-  if (journaled.size() + fresh.size() > fault_budget) {
+  // Deletions are idempotent: only distinct edges count against the
+  // budget, and nothing new leaves the file untouched.
+  std::vector<EdgeId> merged;
+  std::set_union(journaled.begin(), journaled.end(), ids.begin(), ids.end(),
+                 std::back_inserter(merged));
+  if (merged.size() == journaled.size()) return epoch;
+  if (merged.size() > fault_budget) {
     throw CapacityError("journal append would exceed the fault budget: " +
                             path,
-                        fault_budget, journaled.size(),
-                        journaled.size() + fresh.size());
+                        fault_budget, journaled.size(), merged.size());
   }
 
   store::ByteWriter w;
-  w.bytes(existing);
-  encode_frame(w, epoch + 1, store_digest, fault_budget, fresh, chain);
+  encode_frame(w, epoch + 1, store_digest, fault_budget, merged);
   store::write_file_atomic(path, w.view());
   return epoch + 1;
-}
-
-DeletionJournal::CompactStats DeletionJournal::compact(
-    const std::string& path) {
-  const JournalLock lock(path);
-  const auto prior = open(path);
-  CompactStats stats;
-  stats.frames_before = prior->num_frames();
-  stats.file_bytes_before = prior->file_bytes();
-  store::ByteWriter w;
-  encode_frame(w, prior->epoch(), prior->store_digest(),
-               prior->fault_budget(), prior->deleted_edges(),
-               store::kFnvBasis);
-  store::write_file_atomic(path, w.view());
-  stats.frames_after = 1;
-  stats.file_bytes_after = w.size();
-  return stats;
 }
 
 void DeletionJournal::validate_against(const StoreInfo& info,
@@ -277,8 +243,8 @@ void DeletionJournal::validate_against(const StoreInfo& info,
   if (store_digest_ != info.payload_checksum) {
     throw StoreError(
         "deletion journal is bound to a different store generation "
-        "(digest mismatch — compact history belongs to the old labels; "
-        "start a fresh journal after a push): " + store_path);
+        "(digest mismatch — its deletions were journaled against the old "
+        "labels; start a fresh journal after a push): " + store_path);
   }
   if (!edges_.empty() && edges_.back() >= info.num_edges) {
     throw StoreError(

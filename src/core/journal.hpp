@@ -13,10 +13,13 @@
 // remaining-budget accounting — never a wrong answer.
 //
 // Journal file format ("FTCJRNL" frames; all integers little-endian).
-// The file is a sequence of frames, one per append, each 8-aligned:
+// The writer emits exactly one 8-aligned frame holding the whole
+// journal; readers also accept a chain of such frames, one per append,
+// as builds before the one-frame writer left them:
 //
 //   0   u64  frame magic "FTCJRNL\0"
-//   8   u64  epoch — strictly increasing across frames, first >= 1
+//   8   u64  epoch — +1 on every append that adds a deletion;
+//            strictly increasing across frames, first >= 1
 //   16  u64  store digest — the bound store's payload checksum (header
 //            field: container offset 40, manifest v2 offset 80); every
 //            frame must carry the same value, and replay refuses a
@@ -24,21 +27,20 @@
 //            to (a journal never outlives a label push)
 //   24  u32  fault budget f — the capacity the journal was created
 //            with; every frame must agree
-//   28  u32  count — edge IDs deleted in this frame (>= 1)
+//   28  u32  count — edge IDs in this frame (>= 1)
 //   32  u32 * count  edge IDs, strictly increasing within the frame
 //       (pad with zero bytes to 8)
 //   +0  u64  running digest — FNV-1a over this frame's bytes from the
 //            frame start up to (not including) this field, seeded with
 //            the previous frame's running digest (kFnvBasis for the
-//            first frame). The chain makes every prefix self-checking:
-//            truncation, reordering or any flipped bit upstream fails
-//            the first digest at or after the damage.
+//            first frame). Truncation, reordering or any flipped bit
+//            fails the first digest at or after the damage.
 //
 // The journal sits next to its store as "<store-path>.jrnl" (see
-// journal_path_for). Appends and compaction rewrite the whole file
-// through write_file_atomic — journals are bounded by f edge IDs, so
-// the rewrite is trivially small and a crash never leaves a torn tail
-// frame under the live name.
+// journal_path_for). Every append rewrites the whole file through
+// write_file_atomic — journals are bounded by f edge IDs, so the
+// rewrite is trivially small and a crash never leaves a torn frame
+// under the live name.
 #pragma once
 
 #include <cstdint>
@@ -81,10 +83,11 @@ class DeletionJournal {
   // "typed error instead of wrong answers").
   static std::shared_ptr<const DeletionJournal> open(const std::string& path);
 
-  // Appends one frame recording `edges` as deleted (creating the file
-  // bound to store_digest/fault_budget when absent). Input IDs are
-  // canonicalized; already-journaled IDs are dropped, and when nothing
-  // new remains the file is left untouched (idempotent re-appends).
+  // Records `edges` as deleted (creating the file bound to
+  // store_digest/fault_budget when absent) by rewriting the journal as
+  // one frame: the head epoch + 1 over the sorted union of the
+  // journaled and new IDs. When nothing new remains the file is left
+  // untouched (idempotent re-appends).
   // Against an existing journal, store_digest must match and
   // fault_budget must be 0 (meaning "use the journal's") or equal to
   // it. Throws CapacityError when the union would exceed the budget —
@@ -94,17 +97,6 @@ class DeletionJournal {
                               std::uint64_t store_digest,
                               std::uint32_t fault_budget,
                               std::span<const graph::EdgeId> edges);
-
-  struct CompactStats {
-    std::size_t frames_before = 0;
-    std::size_t frames_after = 0;
-    std::size_t file_bytes_before = 0;
-    std::size_t file_bytes_after = 0;
-  };
-  // Rewrites the journal as a single canonical frame (the head epoch,
-  // the deduplicated union, a fresh digest chain). Answers are
-  // unchanged; the frame chain stops growing with churn history.
-  static CompactStats compact(const std::string& path);
 
   // Epoch of the newest frame.
   std::uint64_t epoch() const { return epoch_; }
@@ -118,7 +110,6 @@ class DeletionJournal {
   // the budget left for them plus any query's own edge faults.
   std::size_t occupancy() const { return edges_.size(); }
   std::size_t remaining() const { return fault_budget_ - edges_.size(); }
-  std::size_t num_frames() const { return num_frames_; }
   std::size_t file_bytes() const { return file_bytes_; }
 
   // Binds the journal to an open store: the digest must equal the
@@ -136,8 +127,6 @@ class DeletionJournal {
   std::uint64_t epoch_ = 0;
   std::uint64_t store_digest_ = 0;
   std::uint32_t fault_budget_ = 0;
-  std::uint64_t chain_ = 0;  // running digest at the journal head
-  std::size_t num_frames_ = 0;
   std::size_t file_bytes_ = 0;
   std::vector<graph::EdgeId> edges_;  // sorted, unique
 };

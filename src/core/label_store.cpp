@@ -1238,10 +1238,10 @@ std::unique_ptr<ConnectivityScheme> load_scheme(const std::string& path,
                                                 const LoadOptions& options) {
   // open_store_view dispatches on the magic: single containers and
   // sharded manifests load through the same StoreView interface.
-  auto scheme = load_scheme(open_store_view(path, options.verify_checksum));
+  auto scheme = load_scheme(open_store_view(path));
   // Fold a "<path>.jrnl" deletion-journal sidecar into the session
   // (journal.hpp): journaled deletions then behave as implicit faults in
-  // every query until the store is rebuilt or compacted away.
+  // every query until the store is rebuilt.
   attach_journal_sidecar(*scheme, path, options.replay_journal);
   return scheme;
 }

@@ -717,7 +717,6 @@ class LabelStoreView final : public StoreView {
 };
 
 struct LoadOptions {
-  bool verify_checksum = true;
   // When a "<path>.jrnl" deletion-journal sidecar exists next to the
   // store (journal.hpp), fold its journaled deletions into every query's
   // fault set. Off = serve the store as written, ignoring the sidecar.

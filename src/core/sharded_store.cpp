@@ -964,17 +964,7 @@ std::size_t ShardedStoreView::shards_open() const {
 // ------------------------------------------------------------------
 // Magic dispatch.
 
-std::shared_ptr<const StoreView> open_store_view(
-    const std::string& path, bool verify_checksum,
-    const std::shared_ptr<const StoreView>& reuse_from) {
-  // URL dispatch comes before the sniff: a URL is not a local file, and
-  // every caller (load_scheme, swap_store, the CLI) reaches the remote
-  // tier through this one branch.
-  if (is_http_url(path)) {
-    return RemoteStoreView::open(
-        path, verify_checksum,
-        std::dynamic_pointer_cast<const ShardedStoreView>(reuse_from));
-  }
+std::uint64_t store::read_magic(const std::string& path) {
   util::ScopedFd fd;
   if (const int fe = FTC_FAILPOINT("store.sniff.open")) {
     errno = fe;
@@ -1002,6 +992,21 @@ std::shared_ptr<const StoreView> open_store_view(
   }
   std::uint64_t magic = 0;
   for (int i = 0; i < 8; ++i) magic |= std::uint64_t{buf[i]} << (8 * i);
+  return magic;
+}
+
+std::shared_ptr<const StoreView> open_store_view(
+    const std::string& path, bool verify_checksum,
+    const std::shared_ptr<const StoreView>& reuse_from) {
+  // URL dispatch comes before the sniff: a URL is not a local file, and
+  // every caller (load_scheme, swap_store, the CLI) reaches the remote
+  // tier through this one branch.
+  if (is_http_url(path)) {
+    return RemoteStoreView::open(
+        path, verify_checksum,
+        std::dynamic_pointer_cast<const ShardedStoreView>(reuse_from));
+  }
+  const std::uint64_t magic = store::read_magic(path);
   if (magic == store::kMagic) {
     return LabelStoreView::open(path, verify_checksum);
   }

@@ -202,6 +202,12 @@ inline constexpr std::uint64_t kManifestMagic = 0x46494E414D435446ULL;
 inline constexpr std::uint64_t kMaxShards = 1u << 20;
 inline constexpr std::size_t kMaxShardNameBytes = 4096;
 
+// The first 8 bytes of the file at `path` as a little-endian u64 (the
+// sniff behind open_store_view's dispatch; kMagic or kManifestMagic
+// for a store). Throws StoreIoError when the file cannot be opened or
+// read, StoreError when it is shorter than 8 bytes.
+std::uint64_t read_magic(const std::string& path);
+
 // One shard-table entry. Encoded fixed-prefix + name: six u64 fields,
 // u32 name length, name bytes, pad to 8 (codec in serialize.cpp).
 struct ShardRecord {

@@ -1,7 +1,7 @@
 // Fixtures shared by the test suites: the scheme config most suites
-// build with, the backend sweep's parameter names, guards for temp
-// stores and scratch directories, file and byte helpers, the
-// header-checksum fixers and a scoped retry policy. Tests only: it
+// build with, the backend sweep's parameter names, a random fault-set
+// draw, guards for temp stores and scratch directories, file and byte
+// helpers, the header-checksum fixers and a scoped retry policy. Tests only: it
 // includes gtest.
 #pragma once
 
@@ -27,6 +27,8 @@
 #include "core/journal.hpp"
 #include "core/label_store.hpp"
 #include "core/sharded_store.hpp"
+#include "graph/graph.hpp"
+#include "util/common.hpp"
 #include "util/digest.hpp"
 
 namespace ftc::test_support {
@@ -52,6 +54,20 @@ inline std::string backend_param_name(
     if (c == '-') c = '_';
   }
   return name;
+}
+
+// |F| uniform in [0, max_faults], each ID uniform over g's edges
+// (repeats allowed; a fault set is a set).
+inline std::vector<graph::EdgeId> random_faults(SplitMix64& rng,
+                                                const graph::Graph& g,
+                                                unsigned max_faults) {
+  const auto count = rng.next_below(max_faults + 1);
+  std::vector<graph::EdgeId> faults;
+  for (unsigned i = 0; i < count; ++i) {
+    faults.push_back(
+        static_cast<graph::EdgeId>(rng.next_below(g.num_edges())));
+  }
+  return faults;
 }
 
 // A path under gtest's temp dir, unique to this test binary (the suite),

@@ -42,7 +42,8 @@ TEST_P(BackendParity, MatchesBfsOracleOnRandomGraphs) {
     SplitMix64 rng(1000 + graph_seed);
     for (int it = 0; it < 60; ++it) {
       std::vector<EdgeId> faults;
-      for (unsigned i = 0; i < rng.next_below(f + 1); ++i) {
+      const auto num_faults = rng.next_below(f + 1);
+      for (unsigned i = 0; i < num_faults; ++i) {
         faults.push_back(static_cast<EdgeId>(rng.next_below(g.num_edges())));
       }
       const VertexId s =
@@ -64,7 +65,8 @@ TEST_P(BackendParity, QueryOptionAblationsAgree) {
   SplitMix64 rng(77);
   for (int it = 0; it < 40; ++it) {
     std::vector<EdgeId> faults;
-    for (unsigned i = 0; i < 1 + rng.next_below(f); ++i) {
+    const auto num_faults = 1 + rng.next_below(f);
+    for (unsigned i = 0; i < num_faults; ++i) {
       faults.push_back(static_cast<EdgeId>(rng.next_below(g.num_edges())));
     }
     const VertexId s = static_cast<VertexId>(rng.next_below(g.num_vertices()));

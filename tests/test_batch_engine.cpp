@@ -47,7 +47,8 @@ TEST_P(BatchEngine, ParallelMatchesSequentialMatchesSingle) {
   SplitMix64 rng(9);
   for (int round = 0; round < 4; ++round) {
     std::vector<EdgeId> faults;
-    for (unsigned i = 0; i < rng.next_below(5); ++i) {
+    const auto num_faults = rng.next_below(5);
+    for (unsigned i = 0; i < num_faults; ++i) {
       faults.push_back(static_cast<EdgeId>(rng.next_below(g.num_edges())));
     }
     BatchQueryEngine engine(*scheme, FaultSpec::edges(faults));

@@ -86,11 +86,13 @@ TEST_P(FaultModel, MixedFaultsMatchGroundTruthThroughEveryEntryPoint) {
   SplitMix64 rng(6);
   for (int it = 0; it < 25; ++it) {
     std::vector<VertexId> vf;
-    for (unsigned i = 0; i < 1 + rng.next_below(2); ++i) {
+    const auto num_vf = 1 + rng.next_below(2);
+    for (unsigned i = 0; i < num_vf; ++i) {
       vf.push_back(static_cast<VertexId>(rng.next_below(g.num_vertices())));
     }
     std::vector<EdgeId> ef;
-    for (unsigned i = 0; i < rng.next_below(3); ++i) {
+    const auto num_ef = rng.next_below(3);
+    for (unsigned i = 0; i < num_ef; ++i) {
       ef.push_back(static_cast<EdgeId>(rng.next_below(g.num_edges())));
     }
     const auto spec = FaultSpec::of(ef, vf);
@@ -119,7 +121,8 @@ TEST_P(FaultModel, WorkspaceReuseAcrossFaultSetsIsExact) {
   std::vector<FaultSpec> specs;
   for (int i = 0; i < 4; ++i) {
     std::vector<EdgeId> ef;
-    for (unsigned j = 0; j < 1 + rng.next_below(3); ++j) {
+    const auto num_ef = 1 + rng.next_below(3);
+    for (unsigned j = 0; j < num_ef; ++j) {
       ef.push_back(static_cast<EdgeId>(rng.next_below(g.num_edges())));
     }
     std::vector<VertexId> vf;

@@ -38,7 +38,8 @@ TEST(FtcProperties, GreedyHierarchyEndToEnd) {
     const FtcScheme scheme = FtcScheme::build(g, cfg);
     for (int it = 0; it < 40; ++it) {
       std::vector<EdgeId> faults;
-      for (unsigned i = 0; i < rng.next_below(4); ++i) {
+      const auto num_faults = rng.next_below(4);
+      for (unsigned i = 0; i < num_faults; ++i) {
         faults.push_back(static_cast<EdgeId>(rng.next_below(g.num_edges())));
       }
       const VertexId s = static_cast<VertexId>(rng.next_below(30));
@@ -67,7 +68,8 @@ TEST(FtcProperties, AnswersAgreeAcrossFields) {
   SplitMix64 rng(92);
   for (int it = 0; it < 60; ++it) {
     std::vector<EdgeId> faults;
-    for (unsigned i = 0; i < rng.next_below(4); ++i) {
+    const auto num_faults = rng.next_below(4);
+    for (unsigned i = 0; i < num_faults; ++i) {
       faults.push_back(static_cast<EdgeId>(rng.next_below(g.num_edges())));
     }
     const VertexId s = static_cast<VertexId>(rng.next_below(35));
@@ -108,7 +110,8 @@ TEST(FtcProperties, DuplicatingFaultsIsIdempotent) {
   SplitMix64 rng(94);
   for (int it = 0; it < 60; ++it) {
     std::vector<EdgeId> faults;
-    for (unsigned i = 0; i < 1 + rng.next_below(3); ++i) {
+    const auto num_faults = 1 + rng.next_below(3);
+    for (unsigned i = 0; i < num_faults; ++i) {
       faults.push_back(static_cast<EdgeId>(rng.next_below(g.num_edges())));
     }
     std::vector<EdgeId> doubled = faults;
@@ -165,7 +168,8 @@ TEST(FtcProperties, ProvableRandomizedMode) {
   SplitMix64 rng(96);
   for (int it = 0; it < 40; ++it) {
     std::vector<EdgeId> faults;
-    for (unsigned i = 0; i < rng.next_below(3); ++i) {
+    const auto num_faults = rng.next_below(3);
+    for (unsigned i = 0; i < num_faults; ++i) {
       faults.push_back(static_cast<EdgeId>(rng.next_below(g.num_edges())));
     }
     const VertexId s = static_cast<VertexId>(rng.next_below(24));

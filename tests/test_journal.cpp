@@ -1,10 +1,11 @@
-// DeletionJournal coverage: the append/open/compact lifecycle, the
+// DeletionJournal coverage: the append/open lifecycle (every append
+// writes the journal as one frame; a frame chain still opens), the
 // adversarial frame corpus (every structural damage must throw the
 // typed StoreError — never UB; the suite also runs under the asan
 // preset), the capacity accounting (CapacityError with budget /
 // journaled / requested), and replay parity — a journaled deletion must
 // be answer-identical to the same edge passed explicitly in the
-// FaultSpec, across every backend, both load modes, and the batch
+// FaultSpec, across every backend, for the loaded scheme and the batch
 // engine.
 #include <gtest/gtest.h>
 
@@ -82,7 +83,8 @@ TEST(DeletionJournal, AppendOpenRoundTrip) {
   EXPECT_EQ(j->fault_budget(), 4u);
   EXPECT_EQ(j->occupancy(), 3u);
   EXPECT_EQ(j->remaining(), 1u);
-  EXPECT_EQ(j->num_frames(), 2u);
+  // One frame: 40 bytes of framing + 3 IDs padded to 16 bytes.
+  EXPECT_EQ(j->file_bytes(), 56u);
   const std::vector<EdgeId> expect = {3, 7, 11};
   EXPECT_EQ(std::vector<EdgeId>(j->deleted_edges().begin(),
                                 j->deleted_edges().end()),
@@ -150,31 +152,28 @@ TEST(DeletionJournal, OverCapacityAppendThrowsTypedAndLeavesFileIntact) {
   EXPECT_EQ(DeletionJournal::append(jpath, 9, 0, std::vector<EdgeId>{5}), 2u);
 }
 
-TEST(DeletionJournal, CompactCollapsesHistoryWithoutChangingAnswers) {
-  TempStore file("compact", ".ftcs");
+// A journal written before the one-frame writer is a chain of frames,
+// one per append. It still opens, and its next append rewrites it as
+// one frame holding the union.
+TEST(DeletionJournal, FrameChainOpensAndNextAppendWritesOneFrame) {
+  TempStore file("framechain", ".ftcs");
   const std::string jpath = file.journal();
-  DeletionJournal::append(jpath, 7, 5, std::vector<EdgeId>{9});
-  DeletionJournal::append(jpath, 7, 0, std::vector<EdgeId>{1});
-  DeletionJournal::append(jpath, 7, 0, std::vector<EdgeId>{4});
+  write_file(jpath, encode_journal({{1, 7, 5, {4, 9}}, {2, 7, 5, {1}}}));
   const auto before = DeletionJournal::open(jpath);
+  EXPECT_EQ(before->epoch(), 2u);
+  EXPECT_EQ(before->store_digest(), 7u);
+  EXPECT_EQ(before->fault_budget(), 5u);
+  EXPECT_EQ(std::vector<EdgeId>(before->deleted_edges().begin(),
+                                before->deleted_edges().end()),
+            (std::vector<EdgeId>{1, 4, 9}));
 
-  const auto stats = DeletionJournal::compact(jpath);
-  EXPECT_EQ(stats.frames_before, 3u);
-  EXPECT_EQ(stats.frames_after, 1u);
-  EXPECT_LT(stats.file_bytes_after, stats.file_bytes_before);
-
-  const auto after = DeletionJournal::open(jpath);
-  EXPECT_EQ(after->num_frames(), 1u);
-  EXPECT_EQ(after->epoch(), before->epoch());
-  EXPECT_EQ(after->fault_budget(), before->fault_budget());
-  EXPECT_EQ(after->store_digest(), before->store_digest());
-  EXPECT_EQ(std::vector<EdgeId>(after->deleted_edges().begin(),
-                                after->deleted_edges().end()),
-            std::vector<EdgeId>(before->deleted_edges().begin(),
-                                before->deleted_edges().end()));
-  // Compacted journals keep accepting appends (the chain restarts).
   EXPECT_EQ(DeletionJournal::append(jpath, 7, 0, std::vector<EdgeId>{2}),
-            after->epoch() + 1);
+            3u);
+  EXPECT_EQ(read_file(jpath), encode_journal({{3, 7, 5, {1, 2, 4, 9}}}));
+  const auto after = DeletionJournal::open(jpath);
+  EXPECT_EQ(after->epoch(), 3u);
+  EXPECT_EQ(after->fault_budget(), 5u);
+  EXPECT_EQ(after->file_bytes(), 56u);
 }
 
 // ---------------------------------------------------- adversarial corpus
@@ -337,7 +336,8 @@ TEST_P(JournalReplayParity, JournaledDeletionsMatchExplicitFaults) {
     // Query faults within the leftover budget, overlapping journaled
     // IDs on purpose (the union, not the sum, is what must fit).
     std::vector<EdgeId> query_faults;
-    for (unsigned i = 0; i < rng.next_below(3); ++i) {
+    const unsigned num_query_faults = rng.next_below(3);
+    for (unsigned i = 0; i < num_query_faults; ++i) {
       query_faults.push_back(
           static_cast<EdgeId>(rng.next_below(g.num_edges())));
     }

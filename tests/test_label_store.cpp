@@ -37,18 +37,10 @@ using graph::VertexId;
 using test_support::TempStore;
 using test_support::backend_param_name;
 using test_support::fix_header_checksum;
+using test_support::random_faults;
 using test_support::read_file;
 using test_support::test_config;
 using test_support::write_file;
-
-std::vector<EdgeId> random_faults(SplitMix64& rng, const Graph& g,
-                                  unsigned max_faults) {
-  std::vector<EdgeId> faults;
-  for (unsigned i = 0; i < rng.next_below(max_faults + 1); ++i) {
-    faults.push_back(static_cast<EdgeId>(rng.next_below(g.num_edges())));
-  }
-  return faults;
-}
 
 class LabelStoreParity : public ::testing::TestWithParam<BackendKind> {};
 
@@ -74,7 +66,7 @@ TEST_P(LabelStoreParity, SaveLoadRoundTripMatchesInMemoryAndBfs) {
     // (the label bytes served must be the same either way).
     const auto loaded = load_scheme(file.path());
     const auto unverified =
-        load_scheme(file.path(), {.verify_checksum = false});
+        load_scheme(open_store_view(file.path(), /*verify_checksum=*/false));
     for (const ConnectivityScheme* served :
          {loaded.get(), unverified.get()}) {
       EXPECT_EQ(served->backend(), GetParam());
@@ -280,7 +272,8 @@ TEST_P(LabelStoreParity, OracleFromStoreServesVertexAndMixedFaults) {
   for (int it = 0; it < 20; ++it) {
     const auto edge_faults = random_faults(rng, g, 2);
     std::vector<VertexId> vertex_faults;
-    for (unsigned i = 0; i < rng.next_below(2); ++i) {
+    const auto num_vertex_faults = rng.next_below(2);
+    for (unsigned i = 0; i < num_vertex_faults; ++i) {
       vertex_faults.push_back(
           static_cast<VertexId>(rng.next_below(g.num_vertices())));
     }

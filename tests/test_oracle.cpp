@@ -51,7 +51,8 @@ TEST(SchemeAsOracle, EdgeFaultsMatchGroundTruth) {
   SplitMix64 rng(5);
   for (int it = 0; it < 80; ++it) {
     std::vector<EdgeId> faults;
-    for (unsigned i = 0; i < rng.next_below(5); ++i) {
+    const auto num_faults = rng.next_below(5);
+    for (unsigned i = 0; i < num_faults; ++i) {
       faults.push_back(static_cast<EdgeId>(rng.next_below(g.num_edges())));
     }
     const VertexId s = static_cast<VertexId>(rng.next_below(40));
@@ -72,7 +73,8 @@ TEST(SchemeAsOracle, VertexFaultReduction) {
   SplitMix64 rng(6);
   for (int it = 0; it < 60; ++it) {
     std::vector<VertexId> faults;
-    for (unsigned i = 0; i < 1 + rng.next_below(2); ++i) {
+    const auto num_faults = 1 + rng.next_below(2);
+    for (unsigned i = 0; i < num_faults; ++i) {
       faults.push_back(static_cast<VertexId>(rng.next_below(30)));
     }
     const VertexId s = static_cast<VertexId>(rng.next_below(30));

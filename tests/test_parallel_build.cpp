@@ -130,7 +130,8 @@ TEST_P(ParallelBuild, ParallelBuiltSchemeAgreesWithBfsGroundTruth) {
   SplitMix64 rng(0x9a7a11e1);
   for (int it = 0; it < 60; ++it) {
     std::vector<EdgeId> faults;
-    for (unsigned i = 0; i < rng.next_below(f + 1); ++i) {
+    const auto num_faults = rng.next_below(f + 1);
+    for (unsigned i = 0; i < num_faults; ++i) {
       faults.push_back(static_cast<EdgeId>(rng.next_below(g.num_edges())));
     }
     const auto s = static_cast<VertexId>(rng.next_below(g.num_vertices()));

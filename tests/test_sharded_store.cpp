@@ -97,7 +97,8 @@ TEST_P(ShardedStoreParity, BlobsAndAnswersMatchUnshardedAcrossShardCounts) {
     SplitMix64 rng(500 + k_shards);
     for (int it = 0; it < 25; ++it) {
       std::vector<EdgeId> edge_faults;
-      for (unsigned i = 0; i < rng.next_below(3u); ++i) {
+      const auto num_edge_faults = rng.next_below(3u);
+      for (unsigned i = 0; i < num_edge_faults; ++i) {
         edge_faults.push_back(
             static_cast<EdgeId>(rng.next_below(g.num_edges())));
       }
@@ -170,7 +171,8 @@ TEST_P(ShardedStoreParity, OracleFromManifestServesMixedFaults) {
   SplitMix64 rng(5);
   for (int it = 0; it < 20; ++it) {
     std::vector<EdgeId> edge_faults;
-    for (unsigned i = 0; i < rng.next_below(3u); ++i) {
+    const auto num_edge_faults = rng.next_below(3u);
+    for (unsigned i = 0; i < num_edge_faults; ++i) {
       edge_faults.push_back(static_cast<EdgeId>(rng.next_below(g.num_edges())));
     }
     std::vector<VertexId> vertex_faults;

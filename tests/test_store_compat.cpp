@@ -39,17 +39,9 @@ using graph::Graph;
 using graph::VertexId;
 using test_support::ScratchDir;
 using test_support::TempStore;
+using test_support::random_faults;
 using test_support::read_file;
 using test_support::write_file;
-
-std::vector<EdgeId> random_faults(SplitMix64& rng, const Graph& g,
-                                  unsigned max_faults) {
-  std::vector<EdgeId> faults;
-  for (unsigned i = 0; i < rng.next_below(max_faults + 1); ++i) {
-    faults.push_back(static_cast<EdgeId>(rng.next_below(g.num_edges())));
-  }
-  return faults;
-}
 
 // The exact graph and config the fixtures were generated with.
 Graph fixture_graph() { return graph::barbell(4, 3); }

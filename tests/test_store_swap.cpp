@@ -126,7 +126,7 @@ TEST(StoreSwap, SwapAcceptsShardedManifestsAndOpenViews) {
   // Same labels behind three artifact shapes: answers never move.
   session.swap_store(load_scheme(flat.path()));
   EXPECT_EQ(session.run_sequential(queries), truth);
-  session.swap_store(open_store_view(manifest.path()));
+  session.swap_store(load_scheme(open_store_view(manifest.path())));
   EXPECT_EQ(session.run_parallel(queries, 3), truth);
   EXPECT_EQ(session.epoch(), 3u);
 }
@@ -310,7 +310,7 @@ TEST(StoreSwap, SwapPrefetchesShardedGenerationBeforePublish) {
   BatchQueryEngine session(load_scheme(flat.path()), FaultSpec{});
   const auto view = ShardedStoreView::open(manifest.path());
   EXPECT_EQ(view->shards_open(), 0u);
-  session.swap_store(view);
+  session.swap_store(load_scheme(view));
   EXPECT_EQ(view->shards_open(), 4u);
   const auto flat_view = LabelStoreView::open(flat.path());
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
@@ -350,7 +350,7 @@ TEST(StoreSwap, PrefetchRacesSwapStoreOverOneView) {
     BatchQueryEngine session(load_scheme(flat.path()),
                              FaultSpec::edges(faults));
     std::thread prefetcher([&] { (void)view->prefetch(2); });
-    std::thread swapper([&] { session.swap_store(view); });
+    std::thread swapper([&] { session.swap_store(load_scheme(view)); });
     // Same labels both generations: answers never move mid-race.
     for (int b = 0; b < 4; ++b) {
       EXPECT_EQ(session.run_sequential(queries), truth) << "round=" << round;

@@ -117,7 +117,8 @@ TEST_P(StressDifferential, AllFamiliesAgreeWithBfsGroundTruth) {
         SplitMix64 rng(mix_hash(n * 1000 + seed, 0xabcdef));
         for (int it = 0; it < 30; ++it) {
           std::vector<EdgeId> faults;
-          for (unsigned i = 0; i < rng.next_below(f + 1); ++i) {
+          const auto num_faults = rng.next_below(f + 1);
+          for (unsigned i = 0; i < num_faults; ++i) {
             faults.push_back(
                 static_cast<EdgeId>(rng.next_below(g.num_edges())));
           }
@@ -153,7 +154,8 @@ TEST_P(StressDifferential, SessionsAgreeWithOneShotAcrossAblations) {
     SplitMix64 rng(1234);
     for (int round = 0; round < 6; ++round) {
       std::vector<EdgeId> faults;
-      for (unsigned i = 0; i < 1 + rng.next_below(f); ++i) {
+      const auto num_faults = 1 + rng.next_below(f);
+      for (unsigned i = 0; i < num_faults; ++i) {
         faults.push_back(static_cast<EdgeId>(rng.next_below(g.num_edges())));
       }
       const auto fault_set = scheme->prepare_faults(FaultSpec::edges(faults));
@@ -215,13 +217,15 @@ TEST_P(StressDifferential, VertexAndMixedFaultsAgreeWithBfsGroundTruth) {
     SplitMix64 rng(mix_hash(sweep.n * 77 + sweep.seed, 0x5eed));
     for (int it = 0; it < 25; ++it) {
       std::vector<graph::VertexId> vertex_faults;
-      for (unsigned i = 0; i < 1 + rng.next_below(2); ++i) {
+      const auto num_vertex_faults = 1 + rng.next_below(2);
+      for (unsigned i = 0; i < num_vertex_faults; ++i) {
         vertex_faults.push_back(
             static_cast<VertexId>(rng.next_below(g.num_vertices())));
       }
       std::vector<EdgeId> edge_faults;
       if (it % 2 == 0) {  // alternate vertex-only and mixed sweeps
-        for (unsigned i = 0; i < rng.next_below(3); ++i) {
+        const auto num_edge_faults = rng.next_below(3);
+        for (unsigned i = 0; i < num_edge_faults; ++i) {
           edge_faults.push_back(
               static_cast<EdgeId>(rng.next_below(g.num_edges())));
         }
@@ -330,7 +334,8 @@ TEST_P(StressDifferential, ParallelBuildsMatchSerialAcrossFamilies) {
 
     for (int it = 0; it < 20; ++it) {
       std::vector<EdgeId> faults;
-      for (unsigned i = 0; i < rng.next_below(f + 1); ++i) {
+      const auto num_faults = rng.next_below(f + 1);
+      for (unsigned i = 0; i < num_faults; ++i) {
         faults.push_back(static_cast<EdgeId>(rng.next_below(g.num_edges())));
       }
       const auto s = static_cast<VertexId>(rng.next_below(g.num_vertices()));

@@ -55,12 +55,11 @@
 //       what fsck flags is exactly what a live session quarantines.
 //
 //   ftc_store journal append labels.ftcs --edges 3,17 [--budget F]
-//   ftc_store journal compact labels.ftcs
 //       appends edge deletions to the store's "<path>.jrnl" sidecar (the
 //       zero-rebuild churn path: journaled deletions fold into every
 //       query's fault set at load until the labels are rebuilt). The
 //       first append fixes the journal's fault budget via --budget;
-//       later appends inherit it. compact folds all frames into one.
+//       later appends inherit it.
 //
 //   ftc_store swap-demo [--f K] [--n N] [--m M] [--queries Q] [--swaps S]
 //                       [--seed S] [--threads T] [--prefetch[=P]] [--delta]
@@ -83,12 +82,10 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <thread>
@@ -123,13 +120,12 @@ using namespace ftc;
                "[--shards K]\n"
                "       %s fsck FILE\n"
                "       %s journal append FILE --edges a,b,c [--budget F]\n"
-               "       %s journal compact FILE\n"
                "       %s swap-demo [--f K] [--n N] [--m M] [--queries Q] "
                "[--swaps S] [--seed S] [--threads T] [--prefetch[=P]] "
                "[--delta]\n"
                "       %s serve DIR [--port P]\n",
                argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0,
-               argv0, argv0);
+               argv0);
   std::exit(1);
 }
 
@@ -438,10 +434,9 @@ int cmd_inspect(int argc, char** argv) {
       const auto j = core::DeletionJournal::open(jpath);
       j->validate_against(info, path);
       std::printf("journal            epoch %llu: %zu/%u deletions "
-                  "(%zu query-fault slots remain; %zu frames, %zu bytes)\n",
+                  "(%zu query-fault slots remain; %zu bytes)\n",
                   static_cast<unsigned long long>(j->epoch()), j->occupancy(),
-                  j->fault_budget(), j->remaining(), j->num_frames(),
-                  j->file_bytes());
+                  j->fault_budget(), j->remaining(), j->file_bytes());
     } catch (const std::exception& e) {
       std::printf("journal            UNSERVABLE: %s\n", e.what());
     }
@@ -565,32 +560,14 @@ int cmd_fsck(int argc, char** argv) {
     return 1;
   }
 
-  // Sniff the magic ourselves (open_store_view's sharded open is the
-  // STRICT one, which aborts on the first damaged shard file — exactly
-  // what fsck must not do): a manifest goes through open_degraded so
-  // one dead shard leaves the others scannable.
-  std::uint64_t magic = 0;
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
-      std::printf("fsck %s: FAILED: cannot open (%s)\n", path.c_str(),
-                  std::strerror(errno));
-      return 2;
-    }
-    std::uint8_t buf[8] = {};
-    const std::size_t got = std::fread(buf, 1, sizeof(buf), f);
-    std::fclose(f);
-    if (got < sizeof(buf)) {
-      std::printf("fsck %s: FAILED: truncated (no magic)\n", path.c_str());
-      return 2;
-    }
-    for (int i = 0; i < 8; ++i) magic |= std::uint64_t{buf[i]} << (8 * i);
-  }
-
   std::size_t damaged = 0;
   std::shared_ptr<const core::StoreView> view;
+  // Sniff the magic first: open_store_view's sharded open is the STRICT
+  // one, which aborts on the first damaged shard file (exactly what fsck
+  // must not do), so a manifest goes through open_degraded and one dead
+  // shard leaves the others scannable.
   try {
-    if (magic != core::store::kManifestMagic) {
+    if (core::store::read_magic(path) != core::store::kManifestMagic) {
       // Flat container: the verifying open IS the full check.
       view = core::open_store_view(path, /*verify_checksum=*/true);
       std::printf("fsck %s: container ok (%zu bytes)\n", path.c_str(),
@@ -652,7 +629,7 @@ int cmd_fsck(int argc, char** argv) {
 
 int cmd_journal(int argc, char** argv) {
   if (argc < 3) {
-    std::fprintf(stderr, "journal: append|compact subcommand required\n");
+    std::fprintf(stderr, "journal: append subcommand required\n");
     return 1;
   }
   const std::string sub = argv[2];
@@ -681,13 +658,12 @@ int cmd_journal(int argc, char** argv) {
       }
     }
     const std::string jpath = core::journal_path_for(path);
+    // 0 keeps an existing journal's budget.
     std::uint32_t budget = 0;
     if (flags.count("budget") != 0) {
       budget = static_cast<std::uint32_t>(
           parse_u64_or_die(flags.at("budget")));
-    } else if (core::DeletionJournal::exists(jpath)) {
-      budget = core::DeletionJournal::open(jpath)->fault_budget();
-    } else {
+    } else if (!core::DeletionJournal::exists(jpath)) {
       std::fprintf(stderr,
                    "journal append: --budget F is required for the first "
                    "append (stores do not record their fault budget)\n");
@@ -700,21 +676,6 @@ int cmd_journal(int argc, char** argv) {
                 "(%zu query-fault slots remain)\n",
                 jpath.c_str(), static_cast<unsigned long long>(j->epoch()),
                 j->occupancy(), j->fault_budget(), j->remaining());
-    return 0;
-  }
-  if (sub == "compact") {
-    const auto flags = parse_flags(argc, argv, 3, &path, {});
-    (void)flags;
-    if (path.empty()) {
-      std::fprintf(stderr, "journal compact: FILE is required\n");
-      return 1;
-    }
-    const auto stats =
-        core::DeletionJournal::compact(core::journal_path_for(path));
-    std::printf("compacted %s: %zu -> %zu frames, %zu -> %zu bytes\n",
-                core::journal_path_for(path).c_str(), stats.frames_before,
-                stats.frames_after, stats.file_bytes_before,
-                stats.file_bytes_after);
     return 0;
   }
   std::fprintf(stderr, "journal: unknown subcommand %s\n", sub.c_str());
