@@ -47,9 +47,12 @@
 #                             # PCLMUL) into build-portable/, running the
 #                             # digest, golden-bytes, label-store,
 #                             # store-compat, GF(2^m), sketch,
-#                             # decoder-workspace and decode-allocation
-#                             # suites; the pinned golden checksums then
-#                             # prove the table-driven CRC-64 and the
+#                             # decoder-workspace, decode-allocation,
+#                             # subtree-fold and parallel-build suites
+#                             # (the builder's odd powers run on the
+#                             # lane type's portable body); the pinned
+#                             # golden checksums then prove the
+#                             # table-driven CRC-64 and the
 #                             # portable carry-less multiply write the
 #                             # same bytes as the PCLMUL build, and the
 #                             # pinned golden-outcome digest that the
@@ -59,9 +62,10 @@
 #                             # -DFTC_NATIVE=OFF -march=haswell (PCLMUL,
 #                             # no VPCLMULQDQ or AVX-512) into
 #                             # build-pclmul/, running the GF(2^m),
-#                             # sketch, golden-bytes, decoder-workspace
-#                             # and decode-allocation suites: the
-#                             # decoder's lane type takes its PCLMUL
+#                             # sketch, golden-bytes, decoder-workspace,
+#                             # decode-allocation, subtree-fold and
+#                             # parallel-build suites: the decoder's and
+#                             # the builder's lane type takes its PCLMUL
 #                             # scalar body here, the portable leg its
 #                             # portable body and the native build its
 #                             # VPCLMULQDQ body, and all three must give
@@ -121,10 +125,11 @@
 #                             # shard-cache fetch/evict races, the
 #                             # remote tier's loopback origin, cache
 #                             # fetches and retrying lazy shard opens,
-#                             # parallel builder dispatches, and batch
-#                             # workers carrying decoder sessions through
-#                             # a batch while workspaces move across
-#                             # fault sets)
+#                             # parallel builder dispatches, the subtree
+#                             # fold's workers reading its shared marks,
+#                             # and batch workers carrying decoder
+#                             # sessions through a batch while
+#                             # workspaces move across fault sets)
 #   scripts/ci.sh build-parallel # parallel-build determinism leg: asan
 #                             # run of the byte-identity suite
 #                             # (test_parallel_build) + the randomized
@@ -168,7 +173,8 @@ fi
 if [ "${1:-}" = "portable" ]; then
   echo "=== portable digest leg (release, FTC_NATIVE=OFF) ==="
   suites=(test_digest test_golden_bytes test_label_store test_store_compat
-    test_gf2 test_rs_sketch test_decoder_workspace test_decode_alloc)
+    test_gf2 test_rs_sketch test_decoder_workspace test_decode_alloc
+    test_subtree_xor test_parallel_build)
   cmake -S . -B build-portable -DCMAKE_BUILD_TYPE=Release -DFTC_NATIVE=OFF
   cmake --build build-portable -j "$jobs" --target "${suites[@]}"
   ctest --test-dir build-portable --output-on-failure \
@@ -180,7 +186,7 @@ fi
 if [ "${1:-}" = "pclmul" ]; then
   echo "=== PCLMUL-only leg (release, FTC_NATIVE=OFF, -march=haswell) ==="
   suites=(test_gf2 test_rs_sketch test_golden_bytes test_decoder_workspace
-    test_decode_alloc)
+    test_decode_alloc test_subtree_xor test_parallel_build)
   cmake -S . -B build-pclmul -DCMAKE_BUILD_TYPE=Release -DFTC_NATIVE=OFF \
     -DCMAKE_CXX_FLAGS=-march=haswell
   cmake --build build-pclmul -j "$jobs" --target "${suites[@]}"
@@ -326,6 +332,13 @@ if [ "${1:-}" = "store-delta" ]; then
   trap 'rm -rf "$tmp"' EXIT
   build-asan/ftc_store build --out "$tmp/flat.ftcs" --family grid \
     --rows 12 --cols 12 --backend core-ftc --f 8 >/dev/null
+  # A budget past 32 bits is a usage error (exit 1) that writes no
+  # journal, not a budget wrapped to 0.
+  rc=0
+  build-asan/ftc_store journal append "$tmp/flat.ftcs" --edges 3 \
+    --budget 4294967296 >/dev/null 2>&1 || rc=$?
+  [ "$rc" = "1" ]
+  [ ! -e "$tmp/flat.ftcs.jrnl" ]
   # Journal lifecycle: first append needs --budget, later ones inherit
   # it; idempotent and incremental epochs are covered by the suite, the
   # CLI leg checks the served answers.
@@ -552,12 +565,12 @@ fi
 if [ "${1:-}" = "tsan" ]; then
   echo "=== concurrency leg (tsan) ==="
   suites=(test_sharded_store test_store_swap test_shard_cache
-    test_remote_store test_parallel_build test_decoder_workspace
-    test_batch_engine)
+    test_remote_store test_parallel_build test_subtree_xor
+    test_decoder_workspace test_batch_engine)
   cmake --preset tsan
   cmake --build --preset tsan -j "$jobs" --target "${suites[@]}"
   ctest --preset tsan -R "$(suite_regex "${suites[@]}")" -j "$jobs"
-  echo "ci: sharded prefetch + live-swap + shard-cache + remote-store + parallel-build + decoder-session + batch-engine suites green under tsan"
+  echo "ci: sharded prefetch + live-swap + shard-cache + remote-store + parallel-build + subtree-fold + decoder-session + batch-engine suites green under tsan"
   exit 0
 fi
 

@@ -1,7 +1,9 @@
 #include "core/ftc_scheme.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <span>
 
 #include "core/edge_code.hpp"
 #include "core/label_store.hpp"
@@ -60,6 +62,24 @@ unsigned resolve_k(const FtcConfig& cfg, std::size_t n_aux,
   return std::max(4u, static_cast<unsigned>(k));
 }
 
+// row's LE words ^= the words of p. On a little-endian host an F's
+// object bytes already are its LE words (a GF(2^128) element is lo, hi),
+// so the block XORs in as one word run.
+template <typename F>
+void xor_le_elements(std::uint8_t* row, std::span<const F> p) {
+  static_assert(sizeof(F) == 8 * F::kWords);
+  if constexpr (std::endian::native == std::endian::little) {
+    xor_le_words(row, reinterpret_cast<const std::uint8_t*>(p.data()),
+                 p.size() * F::kWords);
+  } else {
+    for (std::size_t j = 0; j < p.size(); ++j) {
+      for (unsigned i = 0; i < F::kWords; ++i) {
+        xor_le_word(row, j * F::kWords + i, p[j].word(i));
+      }
+    }
+  }
+}
+
 }  // namespace
 
 struct FtcScheme::Impl {
@@ -109,19 +129,18 @@ struct FtcScheme::Impl {
           [&](VertexId v) {
             return store::core_edge_level_words(blob_below(v), layout, lev);
           },
-          // Own contributions: odd power sums j0..j1-1 of the edge ID.
+          // Own contributions: odd powers j0..j1-1 of the edge ID, one
+          // lane chain, XORed into both endpoint rows a block at a time.
           [&](EdgeId e2, std::size_t j0, std::size_t j1, std::uint8_t* ru,
               std::uint8_t* rv) {
             const auto& ed = aux.g2.edge(e2);
             const F id =
                 EdgeCode<F>::encode(anc2.label(ed.u), anc2.label(ed.v));
-            sketch::for_each_odd_power(
+            sketch::odd_power_blocks(
                 id, static_cast<unsigned>(j0), static_cast<unsigned>(j1),
-                [&](unsigned j, const F& p) {
-                  for (unsigned i = 0; i < wpe; ++i) {
-                    xor_le_word(ru, j * wpe + i, p.word(i));
-                    xor_le_word(rv, j * wpe + i, p.word(i));
-                  }
+                [&](unsigned j, std::span<const F> p) {
+                  xor_le_elements(ru + 8 * wpe * j, p);
+                  xor_le_elements(rv + 8 * wpe * j, p);
                 });
           });
     }

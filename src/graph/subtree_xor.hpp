@@ -15,6 +15,16 @@
 //      row(parent(v)) ^= row(v). Every descendant of v has a larger
 //      tin, so v's row already holds its whole subtree sum when it is
 //      folded upward.
+// Before either stage one sequential pass marks every endpoint of the
+// run's edges and carries the marks up to the parents in reverse
+// pre-order. A vertex whose subtree holds no endpoint is unmarked: its
+// sum is zero, which its row already holds, so the kernel neither asks
+// row_of for that row nor reads or writes it, and its fold is skipped.
+// Above level 0 a hierarchy level holds a fraction of the edges, so
+// most of the tree is unmarked: on ftcbench `steady`'s graph the fold
+// of a one-thread core build fell from 21-28 to 8-10 ms (4-vCPU Xeon
+// with AVX-512). The marks are written before the workers start and
+// only read by them, so they change no byte, whatever the worker count.
 // Workers split the columns of each row (col_words words per column: a
 // syndrome, an AGM repetition, a cycle-space word), not the vertices.
 // Each worker runs both stages for every edge and vertex over its own
@@ -32,7 +42,7 @@
 //
 // Rows are little-endian words at any byte offset (the cycle-space
 // blob's 20-byte header leaves its vector unaligned); add() writes them
-// through xor_le_word (util/xor_kernel.hpp).
+// through xor_le_word or xor_le_words (util/xor_kernel.hpp).
 #pragma once
 
 #include <algorithm>
@@ -71,9 +81,20 @@ class SubtreeXor {
   void run(const Graph& g, std::span<const EdgeId> edges, std::size_t cols,
            std::size_t col_words, RowOf&& row_of, Add&& add) {
     if (cols == 0) return;
+    // touched_[v]: v's subtree holds an endpoint of `edges`. Written
+    // here, before the workers start, and only read by them.
+    touched_.assign(by_tin_.size(), 0);
+    for (const EdgeId e : edges) {
+      touched_[g.edge(e).u] = 1;
+      touched_[g.edge(e).v] = 1;
+    }
+    for (std::size_t t = by_tin_.size(); t-- > 1;) {
+      const VertexId v = by_tin_[t];
+      touched_[parent_[v]] |= touched_[v];
+    }
     root_row_.assign(8 * cols * col_words, 0);
     for (VertexId v = 0; v < rows_.size(); ++v) {
-      rows_[v] = v == root_ ? root_row_.data() : row_of(v);
+      if (touched_[v]) rows_[v] = v == root_ ? root_row_.data() : row_of(v);
     }
     const auto parts = static_cast<unsigned>(
         std::min<std::size_t>(pool_.default_active(), cols));
@@ -88,6 +109,7 @@ class SubtreeXor {
       const std::size_t words = (c1 - c0) * col_words;
       for (std::size_t t = by_tin_.size(); t-- > 1;) {
         const VertexId v = by_tin_[t];
+        if (!touched_[v]) continue;
         xor_le_words(rows_[parent_[v]] + at, rows_[v] + at, words);
       }
     });
@@ -98,7 +120,8 @@ class SubtreeXor {
   const std::vector<VertexId>& parent_;
   const VertexId root_;
   std::vector<VertexId> by_tin_;        // pre-order: by_tin_[tin(v)] = v
-  std::vector<std::uint8_t*> rows_;     // this run's row of every vertex
+  std::vector<std::uint8_t> touched_;   // this run's marks, by vertex
+  std::vector<std::uint8_t*> rows_;     // this run's touched rows
   std::vector<std::uint8_t> root_row_;  // the root's scratch row
 };
 

@@ -37,51 +37,6 @@
 
 namespace ftc::sketch {
 
-// Calls sink(j, x^(2j+1)) for j = j0, ..., j1 - 1: the terms element x
-// adds to syndromes j0..j1-1. One chain p *= x^2 is latency-bound, each
-// multiply waiting on the last; this walk runs 8 independent chains,
-// chain c starting at x^(2(j0+c)+1) (the first from gf::pow) and
-// stepping by x^16, so the carry-less multiplies overlap. Every builder
-// and sketch update takes its odd powers from here.
-template <typename F, typename Sink>
-void for_each_odd_power(const F& x, unsigned j0, unsigned j1, Sink&& sink) {
-  constexpr unsigned kChains = 8;
-  if (j0 >= j1) return;
-  const F x2 = x.square();
-  std::array<F, kChains> p{};
-  p[0] = gf::pow(x, 2 * std::uint64_t{j0} + 1);
-  for (unsigned c = 1; c < std::min(kChains, j1 - j0); ++c) {
-    p[c] = p[c - 1] * x2;
-  }
-  const F stride = x2.square().square().square();  // x^16
-  unsigned j = j0;
-  for (; j1 - j >= kChains; j += kChains) {
-    for (unsigned c = 0; c < kChains; ++c) {
-      sink(j + c, p[c]);
-      p[c] *= stride;
-    }
-  }
-  for (unsigned c = 0; j < j1; ++j, ++c) sink(j, p[c]);
-}
-
-// Odd power sums S_1, S_3, ..., S_{2k-1} of xs, into a reused buffer.
-template <typename F>
-void odd_power_sums_into(std::span<const F> xs, unsigned k,
-                         std::vector<F>& syn) {
-  syn.assign(k, F::zero());
-  for (const F& x : xs) {
-    for_each_odd_power(x, 0, k, [&](unsigned j, const F& p) { syn[j] += p; });
-  }
-}
-
-// Odd power sums S_1, S_3, ..., S_{2k-1} of xs.
-template <typename F>
-std::vector<F> odd_power_sums(std::span<const F> xs, unsigned k) {
-  std::vector<F> syn;
-  odd_power_sums_into(xs, k, syn);
-  return syn;
-}
-
 namespace detail {
 
 // Walks the odd power sums of the elements of xs (at most kMax) over
@@ -134,6 +89,62 @@ bool walk_group(std::span<const F> xs, unsigned base, unsigned steps,
 }
 
 }  // namespace detail
+
+// Syndromes per block of odd_power_blocks: 8 steps of the lane walk.
+inline constexpr unsigned kOddPowerBlock = 64;
+
+// Calls block(j, p) for the consecutive blocks [j, j + p.size()) that
+// tile [j0, j1), with p[i] = x^(2(j + i) + 1): the terms element x adds
+// to syndromes j .. j + p.size() - 1. Every block but the last holds
+// kOddPowerBlock powers. The powers come from one lane chain of the walk
+// above (x^(2(j0 + c) + 1) in lane c, stepping by x^16), so 8 multiplies
+// run as one. This is every builder's and sketch update's odd-power
+// generator; the verify walk runs the same chains summed over a support.
+template <typename F, typename Block>
+void odd_power_blocks(const F& x, unsigned j0, unsigned j1, Block&& block) {
+  using L = gf::Lanes<F>;
+  constexpr unsigned kSteps = kOddPowerBlock / L::kWidth;
+  if (j0 >= j1) return;
+  alignas(64) std::array<F, kOddPowerBlock> buf;
+  const unsigned steps = (j1 - j0 + L::kWidth - 1) / L::kWidth;
+  detail::walk_odd_powers<1>(
+      std::span<const F>(&x, 1), j0, steps, [&](unsigned s, const L& sum) {
+        sum.store(buf.data() + s % kSteps * L::kWidth);
+        if (s % kSteps == kSteps - 1 || s + 1 == steps) {
+          const unsigned j = j0 + s / kSteps * kOddPowerBlock;
+          block(j, std::span<const F>(
+                       buf.data(), std::min(kOddPowerBlock, j1 - j)));
+        }
+        return true;
+      });
+}
+
+// syn[j] += x^(2j+1) for every j < syn.size(): toggles x in the sketch.
+template <typename F>
+void add_odd_powers(const F& x, std::span<F> syn) {
+  odd_power_blocks(x, 0, static_cast<unsigned>(syn.size()),
+                   [&](unsigned j, std::span<const F> p) {
+                     for (std::size_t i = 0; i < p.size(); ++i) {
+                       syn[j + i] += p[i];
+                     }
+                   });
+}
+
+// Odd power sums S_1, S_3, ..., S_{2k-1} of xs, into a reused buffer.
+template <typename F>
+void odd_power_sums_into(std::span<const F> xs, unsigned k,
+                         std::vector<F>& syn) {
+  syn.assign(k, F::zero());
+  for (const F& x : xs) add_odd_powers<F>(x, syn);
+}
+
+// Odd power sums S_1, S_3, ..., S_{2k-1} of xs.
+template <typename F>
+std::vector<F> odd_power_sums(std::span<const F> xs, unsigned k) {
+  std::vector<F> syn;
+  odd_power_sums_into(xs, k, syn);
+  return syn;
+}
 
 // Check that the odd power sums of xs equal syn[0 .. w), every one of
 // the w syndromes compared exactly. This is the decoder's fail-stop
@@ -383,8 +394,7 @@ class RsSketch {
   // Toggles membership of x (insert if absent, erase if present).
   void toggle(F x) {
     FTC_REQUIRE(!x.is_zero(), "sketch elements must be nonzero");
-    for_each_odd_power(x, 0, k(),
-                       [&](unsigned j, const F& p) { syn_[j] += p; });
+    add_odd_powers<F>(x, syn_);
   }
 
   // After merging, this sketches the symmetric difference of the two sets.

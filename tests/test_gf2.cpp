@@ -99,16 +99,52 @@ TYPED_TEST(FieldTest, MultiplicativeAxioms) {
   }
 }
 
+// The Itoh-Tsujii inverse on random elements, every basis element x^i
+// and the all-ones element, also against the definition
+// a^(2^m - 2) = prod_{i=1}^{m-1} a^(2^i).
 TYPED_TEST(FieldTest, InverseAndDivision) {
   using F = TypeParam;
-  SplitMix64 rng(3);
+  const auto by_definition = [](F a) {
+    F r = F::one();
+    for (unsigned i = 1; i < F::kBits; ++i) {
+      a = a.square();
+      r *= a;
+    }
+    return r;
+  };
   EXPECT_EQ(inverse(F::one()), F::one());
-  for (int i = 0; i < 200; ++i) {
-    const F a = this->random_nonzero(rng);
-    EXPECT_EQ(a * inverse(a), F::one());
-    EXPECT_EQ(inverse(inverse(a)), a);
+  std::vector<F> elems;
+  F ones = F::zero();
+  for (unsigned i = 0; i < F::kBits; ++i) {
+    elems.push_back(F::basis_element(i));
+    ones += F::basis_element(i);
+  }
+  elems.push_back(ones);
+  SplitMix64 rng(3);
+  for (int i = 0; i < 200; ++i) elems.push_back(this->random_nonzero(rng));
+  for (const F& a : elems) {
+    const F inv = inverse(a);
+    ASSERT_EQ(a * inv, F::one());
+    ASSERT_EQ(inverse(inv), a);
+    ASSERT_EQ(inv, by_definition(a));
   }
   EXPECT_THROW(inverse(F::zero()), std::invalid_argument);
+}
+
+// The inverse chain's table-driven x^(2^k) against k squarings.
+TYPED_TEST(FieldTest, FrobeniusPowerMatchesRepeatedSquaring) {
+  using F = TypeParam;
+  SplitMix64 rng(31);
+  std::vector<F> elems = {F::zero(), F::one()};
+  for (int i = 0; i < 50; ++i) elems.push_back(this->random_elem(rng));
+  for (const unsigned k : {0u, 1u, 7u, F::kBits - 1}) {
+    const detail::FrobeniusPower<F> frob(k);
+    for (const F& a : elems) {
+      F want = a;
+      for (unsigned s = 0; s < k; ++s) want = want.square();
+      ASSERT_EQ(frob(a), want) << "k " << k;
+    }
+  }
 }
 
 TYPED_TEST(FieldTest, FrobeniusHasOrderM) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
+#include <utility>
 
 #include "sketch/rs_sketch.hpp"
 #include "util/common.hpp"
@@ -183,22 +185,35 @@ TEST(OddPowerSums, MatchesDirectComputation) {
   }
 }
 
-// The 8-chain walk against pow() for ranges shorter than, equal to and
-// longer than the chain count, starting at 0 and mid-row (as a builder
-// worker's column range does).
-TYPED_TEST(RsSketchTest, ForEachOddPowerMatchesPow) {
+// The lane walk's blocks against pow(): windows from 0 and from j0 off
+// a multiple of 8 (as a builder worker's column range starts), tails of
+// 1..7 past the last full 8-lane step, and windows of more than one
+// builder block. The blocks must tile [j0, j1) in order, all but the
+// last kOddPowerBlock long.
+TYPED_TEST(RsSketchTest, OddPowerBlocksMatchPow) {
   using F = TypeParam;
+  constexpr unsigned B = kOddPowerBlock;
   SplitMix64 rng(91);
   const auto xs = random_distinct_nonzero<F>(rng, 3);
   const std::pair<unsigned, unsigned> ranges[] = {
-      {0, 0}, {0, 1}, {0, 7}, {0, 8}, {0, 9}, {0, 40}, {5, 5},
-      {5, 6}, {3, 11}, {13, 30}, {100, 131}};
+      {0, 0},          {5, 5},          {0, 1},          {0, 7},
+      {0, 8},          {0, 9},          {3, 4},          {3, 10},
+      {5, 6},          {3, 11},         {13, 30},        {7, 21},
+      {100, 131},      {0, B},          {0, B + 1},      {1, B + 8},
+      {11, 11 + B},    {9, 9 + 2 * B + 7}, {0, 3 * B + 3}, {200, 476}};
   for (const F& x : xs) {
     for (const auto& [j0, j1] : ranges) {
+      SCOPED_TRACE(testing::Message() << "window [" << j0 << ", " << j1 << ")");
       unsigned next = j0;
-      for_each_odd_power(x, j0, j1, [&](unsigned j, const F& p) {
-        EXPECT_EQ(j, next++);
-        EXPECT_EQ(p, gf::pow(x, 2 * std::uint64_t{j} + 1)) << "j=" << j;
+      odd_power_blocks(x, j0, j1, [&](unsigned j, std::span<const F> p) {
+        EXPECT_EQ(j, next);
+        ASSERT_FALSE(p.empty());
+        if (j + p.size() < j1) EXPECT_EQ(p.size(), B);
+        for (std::size_t i = 0; i < p.size(); ++i) {
+          EXPECT_EQ(p[i], gf::pow(x, 2 * std::uint64_t{j + i} + 1))
+              << "j=" << j + i;
+        }
+        next = j + static_cast<unsigned>(p.size());
       });
       EXPECT_EQ(next, j1);
     }

@@ -270,12 +270,13 @@ graph::Graph make_graph(const std::map<std::string, std::string>& flags) {
   std::exit(1);
 }
 
-// 32-bit range check on top of the strict parse, so oversized CLI IDs
-// error out instead of silently wrapping to a different (valid) ID.
-std::uint32_t parse_id32(const std::string& s) {
+// 32-bit range check on top of the strict parse, so an oversized CLI ID
+// or journal budget errors out instead of silently wrapping to a
+// different (valid) value.
+std::uint32_t parse_u32_or_die(const std::string& s) {
   const std::uint64_t v = parse_u64_or_die(s);
   if (v > UINT32_MAX) {
-    std::fprintf(stderr, "ID out of range: %s\n", s.c_str());
+    std::fprintf(stderr, "value out of 32-bit range: %s\n", s.c_str());
     std::exit(1);
   }
   return static_cast<std::uint32_t>(v);
@@ -288,7 +289,7 @@ std::vector<graph::EdgeId> parse_id_list(const std::string& s) {
   while (pos < s.size()) {
     std::size_t next = s.find(',', pos);
     if (next == std::string::npos) next = s.size();
-    out.push_back(parse_id32(s.substr(pos, next - pos)));
+    out.push_back(parse_u32_or_die(s.substr(pos, next - pos)));
     pos = next + 1;
   }
   return out;
@@ -307,8 +308,8 @@ std::vector<core::BatchQueryEngine::Query> parse_pairs(const std::string& s) {
       std::fprintf(stderr, "bad pair (want s:t): %s\n", pair.c_str());
       std::exit(1);
     }
-    out.push_back({parse_id32(pair.substr(0, colon)),
-                   parse_id32(pair.substr(colon + 1))});
+    out.push_back({parse_u32_or_die(pair.substr(0, colon)),
+                   parse_u32_or_die(pair.substr(colon + 1))});
     pos = next + 1;
   }
   return out;
@@ -661,8 +662,7 @@ int cmd_journal(int argc, char** argv) {
     // 0 keeps an existing journal's budget.
     std::uint32_t budget = 0;
     if (flags.count("budget") != 0) {
-      budget = static_cast<std::uint32_t>(
-          parse_u64_or_die(flags.at("budget")));
+      budget = parse_u32_or_die(flags.at("budget"));
     } else if (!core::DeletionJournal::exists(jpath)) {
       std::fprintf(stderr,
                    "journal append: --budget F is required for the first "
